@@ -3,7 +3,10 @@
 __version__ = "0.1.0"
 
 from .bruteforce import (
+    DEFAULT_GA_MEASURES,
     MEASURE_KEYS,
+    MEASURES,
+    Measure,
     MeasureReport,
     StateVector,
     cross_validate,
@@ -32,7 +35,6 @@ from .discord import (
 )
 from .entanglement import (
     concurrence_multiqubit_ga,
-    concurrence_multiqubit_ga_closed_form,
     concurrence_two_qubit,
     concurrence_two_qubit_ga,
     multiqubit_concurrence_pure,
@@ -61,6 +63,8 @@ from .gga import (
     phi_family_states,
 )
 from .grover import (
+    CAPACITY_QUBITS,
+    FLOAT_SAFE_QUBITS,
     GroverConfig,
     OptimalIteration,
     SymmetricGAState,

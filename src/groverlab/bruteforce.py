@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from . import coherence, discord, entanglement, nonlocality
+from . import coherence, discord, entanglement, grover, nonlocality
 from .errors import CapacityError, InvalidStateError, NumericalConsistencyError
 from .gga import AmplitudeDistribution, gga_iterate
 from .grover import (
+    CAPACITY_QUBITS,
     GroverConfig,
     _reduced_matrix_from_state,
     full_density,
@@ -27,30 +29,19 @@ from .linalg import (
 )
 from .optimizers import OptimizerConfig
 
-CAPACITY_QUBITS = 12
-
-MEASURE_KEYS = ("p", "cr", "cl1", "e2", "en", "d2", "dn", "m", "svet")
-
-# Full density matrices are materialized for the generic measures only up to
-# this size; larger statevectors use the mathematically identical pure-state
-# expressions (S(rho) = 0, Shannon entropy of probabilities, magnitude sums).
-_DENSE_MEASURE_QUBITS = 8
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized amplitudes of an n-qubit register, n <= 12 unless overridden."""
+    """Normalized amplitudes of an n-qubit register, n <= CAPACITY_QUBITS."""
 
     amplitudes: np.ndarray
-    allow_large: bool = False
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         n = amps.size.bit_length() - 1
         if amps.ndim != 1 or 1 << n != amps.size:
             raise InvalidStateError(f"amplitude length {amps.size} is not a power of two")
-        if n > CAPACITY_QUBITS and not self.allow_large:
-            raise CapacityError(f"n={n} exceeds the statevector cap {CAPACITY_QUBITS}")
+        _check_capacity(n)
         norm2 = float(np.sum(np.abs(amps) ** 2))
         if abs(norm2 - 1.0) > 1e-12:
             raise InvalidStateError(f"statevector not normalized: sum |a|^2 = {norm2!r}")
@@ -62,9 +53,15 @@ class StateVector:
         return self.amplitudes.size.bit_length() - 1
 
 
-def uniform_state(n: int, allow_large: bool = False) -> StateVector:
+def _check_capacity(n: int) -> None:
+    if n > CAPACITY_QUBITS:
+        raise CapacityError(f"n={n} exceeds the statevector cap {CAPACITY_QUBITS}")
+
+
+def uniform_state(n: int) -> StateVector:
+    _check_capacity(n)  # before allocating 2^n amplitudes
     N = 1 << n
-    return StateVector(np.full(N, 1.0 / math.sqrt(N), dtype=complex), allow_large=allow_large)
+    return StateVector(np.full(N, 1.0 / math.sqrt(N), dtype=complex))
 
 
 def grover_step(sv: StateVector, solutions) -> StateVector:
@@ -83,13 +80,11 @@ def grover_step(sv: StateVector, solutions) -> StateVector:
     return replace(sv, amplitudes=amps)
 
 
-def evolve(cfg: GroverConfig, r: int, allow_large: bool = False) -> StateVector:
+def evolve(cfg: GroverConfig, r: int) -> StateVector:
     """Statevector after r Grover iterations from the uniform start."""
-    if cfg.n > CAPACITY_QUBITS and not allow_large:
-        raise CapacityError(f"n={cfg.n} exceeds the statevector cap {CAPACITY_QUBITS}")
     if r < 0:
         raise ValueError(f"iteration count must be >= 0, got {r}")
-    sv = uniform_state(cfg.n, allow_large=allow_large)
+    sv = uniform_state(cfg.n)
     for _ in range(r):
         sv = grover_step(sv, cfg.solutions)
     return sv
@@ -104,6 +99,97 @@ def state_to_distribution(sv: StateVector, solutions) -> AmplitudeDistribution:
         solution_amplitudes=sv.amplitudes[mask],
         other_amplitudes=sv.amplitudes[~mask],
     )
+
+
+@dataclass(frozen=True)
+class Measure:
+    """One measure: its closed form, its oracle and the domain they share.
+
+    `closed_form(cfg, r, optimizer)` covers j = 1 with the solution at index
+    0, or any j when `any_j` is set; `oracle(amplitudes, cfg, optimizer)`
+    covers n <= CAPACITY_QUBITS. Both return a float, or for `slow` (opt-in,
+    optimizer per row) measures the optimizer result. Registers smaller than
+    `min_qubits` have no value. Entries look functions up on their module at
+    call time, so a function replaced there (e.g. by a tracer) is what runs.
+    """
+
+    closed_form: Callable
+    oracle: Callable
+    min_qubits: int = 1
+    any_j: bool = False
+    slow: bool = False
+
+    def engine(self, cfg: GroverConfig, use_oracle: bool = True) -> str:
+        """'analytic', 'oracle' or 'unavailable' for one (n, j) series."""
+        if cfg.n < self.min_qubits:
+            return "unavailable"
+        if self.any_j or (cfg.j == 1 and cfg.solutions == (0,)):
+            return "analytic"
+        if use_oracle and cfg.n <= CAPACITY_QUBITS:
+            return "oracle"
+        return "unavailable"
+
+
+MEASURES = {
+    "p": Measure(
+        closed_form=lambda cfg, r, opt: grover.success_probability(cfg, r),
+        oracle=lambda amps, cfg, opt: float((np.abs(amps[list(cfg.solutions)]) ** 2).sum()),
+        any_j=True,
+    ),
+    "cr": Measure(
+        closed_form=lambda cfg, r, opt: coherence.coherence_r_ga(cfg, r),
+        # S(rho) = 0 for a pure state, so C_r is the Shannon entropy of |amps|^2
+        oracle=lambda amps, cfg, opt: shannon_entropy(np.abs(amps) ** 2),
+        any_j=True,
+    ),
+    "cl1": Measure(
+        closed_form=lambda cfg, r, opt: coherence.coherence_l1_ga(cfg, r),
+        # sum_{x != y} |a_x||a_y| = (sum |a_x|)^2 - sum |a_x|^2
+        oracle=lambda amps, cfg, opt: float(np.abs(amps).sum() ** 2 - (np.abs(amps) ** 2).sum()),
+        any_j=True,
+    ),
+    "e2": Measure(
+        closed_form=lambda cfg, r, opt: entanglement.concurrence_two_qubit_ga(cfg, r),
+        oracle=lambda amps, cfg, opt: entanglement.concurrence_two_qubit(
+            pure_partial_trace(amps, (0, 1))
+        ),
+        min_qubits=2,
+    ),
+    "en": Measure(
+        closed_form=lambda cfg, r, opt: entanglement.concurrence_multiqubit_ga(cfg, r),
+        oracle=lambda amps, cfg, opt: entanglement.multiqubit_concurrence_pure(amps),
+        min_qubits=2,
+    ),
+    "d2": Measure(
+        closed_form=lambda cfg, r, opt: discord.pairwise_discord_ga(cfg, r, opt),
+        oracle=lambda amps, cfg, opt: discord.pairwise_discord(
+            pure_partial_trace(amps, (0, 1)), opt
+        ),
+        min_qubits=2,
+        slow=True,
+    ),
+    "dn": Measure(
+        closed_form=lambda cfg, r, opt: discord.genuine_discord_ga(cfg, r),
+        oracle=lambda amps, cfg, opt: von_neumann_entropy(pure_partial_trace(amps, (0,))),
+    ),
+    "m": Measure(
+        closed_form=lambda cfg, r, opt: nonlocality.chsh_M_ga(cfg, r),
+        oracle=lambda amps, cfg, opt: nonlocality.chsh_M(pure_partial_trace(amps, (0, 1))),
+        min_qubits=2,
+    ),
+    "svet": Measure(
+        closed_form=lambda cfg, r, opt: nonlocality.svetlichny_max_ga(cfg, r, opt),
+        oracle=lambda amps, cfg, opt: nonlocality.svetlichny_max(
+            pure_partial_trace(amps, (0, 1, 2)), opt
+        ),
+        min_qubits=3,
+        slow=True,
+    ),
+}
+
+MEASURE_KEYS = tuple(MEASURES)
+# `p` is always a column; the slow optimizer measures are opt-in.
+DEFAULT_GA_MEASURES = tuple(k for k in MEASURE_KEYS if k != "p" and not MEASURES[k].slow)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,49 +207,16 @@ class MeasureReport:
 
 
 def _generic_measures(sv: StateVector, cfg: GroverConfig, measures, optimizer: OptimizerConfig):
-    amps = sv.amplitudes
-    probs = np.abs(amps) ** 2
+    """Oracle values of `measures` on one statevector, plus optimizer metadata."""
     values: dict = {}
     meta: dict = {}
-    rho_full = DensityMatrix.from_pure(amps) if sv.n <= _DENSE_MEASURE_QUBITS else None
     for key in measures:
-        if key == "p":
-            values["p"] = float(probs[list(cfg.solutions)].sum())
-        elif key == "cr":
-            if rho_full is not None:
-                values["cr"] = coherence.coherence_relative_entropy(rho_full)
-            else:
-                values["cr"] = shannon_entropy(probs)
-        elif key == "cl1":
-            if rho_full is not None:
-                values["cl1"] = coherence.coherence_l1(rho_full)
-            else:
-                values["cl1"] = float(np.abs(amps).sum() ** 2 - probs.sum())
-        elif key == "e2":
-            values["e2"] = entanglement.concurrence_two_qubit(pure_partial_trace(amps, (0, 1)))
-        elif key == "en":
-            values["en"] = entanglement.multiqubit_concurrence_pure(amps)
-        elif key == "d2":
-            sol = discord.pairwise_discord(pure_partial_trace(amps, (0, 1)), optimizer)
-            values["d2"] = sol.value
-            meta["d2"] = {
-                "theta": sol.theta,
-                "phi": sol.phi,
-                "evals": sol.optimizer_evals,
-                "converged": sol.converged,
-            }
-        elif key == "dn":
-            values["dn"] = von_neumann_entropy(pure_partial_trace(amps, (0,)))
-        elif key == "m":
-            values["m"] = nonlocality.chsh_M(pure_partial_trace(amps, (0, 1)))
-        elif key == "svet":
-            res = nonlocality.svetlichny_max(pure_partial_trace(amps, (0, 1, 2)), optimizer)
-            values["svet"] = res.value
-            meta["svet"] = {
-                "restarts": res.restarts,
-                "evals": res.optimizer_evals,
-                "converged": res.converged,
-            }
+        result = MEASURES[key].oracle(sv.amplitudes, cfg, optimizer)
+        if MEASURES[key].slow:
+            values[key] = result.value
+            meta[key] = {"evals": result.optimizer_evals, "converged": result.converged}
+        else:
+            values[key] = result
     return values, meta
 
 
@@ -173,22 +226,26 @@ def run_and_measure(
     measures=("p",),
     optimizer: OptimizerConfig | None = None,
 ) -> MeasureReport:
-    """Evolve the statevector r steps and evaluate each measure generically."""
-    if cfg.n > CAPACITY_QUBITS:
-        raise CapacityError(f"n={cfg.n} exceeds the statevector cap {CAPACITY_QUBITS}")
+    """Evolve the statevector r steps and evaluate each measure with its oracle.
+
+    A measure the register is too small for is None, engine 'unavailable'.
+    """
     measures = tuple(measures)
     for key in measures:
-        if key not in MEASURE_KEYS:
+        if key not in MEASURES:
             raise ValueError(f"unknown measure {key!r}; expected one of {MEASURE_KEYS}")
     if "p" not in measures:
         measures = ("p",) + measures
-    optimizer = optimizer or OptimizerConfig()
+    engines = {
+        key: "oracle" if cfg.n >= MEASURES[key].min_qubits else "unavailable" for key in measures
+    }
     sv = evolve(cfg, r)
-    values, meta = _generic_measures(sv, cfg, measures, optimizer)
+    oracle_measures = tuple(key for key in measures if engines[key] == "oracle")
+    values, meta = _generic_measures(sv, cfg, oracle_measures, optimizer or OptimizerConfig())
     return MeasureReport(
         r=r,
-        values=values,
-        engines={key: "oracle" for key in measures},
+        values={key: values.get(key) for key in measures},
+        engines=engines,
         optimizer_meta=meta,
     )
 
@@ -330,10 +387,6 @@ def cross_validate(
                         lambda: discord._genuine_discord_from_state(cfg, st),
                         von_neumann_entropy(pure_partial_trace(amps, (0,))),
                     )
-                    acc["multiqubit_concurrence_forms"].add(
-                        lambda: entanglement._concurrence_multiqubit_from_state(cfg, st),
-                        entanglement.concurrence_multiqubit_ga_closed_form(cfg, r),
-                    )
                     acc["partition_minimum"].add(
                         lambda: abs(
                             discord.genuine_discord_partition_min(cfg, r).value
@@ -342,9 +395,11 @@ def cross_validate(
                         0.0,
                     )
                     rho = full_density(cfg, r)
+                    deficits = 0.0  # sum_k C(n,k) (1 - Tr rho_k^2) from the dense reductions
                     for k in range(1, n):
                         structured = _reduced_matrix_from_state(n, st, k)
                         generic = partial_trace(rho, tuple(range(k))).matrix
+                        deficits += math.comb(n, k) * (1.0 - float(np.sum(np.abs(generic) ** 2)))
                         acc["reduced_density"].add(
                             float(np.max(np.abs(structured - generic))), 0.0
                         )
@@ -354,6 +409,9 @@ def cross_validate(
                         acc["reduced_density"].add(
                             float(np.max(np.abs(structured - permuted))), 0.0
                         )
+                    acc["multiqubit_concurrence_forms"].add(
+                        entanglement._multiqubit_radicand(n, st), deficits
+                    )
                 sv = grover_step(sv, cfg.solutions)
 
     # generalized engine reproduces the standard iteration from a uniform start

@@ -8,11 +8,11 @@ from pathlib import Path
 import click
 
 from . import __version__
+from .bruteforce import DEFAULT_GA_MEASURES, MEASURE_KEYS
 from .errors import AmplitudeFileError
 from .gga import distribution_from_json
 from .optimizers import OptimizerConfig
 from .report import (
-    DEFAULT_GA_MEASURES,
     RunConfig,
     figure_outputs,
     ga_sweep,
@@ -101,7 +101,11 @@ def main():
 @click.option("--n", type=int, default=None, help="Qubit count (database size 2^n).")
 @click.option("--j", "j_spec", default=None, help="Solution count: '3', '1,2,5' or '1..10'.")
 @click.option("--r-max", type=int, default=None, help="Last iteration (default: r_opt).")
-@click.option("--measures", default=None, help=f"Comma list from {', '.join(DEFAULT_GA_MEASURES + ('d2', 'svet'))}.")
+@click.option(
+    "--measures",
+    default=None,
+    help=f"Comma list from {', '.join(MEASURE_KEYS)} (default {','.join(DEFAULT_GA_MEASURES)}).",
+)
 @click.option("--grid", default=None, help="Discord grid THETAxPHI (default 64x128).")
 @click.option("--restarts", type=int, default=None, help="Svetlichny restarts (default 64).")
 @click.option("--no-oracle", is_flag=True, default=False, help="Disable the brute-force fallback engine.")
@@ -110,32 +114,32 @@ def main():
 def ga(n, j_spec, r_max, measures, grid, restarts, no_oracle, workers, seed, fmt, out, config_path):
     """Sweep the standard search: one row per iteration r = 0..r_max."""
     cfgf = _load_config_file(config_path)
-    n = _merged(n, cfgf, "n", int, 11)
-    j_values = _merged(
-        _parse_j_spec(j_spec) if j_spec else None, cfgf, "j", _parse_j_spec, (1,)
-    )
-    r_max = _merged(r_max, cfgf, "r-max", int, None)
-    measure_list = _merged(
-        tuple(measures.split(",")) if measures else None,
-        cfgf,
-        "measures",
-        lambda s: tuple(s.split(",")),
-        DEFAULT_GA_MEASURES,
-    )
-    theta_grid, phi_grid = _merged(
-        _parse_grid(grid) if grid else None, cfgf, "grid", _parse_grid, (64, 128)
-    )
-    restarts = _merged(restarts, cfgf, "restarts", int, 64)
-    seed = _merged(seed, cfgf, "seed", int, 0)
-    fmt = _merged(fmt, cfgf, "format", str, "csv")
-    out = _merged(out, cfgf, "out", str, None)
-    workers = _merged(workers, cfgf, "workers", int, 1)
-    if no_oracle is False and "no-oracle" in cfgf:
-        no_oracle = _parse_bool(cfgf["no-oracle"])
-    bad = [m for m in measure_list if m not in DEFAULT_GA_MEASURES + ("d2", "svet", "p")]
-    if bad:
-        raise click.UsageError(f"unknown measures: {', '.join(bad)}")
     try:
+        n = _merged(n, cfgf, "n", int, 11)
+        j_values = _merged(
+            _parse_j_spec(j_spec) if j_spec else None, cfgf, "j", _parse_j_spec, (1,)
+        )
+        r_max = _merged(r_max, cfgf, "r-max", int, None)
+        measure_list = _merged(
+            tuple(measures.split(",")) if measures else None,
+            cfgf,
+            "measures",
+            lambda s: tuple(s.split(",")),
+            DEFAULT_GA_MEASURES,
+        )
+        theta_grid, phi_grid = _merged(
+            _parse_grid(grid) if grid else None, cfgf, "grid", _parse_grid, (64, 128)
+        )
+        restarts = _merged(restarts, cfgf, "restarts", int, 64)
+        seed = _merged(seed, cfgf, "seed", int, 0)
+        fmt = _merged(fmt, cfgf, "format", str, "csv")
+        out = _merged(out, cfgf, "out", str, None)
+        workers = _merged(workers, cfgf, "workers", int, 1)
+        if no_oracle is False and "no-oracle" in cfgf:
+            no_oracle = _parse_bool(cfgf["no-oracle"])
+        bad = [m for m in measure_list if m not in MEASURE_KEYS]
+        if bad:
+            raise click.UsageError(f"unknown measures: {', '.join(bad)}")
         run = RunConfig(
             command="ga",
             n=n,

@@ -10,8 +10,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import NumericalConsistencyError, UnsupportedStructureError
-from .grover import GroverConfig, SymmetricGAState, reduced_density, state_at
+from .errors import CapacityError, NumericalConsistencyError, UnsupportedStructureError
+from .grover import (
+    CAPACITY_QUBITS,
+    GroverConfig,
+    SymmetricGAState,
+    reduced_density,
+    state_at,
+    two_qubit_omegas,
+)
 from .linalg import DensityMatrix, binary_entropy, von_neumann_entropy
 from .optimizers import OptimizerConfig
 
@@ -123,8 +130,8 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
 
 
 def pairwise_discord_ga(cfg: GroverConfig, r: int, config: OptimizerConfig | None = None) -> DiscordSolution:
-    """Discord of the structured two-qubit reduced state (j=1)."""
-    return pairwise_discord(reduced_density(cfg, r, 2), config)
+    """Discord of the structured two-qubit reduced state (j=1, n >= 2)."""
+    return pairwise_discord(two_qubit_omegas(cfg, r).to_density(), config)
 
 
 def _genuine_discord_from_state(cfg: GroverConfig, st: SymmetricGAState) -> float:
@@ -176,8 +183,8 @@ def genuine_discord_partition_min(cfg: GroverConfig, r: int) -> PartitionMinimum
     """
     if cfg.j != 1 or cfg.solutions != (0,):
         raise UnsupportedStructureError("partition minimization requires j=1, solution at 0")
-    if cfg.n > 12:
-        raise ValueError(f"partition minimization capped at 12 qubits, got n={cfg.n}")
+    if cfg.n > CAPACITY_QUBITS:
+        raise CapacityError(f"partition minimization capped at {CAPACITY_QUBITS} qubits, got n={cfg.n}")
     entropy = {k: von_neumann_entropy(reduced_density(cfg, r, k)) for k in range(1, cfg.n)}
     best_value = math.inf
     best_parts: tuple[int, ...] = ()

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, UnsupportedStructureError
-from .grover import GroverConfig, SymmetricGAState, state_at
+from .errors import CapacityError, NumericalConsistencyError, UnsupportedStructureError
+from .grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState, state_at
 from .linalg import DensityMatrix, pure_subsystem_purity
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -50,90 +49,40 @@ def concurrence_two_qubit_ga(cfg: GroverConfig, r: int) -> float:
     return _concurrence_two_qubit_from_state(state_at(cfg, r))
 
 
-def reduced_purity_ga(cfg: GroverConfig, r: int, k: int) -> float:
-    """Tr(rho_k^2) of the structured k-qubit reduced state, without materializing it."""
-    if cfg.j != 1 or cfg.solutions != (0,):
-        raise UnsupportedStructureError("structured purities require j=1, solution at 0")
-    if not 1 <= k < cfg.n:
-        raise ValueError(f"kept-qubit count must satisfy 1 <= k < {cfg.n}, got {k}")
-    st = state_at(cfg, r)
-    d = 2.0 ** (cfg.n - k)
-    K = 1 << k
-    corner = st.a**2 + (d - 1.0) * st.b**2
-    edge = st.a * st.b + (d - 1.0) * st.b**2
-    bulk = d * st.b**2
-    return corner**2 + 2.0 * (K - 1) * edge**2 + (K - 1) ** 2 * bulk**2
+def _multiqubit_radicand(n: int, st: SymmetricGAState) -> float:
+    """sum_k C(n,k) (1 - Tr rho_k^2) over all cuts of the j=1 search state.
 
-
-def _multiqubit_radicand(cfg: GroverConfig, st: SymmetricGAState) -> float:
-    # sum_k C(n,k) (1 - Tr rho_k^2) in exact rational arithmetic: the deficits
-    # cancel almost completely near r = 0 and r_opt, and the outer square root
-    # would amplify any float rounding in that cancellation to ~1e-8.
-    n = cfg.n
-    a = Fraction(st.a)
-    b = Fraction(st.b)
-    total = Fraction(0)
-    for k in range(1, n):
-        d = 1 << (n - k)
-        K = 1 << k
-        corner = a * a + (d - 1) * b * b
-        edge = a * b + (d - 1) * b * b
-        bulk = d * b * b
-        purity = corner**2 + 2 * (K - 1) * edge**2 + (K - 1) ** 2 * bulk**2
-        total += math.comb(n, k) * (1 - purity)
-    return float(total)
-
-
-def _concurrence_multiqubit_from_state(cfg: GroverConfig, st: SymmetricGAState) -> float:
-    radicand = _multiqubit_radicand(cfg, st)
-    if radicand < -RADICAND_TOL:
-        raise NumericalConsistencyError(
-            f"negative purity-deficit sum {radicand:.3e} in multiqubit concurrence"
-        )
-    return 2.0 / math.sqrt(cfg.database_size) * math.sqrt(max(radicand, 0.0))
+    The state is beta|+>^n + c|0>^n with beta = b sqrt(N) and c = a - b, a
+    two-term product superposition: each k-qubit cut has the purity deficit
+    2 beta^2 c^2 (1 - 2^-k)(1 - 2^-(n-k)), and the sum over cuts is
+    2 beta^2 c^2 (2^n - 2 (3/2)^n + 1) (Carvalho, Mintert, Buchleitner,
+    PRL 93, 230501, 2004). Nonnegative by construction.
+    """
+    beta = st.b * math.sqrt(2.0**n)
+    c = st.a - st.b
+    return 2.0 * (beta * c) ** 2 * (2.0**n - 2.0 * 1.5**n + 1.0)
 
 
 def concurrence_multiqubit_ga(cfg: GroverConfig, r: int) -> float:
-    """Upper-bound n-qubit concurrence from the permutation-symmetric reduced purities."""
+    """Upper-bound n-qubit concurrence (2/sqrt(N)) sqrt(sum of purity deficits), j=1."""
     if cfg.j != 1:
         raise UnsupportedStructureError(
             f"the multiqubit closed form requires j=1, got j={cfg.j}"
         )
     if cfg.n < 2:
         raise ValueError("multiqubit concurrence needs n >= 2")
-    return _concurrence_multiqubit_from_state(cfg, state_at(cfg, r))
+    radicand = _multiqubit_radicand(cfg.n, state_at(cfg, r))
+    return 2.0 / math.sqrt(cfg.database_size) * math.sqrt(radicand)
 
 
-def concurrence_multiqubit_ga_closed_form(cfg: GroverConfig, r: int) -> float:
-    """Fully expanded polynomial in (a, b); cross-check for the purity route."""
-    if cfg.j != 1:
-        raise UnsupportedStructureError("closed form requires j=1")
-    st = state_at(cfg, r)
-    n = cfg.n
-    N = 1 << n
-    a = Fraction(st.a)
-    b = Fraction(st.b)
-    radicand = float(
-        N
-        - 2
-        - (4 * 3**n - 2 ** (n + 3) + 4) * a**2 * b**2
-        - (8**n + 4 * 3**n - 3 * 2 ** (2 * n + 1) + 3 * 2**n - 2) * b**4
-        - (N - 2) * a**4
-        - 4 * (4**n - 2 * 3**n + 2**n) * a * b**3
-    )
-    if radicand < -RADICAND_TOL * N:
-        raise NumericalConsistencyError(f"negative radicand {radicand:.3e} in closed form")
-    return 2.0 / math.sqrt(N) * math.sqrt(max(radicand, 0.0))
-
-
-def multiqubit_concurrence_pure(amplitudes: np.ndarray, max_qubits: int = 12) -> float:
+def multiqubit_concurrence_pure(amplitudes: np.ndarray) -> float:
     """Brute-force purity-deficit concurrence: enumerates every proper qubit subset."""
     amps = np.asarray(amplitudes, dtype=complex)
     n = amps.size.bit_length() - 1
     if 1 << n != amps.size:
         raise ValueError(f"amplitude length {amps.size} is not a power of two")
-    if n > max_qubits:
-        raise ValueError(f"subset enumeration capped at {max_qubits} qubits, got {n}")
+    if n > CAPACITY_QUBITS:
+        raise CapacityError(f"subset enumeration capped at {CAPACITY_QUBITS} qubits, got {n}")
     radicand = 0.0
     for k in range(1, n):
         for keep in itertools.combinations(range(n), k):

@@ -16,7 +16,14 @@ import numpy as np
 from .errors import CapacityError, UnsupportedStructureError
 from .linalg import DensityMatrix
 
-DENSE_QUBIT_LIMIT = 12
+# The one qubit cap: the largest register any path materializes as 2^n
+# amplitudes or a 2^n x 2^n matrix (statevector oracle, dense densities,
+# subset enumerations).
+CAPACITY_QUBITS = 12
+# The largest n whose closed-form rows are all finite in double precision:
+# at n = 1023 the genuine-discord factor 4 (2^(n-1) - 1) overflows, and
+# beyond that N = 2^n itself no longer converts to a float.
+FLOAT_SAFE_QUBITS = 1022
 
 AB_NORM_TOL = 1e-12
 
@@ -30,8 +37,8 @@ class GroverConfig:
     solutions: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
+        if not 1 <= self.n <= FLOAT_SAFE_QUBITS:
+            raise ValueError(f"qubit count must lie in 1..{FLOAT_SAFE_QUBITS}, got {self.n}")
         N = 1 << self.n
         if not 1 <= self.j < N:
             raise ValueError(f"solution count must satisfy 1 <= j < {N}, got {self.j}")
@@ -117,9 +124,9 @@ def _solution_mask(cfg: GroverConfig) -> np.ndarray:
 
 def ga_statevector_amplitudes(cfg: GroverConfig, r: int) -> np.ndarray:
     """Full amplitude vector: a/sqrt(j) on solutions, b elsewhere."""
-    if cfg.n > DENSE_QUBIT_LIMIT:
+    if cfg.n > CAPACITY_QUBITS:
         raise CapacityError(
-            f"n={cfg.n} exceeds the dense limit {DENSE_QUBIT_LIMIT}; use reduced_density"
+            f"n={cfg.n} exceeds the dense limit {CAPACITY_QUBITS}; use reduced_density"
         )
     st = state_at(cfg, r)
     amps = np.full(cfg.database_size, st.b, dtype=complex)

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import UnsupportedStructureError
-from .grover import GroverConfig, TwoQubitOmega, reduced_density, two_qubit_omegas
+from .grover import GroverConfig, TwoQubitOmega, full_density, reduced_density, two_qubit_omegas
 from .linalg import DensityMatrix
 from .optimizers import OptimizerConfig, restart_rng
 
@@ -262,4 +262,6 @@ def svetlichny_max_ga(
     """Svetlichny maximization on the structured three-qubit reduced state (j=1)."""
     if cfg.n < 3:
         raise ValueError(f"tripartite reduction needs n >= 3, got n={cfg.n}")
-    return svetlichny_max(reduced_density(cfg, r, 3), config)
+    # at n = 3 the three-qubit state is the whole register
+    rho3 = full_density(cfg, r) if cfg.n == 3 else reduced_density(cfg, r, 3)
+    return svetlichny_max(rho3, config)

@@ -11,15 +11,14 @@ import numpy as np
 
 from . import __version__
 from .bruteforce import (
-    CAPACITY_QUBITS,
+    DEFAULT_GA_MEASURES,
     MEASURE_KEYS,
+    MEASURES,
     _generic_measures,
     cross_validate,
     evolve,
+    grover_step,
 )
-from .coherence import coherence_l1_ga, coherence_r_ga
-from .discord import genuine_discord_ga, pairwise_discord_ga
-from .entanglement import concurrence_multiqubit_ga, concurrence_two_qubit_ga
 from .gga import (
     AmplitudeDistribution,
     PhiFamily,
@@ -28,16 +27,11 @@ from .gga import (
     gga_optimal_time,
     gga_pmax,
     phi_family_delta_coherence,
+    phi_family_distribution,
 )
-from .grover import GroverConfig, optimal_iteration_details, success_probability
+from .grover import FLOAT_SAFE_QUBITS, GroverConfig, optimal_iteration_details
 from .linalg import HERMITIAN_TOL, TRACE_TOL
-from .nonlocality import chsh_M_ga, svetlichny_max_ga
 from .optimizers import OptimizerConfig
-
-# d2 and svet run optimizers at every row and are opt-in.
-DEFAULT_GA_MEASURES = ("cr", "cl1", "e2", "en", "dn", "m")
-
-_ANALYTIC_ANY_J = ("p", "cr", "cl1")
 
 
 @dataclass(frozen=True)
@@ -83,46 +77,8 @@ class RunConfig:
         }
 
 
-def _analytic_engine_available(cfg: GroverConfig, measure: str) -> bool:
-    if measure in _ANALYTIC_ANY_J:
-        return True
-    return cfg.j == 1 and cfg.solutions == (0,)
-
-
-def _analytic_value(cfg: GroverConfig, r: int, measure: str, optimizer: OptimizerConfig):
-    if measure == "p":
-        return success_probability(cfg, r), {}
-    if measure == "cr":
-        return coherence_r_ga(cfg, r), {}
-    if measure == "cl1":
-        return coherence_l1_ga(cfg, r), {}
-    if measure == "e2":
-        return concurrence_two_qubit_ga(cfg, r), {}
-    if measure == "en":
-        return concurrence_multiqubit_ga(cfg, r), {}
-    if measure == "d2":
-        sol = pairwise_discord_ga(cfg, r, optimizer)
-        return sol.value, {"evals": sol.optimizer_evals, "converged": sol.converged}
-    if measure == "dn":
-        return genuine_discord_ga(cfg, r), {}
-    if measure == "m":
-        return chsh_M_ga(cfg, r), {}
-    if measure == "svet":
-        res = svetlichny_max_ga(cfg, r, optimizer)
-        return res.value, {"evals": res.optimizer_evals, "converged": res.converged}
-    raise ValueError(f"unknown measure {measure!r}")
-
-
 def _series_engines(cfg: GroverConfig, measures, use_oracle: bool) -> dict:
-    engines = {}
-    for m in ("p",) + tuple(measures):
-        if _analytic_engine_available(cfg, m):
-            engines[m] = "analytic"
-        elif use_oracle and cfg.n <= CAPACITY_QUBITS:
-            engines[m] = "oracle"
-        else:
-            engines[m] = "unavailable"
-    return engines
+    return {m: MEASURES[m].engine(cfg, use_oracle) for m in ("p",) + tuple(measures)}
 
 
 def _ga_series_rows(args) -> list:
@@ -133,24 +89,19 @@ def _ga_series_rows(args) -> list:
     oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
     rows = []
     sv = evolve(cfg, 0) if oracle_measures else None
-    from .bruteforce import grover_step
-
     for r in range(r_max + 1):
         row = {"j": j, "r": r}
-        row["p"] = success_probability(cfg, r)
-        if oracle_measures and r > 0:
-            sv = grover_step(sv, cfg.solutions)
         oracle_values = {}
         if oracle_measures:
+            if r > 0:
+                sv = grover_step(sv, cfg.solutions)
             oracle_values, _ = _generic_measures(sv, cfg, oracle_measures, optimizer)
-        for m in measures:
-            engine = engines[m]
+        for m, engine in engines.items():
             if engine == "analytic":
-                row[m], _ = _analytic_value(cfg, r, m, optimizer)
-            elif engine == "oracle":
-                row[m] = oracle_values[m]
+                value = MEASURES[m].closed_form(cfg, r, optimizer)
+                row[m] = value.value if MEASURES[m].slow else value
             else:
-                row[m] = None
+                row[m] = oracle_values.get(m)  # None (NA) when unavailable
         rows.append(row)
     return rows
 
@@ -173,6 +124,10 @@ def ga_sweep(run: RunConfig) -> SweepResult:
     measures = tuple(m for m in MEASURE_KEYS if m in run.measures and m != "p")
     if run.r_max is not None and run.r_max < 0:
         raise ValueError(f"r-max must be >= 0, got {run.r_max}")
+    if not run.j_values:
+        raise ValueError("the solution-count list is empty")
+    if run.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {run.workers}")
     optimizer = OptimizerConfig(
         theta_grid=run.optimizer.theta_grid,
         phi_grid=run.optimizer.phi_grid,
@@ -206,12 +161,16 @@ def ga_sweep(run: RunConfig) -> SweepResult:
 
 def phi_sweep(run: RunConfig) -> SweepResult:
     """Coherence depletion vs optimal measurement time across the phi family."""
+    if not 2 <= run.n <= FLOAT_SAFE_QUBITS:
+        raise ValueError(f"qubit count must lie in 2..{FLOAT_SAFE_QUBITS}, got {run.n}")
+    if run.phi_points < 1:
+        raise ValueError(f"phi-points must be >= 1, got {run.phi_points}")
     N = 1 << run.n
     points = np.linspace(0.0, 1.0 / math.sqrt(N), run.phi_points)
     rows = []
     for phi0 in points:
         fam = PhiFamily.from_phi0(N, float(phi0))
-        dist = _phi_distribution(fam)
+        dist = phi_family_distribution(fam)
         opt = gga_optimal_time(dist)
         rows.append(
             {
@@ -227,12 +186,6 @@ def phi_sweep(run: RunConfig) -> SweepResult:
         engines={"all": "closed-form"},
         extra_metadata={"N": N},
     )
-
-
-def _phi_distribution(fam: PhiFamily) -> AmplitudeDistribution:
-    from .gga import phi_family_distribution
-
-    return phi_family_distribution(fam)
 
 
 def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution, n: int, solutions) -> SweepResult:

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from groverlab.bruteforce import (
+    DEFAULT_GA_MEASURES,
+    MEASURE_KEYS,
+    MEASURES,
     MeasureReport,
     StateVector,
     cross_validate,
@@ -15,7 +18,7 @@ from groverlab.bruteforce import (
 )
 from groverlab.coherence import coherence_r_ga
 from groverlab.errors import CapacityError, InvalidStateError
-from groverlab.grover import GroverConfig
+from groverlab.grover import GroverConfig, optimal_iterations
 from groverlab.optimizers import OptimizerConfig
 
 
@@ -74,9 +77,6 @@ class TestStateVector:
         with pytest.raises(CapacityError):
             uniform_state(13)
 
-    def test_capacity_override(self):
-        assert uniform_state(13, allow_large=True).n == 13
-
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidStateError):
             StateVector(np.array([1.0, 1.0], dtype=complex))
@@ -120,11 +120,55 @@ class TestRunAndMeasure:
         with pytest.raises(ValueError, match="unknown measure"):
             run_and_measure(GroverConfig(n=3, j=1), 0, ("qq",))
 
+    def test_measure_outside_its_domain_is_unavailable(self):
+        report = run_and_measure(GroverConfig(n=2, j=3), 0, ("e2", "svet"))
+        assert report.engines == {"p": "oracle", "e2": "oracle", "svet": "unavailable"}
+        assert report.values["svet"] is None
+        assert report.values["e2"] == pytest.approx(0.0, abs=1e-7)
+
     def test_report_is_a_measure_report(self):
         report = run_and_measure(GroverConfig(n=4, j=1), 1, ("m",))
         assert isinstance(report, MeasureReport)
         assert report.r == 1
         assert report.success_probability == report.values["p"]
+
+
+class TestMeasureTable:
+    def test_keys_and_defaults(self):
+        assert MEASURE_KEYS == ("p", "cr", "cl1", "e2", "en", "d2", "dn", "m", "svet")
+        assert DEFAULT_GA_MEASURES == ("cr", "cl1", "e2", "en", "dn", "m")
+
+    @pytest.mark.parametrize(
+        "key, n, j, use_oracle, engine",
+        [
+            ("cr", 1, 1, True, "analytic"),
+            ("cr", 20, 5, False, "analytic"),
+            ("e2", 1, 1, True, "unavailable"),
+            ("e2", 2, 1, True, "analytic"),
+            ("e2", 12, 2, True, "oracle"),
+            ("e2", 13, 2, True, "unavailable"),
+            ("e2", 5, 2, False, "unavailable"),
+            ("svet", 2, 1, True, "unavailable"),
+            ("svet", 3, 1, True, "analytic"),
+            ("svet", 2, 3, True, "unavailable"),
+            ("dn", 1, 1, True, "analytic"),
+        ],
+    )
+    def test_engine_follows_the_domain(self, key, n, j, use_oracle, engine):
+        assert MEASURES[key].engine(GroverConfig(n=n, j=j), use_oracle) == engine
+
+    @pytest.mark.parametrize("key", ["e2", "en", "d2", "dn", "m", "svet"])
+    def test_closed_form_matches_oracle_at_minimum_n(self, key):
+        measure = MEASURES[key]
+        n = max(measure.min_qubits, 2)
+        cfg = GroverConfig(n=n, j=1)
+        opt = OptimizerConfig(theta_grid=16, phi_grid=32, restarts=4)
+        for r in range(optimal_iterations(cfg) + 1):
+            closed = measure.closed_form(cfg, r, opt)
+            oracle = measure.oracle(evolve(cfg, r).amplitudes, cfg, opt)
+            if measure.slow:
+                closed, oracle = closed.value, oracle.value
+            assert closed == pytest.approx(oracle, abs=1e-6)
 
 
 class TestCrossValidate:
@@ -150,6 +194,7 @@ class TestCrossValidate:
             "concurrence_two_qubit",
             "chsh_M",
             "genuine_discord",
+            "multiqubit_concurrence_forms",
             "normalization",
         ):
             assert name in broken

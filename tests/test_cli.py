@@ -1,11 +1,18 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groverlab.bruteforce import MEASURE_KEYS
 from groverlab.cli import main
+from groverlab.grover import FLOAT_SAFE_QUBITS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*args):
@@ -112,6 +119,146 @@ class TestGaCommand:
         result = run_cli("ga", "--n", "2", "--seed", "31")
         meta, _, _ = parse_csv(result.output)
         assert meta["seed"] == "31"
+
+
+class TestInputDomain:
+    def test_one_qubit_marks_two_qubit_measures_unavailable(self):
+        result = run_cli("ga", "--n", "1")
+        assert result.exit_code == 0
+        meta, _, rows = parse_csv(result.output)
+        for m in ("e2", "en", "m"):
+            assert meta[f"engine.j1.{m}"] == "unavailable"
+            assert all(row[m] == "NA" for row in rows)
+        assert float(rows[0]["cr"]) == 1.0
+        assert float(rows[0]["dn"]) == 0.0
+
+    def test_one_qubit_e2_prints_no_number(self):
+        result = run_cli("ga", "--n", "1", "--measures", "e2")
+        assert result.exit_code == 0
+        _, _, rows = parse_csv(result.output)
+        assert [row["e2"] for row in rows] == ["NA"]
+
+    def test_svetlichny_needs_three_qubits(self):
+        result = run_cli("ga", "--n", "2", "--j", "3", "--measures", "svet", "--r-max", "0")
+        assert result.exit_code == 0
+        meta, _, rows = parse_csv(result.output)
+        assert meta["engine.j3.svet"] == "unavailable"
+        assert rows[0]["svet"] == "NA"
+
+    @pytest.mark.parametrize("measure, n", [("d2", 2), ("svet", 3)])
+    def test_optimizer_measures_at_their_minimum_n(self, measure, n):
+        result = run_cli(
+            "ga", "--n", str(n), "--measures", measure, "--grid", "8x16", "--restarts", "2"
+        )
+        assert result.exit_code == 0, result.output
+        meta, _, rows = parse_csv(result.output)
+        assert meta[f"engine.j1.{measure}"] == "analytic"
+        assert all(row[measure] != "NA" for row in rows)
+
+    @pytest.mark.parametrize("n", ["19", "25"])
+    def test_former_multiqubit_crashes_exit_zero(self, n):
+        result = run_cli("ga", "--n", n)
+        assert result.exit_code == 0
+        _, _, rows = parse_csv(result.output)
+        assert all(0.0 <= float(row["en"]) <= 2.0 for row in rows)
+
+    def test_largest_float_safe_register_is_finite(self):
+        result = run_cli(
+            "ga", "--n", str(FLOAT_SAFE_QUBITS), "--r-max", "1",
+            "--measures", "cr,cl1,e2,en,d2,dn,m,svet", "--grid", "4x8", "--restarts", "1",
+        )
+        assert result.exit_code == 0, result.output
+        _, header, rows = parse_csv(result.output)
+        values = [float(row[c]) for row in rows for c in header]
+        assert len(rows) == 2
+        assert all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize("command", ["ga", "gga"])
+    def test_past_float_safe_register_is_usage_error(self, command):
+        result = run_cli(command, "--n", str(FLOAT_SAFE_QUBITS + 1), "--r-max", "1")
+        assert result.exit_code == 2
+        assert str(FLOAT_SAFE_QUBITS) in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("ga", "--n", "4", "--j", "5..3"),
+            ("ga", "--n", "4", "--workers", "0"),
+            ("ga", "--n", "4", "--workers", "-2"),
+            ("gga", "--n", "4", "--phi-points", "0"),
+            ("ga", "--n", "4", "--j", "one"),
+            ("ga", "--n", "4", "--grid", "8"),
+        ],
+    )
+    def test_empty_or_malformed_requests_are_usage_errors(self, args):
+        result = run_cli(*args)
+        assert result.exit_code == 2
+        assert "Error:" in result.output
+
+
+class TestGoldenOutputs:
+    """CLI outputs agree with the stored files to 12 significant digits."""
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("ga_n11", ("ga", "--n", "11")),
+            ("ga_n11_j1-10_cr", ("ga", "--n", "11", "--j", "1..10", "--measures", "cr")),
+            ("ga_n6_j2_oracle", ("ga", "--n", "6", "--j", "2", "--measures", "e2,en,dn,m")),
+            ("gga_n10_phi50", ("gga", "--n", "10", "--phi-points", "50")),
+        ],
+    )
+    def test_matches_golden(self, name, args):
+        result = run_cli(*args)
+        assert result.exit_code == 0
+        want_meta, want_header, want_rows = parse_csv((GOLDEN / f"{name}.csv").read_text())
+        meta, header, rows = parse_csv(result.output)
+        assert (meta, header) == (want_meta, want_header)
+        assert len(rows) == len(want_rows)
+        for row, want in zip(rows, want_rows):
+            for column in header:
+                got, expected = float(row[column]), float(want[column])
+                # one unit in the 12th digit covers rounding at the boundary
+                assert got == pytest.approx(expected, rel=1e-11, abs=1e-14), (column, row)
+
+
+@st.composite
+def ga_args(draw):
+    n = draw(st.integers(1, 14))
+    valid = st.sampled_from(["1", "2", "3", "1,2", "1..3", "2..3", "3,1"])
+    invalid = st.sampled_from(["5..3", "0", ",", "x", "1..", "16383"])
+    j_spec = draw(st.one_of(valid, valid, valid, invalid))
+    keys = [k for k in MEASURE_KEYS if k != "p"]
+    if n > 6:
+        keys = [k for k in keys if k not in ("d2", "svet")]
+    if n > 10:
+        keys.remove("en")  # its oracle enumerates 2^n subsets, ~0.3 s a row at n = 12
+    measures = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+    args = ["ga", "--n", str(n), "--j", j_spec, "--measures", ",".join(measures)]
+    args += ["--r-max", str(draw(st.integers(0, 2))), "--restarts", "1", "--grid", "4x8"]
+    if draw(st.booleans()):
+        args.append("--no-oracle")
+    return args
+
+
+@settings(max_examples=400)
+@given(ga_args())
+def test_ga_domain_fuzz(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2), (args, result.output, result.exception)
+    if result.exit_code == 2:
+        return
+    meta, header, rows = parse_csv(result.output)
+    assert rows
+    single_j = next(k.split(".")[1][1:] for k in meta if k.startswith("engine.j"))
+    for row in rows:
+        j = row.get("j", single_j)
+        for column in header[header.index("p"):]:
+            engine = meta[f"engine.j{j}.{column}"]
+            value = row[column]
+            assert (value == "NA") == (engine == "unavailable"), (args, j, column, value)
+            if value != "NA":
+                assert math.isfinite(float(value)), (args, j, column, value)
 
 
 class TestDeterminism:

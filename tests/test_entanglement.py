@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from groverlab.bruteforce import evolve
+from groverlab.bruteforce import evolve, grover_step, uniform_state
 from groverlab.entanglement import (
     concurrence_multiqubit_ga,
-    concurrence_multiqubit_ga_closed_form,
     concurrence_two_qubit,
     concurrence_two_qubit_ga,
     multiqubit_concurrence_pure,
-    reduced_purity_ga,
 )
-from groverlab.errors import UnsupportedStructureError
+from groverlab.errors import CapacityError, UnsupportedStructureError
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, two_qubit_omegas
 from groverlab.linalg import DensityMatrix, pure_partial_trace, pure_subsystem_purity
 
@@ -88,11 +88,16 @@ class TestMultiqubitGA:
         assert concurrence_multiqubit_ga(GroverConfig(n=6, j=1), 0) == pytest.approx(0.0, abs=1e-9)
 
     def test_purity_sum_equals_polynomial(self):
-        for n in (3, 6, 11):
+        # the closed-form polynomial in (a, b) against the subset-enumerated
+        # purity-deficit sum, over whole runs up to the statevector cap
+        for n in (4, 6, 8, 10, 12):
             cfg = GroverConfig(n=n, j=1)
+            sv = uniform_state(n)
             for r in range(optimal_iterations(cfg) + 1):
+                if r > 0:
+                    sv = grover_step(sv, cfg.solutions)
                 assert concurrence_multiqubit_ga(cfg, r) == pytest.approx(
-                    concurrence_multiqubit_ga_closed_form(cfg, r), abs=1e-9
+                    multiqubit_concurrence_pure(sv.amplitudes), abs=1e-9
                 )
 
     def test_against_subset_enumeration_oracle(self):
@@ -107,7 +112,21 @@ class TestMultiqubitGA:
         amps = evolve(cfg, 2).amplitudes
         for k in range(1, 6):
             oracle = pure_subsystem_purity(amps, tuple(range(k)))
-            assert reduced_purity_ga(cfg, 2, k) == pytest.approx(oracle, abs=1e-12)
+            assert reduced_density(cfg, 2, k).purity() == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [19, 25, 27, 29, 31, 33, 37, 39])
+    def test_initial_state_is_product_at_every_n(self, n):
+        # the exact-rational form crashed here on rounding noise in (a, b)
+        assert concurrence_multiqubit_ga(GroverConfig(n=n, j=1), 0) <= 1e-15
+
+    @given(n=st.integers(2, 60), frac=st.floats(0.0, 1.0))
+    def test_finite_and_in_range_up_to_sixty_qubits(self, n, frac):
+        cfg = GroverConfig(n=n, j=1)
+        r = round(frac * optimal_iterations(cfg))
+        value = concurrence_multiqubit_ga(cfg, r)
+        assert math.isfinite(value)
+        assert 0.0 <= value <= 2.0
+        assert concurrence_multiqubit_ga(cfg, 0) <= 1e-15
 
     def test_rises_then_falls_at_eleven_qubits(self):
         cfg = GroverConfig(n=11, j=1)
@@ -121,6 +140,10 @@ class TestMultiqubitGA:
     def test_multiple_solutions_unsupported(self):
         with pytest.raises(UnsupportedStructureError):
             concurrence_multiqubit_ga(GroverConfig(n=4, j=3), 1)
+
+    def test_oracle_capacity_guard(self):
+        with pytest.raises(CapacityError):
+            multiqubit_concurrence_pure(np.full(1 << 13, 2.0**-6.5))
 
     def test_oracle_handles_arbitrary_solutions(self):
         cfg = GroverConfig(n=4, j=2, solutions=(5, 11))
