@@ -7,13 +7,8 @@ from .bruteforce import (
     MEASURE_KEYS,
     MEASURES,
     Measure,
-    MeasureReport,
-    StateVector,
     cross_validate,
     evolve,
-    grover_step,
-    run_and_measure,
-    uniform_state,
 )
 from .coherence import (
     CoherenceReport,

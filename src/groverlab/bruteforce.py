@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from . import coherence, discord, entanglement, grover, nonlocality
-from .errors import CapacityError, InvalidStateError, NumericalConsistencyError
+from .errors import CapacityError, NumericalConsistencyError
 from .gga import AmplitudeDistribution, gga_iterate
 from .grover import (
     CAPACITY_QUBITS,
@@ -30,75 +30,11 @@ from .linalg import (
 from .optimizers import OptimizerConfig
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized amplitudes of an n-qubit register, n <= CAPACITY_QUBITS."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        n = amps.size.bit_length() - 1
-        if amps.ndim != 1 or 1 << n != amps.size:
-            raise InvalidStateError(f"amplitude length {amps.size} is not a power of two")
-        _check_capacity(n)
-        norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > 1e-12:
-            raise InvalidStateError(f"statevector not normalized: sum |a|^2 = {norm2!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def n(self) -> int:
-        return self.amplitudes.size.bit_length() - 1
-
-
-def _check_capacity(n: int) -> None:
-    if n > CAPACITY_QUBITS:
-        raise CapacityError(f"n={n} exceeds the statevector cap {CAPACITY_QUBITS}")
-
-
-def uniform_state(n: int) -> StateVector:
-    _check_capacity(n)  # before allocating 2^n amplitudes
-    N = 1 << n
-    return StateVector(np.full(N, 1.0 / math.sqrt(N), dtype=complex))
-
-
-def grover_step(sv: StateVector, solutions) -> StateVector:
-    """One iteration: negate solution amplitudes, reflect all about the mean.
-
-    O(N) vector update; no operator matrices are ever materialized.
-    """
-    sols = sorted(set(int(s) for s in solutions))
-    if not sols:
-        raise ValueError("solution set must be nonempty")
-    if sols[0] < 0 or sols[-1] >= sv.amplitudes.size:
-        raise ValueError(f"solution indices out of range: {sols!r}")
-    amps = sv.amplitudes.copy()
-    amps[sols] = -amps[sols]
-    amps = 2.0 * amps.mean() - amps
-    return replace(sv, amplitudes=amps)
-
-
-def evolve(cfg: GroverConfig, r: int) -> StateVector:
+def evolve(cfg: GroverConfig, r: int) -> AmplitudeDistribution:
     """Statevector after r Grover iterations from the uniform start."""
-    if r < 0:
-        raise ValueError(f"iteration count must be >= 0, got {r}")
-    sv = uniform_state(cfg.n)
-    for _ in range(r):
-        sv = grover_step(sv, cfg.solutions)
-    return sv
-
-
-def state_to_distribution(sv: StateVector, solutions) -> AmplitudeDistribution:
-    sols = sorted(set(int(s) for s in solutions))
-    mask = np.zeros(sv.amplitudes.size, dtype=bool)
-    mask[sols] = True
-    return AmplitudeDistribution(
-        j=len(sols),
-        solution_amplitudes=sv.amplitudes[mask],
-        other_amplitudes=sv.amplitudes[~mask],
-    )
+    if cfg.n > CAPACITY_QUBITS:  # checked before allocating 2^n amplitudes
+        raise CapacityError(f"n={cfg.n} exceeds the statevector cap {CAPACITY_QUBITS}")
+    return gga_iterate(AmplitudeDistribution.uniform(cfg.n, cfg.solutions), r)
 
 
 @dataclass(frozen=True)
@@ -192,62 +128,20 @@ MEASURE_KEYS = tuple(MEASURES)
 DEFAULT_GA_MEASURES = tuple(k for k in MEASURE_KEYS if k != "p" and not MEASURES[k].slow)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasureReport:
-    """One sweep row: iteration, measure values, engine and optimizer metadata."""
-
-    r: int
-    values: dict
-    engines: dict
-    optimizer_meta: dict
-
-    @property
-    def success_probability(self) -> float:
-        return self.values["p"]
-
-
-def _generic_measures(sv: StateVector, cfg: GroverConfig, measures, optimizer: OptimizerConfig):
+def _generic_measures(
+    dist: AmplitudeDistribution, cfg: GroverConfig, measures, optimizer: OptimizerConfig
+):
     """Oracle values of `measures` on one statevector, plus optimizer metadata."""
     values: dict = {}
     meta: dict = {}
     for key in measures:
-        result = MEASURES[key].oracle(sv.amplitudes, cfg, optimizer)
+        result = MEASURES[key].oracle(dist.amplitudes, cfg, optimizer)
         if MEASURES[key].slow:
             values[key] = result.value
             meta[key] = {"evals": result.optimizer_evals, "converged": result.converged}
         else:
             values[key] = result
     return values, meta
-
-
-def run_and_measure(
-    cfg: GroverConfig,
-    r: int,
-    measures=("p",),
-    optimizer: OptimizerConfig | None = None,
-) -> MeasureReport:
-    """Evolve the statevector r steps and evaluate each measure with its oracle.
-
-    A measure the register is too small for is None, engine 'unavailable'.
-    """
-    measures = tuple(measures)
-    for key in measures:
-        if key not in MEASURES:
-            raise ValueError(f"unknown measure {key!r}; expected one of {MEASURE_KEYS}")
-    if "p" not in measures:
-        measures = ("p",) + measures
-    engines = {
-        key: "oracle" if cfg.n >= MEASURES[key].min_qubits else "unavailable" for key in measures
-    }
-    sv = evolve(cfg, r)
-    oracle_measures = tuple(key for key in measures if engines[key] == "oracle")
-    values, meta = _generic_measures(sv, cfg, oracle_measures, optimizer or OptimizerConfig())
-    return MeasureReport(
-        r=r,
-        values={key: values.get(key) for key in measures},
-        engines=engines,
-        optimizer_meta=meta,
-    )
 
 
 @dataclass(frozen=True)
@@ -339,6 +233,8 @@ def cross_validate(
     """
     if not 2 <= max_n <= 10:
         raise ValueError(f"max_n must lie in 2..10, got {max_n}")
+    if not any(j < (1 << max_n) for j in j_values):
+        raise ValueError(f"no solution count in {tuple(j_values)} is below 2^max_n = {1 << max_n}")
     acc = {name: _Accumulator() for name in _IDENTITY_TOLERANCES}
     rng = np.random.default_rng(seed)  # random kept-qubit subsets (permutation symmetry)
 
@@ -347,12 +243,12 @@ def cross_validate(
             if j >= (1 << n):
                 continue
             cfg = GroverConfig(n=n, j=j)
-            sv = uniform_state(n)
+            dist = evolve(cfg, 0)
             for r in range(optimal_iterations(cfg) + 1):
                 st = state_at(cfg, r)
                 if fault:
                     st = replace(st, a=st.a + fault)
-                amps = sv.amplitudes
+                amps = dist.amplitudes
                 probs = np.abs(amps) ** 2
                 acc["grover_step_norm"].add(float(probs.sum()), 1.0)
                 acc["normalization"].add(st.a**2 + (cfg.database_size - j) * st.b**2, 1.0)
@@ -412,25 +308,26 @@ def cross_validate(
                     acc["multiqubit_concurrence_forms"].add(
                         entanglement._multiqubit_radicand(n, st), deficits
                     )
-                sv = grover_step(sv, cfg.solutions)
+                dist = gga_iterate(dist, 1)
 
-    # generalized engine reproduces the standard iteration from a uniform start
+    # the iterated statevector is the closed-form state: a/sqrt(j) on every
+    # solution, b elsewhere
     for n in range(2, max_n + 1):
         for j in (1, 2, 3, 4):
             if j >= (1 << n):
                 continue
             cfg = GroverConfig(n=n, j=j)
-            dist = AmplitudeDistribution.uniform(n, j)
-            sv = uniform_state(n)
-            for _ in range(optimal_iterations(cfg) + 1):
-                dist = gga_iterate(dist, 1)
-                sv = grover_step(sv, cfg.solutions)
-                rebuilt = state_to_distribution(sv, cfg.solutions)
-                dev = max(
-                    float(np.max(np.abs(dist.solution_amplitudes - rebuilt.solution_amplitudes))),
-                    float(np.max(np.abs(dist.other_amplitudes - rebuilt.other_amplitudes))),
+            dist = evolve(cfg, 0)
+            for r in range(optimal_iterations(cfg) + 1):
+                st = state_at(cfg, r)
+                if fault:
+                    st = replace(st, a=st.a + fault)
+                closed = np.full(cfg.database_size, st.b)
+                closed[list(cfg.solutions)] = st.a / math.sqrt(j)
+                acc["gga_uniform_equivalence"].add(
+                    float(np.max(np.abs(dist.amplitudes - closed))), 0.0
                 )
-                acc["gga_uniform_equivalence"].add(dev, 0.0)
+                dist = gga_iterate(dist, 1)
 
     checks = tuple(
         IdentityCheck(

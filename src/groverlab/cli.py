@@ -183,13 +183,13 @@ def gga(n, phi_points, init_file, r_max, seed, fmt, out, config_path):
             except OSError as exc:
                 raise click.UsageError(f"cannot read {init_file}: {exc}")
             try:
-                dist, file_n, solutions = distribution_from_json(text)
+                dist = distribution_from_json(text)
             except AmplitudeFileError as exc:
                 raise click.UsageError(f"{init_file}: {exc}")
             run = RunConfig(
-                command="gga", n=file_n, r_max=r_max, seed=seed, fmt=fmt, init_file=init_file
+                command="gga", n=dist.n, r_max=r_max, seed=seed, fmt=fmt, init_file=init_file
             )
-            result = init_file_sweep(run, dist, file_n, solutions)
+            result = init_file_sweep(run, dist)
         else:
             run = RunConfig(command="gga", n=n, phi_points=phi_points, seed=seed, fmt=fmt)
             result = phi_sweep(run)

@@ -76,17 +76,22 @@ def concurrence_multiqubit_ga(cfg: GroverConfig, r: int) -> float:
 
 
 def multiqubit_concurrence_pure(amplitudes: np.ndarray) -> float:
-    """Brute-force purity-deficit concurrence: enumerates every proper qubit subset."""
+    """Brute-force purity-deficit concurrence: enumerates every proper qubit subset.
+
+    A pure state gives a subset and its complement the same purity, so each
+    pair is evaluated once, through its member without qubit 0, and counted twice.
+    """
     amps = np.asarray(amplitudes, dtype=complex)
     n = amps.size.bit_length() - 1
     if 1 << n != amps.size:
         raise ValueError(f"amplitude length {amps.size} is not a power of two")
     if n > CAPACITY_QUBITS:
         raise CapacityError(f"subset enumeration capped at {CAPACITY_QUBITS} qubits, got {n}")
-    radicand = 0.0
-    for k in range(1, n):
-        for keep in itertools.combinations(range(n), k):
-            radicand += 1.0 - pure_subsystem_purity(amps, keep)
+    radicand = 2.0 * sum(
+        1.0 - pure_subsystem_purity(amps, keep)
+        for k in range(1, n)
+        for keep in itertools.combinations(range(1, n), k)
+    )
     if radicand < -RADICAND_TOL:
         raise NumericalConsistencyError(f"negative radicand {radicand:.3e}")
     return 2.0 / math.sqrt(amps.size) * math.sqrt(max(radicand, 0.0))

@@ -22,32 +22,48 @@ REAL_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class AmplitudeDistribution:
-    """Solution amplitudes k_i and non-solution amplitudes l_i at iteration r."""
+class AmplitudeDistribution(PureState):
+    """All N = 2^n amplitudes in basis order, the solution indices and the iteration r.
 
-    j: int
-    solution_amplitudes: np.ndarray
-    other_amplitudes: np.ndarray
+    The solution amplitudes k_i and non-solution amplitudes l_i are read off
+    the one vector, so normalization is checked once, by PureState.
+    """
+
+    solutions: tuple[int, ...]
     r: int = 0
 
     def __post_init__(self):
-        k = np.ascontiguousarray(self.solution_amplitudes, dtype=complex)
-        l = np.ascontiguousarray(self.other_amplitudes, dtype=complex)
-        if k.ndim != 1 or l.ndim != 1 or k.size < 1 or l.size < 1:
-            raise InvalidStateError("amplitude lists must be nonempty 1-d vectors")
-        if self.j != k.size:
-            raise InvalidStateError(f"j={self.j} but {k.size} solution amplitudes given")
-        norm2 = float(np.sum(np.abs(k) ** 2) + np.sum(np.abs(l) ** 2))
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise InvalidStateError(f"distribution not normalized: sum |amp|^2 = {norm2!r}")
-        k.setflags(write=False)
-        l.setflags(write=False)
-        object.__setattr__(self, "solution_amplitudes", k)
-        object.__setattr__(self, "other_amplitudes", l)
+        super().__post_init__()
+        if self.size & (self.size - 1):
+            raise InvalidStateError(f"amplitude length {self.size} is not a power of two")
+        sols = tuple(sorted(set(int(s) for s in self.solutions)))
+        if len(sols) != len(self.solutions) or not 0 < len(sols) < self.size:
+            raise InvalidStateError(
+                f"expected 1 to {self.size - 1} distinct solutions, got {self.solutions!r}"
+            )
+        if sols[0] < 0 or sols[-1] >= self.size:
+            raise InvalidStateError(f"solution indices out of range 0..{self.size - 1}: {sols!r}")
+        object.__setattr__(self, "solutions", sols)
 
     @property
     def size(self) -> int:
-        return self.solution_amplitudes.size + self.other_amplitudes.size
+        return self.amplitudes.size
+
+    @property
+    def n(self) -> int:
+        return self.size.bit_length() - 1
+
+    @property
+    def j(self) -> int:
+        return len(self.solutions)
+
+    @property
+    def solution_amplitudes(self) -> np.ndarray:
+        return self.amplitudes[list(self.solutions)]
+
+    @property
+    def other_amplitudes(self) -> np.ndarray:
+        return np.delete(self.amplitudes, self.solutions)
 
     @property
     def kbar(self) -> complex:
@@ -65,34 +81,32 @@ class AmplitudeDistribution:
 
     @property
     def is_real(self) -> bool:
-        return (
-            float(np.max(np.abs(self.solution_amplitudes.imag))) <= REAL_TOL
-            and float(np.max(np.abs(self.other_amplitudes.imag))) <= REAL_TOL
-        )
+        return float(np.max(np.abs(self.amplitudes.imag))) <= REAL_TOL
 
     def success_probability(self) -> float:
         return float(np.sum(np.abs(self.solution_amplitudes) ** 2))
 
     @classmethod
-    def uniform(cls, n: int, j: int) -> "AmplitudeDistribution":
+    def uniform(cls, n: int, solutions) -> "AmplitudeDistribution":
+        """The uniform start 2^(-n/2) on every basis state."""
         N = 1 << n
-        amp = 1.0 / math.sqrt(N)
-        return cls(j=j, solution_amplitudes=np.full(j, amp), other_amplitudes=np.full(N - j, amp))
+        return cls(np.full(N, 1.0 / math.sqrt(N), dtype=complex), tuple(solutions))
 
 
 def gga_iterate(dist: AmplitudeDistribution, steps: int) -> AmplitudeDistribution:
-    """Apply `steps` iterations: sign-flip solutions, reflect about the global mean."""
+    """Apply `steps` iterations: sign-flip solutions, reflect about the global mean.
+
+    The one Grover step of the package. Each call copies the vector once and
+    updates the copy in place, with no 2^n x 2^n operator.
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    k = dist.solution_amplitudes.copy()
-    l = dist.other_amplitudes.copy()
-    N = dist.size
+    amps = dist.amplitudes.copy()
+    sols = list(dist.solutions)
     for _ in range(steps):
-        k = -k
-        avg = (k.sum() + l.sum()) / N
-        k = 2.0 * avg - k
-        l = 2.0 * avg - l
-    return replace(dist, solution_amplitudes=k, other_amplitudes=l, r=dist.r + steps)
+        amps[sols] = -amps[sols]
+        np.subtract(2.0 * amps.mean(), amps, out=amps)
+    return replace(dist, amplitudes=amps, r=dist.r + steps)
 
 
 @dataclass(frozen=True)
@@ -218,12 +232,12 @@ def gga_optimal_time(dist0: AmplitudeDistribution) -> GGAOptimalTime:
         t = 0.5 * (lo + hi)
         method = "scan"
         degenerate = False
-    r_floor = math.floor(t)
-    r_ceil = math.ceil(t)
+    at_floor = gga_iterate(dist0, math.floor(t))
+    at_ceil = gga_iterate(at_floor, math.ceil(t) - math.floor(t))
     return GGAOptimalTime(
         time=t,
-        p_floor=gga_iterate(dist0, r_floor).success_probability(),
-        p_ceil=gga_iterate(dist0, r_ceil).success_probability(),
+        p_floor=at_floor.success_probability(),
+        p_ceil=at_ceil.success_probability(),
         method=method,
         degenerate_phase=degenerate,
     )
@@ -270,16 +284,16 @@ class PhiFamily:
 
 
 def phi_family_distribution(fam: PhiFamily) -> AmplitudeDistribution:
-    tail = np.full(fam.N - 2, 1.0 / math.sqrt(fam.N))
-    return AmplitudeDistribution(j=2, solution_amplitudes=np.array([fam.phi0, fam.phi1]), other_amplitudes=tail)
+    """phi0|0> + phi1|1> + uniform tail, with solutions 0 and 1."""
+    amps = np.full(fam.N, 1.0 / math.sqrt(fam.N), dtype=complex)
+    amps[0] = fam.phi0
+    amps[1] = fam.phi1
+    return AmplitudeDistribution(amps, (0, 1))
 
 
 def phi_family_states(fam: PhiFamily) -> tuple[PureState, PureState]:
     """(initial state as a length-N vector, optimal-time state k1|0> + k2|1>)."""
-    initial = np.full(fam.N, 1.0 / math.sqrt(fam.N), dtype=complex)
-    initial[0] = fam.phi0
-    initial[1] = fam.phi1
-    return PureState(initial), PureState(np.array([fam.k1, fam.k2], dtype=complex))
+    return phi_family_distribution(fam), PureState(np.array([fam.k1, fam.k2], dtype=complex))
 
 
 def _p_log2_p(x: float) -> float:
@@ -296,11 +310,10 @@ def phi_family_delta_coherence(fam: PhiFamily) -> float:
     )
 
 
-def distribution_from_json(text: str) -> tuple[AmplitudeDistribution, int, tuple[int, ...]]:
+def distribution_from_json(text: str) -> AmplitudeDistribution:
     """Parse {"n": int, "solutions": [...], "amplitudes": [[re, im], ...]}.
 
-    Returns (distribution, n, solutions). Raises AmplitudeFileError with
-    line/field diagnostics on malformed input.
+    Raises AmplitudeFileError with line/field diagnostics on malformed input.
     """
     try:
         doc = json.loads(text)
@@ -345,10 +358,4 @@ def distribution_from_json(text: str) -> tuple[AmplitudeDistribution, int, tuple
     norm2 = float(np.sum(np.abs(amps) ** 2))
     if abs(norm2 - 1.0) > NORM_TOL:
         raise AmplitudeFileError(f"amplitudes not normalized: sum |a|^2 = {norm2!r}")
-    solutions = tuple(sorted(sols))
-    mask = np.zeros(N, dtype=bool)
-    mask[list(solutions)] = True
-    dist = AmplitudeDistribution(
-        j=len(solutions), solution_amplitudes=amps[mask], other_amplitudes=amps[~mask]
-    )
-    return dist, n, solutions
+    return AmplitudeDistribution(amps, tuple(sols))

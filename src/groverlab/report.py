@@ -17,7 +17,6 @@ from .bruteforce import (
     _generic_measures,
     cross_validate,
     evolve,
-    grover_step,
 )
 from .gga import (
     AmplitudeDistribution,
@@ -88,14 +87,14 @@ def _ga_series_rows(args) -> list:
     engines = _series_engines(cfg, measures, use_oracle)
     oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
     rows = []
-    sv = evolve(cfg, 0) if oracle_measures else None
+    dist = evolve(cfg, 0) if oracle_measures else None
     for r in range(r_max + 1):
         row = {"j": j, "r": r}
         oracle_values = {}
         if oracle_measures:
             if r > 0:
-                sv = grover_step(sv, cfg.solutions)
-            oracle_values, _ = _generic_measures(sv, cfg, oracle_measures, optimizer)
+                dist = gga_iterate(dist, 1)
+            oracle_values, _ = _generic_measures(dist, cfg, oracle_measures, optimizer)
         for m, engine in engines.items():
             if engine == "analytic":
                 value = MEASURES[m].closed_form(cfg, r, optimizer)
@@ -188,8 +187,10 @@ def phi_sweep(run: RunConfig) -> SweepResult:
     )
 
 
-def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution, n: int, solutions) -> SweepResult:
+def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult:
     """Per-step amplitudes, averages and success probability for a custom start."""
+    if run.r_max is not None and run.r_max < 0:
+        raise ValueError(f"r-max must be >= 0, got {run.r_max}")
     opt = gga_optimal_time(dist0)
     r_max = run.r_max if run.r_max is not None else max(1, math.ceil(opt.time))
     rows = []
@@ -215,8 +216,8 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution, n: int, soluti
         )
         dist = gga_iterate(dist, 1)
     extra = {
-        "n": n,
-        "solutions": list(solutions),
+        "n": dist0.n,
+        "solutions": list(dist0.solutions),
         "optimal_time": opt.time,
         "optimal_time_method": opt.method,
         "degenerate_phase": opt.degenerate_phase,
@@ -239,7 +240,7 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution, n: int, soluti
 def verify_rows(run: RunConfig):
     summary = cross_validate(
         max_n=run.max_n,
-        j_values=run.j_values if run.j_values != (1,) else (1, 2),
+        j_values=run.j_values,
         seed=run.seed,
         fault=run.inject_fault,
     )

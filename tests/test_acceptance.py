@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from groverlab.bruteforce import evolve, grover_step, uniform_state
+from groverlab.bruteforce import evolve
 from groverlab.cli import main as cli_main
 from groverlab.coherence import (
     coherence_l1,
@@ -69,9 +69,9 @@ def test_criterion_2_oracle_equivalence():
     for n in range(2, 9):
         for j in (1, 2):
             cfg = GroverConfig(n=n, j=j)
-            sv = uniform_state(n)
+            dist = evolve(cfg, 0)
             for r in range(optimal_iterations(cfg) + 1):
-                rho = DensityMatrix.from_pure(sv.amplitudes)
+                rho = DensityMatrix.from_pure(dist.amplitudes)
                 worst["cr"] = max(
                     worst["cr"], abs(coherence_r_ga(cfg, r) - coherence_relative_entropy(rho))
                 )
@@ -79,17 +79,17 @@ def test_criterion_2_oracle_equivalence():
                     worst["cl1"], abs(coherence_l1_ga(cfg, r) - coherence_l1(rho))
                 )
                 if j == 1:
-                    rho2 = pure_partial_trace(sv.amplitudes, (0, 1))
+                    rho2 = pure_partial_trace(dist.amplitudes, (0, 1))
                     worst["e2"] = max(
                         worst["e2"],
                         abs(concurrence_two_qubit_ga(cfg, r) - concurrence_two_qubit(rho2)),
                     )
                     worst["m"] = max(worst["m"], abs(chsh_M_ga(cfg, r) - chsh_M(rho2)))
-                    rho1 = pure_partial_trace(sv.amplitudes, (0,))
+                    rho1 = pure_partial_trace(dist.amplitudes, (0,))
                     worst["dn"] = max(
                         worst["dn"], abs(genuine_discord_ga(cfg, r) - von_neumann_entropy(rho1))
                     )
-                sv = grover_step(sv, cfg.solutions)
+                dist = gga_iterate(dist, 1)
     elapsed = time.perf_counter() - start
     failures = []
     for key, tol in (("cr", 1e-10), ("cl1", 1e-10), ("e2", 1e-8), ("m", 1e-8), ("dn", 1e-8)):
@@ -116,11 +116,11 @@ def test_criterion_3_success_probability_anchors():
         cfg = GroverConfig(n=n, j=1)
         if optimal_iterations(cfg) != expected:
             failures.append(f"r_opt({n}) != {expected}")
-        sv = uniform_state(n)
+        dist = evolve(cfg, 0)
         probs = []
         for _ in range(2 * expected + 2):
-            probs.append(abs(sv.amplitudes[0]) ** 2)
-            sv = grover_step(sv, cfg.solutions)
+            probs.append(abs(dist.amplitudes[0]) ** 2)
+            dist = gga_iterate(dist, 1)
         if int(np.argmax(probs)) != expected:
             failures.append(f"oracle scan at n={n} peaks at {int(np.argmax(probs))}, not {expected}")
     _report(3, "P(1)=1 at n=2, P(2)=121/128 at n=3, r_opt in {1,2,35} confirmed by scan", failures)
@@ -152,7 +152,7 @@ def test_criterion_5_gga_dynamics():
         j = int(rng.integers(1, min(8, N // 2)))
         v = rng.normal(size=N)
         v /= np.linalg.norm(v)
-        d0 = AmplitudeDistribution(j=j, solution_amplitudes=v[:j], other_amplitudes=v[j:])
+        d0 = AmplitudeDistribution(v, tuple(range(j)))
         cf = gga_closed_form(d0)
         k_dev0 = d0.solution_amplitudes - d0.kbar
         l_dev0 = d0.other_amplitudes - d0.lbar

@@ -188,10 +188,15 @@ class TestInputDomain:
             ("gga", "--n", "4", "--phi-points", "0"),
             ("ga", "--n", "4", "--j", "one"),
             ("ga", "--n", "4", "--grid", "8"),
+            ("verify", "--j", "5..3"),
+            ("verify", "--max-n", "2", "--j", "9"),
+            ("gga", "--init-file", "{init}", "--r-max", "-1"),
         ],
     )
-    def test_empty_or_malformed_requests_are_usage_errors(self, args):
-        result = run_cli(*args)
+    def test_empty_or_malformed_requests_are_usage_errors(self, args, tmp_path):
+        init = tmp_path / "uniform.json"
+        init.write_text(json.dumps({"n": 2, "solutions": [0], "amplitudes": [[0.5, 0.0]] * 4}))
+        result = run_cli(*(a.format(init=init) for a in args))
         assert result.exit_code == 2
         assert "Error:" in result.output
 
@@ -259,6 +264,72 @@ def test_ga_domain_fuzz(args):
             assert (value == "NA") == (engine == "unavailable"), (args, j, column, value)
             if value != "NA":
                 assert math.isfinite(float(value)), (args, j, column, value)
+
+
+def data_rows(args, output):
+    """The data rows of a successful run: CSV rows, JSON rows, or for verify
+    the identity rows, which must have checked at least one case."""
+    if "json" in args:
+        rows = json.loads(output)["rows"]
+    else:
+        _, _, rows = parse_csv(output)
+    if args[0] == "verify":
+        cases = {row["name"]: int(row["cases"]) for row in rows}
+        return rows if cases["success_probability"] > 0 else []
+    return rows
+
+
+@st.composite
+def gga_args(draw):
+    """A phi-family sweep, or an --init-file run on a small drawn document."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from(["0", "1", "2", "3", "8", str(FLOAT_SAFE_QUBITS + 1), "x"]))
+        points = draw(st.sampled_from(["-1", "0", "1", "3", "7"]))
+        return ["gga", "--n", n, "--phi-points", points], None
+    n = draw(st.integers(1, 3))
+    N = 1 << n
+    solutions = draw(st.lists(st.integers(-1, N), min_size=0, max_size=N, unique=True))
+    part = st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=N, max_size=N)
+    amps = np.array(draw(part)) + 1j * np.array(draw(part) if draw(st.booleans()) else [0.0] * N)
+    norm = np.linalg.norm(amps)
+    if norm > 0 and draw(st.integers(0, 4)):  # mostly normalized
+        amps = amps / norm
+    doc = {"n": n, "solutions": solutions, "amplitudes": [[a.real, a.imag] for a in amps]}
+    args = ["gga", "--init-file", "start.json", "--format", draw(st.sampled_from(["csv", "json"]))]
+    r_max = draw(st.sampled_from([None, "-1", "0", "1", "4"]))
+    if r_max is not None:
+        args += ["--r-max", r_max]
+    return args, doc
+
+
+@settings(max_examples=150)
+@given(gga_args())
+def test_gga_domain_fuzz(drawn):
+    args, doc = drawn
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        if doc is not None:
+            Path("start.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, args)
+    assert result.exit_code in (0, 2), (args, doc, result.output, result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        assert data_rows(args, result.output), (args, doc)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(["1", "2", "3", "4", "11", "x"]),
+    st.sampled_from(["1", "2", "3", "1,2", "1..3", "5..3", "9", "0", "3,9", ","]),
+    st.sampled_from(["csv", "json"]),
+)
+def test_verify_domain_fuzz(max_n, j_spec, fmt):
+    args = ["verify", "--max-n", max_n, "--j", j_spec, "--format", fmt]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2), (args, result.output, result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        assert data_rows(args, result.output), args
 
 
 class TestDeterminism:
@@ -374,6 +445,14 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         doc = json.loads(result.output)
         assert doc["metadata"]["passed"] is False
+
+    def test_single_solution_count_is_not_widened(self):
+        # r = 0..r_opt at n = 2, 3 for j = 1 only: 2 + 3 cases
+        result = run_cli("verify", "--max-n", "3", "--j", "1", "--format", "csv")
+        assert result.exit_code == 0
+        _, _, rows = parse_csv(result.output)
+        cases = {row["name"]: int(row["cases"]) for row in rows}
+        assert cases["success_probability"] == 5
 
     def test_csv_format(self):
         result = run_cli("verify", "--max-n", "3", "--format", "csv")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groverlab.bruteforce import evolve, grover_step, uniform_state
+from groverlab.bruteforce import evolve
 from groverlab.entanglement import (
     concurrence_multiqubit_ga,
     concurrence_two_qubit,
@@ -13,6 +13,7 @@ from groverlab.entanglement import (
     multiqubit_concurrence_pure,
 )
 from groverlab.errors import CapacityError, UnsupportedStructureError
+from groverlab.gga import gga_iterate
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, two_qubit_omegas
 from groverlab.linalg import DensityMatrix, pure_partial_trace, pure_subsystem_purity
 
@@ -92,12 +93,12 @@ class TestMultiqubitGA:
         # purity-deficit sum, over whole runs up to the statevector cap
         for n in (4, 6, 8, 10, 12):
             cfg = GroverConfig(n=n, j=1)
-            sv = uniform_state(n)
+            dist = evolve(cfg, 0)
             for r in range(optimal_iterations(cfg) + 1):
                 if r > 0:
-                    sv = grover_step(sv, cfg.solutions)
+                    dist = gga_iterate(dist, 1)
                 assert concurrence_multiqubit_ga(cfg, r) == pytest.approx(
-                    multiqubit_concurrence_pure(sv.amplitudes), abs=1e-9
+                    multiqubit_concurrence_pure(dist.amplitudes), abs=1e-9
                 )
 
     def test_against_subset_enumeration_oracle(self):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverlab.bruteforce import grover_step, state_to_distribution, uniform_state
 from groverlab.coherence import coherence_relative_entropy
 from groverlab.errors import AmplitudeFileError, InvalidStateError, UnsupportedStructureError
 from groverlab.gga import (
@@ -34,12 +33,12 @@ def random_real_distribution(seed, n=None, j=None):
     j = j if j is not None else int(rng.integers(1, min(N // 2, 8)))
     v = rng.normal(size=N)
     v /= np.linalg.norm(v)
-    return AmplitudeDistribution(j=j, solution_amplitudes=v[:j], other_amplitudes=v[j:])
+    return AmplitudeDistribution(v, tuple(range(j)))
 
 
 class TestIterate:
     def test_uniform_two_qubit_single_step(self):
-        dist = gga_iterate(AmplitudeDistribution.uniform(2, 1), 1)
+        dist = gga_iterate(AmplitudeDistribution.uniform(2, (0,)), 1)
         assert dist.solution_amplitudes[0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(dist.other_amplitudes, 0.0, atol=1e-12)
 
@@ -51,37 +50,34 @@ class TestIterate:
 
     def test_negative_steps(self):
         with pytest.raises(ValueError):
-            gga_iterate(AmplitudeDistribution.uniform(2, 1), -1)
+            gga_iterate(AmplitudeDistribution.uniform(2, (0,)), -1)
 
     def test_equal_non_solutions_keep_zero_deviation(self):
         amp = 1 / math.sqrt(8)
-        d = AmplitudeDistribution(
-            j=2,
-            solution_amplitudes=np.array([2 * amp, 0.0]),
-            other_amplitudes=np.full(6, amp) * math.sqrt((1 - 4 * amp**2) / (6 * amp**2)),
-        )
+        tail = np.full(6, amp) * math.sqrt((1 - 4 * amp**2) / (6 * amp**2))
+        d = AmplitudeDistribution(np.concatenate([[2 * amp, 0.0], tail]), (0, 1))
         for r in range(1, 8):
             out = gga_iterate(d, r)
             dev = out.other_amplitudes - out.lbar
             assert np.max(np.abs(dev)) < 1e-12
 
-    def test_matches_statevector_engine(self):
-        cfg = GroverConfig(n=6, j=3)
-        dist = AmplitudeDistribution.uniform(6, 3)
-        sv = uniform_state(6)
-        for _ in range(7):
+    def test_matches_statevector_engine(self, fraction_grover):
+        # the one Grover step against the exact rational iteration, at
+        # solutions that are not the leading indices
+        solutions = (5, 17, 40)
+        dist = AmplitudeDistribution.uniform(6, solutions)
+        for r in range(1, 8):
             dist = gga_iterate(dist, 1)
-            sv = grover_step(sv, cfg.solutions)
-            oracle = state_to_distribution(sv, cfg.solutions)
-            assert np.max(np.abs(dist.solution_amplitudes - oracle.solution_amplitudes)) < 1e-12
-            assert np.max(np.abs(dist.other_amplitudes - oracle.other_amplitudes)) < 1e-12
+            exact = np.array([float(x) for x in fraction_grover(6, solutions, r)]) / 8
+            assert dist.r == r
+            assert np.max(np.abs(dist.amplitudes - exact)) < 1e-12
 
     @given(st.integers(0, 500))
     @settings(max_examples=40)
     def test_norm_preserved(self, seed):
         d0 = random_real_distribution(seed)
         dr = gga_iterate(d0, 13)
-        total = np.sum(np.abs(dr.solution_amplitudes) ** 2) + np.sum(np.abs(dr.other_amplitudes) ** 2)
+        total = np.sum(np.abs(dr.amplitudes) ** 2)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     @given(st.integers(0, 500), st.integers(0, 40))
@@ -102,7 +98,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("n,j", [(4, 1), (10, 1), (10, 3)])
     def test_uniform_start_reduces_to_standard_angles(self, n, j):
         cfg = GroverConfig(n=n, j=j)
-        cf = gga_closed_form(AmplitudeDistribution.uniform(n, j))
+        cf = gga_closed_form(AmplitudeDistribution.uniform(n, range(j)))
         assert cf.beta == pytest.approx(cfg.alpha / 2, abs=1e-12)
         assert cf.omega == pytest.approx(cfg.alpha, abs=1e-12)
 
@@ -113,25 +109,17 @@ class TestClosedForm:
         assert math.cos(cf.omega) == pytest.approx(1 - 4 / 1024, abs=1e-12)
 
     def test_half_database_solutions(self):
-        cf = gga_closed_form(AmplitudeDistribution.uniform(3, 4))
+        cf = gga_closed_form(AmplitudeDistribution.uniform(3, range(4)))
         assert cf.omega == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_degenerate_phase_flag(self):
-        d = AmplitudeDistribution(
-            j=2,
-            solution_amplitudes=np.array([1.0, 0.0]),
-            other_amplitudes=np.zeros(6),
-        )
+        d = AmplitudeDistribution(np.eye(8)[0], (0, 1))
         cf = gga_closed_form(d)
         assert cf.degenerate_phase
         assert cf.beta == pytest.approx(math.pi / 2)
 
     def test_complex_input_rejected(self):
-        d = AmplitudeDistribution(
-            j=1,
-            solution_amplitudes=np.array([1j / math.sqrt(2)]),
-            other_amplitudes=np.array([1 / math.sqrt(2), 0, 0]),
-        )
+        d = AmplitudeDistribution(np.array([1j, 1, 0, 0]) / math.sqrt(2), (0,))
         with pytest.raises(UnsupportedStructureError, match="real"):
             gga_closed_form(d)
 
@@ -148,14 +136,10 @@ class TestClosedForm:
 
 class TestPmaxAndOptimalTime:
     def test_uniform_non_solutions_reach_one(self):
-        assert gga_pmax(AmplitudeDistribution.uniform(5, 2)) == pytest.approx(1.0, abs=1e-12)
+        assert gga_pmax(AmplitudeDistribution.uniform(5, (0, 1))) == pytest.approx(1.0, abs=1e-12)
 
     def test_concentrated_start(self):
-        d = AmplitudeDistribution(
-            j=2,
-            solution_amplitudes=np.array([0.6, 0.8]),
-            other_amplitudes=np.zeros(14),
-        )
+        d = AmplitudeDistribution(np.concatenate([[0.6, 0.8], np.zeros(14)]), (0, 1))
         assert gga_pmax(d) == pytest.approx(1.0, abs=1e-12)
         t = gga_optimal_time(d)
         assert t.degenerate_phase
@@ -168,7 +152,7 @@ class TestPmaxAndOptimalTime:
         l[1] -= eps
         v = np.concatenate([[1.0], l])
         v /= np.linalg.norm(v)
-        d = AmplitudeDistribution(j=j, solution_amplitudes=v[:1], other_amplitudes=v[1:])
+        d = AmplitudeDistribution(v, (0,))
         t = gga_optimal_time(d)
         peak = gga_success_probability_at(d, t.time)
         assert peak == pytest.approx(gga_pmax(d), abs=1e-9)
@@ -199,14 +183,14 @@ class TestPmaxAndOptimalTime:
     def test_uniform_start_matches_standard_prerounding_optimum(self):
         for n, j in [(4, 1), (10, 1), (8, 3)]:
             cfg = GroverConfig(n=n, j=j)
-            t = gga_optimal_time(AmplitudeDistribution.uniform(n, j))
+            t = gga_optimal_time(AmplitudeDistribution.uniform(n, range(j)))
             assert t.time == pytest.approx(optimal_iteration_details(cfg).exact, abs=1e-12)
 
     def test_complex_amplitudes_use_scan(self):
         rng = np.random.default_rng(4)
         v = rng.normal(size=16) + 1j * rng.normal(size=16)
         v /= np.linalg.norm(v)
-        d = AmplitudeDistribution(j=2, solution_amplitudes=v[:2], other_amplitudes=v[2:])
+        d = AmplitudeDistribution(v, (0, 1))
         t = gga_optimal_time(d)
         assert t.method == "scan"
         peak = gga_success_probability_at(d, t.time)
@@ -222,11 +206,7 @@ class TestPmaxAndOptimalTime:
 
     def test_global_phase_leaves_pmax_invariant(self):
         d0 = random_real_distribution(11)
-        rotated = AmplitudeDistribution(
-            j=d0.j,
-            solution_amplitudes=d0.solution_amplitudes * np.exp(0.7j),
-            other_amplitudes=d0.other_amplitudes * np.exp(0.7j),
-        )
+        rotated = AmplitudeDistribution(d0.amplitudes * np.exp(0.7j), d0.solutions)
         assert gga_pmax(rotated) == pytest.approx(gga_pmax(d0), abs=1e-12)
 
 
@@ -308,11 +288,12 @@ class TestJsonInterface:
 
     def test_round_trip(self):
         doc = self.make_doc(n=3, solutions=(1, 5))
-        dist, n, solutions = distribution_from_json(json.dumps(doc))
-        assert n == 3
-        assert solutions == (1, 5)
+        dist = distribution_from_json(json.dumps(doc))
+        assert dist.n == 3
+        assert dist.solutions == (1, 5)
         assert dist.j == 2
         assert dist.size == 8
+        assert np.array_equal(dist.amplitudes, np.full(8, 1 / math.sqrt(8)))
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(AmplitudeFileError, match=r"line \d+, column \d+"):
@@ -349,12 +330,11 @@ class TestJsonInterface:
 class TestDistributionInvariants:
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidStateError):
-            AmplitudeDistribution(
-                j=1, solution_amplitudes=np.array([1.0]), other_amplitudes=np.array([1.0])
-            )
+            AmplitudeDistribution(np.array([1.0, 1.0]), (0,))
 
     def test_rejects_mismatched_j(self):
+        # j must leave at least one non-solution amplitude, and count each index once
         with pytest.raises(InvalidStateError):
-            AmplitudeDistribution(
-                j=2, solution_amplitudes=np.array([1.0]), other_amplitudes=np.array([0.0])
-            )
+            AmplitudeDistribution(np.array([1.0, 0.0]), (0, 1))
+        with pytest.raises(InvalidStateError):
+            AmplitudeDistribution(np.array([1.0, 0.0]), (0, 0))

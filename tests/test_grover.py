@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverlab.bruteforce import evolve, grover_step, uniform_state
+from groverlab.bruteforce import evolve
 from groverlab.errors import CapacityError, UnsupportedStructureError
+from groverlab.gga import gga_iterate
 from groverlab.grover import (
     GroverConfig,
     full_density,
@@ -48,8 +49,8 @@ class TestStateAt:
 
     def test_two_qubit_exact_hit(self):
         # brute-force oracle: 2-qubit search with one solution ends after one step
-        sv = grover_step(uniform_state(2), (0,))
-        assert abs(sv.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+        dist = evolve(GroverConfig(n=2, j=1), 1)
+        assert abs(dist.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
         st1 = state_at(GroverConfig(n=2, j=1), 1)
         assert st1.a == pytest.approx(1.0, abs=1e-12)
         assert st1.b == pytest.approx(0.0, abs=1e-12)
@@ -96,11 +97,11 @@ class TestSuccessProbability:
                 if j >= (1 << n):
                     continue
                 cfg = GroverConfig(n=n, j=j)
-                sv = uniform_state(n)
+                dist = evolve(cfg, 0)
                 for r in range(optimal_iterations(cfg) + 1):
-                    oracle_p = float(np.sum(np.abs(sv.amplitudes[list(cfg.solutions)]) ** 2))
+                    oracle_p = dist.success_probability()
                     assert success_probability(cfg, r) == pytest.approx(oracle_p, abs=1e-12)
-                    sv = grover_step(sv, cfg.solutions)
+                    dist = gga_iterate(dist, 1)
 
     def test_nondecreasing_up_to_optimum(self):
         for n, j in [(3, 1), (6, 2), (11, 1), (11, 10), (16, 5)]:
@@ -118,11 +119,11 @@ class TestOptimalIterations:
     def test_oracle_scan_confirms(self, n):
         cfg = GroverConfig(n=n, j=1)
         r_opt = optimal_iterations(cfg)
-        sv = uniform_state(n)
+        dist = evolve(cfg, 0)
         probs = []
         for _ in range(2 * r_opt + 2):
-            probs.append(abs(sv.amplitudes[0]) ** 2)
-            sv = grover_step(sv, cfg.solutions)
+            probs.append(abs(dist.amplitudes[0]) ** 2)
+            dist = gga_iterate(dist, 1)
         assert int(np.argmax(probs)) == r_opt
 
     def test_half_integer_tie_rounds_toward_zero(self):
