@@ -6,12 +6,11 @@ database grows; run with increasing --n to watch the relative error shrink.
 """
 
 import argparse
-import math
 
 import numpy as np
 
 from groverlab.coherence import coherence_l1_ga, coherence_r_ga, cost_performance
-from groverlab.grover import GroverConfig, optimal_iterations, success_probability
+from groverlab.grover import GroverConfig, optimal_iterations, state_at, success_probability
 
 
 def main():
@@ -23,10 +22,10 @@ def main():
     print(f"{'n':>3} {'measure':>17} {'fitted':>14} {'predicted':>14} {'rel err':>9}")
     for n in args.n:
         cfg = GroverConfig(n=n, j=args.j)
-        rs = range(optimal_iterations(cfg) + 1)
-        p = np.array([success_probability(cfg, r) for r in rs])
+        st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+        p = success_probability(cfg, st)
         for fn, label in ((coherence_r_ga, "relative-entropy"), (coherence_l1_ga, "l1")):
-            c = np.array([fn(cfg, r) for r in rs])
+            c = fn(cfg, st)
             fitted = -np.polyfit(c, p, 1)[0]
             predicted = cost_performance(cfg, label)
             rel = abs(fitted - predicted) / predicted

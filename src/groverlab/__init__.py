@@ -63,14 +63,12 @@ from .grover import (
     GroverConfig,
     OptimalIteration,
     SymmetricGAState,
-    TwoQubitOmega,
     full_density,
     optimal_iteration_details,
     optimal_iterations,
     reduced_density,
     state_at,
     success_probability,
-    two_qubit_omegas,
 )
 from .linalg import (
     DensityMatrix,

@@ -15,8 +15,8 @@ from .gga import AmplitudeDistribution, gga_iterate
 from .grover import (
     CAPACITY_QUBITS,
     GroverConfig,
-    _reduced_matrix_from_state,
-    full_density,
+    _reduced_matrix,
+    ga_statevector_amplitudes,
     optimal_iterations,
     state_at,
 )
@@ -41,12 +41,15 @@ def evolve(cfg: GroverConfig, r: int) -> AmplitudeDistribution:
 class Measure:
     """One measure: its closed form, its oracle and the domain they share.
 
-    `closed_form(cfg, r, optimizer)` covers j = 1 with the solution at index
-    0, or any j when `any_j` is set; `oracle(amplitudes, cfg, optimizer)`
-    covers n <= CAPACITY_QUBITS. Both return a float, or for `slow` (opt-in,
-    optimizer per row) measures the optimizer result. Registers smaller than
-    `min_qubits` have no value. Entries look functions up on their module at
-    call time, so a function replaced there (e.g. by a tracer) is what runs.
+    `closed_form(cfg, st, optimizer)` covers j = 1 with the solution at index
+    0, or any j when `any_j` is set. It takes the `SymmetricGAState` of a whole
+    series (`state_at(cfg, array_of_r)`) and returns one value per r: an
+    array, or for `slow` (opt-in, optimizer per row) measures a list of
+    optimizer results. `oracle(amplitudes, cfg, optimizer)` covers
+    n <= CAPACITY_QUBITS and returns one float or optimizer result. Registers
+    smaller than `min_qubits` have no value. Entries look functions up on
+    their module at call time, so a function replaced there (e.g. by a
+    tracer) is what runs.
     """
 
     closed_form: Callable
@@ -68,36 +71,38 @@ class Measure:
 
 MEASURES = {
     "p": Measure(
-        closed_form=lambda cfg, r, opt: grover.success_probability(cfg, r),
+        closed_form=lambda cfg, st, opt: grover.success_probability(cfg, st),
         oracle=lambda amps, cfg, opt: float((np.abs(amps[list(cfg.solutions)]) ** 2).sum()),
         any_j=True,
     ),
     "cr": Measure(
-        closed_form=lambda cfg, r, opt: coherence.coherence_r_ga(cfg, r),
+        closed_form=lambda cfg, st, opt: coherence.coherence_r_ga(cfg, st),
         # S(rho) = 0 for a pure state, so C_r is the Shannon entropy of |amps|^2
         oracle=lambda amps, cfg, opt: shannon_entropy(np.abs(amps) ** 2),
         any_j=True,
     ),
     "cl1": Measure(
-        closed_form=lambda cfg, r, opt: coherence.coherence_l1_ga(cfg, r),
+        closed_form=lambda cfg, st, opt: coherence.coherence_l1_ga(cfg, st),
         # sum_{x != y} |a_x||a_y| = (sum |a_x|)^2 - sum |a_x|^2
         oracle=lambda amps, cfg, opt: float(np.abs(amps).sum() ** 2 - (np.abs(amps) ** 2).sum()),
         any_j=True,
     ),
     "e2": Measure(
-        closed_form=lambda cfg, r, opt: entanglement.concurrence_two_qubit_ga(cfg, r),
+        closed_form=lambda cfg, st, opt: entanglement.concurrence_two_qubit_ga(cfg, st),
         oracle=lambda amps, cfg, opt: entanglement.concurrence_two_qubit(
             pure_partial_trace(amps, (0, 1))
         ),
         min_qubits=2,
     ),
     "en": Measure(
-        closed_form=lambda cfg, r, opt: entanglement.concurrence_multiqubit_ga(cfg, r),
+        closed_form=lambda cfg, st, opt: entanglement.concurrence_multiqubit_ga(cfg, st),
         oracle=lambda amps, cfg, opt: entanglement.multiqubit_concurrence_pure(amps),
         min_qubits=2,
     ),
     "d2": Measure(
-        closed_form=lambda cfg, r, opt: discord.pairwise_discord_ga(cfg, r, opt),
+        closed_form=lambda cfg, st, opt: [
+            discord.pairwise_discord_ga(cfg, r, opt) for r in st.r.tolist()
+        ],
         oracle=lambda amps, cfg, opt: discord.pairwise_discord(
             pure_partial_trace(amps, (0, 1)), opt
         ),
@@ -105,16 +110,18 @@ MEASURES = {
         slow=True,
     ),
     "dn": Measure(
-        closed_form=lambda cfg, r, opt: discord.genuine_discord_ga(cfg, r),
+        closed_form=lambda cfg, st, opt: discord.genuine_discord_ga(cfg, st),
         oracle=lambda amps, cfg, opt: von_neumann_entropy(pure_partial_trace(amps, (0,))),
     ),
     "m": Measure(
-        closed_form=lambda cfg, r, opt: nonlocality.chsh_M_ga(cfg, r),
+        closed_form=lambda cfg, st, opt: nonlocality.chsh_M_ga(cfg, st),
         oracle=lambda amps, cfg, opt: nonlocality.chsh_M(pure_partial_trace(amps, (0, 1))),
         min_qubits=2,
     ),
     "svet": Measure(
-        closed_form=lambda cfg, r, opt: nonlocality.svetlichny_max_ga(cfg, r, opt),
+        closed_form=lambda cfg, st, opt: [
+            nonlocality.svetlichny_max_ga(cfg, r, opt) for r in st.r.tolist()
+        ],
         oracle=lambda amps, cfg, opt: nonlocality.svetlichny_max(
             pure_partial_trace(amps, (0, 1, 2)), opt
         ),
@@ -146,15 +153,21 @@ def _generic_measures(
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Outcome of one closed-form-vs-oracle identity over its config grid."""
+    """Outcome of one closed-form-vs-oracle identity over its config grid.
+
+    An identity that no requested case reached has `max_deviation` and
+    `passed` None (NA): it was not checked, so it neither passes nor fails.
+    """
 
     name: str
-    max_deviation: float
+    max_deviation: float | None
     tolerance: float
     cases: int
 
     @property
-    def passed(self) -> bool:
+    def passed(self) -> bool | None:
+        if self.cases == 0:
+            return None
         return self.max_deviation <= self.tolerance
 
 
@@ -165,7 +178,7 @@ class ValidationSummary:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed for c in self.checks if c.cases)
 
     def to_dict(self) -> dict:
         return {
@@ -215,7 +228,7 @@ class _Accumulator:
             self.max_dev = math.inf
             self.cases += 1
             return
-        self.max_dev = max(self.max_dev, abs(closed - generic))
+        self.max_dev = max(self.max_dev, float(abs(closed - generic)))
         self.cases += 1
 
 
@@ -253,47 +266,37 @@ def cross_validate(
                 acc["grover_step_norm"].add(float(probs.sum()), 1.0)
                 acc["normalization"].add(st.a**2 + (cfg.database_size - j) * st.b**2, 1.0)
                 acc["success_probability"].add(
-                    st.a**2, float(probs[list(cfg.solutions)].sum())
+                    grover.success_probability(cfg, st), float(probs[list(cfg.solutions)].sum())
                 )
-                rho_full = DensityMatrix.from_pure(amps)
+                rho = DensityMatrix.from_pure(amps)
                 acc["coherence_relative_entropy"].add(
-                    lambda: coherence._coherence_r_from_state(cfg, st),
-                    coherence.coherence_relative_entropy(rho_full),
+                    lambda: coherence.coherence_r_ga(cfg, st),
+                    coherence.coherence_relative_entropy(rho),
                 )
                 acc["coherence_l1"].add(
-                    coherence._coherence_l1_from_state(cfg, st),
-                    coherence.coherence_l1(rho_full),
+                    coherence.coherence_l1_ga(cfg, st), coherence.coherence_l1(rho)
                 )
                 if j == 1:
                     rho2 = pure_partial_trace(amps, (0, 1))
                     acc["concurrence_two_qubit"].add(
-                        entanglement._concurrence_two_qubit_from_state(st),
+                        entanglement.concurrence_two_qubit_ga(cfg, st),
                         entanglement.concurrence_two_qubit(rho2),
                     )
-                    quarter = cfg.database_size / 4.0
-                    acc["chsh_M"].add(
-                        nonlocality._chsh_M_from_values(
-                            st.a**2 + (quarter - 1.0) * st.b**2,
-                            st.a * st.b + (quarter - 1.0) * st.b**2,
-                            quarter * st.b**2,
-                        ),
-                        nonlocality.chsh_M(rho2),
-                    )
+                    acc["chsh_M"].add(nonlocality.chsh_M_ga(cfg, st), nonlocality.chsh_M(rho2))
                     acc["genuine_discord"].add(
-                        lambda: discord._genuine_discord_from_state(cfg, st),
+                        lambda: discord.genuine_discord_ga(cfg, st),
                         von_neumann_entropy(pure_partial_trace(amps, (0,))),
                     )
                     acc["partition_minimum"].add(
                         lambda: abs(
                             discord.genuine_discord_partition_min(cfg, r).value
-                            - discord._genuine_discord_from_state(cfg, st)
+                            - discord.genuine_discord_ga(cfg, st)
                         ),
                         0.0,
                     )
-                    rho = full_density(cfg, r)
                     deficits = 0.0  # sum_k C(n,k) (1 - Tr rho_k^2) from the dense reductions
                     for k in range(1, n):
-                        structured = _reduced_matrix_from_state(n, st, k)
+                        structured = _reduced_matrix(n, st, k)
                         generic = partial_trace(rho, tuple(range(k))).matrix
                         deficits += math.comb(n, k) * (1.0 - float(np.sum(np.abs(generic) ** 2)))
                         acc["reduced_density"].add(
@@ -322,8 +325,7 @@ def cross_validate(
                 st = state_at(cfg, r)
                 if fault:
                     st = replace(st, a=st.a + fault)
-                closed = np.full(cfg.database_size, st.b)
-                closed[list(cfg.solutions)] = st.a / math.sqrt(j)
+                closed = ga_statevector_amplitudes(cfg, st)
                 acc["gga_uniform_equivalence"].add(
                     float(np.max(np.abs(dist.amplitudes - closed))), 0.0
                 )
@@ -332,7 +334,7 @@ def cross_validate(
     checks = tuple(
         IdentityCheck(
             name=name,
-            max_deviation=acc[name].max_dev,
+            max_deviation=acc[name].max_dev if acc[name].cases else None,
             tolerance=tol,
             cases=acc[name].cases,
         )

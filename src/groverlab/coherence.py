@@ -29,44 +29,31 @@ def coherence_l1(rho: DensityMatrix) -> float:
     return max(0.0, float(m.sum() - m.trace()))
 
 
-def _coherence_r_from_success(p: float, N: int, j: int) -> float:
-    # C_r = H(p) + log2(N-j) + p log2(j/(N-j)), grouped to avoid cancellation.
-    p = min(max(p, 0.0), 1.0)
-    value = 0.0
-    if p > 0.0:
-        value += p * math.log2(j / p)
-    if p < 1.0:
-        value += (1.0 - p) * math.log2((N - j) / (1.0 - p))
-    return value
+def coherence_r_ga(cfg: GroverConfig, st: SymmetricGAState):
+    """Relative-entropy coherence of the GA state; independent of solution placement.
+
+    C_r = H(p) + log2(N-j) + p log2(j/(N-j)) with p = a^2, grouped to avoid
+    cancellation. At r = 0 this reduces algebraically to log2 N, which is
+    returned exactly instead of through trig round-off.
+    """
+    p = np.clip(st.a**2, 0.0, 1.0)
+    rest = float(cfg.database_size - cfg.j)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = np.where(p > 0.0, p * np.log2(cfg.j / p), 0.0)
+        tail = np.where(p < 1.0, (1.0 - p) * np.log2(rest / (1.0 - p)), 0.0)
+    # [()] turns the 0-d result of a scalar state back into a scalar
+    return np.where(st.r == 0, float(cfg.n), head + tail)[()]
 
 
-def _coherence_r_from_state(cfg: GroverConfig, st: SymmetricGAState) -> float:
-    return _coherence_r_from_success(st.a**2, cfg.database_size, cfg.j)
+def coherence_l1_ga(cfg: GroverConfig, st: SymmetricGAState):
+    """l1 coherence of the GA state: (sqrt(j)|sin a_r| + sqrt(N-j)|cos a_r|)^2 - 1.
 
-
-def coherence_r_ga(cfg: GroverConfig, r: int) -> float:
-    """Relative-entropy coherence after r iterations; independent of solution placement."""
-    if r == 0:
-        # H(j/N) + log2(N-j) + (j/N) log2(j/(N-j)) reduces algebraically to
-        # log2 N; return it exactly instead of through trig round-off.
-        return float(cfg.n)
-    return _coherence_r_from_state(cfg, state_at(cfg, r))
-
-
-def _coherence_l1_from_state(cfg: GroverConfig, st: SymmetricGAState) -> float:
-    N = cfg.database_size
-    j = cfg.j
-    # sqrt(N-j) |b| = |cos alpha_r|, so this is (sqrt(j)|sin| + sqrt(N-j)|cos|)^2 - 1.
-    return (math.sqrt(j) * abs(st.a) + (N - j) * abs(st.b)) ** 2 - 1.0
-
-
-def coherence_l1_ga(cfg: GroverConfig, r: int) -> float:
-    """l1 coherence after r iterations: (sqrt(j)|sin a_r| + sqrt(N-j)|cos a_r|)^2 - 1.
-
+    sqrt(N-j)|b| = |cos a_r|, so this is (sqrt(j)|a| + (N-j)|b|)^2 - 1.
     Magnitudes keep the expression equal to the generic l1 sum at r = r_opt,
     where the accumulated angle may pass pi/2 and cos a_r turns negative.
     """
-    return _coherence_l1_from_state(cfg, state_at(cfg, r))
+    rest = float(cfg.database_size - cfg.j)
+    return (math.sqrt(cfg.j) * np.abs(st.a) + rest * np.abs(st.b)) ** 2 - 1.0
 
 
 def in_asymptotic_regime(cfg: GroverConfig) -> bool:
@@ -119,15 +106,16 @@ class CoherenceReport:
 
 
 def coherence_report(cfg: GroverConfig, r: int, include_asymptotics: bool = False) -> CoherenceReport:
-    p = state_at(cfg, r).a ** 2
+    st = state_at(cfg, r)
+    p = float(st.a**2)
     asym = (None, None)
     if include_asymptotics:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AsymptoticRegimeWarning)
             asym = coherence_asymptotics(cfg, p)
     return CoherenceReport(
-        c_r=coherence_r_ga(cfg, r),
-        c_l1=coherence_l1_ga(cfg, r),
+        c_r=float(coherence_r_ga(cfg, st)),
+        c_l1=float(coherence_l1_ga(cfg, st)),
         success_probability=min(p, 1.0),
         asymptotic_c_r=asym[0],
         asymptotic_c_l1=asym[1],

@@ -11,14 +11,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import CapacityError, NumericalConsistencyError, UnsupportedStructureError
-from .grover import (
-    CAPACITY_QUBITS,
-    GroverConfig,
-    SymmetricGAState,
-    reduced_density,
-    state_at,
-    two_qubit_omegas,
-)
+from .grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState, reduced_density, state_at
 from .linalg import DensityMatrix, binary_entropy, von_neumann_entropy
 from .optimizers import OptimizerConfig
 
@@ -131,22 +124,17 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
 
 def pairwise_discord_ga(cfg: GroverConfig, r: int, config: OptimizerConfig | None = None) -> DiscordSolution:
     """Discord of the structured two-qubit reduced state (j=1, n >= 2)."""
-    return pairwise_discord(two_qubit_omegas(cfg, r).to_density(), config)
+    return pairwise_discord(reduced_density(cfg, state_at(cfg, r), 2), config)
 
 
-def _genuine_discord_from_state(cfg: GroverConfig, st: SymmetricGAState) -> float:
-    delta = 1.0 - 4.0 * (2.0 ** (cfg.n - 1) - 1.0) * (st.a * st.b - st.b**2) ** 2
-    if delta < -DELTA_TOL or delta > 1.0 + DELTA_TOL:
-        raise NumericalConsistencyError(f"discriminant {delta!r} outside [0, 1]")
-    delta = min(max(delta, 0.0), 1.0)
-    return binary_entropy((1.0 + math.sqrt(delta)) / 2.0)
-
-
-def genuine_discord_ga(cfg: GroverConfig, r: int) -> float:
+def genuine_discord_ga(cfg: GroverConfig, st: SymmetricGAState):
     """Genuine n-partite correlation S(rho_1) = H((1 + sqrt(Delta))/2) for j=1."""
     if cfg.j != 1:
         raise UnsupportedStructureError(f"genuine discord closed form requires j=1, got j={cfg.j}")
-    return _genuine_discord_from_state(cfg, state_at(cfg, r))
+    delta = 1.0 - 4.0 * (2.0 ** (cfg.n - 1) - 1.0) * (st.a * st.b - st.b**2) ** 2
+    if np.any((delta < -DELTA_TOL) | (delta > 1.0 + DELTA_TOL)):
+        raise NumericalConsistencyError(f"discriminant outside [0, 1]: {delta!r}")
+    return binary_entropy((1.0 + np.sqrt(np.clip(delta, 0.0, 1.0))) / 2.0)
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +173,8 @@ def genuine_discord_partition_min(cfg: GroverConfig, r: int) -> PartitionMinimum
         raise UnsupportedStructureError("partition minimization requires j=1, solution at 0")
     if cfg.n > CAPACITY_QUBITS:
         raise CapacityError(f"partition minimization capped at {CAPACITY_QUBITS} qubits, got n={cfg.n}")
-    entropy = {k: von_neumann_entropy(reduced_density(cfg, r, k)) for k in range(1, cfg.n)}
+    st = state_at(cfg, r)
+    entropy = {k: von_neumann_entropy(reduced_density(cfg, st, k)) for k in range(1, cfg.n)}
     best_value = math.inf
     best_parts: tuple[int, ...] = ()
     for parts in _partitions_with_two_parts(cfg.n):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, NumericalConsistencyError, UnsupportedStructureError
-from .grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState, state_at
+from .grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState
 from .linalg import DensityMatrix, pure_subsystem_purity
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -36,20 +36,16 @@ def concurrence_two_qubit(rho2: DensityMatrix) -> float:
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _concurrence_two_qubit_from_state(st: SymmetricGAState) -> float:
-    return 2.0 * abs(st.a * st.b - st.b**2)
-
-
-def concurrence_two_qubit_ga(cfg: GroverConfig, r: int) -> float:
+def concurrence_two_qubit_ga(cfg: GroverConfig, st: SymmetricGAState):
     """Pairwise concurrence 2|ab - b^2| for the single-solution search."""
     if cfg.j != 1:
         raise UnsupportedStructureError(
             f"the pairwise closed form requires j=1, got j={cfg.j}"
         )
-    return _concurrence_two_qubit_from_state(state_at(cfg, r))
+    return 2.0 * np.abs(st.a * st.b - st.b**2)
 
 
-def _multiqubit_radicand(n: int, st: SymmetricGAState) -> float:
+def _multiqubit_radicand(n: int, st: SymmetricGAState):
     """sum_k C(n,k) (1 - Tr rho_k^2) over all cuts of the j=1 search state.
 
     The state is beta|+>^n + c|0>^n with beta = b sqrt(N) and c = a - b, a
@@ -63,7 +59,7 @@ def _multiqubit_radicand(n: int, st: SymmetricGAState) -> float:
     return 2.0 * (beta * c) ** 2 * (2.0**n - 2.0 * 1.5**n + 1.0)
 
 
-def concurrence_multiqubit_ga(cfg: GroverConfig, r: int) -> float:
+def concurrence_multiqubit_ga(cfg: GroverConfig, st: SymmetricGAState):
     """Upper-bound n-qubit concurrence (2/sqrt(N)) sqrt(sum of purity deficits), j=1."""
     if cfg.j != 1:
         raise UnsupportedStructureError(
@@ -71,8 +67,7 @@ def concurrence_multiqubit_ga(cfg: GroverConfig, r: int) -> float:
         )
     if cfg.n < 2:
         raise ValueError("multiqubit concurrence needs n >= 2")
-    radicand = _multiqubit_radicand(cfg.n, state_at(cfg, r))
-    return 2.0 / math.sqrt(cfg.database_size) * math.sqrt(radicand)
+    return 2.0 / math.sqrt(cfg.database_size) * np.sqrt(_multiqubit_radicand(cfg.n, st))
 
 
 def multiqubit_concurrence_pure(amplitudes: np.ndarray) -> float:

@@ -25,8 +25,6 @@ CAPACITY_QUBITS = 12
 # beyond that N = 2^n itself no longer converts to a float.
 FLOAT_SAFE_QUBITS = 1022
 
-AB_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class GroverConfig:
@@ -64,13 +62,18 @@ class GroverConfig:
 
 @dataclass(frozen=True)
 class SymmetricGAState:
-    """Two-amplitude representation (a, b) of the GA state at iteration r."""
+    """Two-amplitude representation (a, b) of the GA state after r iterations.
 
-    r: int
+    `r`, `alpha_r`, `a` and `b` are arrays of one shape when the state was
+    built for an array of iteration counts, so a closed form evaluated on it
+    gives a whole series at once.
+    """
+
+    r: np.ndarray
     alpha: float
-    alpha_r: float
-    a: float
-    b: float
+    alpha_r: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,20 +85,24 @@ class OptimalIteration:
     tie: bool
 
 
-def state_at(cfg: GroverConfig, r: int) -> SymmetricGAState:
-    """Amplitudes after r Grover iterations; cost independent of N."""
-    if r < 0:
-        raise ValueError(f"iteration count must be >= 0, got {r}")
+def state_at(cfg: GroverConfig, r) -> SymmetricGAState:
+    """Amplitudes after r Grover iterations, r an integer or an integer array.
+
+    The cost is independent of N and, for an array, one numpy pass.
+    """
+    r = np.asarray(r)
+    if np.any(r < 0):
+        raise ValueError(f"iteration count must be >= 0, got {r.min()}")
     alpha = cfg.alpha
     alpha_r = (r + 0.5) * alpha
-    a = math.sin(alpha_r)
-    b = math.cos(alpha_r) / math.sqrt(cfg.database_size - cfg.j)
+    a = np.sin(alpha_r)
+    b = np.cos(alpha_r) / math.sqrt(cfg.database_size - cfg.j)
     return SymmetricGAState(r=r, alpha=alpha, alpha_r=alpha_r, a=a, b=b)
 
 
-def success_probability(cfg: GroverConfig, r: int) -> float:
-    """P(r) = sin^2(alpha_r)."""
-    return state_at(cfg, r).a ** 2
+def success_probability(cfg: GroverConfig, st: SymmetricGAState):
+    """P = sin^2(alpha_r) = a^2; `cfg` is taken so every closed form reads (cfg, st)."""
+    return st.a**2
 
 
 def optimal_iteration_details(cfg: GroverConfig) -> OptimalIteration:
@@ -122,21 +129,20 @@ def _solution_mask(cfg: GroverConfig) -> np.ndarray:
     return mask
 
 
-def ga_statevector_amplitudes(cfg: GroverConfig, r: int) -> np.ndarray:
-    """Full amplitude vector: a/sqrt(j) on solutions, b elsewhere."""
+def ga_statevector_amplitudes(cfg: GroverConfig, st: SymmetricGAState) -> np.ndarray:
+    """Full amplitude vector of a scalar state: a/sqrt(j) on solutions, b elsewhere."""
     if cfg.n > CAPACITY_QUBITS:
         raise CapacityError(
             f"n={cfg.n} exceeds the dense limit {CAPACITY_QUBITS}; use reduced_density"
         )
-    st = state_at(cfg, r)
     amps = np.full(cfg.database_size, st.b, dtype=complex)
     amps[_solution_mask(cfg)] = st.a / math.sqrt(cfg.j)
     return amps
 
 
-def full_density(cfg: GroverConfig, r: int) -> DensityMatrix:
+def full_density(cfg: GroverConfig, st: SymmetricGAState) -> DensityMatrix:
     """Rank-1 projector onto the GA state; entries depend only on solution membership."""
-    amps = ga_statevector_amplitudes(cfg, r)
+    amps = ga_statevector_amplitudes(cfg, st)
     return DensityMatrix(np.outer(amps, amps.conj()))
 
 
@@ -148,11 +154,15 @@ def _require_leading_single_solution(cfg: GroverConfig, what: str) -> None:
         )
 
 
-def _reduced_matrix_from_state(n: int, st: SymmetricGAState, k: int) -> np.ndarray:
+def _reduced_entries(n: int, st: SymmetricGAState, k: int) -> tuple:
+    """(corner, edge, bulk) entries of the k-qubit reduced matrix; arrays for a series state."""
     d = 2.0 ** (n - k)
-    bulk = d * st.b**2
-    edge = st.a * st.b + (d - 1.0) * st.b**2
-    corner = st.a**2 + (d - 1.0) * st.b**2
+    rest = (d - 1.0) * st.b**2
+    return st.a**2 + rest, st.a * st.b + rest, d * st.b**2
+
+
+def _reduced_matrix(n: int, st: SymmetricGAState, k: int) -> np.ndarray:
+    corner, edge, bulk = _reduced_entries(n, st, k)
     m = np.full((1 << k, 1 << k), bulk, dtype=complex)
     m[0, :] = edge
     m[:, 0] = edge
@@ -160,52 +170,15 @@ def _reduced_matrix_from_state(n: int, st: SymmetricGAState, k: int) -> np.ndarr
     return m
 
 
-def reduced_density(cfg: GroverConfig, r: int, k: int) -> DensityMatrix:
-    """Structured k-qubit reduced state for the single-solution search.
+def reduced_density(cfg: GroverConfig, st: SymmetricGAState, k: int) -> DensityMatrix:
+    """Structured k-qubit reduced state of a scalar single-solution state.
 
     entry(0,0) = a^2 + (2^(n-k)-1) b^2, first row/column ab + (2^(n-k)-1) b^2,
     all remaining entries 2^(n-k) b^2. Valid for arbitrary n since only a, b
-    and 2^(n-k) enter. Identical for every choice of k kept qubits.
+    and 2^(n-k) enter. Identical for every choice of k kept qubits; k = n is
+    the whole register.
     """
     _require_leading_single_solution(cfg, "reduced_density")
-    if not 1 <= k < cfg.n:
-        raise ValueError(f"kept-qubit count must satisfy 1 <= k < {cfg.n}, got {k}")
-    return DensityMatrix(_reduced_matrix_from_state(cfg.n, state_at(cfg, r), k))
-
-
-@dataclass(frozen=True)
-class TwoQubitOmega:
-    """Coefficients of the two-qubit reduced state: corner, edge and bulk entries."""
-
-    omega0: float
-    omega1: float
-    omega2: float
-
-    def __post_init__(self):
-        total = self.omega0 + 3.0 * self.omega2
-        if abs(total - 1.0) > AB_NORM_TOL:
-            raise ValueError(f"omega0 + 3*omega2 = {total!r}, expected 1")
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.full((4, 4), self.omega2, dtype=complex)
-        m[0, :] = self.omega1
-        m[:, 0] = self.omega1
-        m[0, 0] = self.omega0
-        return m
-
-    def to_density(self) -> DensityMatrix:
-        return DensityMatrix(self.as_matrix())
-
-
-def two_qubit_omegas(cfg: GroverConfig, r: int) -> TwoQubitOmega:
-    """Omega coefficients of the two-qubit reduced state (j=1 only)."""
-    if cfg.n < 2:
-        raise ValueError(f"two-qubit reduction needs n >= 2, got n={cfg.n}")
-    _require_leading_single_solution(cfg, "two_qubit_omegas")
-    st = state_at(cfg, r)
-    quarter = cfg.database_size / 4.0
-    return TwoQubitOmega(
-        omega0=st.a**2 + (quarter - 1.0) * st.b**2,
-        omega1=st.a * st.b + (quarter - 1.0) * st.b**2,
-        omega2=quarter * st.b**2,
-    )
+    if not 1 <= k <= cfg.n:
+        raise ValueError(f"kept-qubit count must satisfy 1 <= k <= {cfg.n}, got {k}")
+    return DensityMatrix(_reduced_matrix(cfg.n, st, k))

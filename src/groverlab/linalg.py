@@ -113,14 +113,16 @@ class DensityMatrix:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
 
-def binary_entropy(x: float) -> float:
-    """Binary Shannon entropy H(x) in bits, with H(0) = H(1) = 0."""
-    if x < -NORM_TOL or x > 1.0 + NORM_TOL:
-        raise ValueError(f"binary_entropy argument {x!r} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
+def binary_entropy(x):
+    """Binary Shannon entropy H(x) in bits, with H(0) = H(1) = 0; elementwise on arrays."""
+    x = np.asarray(x, dtype=float)
+    if np.any((x < -NORM_TOL) | (x > 1.0 + NORM_TOL)):
+        raise ValueError(f"binary_entropy argument outside [0, 1]: {x!r}")
+    x = np.clip(x, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    # [()] turns the 0-d result of a scalar argument back into a scalar
+    return np.where((x == 0.0) | (x == 1.0), 0.0, h)[()]
 
 
 def shannon_entropy(probabilities: np.ndarray) -> float:

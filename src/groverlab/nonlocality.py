@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import UnsupportedStructureError
-from .grover import GroverConfig, TwoQubitOmega, full_density, reduced_density, two_qubit_omegas
+from .grover import GroverConfig, SymmetricGAState, _reduced_entries, reduced_density, state_at
 from .linalg import DensityMatrix
 from .optimizers import OptimizerConfig, restart_rng
 
@@ -70,30 +70,24 @@ def chsh_M(rho2: DensityMatrix) -> float:
     return float(u[-1] + u[-2])
 
 
-def _chsh_M_from_omegas(om: TwoQubitOmega) -> float:
-    return _chsh_M_from_values(om.omega0, om.omega1, om.omega2)
-
-
-def _chsh_M_from_values(o0: float, o1: float, o2: float) -> float:
+def chsh_M_ga(cfg: GroverConfig, st: SymmetricGAState):
+    """Closed-form M from the two-qubit reduced entries o0, o1, o2 (j=1); cross-check of chsh_M."""
+    if cfg.j != 1:
+        raise UnsupportedStructureError(f"the CHSH closed form requires j=1, got j={cfg.j}")
+    if cfg.n < 2:
+        raise ValueError(f"two-qubit reduction needs n >= 2, got n={cfg.n}")
+    o0, o1, o2 = _reduced_entries(cfg.n, st, 2)
     lam1 = 2.0 * o2 - 2.0 * o1
     disc = (
         o0**2 + 20.0 * o1**2 + 25.0 * o2**2
         - 4.0 * o0 * o1 - 6.0 * o0 * o2 - 20.0 * o1 * o2
     )
-    root = math.sqrt(max(disc, 0.0))
+    root = np.sqrt(np.maximum(disc, 0.0))
     s = o0 + 2.0 * o1 + o2
     lam2 = (s - root) / 2.0
     lam3 = (s + root) / 2.0
-    if lam1 <= lam2:
-        return lam2**2 + lam3**2
-    return lam1**2 + lam3**2
-
-
-def chsh_M_ga(cfg: GroverConfig, r: int) -> float:
-    """Closed-form M from the Omega coefficients (j=1); cross-check of chsh_M."""
-    if cfg.j != 1:
-        raise UnsupportedStructureError(f"the CHSH closed form requires j=1, got j={cfg.j}")
-    return _chsh_M_from_omegas(two_qubit_omegas(cfg, r))
+    # [()] turns the 0-d result of a scalar state back into a scalar
+    return np.where(lam1 <= lam2, lam2**2 + lam3**2, lam1**2 + lam3**2)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,6 +256,4 @@ def svetlichny_max_ga(
     """Svetlichny maximization on the structured three-qubit reduced state (j=1)."""
     if cfg.n < 3:
         raise ValueError(f"tripartite reduction needs n >= 3, got n={cfg.n}")
-    # at n = 3 the three-qubit state is the whole register
-    rho3 = full_density(cfg, r) if cfg.n == 3 else reduced_density(cfg, r, 3)
-    return svetlichny_max(rho3, config)
+    return svetlichny_max(reduced_density(cfg, state_at(cfg, r), 3), config)

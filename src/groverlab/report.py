@@ -28,7 +28,7 @@ from .gga import (
     phi_family_delta_coherence,
     phi_family_distribution,
 )
-from .grover import FLOAT_SAFE_QUBITS, GroverConfig, optimal_iteration_details
+from .grover import FLOAT_SAFE_QUBITS, GroverConfig, optimal_iteration_details, state_at
 from .linalg import HERMITIAN_TOL, TRACE_TOL
 from .optimizers import OptimizerConfig
 
@@ -81,28 +81,35 @@ def _series_engines(cfg: GroverConfig, measures, use_oracle: bool) -> dict:
 
 
 def _ga_series_rows(args) -> list:
-    """All rows of one (n, j) series; top-level so worker pools can pickle it."""
+    """All rows of one (n, j) series; top-level so worker pools can pickle it.
+
+    Each analytic column is one closed-form call on the state of the whole
+    series; the oracle columns step one statevector through it.
+    """
     n, j, r_max, measures, optimizer, use_oracle = args
     cfg = GroverConfig(n=n, j=j)
     engines = _series_engines(cfg, measures, use_oracle)
+    rs = range(r_max + 1)
     oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
-    rows = []
-    dist = evolve(cfg, 0) if oracle_measures else None
-    for r in range(r_max + 1):
-        row = {"j": j, "r": r}
-        oracle_values = {}
-        if oracle_measures:
+    oracle_rows = []
+    if oracle_measures:
+        dist = evolve(cfg, 0)
+        for r in rs:
             if r > 0:
                 dist = gga_iterate(dist, 1)
-            oracle_values, _ = _generic_measures(dist, cfg, oracle_measures, optimizer)
-        for m, engine in engines.items():
-            if engine == "analytic":
-                value = MEASURES[m].closed_form(cfg, r, optimizer)
-                row[m] = value.value if MEASURES[m].slow else value
-            else:
-                row[m] = oracle_values.get(m)  # None (NA) when unavailable
-        rows.append(row)
-    return rows
+            oracle_rows.append(_generic_measures(dist, cfg, oracle_measures, optimizer)[0])
+    st = state_at(cfg, np.arange(r_max + 1))
+    columns = {}
+    for m, engine in engines.items():
+        if engine == "analytic":
+            values = MEASURES[m].closed_form(cfg, st, optimizer)
+            columns[m] = [v.value for v in values] if MEASURES[m].slow else values.tolist()
+        elif engine == "oracle":
+            columns[m] = [oracle[m] for oracle in oracle_rows]
+        else:
+            columns[m] = [None] * len(rs)  # NA
+    keys = ("j", "r") + tuple(columns)
+    return [dict(zip(keys, row)) for row in zip([j] * len(rs), rs, *columns.values())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +204,8 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
     dist = dist0
     amplitude_log = []
     for r in range(r_max + 1):
+        if r > 0:
+            dist = gga_iterate(dist, 1)
         rows.append(
             {
                 "r": r,
@@ -214,7 +223,6 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
                 "other_amplitudes": [[a.real, a.imag] for a in dist.other_amplitudes],
             }
         )
-        dist = gga_iterate(dist, 1)
     extra = {
         "n": dist0.n,
         "solutions": list(dist0.solutions),

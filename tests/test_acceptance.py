@@ -52,10 +52,10 @@ def test_criterion_1_coherence_monotonicity():
     failures = []
     for j in range(1, 11):
         cfg = GroverConfig(n=11, j=j)
-        values = [coherence_r_ga(cfg, r) for r in range(optimal_iterations(cfg) + 1)]
+        values = coherence_r_ga(cfg, state_at(cfg, np.arange(optimal_iterations(cfg) + 1)))
         if values[0] != 11.0:
             failures.append(f"j={j}: C_r(0) = {values[0]!r} != 11.0")
-        if not all(b < a for a, b in zip(values, values[1:])):
+        if not np.all(np.diff(values) < 0.0):
             failures.append(f"j={j}: not strictly decreasing")
     elapsed = time.perf_counter() - start
     if elapsed >= 1.0:
@@ -71,23 +71,24 @@ def test_criterion_2_oracle_equivalence():
             cfg = GroverConfig(n=n, j=j)
             dist = evolve(cfg, 0)
             for r in range(optimal_iterations(cfg) + 1):
+                s = state_at(cfg, r)
                 rho = DensityMatrix.from_pure(dist.amplitudes)
                 worst["cr"] = max(
-                    worst["cr"], abs(coherence_r_ga(cfg, r) - coherence_relative_entropy(rho))
+                    worst["cr"], abs(coherence_r_ga(cfg, s) - coherence_relative_entropy(rho))
                 )
                 worst["cl1"] = max(
-                    worst["cl1"], abs(coherence_l1_ga(cfg, r) - coherence_l1(rho))
+                    worst["cl1"], abs(coherence_l1_ga(cfg, s) - coherence_l1(rho))
                 )
                 if j == 1:
                     rho2 = pure_partial_trace(dist.amplitudes, (0, 1))
                     worst["e2"] = max(
                         worst["e2"],
-                        abs(concurrence_two_qubit_ga(cfg, r) - concurrence_two_qubit(rho2)),
+                        abs(concurrence_two_qubit_ga(cfg, s) - concurrence_two_qubit(rho2)),
                     )
-                    worst["m"] = max(worst["m"], abs(chsh_M_ga(cfg, r) - chsh_M(rho2)))
+                    worst["m"] = max(worst["m"], abs(chsh_M_ga(cfg, s) - chsh_M(rho2)))
                     rho1 = pure_partial_trace(dist.amplitudes, (0,))
                     worst["dn"] = max(
-                        worst["dn"], abs(genuine_discord_ga(cfg, r) - von_neumann_entropy(rho1))
+                        worst["dn"], abs(genuine_discord_ga(cfg, s) - von_neumann_entropy(rho1))
                     )
                 dist = gga_iterate(dist, 1)
     elapsed = time.perf_counter() - start
@@ -107,9 +108,10 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_success_probability_anchors():
     failures = []
-    if success_probability(GroverConfig(n=2, j=1), 1) != 1.0:
+    cfg2, cfg3 = GroverConfig(n=2, j=1), GroverConfig(n=3, j=1)
+    if success_probability(cfg2, state_at(cfg2, 1)) != 1.0:
         failures.append("P(1) at n=2 not exactly 1")
-    p2 = success_probability(GroverConfig(n=3, j=1), 2)
+    p2 = success_probability(cfg3, state_at(cfg3, 2))
     if abs(p2 - 121 / 128) > 1e-12:
         failures.append(f"P(2) at n=3 off by {abs(p2 - 121 / 128):.2e}")
     for n, expected in ((2, 1), (3, 2), (11, 35)):
@@ -128,14 +130,14 @@ def test_criterion_3_success_probability_anchors():
 
 def test_criterion_4_cost_performance():
     cfg = GroverConfig(n=11, j=1)
-    rs = range(optimal_iterations(cfg) + 1)
-    p = np.array([success_probability(cfg, r) for r in rs])
+    s = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+    p = success_probability(cfg, s)
     failures = []
     for fn, w, label in (
         (coherence_r_ga, 1 / math.log2(2048), "relative-entropy"),
         (coherence_l1_ga, 1 / 2048, "l1"),
     ):
-        c = np.array([fn(cfg, r) for r in rs])
+        c = fn(cfg, s)
         slope = -np.polyfit(c, p, 1)[0]
         rel = abs(slope - w) / w
         if rel > 0.05:
@@ -207,9 +209,11 @@ def test_criterion_7_genuine_correlation_reduction():
     failures = []
     for n in range(2, 11):
         cfg = GroverConfig(n=n, j=1)
-        for r in range(optimal_iterations(cfg) + 1):
+        rs = np.arange(optimal_iterations(cfg) + 1)
+        series = genuine_discord_ga(cfg, state_at(cfg, rs))
+        for r in rs.tolist():
             brute = genuine_discord_partition_min(cfg, r).value
-            closed = genuine_discord_ga(cfg, r)
+            closed = series[r]
             if abs(brute - closed) > 1e-9:
                 failures.append(f"n={n}, r={r}: |{brute!r} - {closed!r}| > 1e-9")
     _report(7, "exhaustive partition minimum equals H((1+sqrt(Delta))/2) for n<=10", failures)
@@ -220,16 +224,15 @@ def test_criterion_8_nonlocality_null_results():
     failures = []
     # (a) pairwise CHSH at n=24
     cfg = GroverConfig(n=24, j=1)
-    for r in range(optimal_iterations(cfg) + 1):
-        m = chsh_M_ga(cfg, r)
-        s = state_at(cfg, r)
-        asym = 1.0 - 2.0 * s.a**2 * math.cos(s.alpha_r) ** 2
-        if abs(m - asym) > 1e-3:
-            failures.append(f"CHSH asymptote violated at r={r}: |{m} - {asym}| > 1e-3")
-            break
-        if m > 1.0 + 1e-9:
-            failures.append(f"CHSH M = {m!r} > 1 at r={r}")
-            break
+    s = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+    m = chsh_M_ga(cfg, s)
+    asym = 1.0 - 2.0 * s.a**2 * np.cos(s.alpha_r) ** 2
+    if np.any(np.abs(m - asym) > 1e-3):
+        r = int(np.argmax(np.abs(m - asym) > 1e-3))
+        failures.append(f"CHSH asymptote violated at r={r}: |{m[r]} - {asym[r]}| > 1e-3")
+    if np.any(m > 1.0 + 1e-9):
+        r = int(np.argmax(m > 1.0 + 1e-9))
+        failures.append(f"CHSH M = {m[r]!r} > 1 at r={r}")
     # (b) Svetlichny: optimizer control on GHZ, then the full n=11 sweep
     config = OptimizerConfig(restarts=64, seed=0)
     ghz = np.zeros(8, dtype=complex)

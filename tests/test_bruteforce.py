@@ -14,9 +14,11 @@ from groverlab.bruteforce import (
 from groverlab.coherence import coherence_r_ga
 from groverlab.errors import CapacityError, InvalidStateError
 from groverlab.gga import AmplitudeDistribution, gga_iterate
-from groverlab.grover import GroverConfig, optimal_iterations
+from groverlab.grover import GroverConfig, optimal_iterations, state_at
 from groverlab.optimizers import OptimizerConfig
 from groverlab.report import _ga_series_rows
+
+EPS = np.finfo(float).eps
 
 
 class TestGroverStep:
@@ -84,12 +86,12 @@ class TestRunAndMeasure:
     def test_cross_engine_identity(self):
         cfg = GroverConfig(n=8, j=3)
         values, _ = oracle_row(cfg, 1, ("cr",))
-        assert values["cr"] == pytest.approx(coherence_r_ga(cfg, 1), abs=1e-10)
+        assert values["cr"] == pytest.approx(coherence_r_ga(cfg, state_at(cfg, 1)), abs=1e-10)
 
     def test_large_n_uses_pure_state_paths(self):
         cfg = GroverConfig(n=10, j=1)
         values, _ = oracle_row(cfg, 3, ("cr", "cl1", "dn"))
-        assert values["cr"] == pytest.approx(coherence_r_ga(cfg, 3), abs=1e-10)
+        assert values["cr"] == pytest.approx(coherence_r_ga(cfg, state_at(cfg, 3)), abs=1e-10)
 
     def test_capacity_error(self):
         # past the statevector cap the row path gives NA instead of raising
@@ -127,18 +129,34 @@ class TestMeasureTable:
     def test_engine_follows_the_domain(self, key, n, j, use_oracle, engine):
         assert MEASURES[key].engine(GroverConfig(n=n, j=j), use_oracle) == engine
 
-    @pytest.mark.parametrize("key", ["e2", "en", "d2", "dn", "m", "svet"])
+    @pytest.mark.parametrize("key", ["p", "cr", "cl1", "e2", "en", "d2", "dn", "m", "svet"])
     def test_closed_form_matches_oracle_at_minimum_n(self, key):
         measure = MEASURES[key]
         n = max(measure.min_qubits, 2)
         cfg = GroverConfig(n=n, j=1)
         opt = OptimizerConfig(theta_grid=16, phi_grid=32, restarts=4)
-        for r in range(optimal_iterations(cfg) + 1):
-            closed = measure.closed_form(cfg, r, opt)
+        rs = np.arange(optimal_iterations(cfg) + 1)
+        series = measure.closed_form(cfg, state_at(cfg, rs), opt)
+        assert len(series) == len(rs)
+        for r in rs.tolist():
+            closed = series[r]
             oracle = measure.oracle(evolve(cfg, r).amplitudes, cfg, opt)
             if measure.slow:
                 closed, oracle = closed.value, oracle.value
             assert closed == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("key", [k for k in MEASURE_KEYS if not MEASURES[k].slow])
+    @pytest.mark.parametrize("n", [2, 11, 30, 400])
+    def test_series_matches_scalar_states(self, key, n):
+        # a series is one numpy pass; per-row scalar states are the reference.
+        # Array and scalar squaring may round differently, hence a few ulps.
+        for j in (1, 3) if MEASURES[key].any_j else (1,):
+            cfg = GroverConfig(n=n, j=j)
+            rs = np.arange(min(optimal_iterations(cfg), 500) + 1)
+            series = MEASURES[key].closed_form(cfg, state_at(cfg, rs), None)
+            for r in rs.tolist():
+                scalar = MEASURES[key].closed_form(cfg, state_at(cfg, r), None)
+                assert series[r] == pytest.approx(scalar, rel=16 * EPS, abs=16 * EPS), (j, r)
 
 
 class TestCrossValidate:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from groverlab.bruteforce import MEASURE_KEYS
 from groverlab.cli import main
+from groverlab.gga import gga_iterate
 from groverlab.grover import FLOAT_SAFE_QUBITS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -211,6 +212,8 @@ class TestGoldenOutputs:
             ("ga_n11_j1-10_cr", ("ga", "--n", "11", "--j", "1..10", "--measures", "cr")),
             ("ga_n6_j2_oracle", ("ga", "--n", "6", "--j", "2", "--measures", "e2,en,dn,m")),
             ("gga_n10_phi50", ("gga", "--n", "10", "--phi-points", "50")),
+            ("ga_n28_r300", ("ga", "--n", "28", "--r-max", "300")),
+            ("ga_n1022_j1-3", ("ga", "--n", "1022", "--j", "1..3", "--r-max", "2")),
         ],
     )
     def test_matches_golden(self, name, args):
@@ -222,6 +225,9 @@ class TestGoldenOutputs:
         assert len(rows) == len(want_rows)
         for row, want in zip(rows, want_rows):
             for column in header:
+                if want[column] == "NA":
+                    assert row[column] == "NA", (column, row)
+                    continue
                 got, expected = float(row[column]), float(want[column])
                 # one unit in the 12th digit covers rounding at the boundary
                 assert got == pytest.approx(expected, rel=1e-11, abs=1e-14), (column, row)
@@ -417,6 +423,24 @@ class TestGgaCommand:
         assert steps[1]["solution_amplitudes"] == [[1.0, 0.0]]
         assert "closed_form" in payload["metadata"]
 
+    def test_init_file_steps_only_between_rows(self, tmp_path, monkeypatch):
+        from groverlab import report
+
+        steps = []
+
+        def counting(dist, n_steps):
+            steps.append(n_steps)
+            return gga_iterate(dist, n_steps)
+
+        monkeypatch.setattr(report, "gga_iterate", counting)
+        init = tmp_path / "uniform.json"
+        init.write_text(json.dumps({"n": 4, "solutions": [3], "amplitudes": [[0.25, 0.0]] * 16}))
+        result = run_cli("gga", "--init-file", str(init), "--r-max", "5", "--format", "csv")
+        assert result.exit_code == 0
+        _, _, rows = parse_csv(result.output)
+        assert [int(row["r"]) for row in rows] == list(range(6))
+        assert sum(steps) == 5
+
     def test_malformed_init_file_is_usage_error(self, tmp_path):
         init = tmp_path / "bad.json"
         init.write_text('{"n": 2, "solutions": [0retry]}')
@@ -453,6 +477,30 @@ class TestVerifyCommand:
         _, _, rows = parse_csv(result.output)
         cases = {row["name"]: int(row["cases"]) for row in rows}
         assert cases["success_probability"] == 5
+
+    def test_identities_no_case_reaches_are_not_reported_passed(self):
+        # every identity below is checked at j = 1 only
+        result = run_cli("verify", "--max-n", "3", "--j", "2", "--format", "csv")
+        assert result.exit_code == 0
+        meta, _, rows = parse_csv(result.output)
+        assert meta["passed"] == "true"
+        unchecked = {
+            "concurrence_two_qubit",
+            "chsh_M",
+            "genuine_discord",
+            "reduced_density",
+            "multiqubit_concurrence_forms",
+            "partition_minimum",
+        }
+        for row in rows:
+            if row["name"] in unchecked:
+                assert (row["cases"], row["max_deviation"], row["passed"]) == ("0", "NA", "NA")
+            else:
+                assert int(row["cases"]) > 0 and row["passed"] == "true", row
+        doc = json.loads(run_cli("verify", "--max-n", "3", "--j", "2").output)
+        for row in doc["rows"]:
+            if row["name"] in unchecked:
+                assert row["max_deviation"] is None and row["passed"] is None
 
     def test_csv_format(self):
         result = run_cli("verify", "--max-n", "3", "--format", "csv")

@@ -15,7 +15,7 @@ from groverlab.coherence import (
     in_asymptotic_regime,
 )
 from groverlab.errors import AsymptoticRegimeWarning
-from groverlab.grover import GroverConfig, optimal_iterations, success_probability
+from groverlab.grover import GroverConfig, optimal_iterations, state_at, success_probability
 from groverlab.linalg import DensityMatrix
 
 
@@ -34,42 +34,47 @@ class TestGenericMeasures:
     def test_ga_state_matches_closed_form(self):
         cfg = GroverConfig(n=3, j=1)
         rho = DensityMatrix.from_pure(evolve(cfg, 1).amplitudes)
-        assert coherence_relative_entropy(rho) == pytest.approx(coherence_r_ga(cfg, 1), abs=1e-10)
+        assert coherence_relative_entropy(rho) == pytest.approx(coherence_r_ga(cfg, state_at(cfg, 1)), abs=1e-10)
 
 
 class TestRelativeEntropyDynamics:
     def test_initial_coherence_is_exactly_n(self):
         for n, j in [(2, 1), (5, 3), (11, 1), (11, 10), (20, 7)]:
-            assert coherence_r_ga(GroverConfig(n=n, j=j), 0) == float(n)
+            cfg = GroverConfig(n=n, j=j)
+            assert coherence_r_ga(cfg, state_at(cfg, 0)) == float(n)
+            assert coherence_r_ga(cfg, state_at(cfg, np.array([0, 1])))[0] == float(n)
 
     def test_exact_search_depletes_fully(self):
-        assert coherence_r_ga(GroverConfig(n=2, j=1), 1) == pytest.approx(0.0, abs=1e-12)
+        cfg = GroverConfig(n=2, j=1)
+        assert coherence_r_ga(cfg, state_at(cfg, 1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_independent_of_solution_placement(self):
-        a = coherence_r_ga(GroverConfig(n=5, j=2), 2)
-        b = coherence_r_ga(GroverConfig(n=5, j=2, solutions=(7, 23)), 2)
+        cfg_a, cfg_b = GroverConfig(n=5, j=2), GroverConfig(n=5, j=2, solutions=(7, 23))
+        a = coherence_r_ga(cfg_a, state_at(cfg_a, 2))
+        b = coherence_r_ga(cfg_b, state_at(cfg_b, 2))
         assert a == b
 
     def test_strictly_decreasing_over_run(self):
         for n in (11, 16, 20):
             for j in (1, 4, 10):
                 cfg = GroverConfig(n=n, j=j)
-                values = [coherence_r_ga(cfg, r) for r in range(optimal_iterations(cfg) + 1)]
-                assert all(c2 < c1 for c1, c2 in zip(values, values[1:]))
+                values = coherence_r_ga(cfg, state_at(cfg, np.arange(optimal_iterations(cfg) + 1)))
+                assert np.all(np.diff(values) < 0.0)
 
 
 class TestL1Dynamics:
     def test_initial_value(self):
         cfg = GroverConfig(n=6, j=1)
-        assert coherence_l1_ga(cfg, 0) == pytest.approx(63.0, rel=1e-12)
+        assert coherence_l1_ga(cfg, state_at(cfg, 0)) == pytest.approx(63.0, rel=1e-12)
 
     def test_exact_search_depletes_fully(self):
-        assert coherence_l1_ga(GroverConfig(n=2, j=1), 1) == pytest.approx(0.0, abs=1e-12)
+        cfg = GroverConfig(n=2, j=1)
+        assert coherence_l1_ga(cfg, state_at(cfg, 1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_generic_measure(self):
         cfg = GroverConfig(n=8, j=3)
         rho = DensityMatrix.from_pure(evolve(cfg, 2).amplitudes)
-        assert coherence_l1_ga(cfg, 2) == pytest.approx(coherence_l1(rho), abs=1e-10)
+        assert coherence_l1_ga(cfg, state_at(cfg, 2)) == pytest.approx(coherence_l1(rho), abs=1e-10)
 
     def test_valid_at_optimum_past_right_angle(self):
         # at r_opt for n=3 the accumulated angle exceeds pi/2; the magnitude
@@ -79,7 +84,7 @@ class TestL1Dynamics:
         rho = DensityMatrix.from_pure(evolve(cfg, r).amplitudes)
         generic = coherence_l1(rho)
         assert generic > 0
-        assert coherence_l1_ga(cfg, r) == pytest.approx(generic, abs=1e-10)
+        assert coherence_l1_ga(cfg, state_at(cfg, r)) == pytest.approx(generic, abs=1e-10)
 
 
 class TestAsymptotics:
@@ -97,13 +102,10 @@ class TestAsymptotics:
 
     def test_deviation_over_sweep(self):
         cfg = GroverConfig(n=11, j=1)
-        dev_r = 0.0
-        dev_l1 = 0.0
-        for r in range(optimal_iterations(cfg) + 1):
-            p = success_probability(cfg, r)
-            asym_r, asym_l1 = coherence_asymptotics(cfg, p)
-            dev_r = max(dev_r, abs(coherence_r_ga(cfg, r) - asym_r))
-            dev_l1 = max(dev_l1, abs(coherence_l1_ga(cfg, r) - asym_l1))
+        s = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+        asym_r, asym_l1 = coherence_asymptotics(cfg, success_probability(cfg, s))
+        dev_r = np.max(np.abs(coherence_r_ga(cfg, s) - asym_r))
+        dev_l1 = np.max(np.abs(coherence_l1_ga(cfg, s) - asym_l1))
         # the linearization drops the binary-entropy term, so the absolute
         # shortfall is bounded by H(1/2) = 1 bit; against the full coherence
         # budget of log2(N) bits it stays below 10%
@@ -138,10 +140,10 @@ class TestCostPerformance:
     def test_regression_recovers_slope(self, measure, rel_tol):
         # least-squares slope of P against coherence over the sweep at N=1024
         cfg = GroverConfig(n=10, j=1)
-        rs = range(optimal_iterations(cfg) + 1)
-        p = np.array([success_probability(cfg, r) for r in rs])
+        s = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+        p = success_probability(cfg, s)
         fn = coherence_r_ga if measure == "relative-entropy" else coherence_l1_ga
-        c = np.array([fn(cfg, r) for r in rs])
+        c = fn(cfg, s)
         slope = np.polyfit(c, p, 1)[0]
         assert -slope == pytest.approx(cost_performance(cfg, measure), rel=rel_tol)
 

@@ -11,7 +11,7 @@ from groverlab.discord import (
     pairwise_discord_ga,
 )
 from groverlab.errors import UnsupportedStructureError
-from groverlab.grover import GroverConfig, optimal_iterations, reduced_density
+from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
 from groverlab.linalg import DensityMatrix, pure_partial_trace, von_neumann_entropy
 from groverlab.optimizers import OptimizerConfig
 
@@ -53,7 +53,7 @@ class TestPairwiseDiscord:
 
     def test_refinement_never_worsens_grid(self):
         cfg = GroverConfig(n=9, j=1)
-        rho = reduced_density(cfg, 5, 2)
+        rho = reduced_density(cfg, state_at(cfg, 5), 2)
         grid_only = pairwise_discord(rho, OptimizerConfig(refine_maxiter=0))
         refined = pairwise_discord(rho, OptimizerConfig())
         assert refined.value <= grid_only.value + 1e-12
@@ -63,7 +63,7 @@ class TestPairwiseDiscord:
         # measuring either side gives the same discord
         cfg = GroverConfig(n=8, j=1)
         for r in (2, 6):
-            rho = reduced_density(cfg, r, 2)
+            rho = reduced_density(cfg, state_at(cfg, r), 2)
             swapped = DensityMatrix(
                 rho.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
             )
@@ -84,7 +84,7 @@ class TestPairwiseDiscord:
         cfg = GroverConfig(n=11, j=1)
         fine = OptimizerConfig(theta_grid=1024, phi_grid=2048, refine_maxiter=0)
         for r in (5, 17, 30):
-            rho = reduced_density(cfg, r, 2)
+            rho = reduced_density(cfg, state_at(cfg, r), 2)
             default = pairwise_discord(rho)
             oracle = pairwise_discord(rho, fine)
             assert default.value == pytest.approx(oracle.value, abs=1e-4)
@@ -101,22 +101,22 @@ class TestPairwiseDiscord:
 
 class TestGenuineDiscord:
     def test_initial_state_uncorrelated(self):
-        assert genuine_discord_ga(GroverConfig(n=5, j=1), 0) == pytest.approx(0.0, abs=1e-7)
+        cfg = GroverConfig(n=5, j=1)
+        assert genuine_discord_ga(cfg, state_at(cfg, 0)) == pytest.approx(0.0, abs=1e-7)
 
     def test_equals_single_qubit_entropy(self):
         for n, r in [(4, 1), (6, 2), (9, 7)]:
             cfg = GroverConfig(n=n, j=1)
-            closed = genuine_discord_ga(cfg, r)
-            assert closed == pytest.approx(
-                von_neumann_entropy(reduced_density(cfg, r, 1)), abs=1e-10
-            )
+            s = state_at(cfg, r)
+            closed = genuine_discord_ga(cfg, s)
+            assert closed == pytest.approx(von_neumann_entropy(reduced_density(cfg, s, 1)), abs=1e-10)
             oracle = von_neumann_entropy(pure_partial_trace(evolve(cfg, r).amplitudes, (0,)))
             assert closed == pytest.approx(oracle, abs=1e-10)
 
     def test_rises_then_falls_at_eleven_qubits(self):
         cfg = GroverConfig(n=11, j=1)
         r_opt = optimal_iterations(cfg)
-        values = [genuine_discord_ga(cfg, r) for r in range(r_opt + 1)]
+        values = genuine_discord_ga(cfg, state_at(cfg, np.arange(r_opt + 1)))
         peak = int(np.argmax(values))
         assert 0 < peak < r_opt
         assert values[0] == pytest.approx(0.0, abs=1e-7)
@@ -124,7 +124,8 @@ class TestGenuineDiscord:
 
     def test_multiple_solutions_unsupported(self):
         with pytest.raises(UnsupportedStructureError):
-            genuine_discord_ga(GroverConfig(n=4, j=2), 1)
+            cfg = GroverConfig(n=4, j=2)
+            genuine_discord_ga(cfg, state_at(cfg, 1))
 
 
 class TestPartitionMinimum:
@@ -146,7 +147,7 @@ class TestPartitionMinimum:
         # ten partitions of six qubits with at least two blocks
         cfg = GroverConfig(n=6, j=1)
         result = genuine_discord_partition_min(cfg, 2)
-        assert result.value == pytest.approx(genuine_discord_ga(cfg, 2), abs=1e-9)
+        assert result.value == pytest.approx(genuine_discord_ga(cfg, state_at(cfg, 2)), abs=1e-9)
 
     def test_partition_count(self):
         from groverlab.discord import _partitions_with_two_parts
@@ -157,6 +158,8 @@ class TestPartitionMinimum:
     def test_matches_closed_form_across_runs(self):
         for n in (4, 7, 10):
             cfg = GroverConfig(n=n, j=1)
-            for r in range(optimal_iterations(cfg) + 1):
+            rs = np.arange(optimal_iterations(cfg) + 1)
+            closed = genuine_discord_ga(cfg, state_at(cfg, rs))
+            for r in rs.tolist():
                 result = genuine_discord_partition_min(cfg, r)
-                assert result.value == pytest.approx(genuine_discord_ga(cfg, r), abs=1e-9)
+                assert result.value == pytest.approx(closed[r], abs=1e-9)

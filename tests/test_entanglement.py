@@ -14,7 +14,7 @@ from groverlab.entanglement import (
 )
 from groverlab.errors import CapacityError, UnsupportedStructureError
 from groverlab.gga import gga_iterate
-from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, two_qubit_omegas
+from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
 from groverlab.linalg import DensityMatrix, pure_partial_trace, pure_subsystem_purity
 
 
@@ -51,29 +51,32 @@ class TestWootters:
 
 class TestPairwiseGA:
     def test_initial_state_unentangled(self):
-        assert concurrence_two_qubit_ga(GroverConfig(n=5, j=1), 0) == pytest.approx(0.0, abs=1e-12)
+        cfg = GroverConfig(n=5, j=1)
+        assert concurrence_two_qubit_ga(cfg, state_at(cfg, 0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_search_ends_unentangled(self):
-        assert concurrence_two_qubit_ga(GroverConfig(n=2, j=1), 1) == pytest.approx(0.0, abs=1e-12)
+        cfg = GroverConfig(n=2, j=1)
+        assert concurrence_two_qubit_ga(cfg, state_at(cfg, 1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_omega_gap(self):
         cfg = GroverConfig(n=5, j=1)
-        om = two_qubit_omegas(cfg, 1)
-        assert concurrence_two_qubit_ga(cfg, 1) == pytest.approx(2 * abs(om.omega1 - om.omega2), abs=1e-14)
+        s = state_at(cfg, 1)
+        m = reduced_density(cfg, s, 2).matrix
+        assert concurrence_two_qubit_ga(cfg, s) == pytest.approx(2 * abs(m[0, 1] - m[1, 1]), abs=1e-14)
 
     def test_matches_wootters_on_oracle_state(self):
         for n in (3, 5, 7):
             cfg = GroverConfig(n=n, j=1)
-            for r in range(optimal_iterations(cfg) + 1):
+            rs = np.arange(optimal_iterations(cfg) + 1)
+            closed = concurrence_two_qubit_ga(cfg, state_at(cfg, rs))
+            for r in rs.tolist():
                 rho2 = pure_partial_trace(evolve(cfg, r).amplitudes, (0, 1))
-                assert concurrence_two_qubit_ga(cfg, r) == pytest.approx(
-                    concurrence_two_qubit(rho2), abs=1e-8
-                )
+                assert closed[r] == pytest.approx(concurrence_two_qubit(rho2), abs=1e-8)
 
     def test_rises_then_falls(self):
         cfg = GroverConfig(n=11, j=1)
         r_opt = optimal_iterations(cfg)
-        values = [concurrence_two_qubit_ga(cfg, r) for r in range(r_opt + 1)]
+        values = concurrence_two_qubit_ga(cfg, state_at(cfg, np.arange(r_opt + 1)))
         peak = int(np.argmax(values))
         assert 0 < peak < r_opt
         assert values[0] == pytest.approx(0.0, abs=1e-12)
@@ -81,58 +84,61 @@ class TestPairwiseGA:
 
     def test_multiple_solutions_unsupported(self):
         with pytest.raises(UnsupportedStructureError):
-            concurrence_two_qubit_ga(GroverConfig(n=4, j=2), 1)
+            cfg = GroverConfig(n=4, j=2)
+            concurrence_two_qubit_ga(cfg, state_at(cfg, 1))
 
 
 class TestMultiqubitGA:
     def test_initial_product_state(self):
-        assert concurrence_multiqubit_ga(GroverConfig(n=6, j=1), 0) == pytest.approx(0.0, abs=1e-9)
+        cfg = GroverConfig(n=6, j=1)
+        assert concurrence_multiqubit_ga(cfg, state_at(cfg, 0)) == pytest.approx(0.0, abs=1e-9)
 
     def test_purity_sum_equals_polynomial(self):
         # the closed-form polynomial in (a, b) against the subset-enumerated
         # purity-deficit sum, over whole runs up to the statevector cap
         for n in (4, 6, 8, 10, 12):
             cfg = GroverConfig(n=n, j=1)
+            rs = np.arange(optimal_iterations(cfg) + 1)
+            closed = concurrence_multiqubit_ga(cfg, state_at(cfg, rs))
             dist = evolve(cfg, 0)
-            for r in range(optimal_iterations(cfg) + 1):
+            for r in rs.tolist():
                 if r > 0:
                     dist = gga_iterate(dist, 1)
-                assert concurrence_multiqubit_ga(cfg, r) == pytest.approx(
-                    multiqubit_concurrence_pure(dist.amplitudes), abs=1e-9
-                )
+                assert closed[r] == pytest.approx(multiqubit_concurrence_pure(dist.amplitudes), abs=1e-9)
 
     def test_against_subset_enumeration_oracle(self):
         for n in (3, 5, 7):
             cfg = GroverConfig(n=n, j=1)
             for r in range(optimal_iterations(cfg) + 1):
                 oracle = multiqubit_concurrence_pure(evolve(cfg, r).amplitudes)
-                assert concurrence_multiqubit_ga(cfg, r) == pytest.approx(oracle, abs=1e-6)
+                assert concurrence_multiqubit_ga(cfg, state_at(cfg, r)) == pytest.approx(oracle, abs=1e-6)
 
     def test_structured_purities_match_statevector(self):
         cfg = GroverConfig(n=6, j=1)
         amps = evolve(cfg, 2).amplitudes
         for k in range(1, 6):
             oracle = pure_subsystem_purity(amps, tuple(range(k)))
-            assert reduced_density(cfg, 2, k).purity() == pytest.approx(oracle, abs=1e-12)
+            assert reduced_density(cfg, state_at(cfg, 2), k).purity() == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("n", [19, 25, 27, 29, 31, 33, 37, 39])
     def test_initial_state_is_product_at_every_n(self, n):
         # the exact-rational form crashed here on rounding noise in (a, b)
-        assert concurrence_multiqubit_ga(GroverConfig(n=n, j=1), 0) <= 1e-15
+        cfg = GroverConfig(n=n, j=1)
+        assert concurrence_multiqubit_ga(cfg, state_at(cfg, 0)) <= 1e-15
 
     @given(n=st.integers(2, 60), frac=st.floats(0.0, 1.0))
     def test_finite_and_in_range_up_to_sixty_qubits(self, n, frac):
         cfg = GroverConfig(n=n, j=1)
         r = round(frac * optimal_iterations(cfg))
-        value = concurrence_multiqubit_ga(cfg, r)
+        first, value = concurrence_multiqubit_ga(cfg, state_at(cfg, np.array([0, r])))
         assert math.isfinite(value)
         assert 0.0 <= value <= 2.0
-        assert concurrence_multiqubit_ga(cfg, 0) <= 1e-15
+        assert first <= 1e-15
 
     def test_rises_then_falls_at_eleven_qubits(self):
         cfg = GroverConfig(n=11, j=1)
         r_opt = optimal_iterations(cfg)
-        values = [concurrence_multiqubit_ga(cfg, r) for r in range(r_opt + 1)]
+        values = concurrence_multiqubit_ga(cfg, state_at(cfg, np.arange(r_opt + 1)))
         peak = int(np.argmax(values))
         assert 0 < peak < r_opt
         assert values[0] == pytest.approx(0.0, abs=1e-6)
@@ -140,7 +146,8 @@ class TestMultiqubitGA:
 
     def test_multiple_solutions_unsupported(self):
         with pytest.raises(UnsupportedStructureError):
-            concurrence_multiqubit_ga(GroverConfig(n=4, j=3), 1)
+            cfg = GroverConfig(n=4, j=3)
+            concurrence_multiqubit_ga(cfg, state_at(cfg, 1))
 
     def test_oracle_capacity_guard(self):
         with pytest.raises(CapacityError):

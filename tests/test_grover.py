@@ -17,9 +17,8 @@ from groverlab.grover import (
     reduced_density,
     state_at,
     success_probability,
-    two_qubit_omegas,
 )
-from groverlab.linalg import partial_trace
+from groverlab.linalg import DensityMatrix, partial_trace, pure_partial_trace
 
 
 class TestConfig:
@@ -63,6 +62,18 @@ class TestStateAt:
     def test_negative_iteration(self):
         with pytest.raises(ValueError):
             state_at(GroverConfig(n=2, j=1), -1)
+        with pytest.raises(ValueError):
+            state_at(GroverConfig(n=2, j=1), np.array([0, 1, -1]))
+
+    def test_series_matches_scalar_states(self):
+        cfg = GroverConfig(n=9, j=3)
+        rs = np.arange(optimal_iterations(cfg) + 1)
+        series = state_at(cfg, rs)
+        assert series.a.shape == series.b.shape == rs.shape
+        for r in rs.tolist():
+            scalar = state_at(cfg, r)
+            assert series.alpha_r[r] == scalar.alpha_r
+            assert (series.a[r], series.b[r]) == pytest.approx((scalar.a, scalar.b), rel=4e-16, abs=0)
 
     @given(st.integers(2, 24), st.integers(1, 10), st.integers(0, 60))
     @settings(max_examples=120)
@@ -85,10 +96,12 @@ class TestStateAt:
 
 class TestSuccessProbability:
     def test_initial_probability(self):
-        assert success_probability(GroverConfig(n=11, j=1), 0) == pytest.approx(1 / 2048, abs=1e-12)
+        cfg = GroverConfig(n=11, j=1)
+        assert success_probability(cfg, state_at(cfg, 0)) == pytest.approx(1 / 2048, abs=1e-12)
 
     def test_exact_hit(self):
-        assert success_probability(GroverConfig(n=2, j=1), 1) == 1.0
+        cfg = GroverConfig(n=2, j=1)
+        assert success_probability(cfg, state_at(cfg, 1)) == 1.0
 
     def test_against_statevector(self):
         # the full analytic-vs-oracle unitarity grid: n <= 10, j <= 4
@@ -97,17 +110,18 @@ class TestSuccessProbability:
                 if j >= (1 << n):
                     continue
                 cfg = GroverConfig(n=n, j=j)
+                rs = np.arange(optimal_iterations(cfg) + 1)
+                closed = success_probability(cfg, state_at(cfg, rs))
                 dist = evolve(cfg, 0)
-                for r in range(optimal_iterations(cfg) + 1):
-                    oracle_p = dist.success_probability()
-                    assert success_probability(cfg, r) == pytest.approx(oracle_p, abs=1e-12)
+                for r in rs.tolist():
+                    assert closed[r] == pytest.approx(dist.success_probability(), abs=1e-12)
                     dist = gga_iterate(dist, 1)
 
     def test_nondecreasing_up_to_optimum(self):
         for n, j in [(3, 1), (6, 2), (11, 1), (11, 10), (16, 5)]:
             cfg = GroverConfig(n=n, j=j)
-            probs = [success_probability(cfg, r) for r in range(optimal_iterations(cfg) + 1)]
-            assert all(p2 >= p1 for p1, p2 in zip(probs, probs[1:]))
+            probs = success_probability(cfg, state_at(cfg, np.arange(optimal_iterations(cfg) + 1)))
+            assert np.all(np.diff(probs) >= 0.0)
 
 
 class TestOptimalIterations:
@@ -141,13 +155,14 @@ class TestOptimalIterations:
 
 class TestFullDensity:
     def test_single_qubit_plus_state(self):
-        rho = full_density(GroverConfig(n=1, j=1), 0)
+        cfg = GroverConfig(n=1, j=1)
+        rho = full_density(cfg, state_at(cfg, 0))
         assert np.allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_membership_block_pattern(self):
         cfg = GroverConfig(n=3, j=1)
         s = state_at(cfg, 1)
-        m = full_density(cfg, 1).matrix
+        m = full_density(cfg, s).matrix
         assert m[0, 0] == pytest.approx(s.a**2, abs=1e-12)
         assert np.allclose(m[0, 1:], s.a * s.b, atol=1e-12)
         assert np.allclose(m[1:, 1:], s.b**2, atol=1e-12)
@@ -156,87 +171,99 @@ class TestFullDensity:
         cfg = GroverConfig(n=5, j=2)
         sv = evolve(cfg, 1)
         outer = np.outer(sv.amplitudes, sv.amplitudes.conj())
-        assert np.max(np.abs(full_density(cfg, 1).matrix - outer)) < 1e-12
+        assert np.max(np.abs(full_density(cfg, state_at(cfg, 1)).matrix - outer)) < 1e-12
 
     def test_arbitrary_solution_placement(self):
         cfg = GroverConfig(n=4, j=2, solutions=(3, 9))
         sv = evolve(cfg, 2)
         outer = np.outer(sv.amplitudes, sv.amplitudes.conj())
-        assert np.max(np.abs(full_density(cfg, 2).matrix - outer)) < 1e-12
+        assert np.max(np.abs(full_density(cfg, state_at(cfg, 2)).matrix - outer)) < 1e-12
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError, match="reduced_density"):
-            full_density(GroverConfig(n=13, j=1), 0)
+            cfg = GroverConfig(n=13, j=1)
+            full_density(cfg, state_at(cfg, 0))
 
 
 class TestReducedDensity:
     def test_initial_state_is_uniform(self):
+        cfg = GroverConfig(n=6, j=1)
         for k in (1, 2, 3):
-            m = reduced_density(GroverConfig(n=6, j=1), 0, k).matrix
+            m = reduced_density(cfg, state_at(cfg, 0), k).matrix
             assert np.allclose(m, 2.0**-k, atol=1e-12)
 
     def test_matches_partial_trace(self):
         cfg = GroverConfig(n=5, j=1)
-        rho = full_density(cfg, 1)
+        s = state_at(cfg, 1)
+        rho = full_density(cfg, s)
         for k in range(1, 5):
-            closed = reduced_density(cfg, 1, k).matrix
+            closed = reduced_density(cfg, s, k).matrix
             generic = partial_trace(rho, tuple(range(k))).matrix
             assert np.max(np.abs(closed - generic)) < 1e-12
 
     def test_permutation_symmetry(self):
         cfg = GroverConfig(n=6, j=1)
-        rho = full_density(cfg, 2)
-        closed = reduced_density(cfg, 2, 2).matrix
+        s = state_at(cfg, 2)
+        rho = full_density(cfg, s)
+        closed = reduced_density(cfg, s, 2).matrix
         for keep in [(0, 1), (1, 4), (2, 5), (0, 5)]:
             assert np.max(np.abs(partial_trace(rho, keep).matrix - closed)) < 1e-12
 
     def test_single_qubit_layout(self):
         cfg = GroverConfig(n=5, j=1)
         s = state_at(cfg, 1)
-        m = reduced_density(cfg, 1, 1).matrix
+        m = reduced_density(cfg, s, 1).matrix
         half = 2 ** (cfg.n - 1)
         assert m[0, 0] == pytest.approx(s.a**2 + (half - 1) * s.b**2, abs=1e-14)
         assert m[0, 1] == pytest.approx(s.a * s.b + (half - 1) * s.b**2, abs=1e-14)
         assert m[1, 1] == pytest.approx(half * s.b**2, abs=1e-14)
 
     def test_unsupported_structure(self):
-        with pytest.raises(UnsupportedStructureError, match="brute-force"):
-            reduced_density(GroverConfig(n=4, j=2), 1, 2)
-        with pytest.raises(UnsupportedStructureError):
-            reduced_density(GroverConfig(n=4, j=1, solutions=(7,)), 1, 2)
+        for cfg in (GroverConfig(n=4, j=2), GroverConfig(n=4, j=1, solutions=(7,))):
+            with pytest.raises(UnsupportedStructureError, match="brute-force"):
+                reduced_density(cfg, state_at(cfg, 1), 2)
 
-    @pytest.mark.parametrize("k", [0, 5, 9])
+    @pytest.mark.parametrize("k", [0, 6, 9])
     def test_bad_k(self, k):
+        cfg = GroverConfig(n=5, j=1)
         with pytest.raises(ValueError):
-            reduced_density(GroverConfig(n=5, j=1), 1, k)
+            reduced_density(cfg, state_at(cfg, 1), k)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_whole_register_is_the_full_density(self, n):
+        cfg = GroverConfig(n=n, j=1)
+        s = state_at(cfg, 1)
+        assert np.array_equal(reduced_density(cfg, s, n).matrix, full_density(cfg, s).matrix)
 
     def test_works_beyond_statevector_capacity(self):
-        rho = reduced_density(GroverConfig(n=24, j=1), 100, 2)
+        cfg = GroverConfig(n=24, j=1)
+        rho = reduced_density(cfg, state_at(cfg, 100), 2)
         assert rho.matrix.shape == (4, 4)
 
 
 class TestTwoQubitOmegas:
+    """The two-qubit reduced state: corner omega0, edge omega1 and bulk omega2 entries."""
+
+    @staticmethod
+    def omegas(cfg, r):
+        m = reduced_density(cfg, state_at(cfg, r), 2).matrix
+        return m, m[0, 0].real, m[0, 1].real, m[1, 1].real
+
     def test_initial_quarters(self):
-        om = two_qubit_omegas(GroverConfig(n=4, j=1), 0)
-        assert om.omega0 == pytest.approx(0.25, abs=1e-12)
-        assert om.omega1 == pytest.approx(0.25, abs=1e-12)
-        assert om.omega2 == pytest.approx(0.25, abs=1e-12)
+        _, *omegas = self.omegas(GroverConfig(n=4, j=1), 0)
+        assert omegas == pytest.approx([0.25, 0.25, 0.25], abs=1e-12)
 
     def test_matches_partial_trace_oracle(self):
         cfg = GroverConfig(n=4, j=1)
         sv = evolve(cfg, 1)
         rho = np.outer(sv.amplitudes, sv.amplitudes.conj())
-        from groverlab.linalg import DensityMatrix
-
         generic = partial_trace(DensityMatrix(rho), (0, 1)).matrix
-        m = two_qubit_omegas(cfg, 1).as_matrix()
+        m, *_ = self.omegas(cfg, 1)
         assert np.max(np.abs(m - generic)) < 1e-12
 
     def test_omega_form_for_any_kept_pair(self):
-        from groverlab.linalg import pure_partial_trace
-
         cfg = GroverConfig(n=5, j=1)
-        m = two_qubit_omegas(cfg, 1).as_matrix()
+        m, *_ = self.omegas(cfg, 1)
         amps = evolve(cfg, 1).amplitudes
         for keep in [(0, 1), (1, 3), (2, 4)]:
             assert np.max(np.abs(pure_partial_trace(amps, keep).matrix - m)) < 1e-12
@@ -244,22 +271,22 @@ class TestTwoQubitOmegas:
     def test_omega_gap_equals_ab_minus_b2_at_optimum(self):
         cfg = GroverConfig(n=11, j=1)
         r = optimal_iterations(cfg)
-        om = two_qubit_omegas(cfg, r)
+        m, _, omega1, omega2 = self.omegas(cfg, r)
         s = state_at(cfg, r)
-        assert om.omega1 - om.omega2 == pytest.approx(s.a * s.b - s.b**2, abs=1e-14)
-        rho = full_density(cfg, r)
-        generic = partial_trace(rho, (0, 1)).matrix
-        assert np.max(np.abs(om.as_matrix() - generic)) < 1e-12
+        assert omega1 - omega2 == pytest.approx(s.a * s.b - s.b**2, abs=1e-14)
+        generic = partial_trace(full_density(cfg, s), (0, 1)).matrix
+        assert np.max(np.abs(m - generic)) < 1e-12
 
     def test_shape_error_below_two_qubits(self):
-        with pytest.raises(ValueError, match="n >= 2"):
-            two_qubit_omegas(GroverConfig(n=1, j=1), 0)
+        cfg = GroverConfig(n=1, j=1)
+        with pytest.raises(ValueError, match="kept-qubit"):
+            reduced_density(cfg, state_at(cfg, 0), 2)
 
     @given(st.integers(2, 20), st.integers(0, 40))
     @settings(max_examples=60)
     def test_trace_invariant(self, n, r):
-        om = two_qubit_omegas(GroverConfig(n=n, j=1), r)
-        assert om.omega0 + 3 * om.omega2 == pytest.approx(1.0, abs=1e-12)
+        _, omega0, _, omega2 = self.omegas(GroverConfig(n=n, j=1), r)
+        assert omega0 + 3 * omega2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEndpointCoupling:
@@ -269,8 +296,8 @@ class TestEndpointCoupling:
         for n, j in [(5, 1), (8, 2), (11, 1)]:
             cfg = GroverConfig(n=n, j=j)
             r_opt = optimal_iterations(cfg)
-            rs = range(r_opt + 1)
-            p = [success_probability(cfg, r) for r in rs]
-            c = [coherence_r_ga(cfg, r) for r in rs]
+            s = state_at(cfg, np.arange(r_opt + 1))
+            p = success_probability(cfg, s)
+            c = coherence_r_ga(cfg, s)
             assert int(np.argmax(p)) == r_opt
             assert int(np.argmin(c)) == r_opt

@@ -38,7 +38,8 @@ class TestChsh:
     def test_uniform_two_qubit_product(self):
         plus = np.full(4, 0.5, dtype=complex)
         assert chsh_M(DensityMatrix.from_pure(plus)) == pytest.approx(1.0, abs=1e-10)
-        assert chsh_M_ga(GroverConfig(n=2, j=1), 0) == pytest.approx(1.0, abs=1e-12)
+        cfg = GroverConfig(n=2, j=1)
+        assert chsh_M_ga(cfg, state_at(cfg, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state_violates_maximally(self):
         assert chsh_M(bell_density()) == pytest.approx(2.0, abs=1e-10)
@@ -46,29 +47,26 @@ class TestChsh:
     def test_closed_form_matches_generic(self):
         for n in (3, 5, 8):
             cfg = GroverConfig(n=n, j=1)
-            for r in range(optimal_iterations(cfg) + 1):
+            rs = np.arange(optimal_iterations(cfg) + 1)
+            closed = chsh_M_ga(cfg, state_at(cfg, rs))
+            for r in rs.tolist():
                 rho2 = pure_partial_trace(evolve(cfg, r).amplitudes, (0, 1))
-                assert chsh_M_ga(cfg, r) == pytest.approx(chsh_M(rho2), abs=1e-10)
+                assert closed[r] == pytest.approx(chsh_M(rho2), abs=1e-10)
 
     def test_large_database_asymptote(self):
         # closed-form sweep at n=24: M approaches 1 - 2 sin^2 cos^2 and
         # never signals a violation
         cfg = GroverConfig(n=24, j=1)
-        r_opt = optimal_iterations(cfg)
-        worst = 0.0
-        m_max = 0.0
-        for r in range(r_opt + 1):
-            m = chsh_M_ga(cfg, r)
-            s = state_at(cfg, r)
-            asym = 1.0 - 2.0 * (s.a**2) * math.cos(s.alpha_r) ** 2
-            worst = max(worst, abs(m - asym))
-            m_max = max(m_max, m)
-        assert worst <= 1e-3
-        assert m_max <= 1.0 + 1e-9
+        s = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+        m = chsh_M_ga(cfg, s)
+        asym = 1.0 - 2.0 * (s.a**2) * np.cos(s.alpha_r) ** 2
+        assert np.max(np.abs(m - asym)) <= 1e-3
+        assert np.max(m) <= 1.0 + 1e-9
 
     def test_multiple_solutions_unsupported(self):
         with pytest.raises(UnsupportedStructureError):
-            chsh_M_ga(GroverConfig(n=4, j=2), 1)
+            cfg = GroverConfig(n=4, j=2)
+            chsh_M_ga(cfg, state_at(cfg, 1))
 
     def test_correlation_matrix_entries(self):
         t = correlation_matrix(bell_density()).entries
@@ -107,7 +105,7 @@ class TestCorrelationTensor:
         cfg = GroverConfig(n=24, j=1)
         r = optimal_iterations(cfg) // 2
         s = state_at(cfg, r)
-        t = correlation_tensor_3(reduced_density(cfg, r, 3)).entries
+        t = correlation_tensor_3(reduced_density(cfg, s, 3)).entries
         assert abs(t[0, 0, 0] - math.cos(s.alpha_r) ** 2) <= 1e-3
         assert abs(t[2, 2, 2] - s.a**2) <= 1e-3
         mask = np.ones((3, 3, 3), dtype=bool)
@@ -117,7 +115,7 @@ class TestCorrelationTensor:
     def test_matches_statevector(self):
         cfg = GroverConfig(n=6, j=1)
         for r in (0, 2, 4):
-            from_struct = correlation_tensor_3(reduced_density(cfg, r, 3)).entries
+            from_struct = correlation_tensor_3(reduced_density(cfg, state_at(cfg, r), 3)).entries
             from_sv = correlation_tensor_3(
                 pure_partial_trace(evolve(cfg, r).amplitudes, (0, 1, 2))
             ).entries
@@ -152,7 +150,8 @@ class TestSvetlichny:
         assert svetlichny_expectation(tensor, res.settings) == pytest.approx(res.value, abs=1e-9)
 
     def test_monotone_in_restart_count(self):
-        tensor = correlation_tensor_3(reduced_density(GroverConfig(n=11, j=1), 9, 3))
+        cfg = GroverConfig(n=11, j=1)
+        tensor = correlation_tensor_3(reduced_density(cfg, state_at(cfg, 9), 3))
         values = [
             svetlichny_max(tensor, OptimizerConfig(restarts=k, seed=5)).value for k in (2, 6, 16)
         ]
