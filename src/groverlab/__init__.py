@@ -11,13 +11,11 @@ from .bruteforce import (
     evolve,
 )
 from .coherence import (
-    CoherenceReport,
     coherence_asymptotics,
     coherence_l1,
     coherence_l1_ga,
     coherence_r_ga,
     coherence_relative_entropy,
-    coherence_report,
     cost_performance,
 )
 from .discord import (

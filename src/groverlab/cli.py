@@ -109,9 +109,8 @@ def main():
 @click.option("--grid", default=None, help="Discord grid THETAxPHI (default 64x128).")
 @click.option("--restarts", type=int, default=None, help="Svetlichny restarts (default 64).")
 @click.option("--no-oracle", is_flag=True, default=False, help="Disable the brute-force fallback engine.")
-@click.option("--workers", type=int, default=None, help="Worker processes for sweep series.")
 @_common_options
-def ga(n, j_spec, r_max, measures, grid, restarts, no_oracle, workers, seed, fmt, out, config_path):
+def ga(n, j_spec, r_max, measures, grid, restarts, no_oracle, seed, fmt, out, config_path):
     """Sweep the standard search: one row per iteration r = 0..r_max."""
     cfgf = _load_config_file(config_path)
     try:
@@ -134,7 +133,6 @@ def ga(n, j_spec, r_max, measures, grid, restarts, no_oracle, workers, seed, fmt
         seed = _merged(seed, cfgf, "seed", int, 0)
         fmt = _merged(fmt, cfgf, "format", str, "csv")
         out = _merged(out, cfgf, "out", str, None)
-        workers = _merged(workers, cfgf, "workers", int, 1)
         if no_oracle is False and "no-oracle" in cfgf:
             no_oracle = _parse_bool(cfgf["no-oracle"])
         bad = [m for m in measure_list if m not in MEASURE_KEYS]
@@ -152,7 +150,6 @@ def ga(n, j_spec, r_max, measures, grid, restarts, no_oracle, workers, seed, fmt
             seed=seed,
             fmt=fmt,
             use_oracle=not no_oracle,
-            workers=workers,
         )
         result = ga_sweep(run)
     except ValueError as exc:

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AsymptoticRegimeWarning
-from .grover import GroverConfig, SymmetricGAState, state_at
+from .grover import GroverConfig, SymmetricGAState
 from .linalg import DensityMatrix, shannon_entropy, von_neumann_entropy
 
 # j/N and N thresholds below which the linearized coherence formulas apply.
@@ -86,37 +85,3 @@ def cost_performance(cfg: GroverConfig, measure: str = "relative-entropy") -> fl
     if measure == "l1":
         return 1.0 / cfg.database_size
     raise ValueError(f"unknown coherence measure {measure!r}")
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    """One sweep row of coherence values at a given iteration."""
-
-    c_r: float
-    c_l1: float
-    success_probability: float
-    asymptotic_c_r: float | None = None
-    asymptotic_c_l1: float | None = None
-
-    def __post_init__(self):
-        if self.c_r < 0.0 or self.c_l1 < 0.0:
-            raise ValueError("coherence values must be nonnegative")
-        if not 0.0 <= self.success_probability <= 1.0:
-            raise ValueError("success probability must lie in [0, 1]")
-
-
-def coherence_report(cfg: GroverConfig, r: int, include_asymptotics: bool = False) -> CoherenceReport:
-    st = state_at(cfg, r)
-    p = float(st.a**2)
-    asym = (None, None)
-    if include_asymptotics:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AsymptoticRegimeWarning)
-            asym = coherence_asymptotics(cfg, p)
-    return CoherenceReport(
-        c_r=float(coherence_r_ga(cfg, st)),
-        c_l1=float(coherence_l1_ga(cfg, st)),
-        success_probability=min(p, 1.0),
-        asymptotic_c_r=asym[0],
-        asymptotic_c_l1=asym[1],
-    )

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import CapacityError, NumericalConsistencyError, UnsupportedStructureError
 from .grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState, reduced_density, state_at
@@ -48,10 +47,9 @@ def _measurement_vectors(theta, phi):
     return v0, v1
 
 
-def _conditional_entropy_grid(rho4: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """sum_i p_i S(rho_{A|i}) on a (theta, phi) mesh, fully vectorized."""
+def _conditional_entropy_grid(rho4: np.ndarray, TH: np.ndarray, PH: np.ndarray) -> np.ndarray:
+    """sum_i p_i S(rho_{A|i}) at each (theta, phi) of two equal-shape 2-D arrays, fully vectorized."""
     R = rho4.reshape(2, 2, 2, 2)  # indices (a, b, a', b')
-    TH, PH = np.meshgrid(thetas, phis, indexing="ij")
     total = np.zeros(TH.shape)
     for v in _measurement_vectors(TH, PH):
         # M[t, p, a, a'] = <a v|rho|a' v>, unnormalized conditional state on A
@@ -66,17 +64,41 @@ def _conditional_entropy_grid(rho4: np.ndarray, thetas: np.ndarray, phis: np.nda
     return total
 
 
-def _conditional_entropy_point(rho4: np.ndarray, theta: float, phi: float) -> float:
-    return float(_conditional_entropy_grid(rho4, np.array([theta]), np.array([phi]))[0, 0])
+_STENCIL = np.arange(-2.0, 3.0)
+
+
+def _stencil(theta: float, phi: float, h: float):
+    """(theta, phi) of a 5x5 stencil of spacing h around the measurement (theta, phi).
+
+    The stencil lies in the tangent plane of the measurement's Bloch vector
+    (polar angle 2 theta, azimuth phi), so it stays regular at the poles,
+    where phi alone would not move the measurement. The returned angles have
+    theta in [0, pi/2]; (theta, phi) and (pi - theta, phi + pi) are the same
+    measurement.
+    """
+    ct, st = math.cos(2.0 * theta), math.sin(2.0 * theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    bloch = np.array([st * cp, st * sp, ct])
+    e_theta = np.array([ct * cp, ct * sp, -st])
+    e_phi = np.array([-sp, cp, 0.0])
+    u = h * _STENCIL[:, None, None]
+    v = h * _STENCIL[None, :, None]
+    m = bloch + u * e_theta + v * e_phi
+    return 0.5 * np.arctan2(np.hypot(m[..., 0], m[..., 1]), m[..., 2]), np.arctan2(m[..., 1], m[..., 0])
 
 
 def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None) -> DiscordSolution:
     """Discord of a two-qubit state with projective measurement on subsystem B.
 
     D = min_{theta,phi} sum_i p_i S(rho_{A|i}) + S(rho_B) - S(rho_AB).
-    The minimization runs a coarse grid (theta_grid x phi_grid) followed by
-    Nelder-Mead refinement; refinement can only improve on the grid optimum.
-    Non-convergence is reported through `converged`, never as an exception.
+    The minimization runs a coarse grid (theta_grid x phi_grid), then refines
+    on a 5x5 stencil around the best point, starting from the grid's spacing
+    on the Bloch sphere and halving it at each level. The stencil holds the
+    current point and a move needs a strict improvement, so refinement never
+    worsens the grid optimum. It converges when the spacing reaches
+    `refine_tol`; after `refine_maxiter` levels it stops unconverged,
+    reported through `converged`, never as an exception. The angles are
+    reported with theta in [0, pi] and phi in [0, 2 pi).
     """
     if rho2.dim != 4:
         raise ValueError(f"pairwise discord needs a 4x4 state, got dim {rho2.dim}")
@@ -88,31 +110,29 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
 
     thetas = np.linspace(0.0, math.pi, config.theta_grid, endpoint=False)
     phis = np.linspace(0.0, 2.0 * math.pi, config.phi_grid, endpoint=False)
-    grid = _conditional_entropy_grid(rho4, thetas, phis)
+    grid = _conditional_entropy_grid(rho4, *np.meshgrid(thetas, phis, indexing="ij"))
     it, ip = np.unravel_index(int(np.argmin(grid)), grid.shape)
     best_cond = float(grid[it, ip])
     best_theta = float(thetas[it])
     best_phi = float(phis[ip])
     evals = grid.size
-    converged = True
 
-    if config.refine_maxiter > 0:
-        res = minimize(
-            lambda x: _conditional_entropy_point(rho4, x[0], x[1]),
-            np.array([best_theta, best_phi]),
-            method="Nelder-Mead",
-            options={
-                "fatol": config.refine_tol,
-                "xatol": 1e-8,
-                "maxiter": config.refine_maxiter,
-                "maxfev": 4 * config.refine_maxiter,
-            },
-        )
-        evals += int(res.nfev)
-        converged = bool(res.success)
-        if res.fun < best_cond:
-            best_cond = float(res.fun)
-            best_theta, best_phi = float(res.x[0]), float(res.x[1])
+    h = max(2.0 * math.pi / config.theta_grid, 2.0 * math.pi / config.phi_grid)
+    for _ in range(config.refine_maxiter):
+        if h <= config.refine_tol:
+            break
+        stencil_thetas, stencil_phis = _stencil(best_theta, best_phi, h)
+        values = _conditional_entropy_grid(rho4, stencil_thetas, stencil_phis)
+        evals += values.size
+        i = np.unravel_index(int(np.argmin(values)), values.shape)
+        if values[i] < best_cond:
+            best_cond = float(values[i])
+            best_theta, best_phi = float(stencil_thetas[i]), float(stencil_phis[i])
+        h /= 2.0
+    converged = config.refine_maxiter == 0 or h <= config.refine_tol
+    best_phi %= 2.0 * math.pi
+    if best_phi == 2.0 * math.pi:  # a tiny negative azimuth rounds up to 2 pi
+        best_phi = 0.0
 
     value = best_cond + s_b - s_ab
     if -1e-9 <= value < 0.0:

@@ -42,6 +42,8 @@ def concurrence_two_qubit_ga(cfg: GroverConfig, st: SymmetricGAState):
         raise UnsupportedStructureError(
             f"the pairwise closed form requires j=1, got j={cfg.j}"
         )
+    if cfg.n < 2:
+        raise ValueError(f"two-qubit reduction needs n >= 2, got n={cfg.n}")
     return 2.0 * np.abs(st.a * st.b - st.b**2)
 
 

@@ -3,11 +3,9 @@ numerical maximization of the tripartite Svetlichny expectation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import UnsupportedStructureError
 from .grover import GroverConfig, SymmetricGAState, _reduced_entries, reduced_density, state_at
@@ -92,15 +90,14 @@ def chsh_M_ga(cfg: GroverConfig, st: SymmetricGAState):
 
 @dataclass(frozen=True, eq=False)
 class SvetlichnySettings:
-    """Measurement directions achieving the reported Svetlichny expectation."""
+    """Unit measurement directions (a, a', b, b', c, c') of the three parties."""
 
     a: np.ndarray
     a_prime: np.ndarray
+    b: np.ndarray
+    b_prime: np.ndarray
     c: np.ndarray
     c_prime: np.ndarray
-    d: np.ndarray
-    d_prime: np.ndarray
-    t: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,68 +109,8 @@ class SvetlichnyResult:
     converged: bool
 
 
-def _unit(theta: float, phi: float) -> tuple:
-    s = math.sin(theta)
-    return (s * math.cos(phi), s * math.sin(phi), math.cos(theta))
-
-
-def _cross(u, v) -> tuple:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _frame_perp(d) -> tuple:
-    ref = (1.0, 0.0, 0.0) if abs(d[0]) < 0.9 else (0.0, 1.0, 0.0)
-    e1 = _cross(d, ref)
-    norm = math.sqrt(e1[0] ** 2 + e1[1] ** 2 + e1[2] ** 2)
-    e1 = (e1[0] / norm, e1[1] / norm, e1[2] / norm)
-    return e1, _cross(d, e1)
-
-
-def _settings_from_params(x) -> tuple:
-    c = _unit(x[0], x[1])
-    cp = _unit(x[2], x[3])
-    d = _unit(x[4], x[5])
-    e1, e2 = _frame_perp(d)
-    cc, sc = math.cos(x[6]), math.sin(x[6])
-    dp = (cc * e1[0] + sc * e2[0], cc * e1[1] + sc * e2[1], cc * e1[2] + sc * e2[2])
-    return c, cp, d, dp, float(x[7])
-
-
-def _contract(t_rows, d, c) -> tuple:
-    # w_i = sum_jk T_ijk d_j c_k, unrolled: the optimizer calls this in a hot loop.
-    out = []
-    for rows in t_rows:
-        acc = 0.0
-        for dj, row in zip(d, rows):
-            acc += dj * (row[0] * c[0] + row[1] * c[1] + row[2] * c[2])
-        out.append(acc)
-    return tuple(out)
-
-
-def _svetlichny_from_params(t_rows, x) -> tuple:
-    # For fixed (c, c', d, d', t) the optimal first-qubit directions a, a' are
-    # the normalized contracted vectors, so only 8 parameters are searched.
-    c, cp, d, dp, t = _settings_from_params(x)
-    st, ct = math.sin(t), math.cos(t)
-    w_dpcp = _contract(t_rows, dp, cp)
-    w_dc = _contract(t_rows, d, c)
-    w_dpc = _contract(t_rows, dp, c)
-    w_dcp = _contract(t_rows, d, cp)
-    v_a = tuple(st * w_dpcp[i] + ct * w_dc[i] for i in range(3))
-    v_ap = tuple(st * w_dpc[i] - ct * w_dcp[i] for i in range(3))
-    value = 2.0 * (
-        math.sqrt(v_a[0] ** 2 + v_a[1] ** 2 + v_a[2] ** 2)
-        + math.sqrt(v_ap[0] ** 2 + v_ap[1] ** 2 + v_ap[2] ** 2)
-    )
-    return value, v_a, v_ap
-
-
 def svetlichny_expectation(tensor: CorrelationTensor, settings: SvetlichnySettings) -> float:
-    """<B_S> = 2[(<AD'C'> sin t - <A'DC'> cos t) + (<A'D'C> sin t + <ADC> cos t)].
+    """<S> = ABC + ABC' + AB'C - AB'C' + A'BC - A'BC' - A'B'C - A'B'C'.
 
     Every term is a full-weight Pauli product, so the expectation depends on
     the state only through the tripartite correlation tensor.
@@ -181,72 +118,107 @@ def svetlichny_expectation(tensor: CorrelationTensor, settings: SvetlichnySettin
     if tensor.order != 3:
         raise ValueError("Svetlichny expectation needs an order-3 tensor")
     T = tensor.entries
+    s = settings
     triple = lambda x, y, z: float(np.einsum("ijk,i,j,k->", T, x, y, z))
-    st, ct = math.sin(settings.t), math.cos(settings.t)
-    return 2.0 * (
-        triple(settings.a, settings.d_prime, settings.c_prime) * st
-        - triple(settings.a_prime, settings.d, settings.c_prime) * ct
-        + triple(settings.a_prime, settings.d_prime, settings.c) * st
-        + triple(settings.a, settings.d, settings.c) * ct
+    return (
+        triple(s.a, s.b, s.c) + triple(s.a, s.b, s.c_prime)
+        + triple(s.a, s.b_prime, s.c) - triple(s.a, s.b_prime, s.c_prime)
+        + triple(s.a_prime, s.b, s.c) - triple(s.a_prime, s.b, s.c_prime)
+        - triple(s.a_prime, s.b_prime, s.c) - triple(s.a_prime, s.b_prime, s.c_prime)
+    )
+
+
+def _contract(T, y, z):
+    """w[r, i] = sum_jk T[i, j, k] y[r, j] z[r, k], elementwise in the rows.
+
+    Fixed-order elementwise arithmetic keeps each row's result independent of
+    how many rows are stacked with it.
+    """
+    m = T[None, :, :, 0] * z[:, None, None, 0]
+    for k in (1, 2):
+        m = m + T[None, :, :, k] * z[:, None, None, k]
+    w = m[:, :, 0] * y[:, None, 0]
+    for j in (1, 2):
+        w = w + m[:, :, j] * y[:, None, j]
+    return w
+
+
+def _dot(u, v):
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _party_fields(T, q, r):
+    """Coefficient vectors (v, v') of one party's pair in S = P.v + P'.v'.
+
+    T has the party's index first; q and r are the other two parties' pairs
+    in order, and S = P[Q(R + R') + Q'(R - R')] + P'[Q(R - R') - Q'(R + R')].
+    """
+    s, d = r[:, 0] + r[:, 1], r[:, 0] - r[:, 1]
+    return np.stack(
+        [
+            _contract(T, q[:, 0], s) + _contract(T, q[:, 1], d),
+            _contract(T, q[:, 0], d) - _contract(T, q[:, 1], s),
+        ],
+        axis=1,
     )
 
 
 def svetlichny_max(
     rho3: DensityMatrix | CorrelationTensor, config: OptimizerConfig | None = None
 ) -> SvetlichnyResult:
-    """Seeded multi-start maximization of |<B_S>| over all measurement settings.
+    """Seeded multi-start maximization of <S> over all measurement settings.
 
-    Each restart runs Nelder-Mead from an independent start drawn from
-    default_rng([seed, restart]); the reported value is a lower bound on the
-    true maximum and is monotone in the restart count at fixed seed.
+    S is linear in each party's pair of directions, so with the other two
+    pairs fixed the best pair is the normalized coefficient vectors (a zero
+    vector keeps its direction). Each restart starts from six random unit
+    vectors drawn from default_rng([seed, restart]) and sweeps
+    A,A' -> B,B' -> C,C' until no direction moves by more than `refine_tol`
+    in a sweep (converged) or `refine_maxiter` sweeps have run. All restarts
+    run batched, yet each one's path does not depend on the others, so the
+    reported value (a lower bound on the true maximum) is exactly monotone in
+    the restart count. Since S -> -S under (a, a') -> (-a, -a'), this also
+    maximizes |<S>|.
     """
     config = config or OptimizerConfig()
     tensor = rho3 if isinstance(rho3, CorrelationTensor) else correlation_tensor_3(rho3)
     if tensor.order != 3:
         raise ValueError("Svetlichny maximization needs an order-3 tensor")
-    t_rows = tuple(tuple(tuple(row) for row in plane) for plane in tensor.entries.tolist())
+    tensors = [np.moveaxis(tensor.entries, party, 0) for party in range(3)]
+    others = ((1, 2), (0, 2), (0, 1))
 
-    def negated(x):
-        return -_svetlichny_from_params(t_rows, x)[0]
+    # vecs[restart, party, k] is a, a', b, b', c, c' for (party, k) in order
+    vecs = np.stack([restart_rng(config, i).normal(size=(3, 2, 3)) for i in range(config.restarts)])
+    vecs /= np.sqrt(_dot(vecs, vecs))[..., None]
+    fields = _party_fields(tensors[0], vecs[:, 1], vecs[:, 2])
+    values = _dot(vecs[:, 0, 0], fields[:, 0]) + _dot(vecs[:, 0, 1], fields[:, 1])
+    sweeps = np.zeros(config.restarts, dtype=int)
+    converged = np.zeros(config.restarts, dtype=bool)
+    active = np.arange(config.restarts)
+    for _ in range(config.refine_maxiter):
+        x = vecs[active]
+        for party, (q, r) in enumerate(others):
+            fields = _party_fields(tensors[party], x[:, q], x[:, r])
+            norms = np.sqrt(_dot(fields, fields))
+            nonzero = norms > 0.0
+            x[:, party] = np.where(
+                nonzero[..., None], fields / np.where(nonzero, norms, 1.0)[..., None], x[:, party]
+            )
+        done = np.max(np.abs(x - vecs[active]), axis=(1, 2, 3)) <= config.refine_tol
+        vecs[active] = x
+        values[active] = norms[:, 0] + norms[:, 1]
+        sweeps[active] += 1
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
 
-    best_val = -math.inf
-    best_x = None
-    evals = 0
-    converged = False
-    scale = np.array([math.pi, 2 * math.pi, math.pi, 2 * math.pi, math.pi, 2 * math.pi, 2 * math.pi, math.pi])
-    for i in range(config.restarts):
-        x0 = restart_rng(config, i).uniform(0.0, 1.0, size=8) * scale
-        res = minimize(
-            negated,
-            x0,
-            method="Nelder-Mead",
-            options={"fatol": 1e-9, "xatol": 1e-4, "maxiter": 600, "maxfev": 900},
-        )
-        evals += int(res.nfev)
-        converged = converged or bool(res.success)
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_x = res.x
-    value, v_a, v_ap = _svetlichny_from_params(t_rows, best_x)
-    c, cp, d, dp, t = _settings_from_params(best_x)
-    norm_a = math.sqrt(sum(x * x for x in v_a))
-    norm_ap = math.sqrt(sum(x * x for x in v_ap))
-    fallback = np.array([0.0, 0.0, 1.0])
-    settings = SvetlichnySettings(
-        a=np.array(v_a) / norm_a if norm_a > 0 else fallback,
-        a_prime=np.array(v_ap) / norm_ap if norm_ap > 0 else fallback,
-        c=np.array(c),
-        c_prime=np.array(cp),
-        d=np.array(d),
-        d_prime=np.array(dp),
-        t=float(t),
-    )
+    best = int(np.argmax(values))
     return SvetlichnyResult(
-        value=float(value),
-        settings=settings,
+        value=float(values[best]),
+        settings=SvetlichnySettings(*vecs[best].reshape(6, 3)),
         restarts=config.restarts,
-        optimizer_evals=evals,
-        converged=converged,
+        optimizer_evals=int(sweeps.sum()),
+        converged=bool(converged[best]),
     )
 
 

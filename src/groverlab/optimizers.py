@@ -13,7 +13,10 @@ class OptimizerConfig:
 
     Restart i draws its start point from default_rng([seed, i]), so enlarging
     the restart count only ever extends the explored set: results are monotone
-    in `restarts` at fixed seed.
+    in `restarts` at fixed seed. `refine_tol` bounds the last step of a
+    measurement direction (the discord stencil's spacing, the largest move of
+    a Svetlichny direction in one sweep); `refine_maxiter` caps the stencil
+    levels or the sweeps per restart.
     """
 
     theta_grid: int = 64

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +49,6 @@ class RunConfig:
     init_file: str | None = None
     max_n: int = 8
     inject_fault: float = 0.0
-    workers: int = 1
 
     def to_dict(self) -> dict:
         return {
@@ -66,7 +64,6 @@ class RunConfig:
             "init_file": self.init_file,
             "max_n": self.max_n,
             "inject_fault": self.inject_fault,
-            "workers": self.workers,
             "optimizer": {
                 "theta_grid": self.optimizer.theta_grid,
                 "phi_grid": self.optimizer.phi_grid,
@@ -80,14 +77,12 @@ def _series_engines(cfg: GroverConfig, measures, use_oracle: bool) -> dict:
     return {m: MEASURES[m].engine(cfg, use_oracle) for m in ("p",) + tuple(measures)}
 
 
-def _ga_series_rows(args) -> list:
-    """All rows of one (n, j) series; top-level so worker pools can pickle it.
+def _ga_series_rows(cfg: GroverConfig, r_max: int, measures, optimizer, use_oracle: bool) -> list:
+    """All rows of one (n, j) series.
 
     Each analytic column is one closed-form call on the state of the whole
     series; the oracle columns step one statevector through it.
     """
-    n, j, r_max, measures, optimizer, use_oracle = args
-    cfg = GroverConfig(n=n, j=j)
     engines = _series_engines(cfg, measures, use_oracle)
     rs = range(r_max + 1)
     oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
@@ -109,7 +104,7 @@ def _ga_series_rows(args) -> list:
         else:
             columns[m] = [None] * len(rs)  # NA
     keys = ("j", "r") + tuple(columns)
-    return [dict(zip(keys, row)) for row in zip([j] * len(rs), rs, *columns.values())]
+    return [dict(zip(keys, row)) for row in zip([cfg.j] * len(rs), rs, *columns.values())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,33 +127,17 @@ def ga_sweep(run: RunConfig) -> SweepResult:
         raise ValueError(f"r-max must be >= 0, got {run.r_max}")
     if not run.j_values:
         raise ValueError("the solution-count list is empty")
-    if run.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {run.workers}")
-    optimizer = OptimizerConfig(
-        theta_grid=run.optimizer.theta_grid,
-        phi_grid=run.optimizer.phi_grid,
-        restarts=run.optimizer.restarts,
-        seed=run.seed,
-        refine_tol=run.optimizer.refine_tol,
-        refine_maxiter=run.optimizer.refine_maxiter,
-    )
+    optimizer = replace(run.optimizer, seed=run.seed)
     extra = {}
-    tasks = []
-    for j in run.j_values:
-        r_limit = optimal_iteration_details(GroverConfig(n=run.n, j=j)).r_opt
-        r_max = r_limit if run.r_max is None else min(run.r_max, r_limit)
-        if run.r_max is not None and run.r_max > r_limit:
-            extra[f"r_max_clamped.j{j}"] = r_limit
-        tasks.append((run.n, j, r_max, measures, optimizer, run.use_oracle))
-    if run.workers > 1:
-        with ProcessPoolExecutor(max_workers=run.workers) as pool:
-            series = list(pool.map(_ga_series_rows, tasks))
-    else:
-        series = [_ga_series_rows(t) for t in tasks]
-    rows = [row for block in series for row in block]
+    rows = []
     engines = {}
     for j in run.j_values:
         cfg = GroverConfig(n=run.n, j=j)
+        r_limit = optimal_iteration_details(cfg).r_opt
+        r_max = r_limit if run.r_max is None else min(run.r_max, r_limit)
+        if run.r_max is not None and run.r_max > r_limit:
+            extra[f"r_max_clamped.j{j}"] = r_limit
+        rows += _ga_series_rows(cfg, r_max, measures, optimizer, run.use_oracle)
         for m, eng in _series_engines(cfg, measures, run.use_oracle).items():
             engines[f"j{j}.{m}"] = eng
     columns = (("j",) if len(run.j_values) > 1 else ()) + ("r", "p") + measures

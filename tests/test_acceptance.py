@@ -238,7 +238,7 @@ def test_criterion_8_nonlocality_null_results():
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = 1 / math.sqrt(2)
     ghz_value = svetlichny_max(DensityMatrix.from_pure(ghz), config).value
-    if abs(ghz_value - 4 * math.sqrt(2)) > 1e-3:
+    if abs(ghz_value - 4 * math.sqrt(2)) > 1e-9:
         failures.append(f"optimizer control: GHZ value {ghz_value!r} misses 4*sqrt(2)")
     cfg11 = GroverConfig(n=11, j=1)
     for r in range(optimal_iterations(cfg11) + 1):

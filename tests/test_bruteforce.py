@@ -95,12 +95,12 @@ class TestRunAndMeasure:
 
     def test_capacity_error(self):
         # past the statevector cap the row path gives NA instead of raising
-        rows = _ga_series_rows((13, 2, 1, ("cr", "e2"), OptimizerConfig(), True))
+        rows = _ga_series_rows(GroverConfig(n=13, j=2), 1, ("cr", "e2"), OptimizerConfig(), True)
         assert [row["e2"] for row in rows] == [None, None]
         assert all(row["cr"] is not None for row in rows)
 
     def test_measure_outside_its_domain_is_unavailable(self):
-        (row,) = _ga_series_rows((2, 3, 0, ("e2", "svet"), OptimizerConfig(), True))
+        (row,) = _ga_series_rows(GroverConfig(n=2, j=3), 0, ("e2", "svet"), OptimizerConfig(), True)
         assert row["svet"] is None
         assert row["e2"] == pytest.approx(0.0, abs=1e-7)
 

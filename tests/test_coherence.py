@@ -10,7 +10,6 @@ from groverlab.coherence import (
     coherence_l1_ga,
     coherence_r_ga,
     coherence_relative_entropy,
-    coherence_report,
     cost_performance,
     in_asymptotic_regime,
 )
@@ -147,19 +146,3 @@ class TestCostPerformance:
         slope = np.polyfit(c, p, 1)[0]
         assert -slope == pytest.approx(cost_performance(cfg, measure), rel=rel_tol)
 
-
-class TestReport:
-    def test_row_fields(self):
-        cfg = GroverConfig(n=11, j=1)
-        row = coherence_report(cfg, 0, include_asymptotics=True)
-        assert row.c_r == 11.0
-        assert row.success_probability == pytest.approx(1 / 2048, abs=1e-12)
-        assert row.asymptotic_c_r is not None
-
-    def test_invalid_values_rejected(self):
-        from groverlab.coherence import CoherenceReport
-
-        with pytest.raises(ValueError):
-            CoherenceReport(c_r=-0.1, c_l1=0.0, success_probability=0.5)
-        with pytest.raises(ValueError):
-            CoherenceReport(c_r=0.1, c_l1=0.0, success_probability=1.5)

@@ -5,6 +5,7 @@ import pytest
 
 from groverlab.bruteforce import evolve
 from groverlab.discord import (
+    _conditional_entropy_grid,
     genuine_discord_ga,
     genuine_discord_partition_min,
     pairwise_discord,
@@ -92,7 +93,31 @@ class TestPairwiseDiscord:
     def test_optimizer_metadata(self):
         sol = pairwise_discord(bell_density(), FAST)
         assert sol.optimizer_evals > 32 * 64
-        assert 0.0 <= sol.theta <= math.pi + 1e-9
+        assert 0.0 <= sol.theta <= math.pi
+        assert 0.0 <= sol.phi < 2.0 * math.pi
+
+    def test_refinement_budget_exhausted_is_not_converged(self):
+        cfg = GroverConfig(n=6, j=1)
+        rho = reduced_density(cfg, state_at(cfg, 2), 2)
+        capped = pairwise_discord(rho, OptimizerConfig(refine_maxiter=1))
+        assert not capped.converged
+        full = pairwise_discord(rho, OptimizerConfig())
+        assert full.converged
+        assert full.value <= capped.value
+
+    def test_minimum_next_to_the_pole(self):
+        # At n = 11, r = 32 the best measurement lies at theta ~ 0.009 from
+        # sigma_z (theta = 0 or pi/2), where the grid's best point is sigma_z
+        # with an arbitrary phi. The refinement must still reach the minimum
+        # of a fine grid around the pole.
+        cfg = GroverConfig(n=11, j=1)
+        rho = reduced_density(cfg, state_at(cfg, 32), 2)
+        sol = pairwise_discord(rho)
+        thetas = np.linspace(0.0, 0.05, 401)
+        phis = np.linspace(0.0, 2.0 * math.pi, 721)
+        fine = _conditional_entropy_grid(rho.matrix, *np.meshgrid(thetas, phis, indexing="ij"))
+        s_b = von_neumann_entropy(DensityMatrix(np.einsum("abad->bd", rho.matrix.reshape(2, 2, 2, 2))))
+        assert sol.value <= fine.min() + s_b - von_neumann_entropy(rho) + 1e-12
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,11 @@ class TestPairwiseGA:
             cfg = GroverConfig(n=4, j=2)
             concurrence_two_qubit_ga(cfg, state_at(cfg, 1))
 
+    def test_one_qubit_register_has_no_pair(self):
+        cfg = GroverConfig(n=1, j=1)
+        with pytest.raises(ValueError, match="n >= 2"):
+            concurrence_two_qubit_ga(cfg, state_at(cfg, 0))
+
 
 class TestMultiqubitGA:
     def test_initial_product_state(self):
