@@ -12,10 +12,8 @@ from .bruteforce import (
 )
 from .coherence import (
     coherence_asymptotics,
-    coherence_l1,
     coherence_l1_ga,
     coherence_r_ga,
-    coherence_relative_entropy,
     cost_performance,
 )
 from .discord import (
@@ -72,8 +70,8 @@ from .linalg import (
     DensityMatrix,
     PureState,
     binary_entropy,
-    partial_trace,
     pure_partial_trace,
+    pure_subsystem_entropy,
     relative_entropy,
     shannon_entropy,
     von_neumann_entropy,

@@ -20,13 +20,7 @@ from .grover import (
     optimal_iterations,
     state_at,
 )
-from .linalg import (
-    DensityMatrix,
-    partial_trace,
-    pure_partial_trace,
-    shannon_entropy,
-    von_neumann_entropy,
-)
+from .linalg import pure_partial_trace, pure_subsystem_entropy, shannon_entropy, von_neumann_entropy
 from .optimizers import OptimizerConfig
 
 
@@ -268,13 +262,15 @@ def cross_validate(
                 acc["success_probability"].add(
                     grover.success_probability(cfg, st), float(probs[list(cfg.solutions)].sum())
                 )
-                rho = DensityMatrix.from_pure(amps)
+                # the oracle's C_r leaves out S(rho) of the pure state; here it
+                # is taken from the spectrum of the 1 x 1 Gram <psi|psi>
+                s_rho = pure_subsystem_entropy(amps, range(n))
                 acc["coherence_relative_entropy"].add(
                     lambda: coherence.coherence_r_ga(cfg, st),
-                    coherence.coherence_relative_entropy(rho),
+                    MEASURES["cr"].oracle(amps, cfg, None) - s_rho,
                 )
                 acc["coherence_l1"].add(
-                    coherence.coherence_l1_ga(cfg, st), coherence.coherence_l1(rho)
+                    coherence.coherence_l1_ga(cfg, st), MEASURES["cl1"].oracle(amps, cfg, None)
                 )
                 if j == 1:
                     rho2 = pure_partial_trace(amps, (0, 1))
@@ -294,17 +290,17 @@ def cross_validate(
                         ),
                         0.0,
                     )
-                    deficits = 0.0  # sum_k C(n,k) (1 - Tr rho_k^2) from the dense reductions
+                    deficits = 0.0  # sum_k C(n,k) (1 - Tr rho_k^2) of the statevector
                     for k in range(1, n):
                         structured = _reduced_matrix(n, st, k)
-                        generic = partial_trace(rho, tuple(range(k))).matrix
+                        generic = pure_partial_trace(amps, range(k)).matrix
                         deficits += math.comb(n, k) * (1.0 - float(np.sum(np.abs(generic) ** 2)))
                         acc["reduced_density"].add(
                             float(np.max(np.abs(structured - generic))), 0.0
                         )
                         # any other k-qubit subset must give the same matrix
                         subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-                        permuted = partial_trace(rho, subset).matrix
+                        permuted = pure_partial_trace(amps, subset).matrix
                         acc["reduced_density"].add(
                             float(np.max(np.abs(structured - permuted))), 0.0
                         )

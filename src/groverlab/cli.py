@@ -24,11 +24,20 @@ from .report import (
 
 
 def _load_config_file(path: str | None) -> dict:
-    """Line-oriented key=value file; later duplicate keys win."""
+    """Line-oriented key=value file; later duplicate keys win.
+
+    The keys are the running command's long options without "--"; an unknown
+    key or an unreadable file is a usage error.
+    """
     if path is None:
         return {}
+    command = click.get_current_context().command
+    known = {o[2:] for p in command.params for o in p.opts if o.startswith("--")} - {"config"}
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"cannot read config file {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -36,7 +45,13 @@ def _load_config_file(path: str | None) -> dict:
         if "=" not in line:
             raise click.UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in known:
+            raise click.UsageError(
+                f"{path}:{lineno}: unknown {command.name} config key {key!r}"
+                f" (known: {', '.join(sorted(known))})"
+            )
+        values[key] = value.strip()
     return values
 
 

@@ -1,4 +1,4 @@
-"""Coherence measures, their Grover-search dynamics and large-N asymptotics."""
+"""Closed-form coherences of the Grover search state and their large-N asymptotics."""
 
 from __future__ import annotations
 
@@ -9,23 +9,10 @@ import numpy as np
 
 from .errors import AsymptoticRegimeWarning
 from .grover import GroverConfig, SymmetricGAState
-from .linalg import DensityMatrix, shannon_entropy, von_neumann_entropy
 
 # j/N and N thresholds below which the linearized coherence formulas apply.
 REGIME_RATIO_MAX = 1.0 / 64.0
 REGIME_MIN_QUBITS = 10
-
-
-def coherence_relative_entropy(rho: DensityMatrix) -> float:
-    """S(rho_diag) - S(rho): distance to the nearest incoherent state, in bits."""
-    diag = np.clip(rho.matrix.diagonal().real, 0.0, None)
-    return max(0.0, shannon_entropy(diag) - von_neumann_entropy(rho))
-
-
-def coherence_l1(rho: DensityMatrix) -> float:
-    """Sum of the magnitudes of all off-diagonal entries."""
-    m = np.abs(rho.matrix)
-    return max(0.0, float(m.sum() - m.trace()))
 
 
 def coherence_r_ga(cfg: GroverConfig, st: SymmetricGAState):

@@ -185,16 +185,18 @@ def genuine_discord_partition_min(cfg: GroverConfig, r: int) -> PartitionMinimum
     """Exhaustive partition minimization of the product-state relative entropy.
 
     Permutation symmetry of the search state makes block entropies depend
-    only on block size, so compositions collapse to integer partitions; each
-    S(rho_k) is evaluated independently by exact diagonalization of the
-    materialized reduced matrix.
+    only on block size, so compositions collapse to integer partitions. The
+    global state is pure, so S(rho_k) = S(rho_{n-k}): only k <= n/2 is
+    evaluated, by exact diagonalization of the materialized reduced matrix.
     """
     if cfg.j != 1 or cfg.solutions != (0,):
         raise UnsupportedStructureError("partition minimization requires j=1, solution at 0")
     if cfg.n > CAPACITY_QUBITS:
         raise CapacityError(f"partition minimization capped at {CAPACITY_QUBITS} qubits, got n={cfg.n}")
     st = state_at(cfg, r)
-    entropy = {k: von_neumann_entropy(reduced_density(cfg, st, k)) for k in range(1, cfg.n)}
+    sizes = range(1, cfg.n // 2 + 1)
+    half = {k: von_neumann_entropy(reduced_density(cfg, st, k)) for k in sizes}
+    entropy = {k: half[min(k, cfg.n - k)] for k in range(1, cfg.n)}
     best_value = math.inf
     best_parts: tuple[int, ...] = ()
     for parts in _partitions_with_two_parts(cfg.n):

@@ -170,45 +170,42 @@ def _check_keep(n: int, keep) -> tuple[int, ...]:
     return keep
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduce an n-qubit state to the qubits in `keep` (strictly increasing)."""
-    n = rho.n_qubits
-    keep = _check_keep(n, keep)
-    if len(keep) == n:
-        return rho
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    row_idx = list(range(n))
-    col_idx = [n + q if q in keep else q for q in range(n)]
-    out_idx = [q for q in keep] + [n + q for q in keep]
-    reduced = np.einsum(tensor, row_idx + col_idx, out_idx)
-    k = len(keep)
-    return DensityMatrix(reduced.reshape(2**k, 2**k))
-
-
-def pure_partial_trace(amplitudes: np.ndarray, keep) -> DensityMatrix:
-    """Reduced state of a pure n-qubit state without forming the full projector."""
+def _split(amplitudes: np.ndarray, keep) -> np.ndarray:
+    """Amplitudes of a pure n-qubit state as a 2^k x 2^(n-k) matrix, rows over `keep`."""
     amps = np.asarray(amplitudes, dtype=complex)
     n = amps.size.bit_length() - 1
     if 1 << n != amps.size:
         raise ValueError(f"amplitude length {amps.size} is not a power of two")
     keep = _check_keep(n, keep)
     k = len(keep)
-    rest = [q for q in range(n) if q not in keep]
-    a = np.moveaxis(amps.reshape((2,) * n), keep, range(k)).reshape(2**k, -1)
-    if not rest:
+    return np.moveaxis(amps.reshape((2,) * n), keep, range(k)).reshape(2**k, -1)
+
+
+def pure_partial_trace(amplitudes: np.ndarray, keep) -> DensityMatrix:
+    """Reduced state of a pure n-qubit state without forming the full projector."""
+    a = _split(amplitudes, keep)
+    if a.shape[1] == 1:
         return DensityMatrix.from_pure(a.reshape(-1))
     return DensityMatrix(a @ a.conj().T)
 
 
+def _schmidt_gram(amplitudes: np.ndarray, keep) -> np.ndarray:
+    """The smaller of a a^dag and a^dag a for a = _split(amplitudes, keep).
+
+    Both have the nonzero spectrum of rho_keep, so this Gram is at most
+    min(2^k, 2^(n-k)) wide; it is 1 x 1 when `keep` is every qubit.
+    """
+    a = _split(amplitudes, keep)
+    if a.shape[0] <= a.shape[1]:
+        return a @ a.conj().T
+    return a.conj().T @ a
+
+
 def pure_subsystem_purity(amplitudes: np.ndarray, keep) -> float:
     """Tr(rho_keep^2) for a pure state, via the smaller Gram factor."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    n = amps.size.bit_length() - 1
-    keep = _check_keep(n, keep)
-    k = len(keep)
-    a = np.moveaxis(amps.reshape((2,) * n), keep, range(k)).reshape(2**k, -1)
-    if a.shape[0] <= a.shape[1]:
-        g = a @ a.conj().T
-    else:
-        g = a.conj().T @ a
-    return float(np.sum(np.abs(g) ** 2))
+    return float(np.sum(np.abs(_schmidt_gram(amplitudes, keep)) ** 2))
+
+
+def pure_subsystem_entropy(amplitudes: np.ndarray, keep) -> float:
+    """S(rho_keep) in bits for a pure state, from the spectrum of the smaller Gram factor."""
+    return shannon_entropy(np.linalg.eigvalsh(_schmidt_gram(amplitudes, keep)))

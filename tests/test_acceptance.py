@@ -13,12 +13,7 @@ from click.testing import CliRunner
 
 from groverlab.bruteforce import evolve
 from groverlab.cli import main as cli_main
-from groverlab.coherence import (
-    coherence_l1,
-    coherence_l1_ga,
-    coherence_r_ga,
-    coherence_relative_entropy,
-)
+from groverlab.coherence import coherence_l1_ga, coherence_r_ga
 from groverlab.discord import genuine_discord_ga, genuine_discord_partition_min
 from groverlab.entanglement import concurrence_two_qubit, concurrence_two_qubit_ga
 from groverlab.gga import (
@@ -38,6 +33,7 @@ from groverlab.grover import GroverConfig, optimal_iterations, state_at, success
 from groverlab.linalg import DensityMatrix, pure_partial_trace, von_neumann_entropy
 from groverlab.nonlocality import chsh_M, chsh_M_ga, svetlichny_max, svetlichny_max_ga
 from groverlab.optimizers import OptimizerConfig
+from witnesses import coherence_l1, coherence_relative_entropy
 
 
 def _report(number: int, description: str, failures: list, elapsed: float | None = None):

@@ -15,6 +15,7 @@ from groverlab.coherence import coherence_r_ga
 from groverlab.errors import CapacityError, InvalidStateError
 from groverlab.gga import AmplitudeDistribution, gga_iterate
 from groverlab.grover import GroverConfig, optimal_iterations, state_at
+from groverlab.linalg import DensityMatrix
 from groverlab.optimizers import OptimizerConfig
 from groverlab.report import _ga_series_rows
 
@@ -171,7 +172,8 @@ class TestCrossValidate:
         assert cross_validate(max_n=2).passed
 
     def test_injected_fault_is_detected(self):
-        summary = cross_validate(max_n=4, fault=1e-3)
+        # max_n = 9 is the size the benchmark's verify op runs
+        summary = cross_validate(max_n=9, fault=1e-3)
         assert not summary.passed
         broken = {c.name for c in summary.checks if not c.passed}
         # every identity with a closed-form side must notice the perturbation
@@ -182,13 +184,41 @@ class TestCrossValidate:
             "concurrence_two_qubit",
             "chsh_M",
             "genuine_discord",
+            "reduced_density",
             "multiqubit_concurrence_forms",
+            "partition_minimum",
             "normalization",
             "gga_uniform_equivalence",
         ):
             assert name in broken
         # pure brute-force properties are untouched by construction
         assert "grover_step_norm" not in broken
+
+    def test_no_dense_spectra_or_projectors(self, monkeypatch):
+        # every spectrum comes from a Schmidt Gram factor at most 2^(n//2) wide,
+        # and no 2^n x 2^n density matrix is built
+        max_n = 10
+        widths = []
+        dims = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def recording(m, *args, _original=original, **kwargs):
+                widths.append(np.shape(m)[-1])
+                return _original(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        post_init = DensityMatrix.__post_init__
+
+        def recording_post_init(self):
+            dims.append(np.shape(self.matrix)[0])
+            post_init(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", recording_post_init)
+        summary = cross_validate(max_n=max_n, j_values=(1, 2))
+        assert summary.passed
+        assert widths and max(widths) <= 1 << (max_n // 2)
+        assert dims and max(dims) < 1 << max_n
 
     def test_summary_serialization(self):
         summary = cross_validate(max_n=3)

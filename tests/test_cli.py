@@ -525,6 +525,15 @@ class TestVerifyCommand:
             if row["name"] in unchecked:
                 assert row["max_deviation"] is None and row["passed"] is None
 
+    def test_top_of_range_passes_every_identity(self):
+        result = run_cli("verify", "--max-n", "10", "--j", "1,2", "--format", "csv")
+        assert result.exit_code == 0
+        meta, _, rows = parse_csv(result.output)
+        assert meta["passed"] == "true"
+        assert len(rows) == 12
+        for row in rows:
+            assert row["passed"] == "true" and int(row["cases"]) > 0, row
+
     def test_csv_format(self):
         result = run_cli("verify", "--max-n", "3", "--format", "csv")
         meta, header, rows = parse_csv(result.output)
@@ -555,6 +564,43 @@ class TestConfigFile:
         cfgfile.write_text("n 3\n")
         result = run_cli("ga", "--config", str(cfgfile))
         assert result.exit_code == 2
+
+    def test_missing_config_file_is_usage_error(self, tmp_path):
+        result = run_cli("ga", "--config", str(tmp_path / "absent.cfg"))
+        assert result.exit_code == 2
+        assert "cannot read config file" in result.output
+
+    def test_directory_as_config_is_usage_error(self, tmp_path):
+        result = run_cli("verify", "--config", str(tmp_path))
+        assert result.exit_code == 2
+        assert "cannot read config file" in result.output
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("ga", "workers=2"),
+            ("ga", "measurs=cr"),
+            ("ga", "max-n=4"),
+            ("gga", "measures=cr"),
+            ("verify", "n=4"),
+            ("figures", "format=json"),
+        ],
+    )
+    def test_unknown_key_is_usage_error(self, tmp_path, monkeypatch, command, key):
+        monkeypatch.chdir(tmp_path)  # a run that wrongly goes ahead writes here
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"seed=3\n{key}\n")
+        result = run_cli(command, "--config", str(cfgfile))
+        assert result.exit_code == 2
+        assert f"unknown {command} config key {key.partition('=')[0]!r}" in result.output
+
+    def test_each_command_reads_its_own_keys(self, tmp_path):
+        cfgfile = tmp_path / "verify.cfg"
+        cfgfile.write_text("max-n=3\nj=1\nformat=csv\n")
+        result = run_cli("verify", "--config", str(cfgfile))
+        assert result.exit_code == 0
+        _, _, rows = parse_csv(result.output)
+        assert {row["name"]: int(row["cases"]) for row in rows}["success_probability"] == 5
 
 
 @pytest.fixture(scope="module")

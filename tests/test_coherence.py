@@ -6,16 +6,15 @@ import pytest
 from groverlab.bruteforce import evolve
 from groverlab.coherence import (
     coherence_asymptotics,
-    coherence_l1,
     coherence_l1_ga,
     coherence_r_ga,
-    coherence_relative_entropy,
     cost_performance,
     in_asymptotic_regime,
 )
 from groverlab.errors import AsymptoticRegimeWarning
 from groverlab.grover import GroverConfig, optimal_iterations, state_at, success_probability
 from groverlab.linalg import DensityMatrix
+from witnesses import coherence_l1, coherence_relative_entropy
 
 
 class TestGenericMeasures:

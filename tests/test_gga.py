@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverlab.coherence import coherence_relative_entropy
 from groverlab.errors import AmplitudeFileError, InvalidStateError, UnsupportedStructureError
 from groverlab.gga import (
     AmplitudeDistribution,
@@ -24,6 +23,7 @@ from groverlab.gga import (
 )
 from groverlab.grover import GroverConfig, optimal_iteration_details
 from groverlab.linalg import DensityMatrix
+from witnesses import coherence_relative_entropy
 
 
 def random_real_distribution(seed, n=None, j=None):

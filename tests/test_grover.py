@@ -18,7 +18,8 @@ from groverlab.grover import (
     state_at,
     success_probability,
 )
-from groverlab.linalg import DensityMatrix, partial_trace, pure_partial_trace
+from groverlab.linalg import DensityMatrix, pure_partial_trace
+from witnesses import partial_trace
 
 
 class TestConfig:

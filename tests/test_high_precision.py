@@ -1,0 +1,123 @@
+"""Closed forms beyond the statevector cap against 50-digit mpmath references.
+
+`verify` checks the closed forms against the oracle for n <= 10 only; here
+each fast closed form is compared, at sampled n up to the float-safe bound,
+with the measure evaluated in mpmath on the search state itself: a on each
+solution (over sqrt j), b elsewhere. The working precision is 50 digits plus
+the 2 n log10(2) digits that the references' own cancellations can cost
+(1 - Tr rho^2 and the Wootters eigenvalues when the values are ~ 2^-n).
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from mpmath import mp
+
+from groverlab.bruteforce import MEASURES
+from groverlab.grover import GroverConfig, state_at
+
+R_VALUES = (0, 1, 2, 100)
+# |closed - reference| <= RTOL |reference| + ATOL[measure]. The largest
+# relative error measured over these cases is 8.7e-16 (cl1); the absolute
+# floors cover the cases a relative bound cannot:
+# - p: 1.2e-18 at n = 13, j = 2, r = 100, where sin^2 of the accumulated
+#   angle is 7e-7 and the double angle's rounding is 1.6e-12 of it;
+# - en: the reference takes the square root of its own rounding where the
+#   value is 0 (r = 0); 9.6e-35 was seen at n = 13;
+# - dn: 1.3e-15 at n = 64, r = 100; the closed form is accurate in absolute
+#   terms only, because H((1 + sqrt(delta))/2) takes delta as 1 - 4(...).
+RTOL = 1e-14
+ATOL = {"p": 1e-17, "cr": 0.0, "cl1": 0.0, "e2": 0.0, "en": 1e-30, "dn": 1e-14, "m": 0.0}
+PAIR_MEASURES = ("p", "cr", "cl1", "e2", "en", "dn", "m")
+
+_YY = [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
+_PAULIS = (
+    mpmath.matrix([[0, 1], [1, 0]]),
+    mpmath.matrix([[0, -1j], [1j, 0]]),
+    mpmath.matrix([[1, 0], [0, -1]]),
+)
+
+
+def _xlog2(x, y):
+    return x * mp.log(y, 2) if x else mp.mpf(0)
+
+
+def _kron(p, q):
+    return mpmath.matrix(
+        [[p[i // 2, k // 2] * q[i % 2, k % 2] for k in range(4)] for i in range(4)]
+    )
+
+
+def _reduced_entries(n, a, b, k):
+    """(rho[0,0], rho[0,y != 0], rho[x != 0, y != 0]) of the k-qubit reduction, j = 1.
+
+    rho[x, y] = sum_z psi(xz) psi(yz) with psi = b + (a - b) [index = 0].
+    """
+    d = mp.mpf(2) ** (n - k)
+    c = a - b
+    return d * b**2 + 2 * b * c + c**2, d * b**2 + b * c, d * b**2
+
+
+def _reduced(n, a, b, k):
+    corner, edge, bulk = _reduced_entries(n, a, b, k)
+    size = 1 << k
+    m = mpmath.matrix(size, size)
+    for x in range(size):
+        for y in range(size):
+            m[x, y] = corner if x == y == 0 else edge if x == 0 or y == 0 else bulk
+    return m
+
+
+def reference(n, j, r):
+    """Each measure of the j-solution search state after r steps, in mpmath."""
+    N = mp.mpf(2) ** n
+    alpha_r = (r + mp.mpf(1) / 2) * 2 * mp.atan(mp.sqrt(j / (N - j)))
+    a, b = mp.sin(alpha_r), mp.cos(alpha_r) / mp.sqrt(N - j)
+    p = a**2
+    out = {
+        "p": p,
+        "cr": -_xlog2(p, p / j) - _xlog2(1 - p, (1 - p) / (N - j)),
+        # sum_{x != y} |psi_x| |psi_y| = (sum |psi_x|)^2 - 1
+        "cl1": (math.sqrt(j) * abs(a) + (N - j) * abs(b)) ** 2 - 1,
+    }
+    if j != 1:
+        return out
+    rho2 = _reduced(n, a, b, 2)
+    yy = mpmath.matrix(_YY)
+    spin_flip = mp.eig(rho2 * (yy * rho2 * yy), left=False, right=False)
+    lam = sorted((mp.sqrt(max(mp.re(e), 0)) for e in spin_flip), reverse=True)
+    out["e2"] = max(mp.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])
+    deficits = 0
+    for k in range(1, n):
+        corner, edge, bulk = _reduced_entries(n, a, b, k)
+        rest = mp.mpf(2) ** k - 1
+        deficits += mp.binomial(n, k) * (1 - corner**2 - 2 * rest * edge**2 - rest**2 * bulk**2)
+    out["en"] = 2 / mp.sqrt(N) * mp.sqrt(deficits)
+    rho1_spectrum = mp.eigsy(_reduced(n, a, b, 1), eigvals_only=True)
+    out["dn"] = -sum(_xlog2(x, x) for x in rho1_spectrum if x > 0)
+    t = mpmath.matrix(3, 3)
+    for i, s in enumerate(_PAULIS):
+        for k, q in enumerate(_PAULIS):
+            prod = rho2 * _kron(s, q)
+            t[i, k] = mp.re(sum(prod[d, d] for d in range(4)))
+    top = sorted(mp.eigsy(t.T * t, eigvals_only=True))
+    out["m"] = top[-1] + top[-2]
+    return out
+
+
+@pytest.mark.parametrize("n", (13, 64, 300, 1022))
+@pytest.mark.parametrize("j", (1, 2, 3))
+def test_closed_forms_match_high_precision_reference(n, j):
+    cfg = GroverConfig(n=n, j=j)
+    st = state_at(cfg, np.array(R_VALUES))
+    keys = PAIR_MEASURES if j == 1 else ("p", "cr", "cl1")
+    closed = {k: np.asarray(MEASURES[k].closed_form(cfg, st, None), dtype=float) for k in keys}
+    with mp.workdps(50 + 2 * math.ceil(n * math.log10(2))):
+        for i, r in enumerate(R_VALUES):
+            ref = reference(n, j, r)
+            for k in keys:
+                error = abs(mp.mpf(closed[k][i]) - ref[k])
+                bound = RTOL * abs(ref[k]) + ATOL[k]
+                assert error <= bound, f"{k} at n={n}, j={j}, r={r}: {closed[k][i]!r} vs {ref[k]}"

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 from groverlab.errors import InvalidStateError
 from groverlab.linalg import (
     DensityMatrix,
+    _schmidt_gram,
     PureState,
     binary_entropy,
-    partial_trace,
     pure_partial_trace,
+    pure_subsystem_entropy,
     pure_subsystem_purity,
     relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
+from witnesses import partial_trace
 
 
 def random_density(dim, rng, rank=None):
@@ -180,6 +182,39 @@ class TestPartialTrace:
         for keep in [(0,), (1, 3), (0, 2, 5)]:
             rho_k = pure_partial_trace(amps, keep)
             assert pure_subsystem_purity(amps, keep) == pytest.approx(rho_k.purity(), abs=1e-12)
+
+
+class TestPureSubsystemEntropy:
+    @staticmethod
+    def every_keep(n):
+        return [tuple(q for q in range(n) if mask >> q & 1) for mask in range(1, 1 << n)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_reduced_spectrum_on_random_states(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            amps = random_pure(1 << n, rng)
+            for keep in self.every_keep(n):
+                expected = von_neumann_entropy(pure_partial_trace(amps, keep))
+                assert pure_subsystem_entropy(amps, keep) == pytest.approx(expected, abs=1e-12)
+
+    def test_whole_register_is_pure(self):
+        amps = random_pure(64, np.random.default_rng(7))
+        assert pure_subsystem_entropy(amps, range(6)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_product_state_has_no_entanglement(self):
+        rng = np.random.default_rng(8)
+        amps = np.array([1.0 + 0j])
+        for _ in range(5):
+            amps = np.kron(amps, random_pure(2, rng))
+        for keep in self.every_keep(5):
+            assert pure_subsystem_entropy(amps, keep) == pytest.approx(0.0, abs=1e-12)
+
+    def test_gram_is_the_smaller_factor(self):
+        amps = random_pure(1 << 6, np.random.default_rng(9))
+        for keep in [(0,), (1, 4), (0, 2, 5), (0, 1, 2, 3), tuple(range(6))]:
+            width = 1 << min(len(keep), 6 - len(keep))
+            assert _schmidt_gram(amps, keep).shape == (width, width)
 
 
 class TestRelativeEntropy:
