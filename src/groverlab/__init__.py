@@ -51,7 +51,6 @@ from .gga import (
     gga_success_probability_at,
     phi_family_delta_coherence,
     phi_family_distribution,
-    phi_family_states,
 )
 from .grover import (
     CAPACITY_QUBITS,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +81,11 @@ class AmplitudeDistribution(PureState):
         return float(np.mean(np.abs(dev) ** 2))
 
     @property
+    def omega(self) -> float:
+        """Angular step of the sinusoidal averages, acos(1 - 2j/N)."""
+        return math.acos(1.0 - 2.0 * self.j / self.size)
+
+    @property
     def is_real(self) -> bool:
         return float(np.max(np.abs(self.amplitudes.imag))) <= REAL_TOL
 
@@ -133,23 +139,13 @@ def gga_closed_form(dist0: AmplitudeDistribution) -> GGAClosedForm:
     N = dist0.size
     kbar0 = dist0.kbar.real
     lbar0 = dist0.lbar.real
-    omega = math.acos(1.0 - 2.0 * j / N)
     degenerate = lbar0 == 0.0
     if degenerate:
         beta = math.pi / 2.0
     else:
         beta = math.atan2(math.sqrt(j) * kbar0, math.sqrt(N - j) * lbar0)
     C = math.sqrt(j * kbar0**2 + (N - j) * lbar0**2)
-    return GGAClosedForm(omega=omega, beta=beta, C=C, degenerate_phase=degenerate)
-
-
-def closed_form_averages(cf: GGAClosedForm, j: int, N: int, r: float) -> tuple[float, float]:
-    """(kbar, lbar) predicted at (possibly continuous) iteration r."""
-    phase = cf.omega * r + cf.beta
-    return (
-        cf.C / math.sqrt(j) * math.sin(phase),
-        cf.C / math.sqrt(N - j) * math.cos(phase),
-    )
+    return GGAClosedForm(omega=dist0.omega, beta=beta, C=C, degenerate_phase=degenerate)
 
 
 def gga_pmax(dist0: AmplitudeDistribution) -> float:
@@ -164,83 +160,71 @@ def gga_pmax(dist0: AmplitudeDistribution) -> float:
     return 1.0 - (N - dist0.j) * dist0.sigma_l_squared
 
 
-def gga_success_probability_at(dist0: AmplitudeDistribution, t: float) -> float:
-    """Success probability at continuous time t from the sinusoidal averages.
-
-    Real and imaginary amplitude components evolve independently under the
-    same real linear map, so complex inputs are handled by superposing the
-    two closed forms; solution deviations are constant in t.
-    """
+def _success_envelope(dist0: AmplitudeDistribution):
+    """p(t) from constants read off dist0 once: the real and imaginary parts evolve
+    independently, each adding C^2 sin^2(omega t + beta) to the frozen solution spread."""
     j = dist0.j
     N = dist0.size
     k0 = dist0.solution_amplitudes
     l0 = dist0.other_amplitudes
-    omega = math.acos(1.0 - 2.0 * j / N)
-    total = float(np.sum(np.abs(k0 - k0.mean()) ** 2))
+    omega = dist0.omega
+    spread = float(np.sum(np.abs(k0 - k0.mean()) ** 2))
+    parts = []
     for kbar_part, lbar_part in (
         (float(k0.real.mean()), float(l0.real.mean())),
         (float(k0.imag.mean()), float(l0.imag.mean())),
     ):
         C2 = j * kbar_part**2 + (N - j) * lbar_part**2
-        if C2 == 0.0:
-            continue
-        beta = math.atan2(math.sqrt(j) * kbar_part, math.sqrt(N - j) * lbar_part)
-        total += C2 * math.sin(omega * t + beta) ** 2
-    return total
+        if C2 != 0.0:
+            parts.append((C2, math.atan2(math.sqrt(j) * kbar_part, math.sqrt(N - j) * lbar_part)))
+
+    def p_at(t: float) -> float:
+        total = spread
+        for C2, beta in parts:
+            total += C2 * math.sin(omega * t + beta) ** 2
+        return total
+
+    return p_at
+
+
+def gga_success_probability_at(dist0: AmplitudeDistribution, t: float) -> float:
+    """Success probability at continuous time t from the sinusoidal averages."""
+    return _success_envelope(dist0)(t)
 
 
 @dataclass(frozen=True)
 class GGAOptimalTime:
-    """Continuous optimal measurement time plus achievable integer-time probabilities."""
+    """Continuous optimal measurement time and how it was found."""
 
     time: float
-    p_floor: float
-    p_ceil: float
     method: str  # "closed-form" or "scan"
     degenerate_phase: bool = False
 
 
 def gga_optimal_time(dist0: AmplitudeDistribution) -> GGAOptimalTime:
-    """(pi/2 - beta)/omega for real amplitudes; grid-scan fallback otherwise."""
-    N = dist0.size
-    j = dist0.j
-    omega = math.acos(1.0 - 2.0 * j / N)
+    """(pi/2 - beta)/omega for real amplitudes; grid-scan fallback otherwise. No Grover step."""
     if dist0.is_real:
         cf = gga_closed_form(dist0)
         t = (math.pi / 2.0 - cf.beta) / cf.omega
         period = math.pi / cf.omega
         while t < 0.0:
             t += period
-        method = "closed-form"
-        degenerate = cf.degenerate_phase
-    else:
-        # Complex averages: the paper's beta presumes real amplitudes, so
-        # locate the peak of the superposed envelope numerically.
-        period = math.pi / omega
-        grid = np.linspace(0.0, period, 4097)
-        values = [gga_success_probability_at(dist0, x) for x in grid]
-        best = int(np.argmax(values))
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, grid.size - 1)]
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if gga_success_probability_at(dist0, m1) < gga_success_probability_at(dist0, m2):
-                lo = m1
-            else:
-                hi = m2
-        t = 0.5 * (lo + hi)
-        method = "scan"
-        degenerate = False
-    at_floor = gga_iterate(dist0, math.floor(t))
-    at_ceil = gga_iterate(at_floor, math.ceil(t) - math.floor(t))
-    return GGAOptimalTime(
-        time=t,
-        p_floor=at_floor.success_probability(),
-        p_ceil=at_ceil.success_probability(),
-        method=method,
-        degenerate_phase=degenerate,
-    )
+        return GGAOptimalTime(time=t, method="closed-form", degenerate_phase=cf.degenerate_phase)
+    # Complex averages: the paper's beta presumes real amplitudes, so
+    # locate the peak of the superposed envelope numerically.
+    p_at = _success_envelope(dist0)
+    grid = np.linspace(0.0, math.pi / dist0.omega, 4097)
+    best = int(np.argmax([p_at(x) for x in grid]))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if p_at(m1) < p_at(m2):
+            lo = m1
+        else:
+            hi = m2
+    return GGAOptimalTime(time=0.5 * (lo + hi), method="scan")
 
 
 @dataclass(frozen=True)
@@ -291,11 +275,6 @@ def phi_family_distribution(fam: PhiFamily) -> AmplitudeDistribution:
     return AmplitudeDistribution(amps, (0, 1))
 
 
-def phi_family_states(fam: PhiFamily) -> tuple[PureState, PureState]:
-    """(initial state as a length-N vector, optimal-time state k1|0> + k2|1>)."""
-    return phi_family_distribution(fam), PureState(np.array([fam.k1, fam.k2], dtype=complex))
-
-
 def _p_log2_p(x: float) -> float:
     return 0.0 if x <= 0.0 else -x * math.log2(x)
 
@@ -327,14 +306,14 @@ def distribution_from_json(text: str) -> AmplitudeDistribution:
         if field not in doc:
             raise AmplitudeFileError(f"missing required field {field!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a bool is an int subclass
         raise AmplitudeFileError(f"field 'n': expected a positive integer, got {n!r}")
     N = 1 << n
     sols = doc["solutions"]
     if (
         not isinstance(sols, list)
         or not sols
-        or any(not isinstance(s, int) or not 0 <= s < N for s in sols)
+        or any(type(s) is not int or not 0 <= s < N for s in sols)
         or len(set(sols)) != len(sols)
     ):
         raise AmplitudeFileError(
@@ -348,14 +327,15 @@ def distribution_from_json(text: str) -> AmplitudeDistribution:
         )
     amps = np.empty(N, dtype=complex)
     for i, pair in enumerate(amps_raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(not isinstance(x, (int, float)) for x in pair)
+        # json.loads reads NaN and Infinity, and an int may be past the float range
+        if not isinstance(pair, list) or len(pair) != 2 or not all(
+            type(x) in (int, float) and abs(x) <= sys.float_info.max for x in pair
         ):
-            raise AmplitudeFileError(f"amplitudes[{i}]: expected a [re, im] pair, got {pair!r}")
+            raise AmplitudeFileError(
+                f"amplitudes[{i}]: expected a [re, im] pair of finite numbers, got {pair!r}"
+            )
         amps[i] = complex(pair[0], pair[1])
     norm2 = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm2 - 1.0) > NORM_TOL:
+    if not abs(norm2 - 1.0) <= NORM_TOL:
         raise AmplitudeFileError(f"amplitudes not normalized: sum |a|^2 = {norm2!r}")
     return AmplitudeDistribution(amps, tuple(sols))

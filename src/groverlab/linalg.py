@@ -41,7 +41,7 @@ class PureState:
         if amps.ndim != 1 or amps.size < 1:
             raise InvalidStateError("amplitudes must be a nonempty 1-d vector")
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:
             raise InvalidStateError(f"state not normalized: sum |a|^2 = {norm2!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

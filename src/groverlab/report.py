@@ -174,7 +174,10 @@ def phi_sweep(run: RunConfig) -> SweepResult:
 
 
 def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult:
-    """Per-step amplitudes, averages and success probability for a custom start."""
+    """Per-step amplitudes, averages and success probability for a custom start.
+
+    One pass steps to max(r_max, ceil(t_opt)); p_floor and p_ceil come from it too.
+    """
     if run.r_max is not None and run.r_max < 0:
         raise ValueError(f"r-max must be >= 0, got {run.r_max}")
     opt = gga_optimal_time(dist0)
@@ -182,13 +185,17 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
     rows = []
     dist = dist0
     amplitude_log = []
-    for r in range(r_max + 1):
+    p = []
+    for r in range(max(r_max, math.ceil(opt.time)) + 1):
         if r > 0:
             dist = gga_iterate(dist, 1)
+        p.append(dist.success_probability())
+        if r > r_max:
+            continue
         rows.append(
             {
                 "r": r,
-                "p": dist.success_probability(),
+                "p": p[r],
                 "kbar_re": dist.kbar.real,
                 "kbar_im": dist.kbar.imag,
                 "lbar_re": dist.lbar.real,
@@ -198,8 +205,8 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         amplitude_log.append(
             {
                 "r": r,
-                "solution_amplitudes": [[a.real, a.imag] for a in dist.solution_amplitudes],
-                "other_amplitudes": [[a.real, a.imag] for a in dist.other_amplitudes],
+                "solution_amplitudes": dist.solution_amplitudes.view(float).reshape(-1, 2),
+                "other_amplitudes": dist.other_amplitudes.view(float).reshape(-1, 2),
             }
         )
     extra = {
@@ -208,8 +215,8 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         "optimal_time": opt.time,
         "optimal_time_method": opt.method,
         "degenerate_phase": opt.degenerate_phase,
-        "p_floor": opt.p_floor,
-        "p_ceil": opt.p_ceil,
+        "p_floor": p[math.floor(opt.time)],
+        "p_ceil": p[math.ceil(opt.time)],
         "p_max": gga_pmax(dist0),
         "amplitudes_per_step": amplitude_log,
     }
@@ -297,13 +304,41 @@ def render_csv(result: SweepResult, run: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Stands in for an ndarray in json's output; no path or other CLI string holds a NUL.
+_ARRAY_MARK = "\x00ndarray\x00"
+
+
+def _pair_array_json(a: np.ndarray, indent: str) -> str:
+    """(M, 2) finite floats as json.dumps(a.tolist(), indent=2) writes them at `indent`."""
+    inner, item = indent + "  ", indent + "    "
+    pair = f"[\n{item}%s,\n{item}%s\n{inner}]"
+    pairs = f",\n{inner}".join([pair] * len(a)) % tuple(map(float.__repr__, a.ravel().tolist()))
+    return f"[\n{inner}{pairs}\n{indent}]" if len(a) else "[]"
+
+
 def render_json(result: SweepResult, run: RunConfig) -> str:
+    """json.dumps(doc, indent=2); each ndarray is a marker there, replaced by one text block."""
     doc = {
         "config": run.to_dict(),
         "rows": result.rows,
         "metadata": {**base_metadata(run, result.engines), **result.extra_metadata},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    arrays = []
+
+    def stash(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return _ARRAY_MARK
+
+    pieces = json.dumps(doc, indent=2, default=stash).split(json.dumps(_ARRAY_MARK))
+    if len(pieces) != len(arrays) + 1:
+        raise AssertionError(f"{len(pieces) - 1} array markers for {len(arrays)} arrays")
+    for i, a in enumerate(arrays):
+        line = pieces[i][pieces[i].rfind("\n") + 1 :]  # the indent, then the key if any
+        pieces[i] += _pair_array_json(a, line[: len(line) - len(line.lstrip())])
+    pieces[-1] += "\n"  # not on the joined text, which may be megabytes
+    return "".join(pieces)
 
 
 def render(result: SweepResult, run: RunConfig) -> str:

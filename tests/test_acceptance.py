@@ -19,7 +19,6 @@ from groverlab.entanglement import concurrence_two_qubit, concurrence_two_qubit_
 from groverlab.gga import (
     AmplitudeDistribution,
     PhiFamily,
-    closed_form_averages,
     gga_closed_form,
     gga_iterate,
     gga_optimal_time,
@@ -27,13 +26,17 @@ from groverlab.gga import (
     gga_success_probability_at,
     phi_family_delta_coherence,
     phi_family_distribution,
-    phi_family_states,
 )
 from groverlab.grover import GroverConfig, optimal_iterations, state_at, success_probability
 from groverlab.linalg import DensityMatrix, pure_partial_trace, von_neumann_entropy
 from groverlab.nonlocality import chsh_M, chsh_M_ga, svetlichny_max, svetlichny_max_ga
 from groverlab.optimizers import OptimizerConfig
-from witnesses import coherence_l1, coherence_relative_entropy
+from witnesses import (
+    closed_form_averages,
+    coherence_l1,
+    coherence_relative_entropy,
+    phi_family_states,
+)
 
 
 def _report(number: int, description: str, failures: list, elapsed: float | None = None):

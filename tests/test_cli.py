@@ -238,6 +238,22 @@ class TestGoldenOutputs:
                 assert got == pytest.approx(expected, rel=1e-11, abs=1e-14), (column, row)
 
     @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("gga_init_real_n4_r6.json", ("gga_init_real_n4.json", "--r-max", "6", "--format", "json")),
+            ("gga_init_complex_n5_r2.json", ("gga_init_complex_n5.json", "--r-max", "2", "--format", "json")),
+            ("gga_init_complex_n5_r2.csv", ("gga_init_complex_n5.json", "--r-max", "2", "--format", "csv")),
+        ],
+    )
+    def test_init_file_byte_identical(self, name, args, monkeypatch):
+        # the start is named relative to the golden directory, as the stored
+        # JSON config records the path it was given
+        monkeypatch.chdir(GOLDEN)
+        result = run_cli("gga", "--init-file", *args)
+        assert result.exit_code == 0
+        assert result.output == (GOLDEN / name).read_text()
+
+    @pytest.mark.parametrize(
         "name, n, j, extra",
         [("ga_n6_j1_optimizers", 6, 1, ()), ("ga_n4_j2_optimizers", 4, 2, ("--r-max", "1"))],
     )
@@ -446,8 +462,10 @@ class TestGgaCommand:
         assert steps[1]["solution_amplitudes"] == [[1.0, 0.0]]
         assert "closed_form" in payload["metadata"]
 
-    def test_init_file_steps_only_between_rows(self, tmp_path, monkeypatch):
-        from groverlab import report
+    @pytest.fixture
+    def grover_steps(self, monkeypatch):
+        """Every gga_iterate call made from the gga and report layers, as its step count."""
+        from groverlab import gga, report
 
         steps = []
 
@@ -455,14 +473,47 @@ class TestGgaCommand:
             steps.append(n_steps)
             return gga_iterate(dist, n_steps)
 
+        monkeypatch.setattr(gga, "gga_iterate", counting)
         monkeypatch.setattr(report, "gga_iterate", counting)
-        init = tmp_path / "uniform.json"
-        init.write_text(json.dumps({"n": 4, "solutions": [3], "amplitudes": [[0.25, 0.0]] * 16}))
-        result = run_cli("gga", "--init-file", str(init), "--r-max", "5", "--format", "csv")
+        return steps
+
+    def test_phi_sweep_takes_no_grover_step(self, grover_steps):
+        result = run_cli("gga", "--n", "10", "--phi-points", "5")
         assert result.exit_code == 0
-        _, _, rows = parse_csv(result.output)
-        assert [int(row["r"]) for row in rows] == list(range(6))
-        assert sum(steps) == 5
+        assert grover_steps == []
+
+    def test_init_file_steps_only_between_rows(self, tmp_path, grover_steps):
+        # one single step per r up to max(r_max, ceil(t)); the rows stop at r_max
+        uniform = tmp_path / "uniform.json"
+        uniform.write_text(json.dumps({"n": 4, "solutions": [3], "amplitudes": [[0.25, 0.0]] * 16}))
+        real, cplx = GOLDEN / "gga_init_real_n4.json", GOLDEN / "gga_init_complex_n5.json"
+        # t = 2.6 (uniform), 2.53 (real), 2.55 (complex, scan fallback)
+        for init, r_max, steps in [(uniform, 5, 5), (real, 1, 3), (real, 6, 6), (cplx, 2, 3), (cplx, 4, 4)]:
+            grover_steps.clear()
+            result = run_cli("gga", "--init-file", str(init), "--r-max", str(r_max), "--format", "csv")
+            assert result.exit_code == 0
+            _, _, rows = parse_csv(result.output)
+            assert [int(row["r"]) for row in rows] == list(range(r_max + 1))
+            assert grover_steps == [1] * steps, (init.name, r_max)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"n": 2, "solutions": [0], "amplitudes": [[0.5, math.nan]] + [[0.5, 0]] * 3}, "amplitudes[0]"),
+            ({"n": 1, "solutions": [0], "amplitudes": [[math.nan, 0], [1, 0]]}, "amplitudes[0]"),
+            ({"n": 1, "solutions": [1], "amplitudes": [[1, 0], [math.inf, 0]]}, "amplitudes[1]"),
+            ({"n": 1, "solutions": [0], "amplitudes": [[1, 0], [0, 10**400]]}, "amplitudes[1]"),
+            ({"n": True, "solutions": [0], "amplitudes": [[1, 0], [0, 0]]}, "'n'"),
+            ({"n": 1, "solutions": [True], "amplitudes": [[1, 0], [0, 0]]}, "'solutions'"),
+        ],
+    )
+    def test_non_finite_or_boolean_init_file_is_usage_error(self, tmp_path, doc, field):
+        init = tmp_path / "bad.json"
+        init.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+        for fmt in ("csv", "json"):
+            result = run_cli("gga", "--init-file", str(init), "--format", fmt)
+            assert result.exit_code == 2
+            assert field in result.output
 
     def test_malformed_init_file_is_usage_error(self, tmp_path):
         init = tmp_path / "bad.json"

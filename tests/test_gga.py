@@ -10,7 +10,6 @@ from groverlab.errors import AmplitudeFileError, InvalidStateError, UnsupportedS
 from groverlab.gga import (
     AmplitudeDistribution,
     PhiFamily,
-    closed_form_averages,
     distribution_from_json,
     gga_closed_form,
     gga_iterate,
@@ -19,11 +18,10 @@ from groverlab.gga import (
     gga_success_probability_at,
     phi_family_delta_coherence,
     phi_family_distribution,
-    phi_family_states,
 )
 from groverlab.grover import GroverConfig, optimal_iteration_details
 from groverlab.linalg import DensityMatrix
-from witnesses import coherence_relative_entropy
+from witnesses import closed_form_averages, coherence_relative_entropy, phi_family_states
 
 
 def random_real_distribution(seed, n=None, j=None):
@@ -203,6 +201,22 @@ class TestPmaxAndOptimalTime:
             assert gga_success_probability_at(d, r) == pytest.approx(
                 gga_iterate(d, r).success_probability(), abs=1e-10
             )
+
+    def test_complex_scan_reads_the_start_once(self, monkeypatch):
+        # the scan evaluates p(t) about 4,500 times; its constants come from
+        # one read of the non-solution amplitudes, not one per evaluation
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=64) + 1j * rng.normal(size=64)
+        d = AmplitudeDistribution(v / np.linalg.norm(v), (3, 40))
+        reads = []
+        prop = AmplitudeDistribution.other_amplitudes
+        monkeypatch.setattr(
+            AmplitudeDistribution,
+            "other_amplitudes",
+            property(lambda self: reads.append(1) or prop.fget(self)),
+        )
+        assert gga_optimal_time(d).method == "scan"
+        assert 1 <= len(reads) <= 2
 
     def test_global_phase_leaves_pmax_invariant(self):
         d0 = random_real_distribution(11)

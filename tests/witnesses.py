@@ -1,13 +1,23 @@
-"""Dense density-matrix witnesses that the package itself no longer needs.
+"""Witnesses that the package itself no longer needs.
 
 The identity suite works on amplitudes, so these general-state routines
 live here, where tests use them as independent checks of the pure-state
-and closed-form paths.
+and closed-form paths. The GGA closed-form averages and the phi-family
+state pair are here for the same reason: only tests compare with them.
 """
+
+import math
 
 import numpy as np
 
-from groverlab.linalg import DensityMatrix, _check_keep, shannon_entropy, von_neumann_entropy
+from groverlab.gga import GGAClosedForm, PhiFamily, phi_family_distribution
+from groverlab.linalg import (
+    DensityMatrix,
+    PureState,
+    _check_keep,
+    shannon_entropy,
+    von_neumann_entropy,
+)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -35,3 +45,17 @@ def coherence_l1(rho: DensityMatrix) -> float:
     """Sum of the magnitudes of all off-diagonal entries."""
     m = np.abs(rho.matrix)
     return max(0.0, float(m.sum() - m.trace()))
+
+
+def closed_form_averages(cf: GGAClosedForm, j: int, N: int, r: float) -> tuple[float, float]:
+    """(kbar, lbar) predicted at (possibly continuous) iteration r."""
+    phase = cf.omega * r + cf.beta
+    return (
+        cf.C / math.sqrt(j) * math.sin(phase),
+        cf.C / math.sqrt(N - j) * math.cos(phase),
+    )
+
+
+def phi_family_states(fam: PhiFamily) -> tuple[PureState, PureState]:
+    """(initial state as a length-N vector, optimal-time state k1|0> + k2|1>)."""
+    return phi_family_distribution(fam), PureState(np.array([fam.k1, fam.k2], dtype=complex))
