@@ -58,7 +58,6 @@ from .grover import (
     GroverConfig,
     OptimalIteration,
     SymmetricGAState,
-    full_density,
     optimal_iteration_details,
     optimal_iterations,
     reduced_density,
@@ -71,7 +70,6 @@ from .linalg import (
     binary_entropy,
     pure_partial_trace,
     pure_subsystem_entropy,
-    relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -82,7 +80,6 @@ from .nonlocality import (
     chsh_M_ga,
     correlation_matrix,
     correlation_tensor_3,
-    svetlichny_expectation,
     svetlichny_max,
     svetlichny_max_ga,
 )

@@ -174,22 +174,6 @@ class ValidationSummary:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if c.cases)
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "fault": self.fault,
-            "checks": [
-                {
-                    "name": c.name,
-                    "max_deviation": c.max_deviation,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "cases": c.cases,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 _IDENTITY_TOLERANCES = {
     "success_probability": 1e-12,

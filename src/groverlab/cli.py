@@ -23,21 +23,23 @@ from .report import (
 )
 
 
-def _load_config_file(path: str | None) -> dict:
-    """Line-oriented key=value file; later duplicate keys win.
+def _load_config_file(ctx: click.Context, param, path: str | None) -> None:
+    """Read a line-oriented key=value file into the command's default_map.
 
-    The keys are the running command's long options without "--"; an unknown
-    key or an unreadable file is a usage error.
+    The keys are the command's long options without "--"; later duplicate
+    keys win. Values then go through each option's own type and checks, and
+    a flag given on the command line wins over its key. An unknown key or an
+    unreadable file is a usage error.
     """
     if path is None:
-        return {}
-    command = click.get_current_context().command
-    known = {o[2:] for p in command.params for o in p.opts if o.startswith("--")} - {"config"}
-    values = {}
+        return
+    names = {o[2:]: p.name for p in ctx.command.params for o in p.opts if o.startswith("--")}
+    del names["config"]
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read config file {path}: {exc}")
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -46,24 +48,13 @@ def _load_config_file(path: str | None) -> dict:
             raise click.UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in names:
             raise click.UsageError(
-                f"{path}:{lineno}: unknown {command.name} config key {key!r}"
-                f" (known: {', '.join(sorted(known))})"
+                f"{path}:{lineno}: unknown {ctx.command.name} config key {key!r}"
+                f" (known: {', '.join(sorted(names))})"
             )
-        values[key] = value.strip()
-    return values
-
-
-def _merged(flag_value, file_values: dict, key: str, cast, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        try:
-            return cast(file_values[key])
-        except (TypeError, ValueError) as exc:
-            raise click.UsageError(f"config key {key}={file_values[key]!r}: {exc}")
-    return default
+        values[names[key]] = value.strip()
+    ctx.default_map = values
 
 
 def _parse_j_spec(spec: str) -> tuple:
@@ -75,93 +66,125 @@ def _parse_j_spec(spec: str) -> tuple:
 
 
 def _parse_grid(spec: str) -> tuple:
+    """(theta_grid, phi_grid), the first two fields of OptimizerConfig."""
     theta, _, phi = spec.lower().partition("x")
     return int(theta), int(phi)
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+def _parse_measures(spec: str) -> tuple:
+    measures = tuple(spec.split(","))
+    bad = [m for m in measures if m not in MEASURE_KEYS]
+    if bad:
+        raise ValueError(f"unknown {', '.join(bad)}; known: {', '.join(MEASURE_KEYS)}")
+    return measures
+
+
+class _Parsed(click.ParamType):
+    """A string option read by `parse`; its ValueError fails the option (exit 2)."""
+
+    def __init__(self, name: str, parse):
+        self.name = name
+        self.parse = parse
+
+    def convert(self, value, param, ctx):
+        try:
+            return self.parse(value)
+        except ValueError as exc:
+            self.fail(f"{value!r}: {exc}", param, ctx)
+
+
+J_SPEC = _Parsed("j", _parse_j_spec)
+GRID = _Parsed("grid", _parse_grid)
+MEASURE_LIST = _Parsed("measures", _parse_measures)
+
+
+def _apply(*decorators):
+    def wrap(fn):
+        for decorator in reversed(decorators):
+            fn = decorator(fn)
+        return fn
+
+    return wrap
+
+
+_run_options = _apply(
+    click.option("--seed", type=int, default=0, help="Optimizer / RNG seed."),
+    click.option(
+        "--config",
+        metavar="FILE",
+        is_eager=True,
+        expose_value=False,
+        callback=_load_config_file,
+        help="key=value config file; its keys are the long options, and flags win.",
+    ),
+)
+
+_optimizer_options = _apply(
+    click.option(
+        "--grid",
+        type=GRID,
+        default=f"{OptimizerConfig.theta_grid}x{OptimizerConfig.phi_grid}",
+        help="Discord grid THETAxPHI.",
+    ),
+    click.option("--restarts", type=int, default=OptimizerConfig.restarts, help="Svetlichny restarts."),
+)
+
+
+def _output_options(fmt: str):
+    return _apply(
+        click.option(
+            "--format", "fmt", type=click.Choice(["csv", "json"]), default=fmt, help="Output format."
+        ),
+        click.option("--out", help="Output path (stdout when omitted)."),
+        _run_options,
+    )
+
+
+def _write(path: Path, content: str):
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
 
 
 def _emit(content: str, out: str | None):
     if out is None:
         click.echo(content, nl=False)
     else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", newline="\n") as fh:
-            fh.write(content)
+        _write(Path(out), content)
 
 
-def _common_options(fn):
-    fn = click.option("--seed", type=int, default=None, help="Optimizer / RNG seed.")(fn)
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(["csv", "json"]), default=None, help="Output format."
-    )(fn)
-    fn = click.option("--out", default=None, help="Output path (stdout when omitted).")(fn)
-    fn = click.option("--config", "config_path", default=None, help="key=value config file.")(fn)
-    return fn
-
-
-@click.group()
+@click.group(context_settings={"show_default": True})
 @click.version_option(__version__)
 def main():
     """Grover-search sweeps, generalized-Grover runs and self-validation."""
 
 
 @main.command()
-@click.option("--n", type=int, default=None, help="Qubit count (database size 2^n).")
-@click.option("--j", "j_spec", default=None, help="Solution count: '3', '1,2,5' or '1..10'.")
-@click.option("--r-max", type=int, default=None, help="Last iteration (default: r_opt).")
+@click.option("--n", type=int, default=11, help="Qubit count (database size 2^n).")
+@click.option("--j", "j_values", type=J_SPEC, default="1", help="Solution count: '3', '1,2,5' or '1..10'.")
+@click.option("--r-max", type=int, help="Last iteration; r_opt when omitted.")
 @click.option(
     "--measures",
-    default=None,
-    help=f"Comma list from {', '.join(MEASURE_KEYS)} (default {','.join(DEFAULT_GA_MEASURES)}).",
+    type=MEASURE_LIST,
+    default=",".join(DEFAULT_GA_MEASURES),
+    help=f"Comma list from {', '.join(MEASURE_KEYS)}.",
 )
-@click.option("--grid", default=None, help="Discord grid THETAxPHI (default 64x128).")
-@click.option("--restarts", type=int, default=None, help="Svetlichny restarts (default 64).")
-@click.option("--no-oracle", is_flag=True, default=False, help="Disable the brute-force fallback engine.")
-@_common_options
-def ga(n, j_spec, r_max, measures, grid, restarts, no_oracle, seed, fmt, out, config_path):
+@_optimizer_options
+@click.option("--no-oracle", is_flag=True, help="Disable the brute-force fallback engine.")
+@_output_options("csv")
+def ga(n, j_values, r_max, measures, grid, restarts, no_oracle, seed, fmt, out):
     """Sweep the standard search: one row per iteration r = 0..r_max."""
-    cfgf = _load_config_file(config_path)
     try:
-        n = _merged(n, cfgf, "n", int, 11)
-        j_values = _merged(
-            _parse_j_spec(j_spec) if j_spec else None, cfgf, "j", _parse_j_spec, (1,)
-        )
-        r_max = _merged(r_max, cfgf, "r-max", int, None)
-        measure_list = _merged(
-            tuple(measures.split(",")) if measures else None,
-            cfgf,
-            "measures",
-            lambda s: tuple(s.split(",")),
-            DEFAULT_GA_MEASURES,
-        )
-        theta_grid, phi_grid = _merged(
-            _parse_grid(grid) if grid else None, cfgf, "grid", _parse_grid, (64, 128)
-        )
-        restarts = _merged(restarts, cfgf, "restarts", int, 64)
-        seed = _merged(seed, cfgf, "seed", int, 0)
-        fmt = _merged(fmt, cfgf, "format", str, "csv")
-        out = _merged(out, cfgf, "out", str, None)
-        if no_oracle is False and "no-oracle" in cfgf:
-            no_oracle = _parse_bool(cfgf["no-oracle"])
-        bad = [m for m in measure_list if m not in MEASURE_KEYS]
-        if bad:
-            raise click.UsageError(f"unknown measures: {', '.join(bad)}")
         run = RunConfig(
             command="ga",
             n=n,
             j_values=j_values,
             r_max=r_max,
-            measures=measure_list,
-            optimizer=OptimizerConfig(
-                theta_grid=theta_grid, phi_grid=phi_grid, restarts=restarts, seed=seed
-            ),
+            measures=measures,
+            optimizer=OptimizerConfig(*grid, restarts=restarts, seed=seed),
             seed=seed,
             fmt=fmt,
             use_oracle=not no_oracle,
@@ -173,21 +196,13 @@ def ga(n, j_spec, r_max, measures, grid, restarts, no_oracle, seed, fmt, out, co
 
 
 @main.command()
-@click.option("--n", type=int, default=None, help="Qubit count for the phi-family sweep.")
-@click.option("--phi-points", type=int, default=None, help="Points in the phi0 sweep (default 50).")
-@click.option("--init-file", default=None, help="JSON initial-amplitude document.")
-@click.option("--r-max", type=int, default=None, help="Steps to log for --init-file runs.")
-@_common_options
-def gga(n, phi_points, init_file, r_max, seed, fmt, out, config_path):
+@click.option("--n", type=int, default=10, help="Qubit count for the phi-family sweep.")
+@click.option("--phi-points", type=int, default=50, help="Points in the phi0 sweep.")
+@click.option("--init-file", help="JSON initial-amplitude document.")
+@click.option("--r-max", type=int, help="Steps to log for --init-file runs.")
+@_output_options("csv")
+def gga(n, phi_points, init_file, r_max, seed, fmt, out):
     """Generalized search: phi-family sweep, or evolution of a custom start."""
-    cfgf = _load_config_file(config_path)
-    n = _merged(n, cfgf, "n", int, 10)
-    phi_points = _merged(phi_points, cfgf, "phi-points", int, 50)
-    init_file = _merged(init_file, cfgf, "init-file", str, None)
-    r_max = _merged(r_max, cfgf, "r-max", int, None)
-    seed = _merged(seed, cfgf, "seed", int, 0)
-    fmt = _merged(fmt, cfgf, "format", str, "csv")
-    out = _merged(out, cfgf, "out", str, None)
     try:
         if init_file is not None:
             try:
@@ -211,27 +226,18 @@ def gga(n, phi_points, init_file, r_max, seed, fmt, out, config_path):
 
 
 @main.command()
-@click.option("--max-n", type=int, default=None, help="Largest qubit count to validate (default 8).")
-@click.option("--j", "j_spec", default=None, help="Solution counts to validate (default 1,2).")
-@click.option("--inject-fault", type=float, default=None, help="Perturb the analytic amplitude (self-test).")
-@_common_options
-def verify(max_n, j_spec, inject_fault, seed, fmt, out, config_path):
+@click.option("--max-n", type=int, default=8, help="Largest qubit count to validate.")
+@click.option("--j", "j_values", type=J_SPEC, default="1,2", help="Solution counts to validate.")
+@click.option("--inject-fault", type=float, default=0.0, help="Perturb the analytic amplitude (self-test).")
+@_output_options("json")
+def verify(max_n, j_values, inject_fault, seed, fmt, out):
     """Run the closed-form-vs-brute-force identity suite; exit 1 on failure."""
-    cfgf = _load_config_file(config_path)
-    max_n = _merged(max_n, cfgf, "max-n", int, 8)
-    j_values = _merged(
-        _parse_j_spec(j_spec) if j_spec else None, cfgf, "j", _parse_j_spec, (1, 2)
-    )
-    fault = _merged(inject_fault, cfgf, "inject-fault", float, 0.0)
-    seed = _merged(seed, cfgf, "seed", int, 0)
-    fmt = _merged(fmt, cfgf, "format", str, "json")
-    out = _merged(out, cfgf, "out", str, None)
     try:
         run = RunConfig(
             command="verify",
             j_values=j_values,
             max_n=max_n,
-            inject_fault=fault,
+            inject_fault=inject_fault,
             seed=seed,
             fmt=fmt,
         )
@@ -244,38 +250,26 @@ def verify(max_n, j_spec, inject_fault, seed, fmt, out, config_path):
 
 
 @main.command()
-@click.option("--out", "out_dir", default="figures", help="Output directory.")
-@click.option("--grid", default=None, help="Discord grid THETAxPHI (default 64x128).")
-@click.option("--restarts", type=int, default=None, help="Svetlichny restarts (default 64).")
-@click.option("--phi-points", type=int, default=None, help="Points for the fig3 sweep (default 50).")
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", default=None, help="key=value config file.")
-def figures(out_dir, grid, restarts, phi_points, seed, config_path):
+@click.option(
+    "--out", "out_dir", type=click.Path(path_type=Path), default="figures", help="Output directory."
+)
+@_optimizer_options
+@click.option("--phi-points", type=int, default=50, help="Points for the fig3 sweep.")
+@_run_options
+def figures(out_dir, grid, restarts, phi_points, seed):
     """Emit plot-ready CSV data plus a gnuplot script for each measure figure."""
-    cfgf = _load_config_file(config_path)
-    theta_grid, phi_grid = _merged(
-        _parse_grid(grid) if grid else None, cfgf, "grid", _parse_grid, (64, 128)
-    )
-    restarts = _merged(restarts, cfgf, "restarts", int, 64)
-    phi_points = _merged(phi_points, cfgf, "phi-points", int, 50)
-    seed = _merged(seed, cfgf, "seed", int, 0)
-    out_dir = Path(_merged(None, cfgf, "out", str, out_dir))
     try:
         run = RunConfig(
             command="figures",
             seed=seed,
             phi_points=phi_points,
-            optimizer=OptimizerConfig(
-                theta_grid=theta_grid, phi_grid=phi_grid, restarts=restarts, seed=seed
-            ),
+            optimizer=OptimizerConfig(*grid, restarts=restarts, seed=seed),
         )
         files = figure_outputs(run)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        with open(out_dir / name, "w", newline="\n") as fh:
-            fh.write(content)
+        _write(out_dir / name, content)
         click.echo(f"wrote {out_dir / name}")
 
 

@@ -221,9 +221,11 @@ def gga_optimal_time(dist0: AmplitudeDistribution) -> GGAOptimalTime:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         if p_at(m1) < p_at(m2):
-            lo = m1
+            lo, moved = m1, m1 != lo
         else:
-            hi = m2
+            hi, moved = m2, m2 != hi
+        if not moved:  # a fixed point: every later round would repeat this one
+            break
     return GGAOptimalTime(time=0.5 * (lo + hi), method="scan")
 
 
@@ -308,6 +310,16 @@ def distribution_from_json(text: str) -> AmplitudeDistribution:
     n = doc["n"]
     if type(n) is not int or n < 1:  # a bool is an int subclass
         raise AmplitudeFileError(f"field 'n': expected a positive integer, got {n!r}")
+    amps_raw = doc["amplitudes"]
+    if not isinstance(amps_raw, list):
+        raise AmplitudeFileError(
+            f"field 'amplitudes': expected a list, got {type(amps_raw).__name__}"
+        )
+    # 2^n past twice the entries given: n is wrong, and 2^n may not even be printable
+    if n > len(amps_raw).bit_length():
+        raise AmplitudeFileError(
+            f"field 'n': 2^{n} amplitudes cannot match the {len(amps_raw)} given"
+        )
     N = 1 << n
     sols = doc["solutions"]
     if (
@@ -319,12 +331,8 @@ def distribution_from_json(text: str) -> AmplitudeDistribution:
         raise AmplitudeFileError(
             f"field 'solutions': expected distinct integers in 0..{N - 1}, got {sols!r}"
         )
-    amps_raw = doc["amplitudes"]
-    if not isinstance(amps_raw, list) or len(amps_raw) != N:
-        raise AmplitudeFileError(
-            f"field 'amplitudes': expected {N} entries, got "
-            f"{len(amps_raw) if isinstance(amps_raw, list) else type(amps_raw).__name__}"
-        )
+    if len(amps_raw) != N:
+        raise AmplitudeFileError(f"field 'amplitudes': expected {N} entries, got {len(amps_raw)}")
     amps = np.empty(N, dtype=complex)
     for i, pair in enumerate(amps_raw):
         # json.loads reads NaN and Infinity, and an int may be past the float range

@@ -140,12 +140,6 @@ def ga_statevector_amplitudes(cfg: GroverConfig, st: SymmetricGAState) -> np.nda
     return amps
 
 
-def full_density(cfg: GroverConfig, st: SymmetricGAState) -> DensityMatrix:
-    """Rank-1 projector onto the GA state; entries depend only on solution membership."""
-    amps = ga_statevector_amplitudes(cfg, st)
-    return DensityMatrix(np.outer(amps, amps.conj()))
-
-
 def _require_leading_single_solution(cfg: GroverConfig, what: str) -> None:
     if cfg.j != 1 or cfg.solutions != (0,):
         raise UnsupportedStructureError(

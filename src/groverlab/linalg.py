@@ -7,7 +7,6 @@ significant bit of the basis index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,19 +94,9 @@ class DensityMatrix:
             return amplitudes.projector()
         return PureState(np.asarray(amplitudes)).projector()
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum, ascending, with tiny negatives clipped to zero."""
         return _clip_spectrum(np.linalg.eigvalsh(self.matrix), "DensityMatrix spectrum")
-
-    def validate_psd(self) -> None:
-        self.eigenvalues()
-
-    def diagonal_part(self) -> "DensityMatrix":
-        return DensityMatrix(np.diag(self.matrix.diagonal().real).astype(complex))
 
     def purity(self) -> float:
         return float(np.sum(np.abs(self.matrix) ** 2))
@@ -135,26 +124,6 @@ def shannon_entropy(probabilities: np.ndarray) -> float:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr(rho log2 rho) evaluated on the clipped spectrum."""
     return shannon_entropy(rho.eigenvalues())
-
-
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Tr(rho log2 rho - rho log2 sigma); +inf when supp(rho) leaves supp(sigma)."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    pr, vr = np.linalg.eigh(rho.matrix)
-    ps, vs = np.linalg.eigh(sigma.matrix)
-    pr = _clip_spectrum(pr, "relative_entropy first argument")
-    ps = _clip_spectrum(ps, "relative_entropy second argument")
-    overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
-    sigma_null = ps <= NORM_TOL
-    if np.any(sigma_null):
-        leak = float(pr @ overlap[:, sigma_null].sum(axis=1))
-        if leak > 1e-10:
-            return math.inf
-    term_rho = float(np.sum(pr[pr > 0.0] * np.log2(pr[pr > 0.0])))
-    support = ~sigma_null
-    cross = float((pr @ overlap[:, support]) @ np.log2(ps[support]))
-    return max(0.0, term_rho - cross)
 
 
 def _check_keep(n: int, keep) -> tuple[int, ...]:

@@ -109,25 +109,6 @@ class SvetlichnyResult:
     converged: bool
 
 
-def svetlichny_expectation(tensor: CorrelationTensor, settings: SvetlichnySettings) -> float:
-    """<S> = ABC + ABC' + AB'C - AB'C' + A'BC - A'BC' - A'B'C - A'B'C'.
-
-    Every term is a full-weight Pauli product, so the expectation depends on
-    the state only through the tripartite correlation tensor.
-    """
-    if tensor.order != 3:
-        raise ValueError("Svetlichny expectation needs an order-3 tensor")
-    T = tensor.entries
-    s = settings
-    triple = lambda x, y, z: float(np.einsum("ijk,i,j,k->", T, x, y, z))
-    return (
-        triple(s.a, s.b, s.c) + triple(s.a, s.b, s.c_prime)
-        + triple(s.a, s.b_prime, s.c) - triple(s.a, s.b_prime, s.c_prime)
-        + triple(s.a_prime, s.b, s.c) - triple(s.a_prime, s.b, s.c_prime)
-        - triple(s.a_prime, s.b_prime, s.c) - triple(s.a_prime, s.b_prime, s.c_prime)
-    )
-
-
 def _contract(T, y, z):
     """w[r, i] = sum_jk T[i, j, k] y[r, j] z[r, k], elementwise in the rows.
 

@@ -17,7 +17,7 @@ from groverlab.gga import AmplitudeDistribution, gga_iterate
 from groverlab.grover import GroverConfig, optimal_iterations, state_at
 from groverlab.linalg import DensityMatrix
 from groverlab.optimizers import OptimizerConfig
-from groverlab.report import _ga_series_rows
+from groverlab.report import RunConfig, _ga_series_rows, verify_rows
 
 EPS = np.finfo(float).eps
 
@@ -221,10 +221,10 @@ class TestCrossValidate:
         assert dims and max(dims) < 1 << max_n
 
     def test_summary_serialization(self):
-        summary = cross_validate(max_n=3)
-        doc = summary.to_dict()
-        assert doc["passed"] is True
-        assert {c["name"] for c in doc["checks"]} == {c.name for c in summary.checks}
+        summary, result = verify_rows(RunConfig(command="verify", max_n=3))
+        assert result.extra_metadata == {"passed": True, "fault": 0.0}
+        assert [row["name"] for row in result.rows] == [c.name for c in summary.checks]
+        assert all(set(row) == set(result.columns) for row in result.rows)
 
     def test_max_n_guard(self):
         with pytest.raises(ValueError):

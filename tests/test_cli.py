@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -23,7 +24,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def run_cli(*args):
     result = CliRunner().invoke(main, list(args))
-    if result.exit_code not in (0, 1, 2):  # pragma: no cover - debugging aid
+    # a traceback also exits 1, so only a SystemExit may end a run
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception
     return result
 
@@ -652,6 +654,103 @@ class TestConfigFile:
         assert result.exit_code == 0
         _, _, rows = parse_csv(result.output)
         assert {row["name"]: int(row["cases"]) for row in rows}["success_probability"] == 5
+
+    @pytest.mark.parametrize("command", ["ga", "verify"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, command):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("format=xml\n")
+        result = run_cli(command, "--config", str(cfgfile))
+        assert result.exit_code == 2
+        assert "Invalid value for '--format'" in result.output
+
+    def test_config_boolean_flag(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("n=5\nj=2\nmeasures=e2\nr-max=1\nno-oracle=true\n")
+        result = run_cli("ga", "--config", str(cfgfile))
+        assert result.exit_code == 0
+        meta, _, rows = parse_csv(result.output)
+        assert meta["engine.j2.e2"] == "unavailable"
+        assert rows[0]["e2"] == "NA"
+
+    def test_figures_out_flag_overrides_config(self, tmp_path):
+        flag_dir, config_dir = tmp_path / "flag", tmp_path / "config"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"out={config_dir}\ngrid=4x8\nrestarts=1\nphi-points=3\n")
+        result = run_cli("figures", "--config", str(cfgfile), "--out", str(flag_dir))
+        assert result.exit_code == 0, result.output
+        assert len(list(flag_dir.iterdir())) == 8
+        assert not config_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ga", "--n", "2", "--out", "."),
+        ("ga", "--n", "2", "--out", "taken/a.csv"),
+        ("verify", "--max-n", "2", "--out", ""),
+        ("figures", "--grid", "4x8", "--restarts", "1", "--phi-points", "2", "--out", "taken"),
+    ],
+)
+def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    Path("taken").write_text("a file, not a directory\n")
+    result = run_cli(*args)
+    assert result.exit_code == 2, result.output
+    assert "cannot write" in result.output
+
+
+# small runs of each command, as flags and as the same config lines
+SMALL_RUNS = {
+    "ga": {"n": "2", "measures": "cr"},
+    "gga": {"n": "2", "phi-points": "3"},
+    "verify": {"max-n": "2", "j": "1"},
+}
+
+
+def _typed_options(command):
+    """Long names of the options that convert their text: all but free strings and --config."""
+    return [
+        p.opts[0][2:]
+        for p in main.commands[command].params
+        if p.expose_value and p.type is not click.STRING
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, o) for c in SMALL_RUNS for o in _typed_options(c)],
+)
+def test_malformed_option_value_is_usage_error(tmp_path, monkeypatch, command, option):
+    monkeypatch.chdir(tmp_path)
+    small = SMALL_RUNS[command]
+    flags = [f for key, value in small.items() for f in (f"--{key}", value)]
+    (param,) = (p for p in main.commands[command].params if p.opts[0] == f"--{option}")
+    if not param.is_flag:  # a flag takes no value on the command line
+        result = run_cli(command, *flags, f"--{option}", "x")
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '--{option}'" in result.output
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{key}={value}\n" for key, value in small.items()) + f"{option}=x\n")
+    result = run_cli(command, "--config", str(cfgfile))
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '--{option}'" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (("verify", "--j", "abc"), "--j"),
+        (("verify", "--j", "1..x"), "--j"),
+        (("figures", "--grid", "abc"), "--grid"),
+        (("figures", "--grid", "2"), "--grid"),
+    ],
+)
+def test_malformed_spec_is_usage_error(tmp_path, monkeypatch, args, option):
+    monkeypatch.chdir(tmp_path)  # a run that wrongly goes ahead writes here
+    result = run_cli(*args)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from groverlab.coherence import (
 from groverlab.errors import AsymptoticRegimeWarning
 from groverlab.grover import GroverConfig, optimal_iterations, state_at, success_probability
 from groverlab.linalg import DensityMatrix
-from witnesses import coherence_l1, coherence_relative_entropy
+from witnesses import coherence_l1, coherence_relative_entropy, relative_entropy
 
 
 class TestGenericMeasures:
@@ -33,6 +33,17 @@ class TestGenericMeasures:
         cfg = GroverConfig(n=3, j=1)
         rho = DensityMatrix.from_pure(evolve(cfg, 1).amplitudes)
         assert coherence_relative_entropy(rho) == pytest.approx(coherence_r_ga(cfg, state_at(cfg, 1)), abs=1e-10)
+
+    @pytest.mark.parametrize("n, j", [(2, 1), (4, 1), (5, 3), (6, 2)])
+    def test_closed_form_is_the_distance_to_the_dephased_state(self, n, j):
+        # C_r(rho) = S(rho || Delta(rho)), the nearest incoherent state being
+        # rho with its off-diagonal entries removed
+        cfg = GroverConfig(n=n, j=j)
+        for r in range(optimal_iterations(cfg) + 1):
+            rho = DensityMatrix.from_pure(evolve(cfg, r).amplitudes)
+            dephased = DensityMatrix(np.diag(rho.matrix.diagonal()))
+            expected = coherence_r_ga(cfg, state_at(cfg, r))
+            assert relative_entropy(rho, dephased) == pytest.approx(expected, abs=1e-9), r
 
 
 class TestRelativeEntropyDynamics:

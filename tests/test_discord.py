@@ -15,6 +15,7 @@ from groverlab.errors import UnsupportedStructureError
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
 from groverlab.linalg import DensityMatrix, pure_partial_trace, von_neumann_entropy
 from groverlab.optimizers import OptimizerConfig
+from witnesses import maximally_mixed
 
 FAST = OptimizerConfig(theta_grid=32, phi_grid=64)
 
@@ -121,7 +122,7 @@ class TestPairwiseDiscord:
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            pairwise_discord(DensityMatrix.maximally_mixed(8))
+            pairwise_discord(maximally_mixed(8))
 
 
 class TestGenuineDiscord:

@@ -16,6 +16,7 @@ from groverlab.errors import CapacityError, UnsupportedStructureError
 from groverlab.gga import gga_iterate
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
 from groverlab.linalg import DensityMatrix, pure_partial_trace, pure_subsystem_purity
+from witnesses import maximally_mixed
 
 
 def bell_state():
@@ -46,7 +47,7 @@ class TestWootters:
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            concurrence_two_qubit(DensityMatrix.maximally_mixed(8))
+            concurrence_two_qubit(maximally_mixed(8))
 
 
 class TestPairwiseGA:

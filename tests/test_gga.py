@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groverlab import gga as gga_module
 from groverlab.errors import AmplitudeFileError, InvalidStateError, UnsupportedStructureError
 from groverlab.gga import (
     AmplitudeDistribution,
@@ -218,6 +219,37 @@ class TestPmaxAndOptimalTime:
         assert gga_optimal_time(d).method == "scan"
         assert 1 <= len(reads) <= 2
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_complex_scan_stops_at_its_fixed_point(self, seed, monkeypatch):
+        # the ternary search ends once a round leaves its bracket where it was,
+        # at the time that all 200 rounds reach
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+        d = AmplitudeDistribution(v / np.linalg.norm(v), (0, 1))
+        envelope = gga_module._success_envelope
+        calls = []
+
+        def counting(dist):
+            p_at = envelope(dist)
+            return lambda t: calls.append(t) or p_at(t)
+
+        monkeypatch.setattr(gga_module, "_success_envelope", counting)
+        t = gga_optimal_time(d)
+        grid_points = 4097
+        assert len(calls) < grid_points + 2 * 100
+        p_at = envelope(d)
+        grid = np.linspace(0.0, math.pi / d.omega, grid_points)
+        best = int(np.argmax([p_at(x) for x in grid]))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        for _ in range(200):
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            if p_at(m1) < p_at(m2):
+                lo = m1
+            else:
+                hi = m2
+        assert t.time == 0.5 * (lo + hi)
+
     def test_global_phase_leaves_pmax_invariant(self):
         d0 = random_real_distribution(11)
         rotated = AmplitudeDistribution(d0.amplitudes * np.exp(0.7j), d0.solutions)
@@ -338,6 +370,13 @@ class TestJsonInterface:
     def test_bad_solutions(self):
         doc = self.make_doc(solutions=(0, 9))
         with pytest.raises(AmplitudeFileError, match="solutions"):
+            distribution_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("n", [3, 20000])
+    def test_n_past_the_amplitude_count(self, n):
+        # checked before 2^n is formed, so a huge n is a field diagnostic too
+        doc = {"n": n, "solutions": [0], "amplitudes": [[1, 0], [0, 0]]}
+        with pytest.raises(AmplitudeFileError, match="field 'n'"):
             distribution_from_json(json.dumps(doc))
 
 

@@ -11,7 +11,6 @@ from groverlab.errors import CapacityError, UnsupportedStructureError
 from groverlab.gga import gga_iterate
 from groverlab.grover import (
     GroverConfig,
-    full_density,
     optimal_iteration_details,
     optimal_iterations,
     reduced_density,
@@ -19,7 +18,7 @@ from groverlab.grover import (
     success_probability,
 )
 from groverlab.linalg import DensityMatrix, pure_partial_trace
-from witnesses import partial_trace
+from witnesses import full_density, partial_trace
 
 
 class TestConfig:

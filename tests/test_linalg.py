@@ -14,11 +14,10 @@ from groverlab.linalg import (
     pure_partial_trace,
     pure_subsystem_entropy,
     pure_subsystem_purity,
-    relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
-from witnesses import partial_trace
+from witnesses import maximally_mixed, partial_trace, relative_entropy
 
 
 def random_density(dim, rng, rank=None):
@@ -53,14 +52,14 @@ class TestDensityMatrixInvariants:
             PureState(np.array([1.0, 1.0]))
 
     def test_matrices_are_readonly(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = maximally_mixed(2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
 
 
 class TestVonNeumannEntropy:
     def test_maximally_mixed_qubit(self):
-        assert von_neumann_entropy(DensityMatrix.maximally_mixed(2)) == pytest.approx(1.0, abs=1e-12)
+        assert von_neumann_entropy(maximally_mixed(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_projector_is_zero(self):
         rng = np.random.default_rng(3)
@@ -142,13 +141,13 @@ class TestPartialTrace:
         assert q1[1, 1] == pytest.approx(1.0)
 
     def test_dim_not_power_of_two(self):
-        rho = DensityMatrix.maximally_mixed(3)
+        rho = maximally_mixed(3)
         with pytest.raises(ValueError, match="power of two"):
             partial_trace(rho, (0,))
 
     @pytest.mark.parametrize("keep", [(), (0, 0), (1, 0), (0, 5)])
     def test_bad_keep(self, keep):
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = maximally_mixed(4)
         with pytest.raises(IndexError):
             partial_trace(rho, keep)
 
@@ -225,23 +224,23 @@ class TestRelativeEntropy:
 
     def test_pure_vs_maximally_mixed(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-        assert relative_entropy(rho, DensityMatrix.maximally_mixed(2)) == pytest.approx(1.0, abs=1e-12)
+        assert relative_entropy(rho, maximally_mixed(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_kl_oracle(self):
         expected = 0.7 * math.log2(0.7 / 0.5) + 0.3 * math.log2(0.3 / 0.5)
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        sigma = DensityMatrix.maximally_mixed(2)
+        sigma = maximally_mixed(2)
         assert relative_entropy(rho, sigma) == pytest.approx(expected, abs=1e-12)
         assert relative_entropy(rho, sigma) == pytest.approx(0.118709, abs=1e-6)
 
     def test_support_violation_is_infinite(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = maximally_mixed(2)
         sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         assert relative_entropy(rho, sigma) == math.inf
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            relative_entropy(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(4))
+            relative_entropy(maximally_mixed(2), maximally_mixed(4))
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(23)

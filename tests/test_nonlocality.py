@@ -13,11 +13,11 @@ from groverlab.nonlocality import (
     chsh_M_ga,
     correlation_matrix,
     correlation_tensor_3,
-    svetlichny_expectation,
     svetlichny_max,
     svetlichny_max_ga,
 )
 from groverlab.optimizers import OptimizerConfig
+from witnesses import maximally_mixed, svetlichny_expectation
 
 SVET_MAX_GHZ = 4 * math.sqrt(2)
 
@@ -127,9 +127,9 @@ class TestCorrelationTensor:
 
     def test_dimension_guards(self):
         with pytest.raises(ValueError):
-            correlation_tensor_3(DensityMatrix.maximally_mixed(4))
+            correlation_tensor_3(maximally_mixed(4))
         with pytest.raises(ValueError):
-            correlation_matrix(DensityMatrix.maximally_mixed(8))
+            correlation_matrix(maximally_mixed(8))
 
 
 class TestSvetlichny:

@@ -2,8 +2,10 @@
 
 The identity suite works on amplitudes, so these general-state routines
 live here, where tests use them as independent checks of the pure-state
-and closed-form paths. The GGA closed-form averages and the phi-family
-state pair are here for the same reason: only tests compare with them.
+and closed-form paths. The GGA closed-form averages, the phi-family state
+pair, the dense GA projector, the quantum relative entropy and the
+Svetlichny expectation of given settings are here for the same reason:
+only tests compare with them.
 """
 
 import math
@@ -11,13 +13,27 @@ import math
 import numpy as np
 
 from groverlab.gga import GGAClosedForm, PhiFamily, phi_family_distribution
+from groverlab.grover import GroverConfig, SymmetricGAState, ga_statevector_amplitudes
 from groverlab.linalg import (
+    NORM_TOL,
     DensityMatrix,
     PureState,
     _check_keep,
+    _clip_spectrum,
     shannon_entropy,
     von_neumann_entropy,
 )
+from groverlab.nonlocality import CorrelationTensor, SvetlichnySettings
+
+
+def maximally_mixed(dim: int) -> DensityMatrix:
+    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
+
+
+def full_density(cfg: GroverConfig, st: SymmetricGAState) -> DensityMatrix:
+    """Rank-1 projector onto the GA state; entries depend only on solution membership."""
+    amps = ga_statevector_amplitudes(cfg, st)
+    return DensityMatrix(np.outer(amps, amps.conj()))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -41,6 +57,26 @@ def coherence_relative_entropy(rho: DensityMatrix) -> float:
     return max(0.0, shannon_entropy(diag) - von_neumann_entropy(rho))
 
 
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Tr(rho log2 rho - rho log2 sigma); +inf when supp(rho) leaves supp(sigma)."""
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    pr, vr = np.linalg.eigh(rho.matrix)
+    ps, vs = np.linalg.eigh(sigma.matrix)
+    pr = _clip_spectrum(pr, "relative_entropy first argument")
+    ps = _clip_spectrum(ps, "relative_entropy second argument")
+    overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
+    sigma_null = ps <= NORM_TOL
+    if np.any(sigma_null):
+        leak = float(pr @ overlap[:, sigma_null].sum(axis=1))
+        if leak > 1e-10:
+            return math.inf
+    term_rho = float(np.sum(pr[pr > 0.0] * np.log2(pr[pr > 0.0])))
+    support = ~sigma_null
+    cross = float((pr @ overlap[:, support]) @ np.log2(ps[support]))
+    return max(0.0, term_rho - cross)
+
+
 def coherence_l1(rho: DensityMatrix) -> float:
     """Sum of the magnitudes of all off-diagonal entries."""
     m = np.abs(rho.matrix)
@@ -59,3 +95,22 @@ def closed_form_averages(cf: GGAClosedForm, j: int, N: int, r: float) -> tuple[f
 def phi_family_states(fam: PhiFamily) -> tuple[PureState, PureState]:
     """(initial state as a length-N vector, optimal-time state k1|0> + k2|1>)."""
     return phi_family_distribution(fam), PureState(np.array([fam.k1, fam.k2], dtype=complex))
+
+
+def svetlichny_expectation(tensor: CorrelationTensor, settings: SvetlichnySettings) -> float:
+    """<S> = ABC + ABC' + AB'C - AB'C' + A'BC - A'BC' - A'B'C - A'B'C'.
+
+    Every term is a full-weight Pauli product, so the expectation depends on
+    the state only through the tripartite correlation tensor.
+    """
+    if tensor.order != 3:
+        raise ValueError("Svetlichny expectation needs an order-3 tensor")
+    T = tensor.entries
+    s = settings
+    triple = lambda x, y, z: float(np.einsum("ijk,i,j,k->", T, x, y, z))
+    return (
+        triple(s.a, s.b, s.c) + triple(s.a, s.b, s.c_prime)
+        + triple(s.a, s.b_prime, s.c) - triple(s.a, s.b_prime, s.c_prime)
+        + triple(s.a_prime, s.b, s.c) - triple(s.a_prime, s.b, s.c_prime)
+        - triple(s.a_prime, s.b_prime, s.c) - triple(s.a_prime, s.b_prime, s.c_prime)
+    )
