@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .bruteforce import DEFAULT_GA_MEASURES, MEASURE_KEYS
@@ -144,7 +145,9 @@ def _write(path: Path, content: str):
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="\n") as fh:
-            fh.write(content)
+            # 1 MB at a time: a 16 MB amplitude log is never held again as encoded bytes
+            for start in range(0, len(content), 1 << 20):
+                fh.write(content[start : start + (1 << 20)])
     except OSError as exc:
         raise click.UsageError(f"cannot write {path}: {exc}")
 
@@ -201,7 +204,8 @@ def ga(n, j_values, r_max, measures, grid, restarts, no_oracle, seed, fmt, out):
 @click.option("--init-file", help="JSON initial-amplitude document.")
 @click.option("--r-max", type=int, help="Steps to log for --init-file runs.")
 @_output_options("csv")
-def gga(n, phi_points, init_file, r_max, seed, fmt, out):
+@click.pass_context
+def gga(ctx, n, phi_points, init_file, r_max, seed, fmt, out):
     """Generalized search: phi-family sweep, or evolution of a custom start."""
     try:
         if init_file is not None:
@@ -222,6 +226,13 @@ def gga(n, phi_points, init_file, r_max, seed, fmt, out):
             result = phi_sweep(run)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    # a flag or config key that this mode does not read is an error (after the run's own checks)
+    unused, mode = ("r_max",), "--init-file runs"
+    if init_file is not None:
+        unused, mode = ("n", "phi_points"), "the phi-family sweep"
+    for name in unused:
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            raise click.UsageError(f"--{name.replace('_', '-')} applies only to {mode}")
     _emit(render(result, run), out)
 
 

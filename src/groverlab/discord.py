@@ -37,8 +37,8 @@ class DiscordSolution:
 def _measurement_vectors(theta, phi):
     """Projector family {cos t|0> + e^{i p} sin t|1>, e^{-i p} sin t|0> - cos t|1>}.
 
-    The (theta, phi) ranges [0, pi] x [0, 2 pi) cover the Bloch sphere twice;
-    the redundancy is kept to match the stated parameterization exactly.
+    (theta, phi) and (pi - theta, phi + pi) give the same pair, so theta in
+    [0, pi/2] with phi in [0, 2 pi) already covers every measurement.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -91,7 +91,8 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
     """Discord of a two-qubit state with projective measurement on subsystem B.
 
     D = min_{theta,phi} sum_i p_i S(rho_{A|i}) + S(rho_B) - S(rho_AB).
-    The minimization runs a coarse grid (theta_grid x phi_grid), then refines
+    The minimization runs a coarse grid (theta_grid x phi_grid; with an even
+    phi_grid only its rows theta <= pi/2, as the others repeat them), then refines
     on a 5x5 stencil around the best point, starting from the grid's spacing
     on the Bloch sphere and halving it at each level. The stencil holds the
     current point and a move needs a strict improvement, so refinement never
@@ -109,6 +110,8 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
     s_b = von_neumann_entropy(DensityMatrix(rho_b))
 
     thetas = np.linspace(0.0, math.pi, config.theta_grid, endpoint=False)
+    if config.phi_grid % 2 == 0:  # phi + pi is on the grid: row pi - theta repeats row theta
+        thetas = thetas[: config.theta_grid // 2 + 1]
     phis = np.linspace(0.0, 2.0 * math.pi, config.phi_grid, endpoint=False)
     grid = _conditional_entropy_grid(rho4, *np.meshgrid(thetas, phis, indexing="ij"))
     it, ip = np.unravel_index(int(np.argmin(grid)), grid.shape)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +42,6 @@ class RunConfig:
     j_values: tuple = (1,)
     r_max: int | None = None
     measures: tuple = DEFAULT_GA_MEASURES
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 0
     fmt: str = "csv"
     use_oracle: bool = True
@@ -49,68 +49,61 @@ class RunConfig:
     init_file: str | None = None
     max_n: int = 8
     inject_fault: float = 0.0
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "n": self.n,
-            "j_values": list(self.j_values),
-            "r_max": self.r_max,
-            "measures": list(self.measures),
-            "seed": self.seed,
-            "format": self.fmt,
-            "use_oracle": self.use_oracle,
-            "phi_points": self.phi_points,
-            "init_file": self.init_file,
-            "max_n": self.max_n,
-            "inject_fault": self.inject_fault,
-            "optimizer": {
-                "theta_grid": self.optimizer.theta_grid,
-                "phi_grid": self.optimizer.phi_grid,
-                "restarts": self.optimizer.restarts,
-                "refine_tol": self.optimizer.refine_tol,
-            },
-        }
+        """The fields in order, `fmt` as "format", and the optimizer's grid, restarts and tolerance."""
+        doc = {"format" if f.name == "fmt" else f.name: getattr(self, f.name) for f in fields(self)}
+        keys = ("theta_grid", "phi_grid", "restarts", "refine_tol")
+        doc["optimizer"] = {key: getattr(self.optimizer, key) for key in keys}
+        return doc
 
 
 def _series_engines(cfg: GroverConfig, measures, use_oracle: bool) -> dict:
     return {m: MEASURES[m].engine(cfg, use_oracle) for m in ("p",) + tuple(measures)}
 
 
-def _ga_series_rows(cfg: GroverConfig, r_max: int, measures, optimizer, use_oracle: bool) -> list:
-    """All rows of one (n, j) series.
+def _ga_series_columns(cfg: GroverConfig, r_max: int, measures, optimizer, use_oracle: bool) -> dict:
+    """The columns of one (n, j) series: j, r, p and each measure, one array each.
 
     Each analytic column is one closed-form call on the state of the whole
-    series; the oracle columns step one statevector through it.
+    series; the oracle columns step one statevector through it. A measure
+    with no engine is an all-NA (masked) column.
     """
     engines = _series_engines(cfg, measures, use_oracle)
-    rs = range(r_max + 1)
+    rs = np.arange(r_max + 1)
     oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
-    oracle_rows = []
+    oracle = np.empty((len(oracle_measures), rs.size))
     if oracle_measures:
         dist = evolve(cfg, 0)
-        for r in rs:
+        for r in rs.tolist():
             if r > 0:
                 dist = gga_iterate(dist, 1)
-            oracle_rows.append(_generic_measures(dist, cfg, oracle_measures, optimizer)[0])
-    st = state_at(cfg, np.arange(r_max + 1))
-    columns = {}
+            oracle[:, r] = list(_generic_measures(dist, cfg, oracle_measures, optimizer)[0].values())
+    st = state_at(cfg, rs)
+    columns = {"j": np.full(rs.size, cfg.j), "r": rs}
     for m, engine in engines.items():
         if engine == "analytic":
             values = MEASURES[m].closed_form(cfg, st, optimizer)
-            columns[m] = [v.value for v in values] if MEASURES[m].slow else values.tolist()
+            columns[m] = np.array([v.value for v in values] if MEASURES[m].slow else values, dtype=float)
         elif engine == "oracle":
-            columns[m] = [oracle[m] for oracle in oracle_rows]
+            columns[m] = oracle[oracle_measures.index(m)]
         else:
-            columns[m] = [None] * len(rs)  # NA
-    keys = ("j", "r") + tuple(columns)
-    return [dict(zip(keys, row)) for row in zip([cfg.j] * len(rs), rs, *columns.values())]
+            columns[m] = np.ma.masked_all(rs.size)  # NA
+    return columns
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep as one 1-D array per column.
+
+    `data` maps each JSON row field, in row order, to an int or float array,
+    a float masked array whose masked cells are NA, or an object array
+    (strings, booleans, None). `columns` names the CSV columns, all in `data`.
+    """
+
     columns: tuple
-    rows: list
+    data: dict
     engines: dict
     extra_metadata: dict
 
@@ -129,7 +122,7 @@ def ga_sweep(run: RunConfig) -> SweepResult:
         raise ValueError("the solution-count list is empty")
     optimizer = replace(run.optimizer, seed=run.seed)
     extra = {}
-    rows = []
+    series = []
     engines = {}
     for j in run.j_values:
         cfg = GroverConfig(n=run.n, j=j)
@@ -137,11 +130,12 @@ def ga_sweep(run: RunConfig) -> SweepResult:
         r_max = r_limit if run.r_max is None else min(run.r_max, r_limit)
         if run.r_max is not None and run.r_max > r_limit:
             extra[f"r_max_clamped.j{j}"] = r_limit
-        rows += _ga_series_rows(cfg, r_max, measures, optimizer, run.use_oracle)
+        series.append(_ga_series_columns(cfg, r_max, measures, optimizer, run.use_oracle))
         for m, eng in _series_engines(cfg, measures, run.use_oracle).items():
             engines[f"j{j}.{m}"] = eng
+    data = {key: np.ma.concatenate([s[key] for s in series]) for key in series[0]}
     columns = (("j",) if len(run.j_values) > 1 else ()) + ("r", "p") + measures
-    return SweepResult(columns=columns, rows=rows, engines=engines, extra_metadata=extra)
+    return SweepResult(columns=columns, data=data, engines=engines, extra_metadata=extra)
 
 
 def phi_sweep(run: RunConfig) -> SweepResult:
@@ -152,22 +146,15 @@ def phi_sweep(run: RunConfig) -> SweepResult:
         raise ValueError(f"phi-points must be >= 1, got {run.phi_points}")
     N = 1 << run.n
     points = np.linspace(0.0, 1.0 / math.sqrt(N), run.phi_points)
-    rows = []
-    for phi0 in points:
-        fam = PhiFamily.from_phi0(N, float(phi0))
+    values = np.empty((3, points.size))
+    for i, phi0 in enumerate(points.tolist()):
+        fam = PhiFamily.from_phi0(N, phi0)
         dist = phi_family_distribution(fam)
-        opt = gga_optimal_time(dist)
-        rows.append(
-            {
-                "phi0": float(phi0),
-                "r_opt": opt.time,
-                "delta_cr": phi_family_delta_coherence(fam),
-                "p_max": gga_pmax(dist),
-            }
-        )
+        values[:, i] = gga_optimal_time(dist).time, phi_family_delta_coherence(fam), gga_pmax(dist)
+    columns = ("phi0", "r_opt", "delta_cr", "p_max")
     return SweepResult(
-        columns=("phi0", "r_opt", "delta_cr", "p_max"),
-        rows=rows,
+        columns=columns,
+        data=dict(zip(columns, (points, *values))),
         engines={"all": "closed-form"},
         extra_metadata={"N": N},
     )
@@ -182,9 +169,9 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         raise ValueError(f"r-max must be >= 0, got {run.r_max}")
     opt = gga_optimal_time(dist0)
     r_max = run.r_max if run.r_max is not None else max(1, math.ceil(opt.time))
-    rows = []
     dist = dist0
     amplitude_log = []
+    averages = np.empty((r_max + 1, 2), dtype=complex)
     p = []
     for r in range(max(r_max, math.ceil(opt.time)) + 1):
         if r > 0:
@@ -192,23 +179,9 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         p.append(dist.success_probability())
         if r > r_max:
             continue
-        rows.append(
-            {
-                "r": r,
-                "p": p[r],
-                "kbar_re": dist.kbar.real,
-                "kbar_im": dist.kbar.imag,
-                "lbar_re": dist.lbar.real,
-                "lbar_im": dist.lbar.imag,
-            }
-        )
-        amplitude_log.append(
-            {
-                "r": r,
-                "solution_amplitudes": dist.solution_amplitudes.view(float).reshape(-1, 2),
-                "other_amplitudes": dist.other_amplitudes.view(float).reshape(-1, 2),
-            }
-        )
+        averages[r] = dist.kbar, dist.lbar
+        sol, other = (a.view(float).reshape(-1, 2) for a in (dist.solution_amplitudes, dist.other_amplitudes))
+        amplitude_log.append({"r": r, "solution_amplitudes": sol, "other_amplitudes": other})
     extra = {
         "n": dist0.n,
         "solutions": list(dist0.solutions),
@@ -223,34 +196,25 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
     if dist0.is_real:
         cf = gga_closed_form(dist0)
         extra["closed_form"] = {"omega": cf.omega, "beta": cf.beta, "C": cf.C}
+    columns = ("r", "p", "kbar_re", "kbar_im", "lbar_re", "lbar_im")
+    kbar, lbar = averages.T
+    values = (np.arange(r_max + 1), np.array(p[: r_max + 1]), kbar.real, kbar.imag, lbar.real, lbar.imag)
     return SweepResult(
-        columns=("r", "p", "kbar_re", "kbar_im", "lbar_re", "lbar_im"),
-        rows=rows,
+        columns=columns,
+        data=dict(zip(columns, values)),
         engines={"all": "iteration"},
         extra_metadata=extra,
     )
 
 
 def verify_rows(run: RunConfig):
-    summary = cross_validate(
-        max_n=run.max_n,
-        j_values=run.j_values,
-        seed=run.seed,
-        fault=run.inject_fault,
-    )
-    rows = [
-        {
-            "name": c.name,
-            "max_deviation": c.max_deviation,
-            "tolerance": c.tolerance,
-            "passed": c.passed,
-            "cases": c.cases,
-        }
-        for c in summary.checks
-    ]
+    summary = cross_validate(max_n=run.max_n, j_values=run.j_values, seed=run.seed, fault=run.inject_fault)
+    columns = ("name", "max_deviation", "tolerance", "passed", "cases")
+    # a dozen identities: object columns, each cell formatted as it is
+    data = {key: np.array([getattr(c, key) for c in summary.checks], dtype=object) for key in columns}
     return summary, SweepResult(
-        columns=("name", "max_deviation", "tolerance", "passed", "cases"),
-        rows=rows,
+        columns=columns,
+        data=data,
         engines={},
         extra_metadata={"passed": summary.passed, "fault": summary.fault},
     )
@@ -281,14 +245,38 @@ def base_metadata(run: RunConfig, engines: dict) -> dict:
     }
 
 
+def _cells(column, float_spec: str, na: str, cell) -> tuple:
+    """(%-spec, cell values) of one column for a %-format row template.
+
+    Int and float cells are converted by the template itself; NA cells,
+    non-finite floats and object cells arrive as strings made by `cell`.
+    """
+    values = np.ma.getdata(column)
+    mask = np.ma.getmaskarray(column)
+    if values.dtype.kind in "iu" and not mask.any():
+        return "%d", values.tolist()
+    if values.dtype.kind != "f":
+        return "%s", [na if m else cell(v) for v, m in zip(values.tolist(), mask.tolist())]
+    odd = ~mask & ~np.isfinite(values)
+    if not (mask.any() or odd.any()):
+        return float_spec, values.tolist()
+    text = np.array(list(map(float_spec.__mod__, values.tolist())), dtype=object)
+    text[odd] = [cell(v) for v in values[odd].tolist()]
+    text[mask] = na
+    return "%s", text.tolist()
+
+
+def _table(result: SweepResult, names, float_spec: str, na: str, cell, row_template) -> str:
+    """Every row of the `names` columns, each written by row_template(specs) % its cells."""
+    rows = len(next(iter(result.data.values()), ()))
+    columns = [_cells(result.data[name], float_spec, na, cell) for name in names]
+    template = row_template([spec for spec, _ in columns])
+    return "".join([template] * rows) % tuple(chain.from_iterable(zip(*(cells for _, cells in columns))))
+
+
 def render_csv(result: SweepResult, run: RunConfig) -> str:
     """CSV with '#'-prefixed metadata lines, a header row, 12 significant digits, LF."""
-    meta = base_metadata(run, result.engines)
-    lines = [
-        f"# version={meta['version']}",
-        f"# command={run.command}",
-        f"# seed={run.seed}",
-    ]
+    lines = [f"# version={__version__}", f"# command={run.command}", f"# seed={run.seed}"]
     for key, value in result.engines.items():
         lines.append(f"# engine.{key}={value}")
     for key, value in result.extra_metadata.items():
@@ -299,12 +287,11 @@ def render_csv(result: SweepResult, run: RunConfig) -> str:
         else:
             lines.append(f"# {key}={_format_value(value)}")
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_format_value(row.get(c)) for c in result.columns))
-    return "\n".join(lines) + "\n"
+    body = _table(result, result.columns, "%.12g", "NA", _format_value, lambda specs: ",".join(specs) + "\n")
+    return "\n".join(lines) + "\n" + body
 
 
-# Stands in for an ndarray in json's output; no path or other CLI string holds a NUL.
+# Stands in for a block of text in json's output; no path or other CLI string holds a NUL.
 _ARRAY_MARK = "\x00ndarray\x00"
 
 
@@ -316,27 +303,43 @@ def _pair_array_json(a: np.ndarray, indent: str) -> str:
     return f"[\n{inner}{pairs}\n{indent}]" if len(a) else "[]"
 
 
+def _rows_json(result: SweepResult, indent: str) -> str:
+    """The rows as json.dumps(list_of_row_dicts, indent=2) writes them at `indent`."""
+    inner, field = indent + "  ", indent + "    "
+
+    def row(specs):
+        keys = [json.dumps(key).replace("%", "%%") for key in result.data]
+        body = ",\n".join(f"{field}{key}: {spec}" for key, spec in zip(keys, specs))
+        return f",\n{inner}{{\n{body}\n{inner}}}"
+
+    rows = _table(result, tuple(result.data), "%r", "null", json.dumps, row)
+    return f"[{rows[1:]}\n{indent}]" if rows else "[]"
+
+
 def render_json(result: SweepResult, run: RunConfig) -> str:
-    """json.dumps(doc, indent=2); each ndarray is a marker there, replaced by one text block."""
+    """json.dumps(doc, indent=2); the rows and each ndarray are a marker there, replaced by one text block."""
     doc = {
         "config": run.to_dict(),
-        "rows": result.rows,
+        "rows": result,
         "metadata": {**base_metadata(run, result.engines), **result.extra_metadata},
     }
-    arrays = []
+    blocks = []
 
     def stash(obj):
-        if not isinstance(obj, np.ndarray):
+        if obj is result:
+            blocks.append(lambda indent: _rows_json(result, indent))
+        elif isinstance(obj, np.ndarray):
+            blocks.append(lambda indent: _pair_array_json(obj, indent))
+        else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        arrays.append(obj)
         return _ARRAY_MARK
 
     pieces = json.dumps(doc, indent=2, default=stash).split(json.dumps(_ARRAY_MARK))
-    if len(pieces) != len(arrays) + 1:
-        raise AssertionError(f"{len(pieces) - 1} array markers for {len(arrays)} arrays")
-    for i, a in enumerate(arrays):
+    if len(pieces) != len(blocks) + 1:
+        raise AssertionError(f"{len(pieces) - 1} markers for {len(blocks)} blocks")
+    for i, block in enumerate(blocks):
         line = pieces[i][pieces[i].rfind("\n") + 1 :]  # the indent, then the key if any
-        pieces[i] += _pair_array_json(a, line[: len(line) - len(line.lstrip())])
+        pieces[i] += block(line[: len(line) - len(line.lstrip())])
     pieces[-1] += "\n"  # not on the joined text, which may be megabytes
     return "".join(pieces)
 

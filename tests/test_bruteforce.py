@@ -17,7 +17,7 @@ from groverlab.gga import AmplitudeDistribution, gga_iterate
 from groverlab.grover import GroverConfig, optimal_iterations, state_at
 from groverlab.linalg import DensityMatrix
 from groverlab.optimizers import OptimizerConfig
-from groverlab.report import RunConfig, _ga_series_rows, verify_rows
+from groverlab.report import RunConfig, _ga_series_columns, verify_rows
 
 EPS = np.finfo(float).eps
 
@@ -96,14 +96,14 @@ class TestRunAndMeasure:
 
     def test_capacity_error(self):
         # past the statevector cap the row path gives NA instead of raising
-        rows = _ga_series_rows(GroverConfig(n=13, j=2), 1, ("cr", "e2"), OptimizerConfig(), True)
-        assert [row["e2"] for row in rows] == [None, None]
-        assert all(row["cr"] is not None for row in rows)
+        columns = _ga_series_columns(GroverConfig(n=13, j=2), 1, ("cr", "e2"), OptimizerConfig(), True)
+        assert np.ma.getmaskarray(columns["e2"]).tolist() == [True, True]
+        assert np.isfinite(columns["cr"]).all() and not np.ma.is_masked(columns["cr"])
 
     def test_measure_outside_its_domain_is_unavailable(self):
-        (row,) = _ga_series_rows(GroverConfig(n=2, j=3), 0, ("e2", "svet"), OptimizerConfig(), True)
-        assert row["svet"] is None
-        assert row["e2"] == pytest.approx(0.0, abs=1e-7)
+        columns = _ga_series_columns(GroverConfig(n=2, j=3), 0, ("e2", "svet"), OptimizerConfig(), True)
+        assert np.ma.getmaskarray(columns["svet"]).tolist() == [True]
+        assert columns["e2"].tolist() == [pytest.approx(0.0, abs=1e-7)]
 
 
 class TestMeasureTable:
@@ -223,8 +223,9 @@ class TestCrossValidate:
     def test_summary_serialization(self):
         summary, result = verify_rows(RunConfig(command="verify", max_n=3))
         assert result.extra_metadata == {"passed": True, "fault": 0.0}
-        assert [row["name"] for row in result.rows] == [c.name for c in summary.checks]
-        assert all(set(row) == set(result.columns) for row in result.rows)
+        assert result.data["name"].tolist() == [c.name for c in summary.checks]
+        assert tuple(result.data) == result.columns
+        assert all(len(column) == len(summary.checks) for column in result.data.values())
 
     def test_max_n_guard(self):
         with pytest.raises(ValueError):

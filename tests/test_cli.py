@@ -210,7 +210,7 @@ class TestInputDomain:
 
 
 class TestGoldenOutputs:
-    """CLI outputs agree with the stored files to 12 significant digits."""
+    """CLI outputs equal the stored files byte for byte, and so to 12 significant digits."""
 
     @pytest.mark.parametrize(
         "name, args",
@@ -226,6 +226,7 @@ class TestGoldenOutputs:
     def test_matches_golden(self, name, args):
         result = run_cli(*args)
         assert result.exit_code == 0
+        assert result.output == (GOLDEN / f"{name}.csv").read_text()
         want_meta, want_header, want_rows = parse_csv((GOLDEN / f"{name}.csv").read_text())
         meta, header, rows = parse_csv(result.output)
         assert (meta, header) == (want_meta, want_header)
@@ -238,6 +239,23 @@ class TestGoldenOutputs:
                 got, expected = float(row[column]), float(want[column])
                 # one unit in the 12th digit covers rounding at the boundary
                 assert got == pytest.approx(expected, rel=1e-11, abs=1e-14), (column, row)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            # analytic columns beside NA columns past the oracle cap
+            ("ga_n13_j1-2_r3.json", ("ga", "--n", "13", "--j", "1,2", "--r-max", "3", "--format", "json")),
+            ("ga_n6_j1-2_r2.json", ("ga", "--n", "6", "--j", "1,2", "--r-max", "2", "--format", "json")),
+            # strings, booleans, ints and floats in one row
+            ("verify_n4.csv", ("verify", "--max-n", "4", "--format", "csv")),
+            ("verify_n4.json", ("verify", "--max-n", "4", "--format", "json")),
+            ("gga_n6_phi5.json", ("gga", "--n", "6", "--phi-points", "5", "--format", "json")),
+        ],
+    )
+    def test_byte_identical(self, name, args):
+        result = run_cli(*args)
+        assert result.exit_code == 0
+        assert result.output == (GOLDEN / name).read_text()
 
     @pytest.mark.parametrize(
         "name, args",
@@ -530,6 +548,35 @@ class TestGgaCommand:
         result = run_cli("gga", "--init-file", str(init))
         assert result.exit_code == 2
         assert "normalized" in result.output
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (("--n", "4", "--phi-points", "2", "--r-max", "3"), "--r-max"),
+            (("--init-file", "{init}", "--n", "9"), "--n"),
+            (("--init-file", "{init}", "--phi-points", "3"), "--phi-points"),
+            (("--init-file", "{init}", "--r-max", "2", "--n", "9", "--phi-points", "3"), "--n"),
+        ],
+    )
+    def test_option_the_mode_ignores_is_usage_error(self, tmp_path, args, option):
+        init = tmp_path / "uniform.json"
+        init.write_text(json.dumps({"n": 2, "solutions": [0], "amplitudes": [[0.5, 0.0]] * 4}))
+        args = [a.format(init=init) for a in args]
+        result = run_cli("gga", *args)
+        assert result.exit_code == 2, result.output
+        assert f"{option} applies only to" in result.output
+        # the same keys in a config file are checked as the flags are
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key[2:]}={value}\n" for key, value in zip(args[::2], args[1::2])))
+        result = run_cli("gga", "--config", str(config))
+        assert result.exit_code == 2, result.output
+        assert f"{option} applies only to" in result.output
+
+    def test_options_each_mode_reads_still_run(self, tmp_path):
+        init = tmp_path / "uniform.json"
+        init.write_text(json.dumps({"n": 2, "solutions": [0], "amplitudes": [[0.5, 0.0]] * 4}))
+        assert run_cli("gga", "--init-file", str(init), "--r-max", "2").exit_code == 0
+        assert run_cli("gga", "--n", "4", "--phi-points", "2").exit_code == 0
 
 
 class TestVerifyCommand:

@@ -91,9 +91,25 @@ class TestPairwiseDiscord:
             oracle = pairwise_discord(rho, fine)
             assert default.value == pytest.approx(oracle.value, abs=1e-4)
 
+    def test_grid_rows_past_half_pi_repeat_earlier_rows(self):
+        # (theta, phi) and (pi - theta, phi + pi) are one measurement, which is
+        # why the coarse grid keeps only its rows theta <= pi/2
+        rho = reduced_density(GroverConfig(n=11), state_at(GroverConfig(n=11), 20), 2).matrix
+        thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
+        phis = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+        grid = _conditional_entropy_grid(rho, *np.meshgrid(thetas, phis, indexing="ij"))
+        mirrored = np.roll(grid[:0:-1], -64, axis=1)  # row 64 - i, phi shifted by pi
+        assert np.abs(grid[1:] - mirrored).max() < 1e-12
+
+    def test_grid_evals_cover_half_the_theta_rows(self):
+        sol = pairwise_discord(bell_density(), OptimizerConfig(theta_grid=32, phi_grid=64, refine_maxiter=0))
+        assert sol.optimizer_evals == 17 * 64
+        odd = pairwise_discord(bell_density(), OptimizerConfig(theta_grid=32, phi_grid=63, refine_maxiter=0))
+        assert odd.optimizer_evals == 32 * 63  # phi + pi is off an odd grid: every row counts
+
     def test_optimizer_metadata(self):
         sol = pairwise_discord(bell_density(), FAST)
-        assert sol.optimizer_evals > 32 * 64
+        assert sol.optimizer_evals > (32 // 2 + 1) * 64  # the grid rows theta <= pi/2, then the stencils
         assert 0.0 <= sol.theta <= math.pi
         assert 0.0 <= sol.phi < 2.0 * math.pi
 

@@ -2,8 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from witnesses import render_csv_rows, render_json_rows
 
-from groverlab.report import RunConfig, SweepResult, base_metadata, render_json
+from groverlab import report
+from groverlab.cli import main
+from groverlab.report import RunConfig, SweepResult, render_csv, render_json
 
 SPECIAL = [-0.0, 5e-324, 1e300, 1e-7, 1.0, 0.0, 0.1 + 0.2, 2.0 / 3.0, -1.7976931348623157e308]
 
@@ -22,24 +28,8 @@ def pair_arrays(seed):
     return arrays
 
 
-def as_lists(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: as_lists(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [as_lists(v) for v in obj]
-    return obj
-
-
-def plain_encoding(result, run):
-    """The document as json.dumps writes it with every array as a list of [re, im] lists."""
-    doc = {
-        "config": run.to_dict(),
-        "rows": result.rows,
-        "metadata": {**base_metadata(run, result.engines), **as_lists(result.extra_metadata)},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+def sweep(data, columns=None, engines=None, extra=None):
+    return SweepResult(tuple(data) if columns is None else columns, data, engines or {}, extra or {})
 
 
 class TestRenderJson:
@@ -58,22 +48,84 @@ class TestRenderJson:
             "nested": {"deeper": [arrays[49], {"x": arrays[7]}, -0.0]},
             "last": 2.5,
         }
-        result = SweepResult(("r", "p"), [{"r": 0, "p": 0.25}], {"all": "iteration"}, extra)
+        result = sweep({"r": np.array([0]), "p": np.array([0.25])}, engines={"all": "iteration"}, extra=extra)
         run = RunConfig(command="gga", fmt="json", init_file="start.json")
-        assert render_json(result, run) == plain_encoding(result, run)
+        assert render_json(result, run) == render_json_rows(result, run)
 
     def test_empty_array_is_an_empty_list(self):
-        result = SweepResult(("r",), [], {}, {"log": [np.empty((0, 2))]})
+        result = sweep({"r": np.array([], dtype=int)}, extra={"log": [np.empty((0, 2))]})
         run = RunConfig(command="gga", fmt="json")
         assert json.loads(render_json(result, run))["metadata"]["log"] == [[]]
 
     def test_document_without_arrays_is_the_plain_encoding(self):
-        result = SweepResult(("r", "p"), [{"r": 0, "p": 1e-300}, {"r": 1, "p": None}], {}, {"x": [1, 2]})
+        result = sweep({"r": np.arange(2), "p": np.ma.array([1e-300, 0.0], mask=[False, True])}, extra={"x": [1, 2]})
         run = RunConfig(command="ga", fmt="json")
-        assert render_json(result, run) == plain_encoding(result, run)
+        assert render_json(result, run) == render_json_rows(result, run)
 
     def test_marker_in_a_string_is_caught(self):
-        result = SweepResult(("r",), [], {}, {"log": np.zeros((1, 2))})
+        result = sweep({"r": np.array([], dtype=int)}, extra={"log": np.zeros((1, 2))})
         run = RunConfig(command="gga", fmt="json", init_file="\x00ndarray\x00")
         with pytest.raises(AssertionError, match="markers"):
             render_json(result, run)
+
+
+# -0.0, subnormals, the float extremes, non-finite values and values on either
+# side of a 12-significant-digit rounding boundary
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, 2.225073858507201e-308, 1e-300, 1e300, -1e300, 1.7976931348623157e308,
+    float("nan"), float("inf"), float("-inf"), 0.1 + 0.2, 2.0 / 3.0,
+    1.0000000000005, 1.00000000000049, 9.9999999999995, 99999999999.95, 123456789012.5, 0.5e-12,
+]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(-1e3, 1e3))
+objects = st.one_of(st.text(max_size=6), st.booleans(), st.none(), st.integers(-5, 5), floats)
+
+
+@st.composite
+def sweeps(draw):
+    """A SweepResult of random int, float, NA-masked float, object and boolean columns."""
+    rows = draw(st.integers(0, 8))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True))
+    data = {}
+    for name in names:
+        kind = draw(st.sampled_from(["int", "float", "na", "object", "bool"]))
+        cells = lambda strategy: draw(st.lists(strategy, min_size=rows, max_size=rows))
+        if kind == "int":
+            data[name] = np.array(cells(st.integers(-(2**63), 2**63 - 1)), dtype=np.int64)
+        elif kind == "object":
+            data[name] = np.array(cells(objects), dtype=object)
+        elif kind == "bool":
+            data[name] = np.array(cells(st.booleans()), dtype=bool)
+        else:
+            values = np.array(cells(floats), dtype=float)
+            mask = cells(st.booleans())
+            data[name] = np.ma.array(values, mask=mask) if kind == "na" else values
+    columns = tuple(names[draw(st.integers(0, len(names) - 1)) :])  # a CSV subset, as ga drops j
+    extra = {"N": 1024, "flag": True, "nothing": None, "solutions": [0, 1]}
+    return SweepResult(columns, data, {"all": "iteration"}, extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweeps())
+def test_columnar_writers_equal_the_row_writers(result):
+    run = RunConfig(command="ga", seed=3)
+    assert render_csv(result, run) == render_csv_rows(result, run)
+    assert render_json(result, run) == render_json_rows(result, run)
+
+
+def test_format_value_calls_do_not_grow_with_rows(monkeypatch):
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return format_value(value)
+
+    format_value = report._format_value
+    monkeypatch.setattr(report, "_format_value", counting)
+    counts = []
+    for extra in (("--r-max", "3"), ()):  # 4 rows per j, then r_opt + 1 (805, 569, 464)
+        calls.clear()
+        result = CliRunner().invoke(main, ["ga", "--n", "20", "--j", "1..3", *extra])
+        assert result.exit_code == 0, result.output
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert len(result.output.splitlines()) > 1800

@@ -5,13 +5,16 @@ live here, where tests use them as independent checks of the pure-state
 and closed-form paths. The GGA closed-form averages, the phi-family state
 pair, the dense GA projector, the quantum relative entropy and the
 Svetlichny expectation of given settings are here for the same reason:
-only tests compare with them.
+only tests compare with them. So is the row-by-row CSV/JSON writer that the
+columnar one in `groverlab.report` replaced.
 """
 
+import json
 import math
 
 import numpy as np
 
+from groverlab import __version__
 from groverlab.gga import GGAClosedForm, PhiFamily, phi_family_distribution
 from groverlab.grover import GroverConfig, SymmetricGAState, ga_statevector_amplitudes
 from groverlab.linalg import (
@@ -24,6 +27,7 @@ from groverlab.linalg import (
     von_neumann_entropy,
 )
 from groverlab.nonlocality import CorrelationTensor, SvetlichnySettings
+from groverlab.report import _format_value, base_metadata
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -114,3 +118,50 @@ def svetlichny_expectation(tensor: CorrelationTensor, settings: SvetlichnySettin
         + triple(s.a_prime, s.b, s.c) - triple(s.a_prime, s.b, s.c_prime)
         - triple(s.a_prime, s.b_prime, s.c) - triple(s.a_prime, s.b_prime, s.c_prime)
     )
+
+
+def sweep_rows(result) -> list:
+    """A SweepResult's columns as one dict per row, with NA cells as None."""
+    columns = [
+        [None if na else v for v, na in zip(np.ma.getdata(c).tolist(), np.ma.getmaskarray(c).tolist())]
+        for c in result.data.values()
+    ]
+    return [dict(zip(result.data, row)) for row in zip(*columns)]
+
+
+def render_csv_rows(result, run) -> str:
+    """The CSV writer as it was: one _format_value call per cell of each row dict."""
+    lines = [f"# version={__version__}", f"# command={run.command}", f"# seed={run.seed}"]
+    for key, value in result.engines.items():
+        lines.append(f"# engine.{key}={value}")
+    for key, value in result.extra_metadata.items():
+        if key == "amplitudes_per_step":
+            continue
+        if isinstance(value, (dict, list)):
+            lines.append(f"# {key}={json.dumps(value, separators=(',', ':'))}")
+        else:
+            lines.append(f"# {key}={_format_value(value)}")
+    lines.append(",".join(result.columns))
+    for row in sweep_rows(result):
+        lines.append(",".join(_format_value(row.get(c)) for c in result.columns))
+    return "\n".join(lines) + "\n"
+
+
+def _as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+def render_json_rows(result, run) -> str:
+    """The JSON writer as json.dumps(doc, indent=2) over row dicts, every array as lists."""
+    doc = {
+        "config": run.to_dict(),
+        "rows": sweep_rows(result),
+        "metadata": {**base_metadata(run, result.engines), **_as_lists(result.extra_metadata)},
+    }
+    return json.dumps(doc, indent=2) + "\n"
