@@ -23,6 +23,7 @@ from .discord import (
     genuine_discord_partition_min,
     pairwise_discord,
     pairwise_discord_ga,
+    pairwise_discord_series,
 )
 from .entanglement import (
     concurrence_multiqubit_ga,
@@ -48,7 +49,6 @@ from .gga import (
     gga_iterate,
     gga_optimal_time,
     gga_pmax,
-    gga_success_probability_at,
     phi_family_delta_coherence,
     phi_family_distribution,
 )

@@ -94,9 +94,7 @@ MEASURES = {
         min_qubits=2,
     ),
     "d2": Measure(
-        closed_form=lambda cfg, st, opt: [
-            discord.pairwise_discord_ga(cfg, r, opt) for r in st.r.tolist()
-        ],
+        closed_form=lambda cfg, st, opt: discord.pairwise_discord_series(cfg, st, opt),
         oracle=lambda amps, cfg, opt: discord.pairwise_discord(
             pure_partial_trace(amps, (0, 1)), opt
         ),

@@ -10,8 +10,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, NumericalConsistencyError, UnsupportedStructureError
-from .grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState, reduced_density, state_at
-from .linalg import DensityMatrix, binary_entropy, von_neumann_entropy
+from .grover import (
+    CAPACITY_QUBITS,
+    GroverConfig,
+    SymmetricGAState,
+    _reduced_matrix,
+    _require_leading_single_solution,
+    reduced_density,
+    state_at,
+)
+from .linalg import DensityMatrix, _clip_spectrum, binary_entropy, von_neumann_entropy
 from .optimizers import OptimizerConfig
 
 _TINY = 1e-300
@@ -47,20 +55,58 @@ def _measurement_vectors(theta, phi):
     return v0, v1
 
 
+def _subtract_block_entropy(total: np.ndarray, p: np.ndarray, det: np.ndarray) -> None:
+    """total -= sum_k lam_k log2(lam_k / p), lam_k the eigenvalues of 2x2 blocks of trace p, determinant det."""
+    gap = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
+    for lam in ((p + gap) / 2.0, (p - gap) / 2.0):
+        lam = np.clip(lam, 0.0, None)
+        ratio = lam / np.clip(p, _TINY, None)
+        total -= lam * np.log2(np.clip(ratio, _TINY, None))
+
+
+_CONDITIONAL_STATES = "abcd,tpb,tpd->tpac"
+
+
+@lru_cache(maxsize=None)
+def _contraction_path(shape: tuple) -> list:
+    """np.einsum's greedy path for _CONDITIONAL_STATES on a grid of this shape, planned once."""
+    v = np.zeros(shape + (2,), dtype=complex)
+    return np.einsum_path(_CONDITIONAL_STATES, np.zeros((2, 2, 2, 2), dtype=complex), v, v, optimize="greedy")[0]
+
+
 def _conditional_entropy_grid(rho4: np.ndarray, TH: np.ndarray, PH: np.ndarray) -> np.ndarray:
     """sum_i p_i S(rho_{A|i}) at each (theta, phi) of two equal-shape 2-D arrays, fully vectorized."""
     R = rho4.reshape(2, 2, 2, 2)  # indices (a, b, a', b')
+    path = _contraction_path(TH.shape)
     total = np.zeros(TH.shape)
     for v in _measurement_vectors(TH, PH):
         # M[t, p, a, a'] = <a v|rho|a' v>, unnormalized conditional state on A
-        m = np.einsum("abcd,tpb,tpd->tpac", R, v.conj(), v, optimize=True)
+        m = np.einsum(_CONDITIONAL_STATES, R, v.conj(), v, optimize=path)
         p = np.einsum("tpaa->tp", m).real
         det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
-        gap = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
-        for lam in ((p + gap) / 2.0, (p - gap) / 2.0):
-            lam = np.clip(lam, 0.0, None)
-            ratio = lam / np.clip(p, _TINY, None)
-            total -= lam * np.log2(np.clip(ratio, _TINY, None))
+        _subtract_block_entropy(total, p, det)
+    return total
+
+
+def _circle_blocks(rho: np.ndarray) -> tuple:
+    """(P, X, Y) of a stack of real two-qubit states, each as its (00, 11, 01) entries.
+
+    Measuring B along the x-z direction at Bloch angle w (the vectors
+    (cos w/2, sin w/2) and (sin w/2, -cos w/2)) leaves A in the unnormalized
+    states P + cos(w) X + sin(w) Y and P - cos(w) X - sin(w) Y.
+    """
+    R = rho.reshape(-1, 2, 2, 2, 2)  # indices (row, a, b, a', b')
+    A, B, D = R[:, :, 0, :, 0], R[:, :, 0, :, 1], R[:, :, 1, :, 1]
+    blocks = ((A + D) / 2.0, (A - D) / 2.0, (B + B.transpose(0, 2, 1)) / 2.0)
+    return tuple(np.stack([m[:, 0, 0], m[:, 1, 1], m[:, 0, 1]], axis=-1) for m in blocks)
+
+
+def _conditional_entropy_circle(P: np.ndarray, X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i p_i S(rho_{A|i}) at the x-z Bloch angles w (rows, k), row i of w measuring state i."""
+    turn = np.cos(w)[..., None] * X[:, None] + np.sin(w)[..., None] * Y[:, None]
+    total = np.zeros(w.shape)
+    for m in (P[:, None] + turn, P[:, None] - turn):
+        _subtract_block_entropy(total, m[..., 0] + m[..., 1], m[..., 0] * m[..., 1] - m[..., 2] * m[..., 2])
     return total
 
 
@@ -145,9 +191,67 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
     )
 
 
+def _entropy_rows(eigenvalues: np.ndarray) -> np.ndarray:
+    """von_neumann_entropy of each row's spectrum: the clipped eigenvalues, 0 log 0 = 0."""
+    p = _clip_spectrum(eigenvalues, "DensityMatrix spectrum")
+    return np.maximum(0.0, -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1))
+
+
+def pairwise_discord_series(cfg: GroverConfig, st: SymmetricGAState, config: OptimizerConfig | None = None) -> list:
+    """pairwise_discord of the structured two-qubit state at every r of a series (j=1, n >= 2).
+
+    The reduced states are real, so the conditional entropy is even in the
+    measurement's Bloch y component and the x-z great circle (phi = 0) is
+    stationary in it; the search runs on that circle alone. A coarse grid of
+    Bloch angles (spacing 2 pi / theta_grid, each measurement once) covers
+    every row in one call; then a 5-point stencil around each row's best
+    angle refines all rows in lockstep, halving the spacing at each level,
+    with a move needing a strict improvement, until the spacing reaches
+    `refine_tol` or `refine_maxiter` levels ran. Each row's arithmetic is
+    its own, so a row's result does not depend on the rest of the series.
+    Returns one DiscordSolution per r, with phi = 0 and theta in [0, pi].
+    """
+    _require_leading_single_solution(cfg, "pairwise_discord_series")
+    config = config or OptimizerConfig()
+    rho = _reduced_matrix(cfg.n, st, 2, dtype=float).reshape(-1, 4, 4)
+    rows = np.arange(rho.shape[0])
+    s_ab = _entropy_rows(np.linalg.eigvalsh(rho))
+    s_b = _entropy_rows(np.linalg.eigvalsh(np.einsum("iabad->ibd", rho.reshape(-1, 2, 2, 2, 2))))
+    blocks = _circle_blocks(rho)
+
+    angles = np.linspace(0.0, 2.0 * math.pi, config.theta_grid, endpoint=False)
+    angles = angles[angles < math.pi]  # w and w + pi are one measurement
+    grid = _conditional_entropy_circle(*blocks, np.broadcast_to(angles, (rows.size, angles.size)))
+    best = grid.argmin(axis=1)
+    best_cond, best_w = grid[rows, best], angles[best]
+    evals = angles.size
+
+    h = 2.0 * math.pi / config.theta_grid
+    for _ in range(config.refine_maxiter):
+        if h <= config.refine_tol:
+            break
+        w = best_w[:, None] + h * _STENCIL
+        values = _conditional_entropy_circle(*blocks, w)
+        evals += _STENCIL.size
+        i = values.argmin(axis=1)
+        better = values[rows, i] < best_cond
+        best_cond = np.where(better, values[rows, i], best_cond)
+        best_w = np.where(better, w[rows, i], best_w)
+        h /= 2.0
+    converged = config.refine_maxiter == 0 or h <= config.refine_tol
+
+    value = best_cond + s_b - s_ab
+    value[(-1e-9 <= value) & (value < 0.0)] = 0.0
+    thetas = (best_w % (2.0 * math.pi)) / 2.0
+    return [
+        DiscordSolution(value=v, theta=t, phi=0.0, optimizer_evals=evals, converged=converged)
+        for v, t in zip(value.tolist(), thetas.tolist())
+    ]
+
+
 def pairwise_discord_ga(cfg: GroverConfig, r: int, config: OptimizerConfig | None = None) -> DiscordSolution:
-    """Discord of the structured two-qubit reduced state (j=1, n >= 2)."""
-    return pairwise_discord(reduced_density(cfg, state_at(cfg, r), 2), config)
+    """pairwise_discord_series at the one iteration r."""
+    return pairwise_discord_series(cfg, state_at(cfg, [r]), config)[0]
 
 
 def genuine_discord_ga(cfg: GroverConfig, st: SymmetricGAState):

@@ -187,11 +187,6 @@ def _success_envelope(dist0: AmplitudeDistribution):
     return p_at
 
 
-def gga_success_probability_at(dist0: AmplitudeDistribution, t: float) -> float:
-    """Success probability at continuous time t from the sinusoidal averages."""
-    return _success_envelope(dist0)(t)
-
-
 @dataclass(frozen=True)
 class GGAOptimalTime:
     """Continuous optimal measurement time and how it was found."""

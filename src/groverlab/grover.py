@@ -155,12 +155,14 @@ def _reduced_entries(n: int, st: SymmetricGAState, k: int) -> tuple:
     return st.a**2 + rest, st.a * st.b + rest, d * st.b**2
 
 
-def _reduced_matrix(n: int, st: SymmetricGAState, k: int) -> np.ndarray:
-    corner, edge, bulk = _reduced_entries(n, st, k)
-    m = np.full((1 << k, 1 << k), bulk, dtype=complex)
-    m[0, :] = edge
-    m[:, 0] = edge
-    m[0, 0] = corner
+def _reduced_matrix(n: int, st: SymmetricGAState, k: int, dtype=complex) -> np.ndarray:
+    """The k-qubit reduced matrix; a (rows, 2^k, 2^k) stack for a series state."""
+    corner, edge, bulk = (np.asarray(x) for x in _reduced_entries(n, st, k))
+    m = np.empty(bulk.shape + (1 << k, 1 << k), dtype=dtype)
+    m[...] = bulk[..., None, None]
+    m[..., 0, :] = edge[..., None]
+    m[..., :, 0] = edge[..., None]
+    m[..., 0, 0] = corner
     return m
 
 

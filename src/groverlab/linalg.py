@@ -81,13 +81,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_qubits(self) -> int:
-        n = self.dim.bit_length() - 1
-        if 1 << n != self.dim:
-            raise ValueError(f"dimension {self.dim} is not a power of two")
-        return n
-
     @classmethod
     def from_pure(cls, amplitudes) -> "DensityMatrix":
         if isinstance(amplitudes, PureState):

@@ -33,6 +33,12 @@ from .linalg import HERMITIAN_TOL, TRACE_TOL
 from .optimizers import OptimizerConfig
 
 
+# The most rows one `ga` sweep may have, summed over its j series: about five
+# times `ga --n 40`'s 823,550. Past it a sweep is a usage error that points
+# to --r-max, before anything is allocated.
+MAX_ROWS = 4_000_000
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One CLI invocation; identical configs must produce byte-identical output."""
@@ -122,17 +128,22 @@ def ga_sweep(run: RunConfig) -> SweepResult:
         raise ValueError("the solution-count list is empty")
     optimizer = replace(run.optimizer, seed=run.seed)
     extra = {}
-    series = []
-    engines = {}
+    limits = []  # (cfg, r_max) per j, in order; a repeated j is a repeated series
     for j in run.j_values:
         cfg = GroverConfig(n=run.n, j=j)
         r_limit = optimal_iteration_details(cfg).r_opt
-        r_max = r_limit if run.r_max is None else min(run.r_max, r_limit)
+        limits.append((cfg, r_limit if run.r_max is None else min(run.r_max, r_limit)))
         if run.r_max is not None and run.r_max > r_limit:
             extra[f"r_max_clamped.j{j}"] = r_limit
+    rows = sum(r_max + 1 for _, r_max in limits)
+    if rows > MAX_ROWS:
+        raise ValueError(f"the sweep would have {rows:,} rows, more than the {MAX_ROWS:,} allowed; lower --r-max")
+    series = []
+    engines = {}
+    for cfg, r_max in limits:
         series.append(_ga_series_columns(cfg, r_max, measures, optimizer, run.use_oracle))
         for m, eng in _series_engines(cfg, measures, run.use_oracle).items():
-            engines[f"j{j}.{m}"] = eng
+            engines[f"j{cfg.j}.{m}"] = eng
     data = {key: np.ma.concatenate([s[key] for s in series]) for key in series[0]}
     columns = (("j",) if len(run.j_values) > 1 else ()) + ("r", "p") + measures
     return SweepResult(columns=columns, data=data, engines=engines, extra_metadata=extra)

@@ -23,7 +23,6 @@ from groverlab.gga import (
     gga_iterate,
     gga_optimal_time,
     gga_pmax,
-    gga_success_probability_at,
     phi_family_delta_coherence,
     phi_family_distribution,
 )
@@ -35,6 +34,7 @@ from witnesses import (
     closed_form_averages,
     coherence_l1,
     coherence_relative_entropy,
+    gga_success_probability_at,
     phi_family_states,
 )
 
@@ -249,6 +249,18 @@ def test_criterion_8_nonlocality_null_results():
     if elapsed >= 180.0:
         failures.append(f"runtime {elapsed:.0f}s >= 180s")
     _report(8, "no CHSH violation at n=24, no Svetlichny violation at n=11; GHZ control hit", failures, elapsed)
+
+
+def test_pairwise_chsh_null_result_holds_for_one_solution_only():
+    # Criterion 8 is a j = 1 result. With solutions {0, 1, 2} at n = 4 the
+    # pair (0, 1) violates CHSH after one iteration: M = 1 + 3/256, so the
+    # best CHSH value is 2 sqrt(M) > 2.
+    result = CliRunner().invoke(cli_main, ["ga", "--n", "4", "--j", "3", "--measures", "m"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[-2:] == ["0,0.1875,1", "1,0.94921875,1.01171875"]
+    m = chsh_M(pure_partial_trace(evolve(GroverConfig(n=4, j=3), 1).amplitudes, (0, 1)))
+    assert m == pytest.approx(1.0 + 3.0 / 256.0, abs=1e-12)
+    assert 2.0 * math.sqrt(m) > 2.0
 
 
 def test_criterion_9_determinism(tmp_path):

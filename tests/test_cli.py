@@ -18,6 +18,7 @@ from groverlab.cli import main
 from groverlab.gga import gga_iterate
 from groverlab.grover import FLOAT_SAFE_QUBITS, GroverConfig, state_at
 from groverlab.optimizers import OptimizerConfig
+from groverlab.report import MAX_ROWS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -180,6 +181,23 @@ class TestInputDomain:
         values = [float(row[c]) for row in rows for c in header]
         assert len(rows) == 2
         assert all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            (("--n", "64"), "3,373,259,427"),  # r_opt + 1 rows: 25 GiB for the r column alone
+            (("--n", "44", "--j", "1,2"), "5,623,550"),  # each series alone is under the cap
+        ],
+    )
+    def test_sweep_past_the_row_cap_is_usage_error(self, args, rows):
+        result = run_cli("ga", *args)
+        assert result.exit_code == 2
+        assert rows in result.output and f"{MAX_ROWS:,}" in result.output and "--r-max" in result.output
+
+    def test_r_max_brings_a_large_register_under_the_row_cap(self):
+        result = run_cli("ga", "--n", "64", "--r-max", "3")
+        assert result.exit_code == 0, result.output
+        assert len(parse_csv(result.output)[2]) == 4
 
     @pytest.mark.parametrize("command", ["ga", "gga"])
     def test_past_float_safe_register_is_usage_error(self, command):

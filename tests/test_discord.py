@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from groverlab.bruteforce import evolve
+from groverlab import discord
+from groverlab.bruteforce import MEASURES, evolve
 from groverlab.discord import (
     _conditional_entropy_grid,
     genuine_discord_ga,
     genuine_discord_partition_min,
     pairwise_discord,
     pairwise_discord_ga,
+    pairwise_discord_series,
 )
 from groverlab.errors import UnsupportedStructureError
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
@@ -139,6 +141,82 @@ class TestPairwiseDiscord:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             pairwise_discord(maximally_mixed(8))
+
+
+def bits(sol):
+    return sol.value.hex(), sol.theta.hex(), sol.phi.hex(), sol.optimizer_evals, sol.converged
+
+
+def oracle_pair_states():
+    """Reduced (0, 1) states of j > 1 statevectors, complex as the oracle path builds them."""
+    cases = [(4, 2, 1), (5, 3, 1), (5, 3, 2), (7, 5, 2)]
+    return [pure_partial_trace(evolve(GroverConfig(n=n, j=j), r).amplitudes, (0, 1)) for n, j, r in cases]
+
+
+def test_planned_contraction_is_bitwise_einsum_optimize(monkeypatch):
+    # the 2-D search plans its einsum contraction once per grid shape; the
+    # result must be the one einsum(..., optimize=True) gives when it plans
+    # the same contraction on every call
+    planned = [bits(pairwise_discord(rho)) for rho in oracle_pair_states()]
+    monkeypatch.setattr(discord, "_contraction_path", lambda shape: True)
+    assert [bits(pairwise_discord(rho)) for rho in oracle_pair_states()] == planned
+
+
+def series_rows():
+    """(cfg, r array): every n = 2..15, 20, 30, 50, nine r up to min(r_opt, 60) each."""
+    for n in [*range(2, 16), 20, 30, 50]:
+        cfg = GroverConfig(n=n)
+        top = min(optimal_iterations(cfg), 60)
+        yield cfg, np.unique(np.linspace(0, top, 9).round().astype(int))
+
+
+class TestPairwiseDiscordSeries:
+    def test_never_above_the_two_dimensional_search(self):
+        # the series searches the x-z circle only; on the search states the
+        # sphere's minimum lies on it, so the result may not exceed the
+        # 2-D grid-plus-stencil search by more than rounding
+        for cfg, rs in series_rows():
+            series = pairwise_discord_series(cfg, state_at(cfg, rs))
+            for r, sol in zip(rs.tolist(), series):
+                sphere = pairwise_discord(reduced_density(cfg, state_at(cfg, r), 2))
+                assert sol.value <= sphere.value + 1e-12, (cfg.n, r)
+                assert sol.converged
+
+    @pytest.mark.parametrize("config", [OptimizerConfig(), FAST, OptimizerConfig(theta_grid=7, refine_tol=1e-5)])
+    def test_rows_are_bitwise_the_one_row_calls(self, config):
+        for n, top in ((11, 25), (30, 60)):
+            cfg = GroverConfig(n=n)
+            rs = np.arange(top + 1)
+            series = pairwise_discord_series(cfg, state_at(cfg, rs), config)
+            assert list(map(bits, series)) == [bits(pairwise_discord_ga(cfg, r, config)) for r in rs.tolist()]
+
+    def test_closed_form_is_one_series_call(self, monkeypatch):
+        calls = []
+        original = discord.pairwise_discord_series
+        monkeypatch.setattr(discord, "pairwise_discord_series", lambda *a: calls.append(a) or original(*a))
+        cfg = GroverConfig(n=9)
+        values = MEASURES["d2"].closed_form(cfg, state_at(cfg, np.arange(13)), FAST)
+        assert len(calls) == 1 and len(values) == 13
+
+    def test_refinement_budget_exhausted_is_not_converged(self):
+        cfg = GroverConfig(n=6)
+        st = state_at(cfg, np.arange(4))
+        assert not any(sol.converged for sol in pairwise_discord_series(cfg, st, OptimizerConfig(refine_maxiter=1)))
+        assert all(sol.converged for sol in pairwise_discord_series(cfg, st, OptimizerConfig(refine_maxiter=0)))
+
+    def test_evals_and_angles(self):
+        # 32 distinct measurements on the 64-point circle grid, then 24 levels
+        # of 5 points from spacing 2 pi / 64 down to 1e-8
+        cfg = GroverConfig(n=11)
+        for sol in pairwise_discord_series(cfg, state_at(cfg, np.arange(26))):
+            assert sol.optimizer_evals == 32 + 5 * 24
+            assert sol.phi == 0.0
+            assert 0.0 <= sol.theta <= math.pi
+
+    def test_multiple_solutions_unsupported(self):
+        cfg = GroverConfig(n=4, j=2)
+        with pytest.raises(UnsupportedStructureError):
+            pairwise_discord_series(cfg, state_at(cfg, np.arange(2)))
 
 
 class TestGenuineDiscord:

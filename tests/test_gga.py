@@ -16,13 +16,17 @@ from groverlab.gga import (
     gga_iterate,
     gga_optimal_time,
     gga_pmax,
-    gga_success_probability_at,
     phi_family_delta_coherence,
     phi_family_distribution,
 )
 from groverlab.grover import GroverConfig, optimal_iteration_details
 from groverlab.linalg import DensityMatrix
-from witnesses import closed_form_averages, coherence_relative_entropy, phi_family_states
+from witnesses import (
+    closed_form_averages,
+    coherence_relative_entropy,
+    gga_success_probability_at,
+    phi_family_states,
+)
 
 
 def random_real_distribution(seed, n=None, j=None):

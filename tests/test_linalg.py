@@ -17,7 +17,7 @@ from groverlab.linalg import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from witnesses import maximally_mixed, partial_trace, relative_entropy
+from witnesses import maximally_mixed, n_qubits, partial_trace, relative_entropy
 
 
 def random_density(dim, rng, rank=None):
@@ -163,7 +163,7 @@ class TestPartialTrace:
         # every remaining qubit equal to its original index
         stepwise = rho
         for q in sorted(set(range(n)) - set(keep), reverse=True):
-            current = stepwise.n_qubits
+            current = n_qubits(stepwise)
             stepwise = partial_trace(stepwise, tuple(i for i in range(current) if i != q))
         assert np.allclose(stepwise.matrix, joint.matrix, atol=1e-12)
 

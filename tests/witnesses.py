@@ -3,8 +3,9 @@
 The identity suite works on amplitudes, so these general-state routines
 live here, where tests use them as independent checks of the pure-state
 and closed-form paths. The GGA closed-form averages, the phi-family state
-pair, the dense GA projector, the quantum relative entropy and the
-Svetlichny expectation of given settings are here for the same reason:
+pair, the continuous-time GGA success probability, the dense GA
+projector, the quantum relative entropy and the Svetlichny expectation of
+given settings are here for the same reason:
 only tests compare with them. So is the row-by-row CSV/JSON writer that the
 columnar one in `groverlab.report` replaced.
 """
@@ -15,7 +16,13 @@ import math
 import numpy as np
 
 from groverlab import __version__
-from groverlab.gga import GGAClosedForm, PhiFamily, phi_family_distribution
+from groverlab.gga import (
+    AmplitudeDistribution,
+    GGAClosedForm,
+    PhiFamily,
+    _success_envelope,
+    phi_family_distribution,
+)
 from groverlab.grover import GroverConfig, SymmetricGAState, ga_statevector_amplitudes
 from groverlab.linalg import (
     NORM_TOL,
@@ -40,9 +47,21 @@ def full_density(cfg: GroverConfig, st: SymmetricGAState) -> DensityMatrix:
     return DensityMatrix(np.outer(amps, amps.conj()))
 
 
+def n_qubits(rho: DensityMatrix) -> int:
+    n = rho.dim.bit_length() - 1
+    if 1 << n != rho.dim:
+        raise ValueError(f"dimension {rho.dim} is not a power of two")
+    return n
+
+
+def gga_success_probability_at(dist0: AmplitudeDistribution, t: float) -> float:
+    """Success probability at continuous time t from the sinusoidal averages."""
+    return _success_envelope(dist0)(t)
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduce an n-qubit state to the qubits in `keep` (strictly increasing)."""
-    n = rho.n_qubits
+    n = n_qubits(rho)
     keep = _check_keep(n, keep)
     if len(keep) == n:
         return rho
