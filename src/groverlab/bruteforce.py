@@ -12,14 +12,7 @@ import numpy as np
 from . import coherence, discord, entanglement, grover, nonlocality
 from .errors import CapacityError, NumericalConsistencyError
 from .gga import AmplitudeDistribution, gga_iterate
-from .grover import (
-    CAPACITY_QUBITS,
-    GroverConfig,
-    _reduced_matrix,
-    ga_statevector_amplitudes,
-    optimal_iterations,
-    state_at,
-)
+from .grover import CAPACITY_QUBITS, GroverConfig, _reduced_matrix, optimal_iterations, state_at
 from .linalg import pure_partial_trace, pure_subsystem_entropy, shannon_entropy, von_neumann_entropy
 from .optimizers import OptimizerConfig
 
@@ -41,9 +34,10 @@ class Measure:
     array, or for `slow` (opt-in, optimizer per row) measures a list of
     optimizer results. `oracle(amplitudes, cfg, optimizer)` covers
     n <= CAPACITY_QUBITS and returns one float or optimizer result. Registers
-    smaller than `min_qubits` have no value. Entries look functions up on
-    their module at call time, so a function replaced there (e.g. by a
-    tracer) is what runs.
+    smaller than `min_qubits` have no value. `identity` names the
+    `cross_validate` identity that checks the closed form against the oracle.
+    Entries look functions up on their module at call time, so a function
+    replaced there (e.g. by a tracer) is what runs.
     """
 
     closed_form: Callable
@@ -51,6 +45,7 @@ class Measure:
     min_qubits: int = 1
     any_j: bool = False
     slow: bool = False
+    identity: str | None = None
 
     def engine(self, cfg: GroverConfig, use_oracle: bool = True) -> str:
         """'analytic', 'oracle' or 'unavailable' for one (n, j) series."""
@@ -62,24 +57,32 @@ class Measure:
             return "oracle"
         return "unavailable"
 
+    def series(self, cfg: GroverConfig, st, optimizer) -> np.ndarray:
+        """The closed form on a series state as one float per r (a slow measure's optimum values)."""
+        values = self.closed_form(cfg, st, optimizer)
+        return np.array([v.value for v in values] if self.slow else values, dtype=float)
+
 
 MEASURES = {
     "p": Measure(
         closed_form=lambda cfg, st, opt: grover.success_probability(cfg, st),
         oracle=lambda amps, cfg, opt: float((np.abs(amps[list(cfg.solutions)]) ** 2).sum()),
         any_j=True,
+        identity="success_probability",
     ),
     "cr": Measure(
         closed_form=lambda cfg, st, opt: coherence.coherence_r_ga(cfg, st),
         # S(rho) = 0 for a pure state, so C_r is the Shannon entropy of |amps|^2
         oracle=lambda amps, cfg, opt: shannon_entropy(np.abs(amps) ** 2),
         any_j=True,
+        identity="coherence_relative_entropy",
     ),
     "cl1": Measure(
         closed_form=lambda cfg, st, opt: coherence.coherence_l1_ga(cfg, st),
         # sum_{x != y} |a_x||a_y| = (sum |a_x|)^2 - sum |a_x|^2
         oracle=lambda amps, cfg, opt: float(np.abs(amps).sum() ** 2 - (np.abs(amps) ** 2).sum()),
         any_j=True,
+        identity="coherence_l1",
     ),
     "e2": Measure(
         closed_form=lambda cfg, st, opt: entanglement.concurrence_two_qubit_ga(cfg, st),
@@ -87,6 +90,7 @@ MEASURES = {
             pure_partial_trace(amps, (0, 1))
         ),
         min_qubits=2,
+        identity="concurrence_two_qubit",
     ),
     "en": Measure(
         closed_form=lambda cfg, st, opt: entanglement.concurrence_multiqubit_ga(cfg, st),
@@ -104,11 +108,13 @@ MEASURES = {
     "dn": Measure(
         closed_form=lambda cfg, st, opt: discord.genuine_discord_ga(cfg, st),
         oracle=lambda amps, cfg, opt: von_neumann_entropy(pure_partial_trace(amps, (0,))),
+        identity="genuine_discord",
     ),
     "m": Measure(
         closed_form=lambda cfg, st, opt: nonlocality.chsh_M_ga(cfg, st),
         oracle=lambda amps, cfg, opt: nonlocality.chsh_M(pure_partial_trace(amps, (0, 1))),
         min_qubits=2,
+        identity="chsh_M",
     ),
     "svet": Measure(
         closed_form=lambda cfg, st, opt: [
@@ -189,23 +195,72 @@ _IDENTITY_TOLERANCES = {
 }
 
 
-class _Accumulator:
-    def __init__(self):
-        self.max_dev = 0.0
-        self.cases = 0
+def _or_inf(closed_form, *args):
+    """closed_form(*args), or inf where it cannot be evaluated.
 
-    def add(self, closed, generic):
-        # A closed form that cannot even be evaluated (e.g. under injected
-        # faults its discriminant leaves the admissible range) counts as an
-        # infinitely broken identity rather than an exception.
-        try:
-            closed = closed() if callable(closed) else closed
-        except (NumericalConsistencyError, ValueError):
-            self.max_dev = math.inf
-            self.cases += 1
-            return
-        self.max_dev = max(self.max_dev, float(abs(closed - generic)))
-        self.cases += 1
+    Under an injected fault a discriminant may leave its admissible range:
+    that is an infinitely broken identity rather than an exception.
+    """
+    try:
+        return closed_form(*args)
+    except (NumericalConsistencyError, ValueError):
+        return math.inf
+
+
+def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: float, rng, deviations) -> None:
+    """Append each identity's deviation on every row r = 0..r_opt of one (n, j) series.
+
+    One statevector is stepped through the series. `uniform` checks it
+    against the closed-form amplitudes; `requested` checks every other
+    identity on it.
+    """
+    n, j = cfg.n, cfg.j
+    st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+    if fault:
+        st = replace(st, a=st.a + fault)
+    keys = [k for k, m in MEASURES.items() if requested and m.identity and m.engine(cfg) == "analytic"]
+    closed = {k: np.broadcast_to(_or_inf(MEASURES[k].series, cfg, st, None), st.r.shape) for k in keys}
+    dist = evolve(cfg, 0)
+    for r in st.r.tolist():
+        if r > 0:
+            dist = gga_iterate(dist, 1)
+        row = replace(st, r=st.r[r], alpha_r=st.alpha_r[r], a=st.a[r], b=st.b[r])
+        if uniform:  # a/sqrt(j) on every solution, b elsewhere
+            deviations["gga_uniform_equivalence"].append(
+                max(
+                    float(np.max(np.abs(dist.solution_amplitudes - row.a / math.sqrt(j)))),
+                    float(np.max(np.abs(dist.other_amplitudes - row.b))),
+                )
+            )
+        if not requested:
+            continue
+        amps = dist.amplitudes
+        oracle, _ = _generic_measures(dist, cfg, keys, None)
+        if "cr" in oracle:
+            # the oracle's C_r leaves out S(rho) of the pure state; here it is
+            # taken from the spectrum of the 1 x 1 Gram <psi|psi>
+            oracle["cr"] -= pure_subsystem_entropy(amps, range(n))
+        for key in keys:
+            deviations[MEASURES[key].identity].append(abs(float(closed[key][r]) - oracle[key]))
+        deviations["grover_step_norm"].append(abs(float(np.sum(np.abs(amps) ** 2)) - 1.0))
+        deviations["normalization"].append(abs(row.a**2 + (cfg.database_size - j) * row.b**2 - 1.0))
+        if j != 1:
+            continue
+        partition = discord.genuine_discord_partition_min(cfg, r).value
+        deviations["partition_minimum"].append(abs(partition - _or_inf(discord.genuine_discord_ga, cfg, row)))
+        deficits = 0.0  # sum_k C(n,k) (1 - Tr rho_k^2) of the statevector
+        for k in range(1, n):
+            structured = _reduced_matrix(n, row, k)
+            generic = pure_partial_trace(amps, range(k)).matrix
+            deficits += math.comb(n, k) * (1.0 - float(np.sum(np.abs(generic) ** 2)))
+            deviations["reduced_density"].append(float(np.max(np.abs(structured - generic))))
+            # any other k-qubit subset must give the same matrix
+            subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+            permuted = pure_partial_trace(amps, subset).matrix
+            deviations["reduced_density"].append(float(np.max(np.abs(structured - permuted))))
+        deviations["multiqubit_concurrence_forms"].append(
+            abs(float(entanglement._multiqubit_radicand(n, row)) - deficits)
+        )
 
 
 def cross_validate(
@@ -216,106 +271,29 @@ def cross_validate(
 ) -> ValidationSummary:
     """Run the full closed-form-vs-brute-force identity suite.
 
-    `fault` offsets the analytic solution amplitude a before every closed-form
-    evaluation, as a self-test that broken identities are detected. Failures
-    are returned as data, never raised.
+    Each measure identity compares the series that `ga` prints for an
+    analytic `MEASURES` entry with its oracle. Every (n, j) is stepped once:
+    the requested j values, then any of j = 1..4 not requested, which check
+    only gga_uniform_equivalence. `fault` offsets the analytic solution
+    amplitude a before every closed-form evaluation, as a self-test that
+    broken identities are detected. Failures are returned as data, never
+    raised.
     """
     if not 2 <= max_n <= 10:
         raise ValueError(f"max_n must lie in 2..10, got {max_n}")
+    j_values = tuple(j_values)
     if not any(j < (1 << max_n) for j in j_values):
-        raise ValueError(f"no solution count in {tuple(j_values)} is below 2^max_n = {1 << max_n}")
-    acc = {name: _Accumulator() for name in _IDENTITY_TOLERANCES}
+        raise ValueError(f"no solution count in {j_values} is below 2^max_n = {1 << max_n}")
+    deviations = {name: [] for name in _IDENTITY_TOLERANCES}
     rng = np.random.default_rng(seed)  # random kept-qubit subsets (permutation symmetry)
-
     for n in range(2, max_n + 1):
-        for j in j_values:
-            if j >= (1 << n):
-                continue
-            cfg = GroverConfig(n=n, j=j)
-            dist = evolve(cfg, 0)
-            for r in range(optimal_iterations(cfg) + 1):
-                st = state_at(cfg, r)
-                if fault:
-                    st = replace(st, a=st.a + fault)
-                amps = dist.amplitudes
-                probs = np.abs(amps) ** 2
-                acc["grover_step_norm"].add(float(probs.sum()), 1.0)
-                acc["normalization"].add(st.a**2 + (cfg.database_size - j) * st.b**2, 1.0)
-                acc["success_probability"].add(
-                    grover.success_probability(cfg, st), float(probs[list(cfg.solutions)].sum())
-                )
-                # the oracle's C_r leaves out S(rho) of the pure state; here it
-                # is taken from the spectrum of the 1 x 1 Gram <psi|psi>
-                s_rho = pure_subsystem_entropy(amps, range(n))
-                acc["coherence_relative_entropy"].add(
-                    lambda: coherence.coherence_r_ga(cfg, st),
-                    MEASURES["cr"].oracle(amps, cfg, None) - s_rho,
-                )
-                acc["coherence_l1"].add(
-                    coherence.coherence_l1_ga(cfg, st), MEASURES["cl1"].oracle(amps, cfg, None)
-                )
-                if j == 1:
-                    rho2 = pure_partial_trace(amps, (0, 1))
-                    acc["concurrence_two_qubit"].add(
-                        entanglement.concurrence_two_qubit_ga(cfg, st),
-                        entanglement.concurrence_two_qubit(rho2),
-                    )
-                    acc["chsh_M"].add(nonlocality.chsh_M_ga(cfg, st), nonlocality.chsh_M(rho2))
-                    acc["genuine_discord"].add(
-                        lambda: discord.genuine_discord_ga(cfg, st),
-                        von_neumann_entropy(pure_partial_trace(amps, (0,))),
-                    )
-                    acc["partition_minimum"].add(
-                        lambda: abs(
-                            discord.genuine_discord_partition_min(cfg, r).value
-                            - discord.genuine_discord_ga(cfg, st)
-                        ),
-                        0.0,
-                    )
-                    deficits = 0.0  # sum_k C(n,k) (1 - Tr rho_k^2) of the statevector
-                    for k in range(1, n):
-                        structured = _reduced_matrix(n, st, k)
-                        generic = pure_partial_trace(amps, range(k)).matrix
-                        deficits += math.comb(n, k) * (1.0 - float(np.sum(np.abs(generic) ** 2)))
-                        acc["reduced_density"].add(
-                            float(np.max(np.abs(structured - generic))), 0.0
-                        )
-                        # any other k-qubit subset must give the same matrix
-                        subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-                        permuted = pure_partial_trace(amps, subset).matrix
-                        acc["reduced_density"].add(
-                            float(np.max(np.abs(structured - permuted))), 0.0
-                        )
-                    acc["multiqubit_concurrence_forms"].add(
-                        entanglement._multiqubit_radicand(n, st), deficits
-                    )
-                dist = gga_iterate(dist, 1)
-
-    # the iterated statevector is the closed-form state: a/sqrt(j) on every
-    # solution, b elsewhere
-    for n in range(2, max_n + 1):
-        for j in (1, 2, 3, 4):
-            if j >= (1 << n):
-                continue
-            cfg = GroverConfig(n=n, j=j)
-            dist = evolve(cfg, 0)
-            for r in range(optimal_iterations(cfg) + 1):
-                st = state_at(cfg, r)
-                if fault:
-                    st = replace(st, a=st.a + fault)
-                closed = ga_statevector_amplitudes(cfg, st)
-                acc["gga_uniform_equivalence"].add(
-                    float(np.max(np.abs(dist.amplitudes - closed))), 0.0
-                )
-                dist = gga_iterate(dist, 1)
-
+        unrequested = tuple(j for j in (1, 2, 3, 4) if j not in j_values)
+        for i, j in enumerate(j_values + unrequested):
+            if j < 1 << n:
+                uniform = j <= 4 and j not in j_values[:i]
+                _check_series(GroverConfig(n=n, j=j), i < len(j_values), uniform, fault, rng, deviations)
     checks = tuple(
-        IdentityCheck(
-            name=name,
-            max_deviation=acc[name].max_dev if acc[name].cases else None,
-            tolerance=tol,
-            cases=acc[name].cases,
-        )
-        for name, tol in _IDENTITY_TOLERANCES.items()
+        IdentityCheck(name=name, max_deviation=float(np.max(devs)) if devs else None, tolerance=tol, cases=len(devs))
+        for (name, tol), devs in zip(_IDENTITY_TOLERANCES.items(), deviations.values())
     )
     return ValidationSummary(checks=checks, fault=fault)

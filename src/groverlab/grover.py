@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, UnsupportedStructureError
+from .errors import UnsupportedStructureError
 from .linalg import DensityMatrix
 
 # The one qubit cap: the largest register any path materializes as 2^n
@@ -121,23 +121,6 @@ def optimal_iteration_details(cfg: GroverConfig) -> OptimalIteration:
 
 def optimal_iterations(cfg: GroverConfig) -> int:
     return optimal_iteration_details(cfg).r_opt
-
-
-def _solution_mask(cfg: GroverConfig) -> np.ndarray:
-    mask = np.zeros(cfg.database_size, dtype=bool)
-    mask[list(cfg.solutions)] = True
-    return mask
-
-
-def ga_statevector_amplitudes(cfg: GroverConfig, st: SymmetricGAState) -> np.ndarray:
-    """Full amplitude vector of a scalar state: a/sqrt(j) on solutions, b elsewhere."""
-    if cfg.n > CAPACITY_QUBITS:
-        raise CapacityError(
-            f"n={cfg.n} exceeds the dense limit {CAPACITY_QUBITS}; use reduced_density"
-        )
-    amps = np.full(cfg.database_size, st.b, dtype=complex)
-    amps[_solution_mask(cfg)] = st.a / math.sqrt(cfg.j)
-    return amps
 
 
 def _require_leading_single_solution(cfg: GroverConfig, what: str) -> None:

@@ -90,8 +90,7 @@ def _ga_series_columns(cfg: GroverConfig, r_max: int, measures, optimizer, use_o
     columns = {"j": np.full(rs.size, cfg.j), "r": rs}
     for m, engine in engines.items():
         if engine == "analytic":
-            values = MEASURES[m].closed_form(cfg, st, optimizer)
-            columns[m] = np.array([v.value for v in values] if MEASURES[m].slow else values, dtype=float)
+            columns[m] = MEASURES[m].series(cfg, st, optimizer)
         elif engine == "oracle":
             columns[m] = oracle[oracle_measures.index(m)]
         else:
@@ -277,12 +276,21 @@ def _cells(column, float_spec: str, na: str, cell) -> tuple:
     return "%s", text.tolist()
 
 
-def _table(result: SweepResult, names, float_spec: str, na: str, cell, row_template) -> str:
-    """Every row of the `names` columns, each written by row_template(specs) % its cells."""
+# Rows per formatted block: only one block's cells are Python objects at a time.
+_BLOCK_ROWS = 1 << 16
+
+
+def _table(result: SweepResult, names, float_spec: str, na: str, cell, row_template) -> list:
+    """Every row of the `names` columns, each written by row_template(specs) % its cells, in blocks."""
     rows = len(next(iter(result.data.values()), ()))
-    columns = [_cells(result.data[name], float_spec, na, cell) for name in names]
-    template = row_template([spec for spec, _ in columns])
-    return "".join([template] * rows) % tuple(chain.from_iterable(zip(*(cells for _, cells in columns))))
+    blocks = []
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        columns = [_cells(result.data[name][block], float_spec, na, cell) for name in names]
+        template = row_template([spec for spec, _ in columns])
+        values = tuple(chain.from_iterable(zip(*(cells for _, cells in columns))))
+        blocks.append("".join([template] * min(_BLOCK_ROWS, rows - start)) % values)
+    return blocks
 
 
 def render_csv(result: SweepResult, run: RunConfig) -> str:
@@ -299,7 +307,7 @@ def render_csv(result: SweepResult, run: RunConfig) -> str:
             lines.append(f"# {key}={_format_value(value)}")
     lines.append(",".join(result.columns))
     body = _table(result, result.columns, "%.12g", "NA", _format_value, lambda specs: ",".join(specs) + "\n")
-    return "\n".join(lines) + "\n" + body
+    return "".join(["\n".join(lines) + "\n", *body])
 
 
 # Stands in for a block of text in json's output; no path or other CLI string holds a NUL.
@@ -314,7 +322,7 @@ def _pair_array_json(a: np.ndarray, indent: str) -> str:
     return f"[\n{inner}{pairs}\n{indent}]" if len(a) else "[]"
 
 
-def _rows_json(result: SweepResult, indent: str) -> str:
+def _rows_json(result: SweepResult, indent: str) -> list:
     """The rows as json.dumps(list_of_row_dicts, indent=2) writes them at `indent`."""
     inner, field = indent + "  ", indent + "    "
 
@@ -323,12 +331,15 @@ def _rows_json(result: SweepResult, indent: str) -> str:
         body = ",\n".join(f"{field}{key}: {spec}" for key, spec in zip(keys, specs))
         return f",\n{inner}{{\n{body}\n{inner}}}"
 
-    rows = _table(result, tuple(result.data), "%r", "null", json.dumps, row)
-    return f"[{rows[1:]}\n{indent}]" if rows else "[]"
+    blocks = _table(result, tuple(result.data), "%r", "null", json.dumps, row)
+    if not blocks:
+        return ["[]"]
+    blocks[0] = "[" + blocks[0][1:]  # the first row has no comma before it
+    return [*blocks, f"\n{indent}]"]
 
 
 def render_json(result: SweepResult, run: RunConfig) -> str:
-    """json.dumps(doc, indent=2); the rows and each ndarray are a marker there, replaced by one text block."""
+    """json.dumps(doc, indent=2); the rows and each ndarray are a marker there, replaced by their text blocks."""
     doc = {
         "config": run.to_dict(),
         "rows": result,
@@ -340,7 +351,7 @@ def render_json(result: SweepResult, run: RunConfig) -> str:
         if obj is result:
             blocks.append(lambda indent: _rows_json(result, indent))
         elif isinstance(obj, np.ndarray):
-            blocks.append(lambda indent: _pair_array_json(obj, indent))
+            blocks.append(lambda indent: [_pair_array_json(obj, indent)])
         else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         return _ARRAY_MARK
@@ -348,11 +359,11 @@ def render_json(result: SweepResult, run: RunConfig) -> str:
     pieces = json.dumps(doc, indent=2, default=stash).split(json.dumps(_ARRAY_MARK))
     if len(pieces) != len(blocks) + 1:
         raise AssertionError(f"{len(pieces) - 1} markers for {len(blocks)} blocks")
+    text = []  # joined once: no text block is copied before the final join
     for i, block in enumerate(blocks):
         line = pieces[i][pieces[i].rfind("\n") + 1 :]  # the indent, then the key if any
-        pieces[i] += block(line[: len(line) - len(line.lstrip())])
-    pieces[-1] += "\n"  # not on the joined text, which may be megabytes
-    return "".join(pieces)
+        text += [pieces[i], *block(line[: len(line) - len(line.lstrip())])]
+    return "".join([*text, pieces[-1], "\n"])
 
 
 def render(result: SweepResult, run: RunConfig) -> str:

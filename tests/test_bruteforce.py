@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from groverlab import nonlocality
 from groverlab.bruteforce import (
+    _IDENTITY_TOLERANCES,
     DEFAULT_GA_MEASURES,
     MEASURE_KEYS,
     MEASURES,
@@ -130,6 +132,20 @@ class TestMeasureTable:
     def test_engine_follows_the_domain(self, key, n, j, use_oracle, engine):
         assert MEASURES[key].engine(GroverConfig(n=n, j=j), use_oracle) == engine
 
+    def test_identities_link_the_table_to_verify(self):
+        identities = {k: m.identity for k, m in MEASURES.items() if m.identity}
+        assert set(identities.values()) <= set(_IDENTITY_TOLERANCES)
+        assert identities == {
+            "p": "success_probability",
+            "cr": "coherence_relative_entropy",
+            "cl1": "coherence_l1",
+            "e2": "concurrence_two_qubit",
+            "dn": "genuine_discord",
+            "m": "chsh_M",
+        }
+        # en is checked before its square root, by multiqubit_concurrence_forms
+        assert all(MEASURES[k].identity is None for k in MEASURE_KEYS if MEASURES[k].slow or k == "en")
+
     @pytest.mark.parametrize("key", ["p", "cr", "cl1", "e2", "en", "d2", "dn", "m", "svet"])
     def test_closed_form_matches_oracle_at_minimum_n(self, key):
         measure = MEASURES[key]
@@ -193,6 +209,34 @@ class TestCrossValidate:
             assert name in broken
         # pure brute-force properties are untouched by construction
         assert "grover_step_norm" not in broken
+
+    def test_closed_forms_are_checked_on_the_series_state(self, monkeypatch):
+        # `ga` prints each closed form evaluated on the state of a whole
+        # series; an error that shows only there must fail verify
+        chsh_M_ga = nonlocality.chsh_M_ga
+
+        def series_only_error(cfg, st):
+            return chsh_M_ga(cfg, st) + (1e-6 if np.size(st.r) > 1 else 0.0)
+
+        monkeypatch.setattr(nonlocality, "chsh_M_ga", series_only_error)
+        checks = {c.name: c for c in cross_validate(max_n=4).checks}
+        assert checks["chsh_M"].passed is False
+        assert checks["chsh_M"].max_deviation == pytest.approx(1e-6, rel=1e-6)
+        assert all(c.passed for name, c in checks.items() if name != "chsh_M")
+
+    @pytest.mark.parametrize(
+        "max_n, j_values, cases",
+        [
+            # a repeated j is a repeated series; j = 1..4 are stepped once
+            # each for gga_uniform_equivalence whether requested or not
+            (3, (3, 1, 1), (13, 13, 13, 10, 10, 10, 32, 13, 13, 12, 10, 10)),
+            (4, (5,), (3, 3, 3, 0, 0, 0, 0, 3, 3, 23, 0, 0)),
+            (10, (1, 2), (149, 149, 149, 87, 87, 87, 1196, 149, 149, 245, 87, 87)),
+        ],
+    )
+    def test_case_counts(self, max_n, j_values, cases):
+        summary = cross_validate(max_n=max_n, j_values=j_values)
+        assert {c.name: c.cases for c in summary.checks} == dict(zip(_IDENTITY_TOLERANCES, cases))
 
     def test_no_dense_spectra_or_projectors(self, monkeypatch):
         # every spectrum comes from a Schmidt Gram factor at most 2^(n//2) wide,

@@ -254,6 +254,31 @@ class TestPmaxAndOptimalTime:
                 hi = m2
         assert t.time == 0.5 * (lo + hi)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_complex_scan_finds_the_closed_form_peak(self, seed):
+        # the two quadratures evolve independently, so p(t) = spread +
+        # sum_k C_k^2 sin^2(omega t + beta_k) peaks at
+        # t* = (pi - arg sum_k C_k^2 e^(2 i beta_k)) / (2 omega) mod pi/omega
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 11))
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        j = int(rng.integers(1, 4))
+        d = AmplitudeDistribution(v / np.linalg.norm(v), tuple(range(j)))
+        N, k, l = d.size, d.solution_amplitudes.mean(), d.other_amplitudes.mean()
+        z = sum(
+            (j * kp**2 + (N - j) * lp**2) * np.exp(2j * math.atan2(math.sqrt(j) * kp, math.sqrt(N - j) * lp))
+            for kp, lp in ((k.real, l.real), (k.imag, l.imag))
+        )
+        period = math.pi / d.omega
+        t_star = (math.pi - np.angle(z)) / (2.0 * d.omega) % period
+        scan = gga_optimal_time(d)
+        assert scan.method == "scan"
+        offset = (scan.time - t_star) % period
+        assert min(offset, period - offset) <= 1e-7 * period
+        # at the flat peak the two may differ only by rounding
+        eps = np.finfo(float).eps
+        assert gga_success_probability_at(d, t_star) >= gga_success_probability_at(d, scan.time) - eps
+
     def test_global_phase_leaves_pmax_invariant(self):
         d0 = random_real_distribution(11)
         rotated = AmplitudeDistribution(d0.amplitudes * np.exp(0.7j), d0.solutions)

@@ -129,3 +129,21 @@ def test_format_value_calls_do_not_grow_with_rows(monkeypatch):
         counts.append(len(calls))
     assert counts[0] == counts[1]
     assert len(result.output.splitlines()) > 1800
+
+
+def test_row_blocks_join_to_one_block(monkeypatch):
+    # NA cells, non-finite floats and object cells on both sides of the
+    # boundaries at rows 7 and 14, and int columns that are masked in one block
+    rows = 20
+    na = np.ma.array(np.linspace(0.0, 1.0, rows), mask=[5 <= r < 9 for r in range(rows)])
+    odd = np.linspace(-3.0, 3.0, rows)
+    odd[[6, 7, 15]] = float("nan"), float("inf"), float("-inf")
+    objects = np.array(["a", True, None, 3, 2.5, False, "b%s"] * 3, dtype=object)[:rows]
+    masked_int = np.ma.array(np.arange(rows), mask=[r == 16 for r in range(rows)])
+    data = {"j": np.full(rows, 2), "r": np.arange(rows), "na": na, "odd": odd, "obj": objects, "mi": masked_int}
+    result = sweep(data, columns=("r", "na", "odd", "obj", "mi"))
+    run = RunConfig(command="ga", seed=1)
+    one_block = render_csv(result, run), render_json(result, run)
+    monkeypatch.setattr(report, "_BLOCK_ROWS", 7)
+    assert (render_csv(result, run), render_json(result, run)) == one_block
+    assert one_block == (render_csv_rows(result, run), render_json_rows(result, run))

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from groverlab import __version__
+from groverlab.errors import CapacityError
 from groverlab.gga import (
     AmplitudeDistribution,
     GGAClosedForm,
@@ -23,7 +24,7 @@ from groverlab.gga import (
     _success_envelope,
     phi_family_distribution,
 )
-from groverlab.grover import GroverConfig, SymmetricGAState, ga_statevector_amplitudes
+from groverlab.grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState
 from groverlab.linalg import (
     NORM_TOL,
     DensityMatrix,
@@ -42,8 +43,11 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 
 
 def full_density(cfg: GroverConfig, st: SymmetricGAState) -> DensityMatrix:
-    """Rank-1 projector onto the GA state; entries depend only on solution membership."""
-    amps = ga_statevector_amplitudes(cfg, st)
+    """Rank-1 projector onto the GA state of a scalar state: a/sqrt(j) on solutions, b elsewhere."""
+    if cfg.n > CAPACITY_QUBITS:
+        raise CapacityError(f"n={cfg.n} exceeds the dense limit {CAPACITY_QUBITS}; use reduced_density")
+    amps = np.full(cfg.database_size, st.b, dtype=complex)
+    amps[list(cfg.solutions)] = st.a / math.sqrt(cfg.j)
     return DensityMatrix(np.outer(amps, amps.conj()))
 
 
