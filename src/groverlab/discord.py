@@ -19,7 +19,7 @@ from .grover import (
     reduced_density,
     state_at,
 )
-from .linalg import DensityMatrix, _clip_spectrum, binary_entropy, von_neumann_entropy
+from .linalg import DensityMatrix, _clip_spectrum, von_neumann_entropy
 from .optimizers import OptimizerConfig
 
 _TINY = 1e-300
@@ -255,13 +255,25 @@ def pairwise_discord_ga(cfg: GroverConfig, r: int, config: OptimizerConfig | Non
 
 
 def genuine_discord_ga(cfg: GroverConfig, st: SymmetricGAState):
-    """Genuine n-partite correlation S(rho_1) = H((1 + sqrt(Delta))/2) for j=1."""
+    """Genuine n-partite correlation S(rho_1) = H(p) for j=1.
+
+    rho_1 has the eigenvalues (1 +- sqrt(1 - x))/2 with x = 4(2^(n-1) - 1)(ab - b^2)^2.
+    The small one is taken as p = x / (2(1 + sqrt(1 - x))) and H(p) with
+    log1p for its (1 - p) term, so neither loses digits when p is small.
+    """
     if cfg.j != 1:
         raise UnsupportedStructureError(f"genuine discord closed form requires j=1, got j={cfg.j}")
-    delta = 1.0 - 4.0 * (2.0 ** (cfg.n - 1) - 1.0) * (st.a * st.b - st.b**2) ** 2
-    if np.any((delta < -DELTA_TOL) | (delta > 1.0 + DELTA_TOL)):
-        raise NumericalConsistencyError(f"discriminant outside [0, 1]: {delta!r}")
-    return binary_entropy((1.0 + np.sqrt(np.clip(delta, 0.0, 1.0))) / 2.0)
+    gap = st.a * st.b - st.b**2
+    # multiplied in this order, x stays a normal float up to n = 1022
+    x = 4.0 * (2.0 ** (cfg.n - 1) - 1.0) * gap * gap
+    if np.any((x < -DELTA_TOL) | (x > 1.0 + DELTA_TOL)):
+        raise NumericalConsistencyError(f"discriminant outside [0, 1]: {1.0 - x!r}")
+    x = np.clip(x, 0.0, 1.0)
+    p = x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -p * np.log2(p) - (1.0 - p) * np.log1p(-p) / math.log(2.0)
+    # [()] turns the 0-d result of a scalar state back into a scalar
+    return np.where(p == 0.0, 0.0, h)[()]
 
 
 @lru_cache(maxsize=None)

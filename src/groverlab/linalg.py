@@ -163,11 +163,6 @@ def _schmidt_gram(amplitudes: np.ndarray, keep) -> np.ndarray:
     return a.conj().T @ a
 
 
-def pure_subsystem_purity(amplitudes: np.ndarray, keep) -> float:
-    """Tr(rho_keep^2) for a pure state, via the smaller Gram factor."""
-    return float(np.sum(np.abs(_schmidt_gram(amplitudes, keep)) ** 2))
-
-
 def pure_subsystem_entropy(amplitudes: np.ndarray, keep) -> float:
     """S(rho_keep) in bits for a pure state, from the spectrum of the smaller Gram factor."""
     return shannon_entropy(np.linalg.eigvalsh(_schmidt_gram(amplitudes, keep)))

@@ -19,6 +19,7 @@ from groverlab.gga import gga_iterate
 from groverlab.grover import FLOAT_SAFE_QUBITS, GroverConfig, state_at
 from groverlab.optimizers import OptimizerConfig
 from groverlab.report import MAX_ROWS
+from witnesses import checker_concurrence, checker_grover_amplitudes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,6 +124,24 @@ class TestGaCommand:
         assert "tolerances" in doc["metadata"]
         assert doc["metadata"]["engines"]["j1.cr"] == "analytic"
         assert len(doc["rows"]) == 3
+
+    @pytest.mark.parametrize(
+        "n, j_spec, r_max", [(11, "2,3", 2), (12, "2", 1)], ids=["n11-j2,3", "n12-j2"]
+    )
+    def test_oracle_en_rows_match_the_checker_enumeration(self, n, j_spec, r_max):
+        # The benchmark's `oracle` sweeps, held to its checker's `en` at its
+        # tolerance: the r = 0 rows are the square root of rounding noise, so a
+        # change to the oracle's rounding shows here first.
+        result = run_cli("ga", "--n", str(n), "--j", j_spec, "--r-max", str(r_max))
+        assert result.exit_code == 0
+        meta, _, rows = parse_csv(result.output)
+        js = [int(j) for j in j_spec.split(",")]
+        assert len(rows) == len(js) * (r_max + 1)
+        for row in rows:
+            j = int(row.get("j", js[0]))
+            assert meta[f"engine.j{j}.en"] == "oracle"
+            ref = checker_concurrence(checker_grover_amplitudes(n, j, int(row["r"])))
+            assert abs(float(row["en"]) - ref) <= 1e-9 + 1e-11 * abs(ref), (j, row["r"], row["en"], ref)
 
     def test_seed_recorded_in_csv(self):
         result = run_cli("ga", "--n", "2", "--seed", "31")

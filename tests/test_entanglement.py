@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from groverlab import entanglement
 from groverlab.bruteforce import evolve
 from groverlab.entanglement import (
     concurrence_multiqubit_ga,
@@ -12,11 +13,11 @@ from groverlab.entanglement import (
     concurrence_two_qubit_ga,
     multiqubit_concurrence_pure,
 )
-from groverlab.errors import CapacityError, UnsupportedStructureError
+from groverlab.errors import CapacityError, NumericalConsistencyError, UnsupportedStructureError
 from groverlab.gga import gga_iterate
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
-from groverlab.linalg import DensityMatrix, pure_partial_trace, pure_subsystem_purity
-from witnesses import maximally_mixed
+from groverlab.linalg import DensityMatrix, pure_partial_trace
+from witnesses import maximally_mixed, pure_subsystem_purity, subset_concurrence
 
 
 def bell_state():
@@ -163,3 +164,49 @@ class TestMultiqubitGA:
         cfg = GroverConfig(n=4, j=2, solutions=(5, 11))
         value = multiqubit_concurrence_pure(evolve(cfg, 1).amplitudes)
         assert value >= 0.0
+
+
+def random_state(n, rng):
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return v / np.linalg.norm(v)
+
+
+class TestBatchedOracle:
+    """The stacked-Gram `en` oracle against a sum over every proper subset, one purity per call."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_per_subset_witness_on_random_states(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(2):
+            amps = random_state(n, rng)
+            assert multiqubit_concurrence_pure(amps) == pytest.approx(subset_concurrence(amps), abs=1e-12)
+
+    def test_matches_per_subset_witness_on_scattered_solutions(self):
+        for n in (4, 5, 6):
+            cfg = GroverConfig(n=n, j=2, solutions=(5, 11))
+            for r in range(optimal_iterations(cfg) + 1):
+                amps = evolve(cfg, r).amplitudes
+                assert multiqubit_concurrence_pure(amps) == pytest.approx(subset_concurrence(amps), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_real_state_is_independent_of_dtype(self, n):
+        amps = np.random.default_rng(n).normal(size=1 << n)
+        amps /= np.linalg.norm(amps)
+        assert multiqubit_concurrence_pure(amps) == multiqubit_concurrence_pure(amps.astype(complex))
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_one_cut_per_block_changes_nothing(self, n, monkeypatch):
+        rng = np.random.default_rng(400 + n)
+        states = [random_state(n, rng), evolve(GroverConfig(n=n, j=3), 2).amplitudes]
+        batched = [multiqubit_concurrence_pure(amps) for amps in states]
+        monkeypatch.setattr(entanglement, "BLOCK_AMPLITUDES", 1)
+        assert [multiqubit_concurrence_pure(amps) for amps in states] == batched
+
+    def test_negative_radicand_is_rejected(self):
+        # an unnormalized vector has purities above 1 on every cut
+        with pytest.raises(NumericalConsistencyError, match="negative radicand"):
+            multiqubit_concurrence_pure(np.full(1 << 4, 0.5))
+
+    def test_length_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            multiqubit_concurrence_pure(np.full(12, 12**-0.5))

@@ -26,10 +26,10 @@ R_VALUES = (0, 1, 2, 100)
 #   angle is 7e-7 and the double angle's rounding is 1.6e-12 of it;
 # - en: the reference takes the square root of its own rounding where the
 #   value is 0 (r = 0); 9.6e-35 was seen at n = 13;
-# - dn: 1.3e-15 at n = 64, r = 100; the closed form is accurate in absolute
-#   terms only, because H((1 + sqrt(delta))/2) takes delta as 1 - 4(...).
+# dn has none: its closed form takes the small eigenvalue of rho_1 without
+# cancellation, and its reference is exactly 0 at r = 0 (see `reference`).
 RTOL = 1e-14
-ATOL = {"p": 1e-17, "cr": 0.0, "cl1": 0.0, "e2": 0.0, "en": 1e-30, "dn": 1e-14, "m": 0.0}
+ATOL = {"p": 1e-17, "cr": 0.0, "cl1": 0.0, "e2": 0.0, "en": 1e-30, "dn": 0.0, "m": 0.0}
 PAIR_MEASURES = ("p", "cr", "cl1", "e2", "en", "dn", "m")
 
 _YY = [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
@@ -50,18 +50,17 @@ def _kron(p, q):
     )
 
 
-def _reduced_entries(n, a, b, k):
+def _reduced_entries(n, b, c, k):
     """(rho[0,0], rho[0,y != 0], rho[x != 0, y != 0]) of the k-qubit reduction, j = 1.
 
-    rho[x, y] = sum_z psi(xz) psi(yz) with psi = b + (a - b) [index = 0].
+    rho[x, y] = sum_z psi(xz) psi(yz) with psi = b + c [index = 0].
     """
     d = mp.mpf(2) ** (n - k)
-    c = a - b
     return d * b**2 + 2 * b * c + c**2, d * b**2 + b * c, d * b**2
 
 
-def _reduced(n, a, b, k):
-    corner, edge, bulk = _reduced_entries(n, a, b, k)
+def _reduced(n, b, c, k):
+    corner, edge, bulk = _reduced_entries(n, b, c, k)
     size = 1 << k
     m = mpmath.matrix(size, size)
     for x in range(size):
@@ -71,9 +70,14 @@ def _reduced(n, a, b, k):
 
 
 def reference(n, j, r):
-    """Each measure of the j-solution search state after r steps, in mpmath."""
+    """Each measure of the j-solution search state after r steps, in mpmath.
+
+    For j = 1 the gap c = a - b is taken as sqrt(N/(N-1)) sin(r alpha), not as
+    the difference, so the product state at r = 0 has c = 0 exactly.
+    """
     N = mp.mpf(2) ** n
-    alpha_r = (r + mp.mpf(1) / 2) * 2 * mp.atan(mp.sqrt(j / (N - j)))
+    alpha = 2 * mp.atan(mp.sqrt(j / (N - j)))
+    alpha_r = (r + mp.mpf(1) / 2) * alpha
     a, b = mp.sin(alpha_r), mp.cos(alpha_r) / mp.sqrt(N - j)
     p = a**2
     out = {
@@ -84,19 +88,24 @@ def reference(n, j, r):
     }
     if j != 1:
         return out
-    rho2 = _reduced(n, a, b, 2)
+    c = mp.sqrt(N / (N - 1)) * mp.sin(r * alpha)
+    rho2 = _reduced(n, b, c, 2)
     yy = mpmath.matrix(_YY)
     spin_flip = mp.eig(rho2 * (yy * rho2 * yy), left=False, right=False)
     lam = sorted((mp.sqrt(max(mp.re(e), 0)) for e in spin_flip), reverse=True)
     out["e2"] = max(mp.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])
     deficits = 0
     for k in range(1, n):
-        corner, edge, bulk = _reduced_entries(n, a, b, k)
+        corner, edge, bulk = _reduced_entries(n, b, c, k)
         rest = mp.mpf(2) ** k - 1
         deficits += mp.binomial(n, k) * (1 - corner**2 - 2 * rest * edge**2 - rest**2 * bulk**2)
     out["en"] = 2 / mp.sqrt(N) * mp.sqrt(deficits)
-    rho1_spectrum = mp.eigsy(_reduced(n, a, b, 1), eigvals_only=True)
-    out["dn"] = -sum(_xlog2(x, x) for x in rho1_spectrum if x > 0)
+    # the 2 x 2 spectrum of rho_1 as det/big and big, so the small eigenvalue
+    # keeps its relative digits, over the trace, which is 1 up to rounding
+    corner, edge, bulk = _reduced_entries(n, b, c, 1)
+    trace, det = corner + bulk, corner * bulk - edge**2
+    big = (trace + mp.sqrt((corner - bulk) ** 2 + 4 * edge**2)) / 2
+    out["dn"] = -sum(_xlog2(x, x) for x in (det / big / trace, big / trace))
     t = mpmath.matrix(3, 3)
     for i, s in enumerate(_PAULIS):
         for k, q in enumerate(_PAULIS):

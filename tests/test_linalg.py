@@ -13,11 +13,10 @@ from groverlab.linalg import (
     binary_entropy,
     pure_partial_trace,
     pure_subsystem_entropy,
-    pure_subsystem_purity,
     shannon_entropy,
     von_neumann_entropy,
 )
-from witnesses import maximally_mixed, n_qubits, partial_trace, relative_entropy
+from witnesses import maximally_mixed, n_qubits, partial_trace, pure_subsystem_purity, relative_entropy
 
 
 def random_density(dim, rng, rank=None):

@@ -7,9 +7,12 @@ pair, the continuous-time GGA success probability, the dense GA
 projector, the quantum relative entropy and the Svetlichny expectation of
 given settings are here for the same reason:
 only tests compare with them. So is the row-by-row CSV/JSON writer that the
-columnar one in `groverlab.report` replaced.
+columnar one in `groverlab.report` replaced, and the per-subset purity that
+the stacked-Gram `en` oracle replaced, with two whole-register `en`
+references built on it and on the benchmark checker's enumeration.
 """
 
+import itertools
 import json
 import math
 
@@ -31,6 +34,7 @@ from groverlab.linalg import (
     PureState,
     _check_keep,
     _clip_spectrum,
+    _schmidt_gram,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -76,6 +80,48 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     reduced = np.einsum(tensor, row_idx + col_idx, out_idx)
     k = len(keep)
     return DensityMatrix(reduced.reshape(2**k, 2**k))
+
+
+def pure_subsystem_purity(amplitudes: np.ndarray, keep) -> float:
+    """Tr(rho_keep^2) for a pure state, via the smaller Gram factor."""
+    return float(np.sum(np.abs(_schmidt_gram(amplitudes, keep)) ** 2))
+
+
+def subset_concurrence(amplitudes: np.ndarray) -> float:
+    """2/sqrt(N) sqrt(sum of 1 - Tr rho_S^2 over every proper subset S), one subset per call."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    n = amps.size.bit_length() - 1
+    radicand = sum(
+        1.0 - pure_subsystem_purity(amps, keep)
+        for k in range(1, n)
+        for keep in itertools.combinations(range(n), k)
+    )
+    return 2.0 / math.sqrt(amps.size) * math.sqrt(max(radicand, 0.0))
+
+
+def checker_grover_amplitudes(n: int, j: int, r: int) -> np.ndarray:
+    """Real statevector after r steps from the uniform start, solutions 0..j-1, stepped
+    as the benchmark's checker steps it."""
+    amps = np.full(1 << n, 1.0 / math.sqrt(1 << n))
+    for _ in range(r):
+        amps[:j] = -amps[:j]
+        amps = 2.0 * amps.mean() - amps
+    return amps
+
+
+def checker_concurrence(amplitudes: np.ndarray) -> float:
+    """The benchmark checker's `en`: real amplitudes, the smaller side of each cut,
+    a @ a.T per cut, the deficits added in enumeration order."""
+    amps = np.asarray(amplitudes, dtype=float)
+    n = amps.size.bit_length() - 1
+    psi = amps.reshape((2,) * n)
+    total = 0.0
+    for k in range(1, n // 2 + 1):
+        weight = 1.0 if 2 * k == n else 2.0
+        for keep in itertools.combinations(range(n), k):
+            a = np.moveaxis(psi, keep, range(k)).reshape(1 << k, -1)
+            total += weight * (1.0 - float(np.sum(np.abs(a @ a.T) ** 2)))
+    return 2.0 / math.sqrt(amps.size) * math.sqrt(max(total, 0.0))
 
 
 def coherence_relative_entropy(rho: DensityMatrix) -> float:
