@@ -13,7 +13,7 @@ from . import coherence, discord, entanglement, grover, nonlocality
 from .errors import CapacityError, NumericalConsistencyError
 from .gga import AmplitudeDistribution, gga_iterate
 from .grover import CAPACITY_QUBITS, GroverConfig, _reduced_matrix, optimal_iterations, state_at
-from .linalg import pure_partial_trace, pure_subsystem_entropy, shannon_entropy, von_neumann_entropy
+from .linalg import DensityMatrix, pure_partial_trace, pure_subsystem_entropy, shannon_entropy, von_neumann_entropy
 from .optimizers import OptimizerConfig
 
 
@@ -24,6 +24,22 @@ def evolve(cfg: GroverConfig, r: int) -> AmplitudeDistribution:
     return gga_iterate(AmplitudeDistribution.uniform(cfg.n, cfg.solutions), r)
 
 
+def evolve_series(cfg: GroverConfig, r_max: int) -> np.ndarray:
+    """The (r_max + 1, 2^n) amplitude stack whose row r is evolve(cfg, r).amplitudes."""
+    dist = evolve(cfg, 0)
+    stack = np.empty((r_max + 1, dist.size), dtype=complex)
+    for r in range(r_max + 1):
+        if r > 0:
+            dist = gga_iterate(dist, 1)
+        stack[r] = dist.amplitudes
+    return stack
+
+
+def _each(rho: DensityMatrix) -> list:
+    """The states of a stack one by one, for the optimizers that search each on its own."""
+    return [DensityMatrix(m) for m in rho.matrix]
+
+
 @dataclass(frozen=True)
 class Measure:
     """One measure: its closed form, its oracle and the domain they share.
@@ -32,8 +48,10 @@ class Measure:
     0, or any j when `any_j` is set. It takes the `SymmetricGAState` of a whole
     series (`state_at(cfg, array_of_r)`) and returns one value per r: an
     array, or for `slow` (opt-in, optimizer per row) measures a list of
-    optimizer results. `oracle(amplitudes, cfg, optimizer)` covers
-    n <= CAPACITY_QUBITS and returns one float or optimizer result. Registers
+    optimizer results. `oracle(stack, cfg, optimizer)` covers
+    n <= CAPACITY_QUBITS. It takes the (rows, 2^n) amplitude stack of a
+    series (`evolve_series`) and returns one value per row in the same way:
+    an array, or for `slow` measures a list of optimizer results. Registers
     smaller than `min_qubits` have no value. `identity` names the
     `cross_validate` identity that checks the closed form against the oracle.
     Entries look functions up on their module at call time, so a function
@@ -66,7 +84,7 @@ class Measure:
 MEASURES = {
     "p": Measure(
         closed_form=lambda cfg, st, opt: grover.success_probability(cfg, st),
-        oracle=lambda amps, cfg, opt: float((np.abs(amps[list(cfg.solutions)]) ** 2).sum()),
+        oracle=lambda amps, cfg, opt: (np.abs(amps.take(cfg.solutions, axis=-1)) ** 2).sum(axis=-1),
         any_j=True,
         identity="success_probability",
     ),
@@ -79,8 +97,10 @@ MEASURES = {
     ),
     "cl1": Measure(
         closed_form=lambda cfg, st, opt: coherence.coherence_l1_ga(cfg, st),
-        # sum_{x != y} |a_x||a_y| = (sum |a_x|)^2 - sum |a_x|^2
-        oracle=lambda amps, cfg, opt: float(np.abs(amps).sum() ** 2 - (np.abs(amps) ** 2).sum()),
+        # sum_{x != y} |a_x||a_y| = (sum |a_x|)^2 - sum |a_x|^2, each row's sum
+        # squared by pow(), as a scalar's ** does, where an array's ** multiplies
+        oracle=lambda amps, cfg, opt: np.float_power(np.abs(amps).sum(axis=-1), 2)
+        - (np.abs(amps) ** 2).sum(axis=-1),
         any_j=True,
         identity="coherence_l1",
     ),
@@ -99,9 +119,9 @@ MEASURES = {
     ),
     "d2": Measure(
         closed_form=lambda cfg, st, opt: discord.pairwise_discord_series(cfg, st, opt),
-        oracle=lambda amps, cfg, opt: discord.pairwise_discord(
-            pure_partial_trace(amps, (0, 1)), opt
-        ),
+        oracle=lambda amps, cfg, opt: [
+            discord.pairwise_discord(rho, opt) for rho in _each(pure_partial_trace(amps, (0, 1)))
+        ],
         min_qubits=2,
         slow=True,
     ),
@@ -120,9 +140,9 @@ MEASURES = {
         closed_form=lambda cfg, st, opt: [
             nonlocality.svetlichny_max_ga(cfg, r, opt) for r in st.r.tolist()
         ],
-        oracle=lambda amps, cfg, opt: nonlocality.svetlichny_max(
-            pure_partial_trace(amps, (0, 1, 2)), opt
-        ),
+        oracle=lambda amps, cfg, opt: [
+            nonlocality.svetlichny_max(rho, opt) for rho in _each(pure_partial_trace(amps, (0, 1, 2)))
+        ],
         min_qubits=3,
         slow=True,
     ),
@@ -133,19 +153,20 @@ MEASURE_KEYS = tuple(MEASURES)
 DEFAULT_GA_MEASURES = tuple(k for k in MEASURE_KEYS if k != "p" and not MEASURES[k].slow)
 
 
-def _generic_measures(
-    dist: AmplitudeDistribution, cfg: GroverConfig, measures, optimizer: OptimizerConfig
-):
-    """Oracle values of `measures` on one statevector, plus optimizer metadata."""
+def _generic_measures(amps: np.ndarray, cfg: GroverConfig, measures, optimizer: OptimizerConfig):
+    """Oracle values of `measures` on a (rows, 2^n) amplitude stack, one array each, plus optimizer metadata."""
     values: dict = {}
     meta: dict = {}
     for key in measures:
-        result = MEASURES[key].oracle(dist.amplitudes, cfg, optimizer)
+        result = MEASURES[key].oracle(amps, cfg, optimizer)
         if MEASURES[key].slow:
-            values[key] = result.value
-            meta[key] = {"evals": result.optimizer_evals, "converged": result.converged}
+            values[key] = np.array([res.value for res in result], dtype=float)
+            meta[key] = {
+                "evals": [res.optimizer_evals for res in result],
+                "converged": [res.converged for res in result],
+            }
         else:
-            values[key] = result
+            values[key] = np.asarray(result, dtype=float)
     return values, meta
 
 
@@ -210,57 +231,75 @@ def _or_inf(closed_form, *args):
 def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: float, rng, deviations) -> None:
     """Append each identity's deviation on every row r = 0..r_opt of one (n, j) series.
 
-    One statevector is stepped through the series. `uniform` checks it
+    The series is stepped once into an amplitude stack. `uniform` checks it
     against the closed-form amplitudes; `requested` checks every other
-    identity on it.
+    identity on it, each as stacked work over the rows. The closed forms
+    that run on one row's scalar state (`rows`) stay per row: a scalar's
+    ** is pow(), an array's multiplies, so a series state rounds its
+    squares differently. So do the reduced matrices wider than 2^(n/2),
+    whose stacks only add memory traffic.
     """
     n, j = cfg.n, cfg.j
     st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
     if fault:
         st = replace(st, a=st.a + fault)
-    keys = [k for k, m in MEASURES.items() if requested and m.identity and m.engine(cfg) == "analytic"]
-    closed = {k: np.broadcast_to(_or_inf(MEASURES[k].series, cfg, st, None), st.r.shape) for k in keys}
-    dist = evolve(cfg, 0)
-    for r in st.r.tolist():
-        if r > 0:
-            dist = gga_iterate(dist, 1)
-        row = replace(st, r=st.r[r], alpha_r=st.alpha_r[r], a=st.a[r], b=st.b[r])
-        if uniform:  # a/sqrt(j) on every solution, b elsewhere
-            deviations["gga_uniform_equivalence"].append(
-                max(
-                    float(np.max(np.abs(dist.solution_amplitudes - row.a / math.sqrt(j)))),
-                    float(np.max(np.abs(dist.other_amplitudes - row.b))),
+    amps = evolve_series(cfg, st.r.size - 1)
+    if uniform:  # a/sqrt(j) on every solution, b elsewhere
+        solution = np.abs(amps[:, list(cfg.solutions)] - st.a[:, None] / math.sqrt(j)).max(axis=1)
+        other = np.abs(np.delete(amps, cfg.solutions, axis=1) - st.b[:, None]).max(axis=1)
+        deviations["gga_uniform_equivalence"].extend(np.maximum(solution, other).tolist())
+    if not requested:
+        return
+    keys = [k for k, m in MEASURES.items() if m.identity and m.engine(cfg) == "analytic"]
+    oracle, _ = _generic_measures(amps, cfg, keys, None)
+    if "cr" in oracle:
+        # the oracle's C_r leaves out S(rho) of the pure state; here it is
+        # taken from the spectrum of the 1 x 1 Gram <psi|psi>
+        oracle["cr"] = oracle["cr"] - pure_subsystem_entropy(amps, range(n))
+    for key in keys:
+        closed = np.broadcast_to(_or_inf(MEASURES[key].series, cfg, st, None), st.r.shape)
+        deviations[MEASURES[key].identity].extend(np.abs(closed - oracle[key]).tolist())
+    deviations["grover_step_norm"].extend(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0).tolist())
+    # float_power squares as a scalar's ** does, by pow(), where an array's ** multiplies
+    square_a, square_b = np.float_power(st.a, 2), np.float_power(st.b, 2)
+    deviations["normalization"].extend(np.abs(square_a + (cfg.database_size - j) * square_b - 1.0).tolist())
+    if j != 1:
+        return
+    rows = [replace(st, r=r, alpha_r=alpha_r, a=a, b=b) for r, alpha_r, a, b in zip(st.r, st.alpha_r, st.a, st.b)]
+    partition = discord.genuine_discord_partition_minima(cfg, st.r)
+    deviations["partition_minimum"].extend(
+        abs(value - _or_inf(discord.genuine_discord_ga, cfg, row)) for value, row in zip(partition.tolist(), rows)
+    )
+    # any other k-qubit subset must give the same matrix; drawn r outer, k inner
+    subsets = [[tuple(sorted(rng.choice(n, size=k, replace=False).tolist())) for k in range(1, n)] for _ in rows]
+    deficits = np.zeros(len(rows))  # sum_k C(n,k) (1 - Tr rho_k^2) of each statevector
+    for k in range(1, n):
+        if 2 * k <= n:
+            structured = np.stack([_reduced_matrix(n, row, k) for row in rows])
+            gaps, purity = _reduction_gaps(structured, amps, range(k), [s[k - 1] for s in subsets])
+        else:  # one row at a time
+            gaps, purity = zip(
+                *(
+                    _reduction_gaps(_reduced_matrix(n, row, k), a, range(k), s[k - 1])
+                    for row, a, s in zip(rows, amps, subsets)
                 )
             )
-        if not requested:
-            continue
-        amps = dist.amplitudes
-        oracle, _ = _generic_measures(dist, cfg, keys, None)
-        if "cr" in oracle:
-            # the oracle's C_r leaves out S(rho) of the pure state; here it is
-            # taken from the spectrum of the 1 x 1 Gram <psi|psi>
-            oracle["cr"] -= pure_subsystem_entropy(amps, range(n))
-        for key in keys:
-            deviations[MEASURES[key].identity].append(abs(float(closed[key][r]) - oracle[key]))
-        deviations["grover_step_norm"].append(abs(float(np.sum(np.abs(amps) ** 2)) - 1.0))
-        deviations["normalization"].append(abs(row.a**2 + (cfg.database_size - j) * row.b**2 - 1.0))
-        if j != 1:
-            continue
-        partition = discord.genuine_discord_partition_min(cfg, r).value
-        deviations["partition_minimum"].append(abs(partition - _or_inf(discord.genuine_discord_ga, cfg, row)))
-        deficits = 0.0  # sum_k C(n,k) (1 - Tr rho_k^2) of the statevector
-        for k in range(1, n):
-            structured = _reduced_matrix(n, row, k)
-            generic = pure_partial_trace(amps, range(k)).matrix
-            deficits += math.comb(n, k) * (1.0 - float(np.sum(np.abs(generic) ** 2)))
-            deviations["reduced_density"].append(float(np.max(np.abs(structured - generic))))
-            # any other k-qubit subset must give the same matrix
-            subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            permuted = pure_partial_trace(amps, subset).matrix
-            deviations["reduced_density"].append(float(np.max(np.abs(structured - permuted))))
-        deviations["multiqubit_concurrence_forms"].append(
-            abs(float(entanglement._multiqubit_radicand(n, row)) - deficits)
-        )
+        deviations["reduced_density"].extend(np.ravel(gaps).tolist())
+        deficits += math.comb(n, k) * (1.0 - np.asarray(purity))
+    deviations["multiqubit_concurrence_forms"].extend(
+        abs(float(entanglement._multiqubit_radicand(n, row)) - d) for row, d in zip(rows, deficits.tolist())
+    )
+
+
+def _reduction_gaps(structured: np.ndarray, amps: np.ndarray, first, subset) -> tuple:
+    """max |structured - rho| for rho on the `first` and on the `subset` qubits, and Tr rho_first^2.
+
+    Works on one statevector or, with one subset per row, on a stack of them.
+    """
+    generic = pure_partial_trace(amps, first).matrix
+    permuted = pure_partial_trace(amps, subset).matrix
+    gaps = [np.max(np.abs(structured - m), axis=(-2, -1)) for m in (generic, permuted)]
+    return gaps, np.sum(np.abs(generic) ** 2, axis=(-2, -1))
 
 
 def cross_validate(

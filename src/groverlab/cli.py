@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -66,6 +67,13 @@ def _parse_j_spec(spec: str) -> tuple:
     return tuple(int(p) for p in spec.split(",") if p)
 
 
+def _parse_finite(spec: str) -> float:
+    value = float(spec)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_grid(spec: str) -> tuple:
     """(theta_grid, phi_grid), the first two fields of OptimizerConfig."""
     theta, _, phi = spec.lower().partition("x")
@@ -96,6 +104,7 @@ class _Parsed(click.ParamType):
 
 J_SPEC = _Parsed("j", _parse_j_spec)
 GRID = _Parsed("grid", _parse_grid)
+FINITE = _Parsed("float", _parse_finite)
 MEASURE_LIST = _Parsed("measures", _parse_measures)
 
 
@@ -239,7 +248,7 @@ def gga(ctx, n, phi_points, init_file, r_max, seed, fmt, out):
 @main.command()
 @click.option("--max-n", type=int, default=8, help="Largest qubit count to validate.")
 @click.option("--j", "j_values", type=J_SPEC, default="1,2", help="Solution counts to validate.")
-@click.option("--inject-fault", type=float, default=0.0, help="Perturb the analytic amplitude (self-test).")
+@click.option("--inject-fault", type=FINITE, default=0.0, help="Perturb the analytic amplitude (self-test).")
 @_output_options("json")
 def verify(max_n, j_values, inject_fault, seed, fmt, out):
     """Run the closed-form-vs-brute-force identity suite; exit 1 on failure."""

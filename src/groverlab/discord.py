@@ -16,7 +16,6 @@ from .grover import (
     SymmetricGAState,
     _reduced_matrix,
     _require_leading_single_solution,
-    reduced_density,
     state_at,
 )
 from .linalg import DensityMatrix, _clip_spectrum, von_neumann_entropy
@@ -300,22 +299,34 @@ class PartitionMinimum:
     entropy_by_size: dict[int, float]
 
 
-def genuine_discord_partition_min(cfg: GroverConfig, r: int) -> PartitionMinimum:
-    """Exhaustive partition minimization of the product-state relative entropy.
+def _block_entropies(cfg: GroverConfig, rs) -> dict:
+    """S(rho_k) for k = 1..n-1 at each r of rs, one array per k.
 
     Permutation symmetry of the search state makes block entropies depend
-    only on block size, so compositions collapse to integer partitions. The
-    global state is pure, so S(rho_k) = S(rho_{n-k}): only k <= n/2 is
-    evaluated, by exact diagonalization of the materialized reduced matrix.
+    only on block size. The global state is pure, so S(rho_k) = S(rho_{n-k}):
+    only k <= n/2 is evaluated, by exact diagonalization of the materialized
+    reduced matrices, one stacked spectrum per k. Each matrix is built from
+    its own scalar state, so it rounds as reduced_density at that one r does.
     """
     if cfg.j != 1 or cfg.solutions != (0,):
         raise UnsupportedStructureError("partition minimization requires j=1, solution at 0")
     if cfg.n > CAPACITY_QUBITS:
         raise CapacityError(f"partition minimization capped at {CAPACITY_QUBITS} qubits, got n={cfg.n}")
-    st = state_at(cfg, r)
-    sizes = range(1, cfg.n // 2 + 1)
-    half = {k: von_neumann_entropy(reduced_density(cfg, st, k)) for k in sizes}
-    entropy = {k: half[min(k, cfg.n - k)] for k in range(1, cfg.n)}
+    states = [state_at(cfg, r) for r in np.ravel(rs).tolist()]
+    half = {
+        k: von_neumann_entropy(DensityMatrix(np.stack([_reduced_matrix(cfg.n, st, k) for st in states])))
+        for k in range(1, cfg.n // 2 + 1)
+    }
+    return {k: half[min(k, cfg.n - k)] for k in range(1, cfg.n)}
+
+
+def genuine_discord_partition_min(cfg: GroverConfig, r: int) -> PartitionMinimum:
+    """Exhaustive partition minimization of the product-state relative entropy.
+
+    Compositions collapse to integer partitions, as block entropies depend
+    only on block size (`_block_entropies`).
+    """
+    entropy = {k: float(h[0]) for k, h in _block_entropies(cfg, [r]).items()}
     best_value = math.inf
     best_parts: tuple[int, ...] = ()
     for parts in _partitions_with_two_parts(cfg.n):
@@ -324,3 +335,10 @@ def genuine_discord_partition_min(cfg: GroverConfig, r: int) -> PartitionMinimum
             best_value = total
             best_parts = parts
     return PartitionMinimum(value=best_value / 2.0, partition=best_parts, entropy_by_size=entropy)
+
+
+def genuine_discord_partition_minima(cfg: GroverConfig, rs) -> np.ndarray:
+    """genuine_discord_partition_min(cfg, r).value at each r of the array rs, one numpy pass per partition."""
+    entropy = _block_entropies(cfg, rs)
+    totals = [sum(entropy[k] for k in parts) for parts in _partitions_with_two_parts(cfg.n)]
+    return np.min(totals, axis=0) / 2.0

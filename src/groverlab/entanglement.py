@@ -18,8 +18,8 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 RADICAND_TOL = 1e-10
 
 
-def concurrence_two_qubit(rho2: DensityMatrix) -> float:
-    """Spin-flip concurrence max{0, l1 - l2 - l3 - l4}.
+def concurrence_two_qubit(rho2: DensityMatrix):
+    """Spin-flip concurrence max{0, l1 - l2 - l3 - l4}; one value per matrix of a stack.
 
     The l_i are computed as eigenvalues of the Hermitian matrix
     sqrt(rho) rho_tilde sqrt(rho), which shares its spectrum with
@@ -31,10 +31,11 @@ def concurrence_two_qubit(rho2: DensityMatrix) -> float:
     tilde = _YY @ m.conj() @ _YY
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    sqrt_m = (v * np.sqrt(w)) @ v.conj().T
+    sqrt_m = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     herm = sqrt_m @ tilde @ sqrt_m
-    lam = np.sqrt(np.clip(np.linalg.eigvalsh(herm), 0.0, None))[::-1]
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(herm), 0.0, None))
+    # [()] turns the 0-d result of one matrix back into a scalar
+    return np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0])[()]
 
 
 def concurrence_two_qubit_ga(cfg: GroverConfig, st: SymmetricGAState):
@@ -73,9 +74,10 @@ def concurrence_multiqubit_ga(cfg: GroverConfig, st: SymmetricGAState):
     return 2.0 / math.sqrt(cfg.database_size) * np.sqrt(_multiqubit_radicand(cfg.n, st))
 
 
-# Amplitudes gathered per stacked Gram: a block holds 2^14 >> n cuts, at least
-# one. At n = 12 it was as fast as any block from 2^12 to 2^17 amplitudes;
-# larger blocks only add to the peak memory.
+# Amplitudes gathered per stacked Gram, summed over the rows of a stack: a
+# block holds 2^14 >> n (cut, row) pairs, at least one. At n = 12 it was as
+# fast as any block from 2^12 to 2^17 amplitudes; larger blocks only add to
+# the peak memory.
 BLOCK_AMPLITUDES = 1 << 14
 
 
@@ -105,34 +107,52 @@ def _spread(places: np.ndarray) -> np.ndarray:
     return t
 
 
-def multiqubit_concurrence_pure(amplitudes: np.ndarray) -> float:
+def multiqubit_concurrence_pure(amplitudes: np.ndarray):
     """Brute-force purity-deficit concurrence: sums 1 - Tr rho_S^2 over every proper qubit subset S.
 
     A pure state gives a subset and its complement the same purity, so each
     cut is evaluated once, through its smaller side S of k <= n/2 qubits, and
     counted twice. For each k the cuts are gathered in blocks into a stack of
     2^k x 2^(n-k) matrices a (rows over S) and Tr rho_S^2 = sum |a a^dag|^2 is
-    taken for the whole stack at once. A real state is worked in real arithmetic.
+    taken for the whole stack at once. Takes one state or a (rows, 2^n) stack,
+    which shares each block's gather index, and gives one value per state; a
+    real state is worked in real arithmetic.
     """
     amps = np.asarray(amplitudes, dtype=complex)
-    n = amps.size.bit_length() - 1
-    if 1 << n != amps.size:
-        raise ValueError(f"amplitude length {amps.size} is not a power of two")
+    size = amps.shape[-1]
+    n = size.bit_length() - 1
+    if 1 << n != size:
+        raise ValueError(f"amplitude length {size} is not a power of two")
     if n > CAPACITY_QUBITS:
         raise CapacityError(f"subset enumeration capped at {CAPACITY_QUBITS} qubits, got {n}")
-    if not amps.imag.any():
-        amps = np.ascontiguousarray(amps.real)
-    block = max(1, BLOCK_AMPLITUDES >> n)
-    deficits = []
-    for k in range(1, n // 2 + 1):
-        keep, rest = _cut_places(n, k)
-        rows, cols = _spread(keep), _spread(rest)
-        for start in range(0, rows.shape[0], block):
-            cuts = slice(start, start + block)
-            a = amps.take(rows[cuts, :, None] + cols[cuts, None, :])
-            g = a @ a.conj().swapaxes(1, 2)
-            deficits.append(1.0 - (g * g.conj()).real.sum(axis=(1, 2)))
-    radicand = 2.0 * float(np.concatenate(deficits).sum()) if deficits else 0.0
-    if radicand < -RADICAND_TOL:
-        raise NumericalConsistencyError(f"negative radicand {radicand:.3e}")
-    return 2.0 / math.sqrt(amps.size) * math.sqrt(max(radicand, 0.0))
+    states = amps.reshape(-1, size)
+    radicand = np.zeros(states.shape[0])
+    real = ~states.imag.any(axis=1)
+    for rows, group in ((real, states.real), (~real, states)):
+        if rows.any() and n > 1:  # one qubit has no cut
+            radicand[rows] = 2.0 * _deficit_sums(np.ascontiguousarray(group[rows]), n)
+    if np.any(radicand < -RADICAND_TOL):
+        raise NumericalConsistencyError(f"negative radicand {radicand.min():.3e}")
+    value = 2.0 / math.sqrt(size) * np.sqrt(np.maximum(radicand, 0.0))
+    # [()] turns the 0-d result of one state back into a scalar
+    return value.reshape(amps.shape[:-1])[()]
+
+
+def _deficit_sums(states: np.ndarray, n: int) -> np.ndarray:
+    """Each row's sum of 1 - Tr rho_S^2 over the cuts of _cut_places, in their order."""
+    pairs = max(1, BLOCK_AMPLITUDES >> n)  # (cut, row) pairs per gather
+    sums = []
+    for first in range(0, states.shape[0], pairs):
+        rows = states[first : first + pairs]
+        block = max(1, pairs // rows.shape[0])
+        deficits = []
+        for k in range(1, n // 2 + 1):
+            keep, rest = _cut_places(n, k)
+            keep, rest = _spread(keep), _spread(rest)
+            for start in range(0, keep.shape[0], block):
+                cuts = slice(start, start + block)
+                a = rows.take(keep[cuts, :, None] + rest[cuts, None, :], axis=1)
+                g = a @ a.conj().swapaxes(-1, -2)
+                deficits.append(1.0 - (g * g.conj()).real.sum(axis=(-2, -1)))
+        sums.append(np.concatenate(deficits, axis=1).sum(axis=1))
+    return np.concatenate(sums)

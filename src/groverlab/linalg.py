@@ -53,33 +53,52 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+# Elements compared with the adjoint per block of rows. The temporaries of a
+# whole 256 x 256 matrix are mapped afresh, page by page, on every check; in
+# blocks of this size the check of such a matrix took half the time.
+_ADJOINT_BLOCK = 1 << 13
+
+
+def _adjoint_gap(m: np.ndarray) -> float:
+    """max |m - m^dag| over a square matrix or a stack of them, taken in blocks of rows."""
+    d = m.shape[-1]
+    rows = max(1, _ADJOINT_BLOCK * d // max(m.size, 1))
+    gaps = [
+        np.max(np.abs(m[..., s : s + rows, :] - m[..., s : s + rows].conj().swapaxes(-1, -2)), initial=0.0)
+        for s in range(0, d, rows)
+    ]
+    return float(np.max(gaps))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace complex matrix.
+    """Hermitian, unit-trace complex matrix, or a stack of them along leading axes.
 
-    Hermiticity and trace are validated on construction. Positivity is
-    enforced wherever the spectrum is actually computed, via the clipping
-    rule in :func:`_clip_spectrum`.
+    Hermiticity and trace are validated on construction, once for a whole
+    stack. Positivity is enforced wherever the spectrum is actually
+    computed, via the clipping rule in :func:`_clip_spectrum`. For a stack,
+    `eigenvalues` and `purity` have one row or value per matrix.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
             raise InvalidStateError(f"density matrix must be square, got shape {m.shape}")
-        herm = np.max(np.abs(m - m.conj().T))
+        herm = _adjoint_gap(m)
         if herm > HERMITIAN_TOL:
             raise InvalidStateError(f"matrix not Hermitian: max |m - m^dag| = {herm:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"trace is {tr!r}, expected 1")
+        tr = np.asarray(np.trace(m, axis1=-2, axis2=-1))
+        off = np.abs(tr - 1.0) > TRACE_TOL
+        if np.any(off):
+            raise InvalidStateError(f"trace is {tr[off][0]!r}, expected 1")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @classmethod
     def from_pure(cls, amplitudes) -> "DensityMatrix":
@@ -91,8 +110,9 @@ class DensityMatrix:
         """Real spectrum, ascending, with tiny negatives clipped to zero."""
         return _clip_spectrum(np.linalg.eigvalsh(self.matrix), "DensityMatrix spectrum")
 
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
+    def purity(self):
+        # [()] turns the 0-d result of one matrix back into a scalar
+        return np.sum(np.abs(self.matrix) ** 2, axis=(-2, -1))[()]
 
 
 def binary_entropy(x):
@@ -107,15 +127,21 @@ def binary_entropy(x):
     return np.where((x == 0.0) | (x == 1.0), 0.0, h)[()]
 
 
-def shannon_entropy(probabilities: np.ndarray) -> float:
-    """Shannon entropy in bits of a probability vector (0 log 0 := 0)."""
+def shannon_entropy(probabilities):
+    """Shannon entropy in bits (0 log 0 := 0) of a probability vector, or of each row of a stack."""
     p = _clip_spectrum(np.asarray(probabilities, dtype=float), "probability vector")
+    if p.ndim > 1:
+        h = np.maximum(0.0, -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1))
+        # zeros change how the sum pairs its terms: such a row is summed as a vector is
+        for i in zip(*np.nonzero(np.any(p == 0.0, axis=-1))):
+            h[i] = shannon_entropy(p[i])
+        return h
     p = p[p > 0.0]
     return float(max(0.0, -np.sum(p * np.log2(p))))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr(rho log2 rho) evaluated on the clipped spectrum."""
+def von_neumann_entropy(rho: DensityMatrix):
+    """-Tr(rho log2 rho) evaluated on the clipped spectrum; one value per matrix of a stack."""
     return shannon_entropy(rho.eigenvalues())
 
 
@@ -133,22 +159,31 @@ def _check_keep(n: int, keep) -> tuple[int, ...]:
 
 
 def _split(amplitudes: np.ndarray, keep) -> np.ndarray:
-    """Amplitudes of a pure n-qubit state as a 2^k x 2^(n-k) matrix, rows over `keep`."""
+    """Pure n-qubit states (..., 2^n) as (..., 2^k, 2^(n-k)) matrices, rows over `keep`.
+
+    `keep` is one qubit list for every state, or for a (rows, 2^n) stack one
+    list of k qubits per row.
+    """
     amps = np.asarray(amplitudes, dtype=complex)
-    n = amps.size.bit_length() - 1
-    if 1 << n != amps.size:
-        raise ValueError(f"amplitude length {amps.size} is not a power of two")
+    if amps.ndim == 2 and np.ndim(keep) == 2:
+        return np.stack([_split(row, q) for row, q in zip(amps, keep, strict=True)])
+    lead, size = amps.shape[:-1], amps.shape[-1]
+    n = size.bit_length() - 1
+    if 1 << n != size:
+        raise ValueError(f"amplitude length {size} is not a power of two")
     keep = _check_keep(n, keep)
     k = len(keep)
-    return np.moveaxis(amps.reshape((2,) * n), keep, range(k)).reshape(2**k, -1)
+    axes = len(lead)
+    moved = np.moveaxis(amps.reshape(lead + (2,) * n), [axes + q for q in keep], range(axes, axes + k))
+    return moved.reshape(lead + (1 << k, 1 << (n - k)))
 
 
 def pure_partial_trace(amplitudes: np.ndarray, keep) -> DensityMatrix:
-    """Reduced state of a pure n-qubit state without forming the full projector."""
+    """Reduced state of a pure n-qubit state, or of each row of a stack, without the full projector."""
     a = _split(amplitudes, keep)
-    if a.shape[1] == 1:
-        return DensityMatrix.from_pure(a.reshape(-1))
-    return DensityMatrix(a @ a.conj().T)
+    if a.shape[-1] == 1:  # the whole register: the outer product of each row
+        return DensityMatrix(a * a.conj().swapaxes(-1, -2))
+    return DensityMatrix(a @ a.conj().swapaxes(-1, -2))
 
 
 def _schmidt_gram(amplitudes: np.ndarray, keep) -> np.ndarray:
@@ -158,11 +193,11 @@ def _schmidt_gram(amplitudes: np.ndarray, keep) -> np.ndarray:
     min(2^k, 2^(n-k)) wide; it is 1 x 1 when `keep` is every qubit.
     """
     a = _split(amplitudes, keep)
-    if a.shape[0] <= a.shape[1]:
-        return a @ a.conj().T
-    return a.conj().T @ a
+    if a.shape[-2] <= a.shape[-1]:
+        return a @ a.conj().swapaxes(-1, -2)
+    return a.conj().swapaxes(-1, -2) @ a
 
 
-def pure_subsystem_entropy(amplitudes: np.ndarray, keep) -> float:
-    """S(rho_keep) in bits for a pure state, from the spectrum of the smaller Gram factor."""
+def pure_subsystem_entropy(amplitudes: np.ndarray, keep):
+    """S(rho_keep) in bits for a pure state, or each row of a stack, from the smaller Gram factor."""
     return shannon_entropy(np.linalg.eigvalsh(_schmidt_gram(amplitudes, keep)))

@@ -28,7 +28,10 @@ ENTRY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class CorrelationTensor:
-    """Pauli correlation expectations: 3x3 matrix (order 2) or 3x3x3 tensor (order 3)."""
+    """Pauli correlation expectations: 3x3 matrix (order 2) or 3x3x3 tensor (order 3).
+
+    `entries` may carry leading axes: a stack of tensors, one per state.
+    """
 
     order: int
     entries: np.ndarray
@@ -37,19 +40,19 @@ class CorrelationTensor:
         if self.order not in (2, 3):
             raise ValueError(f"order must be 2 or 3, got {self.order}")
         entries = np.ascontiguousarray(self.entries, dtype=float)
-        if entries.shape != (3,) * self.order:
+        if entries.shape[entries.ndim - self.order :] != (3,) * self.order:
             raise ValueError(f"expected shape {(3,) * self.order}, got {entries.shape}")
-        if np.max(np.abs(entries)) > 1.0 + ENTRY_TOL:
+        if np.max(np.abs(entries), initial=0.0) > 1.0 + ENTRY_TOL:
             raise ValueError(f"correlation entry {np.max(np.abs(entries))!r} above 1")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
 
 def correlation_matrix(rho2: DensityMatrix) -> CorrelationTensor:
-    """T_ij = Tr rho (sigma_i x sigma_j)."""
+    """T_ij = Tr rho (sigma_i x sigma_j), for one state or each of a stack."""
     if rho2.dim != 4:
         raise ValueError(f"correlation matrix needs a 4x4 state, got dim {rho2.dim}")
-    t = np.einsum("ijab,ba->ij", _PAIR_OPS, rho2.matrix).real
+    t = np.einsum("ijab,...ba->...ij", _PAIR_OPS, rho2.matrix).real
     return CorrelationTensor(order=2, entries=t)
 
 
@@ -61,11 +64,12 @@ def correlation_tensor_3(rho3: DensityMatrix) -> CorrelationTensor:
     return CorrelationTensor(order=3, entries=t)
 
 
-def chsh_M(rho2: DensityMatrix) -> float:
-    """Sum of the two largest eigenvalues of T^T T; CHSH is violated iff M > 1."""
+def chsh_M(rho2: DensityMatrix):
+    """Sum of the two largest eigenvalues of T^T T; CHSH is violated iff M > 1. One value per state of a stack."""
     t = correlation_matrix(rho2).entries
-    u = np.sort(np.linalg.eigvalsh(t.T @ t))
-    return float(u[-1] + u[-2])
+    u = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)  # ascending
+    # [()] turns the 0-d result of one state back into a scalar
+    return (u[..., -1] + u[..., -2])[()]
 
 
 def chsh_M_ga(cfg: GroverConfig, st: SymmetricGAState):
@@ -162,8 +166,8 @@ def svetlichny_max(
     """
     config = config or OptimizerConfig()
     tensor = rho3 if isinstance(rho3, CorrelationTensor) else correlation_tensor_3(rho3)
-    if tensor.order != 3:
-        raise ValueError("Svetlichny maximization needs an order-3 tensor")
+    if tensor.entries.shape != (3, 3, 3):
+        raise ValueError("Svetlichny maximization needs one order-3 tensor")
     tensors = [np.moveaxis(tensor.entries, party, 0) for party in range(3)]
     others = ((1, 2), (0, 2), (0, 1))
 

@@ -16,7 +16,7 @@ from .bruteforce import (
     MEASURES,
     _generic_measures,
     cross_validate,
-    evolve,
+    evolve_series,
 )
 from .gga import (
     AmplitudeDistribution,
@@ -73,26 +73,21 @@ def _ga_series_columns(cfg: GroverConfig, r_max: int, measures, optimizer, use_o
     """The columns of one (n, j) series: j, r, p and each measure, one array each.
 
     Each analytic column is one closed-form call on the state of the whole
-    series; the oracle columns step one statevector through it. A measure
-    with no engine is an all-NA (masked) column.
+    series; the oracle columns are one oracle call each on the series'
+    amplitude stack. A measure with no engine is an all-NA (masked) column.
     """
     engines = _series_engines(cfg, measures, use_oracle)
     rs = np.arange(r_max + 1)
     oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
-    oracle = np.empty((len(oracle_measures), rs.size))
     if oracle_measures:
-        dist = evolve(cfg, 0)
-        for r in rs.tolist():
-            if r > 0:
-                dist = gga_iterate(dist, 1)
-            oracle[:, r] = list(_generic_measures(dist, cfg, oracle_measures, optimizer)[0].values())
+        oracle, _ = _generic_measures(evolve_series(cfg, r_max), cfg, oracle_measures, optimizer)
     st = state_at(cfg, rs)
     columns = {"j": np.full(rs.size, cfg.j), "r": rs}
     for m, engine in engines.items():
         if engine == "analytic":
             columns[m] = MEASURES[m].series(cfg, st, optimizer)
         elif engine == "oracle":
-            columns[m] = oracle[oracle_measures.index(m)]
+            columns[m] = oracle[m]
         else:
             columns[m] = np.ma.masked_all(rs.size)  # NA
     return columns

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from groverlab import nonlocality
+from groverlab import bruteforce, nonlocality
 from groverlab.bruteforce import (
     _IDENTITY_TOLERANCES,
     DEFAULT_GA_MEASURES,
@@ -68,7 +68,9 @@ class TestStateVector:
 
 
 def oracle_row(cfg, r, measures, optimizer=None):
-    return _generic_measures(evolve(cfg, r), cfg, measures, optimizer or OptimizerConfig())
+    """_generic_measures on the one-row stack of evolve(cfg, r): its values and metadata of that row."""
+    values, meta = _generic_measures(evolve(cfg, r).amplitudes[None], cfg, measures, optimizer or OptimizerConfig())
+    return {k: v[0] for k, v in values.items()}, {k: {f: x[0] for f, x in m.items()} for k, m in meta.items()}
 
 
 class TestRunAndMeasure:
@@ -157,7 +159,7 @@ class TestMeasureTable:
         assert len(series) == len(rs)
         for r in rs.tolist():
             closed = series[r]
-            oracle = measure.oracle(evolve(cfg, r).amplitudes, cfg, opt)
+            (oracle,) = measure.oracle(evolve(cfg, r).amplitudes[None], cfg, opt)
             if measure.slow:
                 closed, oracle = closed.value, oracle.value
             assert closed == pytest.approx(oracle, abs=1e-6)
@@ -255,7 +257,7 @@ class TestCrossValidate:
         post_init = DensityMatrix.__post_init__
 
         def recording_post_init(self):
-            dims.append(np.shape(self.matrix)[0])
+            dims.append(np.shape(self.matrix)[-1])
             post_init(self)
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", recording_post_init)
@@ -263,6 +265,36 @@ class TestCrossValidate:
         assert summary.passed
         assert widths and max(widths) <= 1 << (max_n // 2)
         assert dims and max(dims) < 1 << max_n
+
+    def test_series_work_does_not_grow_with_rows(self, monkeypatch):
+        # each requested (n, j) series makes one oracle call, and each
+        # reduction to k <= n/2 qubits takes the series' whole amplitude stack
+        oracle_calls = []
+        reductions = []  # (n, k, rows) of each reduction with 2k <= n
+        generic, trace = bruteforce._generic_measures, bruteforce.pure_partial_trace
+
+        def counting_generic(amps, cfg, *args):
+            oracle_calls.append((cfg.n, cfg.j))
+            return generic(amps, cfg, *args)
+
+        def counting_trace(amps, keep):
+            n, k = np.shape(amps)[-1].bit_length() - 1, np.shape(keep)[-1]
+            if 2 * k <= n:
+                reductions.append((n, k, np.shape(amps)[0] if np.ndim(amps) == 2 else 1))
+            return trace(amps, keep)
+
+        monkeypatch.setattr(bruteforce, "_generic_measures", counting_generic)
+        monkeypatch.setattr(bruteforce, "pure_partial_trace", counting_trace)
+        assert cross_validate(max_n=9, j_values=(1, 2)).passed
+        series = [(n, j) for n in range(2, 10) for j in (1, 2)]
+        assert sorted(oracle_calls) == series
+        for n in range(2, 10):
+            at_n = [(k, rows) for m, k, rows in reductions if m == n]
+            # dn, then e2 and m once they keep k <= n/2, then range(k) and
+            # a random subset per reduced_density cut
+            assert len(at_n) <= 3 + 2 * (n // 2), n
+            rows = optimal_iterations(GroverConfig(n=n, j=1)) + 1
+            assert all(r == rows for _, r in at_n), (n, at_n)
 
     def test_summary_serialization(self):
         summary, result = verify_rows(RunConfig(command="verify", max_n=3))

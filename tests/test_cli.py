@@ -287,6 +287,10 @@ class TestGoldenOutputs:
             ("verify_n4.csv", ("verify", "--max-n", "4", "--format", "csv")),
             ("verify_n4.json", ("verify", "--max-n", "4", "--format", "json")),
             ("gga_n6_phi5.json", ("gga", "--n", "6", "--phi-points", "5", "--format", "json")),
+            # the benchmark's oracle ops, where JSON prints every bit of the stacked oracles
+            ("verify_n9_j1-2.json", ("verify", "--max-n", "9", "--j", "1,2", "--seed", "0", "--format", "json")),
+            ("ga_n12_j2_r1.json", ("ga", "--n", "12", "--j", "2", "--r-max", "1", "--format", "json")),
+            ("ga_n11_j2-3_r2.json", ("ga", "--n", "11", "--j", "2,3", "--r-max", "2", "--format", "json")),
         ],
     )
     def test_byte_identical(self, name, args):
@@ -335,7 +339,7 @@ class TestGoldenOutputs:
                 if meta[f"engine.j{j}.{key}"] == "analytic":
                     (res,) = MEASURES[key].closed_form(cfg, state_at(cfg, np.array([r])), optimizer)
                 else:
-                    res = MEASURES[key].oracle(evolve(cfg, r).amplitudes, cfg, optimizer)
+                    (res,) = MEASURES[key].oracle(evolve(cfg, r).amplitudes[None], cfg, optimizer)
                 assert res.converged, (key, r)
                 assert format(res.value, ".12g") == row[key]
 
@@ -827,6 +831,10 @@ def test_malformed_option_value_is_usage_error(tmp_path, monkeypatch, command, o
         (("verify", "--j", "1..x"), "--j"),
         (("figures", "--grid", "abc"), "--grid"),
         (("figures", "--grid", "2"), "--grid"),
+        # a non-finite fault would print nan or inf deviations and exit 1
+        (("verify", "--max-n", "3", "--inject-fault", "nan"), "--inject-fault"),
+        (("verify", "--max-n", "3", "--inject-fault", "inf"), "--inject-fault"),
+        (("verify", "--max-n", "3", "--inject-fault", "-inf"), "--inject-fault"),
     ],
 )
 def test_malformed_spec_is_usage_error(tmp_path, monkeypatch, args, option):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from groverlab.bruteforce import evolve
+from groverlab.bruteforce import MEASURES, evolve, evolve_series
 from groverlab.errors import UnsupportedStructureError
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
 from groverlab.linalg import DensityMatrix, pure_partial_trace
@@ -165,6 +165,18 @@ class TestSvetlichny:
         for r in (0, 9, 17, 26, 35):
             res = svetlichny_max_ga(cfg, r, OptimizerConfig(restarts=8, seed=0))
             assert res.value <= 4.0 + 1e-6
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_multi_solution_search_states_show_no_genuine_nonlocality(self, n, j):
+        # the closed form covers j = 1 only; for j > 1 the oracle searches
+        # the three-qubit reduced state of every row
+        cfg = GroverConfig(n=n, j=j)
+        stack = evolve_series(cfg, optimal_iterations(cfg))
+        results = MEASURES["svet"].oracle(stack, cfg, OptimizerConfig(restarts=16, seed=0))
+        assert len(results) == stack.shape[0]
+        for r, res in enumerate(results):
+            assert res.value <= 4.0 + 1e-6, (r, res.value)
 
     def test_settings_are_unit_vectors(self):
         res = svetlichny_max(ghz_density(), OptimizerConfig(restarts=4, seed=1))

@@ -9,25 +9,41 @@ given settings are here for the same reason:
 only tests compare with them. So is the row-by-row CSV/JSON writer that the
 columnar one in `groverlab.report` replaced, and the per-subset purity that
 the stacked-Gram `en` oracle replaced, with two whole-register `en`
-references built on it and on the benchmark checker's enumeration.
+references built on it and on the benchmark checker's enumeration. The
+one-statevector oracles that the series-stacked ones replaced are here
+too (`row_oracle`), as the bit-for-bit reference of each stack row, and so
+is the row-by-row identity loop (`row_check_series`) that `verify` ran.
 """
 
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from groverlab import __version__
-from groverlab.errors import CapacityError
+from groverlab.bruteforce import MEASURES, _or_inf, evolve
+from groverlab.discord import _partitions_with_two_parts, genuine_discord_ga
+from groverlab.entanglement import _YY, BLOCK_AMPLITUDES, RADICAND_TOL, _cut_places, _multiqubit_radicand, _spread
+from groverlab.errors import CapacityError, NumericalConsistencyError
 from groverlab.gga import (
     AmplitudeDistribution,
     GGAClosedForm,
     PhiFamily,
     _success_envelope,
+    gga_iterate,
     phi_family_distribution,
 )
-from groverlab.grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState
+from groverlab.grover import (
+    CAPACITY_QUBITS,
+    GroverConfig,
+    SymmetricGAState,
+    _reduced_matrix,
+    optimal_iterations,
+    reduced_density,
+    state_at,
+)
 from groverlab.linalg import (
     NORM_TOL,
     DensityMatrix,
@@ -35,10 +51,11 @@ from groverlab.linalg import (
     _check_keep,
     _clip_spectrum,
     _schmidt_gram,
+    pure_subsystem_entropy,
     shannon_entropy,
     von_neumann_entropy,
 )
-from groverlab.nonlocality import CorrelationTensor, SvetlichnySettings
+from groverlab.nonlocality import _PAIR_OPS, CorrelationTensor, SvetlichnySettings
 from groverlab.report import _format_value, base_metadata
 
 
@@ -234,3 +251,137 @@ def render_json_rows(result, run) -> str:
         "metadata": {**base_metadata(run, result.engines), **_as_lists(result.extra_metadata)},
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# One statevector at a time: the oracles as they were before they took a
+# series' amplitude stack. Each stack row must equal these bit for bit.
+
+
+def row_partial_trace(amplitudes: np.ndarray, keep) -> DensityMatrix:
+    """Reduced state of one pure state: the split amplitudes times their adjoint."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    n = amps.size.bit_length() - 1
+    keep = _check_keep(n, keep)
+    k = len(keep)
+    a = np.moveaxis(amps.reshape((2,) * n), keep, range(k)).reshape(2**k, -1)
+    if a.shape[1] == 1:
+        return DensityMatrix.from_pure(a.reshape(-1))
+    return DensityMatrix(a @ a.conj().T)
+
+
+def row_shannon_entropy(probabilities: np.ndarray) -> float:
+    p = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
+    p = p[p > 0.0]
+    return float(max(0.0, -np.sum(p * np.log2(p))))
+
+
+def row_concurrence_two_qubit(rho2: DensityMatrix) -> float:
+    m = rho2.matrix
+    tilde = _YY @ m.conj() @ _YY
+    w, v = np.linalg.eigh(m)
+    w = np.clip(w, 0.0, None)
+    sqrt_m = (v * np.sqrt(w)) @ v.conj().T
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(sqrt_m @ tilde @ sqrt_m), 0.0, None))[::-1]
+    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def row_chsh_M(rho2: DensityMatrix) -> float:
+    t = np.einsum("ijab,ba->ij", _PAIR_OPS, rho2.matrix).real
+    u = np.sort(np.linalg.eigvalsh(t.T @ t))
+    return float(u[-1] + u[-2])
+
+
+def row_multiqubit_concurrence(amplitudes: np.ndarray) -> float:
+    """The stacked-Gram `en` oracle on one statevector."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    n = amps.size.bit_length() - 1
+    if not amps.imag.any():
+        amps = np.ascontiguousarray(amps.real)
+    block = max(1, BLOCK_AMPLITUDES >> n)
+    deficits = []
+    for k in range(1, n // 2 + 1):
+        keep, rest = _cut_places(n, k)
+        rows, cols = _spread(keep), _spread(rest)
+        for start in range(0, rows.shape[0], block):
+            cuts = slice(start, start + block)
+            a = amps.take(rows[cuts, :, None] + cols[cuts, None, :])
+            g = a @ a.conj().swapaxes(1, 2)
+            deficits.append(1.0 - (g * g.conj()).real.sum(axis=(1, 2)))
+    radicand = 2.0 * float(np.concatenate(deficits).sum()) if deficits else 0.0
+    if radicand < -RADICAND_TOL:
+        raise NumericalConsistencyError(f"negative radicand {radicand:.3e}")
+    return 2.0 / math.sqrt(amps.size) * math.sqrt(max(radicand, 0.0))
+
+
+def row_oracle(key: str, amps: np.ndarray, cfg: GroverConfig) -> float:
+    """The oracle of a fast measure on one statevector."""
+    if key == "p":
+        return float((np.abs(amps[list(cfg.solutions)]) ** 2).sum())
+    if key == "cr":
+        return row_shannon_entropy(np.abs(amps) ** 2)
+    if key == "cl1":
+        return float(np.abs(amps).sum() ** 2 - (np.abs(amps) ** 2).sum())
+    if key == "e2":
+        return row_concurrence_two_qubit(row_partial_trace(amps, (0, 1)))
+    if key == "en":
+        return row_multiqubit_concurrence(amps)
+    if key == "dn":
+        return row_shannon_entropy(np.linalg.eigvalsh(row_partial_trace(amps, (0,)).matrix))
+    if key == "m":
+        return row_chsh_M(row_partial_trace(amps, (0, 1)))
+    raise KeyError(key)
+
+
+def row_partition_minimum(cfg: GroverConfig, r: int) -> float:
+    """Half the least block-entropy sum over the partitions of n, from one r's reduced matrices."""
+    st = state_at(cfg, r)
+    half = [None] + [
+        row_shannon_entropy(np.linalg.eigvalsh(reduced_density(cfg, st, k).matrix)) for k in range(1, cfg.n // 2 + 1)
+    ]
+    return min(sum(half[min(k, cfg.n - k)] for k in parts) for parts in _partitions_with_two_parts(cfg.n)) / 2.0
+
+
+def row_check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: float, rng, deviations) -> None:
+    """`bruteforce._check_series` as a loop over rows: one statevector stepped through the series."""
+    n, j = cfg.n, cfg.j
+    st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+    if fault:
+        st = replace(st, a=st.a + fault)
+    keys = [k for k, m in MEASURES.items() if requested and m.identity and m.engine(cfg) == "analytic"]
+    closed = {k: np.broadcast_to(_or_inf(MEASURES[k].series, cfg, st, None), st.r.shape) for k in keys}
+    dist = evolve(cfg, 0)
+    for r in st.r.tolist():
+        if r > 0:
+            dist = gga_iterate(dist, 1)
+        row = replace(st, r=st.r[r], alpha_r=st.alpha_r[r], a=st.a[r], b=st.b[r])
+        if uniform:
+            deviations["gga_uniform_equivalence"].append(
+                max(
+                    float(np.max(np.abs(dist.solution_amplitudes - row.a / math.sqrt(j)))),
+                    float(np.max(np.abs(dist.other_amplitudes - row.b))),
+                )
+            )
+        if not requested:
+            continue
+        amps = dist.amplitudes
+        oracle = {key: row_oracle(key, amps, cfg) for key in keys}
+        if "cr" in oracle:
+            oracle["cr"] -= pure_subsystem_entropy(amps, range(n))
+        for key in keys:
+            deviations[MEASURES[key].identity].append(abs(float(closed[key][r]) - oracle[key]))
+        deviations["grover_step_norm"].append(abs(float(np.sum(np.abs(amps) ** 2)) - 1.0))
+        deviations["normalization"].append(abs(row.a**2 + (cfg.database_size - j) * row.b**2 - 1.0))
+        if j != 1:
+            continue
+        partition = row_partition_minimum(cfg, r)
+        deviations["partition_minimum"].append(abs(partition - _or_inf(genuine_discord_ga, cfg, row)))
+        deficits = 0.0
+        for k in range(1, n):
+            structured = _reduced_matrix(n, row, k)
+            generic = row_partial_trace(amps, range(k)).matrix
+            deficits += math.comb(n, k) * (1.0 - float(np.sum(np.abs(generic) ** 2)))
+            deviations["reduced_density"].append(float(np.max(np.abs(structured - generic))))
+            subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+            permuted = row_partial_trace(amps, subset).matrix
+            deviations["reduced_density"].append(float(np.max(np.abs(structured - permuted))))
+        deviations["multiqubit_concurrence_forms"].append(abs(float(_multiqubit_radicand(n, row)) - deficits))
