@@ -97,10 +97,8 @@ MEASURES = {
     ),
     "cl1": Measure(
         closed_form=lambda cfg, st, opt: coherence.coherence_l1_ga(cfg, st),
-        # sum_{x != y} |a_x||a_y| = (sum |a_x|)^2 - sum |a_x|^2, each row's sum
-        # squared by pow(), as a scalar's ** does, where an array's ** multiplies
-        oracle=lambda amps, cfg, opt: np.float_power(np.abs(amps).sum(axis=-1), 2)
-        - (np.abs(amps) ** 2).sum(axis=-1),
+        # sum_{x != y} |a_x||a_y| = (sum |a_x|)^2 - sum |a_x|^2
+        oracle=lambda amps, cfg, opt: np.square(np.abs(amps).sum(axis=-1)) - (np.abs(amps) ** 2).sum(axis=-1),
         any_j=True,
         identity="coherence_l1",
     ),
@@ -233,11 +231,10 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
 
     The series is stepped once into an amplitude stack. `uniform` checks it
     against the closed-form amplitudes; `requested` checks every other
-    identity on it, each as stacked work over the rows. The closed forms
-    that run on one row's scalar state (`rows`) stay per row: a scalar's
-    ** is pow(), an array's multiplies, so a series state rounds its
-    squares differently. So do the reduced matrices wider than 2^(n/2),
-    whose stacks only add memory traffic.
+    identity on it, each as stacked work over the rows: every closed form
+    runs once on the series state, whose row slices round as it does. Only
+    the reduced matrices wider than 2^(n/2) go one row at a time (`rows`),
+    as their stacks would only add memory traffic.
     """
     n, j = cfg.n, cfg.j
     st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
@@ -256,27 +253,24 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
         # the oracle's C_r leaves out S(rho) of the pure state; here it is
         # taken from the spectrum of the 1 x 1 Gram <psi|psi>
         oracle["cr"] = oracle["cr"] - pure_subsystem_entropy(amps, range(n))
+    closed = {key: np.broadcast_to(_or_inf(MEASURES[key].series, cfg, st, None), st.r.shape) for key in keys}
     for key in keys:
-        closed = np.broadcast_to(_or_inf(MEASURES[key].series, cfg, st, None), st.r.shape)
-        deviations[MEASURES[key].identity].extend(np.abs(closed - oracle[key]).tolist())
+        deviations[MEASURES[key].identity].extend(np.abs(closed[key] - oracle[key]).tolist())
     deviations["grover_step_norm"].extend(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0).tolist())
-    # float_power squares as a scalar's ** does, by pow(), where an array's ** multiplies
-    square_a, square_b = np.float_power(st.a, 2), np.float_power(st.b, 2)
-    deviations["normalization"].extend(np.abs(square_a + (cfg.database_size - j) * square_b - 1.0).tolist())
+    norm = np.square(st.a) + (cfg.database_size - j) * np.square(st.b)
+    deviations["normalization"].extend(np.abs(norm - 1.0).tolist())
     if j != 1:
         return
-    rows = [replace(st, r=r, alpha_r=alpha_r, a=a, b=b) for r, alpha_r, a, b in zip(st.r, st.alpha_r, st.a, st.b)]
+    # the closed form of dn, S(rho_1), is the minimum over partitions
     partition = discord.genuine_discord_partition_minima(cfg, st.r)
-    deviations["partition_minimum"].extend(
-        abs(value - _or_inf(discord.genuine_discord_ga, cfg, row)) for value, row in zip(partition.tolist(), rows)
-    )
+    deviations["partition_minimum"].extend(np.abs(partition - closed["dn"]).tolist())
     # any other k-qubit subset must give the same matrix; drawn r outer, k inner
-    subsets = [[tuple(sorted(rng.choice(n, size=k, replace=False).tolist())) for k in range(1, n)] for _ in rows]
-    deficits = np.zeros(len(rows))  # sum_k C(n,k) (1 - Tr rho_k^2) of each statevector
+    subsets = [[tuple(sorted(rng.choice(n, size=k, replace=False).tolist())) for k in range(1, n)] for _ in st.r]
+    rows = [replace(st, r=r, alpha_r=alpha_r, a=a, b=b) for r, alpha_r, a, b in zip(st.r, st.alpha_r, st.a, st.b)]
+    deficits = np.zeros(st.r.size)  # sum_k C(n,k) (1 - Tr rho_k^2) of each statevector
     for k in range(1, n):
         if 2 * k <= n:
-            structured = np.stack([_reduced_matrix(n, row, k) for row in rows])
-            gaps, purity = _reduction_gaps(structured, amps, range(k), [s[k - 1] for s in subsets])
+            gaps, purity = _reduction_gaps(_reduced_matrix(n, st, k), amps, range(k), [s[k - 1] for s in subsets])
         else:  # one row at a time
             gaps, purity = zip(
                 *(
@@ -286,9 +280,8 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
             )
         deviations["reduced_density"].extend(np.ravel(gaps).tolist())
         deficits += math.comb(n, k) * (1.0 - np.asarray(purity))
-    deviations["multiqubit_concurrence_forms"].extend(
-        abs(float(entanglement._multiqubit_radicand(n, row)) - d) for row, d in zip(rows, deficits.tolist())
-    )
+    radicand = entanglement._multiqubit_radicand(n, st)
+    deviations["multiqubit_concurrence_forms"].extend(np.abs(radicand - deficits).tolist())
 
 
 def _reduction_gaps(structured: np.ndarray, amps: np.ndarray, first, subset) -> tuple:

@@ -118,7 +118,7 @@ def _apply(*decorators):
 
 
 _run_options = _apply(
-    click.option("--seed", type=int, default=0, help="Optimizer / RNG seed."),
+    click.option("--seed", type=click.IntRange(min=0), default=0, help="Optimizer / RNG seed."),
     click.option(
         "--config",
         metavar="FILE",

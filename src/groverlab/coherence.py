@@ -22,7 +22,7 @@ def coherence_r_ga(cfg: GroverConfig, st: SymmetricGAState):
     cancellation. At r = 0 this reduces algebraically to log2 N, which is
     returned exactly instead of through trig round-off.
     """
-    p = np.clip(st.a**2, 0.0, 1.0)
+    p = np.clip(np.square(st.a), 0.0, 1.0)
     rest = float(cfg.database_size - cfg.j)
     with np.errstate(divide="ignore", invalid="ignore"):
         head = np.where(p > 0.0, p * np.log2(cfg.j / p), 0.0)
@@ -39,7 +39,7 @@ def coherence_l1_ga(cfg: GroverConfig, st: SymmetricGAState):
     where the accumulated angle may pass pi/2 and cos a_r turns negative.
     """
     rest = float(cfg.database_size - cfg.j)
-    return (math.sqrt(cfg.j) * np.abs(st.a) + rest * np.abs(st.b)) ** 2 - 1.0
+    return np.square(math.sqrt(cfg.j) * np.abs(st.a) + rest * np.abs(st.b)) - 1.0
 
 
 def in_asymptotic_regime(cfg: GroverConfig) -> bool:

@@ -16,6 +16,7 @@ from .grover import (
     SymmetricGAState,
     _reduced_matrix,
     _require_leading_single_solution,
+    reduced_density,
     state_at,
 )
 from .linalg import DensityMatrix, _clip_spectrum, von_neumann_entropy
@@ -262,7 +263,7 @@ def genuine_discord_ga(cfg: GroverConfig, st: SymmetricGAState):
     """
     if cfg.j != 1:
         raise UnsupportedStructureError(f"genuine discord closed form requires j=1, got j={cfg.j}")
-    gap = st.a * st.b - st.b**2
+    gap = st.a * st.b - np.square(st.b)
     # multiplied in this order, x stays a normal float up to n = 1022
     x = 4.0 * (2.0 ** (cfg.n - 1) - 1.0) * gap * gap
     if np.any((x < -DELTA_TOL) | (x > 1.0 + DELTA_TOL)):
@@ -305,18 +306,12 @@ def _block_entropies(cfg: GroverConfig, rs) -> dict:
     Permutation symmetry of the search state makes block entropies depend
     only on block size. The global state is pure, so S(rho_k) = S(rho_{n-k}):
     only k <= n/2 is evaluated, by exact diagonalization of the materialized
-    reduced matrices, one stacked spectrum per k. Each matrix is built from
-    its own scalar state, so it rounds as reduced_density at that one r does.
+    reduced matrices, one stacked spectrum per k of the series state of rs.
     """
-    if cfg.j != 1 or cfg.solutions != (0,):
-        raise UnsupportedStructureError("partition minimization requires j=1, solution at 0")
     if cfg.n > CAPACITY_QUBITS:
         raise CapacityError(f"partition minimization capped at {CAPACITY_QUBITS} qubits, got n={cfg.n}")
-    states = [state_at(cfg, r) for r in np.ravel(rs).tolist()]
-    half = {
-        k: von_neumann_entropy(DensityMatrix(np.stack([_reduced_matrix(cfg.n, st, k) for st in states])))
-        for k in range(1, cfg.n // 2 + 1)
-    }
+    st = state_at(cfg, np.ravel(rs))
+    half = {k: von_neumann_entropy(reduced_density(cfg, st, k)) for k in range(1, cfg.n // 2 + 1)}
     return {k: half[min(k, cfg.n - k)] for k in range(1, cfg.n)}
 
 

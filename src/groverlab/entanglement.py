@@ -46,7 +46,7 @@ def concurrence_two_qubit_ga(cfg: GroverConfig, st: SymmetricGAState):
         )
     if cfg.n < 2:
         raise ValueError(f"two-qubit reduction needs n >= 2, got n={cfg.n}")
-    return 2.0 * np.abs(st.a * st.b - st.b**2)
+    return 2.0 * np.abs(st.a * st.b - np.square(st.b))
 
 
 def _multiqubit_radicand(n: int, st: SymmetricGAState):
@@ -60,7 +60,7 @@ def _multiqubit_radicand(n: int, st: SymmetricGAState):
     """
     beta = st.b * math.sqrt(2.0**n)
     c = st.a - st.b
-    return 2.0 * (beta * c) ** 2 * (2.0**n - 2.0 * 1.5**n + 1.0)
+    return 2.0 * np.square(beta * c) * (2.0**n - 2.0 * 1.5**n + 1.0)
 
 
 def concurrence_multiqubit_ga(cfg: GroverConfig, st: SymmetricGAState):

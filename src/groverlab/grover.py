@@ -66,7 +66,9 @@ class SymmetricGAState:
 
     `r`, `alpha_r`, `a` and `b` are arrays of one shape when the state was
     built for an array of iteration counts, so a closed form evaluated on it
-    gives a whole series at once.
+    gives a whole series at once. Closed forms square its quantities with
+    np.square, a multiplication, and never with **, which on a numpy scalar
+    is libm pow(): so a one-row slice of a series state gives that row's bits.
     """
 
     r: np.ndarray
@@ -102,7 +104,7 @@ def state_at(cfg: GroverConfig, r) -> SymmetricGAState:
 
 def success_probability(cfg: GroverConfig, st: SymmetricGAState):
     """P = sin^2(alpha_r) = a^2; `cfg` is taken so every closed form reads (cfg, st)."""
-    return st.a**2
+    return np.square(st.a)
 
 
 def optimal_iteration_details(cfg: GroverConfig) -> OptimalIteration:
@@ -134,8 +136,8 @@ def _require_leading_single_solution(cfg: GroverConfig, what: str) -> None:
 def _reduced_entries(n: int, st: SymmetricGAState, k: int) -> tuple:
     """(corner, edge, bulk) entries of the k-qubit reduced matrix; arrays for a series state."""
     d = 2.0 ** (n - k)
-    rest = (d - 1.0) * st.b**2
-    return st.a**2 + rest, st.a * st.b + rest, d * st.b**2
+    rest = (d - 1.0) * np.square(st.b)
+    return np.square(st.a) + rest, st.a * st.b + rest, d * np.square(st.b)
 
 
 def _reduced_matrix(n: int, st: SymmetricGAState, k: int, dtype=complex) -> np.ndarray:
@@ -150,7 +152,7 @@ def _reduced_matrix(n: int, st: SymmetricGAState, k: int, dtype=complex) -> np.n
 
 
 def reduced_density(cfg: GroverConfig, st: SymmetricGAState, k: int) -> DensityMatrix:
-    """Structured k-qubit reduced state of a scalar single-solution state.
+    """Structured k-qubit reduced state of a single-solution state; a stack for a series state.
 
     entry(0,0) = a^2 + (2^(n-k)-1) b^2, first row/column ab + (2^(n-k)-1) b^2,
     all remaining entries 2^(n-k) b^2. Valid for arbitrary n since only a, b

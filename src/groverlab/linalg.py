@@ -86,11 +86,12 @@ class DensityMatrix:
         m = np.ascontiguousarray(self.matrix, dtype=complex)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
             raise InvalidStateError(f"density matrix must be square, got shape {m.shape}")
+        # every check is `not <=`, so NaN fails it
         herm = _adjoint_gap(m)
-        if herm > HERMITIAN_TOL:
+        if not herm <= HERMITIAN_TOL:
             raise InvalidStateError(f"matrix not Hermitian: max |m - m^dag| = {herm:.3e}")
         tr = np.asarray(np.trace(m, axis1=-2, axis2=-1))
-        off = np.abs(tr - 1.0) > TRACE_TOL
+        off = ~(np.abs(tr - 1.0) <= TRACE_TOL)
         if np.any(off):
             raise InvalidStateError(f"trace is {tr[off][0]!r}, expected 1")
         m.setflags(write=False)
@@ -118,7 +119,7 @@ class DensityMatrix:
 def binary_entropy(x):
     """Binary Shannon entropy H(x) in bits, with H(0) = H(1) = 0; elementwise on arrays."""
     x = np.asarray(x, dtype=float)
-    if np.any((x < -NORM_TOL) | (x > 1.0 + NORM_TOL)):
+    if not np.all((-NORM_TOL <= x) & (x <= 1.0 + NORM_TOL)):  # NaN fails too
         raise ValueError(f"binary_entropy argument outside [0, 1]: {x!r}")
     x = np.clip(x, 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):

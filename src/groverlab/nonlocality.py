@@ -81,15 +81,14 @@ def chsh_M_ga(cfg: GroverConfig, st: SymmetricGAState):
     o0, o1, o2 = _reduced_entries(cfg.n, st, 2)
     lam1 = 2.0 * o2 - 2.0 * o1
     disc = (
-        o0**2 + 20.0 * o1**2 + 25.0 * o2**2
+        np.square(o0) + 20.0 * np.square(o1) + 25.0 * np.square(o2)
         - 4.0 * o0 * o1 - 6.0 * o0 * o2 - 20.0 * o1 * o2
     )
     root = np.sqrt(np.maximum(disc, 0.0))
     s = o0 + 2.0 * o1 + o2
     lam2 = (s - root) / 2.0
     lam3 = (s + root) / 2.0
-    # [()] turns the 0-d result of a scalar state back into a scalar
-    return np.where(lam1 <= lam2, lam2**2 + lam3**2, lam1**2 + lam3**2)[()]
+    return np.where(lam1 <= lam2, np.square(lam2), np.square(lam1)) + np.square(lam3)
 
 
 @dataclass(frozen=True, eq=False)

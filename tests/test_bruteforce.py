@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from groverlab import bruteforce, nonlocality
+from groverlab import bruteforce, discord, entanglement, nonlocality
 from groverlab.bruteforce import (
     _IDENTITY_TOLERANCES,
     DEFAULT_GA_MEASURES,
@@ -16,12 +16,11 @@ from groverlab.bruteforce import (
 from groverlab.coherence import coherence_r_ga
 from groverlab.errors import CapacityError, InvalidStateError
 from groverlab.gga import AmplitudeDistribution, gga_iterate
-from groverlab.grover import GroverConfig, optimal_iterations, state_at
+from groverlab.grover import GroverConfig, _reduced_matrix, optimal_iterations, state_at
 from groverlab.linalg import DensityMatrix
 from groverlab.optimizers import OptimizerConfig
 from groverlab.report import RunConfig, _ga_series_columns, verify_rows
-
-EPS = np.finfo(float).eps
+from witnesses import bits, row_state
 
 
 class TestGroverStep:
@@ -165,17 +164,26 @@ class TestMeasureTable:
             assert closed == pytest.approx(oracle, abs=1e-6)
 
     @pytest.mark.parametrize("key", [k for k in MEASURE_KEYS if not MEASURES[k].slow])
-    @pytest.mark.parametrize("n", [2, 11, 30, 400])
+    @pytest.mark.parametrize("n", [2, 3, 5, 11, 30, 400, 1022])
     def test_series_matches_scalar_states(self, key, n):
-        # a series is one numpy pass; per-row scalar states are the reference.
-        # Array and scalar squaring may round differently, hence a few ulps.
+        # a series is one numpy pass; the closed form on each one-row slice
+        # of its state is the reference, bit for bit: squares are np.square
         for j in (1, 3) if MEASURES[key].any_j else (1,):
             cfg = GroverConfig(n=n, j=j)
-            rs = np.arange(min(optimal_iterations(cfg), 500) + 1)
-            series = MEASURES[key].closed_form(cfg, state_at(cfg, rs), None)
-            for r in rs.tolist():
-                scalar = MEASURES[key].closed_form(cfg, state_at(cfg, r), None)
-                assert series[r] == pytest.approx(scalar, rel=16 * EPS, abs=16 * EPS), (j, r)
+            st = state_at(cfg, np.arange(min(optimal_iterations(cfg), 500) + 1))
+            series = MEASURES[key].closed_form(cfg, st, None)
+            rows = [MEASURES[key].closed_form(cfg, row_state(st, i), None) for i in range(st.r.size)]
+            assert bits(series) == bits(rows), j
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_reduced_matrix_stack_matches_row_slices(self, n):
+        cfg = GroverConfig(n=n, j=1)
+        st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+        for k in range(1, n):
+            stack = _reduced_matrix(n, st, k)
+            for i in range(st.r.size):
+                row = _reduced_matrix(n, row_state(st, i), k)
+                assert bits(stack[i].view(float)) == bits(row.view(float)), (k, i)
 
 
 class TestCrossValidate:
@@ -295,6 +303,21 @@ class TestCrossValidate:
             assert len(at_n) <= 3 + 2 * (n // 2), n
             rows = optimal_iterations(GroverConfig(n=n, j=1)) + 1
             assert all(r == rows for _, r in at_n), (n, at_n)
+
+    def test_closed_forms_take_the_whole_series(self, monkeypatch):
+        # the partition minimum and the multiqubit radicand are checked on the
+        # series state: one call per j = 1 series, none per row
+        shapes = {"genuine_discord_ga": [], "_multiqubit_radicand": []}
+        for module, name in ((discord, "genuine_discord_ga"), (entanglement, "_multiqubit_radicand")):
+
+            def counting(first, st, _original=getattr(module, name), _calls=shapes[name]):
+                _calls.append(np.shape(st.r))
+                return _original(first, st)
+
+            monkeypatch.setattr(module, name, counting)
+        assert cross_validate(max_n=9, j_values=(1, 2)).passed
+        series = [(optimal_iterations(GroverConfig(n=n, j=1)) + 1,) for n in range(2, 10)]
+        assert shapes == {name: series for name in shapes}
 
     def test_summary_serialization(self):
         summary, result = verify_rows(RunConfig(command="verify", max_n=3))

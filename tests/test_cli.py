@@ -218,6 +218,22 @@ class TestInputDomain:
         assert result.exit_code == 0, result.output
         assert len(parse_csv(result.output)[2]) == 4
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("ga", "--n", "4", "--measures", "svet"),  # an optimizer reads the seed
+            ("ga", "--n", "4", "--measures", "d2"),  # the analytic d2 does not
+            ("gga", "--n", "4"),
+            ("verify", "--max-n", "2"),
+            ("figures", "--out", "{tmp}"),
+        ],
+    )
+    def test_negative_seed_is_usage_error(self, args, tmp_path):
+        result = run_cli(*(a.format(tmp=tmp_path) for a in args), "--seed", "-1")
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["ga", "gga"])
     def test_past_float_safe_register_is_usage_error(self, command):
         result = run_cli(command, "--n", str(FLOAT_SAFE_QUBITS + 1), "--r-max", "1")

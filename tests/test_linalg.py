@@ -50,6 +50,17 @@ class TestDensityMatrixInvariants:
         with pytest.raises(InvalidStateError, match="normalized"):
             PureState(np.array([1.0, 1.0]))
 
+    def test_rejects_nan_as_pure_state_does(self):
+        with pytest.raises(InvalidStateError, match="normalized"):
+            PureState(np.full(4, np.nan))
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            DensityMatrix(np.full((2, 2), np.nan))
+        stack = np.stack([np.eye(2) / 2, np.diag([np.nan, 0.5])])  # one bad matrix of a stack
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            DensityMatrix(stack)
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            pure_partial_trace(np.full(4, np.nan), (0,))
+
     def test_matrices_are_readonly(self):
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):
@@ -98,7 +109,7 @@ class TestBinaryEntropy:
         assert binary_entropy(0.468766) == pytest.approx(expected, abs=1e-14)
         assert binary_entropy(0.468766) == pytest.approx(0.99718, abs=1e-5)
 
-    @pytest.mark.parametrize("x", [-0.01, 1.01, 2.0])
+    @pytest.mark.parametrize("x", [-0.01, 1.01, 2.0, np.nan, [0.5, np.nan]])
     def test_domain_error(self, x):
         with pytest.raises(ValueError):
             binary_entropy(x)

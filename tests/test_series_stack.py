@@ -9,14 +9,9 @@ from groverlab.bruteforce import _IDENTITY_TOLERANCES, MEASURES, _check_series, 
 from groverlab.errors import InvalidStateError
 from groverlab.grover import GroverConfig, optimal_iterations
 from groverlab.linalg import DensityMatrix, pure_partial_trace, shannon_entropy
-from witnesses import row_check_series, row_oracle, row_partial_trace
+from witnesses import bits, row_check_series, row_oracle, row_partial_trace
 
 FAST_ORACLES = ("p", "cr", "cl1", "e2", "en", "dn", "m")
-
-
-def bits(values):
-    """Each value's exact binary form; -0.0, 0.0 and the last bit all differ."""
-    return [float(v).hex() for v in np.ravel(values).tolist()]
 
 
 def random_stack(n, rows, rng, complex_amplitudes):

@@ -257,6 +257,16 @@ def render_json_rows(result, run) -> str:
 # series' amplitude stack. Each stack row must equal these bit for bit.
 
 
+def bits(values):
+    """Each value's exact binary form; -0.0, 0.0 and the last bit all differ."""
+    return [float(v).hex() for v in np.ravel(values).tolist()]
+
+
+def row_state(st: SymmetricGAState, i: int) -> SymmetricGAState:
+    """Row i of a series state as a state of its own."""
+    return replace(st, r=st.r[i], alpha_r=st.alpha_r[i], a=st.a[i], b=st.b[i])
+
+
 def row_partial_trace(amplitudes: np.ndarray, keep) -> DensityMatrix:
     """Reduced state of one pure state: the split amplitudes times their adjoint."""
     amps = np.asarray(amplitudes, dtype=complex)
@@ -320,7 +330,7 @@ def row_oracle(key: str, amps: np.ndarray, cfg: GroverConfig) -> float:
     if key == "cr":
         return row_shannon_entropy(np.abs(amps) ** 2)
     if key == "cl1":
-        return float(np.abs(amps).sum() ** 2 - (np.abs(amps) ** 2).sum())
+        return float(np.square(np.abs(amps).sum()) - (np.abs(amps) ** 2).sum())
     if key == "e2":
         return row_concurrence_two_qubit(row_partial_trace(amps, (0, 1)))
     if key == "en":
@@ -370,7 +380,7 @@ def row_check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: f
         for key in keys:
             deviations[MEASURES[key].identity].append(abs(float(closed[key][r]) - oracle[key]))
         deviations["grover_step_norm"].append(abs(float(np.sum(np.abs(amps) ** 2)) - 1.0))
-        deviations["normalization"].append(abs(row.a**2 + (cfg.database_size - j) * row.b**2 - 1.0))
+        deviations["normalization"].append(abs(np.square(row.a) + (cfg.database_size - j) * np.square(row.b) - 1.0))
         if j != 1:
             continue
         partition = row_partition_minimum(cfg, r)
