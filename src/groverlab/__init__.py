@@ -18,9 +18,7 @@ from .coherence import (
 )
 from .discord import (
     DiscordSolution,
-    PartitionMinimum,
     genuine_discord_ga,
-    genuine_discord_partition_min,
     pairwise_discord,
     pairwise_discord_ga,
     pairwise_discord_series,
@@ -50,7 +48,7 @@ from .gga import (
     gga_optimal_time,
     gga_pmax,
     phi_family_delta_coherence,
-    phi_family_distribution,
+    phi_family_optimal_time,
 )
 from .grover import (
     CAPACITY_QUBITS,

@@ -291,15 +291,6 @@ def _partitions_with_two_parts(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(p for p in gen(n, n - 1))
 
 
-@dataclass(frozen=True)
-class PartitionMinimum:
-    """Brute-forced minimum of sum_i S(rho_{k_i}) over qubit-count partitions."""
-
-    value: float  # half the minimal entropy sum, in bits
-    partition: tuple[int, ...]
-    entropy_by_size: dict[int, float]
-
-
 def _block_entropies(cfg: GroverConfig, rs) -> dict:
     """S(rho_k) for k = 1..n-1 at each r of rs, one array per k.
 
@@ -315,25 +306,12 @@ def _block_entropies(cfg: GroverConfig, rs) -> dict:
     return {k: half[min(k, cfg.n - k)] for k in range(1, cfg.n)}
 
 
-def genuine_discord_partition_min(cfg: GroverConfig, r: int) -> PartitionMinimum:
-    """Exhaustive partition minimization of the product-state relative entropy.
-
-    Compositions collapse to integer partitions, as block entropies depend
-    only on block size (`_block_entropies`).
-    """
-    entropy = {k: float(h[0]) for k, h in _block_entropies(cfg, [r]).items()}
-    best_value = math.inf
-    best_parts: tuple[int, ...] = ()
-    for parts in _partitions_with_two_parts(cfg.n):
-        total = sum(entropy[k] for k in parts)
-        if total < best_value:
-            best_value = total
-            best_parts = parts
-    return PartitionMinimum(value=best_value / 2.0, partition=best_parts, entropy_by_size=entropy)
-
-
 def genuine_discord_partition_minima(cfg: GroverConfig, rs) -> np.ndarray:
-    """genuine_discord_partition_min(cfg, r).value at each r of the array rs, one numpy pass per partition."""
+    """Half the least sum_i S(rho_{k_i}) over the partitions of n (two or more blocks) at each r of rs.
+
+    Block entropies depend only on block size, so compositions collapse to
+    integer partitions (`_block_entropies`); one numpy pass per partition.
+    """
     entropy = _block_entropies(cfg, rs)
     totals = [sum(entropy[k] for k in parts) for parts in _partitions_with_two_parts(cfg.n)]
     return np.min(totals, axis=0) / 2.0

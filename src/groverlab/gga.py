@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AmplitudeFileError, InvalidStateError, UnsupportedStructureError
+from .grover import GroverConfig
 from .linalg import NORM_TOL, PureState, binary_entropy
 
 REAL_TOL = 1e-12
@@ -240,8 +241,8 @@ class PhiFamily:
     k2: float
 
     def __post_init__(self):
-        if self.N < 4:
-            raise ValueError(f"database size must be >= 4, got {self.N}")
+        if self.N < 4 or self.N & (self.N - 1):
+            raise ValueError(f"database size must be a power of two >= 4, got {self.N}")
         if abs(self.phi0**2 + self.phi1**2 - 2.0 / self.N) > NORM_TOL:
             raise InvalidStateError(
                 f"phi0^2 + phi1^2 = {self.phi0**2 + self.phi1**2!r}, expected 2/N"
@@ -264,14 +265,6 @@ class PhiFamily:
         return cls(N=N, phi0=phi0, phi1=phi1, k1=s + half_gap, k2=s - half_gap)
 
 
-def phi_family_distribution(fam: PhiFamily) -> AmplitudeDistribution:
-    """phi0|0> + phi1|1> + uniform tail, with solutions 0 and 1."""
-    amps = np.full(fam.N, 1.0 / math.sqrt(fam.N), dtype=complex)
-    amps[0] = fam.phi0
-    amps[1] = fam.phi1
-    return AmplitudeDistribution(amps, (0, 1))
-
-
 def _p_log2_p(x: float) -> float:
     return 0.0 if x <= 0.0 else -x * math.log2(x)
 
@@ -284,6 +277,19 @@ def phi_family_delta_coherence(fam: PhiFamily) -> float:
         + (fam.N - 2.0) / fam.N * math.log2(fam.N)
         - binary_entropy(fam.k1**2)
     )
+
+
+def phi_family_optimal_time(fam: PhiFamily) -> float:
+    """(pi/2 - beta)/omega from (N, phi0, phi1) alone, for every N up to 2^1022.
+
+    omega is the two-solution Grover angle 2 atan sqrt(2/(N-2)); the equal
+    acos(1 - 4/N) rounds to 0 once N > 2^55. beta is gga_closed_form's
+    atan2, operand for operand, of the start's averages kbar and lbar.
+    """
+    omega = GroverConfig(fam.N.bit_length() - 1, j=2).alpha
+    kbar, lbar = 0.5 * (fam.phi0 + fam.phi1), 1.0 / math.sqrt(fam.N)
+    beta = math.atan2(math.sqrt(2) * kbar, math.sqrt(fam.N - 2) * lbar)
+    return (math.pi / 2.0 - beta) / omega
 
 
 def distribution_from_json(text: str) -> AmplitudeDistribution:

@@ -26,16 +26,16 @@ from .gga import (
     gga_optimal_time,
     gga_pmax,
     phi_family_delta_coherence,
-    phi_family_distribution,
+    phi_family_optimal_time,
 )
 from .grover import FLOAT_SAFE_QUBITS, GroverConfig, optimal_iteration_details, state_at
 from .linalg import HERMITIAN_TOL, TRACE_TOL
 from .optimizers import OptimizerConfig
 
 
-# The most rows one `ga` sweep may have, summed over its j series: about five
-# times `ga --n 40`'s 823,550. Past it a sweep is a usage error that points
-# to --r-max, before anything is allocated.
+# The most rows one sweep may have (for `ga`, summed over its j series): about
+# five times `ga --n 40`'s 823,550. Past it a sweep is a usage error that names
+# the option to lower, before anything is allocated.
 MAX_ROWS = 4_000_000
 
 
@@ -65,18 +65,15 @@ class RunConfig:
         return doc
 
 
-def _series_engines(cfg: GroverConfig, measures, use_oracle: bool) -> dict:
-    return {m: MEASURES[m].engine(cfg, use_oracle) for m in ("p",) + tuple(measures)}
-
-
-def _ga_series_columns(cfg: GroverConfig, r_max: int, measures, optimizer, use_oracle: bool) -> dict:
-    """The columns of one (n, j) series: j, r, p and each measure, one array each.
+def _ga_series_columns(cfg: GroverConfig, r_max: int, measures, optimizer, use_oracle: bool) -> tuple:
+    """(engines, columns) of one (n, j) series: the engine of p and of each
+    measure, and the columns j, r, p and each measure, one array each.
 
     Each analytic column is one closed-form call on the state of the whole
     series; the oracle columns are one oracle call each on the series'
     amplitude stack. A measure with no engine is an all-NA (masked) column.
     """
-    engines = _series_engines(cfg, measures, use_oracle)
+    engines = {m: MEASURES[m].engine(cfg, use_oracle) for m in ("p",) + tuple(measures)}
     rs = np.arange(r_max + 1)
     oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
     if oracle_measures:
@@ -90,7 +87,7 @@ def _ga_series_columns(cfg: GroverConfig, r_max: int, measures, optimizer, use_o
             columns[m] = oracle[m]
         else:
             columns[m] = np.ma.masked_all(rs.size)  # NA
-    return columns
+    return engines, columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,27 +132,30 @@ def ga_sweep(run: RunConfig) -> SweepResult:
     series = []
     engines = {}
     for cfg, r_max in limits:
-        series.append(_ga_series_columns(cfg, r_max, measures, optimizer, run.use_oracle))
-        for m, eng in _series_engines(cfg, measures, run.use_oracle).items():
-            engines[f"j{cfg.j}.{m}"] = eng
+        series_engines, columns = _ga_series_columns(cfg, r_max, measures, optimizer, run.use_oracle)
+        series.append(columns)
+        engines.update({f"j{cfg.j}.{m}": eng for m, eng in series_engines.items()})
     data = {key: np.ma.concatenate([s[key] for s in series]) for key in series[0]}
     columns = (("j",) if len(run.j_values) > 1 else ()) + ("r", "p") + measures
     return SweepResult(columns=columns, data=data, engines=engines, extra_metadata=extra)
 
 
 def phi_sweep(run: RunConfig) -> SweepResult:
-    """Coherence depletion vs optimal measurement time across the phi family."""
+    """Coherence depletion vs optimal measurement time across the phi family.
+
+    Every column is a closed form of the family's (N, phi0, phi1); p_max is
+    exactly 1, as the non-solution tail is uniform (see PhiFamily).
+    """
     if not 2 <= run.n <= FLOAT_SAFE_QUBITS:
         raise ValueError(f"qubit count must lie in 2..{FLOAT_SAFE_QUBITS}, got {run.n}")
-    if run.phi_points < 1:
-        raise ValueError(f"phi-points must be >= 1, got {run.phi_points}")
+    if not 1 <= run.phi_points <= MAX_ROWS:
+        raise ValueError(f"--phi-points must lie in 1..{MAX_ROWS:,}, got {run.phi_points:,}")
     N = 1 << run.n
     points = np.linspace(0.0, 1.0 / math.sqrt(N), run.phi_points)
     values = np.empty((3, points.size))
     for i, phi0 in enumerate(points.tolist()):
         fam = PhiFamily.from_phi0(N, phi0)
-        dist = phi_family_distribution(fam)
-        values[:, i] = gga_optimal_time(dist).time, phi_family_delta_coherence(fam), gga_pmax(dist)
+        values[:, i] = phi_family_optimal_time(fam), phi_family_delta_coherence(fam), 1.0
     columns = ("phi0", "r_opt", "delta_cr", "p_max")
     return SweepResult(
         columns=columns,
@@ -170,8 +170,8 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
 
     One pass steps to max(r_max, ceil(t_opt)); p_floor and p_ceil come from it too.
     """
-    if run.r_max is not None and run.r_max < 0:
-        raise ValueError(f"r-max must be >= 0, got {run.r_max}")
+    if run.r_max is not None and not 0 <= run.r_max < MAX_ROWS:
+        raise ValueError(f"--r-max must lie in 0..{MAX_ROWS - 1:,} ({MAX_ROWS:,} rows), got {run.r_max:,}")
     opt = gga_optimal_time(dist0)
     r_max = run.r_max if run.r_max is not None else max(1, math.ceil(opt.time))
     dist = dist0

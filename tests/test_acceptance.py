@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from groverlab.bruteforce import evolve
 from groverlab.cli import main as cli_main
 from groverlab.coherence import coherence_l1_ga, coherence_r_ga
-from groverlab.discord import genuine_discord_ga, genuine_discord_partition_min
+from groverlab.discord import genuine_discord_ga, genuine_discord_partition_minima
 from groverlab.entanglement import concurrence_two_qubit, concurrence_two_qubit_ga
 from groverlab.gga import (
     AmplitudeDistribution,
@@ -24,7 +24,6 @@ from groverlab.gga import (
     gga_optimal_time,
     gga_pmax,
     phi_family_delta_coherence,
-    phi_family_distribution,
 )
 from groverlab.grover import GroverConfig, optimal_iterations, state_at, success_probability
 from groverlab.linalg import DensityMatrix, pure_partial_trace, von_neumann_entropy
@@ -35,6 +34,7 @@ from witnesses import (
     coherence_l1,
     coherence_relative_entropy,
     gga_success_probability_at,
+    phi_family_distribution,
     phi_family_states,
 )
 
@@ -210,8 +210,9 @@ def test_criterion_7_genuine_correlation_reduction():
         cfg = GroverConfig(n=n, j=1)
         rs = np.arange(optimal_iterations(cfg) + 1)
         series = genuine_discord_ga(cfg, state_at(cfg, rs))
+        minima = genuine_discord_partition_minima(cfg, rs)
         for r in rs.tolist():
-            brute = genuine_discord_partition_min(cfg, r).value
+            brute = minima[r]
             closed = series[r]
             if abs(brute - closed) > 1e-9:
                 failures.append(f"n={n}, r={r}: |{brute!r} - {closed!r}| > 1e-9")

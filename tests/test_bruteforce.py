@@ -99,12 +99,12 @@ class TestRunAndMeasure:
 
     def test_capacity_error(self):
         # past the statevector cap the row path gives NA instead of raising
-        columns = _ga_series_columns(GroverConfig(n=13, j=2), 1, ("cr", "e2"), OptimizerConfig(), True)
+        _, columns = _ga_series_columns(GroverConfig(n=13, j=2), 1, ("cr", "e2"), OptimizerConfig(), True)
         assert np.ma.getmaskarray(columns["e2"]).tolist() == [True, True]
         assert np.isfinite(columns["cr"]).all() and not np.ma.is_masked(columns["cr"])
 
     def test_measure_outside_its_domain_is_unavailable(self):
-        columns = _ga_series_columns(GroverConfig(n=2, j=3), 0, ("e2", "svet"), OptimizerConfig(), True)
+        _, columns = _ga_series_columns(GroverConfig(n=2, j=3), 0, ("e2", "svet"), OptimizerConfig(), True)
         assert np.ma.getmaskarray(columns["svet"]).tolist() == [True]
         assert columns["e2"].tolist() == [pytest.approx(0.0, abs=1e-7)]
 

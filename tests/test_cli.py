@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import groverlab
 from groverlab.bruteforce import MEASURE_KEYS, MEASURES, evolve
 from groverlab.cli import main
-from groverlab.gga import gga_iterate
+from groverlab.gga import AmplitudeDistribution, gga_iterate
 from groverlab.grover import FLOAT_SAFE_QUBITS, GroverConfig, state_at
 from groverlab.optimizers import OptimizerConfig
 from groverlab.report import MAX_ROWS
@@ -213,6 +213,20 @@ class TestInputDomain:
         assert result.exit_code == 2
         assert rows in result.output and f"{MAX_ROWS:,}" in result.output and "--r-max" in result.output
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (("--n", "4", "--phi-points", str(MAX_ROWS + 1)), "--phi-points"),
+            (("--init-file", "{init}", "--r-max", str(MAX_ROWS + 1)), "--r-max"),
+        ],
+    )
+    def test_gga_past_the_row_cap_is_usage_error(self, args, option, tmp_path):
+        init = tmp_path / "uniform.json"
+        init.write_text(json.dumps({"n": 2, "solutions": [0], "amplitudes": [[0.5, 0.0]] * 4}))
+        result = run_cli("gga", *(a.format(init=init) for a in args))
+        assert result.exit_code == 2
+        assert option in result.output and f"{MAX_ROWS:,}" in result.output
+
     def test_r_max_brings_a_large_register_under_the_row_cap(self):
         result = run_cli("ga", "--n", "64", "--r-max", "3")
         assert result.exit_code == 0, result.output
@@ -274,6 +288,7 @@ class TestGoldenOutputs:
             ("gga_n10_phi50", ("gga", "--n", "10", "--phi-points", "50")),
             ("ga_n28_r300", ("ga", "--n", "28", "--r-max", "300")),
             ("ga_n1022_j1-3", ("ga", "--n", "1022", "--j", "1..3", "--r-max", "2")),
+            ("gga_n1022_phi5", ("gga", "--n", "1022", "--phi-points", "5")),
         ],
     )
     def test_matches_golden(self, name, args):
@@ -558,6 +573,23 @@ class TestGgaCommand:
         result = run_cli("gga", "--n", "10", "--phi-points", "5")
         assert result.exit_code == 0
         assert grover_steps == []
+
+    def test_phi_sweep_builds_no_amplitude_vector(self, monkeypatch):
+        def refuse(dist):
+            raise AssertionError(f"the phi sweep built {dist.size} amplitudes")
+
+        monkeypatch.setattr(AmplitudeDistribution, "__post_init__", refuse)
+        result = run_cli("gga", "--n", "10", "--phi-points", "5")
+        assert result.exit_code == 0
+
+    @pytest.mark.parametrize("n", [30, 64, FLOAT_SAFE_QUBITS])
+    def test_phi_sweep_past_the_statevector_cap(self, n):
+        result = run_cli("gga", "--n", str(n), "--phi-points", "3")
+        assert result.exit_code == 0, result.output
+        _, _, rows = parse_csv(result.output)
+        assert [row["p_max"] for row in rows] == ["1"] * 3
+        times = [float(row["r_opt"]) for row in rows]
+        assert all(math.isfinite(t) and t > 0.0 for t in times) and times == sorted(times, reverse=True)
 
     def test_init_file_steps_only_between_rows(self, tmp_path, grover_steps):
         # one single step per r up to max(r_max, ceil(t)); the rows stop at r_max

@@ -8,7 +8,7 @@ from groverlab.bruteforce import MEASURES, evolve
 from groverlab.discord import (
     _conditional_entropy_grid,
     genuine_discord_ga,
-    genuine_discord_partition_min,
+    genuine_discord_partition_minima,
     pairwise_discord,
     pairwise_discord_ga,
     pairwise_discord_series,
@@ -17,7 +17,7 @@ from groverlab.errors import UnsupportedStructureError
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
 from groverlab.linalg import DensityMatrix, pure_partial_trace, von_neumann_entropy
 from groverlab.optimizers import OptimizerConfig
-from witnesses import maximally_mixed
+from witnesses import maximally_mixed, row_partition_minimum
 
 FAST = OptimizerConfig(theta_grid=32, phi_grid=64)
 
@@ -254,20 +254,20 @@ class TestPartitionMinimum:
         # at r=0 every partition ties at zero entropy, so the argmin is only
         # meaningful once the state is entangled
         for r in (1, 2):
-            result = genuine_discord_partition_min(cfg, r)
-            assert result.partition == (2, 1)
-        assert genuine_discord_partition_min(cfg, 0).value == pytest.approx(0.0, abs=1e-9)
+            _, partition, _ = row_partition_minimum(cfg, r)
+            assert partition == (2, 1)
+        assert genuine_discord_partition_minima(cfg, [0])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_initial_state_zero_for_every_partition(self):
-        result = genuine_discord_partition_min(GroverConfig(n=5, j=1), 0)
-        assert result.value == pytest.approx(0.0, abs=1e-9)
-        assert all(s == pytest.approx(0.0, abs=1e-9) for s in result.entropy_by_size.values())
+        value, _, entropy_by_size = row_partition_minimum(GroverConfig(n=5, j=1), 0)
+        assert value == pytest.approx(0.0, abs=1e-9)
+        assert all(s == pytest.approx(0.0, abs=1e-9) for s in entropy_by_size.values())
 
     def test_exhaustive_minimum_matches_closed_form(self):
         # ten partitions of six qubits with at least two blocks
         cfg = GroverConfig(n=6, j=1)
-        result = genuine_discord_partition_min(cfg, 2)
-        assert result.value == pytest.approx(genuine_discord_ga(cfg, state_at(cfg, 2)), abs=1e-9)
+        value = genuine_discord_partition_minima(cfg, [2])[0]
+        assert value == pytest.approx(genuine_discord_ga(cfg, state_at(cfg, 2)), abs=1e-9)
 
     def test_partition_count(self):
         from groverlab.discord import _partitions_with_two_parts
@@ -280,6 +280,8 @@ class TestPartitionMinimum:
             cfg = GroverConfig(n=n, j=1)
             rs = np.arange(optimal_iterations(cfg) + 1)
             closed = genuine_discord_ga(cfg, state_at(cfg, rs))
+            minima = genuine_discord_partition_minima(cfg, rs)
             for r in rs.tolist():
-                result = genuine_discord_partition_min(cfg, r)
-                assert result.value == pytest.approx(closed[r], abs=1e-9)
+                assert minima[r] == pytest.approx(closed[r], abs=1e-9)
+                # the one-r witness agrees with the stacked minimum
+                assert row_partition_minimum(cfg, r)[0] == pytest.approx(minima[r], abs=1e-12)

@@ -17,14 +17,16 @@ from groverlab.gga import (
     gga_optimal_time,
     gga_pmax,
     phi_family_delta_coherence,
-    phi_family_distribution,
+    phi_family_optimal_time,
 )
 from groverlab.grover import GroverConfig, optimal_iteration_details
 from groverlab.linalg import DensityMatrix
 from witnesses import (
+    bits,
     closed_form_averages,
     coherence_relative_entropy,
     gga_success_probability_at,
+    phi_family_distribution,
     phi_family_states,
 )
 
@@ -352,6 +354,28 @@ class TestPhiFamily:
             PhiFamily.from_phi0(1024, 0.9)
         with pytest.raises(ValueError):
             PhiFamily.from_phi0(1024, 0.05)  # phi0 > phi1
+        with pytest.raises(ValueError, match="power of two"):
+            PhiFamily.from_phi0(1000, 0.0)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_closed_form_matches_general_path(self, n):
+        # the general path reads omega, beta and p_max off all N amplitudes;
+        # the closed form takes omega as 2 atan sqrt(2/(N-2)) rather than
+        # acos(1 - 4/N). Off the golden sizes the two may round up to 3 ulps
+        # apart: 4.3e-16 at n = 13, where the closed form is 3.8e-16 and the
+        # general path 1.3e-16 from a 60-digit reference
+        N = 1 << n
+        closed, general = [], []
+        for phi0 in np.linspace(0.0, 1.0 / math.sqrt(N), 50).tolist():
+            fam = PhiFamily.from_phi0(N, phi0)
+            dist = phi_family_distribution(fam)
+            closed.append(phi_family_optimal_time(fam))
+            general.append(gga_optimal_time(dist).time)
+            assert gga_pmax(dist) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        if n in (6, 10, 16):  # the golden and benchmark sizes
+            assert bits(closed) == bits(general)
+        else:
+            assert np.max(np.abs(np.subtract(closed, general)) / general) <= 5e-16
 
 
 class TestJsonInterface:

@@ -13,6 +13,10 @@ references built on it and on the benchmark checker's enumeration. The
 one-statevector oracles that the series-stacked ones replaced are here
 too (`row_oracle`), as the bit-for-bit reference of each stack row, and so
 is the row-by-row identity loop (`row_check_series`) that `verify` ran.
+The phi family's materialized start (`phi_family_distribution`), which the
+closed-form phi sweep replaced, is the general-path reference of that
+sweep, and the one-r partition minimum (`row_partition_minimum`) is that
+of the stacked one.
 """
 
 import itertools
@@ -33,7 +37,6 @@ from groverlab.gga import (
     PhiFamily,
     _success_envelope,
     gga_iterate,
-    phi_family_distribution,
 )
 from groverlab.grover import (
     CAPACITY_QUBITS,
@@ -180,6 +183,14 @@ def closed_form_averages(cf: GGAClosedForm, j: int, N: int, r: float) -> tuple[f
         cf.C / math.sqrt(j) * math.sin(phase),
         cf.C / math.sqrt(N - j) * math.cos(phase),
     )
+
+
+def phi_family_distribution(fam: PhiFamily) -> AmplitudeDistribution:
+    """phi0|0> + phi1|1> + uniform tail as all N amplitudes, with solutions 0 and 1."""
+    amps = np.full(fam.N, 1.0 / math.sqrt(fam.N), dtype=complex)
+    amps[0] = fam.phi0
+    amps[1] = fam.phi1
+    return AmplitudeDistribution(amps, (0, 1))
 
 
 def phi_family_states(fam: PhiFamily) -> tuple[PureState, PureState]:
@@ -342,13 +353,17 @@ def row_oracle(key: str, amps: np.ndarray, cfg: GroverConfig) -> float:
     raise KeyError(key)
 
 
-def row_partition_minimum(cfg: GroverConfig, r: int) -> float:
-    """Half the least block-entropy sum over the partitions of n, from one r's reduced matrices."""
+def row_partition_minimum(cfg: GroverConfig, r: int) -> tuple:
+    """(half the least block-entropy sum over the partitions of n, the first partition
+    that attains it, S(rho_k) by block size k), from one r's reduced matrices."""
     st = state_at(cfg, r)
     half = [None] + [
         row_shannon_entropy(np.linalg.eigvalsh(reduced_density(cfg, st, k).matrix)) for k in range(1, cfg.n // 2 + 1)
     ]
-    return min(sum(half[min(k, cfg.n - k)] for k in parts) for parts in _partitions_with_two_parts(cfg.n)) / 2.0
+    entropy = {k: half[min(k, cfg.n - k)] for k in range(1, cfg.n)}
+    totals = [(sum(entropy[k] for k in parts), parts) for parts in _partitions_with_two_parts(cfg.n)]
+    total, parts = min(totals, key=lambda pair: pair[0])
+    return total / 2.0, parts, entropy
 
 
 def row_check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: float, rng, deviations) -> None:
@@ -383,7 +398,7 @@ def row_check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: f
         deviations["normalization"].append(abs(np.square(row.a) + (cfg.database_size - j) * np.square(row.b) - 1.0))
         if j != 1:
             continue
-        partition = row_partition_minimum(cfg, r)
+        partition, _, _ = row_partition_minimum(cfg, r)
         deviations["partition_minimum"].append(abs(partition - _or_inf(genuine_discord_ga, cfg, row)))
         deficits = 0.0
         for k in range(1, n):
