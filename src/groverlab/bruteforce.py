@@ -136,7 +136,7 @@ MEASURES = {
     ),
     "svet": Measure(
         closed_form=lambda cfg, st, opt: [
-            nonlocality.svetlichny_max_ga(cfg, r, opt) for r in st.r.tolist()
+            nonlocality.svetlichny_max(rho, opt) for rho in _each(grover.reduced_density(cfg, st, 3))
         ],
         oracle=lambda amps, cfg, opt: [
             nonlocality.svetlichny_max(rho, opt) for rho in _each(pure_partial_trace(amps, (0, 1, 2)))

@@ -20,6 +20,7 @@ from .grover import (
     state_at,
 )
 from .linalg import DensityMatrix, _clip_spectrum, von_neumann_entropy
+from .nonlocality import _PAULI
 from .optimizers import OptimizerConfig
 
 _TINY = 1e-300
@@ -42,19 +43,6 @@ class DiscordSolution:
             raise NumericalConsistencyError(f"discord {self.value:.3e} below -1e-9")
 
 
-def _measurement_vectors(theta, phi):
-    """Projector family {cos t|0> + e^{i p} sin t|1>, e^{-i p} sin t|0> - cos t|1>}.
-
-    (theta, phi) and (pi - theta, phi + pi) give the same pair, so theta in
-    [0, pi/2] with phi in [0, 2 pi) already covers every measurement.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    v0 = np.stack([np.cos(theta) + 0j, np.exp(1j * phi) * np.sin(theta)], axis=-1)
-    v1 = np.stack([np.exp(-1j * phi) * np.sin(theta), -np.cos(theta) + 0j], axis=-1)
-    return v0, v1
-
-
 def _subtract_block_entropy(total: np.ndarray, p: np.ndarray, det: np.ndarray) -> None:
     """total -= sum_k lam_k log2(lam_k / p), lam_k the eigenvalues of 2x2 blocks of trace p, determinant det."""
     gap = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
@@ -64,49 +52,35 @@ def _subtract_block_entropy(total: np.ndarray, p: np.ndarray, det: np.ndarray) -
         total -= lam * np.log2(np.clip(ratio, _TINY, None))
 
 
-_CONDITIONAL_STATES = "abcd,tpb,tpd->tpac"
+_BLOCK_OPS = np.stack([np.eye(2, dtype=complex), *_PAULI])
 
 
-@lru_cache(maxsize=None)
-def _contraction_path(shape: tuple) -> list:
-    """np.einsum's greedy path for _CONDITIONAL_STATES on a grid of this shape, planned once."""
-    v = np.zeros(shape + (2,), dtype=complex)
-    return np.einsum_path(_CONDITIONAL_STATES, np.zeros((2, 2, 2, 2), dtype=complex), v, v, optimize="greedy")[0]
+def _bloch_blocks(rho: np.ndarray) -> tuple:
+    """(P, R) of a stack of two-qubit states: P = rho_A / 2, R[:, k] = Tr_B[(1 x sigma_k) rho] / 2.
 
-
-def _conditional_entropy_grid(rho4: np.ndarray, TH: np.ndarray, PH: np.ndarray) -> np.ndarray:
-    """sum_i p_i S(rho_{A|i}) at each (theta, phi) of two equal-shape 2-D arrays, fully vectorized."""
-    R = rho4.reshape(2, 2, 2, 2)  # indices (a, b, a', b')
-    path = _contraction_path(TH.shape)
-    total = np.zeros(TH.shape)
-    for v in _measurement_vectors(TH, PH):
-        # M[t, p, a, a'] = <a v|rho|a' v>, unnormalized conditional state on A
-        m = np.einsum(_CONDITIONAL_STATES, R, v.conj(), v, optimize=path)
-        p = np.einsum("tpaa->tp", m).real
-        det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
-        _subtract_block_entropy(total, p, det)
-    return total
-
-
-def _circle_blocks(rho: np.ndarray) -> tuple:
-    """(P, X, Y) of a stack of real two-qubit states, each as its (00, 11, 01) entries.
-
-    Measuring B along the x-z direction at Bloch angle w (the vectors
-    (cos w/2, sin w/2) and (sin w/2, -cos w/2)) leaves A in the unnormalized
-    states P + cos(w) X + sin(w) Y and P - cos(w) X - sin(w) Y.
+    Each 2x2 Hermitian block is stored as its (00, 11, Re 01, Im 01) entries.
+    Measuring B along the Bloch vector n leaves A in the unnormalized states
+    P + n.R and P - n.R (Luo, PRA 77, 042303, 2008).
     """
-    R = rho.reshape(-1, 2, 2, 2, 2)  # indices (row, a, b, a', b')
-    A, B, D = R[:, :, 0, :, 0], R[:, :, 0, :, 1], R[:, :, 1, :, 1]
-    blocks = ((A + D) / 2.0, (A - D) / 2.0, (B + B.transpose(0, 2, 1)) / 2.0)
-    return tuple(np.stack([m[:, 0, 0], m[:, 1, 1], m[:, 0, 1]], axis=-1) for m in blocks)
+    # m[i, k, a, a'] = sum_{b, b'} sigma_k[b, b'] rho[i, (a, b'), (a', b)] / 2
+    m = np.einsum("kcd,iadbc->ikab", _BLOCK_OPS, rho.reshape(-1, 2, 2, 2, 2)) / 2.0
+    blocks = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag], axis=-1)
+    return blocks[:, 0], blocks[:, 1:]
 
 
-def _conditional_entropy_circle(P: np.ndarray, X: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i p_i S(rho_{A|i}) at the x-z Bloch angles w (rows, k), row i of w measuring state i."""
-    turn = np.cos(w)[..., None] * X[:, None] + np.sin(w)[..., None] * Y[:, None]
-    total = np.zeros(w.shape)
+def _conditional_entropy(P: np.ndarray, R: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """sum_i p_i S(rho_{A|i}) at the unit Bloch vectors n (rows, k, d), row i of n measuring B of state i.
+
+    n runs along the first d directions of R (`_bloch_blocks`), so R[:, ::2]
+    with n = (sin w, cos w) measures on the x-z circle at Bloch angle w.
+    """
+    turn = n[..., 0, None] * R[:, None, 0]
+    for k in range(1, n.shape[-1]):
+        turn = turn + n[..., k, None] * R[:, None, k]
+    total = np.zeros(n.shape[:-1])
     for m in (P[:, None] + turn, P[:, None] - turn):
-        _subtract_block_entropy(total, m[..., 0] + m[..., 1], m[..., 0] * m[..., 1] - m[..., 2] * m[..., 2])
+        det = m[..., 0] * m[..., 1] - m[..., 2] * m[..., 2] - m[..., 3] * m[..., 3]
+        _subtract_block_entropy(total, m[..., 0] + m[..., 1], det)
     return total
 
 
@@ -114,7 +88,7 @@ _STENCIL = np.arange(-2.0, 3.0)
 
 
 def _stencil(theta: float, phi: float, h: float):
-    """(theta, phi) of a 5x5 stencil of spacing h around the measurement (theta, phi).
+    """(theta, phi, unit Bloch vector) of each point of a 5x5 stencil of spacing h around (theta, phi).
 
     The stencil lies in the tangent plane of the measurement's Bloch vector
     (polar angle 2 theta, azimuth phi), so it stays regular at the poles,
@@ -129,14 +103,32 @@ def _stencil(theta: float, phi: float, h: float):
     e_phi = np.array([-sp, cp, 0.0])
     u = h * _STENCIL[:, None, None]
     v = h * _STENCIL[None, :, None]
-    m = bloch + u * e_theta + v * e_phi
-    return 0.5 * np.arctan2(np.hypot(m[..., 0], m[..., 1]), m[..., 2]), np.arctan2(m[..., 1], m[..., 0])
+    m = (bloch + u * e_theta + v * e_phi).reshape(-1, 3)
+    thetas = 0.5 * np.arctan2(np.hypot(m[:, 0], m[:, 1]), m[:, 2])
+    return thetas, np.arctan2(m[:, 1], m[:, 0]), m / np.linalg.norm(m, axis=-1, keepdims=True)
+
+
+def _entropy_rows(eigenvalues: np.ndarray) -> np.ndarray:
+    """von_neumann_entropy of each row's spectrum: the clipped eigenvalues, 0 log 0 = 0."""
+    p = _clip_spectrum(eigenvalues, "DensityMatrix spectrum")
+    return np.maximum(0.0, -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1))
+
+
+def _discord_values(best: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """best + S(rho_B) - S(rho_AB) for a stack of two-qubit states, a value in [-1e-9, 0) taken as 0."""
+    s_ab = _entropy_rows(np.linalg.eigvalsh(rho))
+    s_b = _entropy_rows(np.linalg.eigvalsh(np.einsum("iabad->ibd", rho.reshape(-1, 2, 2, 2, 2))))
+    value = best + s_b - s_ab
+    value[(-1e-9 <= value) & (value < 0.0)] = 0.0
+    return value
 
 
 def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None) -> DiscordSolution:
     """Discord of a two-qubit state with projective measurement on subsystem B.
 
-    D = min_{theta,phi} sum_i p_i S(rho_{A|i}) + S(rho_B) - S(rho_AB).
+    D = min_{theta,phi} sum_i p_i S(rho_{A|i}) + S(rho_B) - S(rho_AB), the
+    measurement (theta, phi) being B's Bloch vector
+    (sin 2 theta cos phi, sin 2 theta sin phi, cos 2 theta).
     The minimization runs a coarse grid (theta_grid x phi_grid; with an even
     phi_grid only its rows theta <= pi/2, as the others repeat them), then refines
     on a 5x5 stencil around the best point, starting from the grid's spacing
@@ -150,30 +142,28 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
     if rho2.dim != 4:
         raise ValueError(f"pairwise discord needs a 4x4 state, got dim {rho2.dim}")
     config = config or OptimizerConfig()
-    rho4 = rho2.matrix
-    s_ab = von_neumann_entropy(rho2)
-    rho_b = np.einsum("abad->bd", rho4.reshape(2, 2, 2, 2))
-    s_b = von_neumann_entropy(DensityMatrix(rho_b))
+    rho = rho2.matrix[None]
+    P, R = _bloch_blocks(rho)
 
     thetas = np.linspace(0.0, math.pi, config.theta_grid, endpoint=False)
     if config.phi_grid % 2 == 0:  # phi + pi is on the grid: row pi - theta repeats row theta
         thetas = thetas[: config.theta_grid // 2 + 1]
     phis = np.linspace(0.0, 2.0 * math.pi, config.phi_grid, endpoint=False)
-    grid = _conditional_entropy_grid(rho4, *np.meshgrid(thetas, phis, indexing="ij"))
-    it, ip = np.unravel_index(int(np.argmin(grid)), grid.shape)
-    best_cond = float(grid[it, ip])
-    best_theta = float(thetas[it])
-    best_phi = float(phis[ip])
+    TH, PH = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    bloch = np.stack([np.sin(2.0 * TH) * np.cos(PH), np.sin(2.0 * TH) * np.sin(PH), np.cos(2.0 * TH)], axis=-1)
+    grid = _conditional_entropy(P, R, bloch[None])[0]
+    i = int(np.argmin(grid))
+    best_cond, best_theta, best_phi = float(grid[i]), float(TH[i]), float(PH[i])
     evals = grid.size
 
     h = max(2.0 * math.pi / config.theta_grid, 2.0 * math.pi / config.phi_grid)
     for _ in range(config.refine_maxiter):
         if h <= config.refine_tol:
             break
-        stencil_thetas, stencil_phis = _stencil(best_theta, best_phi, h)
-        values = _conditional_entropy_grid(rho4, stencil_thetas, stencil_phis)
+        stencil_thetas, stencil_phis, bloch = _stencil(best_theta, best_phi, h)
+        values = _conditional_entropy(P, R, bloch[None])[0]
         evals += values.size
-        i = np.unravel_index(int(np.argmin(values)), values.shape)
+        i = int(np.argmin(values))
         if values[i] < best_cond:
             best_cond = float(values[i])
             best_theta, best_phi = float(stencil_thetas[i]), float(stencil_phis[i])
@@ -183,18 +173,10 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
     if best_phi == 2.0 * math.pi:  # a tiny negative azimuth rounds up to 2 pi
         best_phi = 0.0
 
-    value = best_cond + s_b - s_ab
-    if -1e-9 <= value < 0.0:
-        value = 0.0
+    value = float(_discord_values(np.array([best_cond]), rho)[0])
     return DiscordSolution(
         value=value, theta=best_theta, phi=best_phi, optimizer_evals=evals, converged=converged
     )
-
-
-def _entropy_rows(eigenvalues: np.ndarray) -> np.ndarray:
-    """von_neumann_entropy of each row's spectrum: the clipped eigenvalues, 0 log 0 = 0."""
-    p = _clip_spectrum(eigenvalues, "DensityMatrix spectrum")
-    return np.maximum(0.0, -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1))
 
 
 def pairwise_discord_series(cfg: GroverConfig, st: SymmetricGAState, config: OptimizerConfig | None = None) -> list:
@@ -215,13 +197,15 @@ def pairwise_discord_series(cfg: GroverConfig, st: SymmetricGAState, config: Opt
     config = config or OptimizerConfig()
     rho = _reduced_matrix(cfg.n, st, 2, dtype=float).reshape(-1, 4, 4)
     rows = np.arange(rho.shape[0])
-    s_ab = _entropy_rows(np.linalg.eigvalsh(rho))
-    s_b = _entropy_rows(np.linalg.eigvalsh(np.einsum("iabad->ibd", rho.reshape(-1, 2, 2, 2, 2))))
-    blocks = _circle_blocks(rho)
+    P, R = _bloch_blocks(rho)
+    R = R[:, ::2]  # the x and z blocks: the circle's Bloch vector is (sin w, cos w)
+
+    def circle(w):
+        return _conditional_entropy(P, R, np.stack([np.sin(w), np.cos(w)], axis=-1))
 
     angles = np.linspace(0.0, 2.0 * math.pi, config.theta_grid, endpoint=False)
     angles = angles[angles < math.pi]  # w and w + pi are one measurement
-    grid = _conditional_entropy_circle(*blocks, np.broadcast_to(angles, (rows.size, angles.size)))
+    grid = circle(np.broadcast_to(angles, (rows.size, angles.size)))
     best = grid.argmin(axis=1)
     best_cond, best_w = grid[rows, best], angles[best]
     evals = angles.size
@@ -231,7 +215,7 @@ def pairwise_discord_series(cfg: GroverConfig, st: SymmetricGAState, config: Opt
         if h <= config.refine_tol:
             break
         w = best_w[:, None] + h * _STENCIL
-        values = _conditional_entropy_circle(*blocks, w)
+        values = circle(w)
         evals += _STENCIL.size
         i = values.argmin(axis=1)
         better = values[rows, i] < best_cond
@@ -240,8 +224,7 @@ def pairwise_discord_series(cfg: GroverConfig, st: SymmetricGAState, config: Opt
         h /= 2.0
     converged = config.refine_maxiter == 0 or h <= config.refine_tol
 
-    value = best_cond + s_b - s_ab
-    value[(-1e-9 <= value) & (value < 0.0)] = 0.0
+    value = _discord_values(best_cond, rho)
     thetas = (best_w % (2.0 * math.pi)) / 2.0
     return [
         DiscordSolution(value=v, theta=t, phi=0.0, optimizer_evals=evals, converged=converged)

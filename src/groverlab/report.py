@@ -166,7 +166,7 @@ def phi_sweep(run: RunConfig) -> SweepResult:
 
 
 def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult:
-    """Per-step amplitudes, averages and success probability for a custom start.
+    """Per-step averages and success probability for a custom start, and for JSON the per-step amplitudes.
 
     One pass steps to max(r_max, ceil(t_opt)); p_floor and p_ceil come from it too.
     """
@@ -175,7 +175,7 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
     opt = gga_optimal_time(dist0)
     r_max = run.r_max if run.r_max is not None else max(1, math.ceil(opt.time))
     dist = dist0
-    amplitude_log = []
+    amplitude_log = [] if run.fmt == "json" else None  # only JSON prints the amplitudes
     averages = np.empty((r_max + 1, 2), dtype=complex)
     p = []
     for r in range(max(r_max, math.ceil(opt.time)) + 1):
@@ -185,8 +185,9 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         if r > r_max:
             continue
         averages[r] = dist.kbar, dist.lbar
-        sol, other = (a.view(float).reshape(-1, 2) for a in (dist.solution_amplitudes, dist.other_amplitudes))
-        amplitude_log.append({"r": r, "solution_amplitudes": sol, "other_amplitudes": other})
+        if amplitude_log is not None:
+            sol, other = (a.view(float).reshape(-1, 2) for a in (dist.solution_amplitudes, dist.other_amplitudes))
+            amplitude_log.append({"r": r, "solution_amplitudes": sol, "other_amplitudes": other})
     extra = {
         "n": dist0.n,
         "solutions": list(dist0.solutions),
@@ -196,8 +197,9 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         "p_floor": p[math.floor(opt.time)],
         "p_ceil": p[math.ceil(opt.time)],
         "p_max": gga_pmax(dist0),
-        "amplitudes_per_step": amplitude_log,
     }
+    if amplitude_log is not None:
+        extra["amplitudes_per_step"] = amplitude_log
     if dist0.is_real:
         cf = gga_closed_form(dist0)
         extra["closed_form"] = {"omega": cf.omega, "beta": cf.beta, "C": cf.C}
@@ -294,8 +296,6 @@ def render_csv(result: SweepResult, run: RunConfig) -> str:
     for key, value in result.engines.items():
         lines.append(f"# engine.{key}={value}")
     for key, value in result.extra_metadata.items():
-        if key == "amplitudes_per_step":
-            continue  # JSON-only payload
         if isinstance(value, (dict, list)):
             lines.append(f"# {key}={json.dumps(value, separators=(',', ':'))}")
         else:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import click
@@ -322,6 +323,8 @@ class TestGoldenOutputs:
             ("verify_n9_j1-2.json", ("verify", "--max-n", "9", "--j", "1,2", "--seed", "0", "--format", "json")),
             ("ga_n12_j2_r1.json", ("ga", "--n", "12", "--j", "2", "--r-max", "1", "--format", "json")),
             ("ga_n11_j2-3_r2.json", ("ga", "--n", "11", "--j", "2,3", "--r-max", "2", "--format", "json")),
+            # every bit of the closed-form discord search
+            ("ga_n11_d2_r11.json", ("ga", "--n", "11", "--measures", "d2", "--r-max", "11", "--format", "json")),
         ],
     )
     def test_byte_identical(self, name, args):
@@ -553,6 +556,21 @@ class TestGgaCommand:
         assert len(steps) == 3
         assert steps[1]["solution_amplitudes"] == [[1.0, 0.0]]
         assert "closed_form" in payload["metadata"]
+
+    def test_csv_init_file_keeps_no_amplitude_log(self, tmp_path):
+        # CSV prints no amplitudes, so a long run holds its columns and no per-step log
+        N = 1 << 10
+        init = tmp_path / "uniform.json"
+        init.write_text(json.dumps({"n": 10, "solutions": [0], "amplitudes": [[1 / math.sqrt(N), 0.0]] * N}))
+        tracemalloc.start()
+        try:
+            result = run_cli("gga", "--init-file", str(init), "--r-max", "2000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert len(parse_csv(result.output)[2]) == 2001
+        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB"
 
     @pytest.fixture
     def grover_steps(self, monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 from groverlab import discord
 from groverlab.bruteforce import MEASURES, evolve
 from groverlab.discord import (
-    _conditional_entropy_grid,
+    _bloch_blocks,
+    _conditional_entropy,
     genuine_discord_ga,
     genuine_discord_partition_minima,
     pairwise_discord,
@@ -17,7 +18,7 @@ from groverlab.errors import UnsupportedStructureError
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
 from groverlab.linalg import DensityMatrix, pure_partial_trace, von_neumann_entropy
 from groverlab.optimizers import OptimizerConfig
-from witnesses import maximally_mixed, row_partition_minimum
+from witnesses import maximally_mixed, projector_conditional_entropy, row_partition_minimum
 
 FAST = OptimizerConfig(theta_grid=32, phi_grid=64)
 
@@ -99,7 +100,7 @@ class TestPairwiseDiscord:
         rho = reduced_density(GroverConfig(n=11), state_at(GroverConfig(n=11), 20), 2).matrix
         thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
         phis = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-        grid = _conditional_entropy_grid(rho, *np.meshgrid(thetas, phis, indexing="ij"))
+        grid = projector_conditional_entropy(rho, *np.meshgrid(thetas, phis, indexing="ij"))
         mirrored = np.roll(grid[:0:-1], -64, axis=1)  # row 64 - i, phi shifted by pi
         assert np.abs(grid[1:] - mirrored).max() < 1e-12
 
@@ -134,7 +135,7 @@ class TestPairwiseDiscord:
         sol = pairwise_discord(rho)
         thetas = np.linspace(0.0, 0.05, 401)
         phis = np.linspace(0.0, 2.0 * math.pi, 721)
-        fine = _conditional_entropy_grid(rho.matrix, *np.meshgrid(thetas, phis, indexing="ij"))
+        fine = projector_conditional_entropy(rho.matrix, *np.meshgrid(thetas, phis, indexing="ij"))
         s_b = von_neumann_entropy(DensityMatrix(np.einsum("abad->bd", rho.matrix.reshape(2, 2, 2, 2))))
         assert sol.value <= fine.min() + s_b - von_neumann_entropy(rho) + 1e-12
 
@@ -153,13 +154,46 @@ def oracle_pair_states():
     return [pure_partial_trace(evolve(GroverConfig(n=n, j=j), r).amplitudes, (0, 1)) for n, j, r in cases]
 
 
-def test_planned_contraction_is_bitwise_einsum_optimize(monkeypatch):
-    # the 2-D search plans its einsum contraction once per grid shape; the
-    # result must be the one einsum(..., optimize=True) gives when it plans
-    # the same contraction on every call
-    planned = [bits(pairwise_discord(rho)) for rho in oracle_pair_states()]
-    monkeypatch.setattr(discord, "_contraction_path", lambda shape: True)
-    assert [bits(pairwise_discord(rho)) for rho in oracle_pair_states()] == planned
+def random_states(rng, count):
+    """Random full-rank complex two-qubit density matrices, as a (count, 4, 4) stack."""
+    g = rng.normal(size=(count, 4, 4)) + 1j * rng.normal(size=(count, 4, 4))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def bloch(theta, phi):
+    """Bloch vectors of the measurements (theta, phi), stacked on a last axis."""
+    return np.stack([np.sin(2 * theta) * np.cos(phi), np.sin(2 * theta) * np.sin(phi), np.cos(2 * theta)], axis=-1)
+
+
+class TestConditionalEntropy:
+    """The Bloch-block kernel against the projector form of sum_i p_i S(rho_{A|i})."""
+
+    def test_sphere_grid_matches_projectors(self):
+        rho = random_states(np.random.default_rng(11), 100)
+        TH, PH = np.meshgrid(np.linspace(0.0, math.pi / 2, 17), np.linspace(0.0, 2 * math.pi, 32, endpoint=False), indexing="ij")
+        got = _conditional_entropy(*_bloch_blocks(rho), np.broadcast_to(bloch(TH, PH).reshape(-1, 3), (100, TH.size, 3)))
+        want = np.stack([projector_conditional_entropy(m, TH, PH).ravel() for m in rho])
+        assert np.abs(got - want).max() < 1e-14
+
+    def test_xz_circle_matches_projectors(self):
+        # the x and z blocks with n = (sin w, cos w) measure at Bloch angle w, i.e. theta = w / 2, phi = 0
+        rho = random_states(np.random.default_rng(12), 100)
+        w = np.linspace(0.0, math.pi, 64, endpoint=False)
+        P, R = _bloch_blocks(rho)
+        got = _conditional_entropy(P, R[:, ::2], np.broadcast_to(np.stack([np.sin(w), np.cos(w)], axis=-1), (100, w.size, 2)))
+        want = np.stack([projector_conditional_entropy(m, w / 2, np.zeros_like(w)) for m in rho])
+        assert np.abs(got - want).max() < 1e-14
+
+    def test_reported_measurement_gives_the_value(self):
+        # on complex j > 1 states the value is the projector form's conditional
+        # entropy at the reported angles, plus S(rho_B) - S(rho_AB)
+        for rho in oracle_pair_states():
+            sol = pairwise_discord(rho)
+            s_b = von_neumann_entropy(DensityMatrix(np.einsum("abad->bd", rho.matrix.reshape(2, 2, 2, 2))))
+            cond = projector_conditional_entropy(rho.matrix, sol.theta, sol.phi)
+            assert sol.converged
+            assert sol.value == pytest.approx(cond + s_b - von_neumann_entropy(rho), abs=1e-14)
 
 
 def series_rows():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,28 @@ class TestSvetlichny:
         for r in (0, 9, 17, 26, 35):
             res = svetlichny_max_ga(cfg, r, OptimizerConfig(restarts=8, seed=0))
             assert res.value <= 4.0 + 1e-6
+
+    def test_rows_are_bitwise_the_one_row_calls(self):
+        cfg = GroverConfig(n=11, j=1)
+        rs = np.arange(26)
+        config = OptimizerConfig(restarts=16, seed=0)
+        series = MEASURES["svet"].closed_form(cfg, state_at(cfg, rs), config)
+
+        def bits(res):
+            vecs = np.concatenate([getattr(res.settings, f) for f in ("a", "a_prime", "b", "b_prime", "c", "c_prime")])
+            return res.value.hex(), [v.hex() for v in vecs.tolist()], res.optimizer_evals, res.converged
+
+        assert list(map(bits, series)) == [bits(svetlichny_max_ga(cfg, r, config)) for r in rs.tolist()]
+
+    def test_closed_form_reads_the_series_state(self):
+        # an offset of a (as verify --inject-fault makes) must reach the column;
+        # 1e-13 keeps the reduced states' trace within its tolerance
+        cfg = GroverConfig(n=11, j=1)
+        st = state_at(cfg, np.arange(1, 26, 5))
+        config = OptimizerConfig(restarts=8, seed=0)
+        values = MEASURES["svet"].series(cfg, st, config)
+        shifted = MEASURES["svet"].series(cfg, replace(st, a=st.a + 1e-13), config)
+        assert np.all(shifted != values)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("j", [2, 3])

@@ -6,7 +6,9 @@ and closed-form paths. The GGA closed-form averages, the phi-family state
 pair, the continuous-time GGA success probability, the dense GA
 projector, the quantum relative entropy and the Svetlichny expectation of
 given settings are here for the same reason:
-only tests compare with them. So is the row-by-row CSV/JSON writer that the
+only tests compare with them. So is the projector form of the discord's
+conditional entropy (`projector_conditional_entropy`), which the Bloch-block
+kernel replaced. So is the row-by-row CSV/JSON writer that the
 columnar one in `groverlab.report` replaced, and the per-subset purity that
 the stacked-Gram `en` oracle replaced, with two whole-register `en`
 references built on it and on the benchmark checker's enumeration. The
@@ -217,6 +219,31 @@ def svetlichny_expectation(tensor: CorrelationTensor, settings: SvetlichnySettin
     )
 
 
+def projector_conditional_entropy(rho: np.ndarray, theta, phi) -> np.ndarray:
+    """sum_i p_i S(rho_{A|i}) of a two-qubit state, B measured at each (theta, phi) of two equal-shape arrays.
+
+    The measurement is the basis {cos t|0> + e^{ip} sin t|1>, e^{-ip} sin t|0> - cos t|1>},
+    of Bloch vector (sin 2t cos p, sin 2t sin p, cos 2t). Each outcome's
+    p_i rho_{A|i} = Tr_B[(1 x |v_i><v_i|) rho] is built from the projector and
+    its entropy taken from eigvalsh.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    R = np.asarray(rho).reshape(2, 2, 2, 2)  # indices (a, b, a', b')
+    basis = (
+        np.stack([np.cos(theta) + 0j, np.exp(1j * phi) * np.sin(theta)], axis=-1),
+        np.stack([np.exp(-1j * phi) * np.sin(theta), -np.cos(theta) + 0j], axis=-1),
+    )
+    total = np.zeros(theta.shape)
+    for v in basis:
+        m = np.einsum("abcd,...b,...d->...ac", R, v.conj(), v)
+        lam = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+        p = lam.sum(axis=-1, keepdims=True)
+        ratio = np.where(lam > 0.0, lam / np.where(p > 0.0, p, 1.0), 1.0)
+        total -= np.sum(lam * np.log2(ratio), axis=-1)
+    return total
+
+
 def sweep_rows(result) -> list:
     """A SweepResult's columns as one dict per row, with NA cells as None."""
     columns = [
@@ -232,8 +259,6 @@ def render_csv_rows(result, run) -> str:
     for key, value in result.engines.items():
         lines.append(f"# engine.{key}={value}")
     for key, value in result.extra_metadata.items():
-        if key == "amplitudes_per_step":
-            continue
         if isinstance(value, (dict, list)):
             lines.append(f"# {key}={json.dumps(value, separators=(',', ':'))}")
         else:
