@@ -20,8 +20,8 @@ from .report import (
     ga_sweep,
     init_file_sweep,
     phi_sweep,
-    render,
     verify_rows,
+    write,
 )
 
 
@@ -150,22 +150,22 @@ def _output_options(fmt: str):
     )
 
 
-def _write(path: Path, content: str):
+def _write_file(path: Path, emit):
+    """Open path for text with LF endings and call emit(file.write); an OSError is a usage error."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="\n") as fh:
-            # 1 MB at a time: a 16 MB amplitude log is never held again as encoded bytes
-            for start in range(0, len(content), 1 << 20):
-                fh.write(content[start : start + (1 << 20)])
+            emit(fh.write)
     except OSError as exc:
         raise click.UsageError(f"cannot write {path}: {exc}")
 
 
-def _emit(content: str, out: str | None):
+def _emit(result, run: RunConfig, out: str | None):
+    """Stream the rendered result to stdout, or to the --out file, one block at a time."""
     if out is None:
-        click.echo(content, nl=False)
+        write(result, run, lambda text: click.echo(text, nl=False))
     else:
-        _write(Path(out), content)
+        _write_file(Path(out), lambda file_write: write(result, run, file_write))
 
 
 @click.group(context_settings={"show_default": True})
@@ -204,7 +204,7 @@ def ga(n, j_values, r_max, measures, grid, restarts, no_oracle, seed, fmt, out):
         result = ga_sweep(run)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _emit(render(result, run), out)
+    _emit(result, run, out)
 
 
 @main.command()
@@ -242,7 +242,7 @@ def gga(ctx, n, phi_points, init_file, r_max, seed, fmt, out):
     for name in unused:
         if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
             raise click.UsageError(f"--{name.replace('_', '-')} applies only to {mode}")
-    _emit(render(result, run), out)
+    _emit(result, run, out)
 
 
 @main.command()
@@ -264,7 +264,7 @@ def verify(max_n, j_values, inject_fault, seed, fmt, out):
         summary, result = verify_rows(run)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _emit(render(result, run), out)
+    _emit(result, run, out)
     if not summary.passed:
         sys.exit(1)
 
@@ -289,7 +289,7 @@ def figures(out_dir, grid, restarts, phi_points, seed):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     for name, content in files.items():
-        _write(out_dir / name, content)
+        _write_file(out_dir / name, lambda file_write: file_write(content))
         click.echo(f"wrote {out_dir / name}")
 
 

@@ -177,11 +177,11 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
     dist = dist0
     amplitude_log = [] if run.fmt == "json" else None  # only JSON prints the amplitudes
     averages = np.empty((r_max + 1, 2), dtype=complex)
-    p = []
-    for r in range(max(r_max, math.ceil(opt.time)) + 1):
+    p = np.empty(max(r_max, math.ceil(opt.time)) + 1)
+    for r in range(p.size):
         if r > 0:
             dist = gga_iterate(dist, 1)
-        p.append(dist.success_probability())
+        p[r] = dist.success_probability()
         if r > r_max:
             continue
         averages[r] = dist.kbar, dist.lbar
@@ -194,8 +194,8 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         "optimal_time": opt.time,
         "optimal_time_method": opt.method,
         "degenerate_phase": opt.degenerate_phase,
-        "p_floor": p[math.floor(opt.time)],
-        "p_ceil": p[math.ceil(opt.time)],
+        "p_floor": float(p[math.floor(opt.time)]),
+        "p_ceil": float(p[math.ceil(opt.time)]),
         "p_max": gga_pmax(dist0),
     }
     if amplitude_log is not None:
@@ -205,7 +205,7 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         extra["closed_form"] = {"omega": cf.omega, "beta": cf.beta, "C": cf.C}
     columns = ("r", "p", "kbar_re", "kbar_im", "lbar_re", "lbar_im")
     kbar, lbar = averages.T
-    values = (np.arange(r_max + 1), np.array(p[: r_max + 1]), kbar.real, kbar.imag, lbar.real, lbar.imag)
+    values = (np.arange(r_max + 1), p[: r_max + 1], kbar.real, kbar.imag, lbar.real, lbar.imag)
     return SweepResult(
         columns=columns,
         data=dict(zip(columns, values)),
@@ -273,24 +273,27 @@ def _cells(column, float_spec: str, na: str, cell) -> tuple:
     return "%s", text.tolist()
 
 
-# Rows per formatted block: only one block's cells are Python objects at a time.
-_BLOCK_ROWS = 1 << 16
+# Rows (or amplitude pairs) per formatted block: only one block's cells are
+# Python objects at a time.
+_BLOCK_ROWS = 1 << 13
 
 
-def _table(result: SweepResult, names, float_spec: str, na: str, cell, row_template) -> list:
-    """Every row of the `names` columns, each written by row_template(specs) % its cells, in blocks."""
-    rows = len(next(iter(result.data.values()), ()))
-    blocks = []
-    for start in range(0, rows, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        columns = [_cells(result.data[name][block], float_spec, na, cell) for name in names]
-        template = row_template([spec for spec, _ in columns])
-        values = tuple(chain.from_iterable(zip(*(cells for _, cells in columns))))
-        blocks.append("".join([template] * min(_BLOCK_ROWS, rows - start)) % values)
-    return blocks
+def _table_block(data: dict, rows: range, float_spec: str, na: str, cell, row_template) -> str:
+    """The `rows` of every `data` column, each written by row_template(specs) % its cells."""
+    columns = [_cells(column[rows.start : rows.stop], float_spec, na, cell) for column in data.values()]
+    template = row_template([spec for spec, _ in columns])
+    values = tuple(chain.from_iterable(zip(*(cells for _, cells in columns))))
+    return "".join([template] * len(rows)) % values
 
 
-def render_csv(result: SweepResult, run: RunConfig) -> str:
+def _table(data: dict, *formats):
+    """Every row of the `data` columns, in blocks of _BLOCK_ROWS rows; see `_table_block`."""
+    rows = range(len(next(iter(data.values()), ())))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        yield _table_block(data, rows[start : start + _BLOCK_ROWS], *formats)
+
+
+def _csv_blocks(result: SweepResult, run: RunConfig):
     """CSV with '#'-prefixed metadata lines, a header row, 12 significant digits, LF."""
     lines = [f"# version={__version__}", f"# command={run.command}", f"# seed={run.seed}"]
     for key, value in result.engines.items():
@@ -301,72 +304,86 @@ def render_csv(result: SweepResult, run: RunConfig) -> str:
         else:
             lines.append(f"# {key}={_format_value(value)}")
     lines.append(",".join(result.columns))
-    body = _table(result, result.columns, "%.12g", "NA", _format_value, lambda specs: ",".join(specs) + "\n")
-    return "".join(["\n".join(lines) + "\n", *body])
+    yield "\n".join(lines) + "\n"
+    columns = {name: result.data[name] for name in result.columns}
+    yield from _table(columns, "%.12g", "NA", _format_value, lambda specs: ",".join(specs) + "\n")
 
 
 # Stands in for a block of text in json's output; no path or other CLI string holds a NUL.
 _ARRAY_MARK = "\x00ndarray\x00"
 
 
-def _pair_array_json(a: np.ndarray, indent: str) -> str:
-    """(M, 2) finite floats as json.dumps(a.tolist(), indent=2) writes them at `indent`."""
-    inner, item = indent + "  ", indent + "    "
-    pair = f"[\n{item}%s,\n{item}%s\n{inner}]"
-    pairs = f",\n{inner}".join([pair] * len(a)) % tuple(map(float.__repr__, a.ravel().tolist()))
-    return f"[\n{inner}{pairs}\n{indent}]" if len(a) else "[]"
-
-
-def _rows_json(result: SweepResult, indent: str) -> list:
-    """The rows as json.dumps(list_of_row_dicts, indent=2) writes them at `indent`."""
+def _json_list(data: dict, labels, brackets: str, indent: str):
+    """The rows of `data` as json.dumps(rows, indent=2) writes them at `indent`, in blocks: each
+    row a dict in "{}", its cells labelled '"key": ', or a list in "[]", its labels empty."""
     inner, field = indent + "  ", indent + "    "
 
     def row(specs):
-        keys = [json.dumps(key).replace("%", "%%") for key in result.data]
-        body = ",\n".join(f"{field}{key}: {spec}" for key, spec in zip(keys, specs))
-        return f",\n{inner}{{\n{body}\n{inner}}}"
+        body = ",\n".join(f"{field}{label}{spec}" for label, spec in zip(labels, specs))
+        return f",\n{inner}{brackets[0]}\n{body}\n{inner}{brackets[1]}"
 
-    blocks = _table(result, tuple(result.data), "%r", "null", json.dumps, row)
-    if not blocks:
-        return ["[]"]
-    blocks[0] = "[" + blocks[0][1:]  # the first row has no comma before it
-    return [*blocks, f"\n{indent}]"]
+    blocks = _table(data, "%r", "null", json.dumps, row)
+    first = next(blocks, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[" + first[1:]  # the first row has no comma before it
+    yield from blocks
+    yield f"\n{indent}]"
 
 
-def render_json(result: SweepResult, run: RunConfig) -> str:
-    """json.dumps(doc, indent=2); the rows and each ndarray are a marker there, replaced by their text blocks."""
+def _json_blocks(result: SweepResult, run: RunConfig):
+    """json.dumps(doc, indent=2); the rows and each (M, 2) ndarray are a marker there, replaced by their text blocks."""
     doc = {
         "config": run.to_dict(),
         "rows": result,
         "metadata": {**base_metadata(run, result.engines), **result.extra_metadata},
     }
-    blocks = []
+    lists = []  # (data, labels, brackets) of each marker, in order
 
     def stash(obj):
         if obj is result:
-            blocks.append(lambda indent: _rows_json(result, indent))
+            lists.append((result.data, [json.dumps(key).replace("%", "%%") + ": " for key in result.data], "{}"))
         elif isinstance(obj, np.ndarray):
-            blocks.append(lambda indent: [_pair_array_json(obj, indent)])
+            lists.append(({"re": obj[:, 0], "im": obj[:, 1]}, ("", ""), "[]"))
         else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         return _ARRAY_MARK
 
     pieces = json.dumps(doc, indent=2, default=stash).split(json.dumps(_ARRAY_MARK))
-    if len(pieces) != len(blocks) + 1:
-        raise AssertionError(f"{len(pieces) - 1} markers for {len(blocks)} blocks")
-    text = []  # joined once: no text block is copied before the final join
-    for i, block in enumerate(blocks):
-        line = pieces[i][pieces[i].rfind("\n") + 1 :]  # the indent, then the key if any
-        text += [pieces[i], *block(line[: len(line) - len(line.lstrip())])]
-    return "".join([*text, pieces[-1], "\n"])
+    if len(pieces) != len(lists) + 1:
+        raise AssertionError(f"{len(pieces) - 1} markers for {len(lists)} blocks")
+    for piece, data in zip(pieces, lists):
+        line = piece[piece.rfind("\n") + 1 :]  # the indent, then the key if any
+        yield piece
+        yield from _json_list(*data, line[: len(line) - len(line.lstrip())])
+    yield pieces[-1] + "\n"
+
+
+_BLOCKS = {"csv": _csv_blocks, "json": _json_blocks}
+
+
+def _blocks(result: SweepResult, run: RunConfig):
+    if run.fmt not in _BLOCKS:
+        raise ValueError(f"unknown format {run.fmt!r}")
+    return _BLOCKS[run.fmt](result, run)
 
 
 def render(result: SweepResult, run: RunConfig) -> str:
-    if run.fmt == "json":
-        return render_json(result, run)
-    if run.fmt == "csv":
-        return render_csv(result, run)
-    raise ValueError(f"unknown format {run.fmt!r}")
+    """The whole document as one string; `write` streams the same text."""
+    return "".join(_blocks(result, run))
+
+
+# Characters per write call: a block is never held again whole as encoded bytes.
+_WRITE_CHARS = 1 << 20
+
+
+def write(result: SweepResult, run: RunConfig, write) -> None:
+    """Pass the document to write(str) block by block, as it is formatted."""
+    for block in _blocks(result, run):
+        for start in range(0, len(block), _WRITE_CHARS):
+            write(block[start : start + _WRITE_CHARS])
+        del block  # freed before the next block is formatted
 
 
 _GNUPLOT = {
@@ -410,10 +427,10 @@ def figure_outputs(run: RunConfig) -> dict:
         seed=run.seed,
         optimizer=run.optimizer,
     )
-    files["fig2.csv"] = render_csv(ga_sweep(fig2_run), fig2_run)
+    files["fig2.csv"] = render(ga_sweep(fig2_run), fig2_run)
 
     fig3_run = RunConfig(command="figures.fig3", n=10, phi_points=run.phi_points, seed=run.seed)
-    files["fig3.csv"] = render_csv(phi_sweep(fig3_run), fig3_run)
+    files["fig3.csv"] = render(phi_sweep(fig3_run), fig3_run)
 
     fig4_run = RunConfig(
         command="figures.fig4",
@@ -423,7 +440,7 @@ def figure_outputs(run: RunConfig) -> dict:
         seed=run.seed,
         optimizer=run.optimizer,
     )
-    files["fig4.csv"] = render_csv(ga_sweep(fig4_run), fig4_run)
+    files["fig4.csv"] = render(ga_sweep(fig4_run), fig4_run)
 
     fig5_run = RunConfig(
         command="figures.fig5",
@@ -433,7 +450,7 @@ def figure_outputs(run: RunConfig) -> dict:
         seed=run.seed,
         optimizer=run.optimizer,
     )
-    files["fig5.csv"] = render_csv(ga_sweep(fig5_run), fig5_run)
+    files["fig5.csv"] = render(ga_sweep(fig5_run), fig5_run)
 
     for name, script in _GNUPLOT.items():
         files[f"{name}.gp"] = script

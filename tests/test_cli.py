@@ -48,6 +48,28 @@ def parse_csv(text):
     return meta, header, rows
 
 
+def assert_both_write_paths(args, golden: Path, out: Path):
+    """The run prints the golden file's bytes on stdout, and writes them with --out."""
+    want = golden.read_bytes()
+    result = run_cli(*args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == want
+    assert run_cli(*args, "--out", str(out)).exit_code == 0
+    assert out.read_bytes() == want
+
+
+def traced_run(*args):
+    """(result, peak bytes that tracemalloc saw) of one CLI run that succeeds."""
+    tracemalloc.start()
+    try:
+        result = run_cli(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    return result, peak
+
+
 class TestGaCommand:
     def test_two_qubit_run_ends_solved(self):
         result = run_cli("ga", "--n", "2", "--j", "1")
@@ -143,6 +165,13 @@ class TestGaCommand:
             assert meta[f"engine.j{j}.en"] == "oracle"
             ref = checker_concurrence(checker_grover_amplitudes(n, j, int(row["r"])))
             assert abs(float(row["en"]) - ref) <= 1e-9 + 1e-11 * abs(ref), (j, row["r"], row["en"], ref)
+
+    def test_rows_are_written_as_they_are_formatted(self, tmp_path):
+        # 25,736 rows: 1.25 MB of text, written one block of rows at a time
+        out = tmp_path / "a.csv"
+        peak = traced_run("ga", "--n", "30", "--measures", "cr,cl1", "--out", str(out))[1]
+        assert len(parse_csv(out.read_text())[2]) == 25_736
+        assert peak <= 5 * 2**20, f"{peak / 2**20:.1f} MB"
 
     def test_seed_recorded_in_csv(self):
         result = run_cli("ga", "--n", "2", "--seed", "31")
@@ -327,10 +356,8 @@ class TestGoldenOutputs:
             ("ga_n11_d2_r11.json", ("ga", "--n", "11", "--measures", "d2", "--r-max", "11", "--format", "json")),
         ],
     )
-    def test_byte_identical(self, name, args):
-        result = run_cli(*args)
-        assert result.exit_code == 0
-        assert result.output == (GOLDEN / name).read_text()
+    def test_byte_identical(self, name, args, tmp_path):
+        assert_both_write_paths(args, GOLDEN / name, tmp_path / name)
 
     @pytest.mark.parametrize(
         "name, args",
@@ -340,13 +367,11 @@ class TestGoldenOutputs:
             ("gga_init_complex_n5_r2.csv", ("gga_init_complex_n5.json", "--r-max", "2", "--format", "csv")),
         ],
     )
-    def test_init_file_byte_identical(self, name, args, monkeypatch):
+    def test_init_file_byte_identical(self, name, args, monkeypatch, tmp_path):
         # the start is named relative to the golden directory, as the stored
         # JSON config records the path it was given
         monkeypatch.chdir(GOLDEN)
-        result = run_cli("gga", "--init-file", *args)
-        assert result.exit_code == 0
-        assert result.output == (GOLDEN / name).read_text()
+        assert_both_write_paths(("gga", "--init-file", *args), GOLDEN / name, tmp_path / name)
 
     @pytest.mark.parametrize(
         "name, n, j, extra",
@@ -557,20 +582,26 @@ class TestGgaCommand:
         assert steps[1]["solution_amplitudes"] == [[1.0, 0.0]]
         assert "closed_form" in payload["metadata"]
 
-    def test_csv_init_file_keeps_no_amplitude_log(self, tmp_path):
-        # CSV prints no amplitudes, so a long run holds its columns and no per-step log
+    @pytest.fixture
+    def uniform_n10(self, tmp_path):
         N = 1 << 10
         init = tmp_path / "uniform.json"
         init.write_text(json.dumps({"n": 10, "solutions": [0], "amplitudes": [[1 / math.sqrt(N), 0.0]] * N}))
-        tracemalloc.start()
-        try:
-            result = run_cli("gga", "--init-file", str(init), "--r-max", "2000")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.exit_code == 0
+        return init
+
+    def test_csv_init_file_keeps_no_amplitude_log(self, uniform_n10):
+        # CSV prints no amplitudes, so a long run holds its columns and no per-step log
+        result, peak = traced_run("gga", "--init-file", str(uniform_n10), "--r-max", "2000")
         assert len(parse_csv(result.output)[2]) == 2001
         assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB"
+
+    def test_json_amplitude_log_is_written_as_it_is_formatted(self, uniform_n10, tmp_path):
+        # the 3.3 MB log is held as arrays, but never its 15.5 MB of text at once
+        out = tmp_path / "a.json"
+        args = ("gga", "--init-file", str(uniform_n10), "--r-max", "200", "--format", "json", "--out", str(out))
+        peak = traced_run(*args)[1]
+        assert len(json.loads(out.read_text())["metadata"]["amplitudes_per_step"]) == 201
+        assert peak <= 8 * 2**20, f"{peak / 2**20:.1f} MB"
 
     @pytest.fixture
     def grover_steps(self, monkeypatch):

@@ -9,7 +9,7 @@ from witnesses import render_csv_rows, render_json_rows
 
 from groverlab import report
 from groverlab.cli import main
-from groverlab.report import RunConfig, SweepResult, render_csv, render_json
+from groverlab.report import RunConfig, SweepResult
 
 SPECIAL = [-0.0, 5e-324, 1e300, 1e-7, 1.0, 0.0, 0.1 + 0.2, 2.0 / 3.0, -1.7976931348623157e308]
 
@@ -32,6 +32,15 @@ def sweep(data, columns=None, engines=None, extra=None):
     return SweepResult(tuple(data) if columns is None else columns, data, engines or {}, extra or {})
 
 
+def rendered(result, run):
+    """`render`'s document, after checking that `write` emits the same text."""
+    emitted = []
+    report.write(result, run, emitted.append)
+    text = report.render(result, run)
+    assert "".join(emitted) == text
+    return text
+
+
 class TestRenderJson:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_array_blocks_equal_the_encoder(self, seed):
@@ -50,23 +59,23 @@ class TestRenderJson:
         }
         result = sweep({"r": np.array([0]), "p": np.array([0.25])}, engines={"all": "iteration"}, extra=extra)
         run = RunConfig(command="gga", fmt="json", init_file="start.json")
-        assert render_json(result, run) == render_json_rows(result, run)
+        assert rendered(result, run) == render_json_rows(result, run)
 
     def test_empty_array_is_an_empty_list(self):
         result = sweep({"r": np.array([], dtype=int)}, extra={"log": [np.empty((0, 2))]})
         run = RunConfig(command="gga", fmt="json")
-        assert json.loads(render_json(result, run))["metadata"]["log"] == [[]]
+        assert json.loads(rendered(result, run))["metadata"]["log"] == [[]]
 
     def test_document_without_arrays_is_the_plain_encoding(self):
         result = sweep({"r": np.arange(2), "p": np.ma.array([1e-300, 0.0], mask=[False, True])}, extra={"x": [1, 2]})
         run = RunConfig(command="ga", fmt="json")
-        assert render_json(result, run) == render_json_rows(result, run)
+        assert rendered(result, run) == render_json_rows(result, run)
 
     def test_marker_in_a_string_is_caught(self):
         result = sweep({"r": np.array([], dtype=int)}, extra={"log": np.zeros((1, 2))})
         run = RunConfig(command="gga", fmt="json", init_file="\x00ndarray\x00")
         with pytest.raises(AssertionError, match="markers"):
-            render_json(result, run)
+            rendered(result, run)
 
 
 # -0.0, subnormals, the float extremes, non-finite values and values on either
@@ -107,9 +116,9 @@ def sweeps(draw):
 @settings(max_examples=300, deadline=None)
 @given(sweeps())
 def test_columnar_writers_equal_the_row_writers(result):
-    run = RunConfig(command="ga", seed=3)
-    assert render_csv(result, run) == render_csv_rows(result, run)
-    assert render_json(result, run) == render_json_rows(result, run)
+    csv_run, json_run = (RunConfig(command="ga", seed=3, fmt=fmt) for fmt in ("csv", "json"))
+    assert rendered(result, csv_run) == render_csv_rows(result, csv_run)
+    assert rendered(result, json_run) == render_json_rows(result, json_run)
 
 
 def test_format_value_calls_do_not_grow_with_rows(monkeypatch):
@@ -142,8 +151,37 @@ def test_row_blocks_join_to_one_block(monkeypatch):
     masked_int = np.ma.array(np.arange(rows), mask=[r == 16 for r in range(rows)])
     data = {"j": np.full(rows, 2), "r": np.arange(rows), "na": na, "odd": odd, "obj": objects, "mi": masked_int}
     result = sweep(data, columns=("r", "na", "odd", "obj", "mi"))
-    run = RunConfig(command="ga", seed=1)
-    one_block = render_csv(result, run), render_json(result, run)
+    runs = [RunConfig(command="ga", seed=1, fmt=fmt) for fmt in ("csv", "json")]
+    one_block = [rendered(result, run) for run in runs]
     monkeypatch.setattr(report, "_BLOCK_ROWS", 7)
-    assert (render_csv(result, run), render_json(result, run)) == one_block
-    assert one_block == (render_csv_rows(result, run), render_json_rows(result, run))
+    assert [rendered(result, run) for run in runs] == one_block
+    assert one_block == [render_csv_rows(result, runs[0]), render_json_rows(result, runs[1])]
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 6, 7, 8, 14, 15, 20])
+def test_pair_array_blocks_join_to_one_array(monkeypatch, pairs):
+    # arrays that end just before, on and just after the boundaries at pairs 7 and 14
+    monkeypatch.setattr(report, "_BLOCK_ROWS", 7)
+    log = np.arange(2.0 * pairs).reshape(-1, 2) / 3.0
+    result = sweep({"r": np.arange(2)}, extra={"log": [log], "after": log})
+    run = RunConfig(command="gga", fmt="json")
+    assert rendered(result, run) == render_json_rows(result, run)
+
+
+def test_array_longer_than_a_block_equals_the_encoder():
+    log = np.random.default_rng(5).standard_normal((2 * report._BLOCK_ROWS + 3, 2))
+    log.ravel()[: len(SPECIAL)] = SPECIAL
+    result = sweep({"r": np.arange(2)}, extra={"amplitudes_per_step": [{"r": 0, "other_amplitudes": log}]})
+    run = RunConfig(command="gga", fmt="json")
+    assert rendered(result, run) == render_json_rows(result, run)
+
+
+def test_write_slices_long_blocks(monkeypatch):
+    monkeypatch.setattr(report, "_WRITE_CHARS", 5)
+    result = sweep({"r": np.arange(30), "p": np.linspace(0.0, 1.0, 30)})
+    for fmt in ("csv", "json"):
+        run = RunConfig(command="ga", fmt=fmt)
+        emitted = []
+        report.write(result, run, emitted.append)
+        assert max(map(len, emitted)) == 5
+        assert "".join(emitted) == report.render(result, run)
