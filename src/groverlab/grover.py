@@ -9,7 +9,7 @@ structured density matrix without touching the 2^n-dimensional space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,6 +76,11 @@ class SymmetricGAState:
     alpha_r: np.ndarray
     a: np.ndarray
     b: np.ndarray
+
+    def rows(self, s) -> "SymmetricGAState":
+        """The rows `s` (an index or a slice) of a series state as a state of their own."""
+        r, alpha_r, a, b = (np.ravel(x)[s] for x in (self.r, self.alpha_r, self.a, self.b))
+        return replace(self, r=r, alpha_r=alpha_r, a=a, b=b)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ EIG_CLIP = 1e-10
 
 
 def _clip_spectrum(eigenvalues: np.ndarray, context: str) -> np.ndarray:
-    if eigenvalues.min(initial=0.0) < -EIG_CLIP:
+    if not eigenvalues.min(initial=0.0) >= -EIG_CLIP:  # NaN fails too
         raise InvalidStateError(
             f"{context}: eigenvalue {eigenvalues.min():.3e} below -{EIG_CLIP:g}"
         )
@@ -131,14 +131,9 @@ def binary_entropy(x):
 def shannon_entropy(probabilities):
     """Shannon entropy in bits (0 log 0 := 0) of a probability vector, or of each row of a stack."""
     p = _clip_spectrum(np.asarray(probabilities, dtype=float), "probability vector")
-    if p.ndim > 1:
-        h = np.maximum(0.0, -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1))
-        # zeros change how the sum pairs its terms: such a row is summed as a vector is
-        for i in zip(*np.nonzero(np.any(p == 0.0, axis=-1))):
-            h[i] = shannon_entropy(p[i])
-        return h
-    p = p[p > 0.0]
-    return float(max(0.0, -np.sum(p * np.log2(p))))
+    h = -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1)
+    # -0.0 and rounding below zero read 0; [()] turns a vector's 0-d result into a scalar
+    return np.where(h <= 0.0, 0.0, h)[()]
 
 
 def von_neumann_entropy(rho: DensityMatrix):

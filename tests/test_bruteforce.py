@@ -194,6 +194,18 @@ class TestCrossValidate:
             assert check.max_deviation < 1e-8, check.name
             assert check.cases > 0
 
+    @pytest.mark.parametrize("seed, j_values", [(3, (1, 2)), (11, (1, 3))])
+    def test_reduction_blocks_change_no_value(self, monkeypatch, seed, j_values):
+        default = bruteforce._REDUCTION_BLOCK
+
+        def summary(block):
+            monkeypatch.setattr(bruteforce, "_REDUCTION_BLOCK", block)
+            checks = cross_validate(max_n=8, j_values=j_values, seed=seed).checks
+            return [(c.name, c.cases, bits(c.max_deviation) if c.cases else None) for c in checks]
+
+        # one row a block, the default, and the whole series in one block
+        assert summary(1) == summary(default) == summary(1 << 40)
+
     def test_tiny_grid_passes(self):
         assert cross_validate(max_n=2).passed
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,26 @@ class TestPairwiseDiscordSeries:
             assert sol.optimizer_evals == 32 + 5 * 24
             assert sol.phi == 0.0
             assert 0.0 <= sol.theta <= math.pi
+
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch):
+        cfg = GroverConfig(n=9)
+        st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))  # 18 rows: blocks of 7, 7 and 4
+        want = list(map(bits, pairwise_discord_series(cfg, st, FAST)))
+        monkeypatch.setattr(discord, "_D2_BLOCK_ROWS", 7)
+        assert list(map(bits, pairwise_discord_series(cfg, st, FAST))) == want
+
+    def test_search_memory_is_bounded_by_the_block(self):
+        # the 6,434 rows at n = 26 searched at once peaked at 39 MiB
+        cfg = GroverConfig(n=26)
+        st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+        tracemalloc.start()
+        try:
+            series = pairwise_discord_series(cfg, st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == st.r.size
+        assert peak < 12 * 2**20
 
     def test_multiple_solutions_unsupported(self):
         cfg = GroverConfig(n=4, j=2)

@@ -270,3 +270,16 @@ class TestEigendecompositionReconstruction:
 
 def test_shannon_entropy_uniform():
     assert shannon_entropy(np.full(8, 1 / 8)) == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [[np.nan, 1.0], [[0.5, 0.5], [np.nan, 1.0]]], ids=["vector", "stack"])
+def test_shannon_entropy_rejects_nan(p):
+    with pytest.raises(InvalidStateError):
+        shannon_entropy(p)
+
+
+def test_pure_state_entropy_prints_zero():
+    # every term is 0 log 1 = 0, and their negated sum -0.0 reads 0
+    assert f"{shannon_entropy(np.eye(4)[2]):.12g}" == "0"
+    assert [f"{h:.12g}" for h in shannon_entropy(np.eye(4)[[0, 3]])] == ["0", "0"]
+    assert f"{von_neumann_entropy(DensityMatrix.from_pure([0.0, 1.0])):.12g}" == "0"

@@ -118,8 +118,8 @@ def test_bad_slice_raises_the_one_matrix_error(bad):
 
 
 def test_stack_entropy_sums_rows_with_zeros_as_vectors():
-    # with zeros between its terms, a 16-entry row summed in place pairs the
-    # terms differently from the 8 nonzero ones alone: seed 1 differs in the last bit
+    # zeros are terms 0 log 1 = 0 in a vector as in a stack row, so a row with
+    # zeros between its terms pairs them in the sum exactly as the vector does
     v = np.random.default_rng(1).random(8)
     spaced = np.zeros(16)
     spaced[::2] = v / v.sum()
