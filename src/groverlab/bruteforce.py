@@ -36,7 +36,7 @@ def evolve_series(cfg: GroverConfig, r_max: int) -> np.ndarray:
 
 
 def _each(rho: DensityMatrix) -> list:
-    """The states of a stack one by one, for the optimizers that search each on its own."""
+    """The states of a stack one by one, for `svetlichny_max`, which searches each on its own."""
     return [DensityMatrix(m) for m in rho.matrix]
 
 
@@ -117,9 +117,7 @@ MEASURES = {
     ),
     "d2": Measure(
         closed_form=lambda cfg, st, opt: discord.pairwise_discord_series(cfg, st, opt),
-        oracle=lambda amps, cfg, opt: [
-            discord.pairwise_discord(rho, opt) for rho in _each(pure_partial_trace(amps, (0, 1)))
-        ],
+        oracle=lambda amps, cfg, opt: discord.pairwise_discord_rows(pure_partial_trace(amps, (0, 1)), opt),
         min_qubits=2,
         slow=True,
     ),

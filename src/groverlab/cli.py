@@ -15,6 +15,7 @@ from .errors import AmplitudeFileError
 from .gga import distribution_from_json
 from .optimizers import OptimizerConfig
 from .report import (
+    MAX_ROWS,
     RunConfig,
     figure_outputs,
     ga_sweep,
@@ -63,7 +64,10 @@ def _parse_j_spec(spec: str) -> tuple:
     spec = spec.strip()
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = int(lo), int(hi)
+        if hi - lo >= MAX_ROWS:  # each j series has at least one row
+            raise ValueError(f"{hi - lo + 1:,} values, more than the {MAX_ROWS:,} rows a sweep may have")
+        return tuple(range(lo, hi + 1))
     return tuple(int(p) for p in spec.split(",") if p)
 
 

@@ -86,35 +86,107 @@ def _conditional_entropy(P: np.ndarray, R: np.ndarray, n: np.ndarray) -> np.ndar
 
 _STENCIL = np.arange(-2.0, 3.0)
 
+# Grid points one block of rows holds in every temporary of the search: 1,024
+# rows of the default x-z circle's 32 angles or 7 of the sphere's 4,224. In
+# blocks of 1,024 rows `ga --n 36 --measures d2` peaked at 87 MB, not 1.3 GB.
+_SEARCH_POINTS = 2**15
 
-def _stencil(theta: float, phi: float, h: float):
-    """(theta, phi, unit Bloch vector) of each point of a 5x5 stencil of spacing h around (theta, phi).
+
+def _sphere_stencil(at: np.ndarray, h: float):
+    """(theta, phi) and unit Bloch vector of each point of a 5x5 stencil of spacing h around each row's (theta, phi).
 
     The stencil lies in the tangent plane of the measurement's Bloch vector
     (polar angle 2 theta, azimuth phi), so it stays regular at the poles,
-    where phi alone would not move the measurement. The returned angles have
-    theta in [0, pi/2]; (theta, phi) and (pi - theta, phi + pi) are the same
-    measurement.
+    where phi alone would not move the measurement. The angles have theta in
+    [0, pi/2]; (theta, phi) and (pi - theta, phi + pi) are one measurement.
     """
-    ct, st = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    bloch = np.array([st * cp, st * sp, ct])
-    e_theta = np.array([ct * cp, ct * sp, -st])
-    e_phi = np.array([-sp, cp, 0.0])
+    ct, st = np.cos(2.0 * at[:, 0]), np.sin(2.0 * at[:, 0])
+    cp, sp = np.cos(at[:, 1]), np.sin(at[:, 1])
+    bloch, e_theta, e_phi = (
+        np.stack(v, axis=-1)[:, None, None]
+        for v in ((st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, np.zeros_like(sp)))
+    )
     u = h * _STENCIL[:, None, None]
     v = h * _STENCIL[None, :, None]
-    m = (bloch + u * e_theta + v * e_phi).reshape(-1, 3)
-    thetas = 0.5 * np.arctan2(np.hypot(m[:, 0], m[:, 1]), m[:, 2])
-    return thetas, np.arctan2(m[:, 1], m[:, 0]), m / np.linalg.norm(m, axis=-1, keepdims=True)
+    m = (bloch + u * e_theta + v * e_phi).reshape(len(at), -1, 3)
+    thetas = 0.5 * np.arctan2(np.hypot(m[..., 0], m[..., 1]), m[..., 2])
+    angles = np.stack([thetas, np.arctan2(m[..., 1], m[..., 0])], axis=-1)
+    return angles, m / np.linalg.norm(m, axis=-1, keepdims=True)
 
 
-def _discord_values(best: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """best + S(rho_B) - S(rho_AB) for a stack of two-qubit states, a value in [-1e-9, 0) taken as 0."""
-    s_ab = shannon_entropy(np.linalg.eigvalsh(rho))
-    s_b = shannon_entropy(np.linalg.eigvalsh(np.einsum("iabad->ibd", rho.reshape(-1, 2, 2, 2, 2))))
-    value = best + s_b - s_ab
+def _circle_stencil(at: np.ndarray, h: float):
+    """Bloch angle w and unit vector (sin w, cos w) of 5 points of spacing h around each row's angle."""
+    w = at + h * _STENCIL
+    return w[..., None], np.stack([np.sin(w), np.cos(w)], axis=-1)
+
+
+def _search(rows: int, states, directions: tuple, grid: tuple, stencil, h: float, config: OptimizerConfig):
+    """Discord of `rows` two-qubit states, each minimized over B's measurements, all in lockstep.
+
+    states(s) gives the (rows, 4, 4) states of the row slice s, measured along
+    the Bloch `directions` of `_bloch_blocks`. Each row starts at the best
+    point of `grid`, (parameters (g, p), unit Bloch vectors (g, d)); then
+    stencil(best, h) gives each row's points around its best parameters in
+    the same two forms, and a move needs a strict improvement, so refinement
+    never worsens the grid optimum. h halves at each level until it reaches
+    `refine_tol` (converged) or `refine_maxiter` levels ran. Blocks of rows
+    hold at most `_SEARCH_POINTS` grid points (at least one row), and no row's
+    arithmetic depends on the other rows or on the blocks. A value in
+    [-1e-9, 0) is taken as 0. Returns (values, best (rows, p), evals, converged).
+    """
+    spacings = []
+    while len(spacings) < config.refine_maxiter and h > config.refine_tol:
+        spacings.append(h)
+        h /= 2.0
+    params, units = grid
+    block = max(1, _SEARCH_POINTS // len(units))
+    values, best = [np.zeros(0)], [np.zeros((0, params.shape[1]))]
+    for start in range(0, rows, block):
+        rho = states(slice(start, start + block))
+        P, R = _bloch_blocks(rho)
+        R = R[:, directions]
+        row = np.arange(len(rho))
+        cond = _conditional_entropy(P, R, np.broadcast_to(units, (len(rho), *units.shape)))
+        i = cond.argmin(axis=1)
+        low, at = cond[row, i], params[i]
+        for step in spacings:
+            points, n = stencil(at, step)
+            cond = _conditional_entropy(P, R, n)
+            i = cond.argmin(axis=1)
+            better = cond[row, i] < low
+            low = np.where(better, cond[row, i], low)
+            at = np.where(better[:, None], points[row, i], at)
+        s_ab = shannon_entropy(np.linalg.eigvalsh(rho))
+        s_b = shannon_entropy(np.linalg.eigvalsh(np.einsum("iabad->ibd", rho.reshape(-1, 2, 2, 2, 2))))
+        values.append(low + s_b - s_ab)
+        best.append(at)
+    value = np.concatenate(values)
     value[(-1e-9 <= value) & (value < 0.0)] = 0.0
-    return value
+    # a stencil has 5 points along each parameter
+    evals = len(units) + len(spacings) * _STENCIL.size ** params.shape[1]
+    return value, np.concatenate(best), evals, config.refine_maxiter == 0 or h <= config.refine_tol
+
+
+def pairwise_discord_rows(rho: DensityMatrix, config: OptimizerConfig | None = None) -> list:
+    """pairwise_discord of each state of a stack of two-qubit states, all searched at once."""
+    if rho.dim != 4:
+        raise ValueError(f"pairwise discord needs a 4x4 state, got dim {rho.dim}")
+    config = config or OptimizerConfig()
+    stack = rho.matrix.reshape(-1, 4, 4)
+    thetas = np.linspace(0.0, math.pi, config.theta_grid, endpoint=False)
+    if config.phi_grid % 2 == 0:  # phi + pi is on the grid: row pi - theta repeats row theta
+        thetas = thetas[: config.theta_grid // 2 + 1]
+    phis = np.linspace(0.0, 2.0 * math.pi, config.phi_grid, endpoint=False)
+    TH, PH = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    bloch = np.stack([np.sin(2.0 * TH) * np.cos(PH), np.sin(2.0 * TH) * np.sin(PH), np.cos(2.0 * TH)], axis=-1)
+    h = max(2.0 * math.pi / config.theta_grid, 2.0 * math.pi / config.phi_grid)
+    values, best, evals, converged = _search(
+        len(stack), stack.__getitem__, (0, 1, 2), (np.stack([TH, PH], axis=-1), bloch), _sphere_stencil, h, config
+    )
+    phis = best[:, 1] % (2.0 * math.pi)
+    phis[phis == 2.0 * math.pi] = 0.0  # a tiny negative azimuth rounds up to 2 pi
+    solutions = zip(values.tolist(), best[:, 0].tolist(), phis.tolist())
+    return [DiscordSolution(v, t, p, evals, converged) for v, t, p in solutions]
 
 
 def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None) -> DiscordSolution:
@@ -123,60 +195,15 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
     D = min_{theta,phi} sum_i p_i S(rho_{A|i}) + S(rho_B) - S(rho_AB), the
     measurement (theta, phi) being B's Bloch vector
     (sin 2 theta cos phi, sin 2 theta sin phi, cos 2 theta).
-    The minimization runs a coarse grid (theta_grid x phi_grid; with an even
-    phi_grid only its rows theta <= pi/2, as the others repeat them), then refines
-    on a 5x5 stencil around the best point, starting from the grid's spacing
-    on the Bloch sphere and halving it at each level. The stencil holds the
-    current point and a move needs a strict improvement, so refinement never
-    worsens the grid optimum. It converges when the spacing reaches
-    `refine_tol`; after `refine_maxiter` levels it stops unconverged,
-    reported through `converged`, never as an exception. The angles are
-    reported with theta in [0, pi] and phi in [0, 2 pi).
+    The minimization (`_search`) runs a coarse grid (theta_grid x phi_grid;
+    with an even phi_grid only its rows theta <= pi/2, as the others repeat
+    them), then refines on a 5x5 stencil around the best point, starting from
+    the grid's spacing on the Bloch sphere and halving it at each level. An
+    unconverged search is reported through `converged`, never as an
+    exception. The angles are reported with theta in [0, pi] and phi in
+    [0, 2 pi). The one-state case of `pairwise_discord_rows`.
     """
-    if rho2.dim != 4:
-        raise ValueError(f"pairwise discord needs a 4x4 state, got dim {rho2.dim}")
-    config = config or OptimizerConfig()
-    rho = rho2.matrix[None]
-    P, R = _bloch_blocks(rho)
-
-    thetas = np.linspace(0.0, math.pi, config.theta_grid, endpoint=False)
-    if config.phi_grid % 2 == 0:  # phi + pi is on the grid: row pi - theta repeats row theta
-        thetas = thetas[: config.theta_grid // 2 + 1]
-    phis = np.linspace(0.0, 2.0 * math.pi, config.phi_grid, endpoint=False)
-    TH, PH = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    bloch = np.stack([np.sin(2.0 * TH) * np.cos(PH), np.sin(2.0 * TH) * np.sin(PH), np.cos(2.0 * TH)], axis=-1)
-    grid = _conditional_entropy(P, R, bloch[None])[0]
-    i = int(np.argmin(grid))
-    best_cond, best_theta, best_phi = float(grid[i]), float(TH[i]), float(PH[i])
-    evals = grid.size
-
-    h = max(2.0 * math.pi / config.theta_grid, 2.0 * math.pi / config.phi_grid)
-    for _ in range(config.refine_maxiter):
-        if h <= config.refine_tol:
-            break
-        stencil_thetas, stencil_phis, bloch = _stencil(best_theta, best_phi, h)
-        values = _conditional_entropy(P, R, bloch[None])[0]
-        evals += values.size
-        i = int(np.argmin(values))
-        if values[i] < best_cond:
-            best_cond = float(values[i])
-            best_theta, best_phi = float(stencil_thetas[i]), float(stencil_phis[i])
-        h /= 2.0
-    converged = config.refine_maxiter == 0 or h <= config.refine_tol
-    best_phi %= 2.0 * math.pi
-    if best_phi == 2.0 * math.pi:  # a tiny negative azimuth rounds up to 2 pi
-        best_phi = 0.0
-
-    value = float(_discord_values(np.array([best_cond]), rho)[0])
-    return DiscordSolution(
-        value=value, theta=best_theta, phi=best_phi, optimizer_evals=evals, converged=converged
-    )
-
-
-# Rows that pairwise_discord_series searches at once. Each row holds
-# theta_grid / 2 angles of 2x2 blocks in every temporary of the grid; in
-# blocks of this size `ga --n 36 --measures d2` peaked at 87 MB, not 1.3 GB.
-_D2_BLOCK_ROWS = 1024
+    return pairwise_discord_rows(rho2, config)[0]
 
 
 def pairwise_discord_series(cfg: GroverConfig, st: SymmetricGAState, config: OptimizerConfig | None = None) -> list:
@@ -184,57 +211,24 @@ def pairwise_discord_series(cfg: GroverConfig, st: SymmetricGAState, config: Opt
 
     The reduced states are real, so the conditional entropy is even in the
     measurement's Bloch y component and the x-z great circle (phi = 0) is
-    stationary in it; the search runs on that circle alone. A coarse grid of
-    Bloch angles (spacing 2 pi / theta_grid, each measurement once) covers
-    every row in one call; then a 5-point stencil around each row's best
-    angle refines all rows in lockstep, halving the spacing at each level,
-    with a move needing a strict improvement, until the spacing reaches
-    `refine_tol` or `refine_maxiter` levels ran. A longer series than
-    `_D2_BLOCK_ROWS` is searched block by block. Each row's arithmetic is
-    its own, so a row's result depends neither on the rest of the series
-    nor on the blocks.
-    Returns one DiscordSolution per r, with phi = 0 and theta in [0, pi].
+    stationary in it; the search (`_search`) runs on that circle alone: a
+    coarse grid of Bloch angles (spacing 2 pi / theta_grid, each measurement
+    once), then a 5-point stencil of halving spacing around each row's best
+    angle. Returns one DiscordSolution per r, with phi = 0 and theta in [0, pi].
     """
     _require_leading_single_solution(cfg, "pairwise_discord_series")
-    if np.size(st.r) > _D2_BLOCK_ROWS:
-        blocks = (st.rows(slice(s, s + _D2_BLOCK_ROWS)) for s in range(0, st.r.size, _D2_BLOCK_ROWS))
-        return [sol for block in blocks for sol in pairwise_discord_series(cfg, block, config)]
     config = config or OptimizerConfig()
-    rho = _reduced_matrix(cfg.n, st, 2, dtype=float).reshape(-1, 4, 4)
-    rows = np.arange(rho.shape[0])
-    P, R = _bloch_blocks(rho)
-    R = R[:, ::2]  # the x and z blocks: the circle's Bloch vector is (sin w, cos w)
-
-    def circle(w):
-        return _conditional_entropy(P, R, np.stack([np.sin(w), np.cos(w)], axis=-1))
-
     angles = np.linspace(0.0, 2.0 * math.pi, config.theta_grid, endpoint=False)
     angles = angles[angles < math.pi]  # w and w + pi are one measurement
-    grid = circle(np.broadcast_to(angles, (rows.size, angles.size)))
-    best = grid.argmin(axis=1)
-    best_cond, best_w = grid[rows, best], angles[best]
-    evals = angles.size
-
-    h = 2.0 * math.pi / config.theta_grid
-    for _ in range(config.refine_maxiter):
-        if h <= config.refine_tol:
-            break
-        w = best_w[:, None] + h * _STENCIL
-        values = circle(w)
-        evals += _STENCIL.size
-        i = values.argmin(axis=1)
-        better = values[rows, i] < best_cond
-        best_cond = np.where(better, values[rows, i], best_cond)
-        best_w = np.where(better, w[rows, i], best_w)
-        h /= 2.0
-    converged = config.refine_maxiter == 0 or h <= config.refine_tol
-
-    value = _discord_values(best_cond, rho)
-    thetas = (best_w % (2.0 * math.pi)) / 2.0
-    return [
-        DiscordSolution(value=v, theta=t, phi=0.0, optimizer_evals=evals, converged=converged)
-        for v, t in zip(value.tolist(), thetas.tolist())
-    ]
+    grid = angles[:, None], np.stack([np.sin(angles), np.cos(angles)], axis=-1)
+    # the x and z blocks: the circle's Bloch vector is (sin w, cos w)
+    values, best, evals, converged = _search(
+        np.size(st.r),
+        lambda s: _reduced_matrix(cfg.n, st.rows(s), 2, dtype=float).reshape(-1, 4, 4),
+        (0, 2), grid, _circle_stencil, 2.0 * math.pi / config.theta_grid, config,
+    )
+    thetas = (best[:, 0] % (2.0 * math.pi)) / 2.0
+    return [DiscordSolution(v, t, 0.0, evals, converged) for v, t in zip(values.tolist(), thetas.tolist())]
 
 
 def pairwise_discord_ga(cfg: GroverConfig, r: int, config: OptimizerConfig | None = None) -> DiscordSolution:

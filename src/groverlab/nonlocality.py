@@ -10,7 +10,7 @@ import numpy as np
 from .errors import UnsupportedStructureError
 from .grover import GroverConfig, SymmetricGAState, _reduced_entries, reduced_density, state_at
 from .linalg import DensityMatrix
-from .optimizers import OptimizerConfig, restart_rng
+from .optimizers import OptimizerConfig
 
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -171,7 +171,7 @@ def svetlichny_max(
     others = ((1, 2), (0, 2), (0, 1))
 
     # vecs[restart, party, k] is a, a', b, b', c, c' for (party, k) in order
-    vecs = np.stack([restart_rng(config, i).normal(size=(3, 2, 3)) for i in range(config.restarts)])
+    vecs = np.stack([np.random.default_rng([config.seed, i]).normal(size=(3, 2, 3)) for i in range(config.restarts)])
     vecs /= np.sqrt(_dot(vecs, vecs))[..., None]
     fields = _party_fields(tensors[0], vecs[:, 1], vecs[:, 2])
     values = _dot(vecs[:, 0, 0], fields[:, 0]) + _dot(vecs[:, 0, 1], fields[:, 1])

@@ -942,6 +942,31 @@ def test_malformed_spec_is_usage_error(tmp_path, monkeypatch, args, option):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # cr reads neither the grid nor the restarts, so only the caps stop these runs
+        (("ga", "--n", "4", "--measures", "cr", "--grid", "1449x1449"), "--grid THETAxPHI may have at most 2,097,152"),
+        (("ga", "--n", "4", "--j", "2", "--measures", "d2", "--r-max", "0", "--grid", "100000x100000"), "--grid"),
+        (("ga", "--n", "4", "--measures", "cr", "--restarts", "4097"), "--restarts must lie in 1..4,096"),
+        # the range is rejected before its tuple is built
+        (("ga", "--n", "4", "--j", "1..4000001"), "Invalid value for '--j'"),
+        (("ga", "--n", "11", "--j", "1..10000000000"), "Invalid value for '--j'"),
+        (("verify", "--max-n", "2", "--j", "1..4000001"), "Invalid value for '--j'"),
+    ],
+)
+def test_optimizer_and_j_range_caps_are_usage_errors(tmp_path, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)  # a run that wrongly goes ahead writes here
+    result = run_cli(*args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+@pytest.mark.parametrize("config", [dict(theta_grid=1024, phi_grid=2048), dict(restarts=4096)])
+def test_largest_optimizer_settings_in_use_are_admitted(config):
+    OptimizerConfig(**config)
+
+
 @pytest.fixture(scope="module")
 def figure_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("figs")

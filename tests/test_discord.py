@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from groverlab import discord
-from groverlab.bruteforce import MEASURES, evolve
+from groverlab.bruteforce import MEASURES, evolve, evolve_series
 from groverlab.discord import (
     _bloch_blocks,
     _conditional_entropy,
@@ -13,6 +13,7 @@ from groverlab.discord import (
     genuine_discord_partition_minima,
     pairwise_discord,
     pairwise_discord_ga,
+    pairwise_discord_rows,
     pairwise_discord_series,
 )
 from groverlab.errors import UnsupportedStructureError
@@ -197,6 +198,29 @@ class TestConditionalEntropy:
             assert sol.value == pytest.approx(cond + s_b - von_neumann_entropy(rho), abs=1e-14)
 
 
+class TestPairwiseDiscordRows:
+    """The stack search, which the d2 oracle runs, against the one-state search."""
+
+    @pytest.mark.parametrize("points", [None, 5000, 1])
+    @pytest.mark.parametrize("config", [OptimizerConfig(), FAST, OptimizerConfig(theta_grid=31, phi_grid=63, refine_tol=1e-5)])
+    def test_rows_are_bitwise_the_one_state_calls(self, config, points, monkeypatch):
+        stacks = [DensityMatrix(np.stack([rho.matrix for rho in oracle_pair_states()]))]
+        stacks.append(DensityMatrix(random_states(np.random.default_rng(5), 9)))
+        stacks.append(pure_partial_trace(evolve_series(GroverConfig(n=6, j=2), 6), (0, 1)))
+        want = [[bits(pairwise_discord(DensityMatrix(m), config)) for m in rho.matrix] for rho in stacks]
+        if points is not None:  # 1 point: a row a block; 5,000: 1, 4 or 2 rows by config
+            monkeypatch.setattr(discord, "_SEARCH_POINTS", points)
+        assert [list(map(bits, pairwise_discord_rows(rho, config))) for rho in stacks] == want
+
+    def test_oracle_is_one_search_per_series(self, monkeypatch):
+        calls = []
+        original = discord._search
+        monkeypatch.setattr(discord, "_search", lambda *a: calls.append(a) or original(*a))
+        cfg = GroverConfig(n=6, j=2)
+        values = MEASURES["d2"].oracle(evolve_series(cfg, 6), cfg, FAST)
+        assert len(calls) == 1 and len(values) == 7
+
+
 def series_rows():
     """(cfg, r array): every n = 2..15, 20, 30, 50, nine r up to min(r_opt, 60) each."""
     for n in [*range(2, 16), 20, 30, 50]:
@@ -252,7 +276,7 @@ class TestPairwiseDiscordSeries:
         cfg = GroverConfig(n=9)
         st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))  # 18 rows: blocks of 7, 7 and 4
         want = list(map(bits, pairwise_discord_series(cfg, st, FAST)))
-        monkeypatch.setattr(discord, "_D2_BLOCK_ROWS", 7)
+        monkeypatch.setattr(discord, "_SEARCH_POINTS", 7 * 16)  # FAST's circle has 16 angles
         assert list(map(bits, pairwise_discord_series(cfg, st, FAST))) == want
 
     def test_search_memory_is_bounded_by_the_block(self):
