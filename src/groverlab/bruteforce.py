@@ -13,7 +13,7 @@ from . import coherence, discord, entanglement, grover, nonlocality
 from .errors import CapacityError, NumericalConsistencyError
 from .gga import AmplitudeDistribution, gga_iterate
 from .grover import CAPACITY_QUBITS, GroverConfig, _reduced_matrix, optimal_iterations, state_at
-from .linalg import DensityMatrix, pure_partial_trace, pure_subsystem_entropy, shannon_entropy, von_neumann_entropy
+from .linalg import pure_partial_trace, pure_subsystem_entropy, shannon_entropy, von_neumann_entropy
 from .optimizers import OptimizerConfig
 
 
@@ -33,11 +33,6 @@ def evolve_series(cfg: GroverConfig, r_max: int) -> np.ndarray:
             dist = gga_iterate(dist, 1)
         stack[r] = dist.amplitudes
     return stack
-
-
-def _each(rho: DensityMatrix) -> list:
-    """The states of a stack one by one, for `svetlichny_max`, which searches each on its own."""
-    return [DensityMatrix(m) for m in rho.matrix]
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,7 @@ class Measure:
         """'analytic', 'oracle' or 'unavailable' for one (n, j) series."""
         if cfg.n < self.min_qubits:
             return "unavailable"
-        if self.any_j or (cfg.j == 1 and cfg.solutions == (0,)):
+        if self.any_j or cfg.solutions == range(1):
             return "analytic"
         if use_oracle and cfg.n <= CAPACITY_QUBITS:
             return "oracle"
@@ -133,12 +128,8 @@ MEASURES = {
         identity="chsh_M",
     ),
     "svet": Measure(
-        closed_form=lambda cfg, st, opt: [
-            nonlocality.svetlichny_max(rho, opt) for rho in _each(grover.reduced_density(cfg, st, 3))
-        ],
-        oracle=lambda amps, cfg, opt: [
-            nonlocality.svetlichny_max(rho, opt) for rho in _each(pure_partial_trace(amps, (0, 1, 2)))
-        ],
+        closed_form=lambda cfg, st, opt: nonlocality.svetlichny_max_rows(grover.reduced_density(cfg, st, 3), opt),
+        oracle=lambda amps, cfg, opt: nonlocality.svetlichny_max_rows(pure_partial_trace(amps, (0, 1, 2)), opt),
         min_qubits=3,
         slow=True,
     ),

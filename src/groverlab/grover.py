@@ -28,11 +28,11 @@ FLOAT_SAFE_QUBITS = 1022
 
 @dataclass(frozen=True)
 class GroverConfig:
-    """Search-problem description: n qubits, j solutions, optional explicit indices."""
+    """Search-problem description: n qubits, j solutions (the leading 0..j-1 held as range(j)), optional indices."""
 
     n: int
     j: int = 1
-    solutions: tuple[int, ...] | None = None
+    solutions: tuple[int, ...] | range | None = None
 
     def __post_init__(self):
         if not 1 <= self.n <= FLOAT_SAFE_QUBITS:
@@ -41,14 +41,15 @@ class GroverConfig:
         if not 1 <= self.j < N:
             raise ValueError(f"solution count must satisfy 1 <= j < {N}, got {self.j}")
         if self.solutions is None:
-            object.__setattr__(self, "solutions", tuple(range(self.j)))
+            object.__setattr__(self, "solutions", range(self.j))
         else:
             sols = tuple(sorted(set(int(s) for s in self.solutions)))
             if len(sols) != self.j:
                 raise ValueError(f"expected {self.j} distinct solutions, got {self.solutions!r}")
             if sols[0] < 0 or sols[-1] >= N:
                 raise ValueError(f"solution indices out of range 0..{N - 1}: {sols!r}")
-            object.__setattr__(self, "solutions", sols)
+            # j distinct indices >= 0 whose largest is j - 1 are exactly 0..j-1
+            object.__setattr__(self, "solutions", range(self.j) if sols[-1] == self.j - 1 else sols)
 
     @property
     def database_size(self) -> int:
@@ -131,7 +132,7 @@ def optimal_iterations(cfg: GroverConfig) -> int:
 
 
 def _require_leading_single_solution(cfg: GroverConfig, what: str) -> None:
-    if cfg.j != 1 or cfg.solutions != (0,):
+    if cfg.solutions != range(1):
         raise UnsupportedStructureError(
             f"{what} requires j=1 with the solution at index 0 "
             f"(got j={cfg.j}, solutions={cfg.solutions}); fall back to the brute-force engine"

@@ -24,6 +24,8 @@ _TRIPLE_OPS = np.array(
 )
 
 ENTRY_TOL = 1e-10
+# The most (state, restart) pairs one Svetlichny block ascends at once.
+_SVET_PAIRS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +59,10 @@ def correlation_matrix(rho2: DensityMatrix) -> CorrelationTensor:
 
 
 def correlation_tensor_3(rho3: DensityMatrix) -> CorrelationTensor:
-    """All 27 expectations T_ijk = Tr(sigma_i x sigma_j x sigma_k rho)."""
+    """All 27 expectations T_ijk = Tr(sigma_i x sigma_j x sigma_k rho), for one state or each of a stack."""
     if rho3.dim != 8:
         raise ValueError(f"tripartite tensor needs an 8x8 state, got dim {rho3.dim}")
-    t = np.einsum("ijkab,ba->ijk", _TRIPLE_OPS, rho3.matrix).real
+    t = np.einsum("ijkab,...ba->...ijk", _TRIPLE_OPS, rho3.matrix).real
     return CorrelationTensor(order=3, entries=t)
 
 
@@ -113,14 +115,14 @@ class SvetlichnyResult:
 
 
 def _contract(T, y, z):
-    """w[r, i] = sum_jk T[i, j, k] y[r, j] z[r, k], elementwise in the rows.
+    """w[p, i] = sum_jk T[p, i, j, k] y[p, j] z[p, k], elementwise in the pairs p.
 
-    Fixed-order elementwise arithmetic keeps each row's result independent of
-    how many rows are stacked with it.
+    Fixed-order elementwise arithmetic keeps each pair's result independent of
+    how many pairs are stacked with it.
     """
-    m = T[None, :, :, 0] * z[:, None, None, 0]
+    m = T[..., 0] * z[:, None, None, 0]
     for k in (1, 2):
-        m = m + T[None, :, :, k] * z[:, None, None, k]
+        m = m + T[..., k] * z[:, None, None, k]
     w = m[:, :, 0] * y[:, None, 0]
     for j in (1, 2):
         w = w + m[:, :, j] * y[:, None, j]
@@ -138,77 +140,83 @@ def _party_fields(T, q, r):
     in order, and S = P[Q(R + R') + Q'(R - R')] + P'[Q(R - R') - Q'(R + R')].
     """
     s, d = r[:, 0] + r[:, 1], r[:, 0] - r[:, 1]
-    return np.stack(
-        [
-            _contract(T, q[:, 0], s) + _contract(T, q[:, 1], d),
-            _contract(T, q[:, 0], d) - _contract(T, q[:, 1], s),
-        ],
-        axis=1,
-    )
+    v = _contract(T, q[:, 0], s) + _contract(T, q[:, 1], d)
+    v_prime = _contract(T, q[:, 0], d) - _contract(T, q[:, 1], s)
+    return np.stack([v, v_prime], axis=1)
 
 
-def svetlichny_max(
-    rho3: DensityMatrix | CorrelationTensor, config: OptimizerConfig | None = None
-) -> SvetlichnyResult:
-    """Seeded multi-start maximization of <S> over all measurement settings.
+def svetlichny_max_rows(rho3: DensityMatrix | CorrelationTensor, config: OptimizerConfig | None = None) -> list:
+    """Seeded multi-start maximization of <S> over all measurement settings,
+    one SvetlichnyResult per state or order-3 tensor of a stack.
 
     S is linear in each party's pair of directions, so with the other two
     pairs fixed the best pair is the normalized coefficient vectors (a zero
     vector keeps its direction). Each restart starts from six random unit
     vectors drawn from default_rng([seed, restart]) and sweeps
     A,A' -> B,B' -> C,C' until no direction moves by more than `refine_tol`
-    in a sweep (converged) or `refine_maxiter` sweeps have run. All restarts
-    run batched, yet each one's path does not depend on the others, so the
-    reported value (a lower bound on the true maximum) is exactly monotone in
-    the restart count. Since S -> -S under (a, a') -> (-a, -a'), this also
-    maximizes |<S>|.
+    in a sweep (converged) or `refine_maxiter` sweeps have run. The
+    (state, restart) pairs run in lockstep, in blocks of at most
+    `_SVET_PAIRS` pairs and at least one state's restarts, yet each pair's
+    path does not depend on the others: a state's result is the same in any
+    stack, and its value (a lower bound on the true maximum) is exactly
+    monotone in the restart count. Since S -> -S under (a, a') -> (-a, -a'),
+    this also maximizes |<S>|.
     """
     config = config or OptimizerConfig()
     tensor = rho3 if isinstance(rho3, CorrelationTensor) else correlation_tensor_3(rho3)
+    if tensor.order != 3:
+        raise ValueError("Svetlichny maximization needs order-3 tensors")
+    entries, restarts = tensor.entries.reshape(-1, 3, 3, 3), config.restarts
+    # starts[restart, party, k] is a, a', b, b', c, c' for (party, k) in order
+    starts = np.stack([np.random.default_rng([config.seed, i]).normal(size=(3, 2, 3)) for i in range(restarts)])
+    starts /= np.sqrt(_dot(starts, starts))[..., None]
+    others = ((1, 2), (0, 2), (0, 1))
+    block = max(1, _SVET_PAIRS // restarts)
+    results = []
+    for states in (entries[first : first + block] for first in range(0, len(entries), block)):
+        # tensors[party][pair] has the party's index first
+        tensors = [np.repeat(np.moveaxis(states, party + 1, 1), restarts, axis=0) for party in range(3)]
+        vecs = np.tile(starts, (len(states), 1, 1, 1))
+        fields = _party_fields(tensors[0], vecs[:, 1], vecs[:, 2])
+        values = _dot(vecs[:, 0, 0], fields[:, 0]) + _dot(vecs[:, 0, 1], fields[:, 1])
+        sweeps, converged = np.zeros(len(vecs), dtype=int), np.zeros(len(vecs), dtype=bool)
+        active = np.arange(len(vecs))
+        for _ in range(config.refine_maxiter):
+            x = vecs[active]
+            for party, (q, r) in enumerate(others):
+                fields = _party_fields(tensors[party], x[:, q], x[:, r])
+                norms = np.sqrt(_dot(fields, fields))
+                nonzero = norms > 0.0
+                units = fields / np.where(nonzero, norms, 1.0)[..., None]
+                x[:, party] = np.where(nonzero[..., None], units, x[:, party])
+            done = np.max(np.abs(x - vecs[active]), axis=(1, 2, 3)) <= config.refine_tol
+            vecs[active] = x
+            values[active] = norms[:, 0] + norms[:, 1]
+            sweeps[active] += 1
+            converged[active[done]] = True
+            active = active[~done]
+            tensors = [t[~done] for t in tensors]
+            if active.size == 0:
+                break
+        shape = (len(states), restarts)
+        values, sweeps, converged, vecs = (a.reshape(shape + a.shape[1:]) for a in (values, sweeps, converged, vecs))
+        for s, best in enumerate(np.argmax(values, axis=1).tolist()):
+            # a copy, so that no settings vector keeps the block's vecs alive
+            settings = SvetlichnySettings(*vecs[s, best].reshape(6, 3).copy())
+            evals, ok = int(sweeps[s].sum()), bool(converged[s, best])
+            results.append(SvetlichnyResult(float(values[s, best]), settings, restarts, evals, ok))
+    return results
+
+
+def svetlichny_max(rho3: DensityMatrix | CorrelationTensor, config: OptimizerConfig | None = None) -> SvetlichnyResult:
+    """svetlichny_max_rows of one three-qubit state or order-3 tensor."""
+    tensor = rho3 if isinstance(rho3, CorrelationTensor) else correlation_tensor_3(rho3)
     if tensor.entries.shape != (3, 3, 3):
         raise ValueError("Svetlichny maximization needs one order-3 tensor")
-    tensors = [np.moveaxis(tensor.entries, party, 0) for party in range(3)]
-    others = ((1, 2), (0, 2), (0, 1))
-
-    # vecs[restart, party, k] is a, a', b, b', c, c' for (party, k) in order
-    vecs = np.stack([np.random.default_rng([config.seed, i]).normal(size=(3, 2, 3)) for i in range(config.restarts)])
-    vecs /= np.sqrt(_dot(vecs, vecs))[..., None]
-    fields = _party_fields(tensors[0], vecs[:, 1], vecs[:, 2])
-    values = _dot(vecs[:, 0, 0], fields[:, 0]) + _dot(vecs[:, 0, 1], fields[:, 1])
-    sweeps = np.zeros(config.restarts, dtype=int)
-    converged = np.zeros(config.restarts, dtype=bool)
-    active = np.arange(config.restarts)
-    for _ in range(config.refine_maxiter):
-        x = vecs[active]
-        for party, (q, r) in enumerate(others):
-            fields = _party_fields(tensors[party], x[:, q], x[:, r])
-            norms = np.sqrt(_dot(fields, fields))
-            nonzero = norms > 0.0
-            x[:, party] = np.where(
-                nonzero[..., None], fields / np.where(nonzero, norms, 1.0)[..., None], x[:, party]
-            )
-        done = np.max(np.abs(x - vecs[active]), axis=(1, 2, 3)) <= config.refine_tol
-        vecs[active] = x
-        values[active] = norms[:, 0] + norms[:, 1]
-        sweeps[active] += 1
-        converged[active[done]] = True
-        active = active[~done]
-        if active.size == 0:
-            break
-
-    best = int(np.argmax(values))
-    return SvetlichnyResult(
-        value=float(values[best]),
-        settings=SvetlichnySettings(*vecs[best].reshape(6, 3)),
-        restarts=config.restarts,
-        optimizer_evals=int(sweeps.sum()),
-        converged=bool(converged[best]),
-    )
+    return svetlichny_max_rows(tensor, config)[0]
 
 
-def svetlichny_max_ga(
-    cfg: GroverConfig, r: int, config: OptimizerConfig | None = None
-) -> SvetlichnyResult:
+def svetlichny_max_ga(cfg: GroverConfig, r: int, config: OptimizerConfig | None = None) -> SvetlichnyResult:
     """Svetlichny maximization on the structured three-qubit reduced state (j=1)."""
     if cfg.n < 3:
         raise ValueError(f"tripartite reduction needs n >= 3, got n={cfg.n}")

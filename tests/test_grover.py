@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,21 @@ from witnesses import full_density, partial_trace
 class TestConfig:
     def test_default_solutions(self):
         cfg = GroverConfig(n=4, j=3)
-        assert cfg.solutions == (0, 1, 2)
+        assert tuple(cfg.solutions) == (0, 1, 2)
         assert cfg.database_size == 16
+
+    def test_leading_block_is_one_form(self):
+        # explicit leading indices give the default config, and a config
+        # holds no tuple of j indices
+        assert GroverConfig(n=4, j=3, solutions=(2, 0, 1)) == GroverConfig(n=4, j=3)
+        assert GroverConfig(n=4, j=1, solutions=(0,)).solutions == range(1)
+        tracemalloc.start()
+        try:
+            GroverConfig(n=40, j=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_explicit_solutions_validated(self):
         assert GroverConfig(n=3, j=2, solutions=(5, 1)).solutions == (1, 5)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from groverlab import nonlocality
 from groverlab.bruteforce import MEASURES, evolve, evolve_series
 from groverlab.errors import UnsupportedStructureError
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
@@ -16,9 +18,10 @@ from groverlab.nonlocality import (
     correlation_tensor_3,
     svetlichny_max,
     svetlichny_max_ga,
+    svetlichny_max_rows,
 )
 from groverlab.optimizers import OptimizerConfig
-from witnesses import maximally_mixed, svetlichny_expectation
+from witnesses import maximally_mixed, row_svetlichny_max, svetlichny_expectation
 
 SVET_MAX_GHZ = 4 * math.sqrt(2)
 
@@ -219,3 +222,90 @@ class TestSvetlichny:
         assert not capped.converged
         assert capped.optimizer_evals == 5
         assert capped.value <= res.value
+
+
+def svet_bits(res):
+    """(value, the six settings vectors, optimizer_evals, converged), floats as their exact hex."""
+    s = res.settings
+    vecs = np.concatenate([s.a, s.a_prime, s.b, s.b_prime, s.c, s.c_prime])
+    return res.value.hex(), [v.hex() for v in vecs.tolist()], res.optimizer_evals, res.converged
+
+
+def svet_stacks():
+    """Stacks of every kind the svet entries search: a structured series, oracle
+    stacks with j = 2 and 3, and random order-3 tensors with a zero one among them."""
+    cfg = GroverConfig(n=11)
+    yield reduced_density(cfg, state_at(cfg, np.arange(0, 36, 3)), 3)
+    for n, j in ((4, 2), (6, 3)):
+        cfg = GroverConfig(n=n, j=j)
+        yield pure_partial_trace(evolve_series(cfg, optimal_iterations(cfg)), (0, 1, 2))
+    entries = np.random.default_rng(7).uniform(-1.0, 1.0, size=(9, 3, 3, 3))
+    entries[4] = 0.0  # every field is zero: the directions stay where they start
+    yield CorrelationTensor(order=3, entries=entries)
+
+
+def one_state_inputs(stack):
+    if isinstance(stack, CorrelationTensor):
+        return [CorrelationTensor(order=3, entries=t) for t in stack.entries]
+    return [DensityMatrix(m) for m in stack.matrix]
+
+
+class TestSvetlichnyRows:
+    """The lockstep stack search, which both svet entries run, against one-state searches."""
+
+    @pytest.mark.parametrize(
+        "config", [OptimizerConfig(), OptimizerConfig(restarts=5, seed=2), OptimizerConfig(refine_maxiter=1)]
+    )
+    def test_rows_are_bitwise_the_one_state_calls(self, config, monkeypatch):
+        stacks = list(svet_stacks())
+        inputs = [one_state_inputs(stack) for stack in stacks]
+        want = [[svet_bits(svetlichny_max(x, config)) for x in states] for states in inputs]
+        for states, results in zip(inputs, want):
+            for x, got in zip(states, results):
+                tensor = x if isinstance(x, CorrelationTensor) else correlation_tensor_3(x)
+                value, vecs, evals, converged = row_svetlichny_max(tensor, config)
+                assert got == (value.hex(), [v.hex() for v in vecs.ravel().tolist()], evals, converged)
+        # a one-sweep budget leaves every row unconverged but the zero tensor's
+        unconverged = sum(not res[3] for results in want for res in results)
+        assert unconverged == (27 if config.refine_maxiter == 1 else 0)
+        # the block constant as it is, one state a block, and a pair count
+        # that is no multiple of the restarts (two states a block)
+        for pairs in (None, 1, 2 * config.restarts + 3):
+            if pairs is not None:
+                monkeypatch.setattr(nonlocality, "_SVET_PAIRS", pairs)
+            assert [list(map(svet_bits, svetlichny_max_rows(stack, config))) for stack in stacks] == want
+
+    def test_svet_entries_are_one_search_per_series(self, monkeypatch):
+        calls = []
+        original = nonlocality.svetlichny_max_rows
+        monkeypatch.setattr(nonlocality, "svetlichny_max_rows", lambda *a: calls.append(a) or original(*a))
+        monkeypatch.setattr(nonlocality, "svetlichny_max", None)  # no per-row search is left
+        config = OptimizerConfig(restarts=4)
+        cfg = GroverConfig(n=11)
+        closed = MEASURES["svet"].closed_form(cfg, state_at(cfg, np.arange(12)), config)
+        assert len(calls) == 1 and len(closed) == 12
+        cfg = GroverConfig(n=5, j=2)
+        oracle = MEASURES["svet"].oracle(evolve_series(cfg, 3), cfg, config)
+        assert len(calls) == 2 and len(oracle) == 4
+
+    def test_long_series_peak_is_bounded(self):
+        # 202 rows x 64 restarts run in blocks of at most 4,096 pairs; as one
+        # block the same search peaked near 22 MB, and the peak grew with the rows
+        cfg = GroverConfig(n=16)
+        rho = reduced_density(cfg, state_at(cfg, np.arange(optimal_iterations(cfg) + 1)), 3)
+        tracemalloc.start()
+        try:
+            results = svetlichny_max_rows(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 202 and all(res.value <= 4.0 + 1e-6 for res in results)
+        assert peak < 12_000_000
+
+    def test_shape_guards(self):
+        stack = correlation_tensor_3(DensityMatrix(np.stack([ghz_density().matrix] * 2)))
+        assert stack.entries.shape == (2, 3, 3, 3)
+        with pytest.raises(ValueError, match="one order-3 tensor"):
+            svetlichny_max(stack)
+        with pytest.raises(ValueError, match="order-3"):
+            svetlichny_max_rows(correlation_matrix(bell_density()))

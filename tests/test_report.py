@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,20 @@ def test_format_value_calls_do_not_grow_with_rows(monkeypatch):
         counts.append(len(calls))
     assert counts[0] == counts[1]
     assert len(result.output.splitlines()) > 1800
+
+
+def test_long_j_range_is_linear_in_memory():
+    # each j's config holds its leading solutions as range(j), not a tuple:
+    # 1..2000 used to peak near 66 MB (O(J^2) stored indices)
+    run = RunConfig(command="ga", n=30, j_values=tuple(range(1, 2001)), r_max=0, measures=("p",))
+    tracemalloc.start()
+    try:
+        result = report.ga_sweep(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.data["j"].tolist() == list(range(1, 2001))
+    assert peak < 8_000_000
 
 
 def test_row_blocks_join_to_one_block(monkeypatch):

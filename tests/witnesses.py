@@ -18,7 +18,8 @@ is the row-by-row identity loop (`row_check_series`) that `verify` ran.
 The phi family's materialized start (`phi_family_distribution`), which the
 closed-form phi sweep replaced, is the general-path reference of that
 sweep, and the one-r partition minimum (`row_partition_minimum`) is that
-of the stacked one.
+of the stacked one. The one-tensor Svetlichny ascent (`row_svetlichny_max`)
+is the reference of every row of the lockstep stack search.
 """
 
 import itertools
@@ -61,6 +62,7 @@ from groverlab.linalg import (
     von_neumann_entropy,
 )
 from groverlab.nonlocality import _PAIR_OPS, CorrelationTensor, SvetlichnySettings
+from groverlab.optimizers import OptimizerConfig
 from groverlab.report import _format_value, base_metadata
 
 
@@ -376,6 +378,54 @@ def row_oracle(key: str, amps: np.ndarray, cfg: GroverConfig) -> float:
     if key == "m":
         return row_chsh_M(row_partial_trace(amps, (0, 1)))
     raise KeyError(key)
+
+
+def row_svetlichny_max(tensor: CorrelationTensor, config: OptimizerConfig) -> tuple:
+    """The Svetlichny ascent on one tensor, its restarts batched, as it ran before
+    stacks were searched in lockstep: (value, the six settings vectors stacked,
+    optimizer_evals, converged)."""
+
+    def contract(T, y, z):  # w[r, i] = sum_jk T[i, j, k] y[r, j] z[r, k]
+        m = T[None, :, :, 0] * z[:, None, None, 0]
+        for k in (1, 2):
+            m = m + T[None, :, :, k] * z[:, None, None, k]
+        w = m[:, :, 0] * y[:, None, 0]
+        for j in (1, 2):
+            w = w + m[:, :, j] * y[:, None, j]
+        return w
+
+    def party_fields(T, q, r):
+        s, d = r[:, 0] + r[:, 1], r[:, 0] - r[:, 1]
+        v = contract(T, q[:, 0], s) + contract(T, q[:, 1], d)
+        return np.stack([v, contract(T, q[:, 0], d) - contract(T, q[:, 1], s)], axis=1)
+
+    def dot(u, v):
+        return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+    tensors = [np.moveaxis(tensor.entries, party, 0) for party in range(3)]
+    vecs = np.stack([np.random.default_rng([config.seed, i]).normal(size=(3, 2, 3)) for i in range(config.restarts)])
+    vecs /= np.sqrt(dot(vecs, vecs))[..., None]
+    fields = party_fields(tensors[0], vecs[:, 1], vecs[:, 2])
+    values = dot(vecs[:, 0, 0], fields[:, 0]) + dot(vecs[:, 0, 1], fields[:, 1])
+    sweeps, converged = np.zeros(config.restarts, dtype=int), np.zeros(config.restarts, dtype=bool)
+    active = np.arange(config.restarts)
+    for _ in range(config.refine_maxiter):
+        x = vecs[active]
+        for party, (q, r) in enumerate(((1, 2), (0, 2), (0, 1))):
+            fields = party_fields(tensors[party], x[:, q], x[:, r])
+            norms = np.sqrt(dot(fields, fields))
+            nonzero = norms > 0.0
+            x[:, party] = np.where(nonzero[..., None], fields / np.where(nonzero, norms, 1.0)[..., None], x[:, party])
+        done = np.max(np.abs(x - vecs[active]), axis=(1, 2, 3)) <= config.refine_tol
+        vecs[active] = x
+        values[active] = norms[:, 0] + norms[:, 1]
+        sweeps[active] += 1
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+    best = int(np.argmax(values))
+    return float(values[best]), vecs[best].reshape(6, 3), int(sweeps.sum()), bool(converged[best])
 
 
 def row_partition_minimum(cfg: GroverConfig, r: int) -> tuple:
