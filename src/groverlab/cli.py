@@ -60,15 +60,21 @@ def _load_config_file(ctx: click.Context, param, path: str | None) -> None:
     ctx.default_map = values
 
 
+def _ints(fields, form: str) -> tuple:
+    try:
+        return tuple(int(f) for f in fields)
+    except ValueError:
+        raise ValueError(f"expected {form}") from None
+
+
 def _parse_j_spec(spec: str) -> tuple:
-    spec = spec.strip()
+    spec, form = spec.strip(), "J, J1,J2,... or LO..HI"
     if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        lo, hi = int(lo), int(hi)
+        lo, hi = _ints(spec.split("..", 1), form)
         if hi - lo >= MAX_ROWS:  # each j series has at least one row
             raise ValueError(f"{hi - lo + 1:,} values, more than the {MAX_ROWS:,} rows a sweep may have")
         return tuple(range(lo, hi + 1))
-    return tuple(int(p) for p in spec.split(",") if p)
+    return _ints((p for p in spec.split(",") if p), form)
 
 
 def _parse_finite(spec: str) -> float:
@@ -80,8 +86,7 @@ def _parse_finite(spec: str) -> float:
 
 def _parse_grid(spec: str) -> tuple:
     """(theta_grid, phi_grid), the first two fields of OptimizerConfig."""
-    theta, _, phi = spec.lower().partition("x")
-    return int(theta), int(phi)
+    return _ints(spec.lower().partition("x")[::2], "THETAxPHI, two integers such as 64x128")
 
 
 def _parse_measures(spec: str) -> tuple:

@@ -43,15 +43,6 @@ class DiscordSolution:
             raise NumericalConsistencyError(f"discord {self.value:.3e} below -1e-9")
 
 
-def _subtract_block_entropy(total: np.ndarray, p: np.ndarray, det: np.ndarray) -> None:
-    """total -= sum_k lam_k log2(lam_k / p), lam_k the eigenvalues of 2x2 blocks of trace p, determinant det."""
-    gap = np.sqrt(np.clip(p * p - 4.0 * det, 0.0, None))
-    for lam in ((p + gap) / 2.0, (p - gap) / 2.0):
-        lam = np.clip(lam, 0.0, None)
-        ratio = lam / np.clip(p, _TINY, None)
-        total -= lam * np.log2(np.clip(ratio, _TINY, None))
-
-
 _BLOCK_OPS = np.stack([np.eye(2, dtype=complex), *_PAULI])
 
 
@@ -74,14 +65,23 @@ def _conditional_entropy(P: np.ndarray, R: np.ndarray, n: np.ndarray) -> np.ndar
     n runs along the first d directions of R (`_bloch_blocks`), so R[:, ::2]
     with n = (sin w, cos w) measures on the x-z circle at Bloch angle w.
     """
-    turn = n[..., 0, None] * R[:, None, 0]
+    # turn[c, i, g] = sum_k R[i, k, c] n[i, g, k]: each product runs over all rows i and points g
+    Rc = R.transpose(2, 1, 0)[..., None]
+    turn = Rc[:, 0] * n[..., 0]
     for k in range(1, n.shape[-1]):
-        turn = turn + n[..., k, None] * R[:, None, k]
-    total = np.zeros(n.shape[:-1])
-    for m in (P[:, None] + turn, P[:, None] - turn):
-        det = m[..., 0] * m[..., 1] - m[..., 2] * m[..., 2] - m[..., 3] * m[..., 3]
-        _subtract_block_entropy(total, m[..., 0] + m[..., 1], det)
-    return total
+        turn += Rc[:, k] * n[..., k]
+    m = np.empty((2, *turn.shape))  # the blocks P + n.R and P - n.R, entry c second
+    np.add(P.T[..., None], turn, out=m[0])
+    np.subtract(P.T[..., None], turn, out=m[1])
+    p, det = m[:, 0] + m[:, 1], m[:, 0] * m[:, 1] - m[:, 2] * m[:, 2] - m[:, 3] * m[:, 3]
+    gap = np.sqrt(np.maximum(p * p - 4.0 * det, 0.0))
+    lam = np.empty((2, 2, *p.shape[1:]))  # lam[b, k] = block b's eigenvalues, the larger first
+    np.add(p, gap, out=lam[:, 0])
+    np.subtract(p, gap, out=lam[:, 1])
+    lam /= 2.0
+    np.maximum(lam, 0.0, out=lam)
+    terms = lam * np.log2(np.maximum(lam / np.maximum(p, _TINY)[:, None], _TINY))
+    return 0.0 - terms[0, 0] - terms[0, 1] - terms[1, 0] - terms[1, 1]  # in the order of lam
 
 
 _STENCIL = np.arange(-2.0, 3.0)
@@ -100,24 +100,30 @@ def _sphere_stencil(at: np.ndarray, h: float):
     where phi alone would not move the measurement. The angles have theta in
     [0, pi/2]; (theta, phi) and (pi - theta, phi + pi) are one measurement.
     """
-    ct, st = np.cos(2.0 * at[:, 0]), np.sin(2.0 * at[:, 0])
-    cp, sp = np.cos(at[:, 1]), np.sin(at[:, 1])
-    bloch, e_theta, e_phi = (
-        np.stack(v, axis=-1)[:, None, None]
-        for v in ((st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, np.zeros_like(sp)))
-    )
-    u = h * _STENCIL[:, None, None]
-    v = h * _STENCIL[None, :, None]
-    m = (bloch + u * e_theta + v * e_phi).reshape(len(at), -1, 3)
-    thetas = 0.5 * np.arctan2(np.hypot(m[..., 0], m[..., 1]), m[..., 2])
-    angles = np.stack([thetas, np.arctan2(m[..., 1], m[..., 0])], axis=-1)
-    return angles, m / np.linalg.norm(m, axis=-1, keepdims=True)
+    cs = np.empty((len(at), 2, 2))  # cs[row] = (cos, sin) of 2 theta, then of phi
+    np.cos(at * (2.0, 1.0), out=cs[..., 0])
+    np.sin(at * (2.0, 1.0), out=cs[..., 1])
+    frame = np.zeros((len(at), 3, 3))  # frame[row] = the Bloch vector, its unit theta and phi tangents
+    np.multiply(cs[:, 0, ::-1, None], cs[:, 1, None], out=frame[:, :2, :2])  # (sin, cos) 2 theta x (cos, sin) phi
+    np.multiply(cs[:, 0], (1.0, -1.0), out=frame[:, :2, 2])  # z components: cos 2 theta, -sin 2 theta
+    np.multiply(cs[:, 1, ::-1], (-1.0, 1.0), out=frame[:, 2, :2])  # e_phi = (-sin phi, cos phi, 0)
+    f, steps = frame[:, None, None], h * _STENCIL
+    m = (f[..., 0, :] + steps[:, None, None] * f[..., 1, :] + steps[:, None] * f[..., 2, :]).reshape(len(at), -1, 3)
+    angles = np.empty((*m.shape[:-1], 2))
+    np.arctan2(np.hypot(m[..., 0], m[..., 1]), m[..., 2], out=angles[..., 0])
+    angles[..., 0] *= 0.5
+    np.arctan2(m[..., 1], m[..., 0], out=angles[..., 1])
+    m /= np.sqrt(np.add.reduce(m * m, axis=-1, keepdims=True))  # the bits of np.linalg.norm
+    return angles, m
 
 
 def _circle_stencil(at: np.ndarray, h: float):
     """Bloch angle w and unit vector (sin w, cos w) of 5 points of spacing h around each row's angle."""
     w = at + h * _STENCIL
-    return w[..., None], np.stack([np.sin(w), np.cos(w)], axis=-1)
+    units = np.empty((*w.shape, 2))
+    np.sin(w, out=units[..., 0])
+    np.cos(w, out=units[..., 1])
+    return w[..., None], units
 
 
 def _search(rows: int, states, directions: tuple, grid: tuple, stencil, h: float, config: OptimizerConfig):
@@ -153,8 +159,9 @@ def _search(rows: int, states, directions: tuple, grid: tuple, stencil, h: float
             points, n = stencil(at, step)
             cond = _conditional_entropy(P, R, n)
             i = cond.argmin(axis=1)
-            better = cond[row, i] < low
-            low = np.where(better, cond[row, i], low)
+            least = cond[row, i]
+            better = least < low
+            low = np.where(better, least, low)
             at = np.where(better[:, None], points[row, i], at)
         s_ab = shannon_entropy(np.linalg.eigvalsh(rho))
         s_b = shannon_entropy(np.linalg.eigvalsh(np.einsum("iabad->ibd", rho.reshape(-1, 2, 2, 2, 2))))

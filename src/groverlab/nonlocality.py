@@ -114,35 +114,35 @@ class SvetlichnyResult:
     converged: bool
 
 
-def _contract(T, y, z):
-    """w[p, i] = sum_jk T[p, i, j, k] y[p, j] z[p, k], elementwise in the pairs p.
-
-    Fixed-order elementwise arithmetic keeps each pair's result independent of
-    how many pairs are stacked with it.
-    """
-    m = T[..., 0] * z[:, None, None, 0]
-    for k in (1, 2):
-        m = m + T[..., k] * z[:, None, None, k]
-    w = m[:, :, 0] * y[:, None, 0]
-    for j in (1, 2):
-        w = w + m[:, :, j] * y[:, None, j]
-    return w
-
-
 def _dot(u, v):
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+    uv = u * v
+    return uv[..., 0, :] + uv[..., 1, :] + uv[..., 2, :]
 
 
 def _party_fields(T, q, r):
     """Coefficient vectors (v, v') of one party's pair in S = P.v + P'.v'.
 
-    T has the party's index first; q and r are the other two parties' pairs
-    in order, and S = P[Q(R + R') + Q'(R - R')] + P'[Q(R - R') - Q'(R + R')].
+    T[i, j, k, p] has the party's index first; q and r are the other two
+    parties' pairs in order, [0 or 1, component, pair p] like the result, and
+    S = P[Q(R + R') + Q'(R - R')] + P'[Q(R - R') - Q'(R + R')]. Each sum runs
+    elementwise over all pairs in a fixed order (k, then j), so a pair's
+    result does not depend on how many pairs are stacked with it.
     """
-    s, d = r[:, 0] + r[:, 1], r[:, 0] - r[:, 1]
-    v = _contract(T, q[:, 0], s) + _contract(T, q[:, 1], d)
-    v_prime = _contract(T, q[:, 0], d) - _contract(T, q[:, 1], s)
-    return np.stack([v, v_prime], axis=1)
+    z = np.empty_like(r)
+    np.add(r[0], r[1], out=z[0])
+    np.subtract(r[0], r[1], out=z[1])
+    # m[s, i, j, p] = sum_k T[i, j, k, p] z[s, k, p]
+    m = T[:, :, 0] * z[:, None, None, 0]
+    m += T[:, :, 1] * z[:, None, None, 1]
+    m += T[:, :, 2] * z[:, None, None, 2]
+    # w[t, s, i, p] = sum_j m[s, i, j, p] q[t, j, p]
+    w = m[..., 0, :] * q[:, None, None, 0]
+    w += m[..., 1, :] * q[:, None, None, 1]
+    w += m[..., 2, :] * q[:, None, None, 2]
+    fields = np.empty_like(r)
+    np.add(w[0, 0], w[1, 1], out=fields[0])
+    np.subtract(w[0, 1], w[1, 0], out=fields[1])
+    return fields
 
 
 def svetlichny_max_rows(rho3: DensityMatrix | CorrelationTensor, config: OptimizerConfig | None = None) -> list:
@@ -167,42 +167,39 @@ def svetlichny_max_rows(rho3: DensityMatrix | CorrelationTensor, config: Optimiz
     if tensor.order != 3:
         raise ValueError("Svetlichny maximization needs order-3 tensors")
     entries, restarts = tensor.entries.reshape(-1, 3, 3, 3), config.restarts
-    # starts[restart, party, k] is a, a', b, b', c, c' for (party, k) in order
-    starts = np.stack([np.random.default_rng([config.seed, i]).normal(size=(3, 2, 3)) for i in range(restarts)])
-    starts /= np.sqrt(_dot(starts, starts))[..., None]
+    # starts[party, k, :, restart] is a, a', b, b', c, c' for (party, k) in order
+    starts = np.stack([np.random.default_rng([config.seed, i]).normal(size=(3, 2, 3)) for i in range(restarts)], -1)
+    starts /= np.sqrt(_dot(starts, starts))[..., None, :]
     others = ((1, 2), (0, 2), (0, 1))
     block = max(1, _SVET_PAIRS // restarts)
     results = []
     for states in (entries[first : first + block] for first in range(0, len(entries), block)):
-        # tensors[party][pair] has the party's index first
-        tensors = [np.repeat(np.moveaxis(states, party + 1, 1), restarts, axis=0) for party in range(3)]
-        vecs = np.tile(starts, (len(states), 1, 1, 1))
-        fields = _party_fields(tensors[0], vecs[:, 1], vecs[:, 2])
-        values = _dot(vecs[:, 0, 0], fields[:, 0]) + _dot(vecs[:, 0, 1], fields[:, 1])
-        sweeps, converged = np.zeros(len(vecs), dtype=int), np.zeros(len(vecs), dtype=bool)
-        active = np.arange(len(vecs))
-        for _ in range(config.refine_maxiter):
-            x = vecs[active]
+        # tensors[party][..., pair] has the party's index first; pair = state * restarts + restart
+        tensors = [np.repeat(np.moveaxis(states, (party + 1, 0), (0, -1)), restarts, axis=-1) for party in range(3)]
+        vecs = np.tile(starts, len(states))
+        fields = _party_fields(tensors[0], vecs[1], vecs[2])
+        values = _dot(vecs[0, 0], fields[0]) + _dot(vecs[0, 1], fields[1])
+        sweeps, converged = np.zeros(values.size, dtype=int), np.zeros(values.size, dtype=bool)
+        active, x = np.arange(values.size), vecs.copy()
+        for sweep in range(1, config.refine_maxiter + 1):
+            last = x.copy()
             for party, (q, r) in enumerate(others):
-                fields = _party_fields(tensors[party], x[:, q], x[:, r])
+                fields = _party_fields(tensors[party], x[q], x[r])
                 norms = np.sqrt(_dot(fields, fields))
-                nonzero = norms > 0.0
-                units = fields / np.where(nonzero, norms, 1.0)[..., None]
-                x[:, party] = np.where(nonzero[..., None], units, x[:, party])
-            done = np.max(np.abs(x - vecs[active]), axis=(1, 2, 3)) <= config.refine_tol
-            vecs[active] = x
-            values[active] = norms[:, 0] + norms[:, 1]
-            sweeps[active] += 1
-            converged[active[done]] = True
-            active = active[~done]
-            tensors = [t[~done] for t in tensors]
-            if active.size == 0:
-                break
+                np.divide(fields, norms[:, None], out=x[party], where=norms[:, None] > 0.0)
+            done = np.max(np.abs(x - last), axis=(0, 1, 2)) <= config.refine_tol
+            # the active pairs are written back and compacted only when some finish or the sweeps run out
+            if done.any() or sweep == config.refine_maxiter:
+                vecs[..., active], values[active], sweeps[active] = x, norms[0] + norms[1], sweep
+                converged[active[done]] = True
+                active, x, tensors = active[~done], x[..., ~done], [t[..., ~done] for t in tensors]
+                if active.size == 0:
+                    break
         shape = (len(states), restarts)
-        values, sweeps, converged, vecs = (a.reshape(shape + a.shape[1:]) for a in (values, sweeps, converged, vecs))
+        values, sweeps, converged = (a.reshape(shape) for a in (values, sweeps, converged))
         for s, best in enumerate(np.argmax(values, axis=1).tolist()):
             # a copy, so that no settings vector keeps the block's vecs alive
-            settings = SvetlichnySettings(*vecs[s, best].reshape(6, 3).copy())
+            settings = SvetlichnySettings(*vecs[..., s * restarts + best].reshape(6, 3).copy())
             evals, ok = int(sweeps[s].sum()), bool(converged[s, best])
             results.append(SvetlichnyResult(float(values[s, best]), settings, restarts, evals, ok))
     return results

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 # The most discord grid points, 1024x2048: one two-qubit state on that grid took about 0.55 s and 263 MB.
 MAX_GRID_POINTS = 2**21
-# The most Svetlichny restarts: 4,096 took about 0.2 s and 45 MB for one three-qubit state.
+# The most Svetlichny restarts: 4,096 took about 0.13 s and 44 MB peak RSS for one three-qubit state.
 MAX_RESTARTS = 4096
 
 

@@ -319,6 +319,8 @@ class TestGoldenOutputs:
             ("ga_n28_r300", ("ga", "--n", "28", "--r-max", "300")),
             ("ga_n1022_j1-3", ("ga", "--n", "1022", "--j", "1..3", "--r-max", "2")),
             ("gga_n1022_phi5", ("gga", "--n", "1022", "--phi-points", "5")),
+            # 9 rows: two lockstep blocks of the d2 sphere search (7 rows each) and of svet (8 x 512 pairs each)
+            ("ga_n8_j2_d2_svet_r512", ("ga", "--n", "8", "--j", "2", "--measures", "d2,svet", "--restarts", "512")),
         ],
     )
     def test_matches_golden(self, name, args):
@@ -940,6 +942,32 @@ def test_malformed_spec_is_usage_error(tmp_path, monkeypatch, args, option):
     assert result.exit_code == 2
     assert f"Invalid value for '{option}'" in result.output
     assert not list(tmp_path.iterdir())
+
+
+GRID_FORM = "expected THETAxPHI, two integers such as 64x128"
+J_FORM = "expected J, J1,J2,... or LO..HI"
+
+
+@pytest.mark.parametrize(
+    "args, form",
+    [
+        (("ga", "--n", "4", "--grid", "5"), GRID_FORM),
+        (("ga", "--n", "4", "--grid", "x"), GRID_FORM),
+        (("ga", "--n", "4", "--grid", "8x8x8"), GRID_FORM),
+        (("figures", "--grid", "abc"), GRID_FORM),
+        (("ga", "--n", "4", "--j", "1.."), J_FORM),
+        (("ga", "--n", "4", "--j", "..3"), J_FORM),
+        (("ga", "--n", "4", "--j", "1..2..3"), J_FORM),
+        (("ga", "--n", "4", "--j", "one"), J_FORM),
+        (("verify", "--j", "1,x"), J_FORM),
+    ],
+)
+def test_malformed_grid_or_j_names_the_expected_form(tmp_path, monkeypatch, args, form):
+    monkeypatch.chdir(tmp_path)  # a run that wrongly goes ahead writes here
+    result = run_cli(*args)
+    assert result.exit_code == 2
+    assert form in result.output
+    assert "invalid literal" not in result.output
 
 
 @pytest.mark.parametrize(

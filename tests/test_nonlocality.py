@@ -19,9 +19,10 @@ from groverlab.nonlocality import (
     svetlichny_max,
     svetlichny_max_ga,
     svetlichny_max_rows,
+    _party_fields,
 )
 from groverlab.optimizers import OptimizerConfig
-from witnesses import maximally_mixed, row_svetlichny_max, svetlichny_expectation
+from witnesses import maximally_mixed, row_svetlichny_max, svetlichny_expectation, svetlichny_upper_bound
 
 SVET_MAX_GHZ = 4 * math.sqrt(2)
 
@@ -222,6 +223,41 @@ class TestSvetlichny:
         assert not capped.converged
         assert capped.optimizer_evals == 5
         assert capped.value <= res.value
+
+
+class TestSvetlichnyKernel:
+    """The ascent's maths, apart from its bitwise equality with earlier versions."""
+
+    def test_party_fields_match_an_einsum_reference(self):
+        rng = np.random.default_rng(11)
+        T = rng.uniform(-1.0, 1.0, size=(50, 3, 3, 3))
+        q, r = rng.normal(size=(2, 50, 2, 3))
+        # S = ABC + ABC' + AB'C - AB'C' + A'BC - A'BC' - A'B'C - A'B'C' = P.v + P'.v'
+        term = lambda y, z: np.einsum("pijk,pj,pk->pi", T, q[:, y], r[:, z])
+        v = term(0, 0) + term(0, 1) + term(1, 0) - term(1, 1)
+        v_prime = term(0, 0) - term(0, 1) - term(1, 0) - term(1, 1)
+        fields = _party_fields(np.moveaxis(T, 0, -1), np.moveaxis(q, 0, -1), np.moveaxis(r, 0, -1))
+        np.testing.assert_allclose(np.moveaxis(fields, -1, 0), np.stack([v, v_prime], axis=1), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n, j", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 3), (6, 5), (8, 1)])
+    def test_search_rows_respect_the_singular_value_bound(self, n, j):
+        cfg = GroverConfig(n=n, j=j)
+        rho = pure_partial_trace(evolve_series(cfg, optimal_iterations(cfg)), (0, 1, 2))
+        values = np.array([res.value for res in svetlichny_max_rows(rho)])
+        assert np.all(values <= svetlichny_upper_bound(correlation_tensor_3(rho)) + 1e-12)
+
+    def test_random_states_respect_the_singular_value_bound(self):
+        rng = np.random.default_rng(40)
+        psi = rng.normal(size=(40, 8)) + 1j * rng.normal(size=(40, 8))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        rho = DensityMatrix(psi[:, :, None] * psi[:, None, :].conj())
+        values = np.array([res.value for res in svetlichny_max_rows(rho)])
+        assert np.all(values <= svetlichny_upper_bound(correlation_tensor_3(rho)) + 1e-12)
+
+    def test_bound_is_tight_at_ghz(self):
+        tensor = correlation_tensor_3(ghz_density())
+        assert svetlichny_upper_bound(tensor) == pytest.approx(SVET_MAX_GHZ, abs=1e-12)
+        assert svetlichny_max(tensor).value <= svetlichny_upper_bound(tensor) + 1e-12
 
 
 def svet_bits(res):

@@ -19,7 +19,8 @@ The phi family's materialized start (`phi_family_distribution`), which the
 closed-form phi sweep replaced, is the general-path reference of that
 sweep, and the one-r partition minimum (`row_partition_minimum`) is that
 of the stacked one. The one-tensor Svetlichny ascent (`row_svetlichny_max`)
-is the reference of every row of the lockstep stack search.
+is the reference of every row of the lockstep stack search, and the
+singular-value bound (`svetlichny_upper_bound`) caps every value it finds.
 """
 
 import itertools
@@ -219,6 +220,21 @@ def svetlichny_expectation(tensor: CorrelationTensor, settings: SvetlichnySettin
         + triple(s.a_prime, s.b, s.c) - triple(s.a_prime, s.b, s.c_prime)
         - triple(s.a_prime, s.b_prime, s.c) - triple(s.a_prime, s.b_prime, s.c_prime)
     )
+
+
+def svetlichny_upper_bound(tensor: CorrelationTensor) -> np.ndarray:
+    """4 min over parties of sigma_max(M), M the 3 x 9 unfolding of one party's index against the other two.
+
+    <S> = a.M u + a'.M u' with |u| = |u'| = 2, so max <S> <= 4 sigma_max(M)
+    for each party (M. Li et al., PRA 96, 042323, 2017); GHZ attains 4 sqrt 2.
+    One bound per order-3 tensor of a stack.
+    """
+    T = tensor.entries
+    sigmas = [
+        np.linalg.norm(np.moveaxis(T, party - 3, -3).reshape(*T.shape[:-3], 3, 9), ord=2, axis=(-2, -1))
+        for party in range(3)
+    ]
+    return 4.0 * np.min(sigmas, axis=0)
 
 
 def projector_conditional_entropy(rho: np.ndarray, theta, phi) -> np.ndarray:
