@@ -4,18 +4,18 @@ genuine multipartite correlation of the pure search state."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, NumericalConsistencyError, UnsupportedStructureError
+from .errors import CapacityError, NumericalConsistencyError
 from .grover import (
     CAPACITY_QUBITS,
     GroverConfig,
     SymmetricGAState,
     _reduced_matrix,
-    _require_leading_single_solution,
+    _require_j1,
     reduced_density,
     state_at,
 )
@@ -30,7 +30,9 @@ DELTA_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DiscordSolution:
-    """Minimized discord with the optimal measurement angles on subsystem B."""
+    """Minimized discord with the optimal measurement angles on subsystem B: floats for one
+    state, columns with one entry per state for a stack. The evaluations and `converged`
+    hold for every state, as the states of a stack are searched in lockstep."""
 
     value: float
     theta: float
@@ -39,8 +41,13 @@ class DiscordSolution:
     converged: bool
 
     def __post_init__(self):
-        if self.value < -1e-9:
-            raise NumericalConsistencyError(f"discord {self.value:.3e} below -1e-9")
+        least = np.min(self.value, initial=np.inf)
+        if least < -1e-9:
+            raise NumericalConsistencyError(f"discord {least:.3e} below -1e-9")
+
+    def first(self) -> "DiscordSolution":
+        """The solution of the first state of a stack, with float fields."""
+        return replace(self, value=self.value.item(0), theta=self.theta.item(0), phi=self.phi.item(0))
 
 
 _BLOCK_OPS = np.stack([np.eye(2, dtype=complex), *_PAULI])
@@ -174,8 +181,8 @@ def _search(rows: int, states, directions: tuple, grid: tuple, stencil, h: float
     return value, np.concatenate(best), evals, config.refine_maxiter == 0 or h <= config.refine_tol
 
 
-def pairwise_discord_rows(rho: DensityMatrix, config: OptimizerConfig | None = None) -> list:
-    """pairwise_discord of each state of a stack of two-qubit states, all searched at once."""
+def pairwise_discord_rows(rho: DensityMatrix, config: OptimizerConfig | None = None) -> DiscordSolution:
+    """pairwise_discord of each state of a stack of two-qubit states, all searched at once, as one columnar result."""
     if rho.dim != 4:
         raise ValueError(f"pairwise discord needs a 4x4 state, got dim {rho.dim}")
     config = config or OptimizerConfig()
@@ -192,8 +199,7 @@ def pairwise_discord_rows(rho: DensityMatrix, config: OptimizerConfig | None = N
     )
     phis = best[:, 1] % (2.0 * math.pi)
     phis[phis == 2.0 * math.pi] = 0.0  # a tiny negative azimuth rounds up to 2 pi
-    solutions = zip(values.tolist(), best[:, 0].tolist(), phis.tolist())
-    return [DiscordSolution(v, t, p, evals, converged) for v, t, p in solutions]
+    return DiscordSolution(values, best[:, 0], phis, evals, converged)
 
 
 def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None) -> DiscordSolution:
@@ -210,10 +216,12 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
     exception. The angles are reported with theta in [0, pi] and phi in
     [0, 2 pi). The one-state case of `pairwise_discord_rows`.
     """
-    return pairwise_discord_rows(rho2, config)[0]
+    return pairwise_discord_rows(rho2, config).first()
 
 
-def pairwise_discord_series(cfg: GroverConfig, st: SymmetricGAState, config: OptimizerConfig | None = None) -> list:
+def pairwise_discord_series(
+    cfg: GroverConfig, st: SymmetricGAState, config: OptimizerConfig | None = None
+) -> DiscordSolution:
     """pairwise_discord of the structured two-qubit state at every r of a series (j=1, n >= 2).
 
     The reduced states are real, so the conditional entropy is even in the
@@ -221,9 +229,10 @@ def pairwise_discord_series(cfg: GroverConfig, st: SymmetricGAState, config: Opt
     stationary in it; the search (`_search`) runs on that circle alone: a
     coarse grid of Bloch angles (spacing 2 pi / theta_grid, each measurement
     once), then a 5-point stencil of halving spacing around each row's best
-    angle. Returns one DiscordSolution per r, with phi = 0 and theta in [0, pi].
+    angle. Returns one columnar DiscordSolution, one entry per r, with phi = 0
+    and theta in [0, pi].
     """
-    _require_leading_single_solution(cfg, "pairwise_discord_series")
+    _require_j1(cfg, "pairwise_discord_series", min_qubits=2, leading=True)
     config = config or OptimizerConfig()
     angles = np.linspace(0.0, 2.0 * math.pi, config.theta_grid, endpoint=False)
     angles = angles[angles < math.pi]  # w and w + pi are one measurement
@@ -235,12 +244,12 @@ def pairwise_discord_series(cfg: GroverConfig, st: SymmetricGAState, config: Opt
         (0, 2), grid, _circle_stencil, 2.0 * math.pi / config.theta_grid, config,
     )
     thetas = (best[:, 0] % (2.0 * math.pi)) / 2.0
-    return [DiscordSolution(v, t, 0.0, evals, converged) for v, t in zip(values.tolist(), thetas.tolist())]
+    return DiscordSolution(values, thetas, np.zeros_like(thetas), evals, converged)
 
 
 def pairwise_discord_ga(cfg: GroverConfig, r: int, config: OptimizerConfig | None = None) -> DiscordSolution:
     """pairwise_discord_series at the one iteration r."""
-    return pairwise_discord_series(cfg, state_at(cfg, [r]), config)[0]
+    return pairwise_discord_series(cfg, state_at(cfg, [r]), config).first()
 
 
 def genuine_discord_ga(cfg: GroverConfig, st: SymmetricGAState):
@@ -250,8 +259,7 @@ def genuine_discord_ga(cfg: GroverConfig, st: SymmetricGAState):
     The small one is taken as p = x / (2(1 + sqrt(1 - x))) and H(p) with
     log1p for its (1 - p) term, so neither loses digits when p is small.
     """
-    if cfg.j != 1:
-        raise UnsupportedStructureError(f"genuine discord closed form requires j=1, got j={cfg.j}")
+    _require_j1(cfg, "genuine_discord_ga")
     gap = st.a * st.b - np.square(st.b)
     # multiplied in this order, x stays a normal float up to n = 1022
     x = 4.0 * (2.0 ** (cfg.n - 1) - 1.0) * gap * gap

@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, NumericalConsistencyError, UnsupportedStructureError
-from .grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState
+from .errors import CapacityError, NumericalConsistencyError
+from .grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState, _require_j1
 from .linalg import DensityMatrix
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -40,12 +40,7 @@ def concurrence_two_qubit(rho2: DensityMatrix):
 
 def concurrence_two_qubit_ga(cfg: GroverConfig, st: SymmetricGAState):
     """Pairwise concurrence 2|ab - b^2| for the single-solution search."""
-    if cfg.j != 1:
-        raise UnsupportedStructureError(
-            f"the pairwise closed form requires j=1, got j={cfg.j}"
-        )
-    if cfg.n < 2:
-        raise ValueError(f"two-qubit reduction needs n >= 2, got n={cfg.n}")
+    _require_j1(cfg, "concurrence_two_qubit_ga", min_qubits=2)
     return 2.0 * np.abs(st.a * st.b - np.square(st.b))
 
 
@@ -65,12 +60,7 @@ def _multiqubit_radicand(n: int, st: SymmetricGAState):
 
 def concurrence_multiqubit_ga(cfg: GroverConfig, st: SymmetricGAState):
     """Upper-bound n-qubit concurrence (2/sqrt(N)) sqrt(sum of purity deficits), j=1."""
-    if cfg.j != 1:
-        raise UnsupportedStructureError(
-            f"the multiqubit closed form requires j=1, got j={cfg.j}"
-        )
-    if cfg.n < 2:
-        raise ValueError("multiqubit concurrence needs n >= 2")
+    _require_j1(cfg, "concurrence_multiqubit_ga", min_qubits=2)
     return 2.0 / math.sqrt(cfg.database_size) * np.sqrt(_multiqubit_radicand(cfg.n, st))
 
 

@@ -131,12 +131,16 @@ def optimal_iterations(cfg: GroverConfig) -> int:
     return optimal_iteration_details(cfg).r_opt
 
 
-def _require_leading_single_solution(cfg: GroverConfig, what: str) -> None:
-    if cfg.solutions != range(1):
+def _require_j1(cfg: GroverConfig, what: str, min_qubits: int = 1, leading: bool = False) -> None:
+    """Check that the j = 1 closed form `what` covers cfg: one solution (at index 0 if `leading`,
+    for a form whose matrix or angle depends on where it sits) and at least `min_qubits` qubits."""
+    if cfg.j != 1 or (leading and cfg.solutions != range(1)):
         raise UnsupportedStructureError(
-            f"{what} requires j=1 with the solution at index 0 "
+            f"{what} requires j=1{' with the solution at index 0' if leading else ''} "
             f"(got j={cfg.j}, solutions={cfg.solutions}); fall back to the brute-force engine"
         )
+    if cfg.n < min_qubits:
+        raise ValueError(f"{what} needs n >= {min_qubits}, got n={cfg.n}")
 
 
 def _reduced_entries(n: int, st: SymmetricGAState, k: int) -> tuple:
@@ -165,7 +169,7 @@ def reduced_density(cfg: GroverConfig, st: SymmetricGAState, k: int) -> DensityM
     and 2^(n-k) enter. Identical for every choice of k kept qubits; k = n is
     the whole register.
     """
-    _require_leading_single_solution(cfg, "reduced_density")
+    _require_j1(cfg, "reduced_density", leading=True)
     if not 1 <= k <= cfg.n:
         raise ValueError(f"kept-qubit count must satisfy 1 <= k <= {cfg.n}, got {k}")
     return DensityMatrix(_reduced_matrix(cfg.n, st, k))

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedStructureError
-from .grover import GroverConfig, SymmetricGAState, _reduced_entries, reduced_density, state_at
+from .grover import GroverConfig, SymmetricGAState, _reduced_entries, _require_j1, reduced_density, state_at
 from .linalg import DensityMatrix
 from .optimizers import OptimizerConfig
 
@@ -76,10 +75,7 @@ def chsh_M(rho2: DensityMatrix):
 
 def chsh_M_ga(cfg: GroverConfig, st: SymmetricGAState):
     """Closed-form M from the two-qubit reduced entries o0, o1, o2 (j=1); cross-check of chsh_M."""
-    if cfg.j != 1:
-        raise UnsupportedStructureError(f"the CHSH closed form requires j=1, got j={cfg.j}")
-    if cfg.n < 2:
-        raise ValueError(f"two-qubit reduction needs n >= 2, got n={cfg.n}")
+    _require_j1(cfg, "chsh_M_ga", min_qubits=2)
     o0, o1, o2 = _reduced_entries(cfg.n, st, 2)
     lam1 = 2.0 * o2 - 2.0 * o1
     disc = (
@@ -95,7 +91,8 @@ def chsh_M_ga(cfg: GroverConfig, st: SymmetricGAState):
 
 @dataclass(frozen=True, eq=False)
 class SvetlichnySettings:
-    """Unit measurement directions (a, a', b, b', c, c') of the three parties."""
+    """Unit measurement directions (a, a', b, b', c, c') of the three parties: (3,) vectors
+    for one state, (states, 3) arrays for a stack."""
 
     a: np.ndarray
     a_prime: np.ndarray
@@ -107,6 +104,9 @@ class SvetlichnySettings:
 
 @dataclass(frozen=True, eq=False)
 class SvetlichnyResult:
+    """The best restart's value, settings, sweeps summed over all restarts, and whether the best
+    restart converged: scalars for one state, columns with one entry per state for a stack."""
+
     value: float
     settings: SvetlichnySettings
     restarts: int
@@ -145,9 +145,11 @@ def _party_fields(T, q, r):
     return fields
 
 
-def svetlichny_max_rows(rho3: DensityMatrix | CorrelationTensor, config: OptimizerConfig | None = None) -> list:
-    """Seeded multi-start maximization of <S> over all measurement settings,
-    one SvetlichnyResult per state or order-3 tensor of a stack.
+def svetlichny_max_rows(
+    rho3: DensityMatrix | CorrelationTensor, config: OptimizerConfig | None = None
+) -> SvetlichnyResult:
+    """Seeded multi-start maximization of <S> over all measurement settings
+    for each state or order-3 tensor of a stack, as one columnar result.
 
     S is linear in each party's pair of directions, so with the other two
     pairs fixed the best pair is the normalized coefficient vectors (a zero
@@ -172,8 +174,10 @@ def svetlichny_max_rows(rho3: DensityMatrix | CorrelationTensor, config: Optimiz
     starts /= np.sqrt(_dot(starts, starts))[..., None, :]
     others = ((1, 2), (0, 2), (0, 1))
     block = max(1, _SVET_PAIRS // restarts)
-    results = []
-    for states in (entries[first : first + block] for first in range(0, len(entries), block)):
+    best_value, best_evals = np.empty(len(entries)), np.empty(len(entries), dtype=int)
+    best_converged, best_settings = np.empty(len(entries), dtype=bool), np.empty((6, len(entries), 3))
+    for first in range(0, len(entries), block):
+        states = entries[first : first + block]
         # tensors[party][..., pair] has the party's index first; pair = state * restarts + restart
         tensors = [np.repeat(np.moveaxis(states, (party + 1, 0), (0, -1)), restarts, axis=-1) for party in range(3)]
         vecs = np.tile(starts, len(states))
@@ -195,26 +199,26 @@ def svetlichny_max_rows(rho3: DensityMatrix | CorrelationTensor, config: Optimiz
                 active, x, tensors = active[~done], x[..., ~done], [t[..., ~done] for t in tensors]
                 if active.size == 0:
                     break
-        shape = (len(states), restarts)
-        values, sweeps, converged = (a.reshape(shape) for a in (values, sweeps, converged))
-        for s, best in enumerate(np.argmax(values, axis=1).tolist()):
-            # a copy, so that no settings vector keeps the block's vecs alive
-            settings = SvetlichnySettings(*vecs[..., s * restarts + best].reshape(6, 3).copy())
-            evals, ok = int(sweeps[s].sum()), bool(converged[s, best])
-            results.append(SvetlichnyResult(float(values[s, best]), settings, restarts, evals, ok))
-    return results
+        rows = slice(first, first + len(states))
+        best = np.arange(len(states)) * restarts + np.argmax(values.reshape(len(states), restarts), axis=1)
+        best_value[rows], best_converged[rows] = values[best], converged[best]
+        best_evals[rows] = sweeps.reshape(len(states), restarts).sum(axis=1)
+        best_settings[:, rows] = vecs[..., best].reshape(6, 3, len(states)).transpose(0, 2, 1)
+    settings = SvetlichnySettings(*best_settings)
+    return SvetlichnyResult(best_value, settings, restarts, best_evals, best_converged)
 
 
 def svetlichny_max(rho3: DensityMatrix | CorrelationTensor, config: OptimizerConfig | None = None) -> SvetlichnyResult:
-    """svetlichny_max_rows of one three-qubit state or order-3 tensor."""
+    """svetlichny_max_rows of one three-qubit state or order-3 tensor, its columns read at their one row."""
     tensor = rho3 if isinstance(rho3, CorrelationTensor) else correlation_tensor_3(rho3)
     if tensor.entries.shape != (3, 3, 3):
         raise ValueError("Svetlichny maximization needs one order-3 tensor")
-    return svetlichny_max_rows(tensor, config)[0]
+    res = svetlichny_max_rows(tensor, config)
+    settings = SvetlichnySettings(*(v[0] for v in vars(res.settings).values()))
+    return SvetlichnyResult(res.value.item(), settings, res.restarts, res.optimizer_evals.item(), res.converged.item())
 
 
 def svetlichny_max_ga(cfg: GroverConfig, r: int, config: OptimizerConfig | None = None) -> SvetlichnyResult:
     """Svetlichny maximization on the structured three-qubit reduced state (j=1)."""
-    if cfg.n < 3:
-        raise ValueError(f"tripartite reduction needs n >= 3, got n={cfg.n}")
+    _require_j1(cfg, "svetlichny_max_ga", min_qubits=3)
     return svetlichny_max(reduced_density(cfg, state_at(cfg, r), 3), config)

@@ -77,12 +77,12 @@ def _ga_series_columns(cfg: GroverConfig, r_max: int, measures, optimizer, use_o
     rs = np.arange(r_max + 1)
     oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
     if oracle_measures:
-        oracle, _ = _generic_measures(evolve_series(cfg, r_max), cfg, oracle_measures, optimizer)
+        oracle = _generic_measures(evolve_series(cfg, r_max), cfg, oracle_measures, optimizer)
     st = state_at(cfg, rs)
     columns = {"j": np.full(rs.size, cfg.j), "r": rs}
     for m, engine in engines.items():
         if engine == "analytic":
-            columns[m] = MEASURES[m].series(cfg, st, optimizer)
+            columns[m] = MEASURES[m].closed_form(cfg, st, optimizer)
         elif engine == "oracle":
             columns[m] = oracle[m]
         else:

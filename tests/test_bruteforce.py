@@ -12,6 +12,7 @@ from groverlab.bruteforce import (
     _generic_measures,
     cross_validate,
     evolve,
+    evolve_series,
 )
 from groverlab.coherence import coherence_r_ga
 from groverlab.errors import CapacityError, InvalidStateError
@@ -67,34 +68,33 @@ class TestStateVector:
 
 
 def oracle_row(cfg, r, measures, optimizer=None):
-    """_generic_measures on the one-row stack of evolve(cfg, r): its values and metadata of that row."""
-    values, meta = _generic_measures(evolve(cfg, r).amplitudes[None], cfg, measures, optimizer or OptimizerConfig())
-    return {k: v[0] for k, v in values.items()}, {k: {f: x[0] for f, x in m.items()} for k, m in meta.items()}
+    """_generic_measures on the one-row stack of evolve(cfg, r): its values of that row."""
+    values = _generic_measures(evolve(cfg, r).amplitudes[None], cfg, measures, optimizer or OptimizerConfig())
+    return {k: v[0] for k, v in values.items()}
 
 
 class TestRunAndMeasure:
     def test_success_probability_row(self):
-        values, _ = oracle_row(GroverConfig(n=3, j=1), 2, ("p",))
+        values = oracle_row(GroverConfig(n=3, j=1), 2, ("p",))
         assert values["p"] == pytest.approx(121 / 128, abs=1e-12)
 
     def test_initial_product_state_row(self):
-        values, meta = oracle_row(
+        values = oracle_row(
             GroverConfig(n=5, j=1), 0, ("cr", "cl1", "e2", "d2"), OptimizerConfig(theta_grid=32, phi_grid=64)
         )
         assert values["cr"] == pytest.approx(5.0, abs=1e-10)
         assert values["cl1"] == pytest.approx(31.0, abs=1e-9)
         assert values["e2"] == pytest.approx(0.0, abs=1e-7)
         assert values["d2"] == pytest.approx(0.0, abs=1e-7)
-        assert meta["d2"]["evals"] > 0
 
     def test_cross_engine_identity(self):
         cfg = GroverConfig(n=8, j=3)
-        values, _ = oracle_row(cfg, 1, ("cr",))
+        values = oracle_row(cfg, 1, ("cr",))
         assert values["cr"] == pytest.approx(coherence_r_ga(cfg, state_at(cfg, 1)), abs=1e-10)
 
     def test_large_n_uses_pure_state_paths(self):
         cfg = GroverConfig(n=10, j=1)
-        values, _ = oracle_row(cfg, 3, ("cr", "cl1", "dn"))
+        values = oracle_row(cfg, 3, ("cr", "cl1", "dn"))
         assert values["cr"] == pytest.approx(coherence_r_ga(cfg, state_at(cfg, 3)), abs=1e-10)
 
     def test_capacity_error(self):
@@ -159,9 +159,18 @@ class TestMeasureTable:
         for r in rs.tolist():
             closed = series[r]
             (oracle,) = measure.oracle(evolve(cfg, r).amplitudes[None], cfg, opt)
-            if measure.slow:
-                closed, oracle = closed.value, oracle.value
             assert closed == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("key", MEASURE_KEYS)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_every_entry_is_one_float_per_row(self, key, rows):
+        # the closed form on a j = 1 series state, the oracle on a j = 2 amplitude stack
+        opt = OptimizerConfig(theta_grid=8, phi_grid=8, restarts=2)
+        cfg, stack_cfg = GroverConfig(n=4), GroverConfig(n=4, j=2)
+        closed = MEASURES[key].closed_form(cfg, state_at(cfg, np.arange(rows)), opt)
+        oracle = MEASURES[key].oracle(evolve_series(stack_cfg, rows - 1), stack_cfg, opt)
+        for column in (closed, oracle):
+            assert type(column) is np.ndarray and column.dtype == float and column.shape == (rows,)
 
     @pytest.mark.parametrize("key", [k for k in MEASURE_KEYS if not MEASURES[k].slow])
     @pytest.mark.parametrize("n", [2, 3, 5, 11, 30, 400, 1022])

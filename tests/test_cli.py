@@ -14,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverlab
-from groverlab.bruteforce import MEASURE_KEYS, MEASURES, evolve
+from groverlab.bruteforce import MEASURE_KEYS, evolve
 from groverlab.cli import main
+from groverlab.discord import pairwise_discord_rows, pairwise_discord_series
 from groverlab.gga import AmplitudeDistribution, gga_iterate
-from groverlab.grover import FLOAT_SAFE_QUBITS, GroverConfig, state_at
+from groverlab.grover import FLOAT_SAFE_QUBITS, GroverConfig, reduced_density, state_at
+from groverlab.linalg import pure_partial_trace
+from groverlab.nonlocality import svetlichny_max_rows
 from groverlab.optimizers import OptimizerConfig
 from groverlab.report import MAX_ROWS
 from witnesses import checker_concurrence, checker_grover_amplitudes
@@ -396,13 +399,20 @@ class TestGoldenOutputs:
             assert float(row["d2"]) <= float(want["d2"]) + 1e-9, row
             assert float(row["svet"]) >= float(want["svet"]) - 1e-9, row
             r = int(row["r"])
-            for key in ("d2", "svet"):
-                if meta[f"engine.j{j}.{key}"] == "analytic":
-                    (res,) = MEASURES[key].closed_form(cfg, state_at(cfg, np.array([r])), optimizer)
-                else:
-                    (res,) = MEASURES[key].oracle(evolve(cfg, r).amplitudes[None], cfg, optimizer)
-                assert res.converged, (key, r)
-                assert format(res.value, ".12g") == row[key]
+            # the one-row series state or amplitude stack, searched as the sweep searches it
+            amps, one = evolve(cfg, r).amplitudes[None], state_at(cfg, np.array([r]))
+            searches = {
+                "d2": pairwise_discord_series(cfg, one, optimizer)
+                if j == 1
+                else pairwise_discord_rows(pure_partial_trace(amps, (0, 1)), optimizer),
+                "svet": svetlichny_max_rows(
+                    reduced_density(cfg, one, 3) if j == 1 else pure_partial_trace(amps, (0, 1, 2)), optimizer
+                ),
+            }
+            for key, res in searches.items():
+                assert meta[f"engine.j{j}.{key}"] == ("analytic" if j == 1 else "oracle")
+                assert np.all(res.converged), (key, r)
+                assert format(res.value[0], ".12g") == row[key]
 
 
 @st.composite
@@ -732,6 +742,18 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         doc = json.loads(result.output)
         assert doc["metadata"]["passed"] is False
+
+    def test_huge_finite_fault_fails_every_faulted_identity(self):
+        # 1e308 overflows the closed forms to inf or nan: each identity that
+        # reads the faulted amplitude fails, with no numpy warning (an error
+        # under this suite's warning filter) and no traceback
+        result = run_cli("verify", "--max-n", "3", "--inject-fault", "1e308")
+        assert result.exit_code == 1
+        doc = json.loads(result.output)
+        assert doc["metadata"]["passed"] is False
+        # grover_step_norm checks the statevector alone
+        assert {row["name"]: row["passed"] for row in doc["rows"] if row["passed"]} == {"grover_step_norm": True}
+        assert all(row["cases"] > 0 for row in doc["rows"])
 
     def test_single_solution_count_is_not_widened(self):
         # r = 0..r_opt at n = 2, 3 for j = 1 only: 2 + 3 cases

@@ -147,7 +147,15 @@ class TestPairwiseDiscord:
 
 
 def bits(sol):
+    """The fields of a one-state solution, floats as their exact hex."""
     return sol.value.hex(), sol.theta.hex(), sol.phi.hex(), sol.optimizer_evals, sol.converged
+
+
+def row_bits(sol):
+    """bits of each row of a columnar solution; its evals and `converged` are one scalar for all rows."""
+    assert type(sol.optimizer_evals) is int and type(sol.converged) is bool
+    angles = zip(sol.value.tolist(), sol.theta.tolist(), sol.phi.tolist())
+    return [(v.hex(), t.hex(), p.hex(), sol.optimizer_evals, sol.converged) for v, t, p in angles]
 
 
 def oracle_pair_states():
@@ -210,7 +218,7 @@ class TestPairwiseDiscordRows:
         want = [[bits(pairwise_discord(DensityMatrix(m), config)) for m in rho.matrix] for rho in stacks]
         if points is not None:  # 1 point: a row a block; 5,000: 1, 4 or 2 rows by config
             monkeypatch.setattr(discord, "_SEARCH_POINTS", points)
-        assert [list(map(bits, pairwise_discord_rows(rho, config))) for rho in stacks] == want
+        assert [row_bits(pairwise_discord_rows(rho, config)) for rho in stacks] == want
 
     def test_oracle_is_one_search_per_series(self, monkeypatch):
         calls = []
@@ -236,10 +244,10 @@ class TestPairwiseDiscordSeries:
         # 2-D grid-plus-stencil search by more than rounding
         for cfg, rs in series_rows():
             series = pairwise_discord_series(cfg, state_at(cfg, rs))
-            for r, sol in zip(rs.tolist(), series):
+            assert series.converged
+            for r, value in zip(rs.tolist(), series.value.tolist()):
                 sphere = pairwise_discord(reduced_density(cfg, state_at(cfg, r), 2))
-                assert sol.value <= sphere.value + 1e-12, (cfg.n, r)
-                assert sol.converged
+                assert value <= sphere.value + 1e-12, (cfg.n, r)
 
     @pytest.mark.parametrize("config", [OptimizerConfig(), FAST, OptimizerConfig(theta_grid=7, refine_tol=1e-5)])
     def test_rows_are_bitwise_the_one_row_calls(self, config):
@@ -247,7 +255,7 @@ class TestPairwiseDiscordSeries:
             cfg = GroverConfig(n=n)
             rs = np.arange(top + 1)
             series = pairwise_discord_series(cfg, state_at(cfg, rs), config)
-            assert list(map(bits, series)) == [bits(pairwise_discord_ga(cfg, r, config)) for r in rs.tolist()]
+            assert row_bits(series) == [bits(pairwise_discord_ga(cfg, r, config)) for r in rs.tolist()]
 
     def test_closed_form_is_one_series_call(self, monkeypatch):
         calls = []
@@ -260,24 +268,24 @@ class TestPairwiseDiscordSeries:
     def test_refinement_budget_exhausted_is_not_converged(self):
         cfg = GroverConfig(n=6)
         st = state_at(cfg, np.arange(4))
-        assert not any(sol.converged for sol in pairwise_discord_series(cfg, st, OptimizerConfig(refine_maxiter=1)))
-        assert all(sol.converged for sol in pairwise_discord_series(cfg, st, OptimizerConfig(refine_maxiter=0)))
+        assert not pairwise_discord_series(cfg, st, OptimizerConfig(refine_maxiter=1)).converged
+        assert pairwise_discord_series(cfg, st, OptimizerConfig(refine_maxiter=0)).converged
 
     def test_evals_and_angles(self):
         # 32 distinct measurements on the 64-point circle grid, then 24 levels
         # of 5 points from spacing 2 pi / 64 down to 1e-8
         cfg = GroverConfig(n=11)
-        for sol in pairwise_discord_series(cfg, state_at(cfg, np.arange(26))):
-            assert sol.optimizer_evals == 32 + 5 * 24
-            assert sol.phi == 0.0
-            assert 0.0 <= sol.theta <= math.pi
+        sol = pairwise_discord_series(cfg, state_at(cfg, np.arange(26)))
+        assert sol.optimizer_evals == 32 + 5 * 24
+        assert sol.phi.tolist() == [0.0] * 26
+        assert np.all((0.0 <= sol.theta) & (sol.theta <= math.pi))
 
     def test_rows_do_not_depend_on_the_block_size(self, monkeypatch):
         cfg = GroverConfig(n=9)
         st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))  # 18 rows: blocks of 7, 7 and 4
-        want = list(map(bits, pairwise_discord_series(cfg, st, FAST)))
+        want = row_bits(pairwise_discord_series(cfg, st, FAST))
         monkeypatch.setattr(discord, "_SEARCH_POINTS", 7 * 16)  # FAST's circle has 16 angles
-        assert list(map(bits, pairwise_discord_series(cfg, st, FAST))) == want
+        assert row_bits(pairwise_discord_series(cfg, st, FAST)) == want
 
     def test_search_memory_is_bounded_by_the_block(self):
         # the 6,434 rows at n = 26 searched at once peaked at 39 MiB
@@ -289,8 +297,30 @@ class TestPairwiseDiscordSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(series) == st.r.size
+        assert series.value.shape == series.theta.shape == series.phi.shape == st.r.shape
         assert peak < 12 * 2**20
+
+    def test_long_series_builds_no_object_per_row(self):
+        # the 205,888 rows of n = 36 as one columnar result; one
+        # DiscordSolution per row peaked at 41 MiB
+        cfg = GroverConfig(n=36)
+        st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+        tracemalloc.start()
+        try:
+            series = pairwise_discord_series(cfg, st, OptimizerConfig(theta_grid=4, refine_maxiter=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.value.shape == (205_888,)
+        assert peak < 24 * 2**20
+
+    def test_empty_series_gives_empty_columns(self):
+        cfg = GroverConfig(n=5)
+        sol = pairwise_discord_series(cfg, state_at(cfg, np.arange(0)), FAST)
+        assert sol.value.shape == sol.theta.shape == sol.phi.shape == (0,)
+        empty = pure_partial_trace(np.zeros((0, 16), dtype=complex), (0, 1))
+        sol = pairwise_discord_rows(empty, FAST)
+        assert sol.value.shape == sol.theta.shape == sol.phi.shape == (0,)
 
     def test_multiple_solutions_unsupported(self):
         cfg = GroverConfig(n=4, j=2)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverlab.bruteforce import evolve
+from groverlab.bruteforce import MEASURES, evolve
+from groverlab.discord import pairwise_discord_ga
 from groverlab.errors import CapacityError, UnsupportedStructureError
 from groverlab.gga import gga_iterate
 from groverlab.grover import (
@@ -19,6 +20,8 @@ from groverlab.grover import (
     success_probability,
 )
 from groverlab.linalg import DensityMatrix, pure_partial_trace
+from groverlab.nonlocality import svetlichny_max_ga
+from groverlab.optimizers import OptimizerConfig
 from witnesses import full_density, partial_trace
 
 
@@ -315,3 +318,28 @@ class TestEndpointCoupling:
             c = coherence_r_ga(cfg, s)
             assert int(np.argmax(p)) == r_opt
             assert int(np.argmin(c)) == r_opt
+
+
+COARSE = OptimizerConfig(theta_grid=4, phi_grid=4, restarts=2)
+
+
+def _series_form(key):
+    return lambda cfg: MEASURES[key].closed_form(cfg, state_at(cfg, np.arange(2)), COARSE)
+
+
+# each j = 1 closed form with the fewest qubits it covers
+J1_FORMS = [pytest.param(_series_form(k), m.min_qubits, id=k) for k, m in MEASURES.items() if not m.any_j] + [
+    pytest.param(lambda cfg: pairwise_discord_ga(cfg, 0, COARSE), 2, id="pairwise_discord_ga"),
+    pytest.param(lambda cfg: svetlichny_max_ga(cfg, 0, COARSE), 3, id="svetlichny_max_ga"),
+]
+
+
+@pytest.mark.parametrize("form, min_qubits", J1_FORMS)
+def test_j1_closed_forms_refuse_smaller_registers_and_other_j(form, min_qubits):
+    # a register below the form's size has no value: one qubit has no pair for d2
+    for n in range(1, min_qubits):
+        with pytest.raises(ValueError, match=rf"n >= {min_qubits}|k <= {n}") as info:
+            form(GroverConfig(n=n))
+        assert type(info.value) is ValueError, n
+    with pytest.raises(UnsupportedStructureError, match="requires j=1"):
+        form(GroverConfig(n=4, j=2))

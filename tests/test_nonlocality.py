@@ -175,13 +175,8 @@ class TestSvetlichny:
         cfg = GroverConfig(n=11, j=1)
         rs = np.arange(26)
         config = OptimizerConfig(restarts=16, seed=0)
-        series = MEASURES["svet"].closed_form(cfg, state_at(cfg, rs), config)
-
-        def bits(res):
-            vecs = np.concatenate([getattr(res.settings, f) for f in ("a", "a_prime", "b", "b_prime", "c", "c_prime")])
-            return res.value.hex(), [v.hex() for v in vecs.tolist()], res.optimizer_evals, res.converged
-
-        assert list(map(bits, series)) == [bits(svetlichny_max_ga(cfg, r, config)) for r in rs.tolist()]
+        series = svetlichny_max_rows(reduced_density(cfg, state_at(cfg, rs), 3), config)
+        assert svet_row_bits(series) == [svet_bits(svetlichny_max_ga(cfg, r, config)) for r in rs.tolist()]
 
     def test_closed_form_reads_the_series_state(self):
         # an offset of a (as verify --inject-fault makes) must reach the column;
@@ -189,8 +184,8 @@ class TestSvetlichny:
         cfg = GroverConfig(n=11, j=1)
         st = state_at(cfg, np.arange(1, 26, 5))
         config = OptimizerConfig(restarts=8, seed=0)
-        values = MEASURES["svet"].series(cfg, st, config)
-        shifted = MEASURES["svet"].series(cfg, replace(st, a=st.a + 1e-13), config)
+        values = MEASURES["svet"].closed_form(cfg, st, config)
+        shifted = MEASURES["svet"].closed_form(cfg, replace(st, a=st.a + 1e-13), config)
         assert np.all(shifted != values)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -200,10 +195,9 @@ class TestSvetlichny:
         # the three-qubit reduced state of every row
         cfg = GroverConfig(n=n, j=j)
         stack = evolve_series(cfg, optimal_iterations(cfg))
-        results = MEASURES["svet"].oracle(stack, cfg, OptimizerConfig(restarts=16, seed=0))
-        assert len(results) == stack.shape[0]
-        for r, res in enumerate(results):
-            assert res.value <= 4.0 + 1e-6, (r, res.value)
+        values = MEASURES["svet"].oracle(stack, cfg, OptimizerConfig(restarts=16, seed=0))
+        assert values.shape == (stack.shape[0],)
+        assert np.all(values <= 4.0 + 1e-6), values
 
     def test_settings_are_unit_vectors(self):
         res = svetlichny_max(ghz_density(), OptimizerConfig(restarts=4, seed=1))
@@ -243,7 +237,7 @@ class TestSvetlichnyKernel:
     def test_search_rows_respect_the_singular_value_bound(self, n, j):
         cfg = GroverConfig(n=n, j=j)
         rho = pure_partial_trace(evolve_series(cfg, optimal_iterations(cfg)), (0, 1, 2))
-        values = np.array([res.value for res in svetlichny_max_rows(rho)])
+        values = svetlichny_max_rows(rho).value
         assert np.all(values <= svetlichny_upper_bound(correlation_tensor_3(rho)) + 1e-12)
 
     def test_random_states_respect_the_singular_value_bound(self):
@@ -251,7 +245,7 @@ class TestSvetlichnyKernel:
         psi = rng.normal(size=(40, 8)) + 1j * rng.normal(size=(40, 8))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         rho = DensityMatrix(psi[:, :, None] * psi[:, None, :].conj())
-        values = np.array([res.value for res in svetlichny_max_rows(rho)])
+        values = svetlichny_max_rows(rho).value
         assert np.all(values <= svetlichny_upper_bound(correlation_tensor_3(rho)) + 1e-12)
 
     def test_bound_is_tight_at_ghz(self):
@@ -265,6 +259,14 @@ def svet_bits(res):
     s = res.settings
     vecs = np.concatenate([s.a, s.a_prime, s.b, s.b_prime, s.c, s.c_prime])
     return res.value.hex(), [v.hex() for v in vecs.tolist()], res.optimizer_evals, res.converged
+
+
+def svet_row_bits(res):
+    """svet_bits of each row of a columnar result."""
+    s = res.settings
+    vecs = np.concatenate([s.a, s.a_prime, s.b, s.b_prime, s.c, s.c_prime], axis=1)
+    rows = zip(res.value.tolist(), vecs.tolist(), res.optimizer_evals.tolist(), res.converged.tolist())
+    return [(value.hex(), [v.hex() for v in row], evals, ok) for value, row, evals, ok in rows]
 
 
 def svet_stacks():
@@ -309,7 +311,7 @@ class TestSvetlichnyRows:
         for pairs in (None, 1, 2 * config.restarts + 3):
             if pairs is not None:
                 monkeypatch.setattr(nonlocality, "_SVET_PAIRS", pairs)
-            assert [list(map(svet_bits, svetlichny_max_rows(stack, config))) for stack in stacks] == want
+            assert [svet_row_bits(svetlichny_max_rows(stack, config)) for stack in stacks] == want
 
     def test_svet_entries_are_one_search_per_series(self, monkeypatch):
         calls = []
@@ -335,8 +337,13 @@ class TestSvetlichnyRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(results) == 202 and all(res.value <= 4.0 + 1e-6 for res in results)
+        assert results.value.shape == (202,) and np.all(results.value <= 4.0 + 1e-6)
         assert peak < 12_000_000
+
+    def test_empty_stack_gives_empty_columns(self):
+        res = svetlichny_max_rows(CorrelationTensor(order=3, entries=np.zeros((0, 3, 3, 3))))
+        assert res.value.shape == res.optimizer_evals.shape == res.converged.shape == (0,)
+        assert all(v.shape == (0, 3) for v in vars(res.settings).values())
 
     def test_shape_guards(self):
         stack = correlation_tensor_3(DensityMatrix(np.stack([ghz_density().matrix] * 2)))

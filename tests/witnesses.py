@@ -464,7 +464,7 @@ def row_check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: f
     if fault:
         st = replace(st, a=st.a + fault)
     keys = [k for k, m in MEASURES.items() if requested and m.identity and m.engine(cfg) == "analytic"]
-    closed = {k: np.broadcast_to(_or_inf(MEASURES[k].series, cfg, st, None), st.r.shape) for k in keys}
+    closed = {k: np.broadcast_to(_or_inf(MEASURES[k].closed_form, cfg, st, None), st.r.shape) for k in keys}
     dist = evolve(cfg, 0)
     for r in st.r.tolist():
         if r > 0:
