@@ -291,8 +291,8 @@ def cross_validate(
                 uniform = j <= 4 and j not in j_values[:i]
                 with np.errstate(over=quiet, invalid=quiet):
                     _check_series(GroverConfig(n=n, j=j), i < len(j_values), uniform, fault, rng, deviations)
-    checks = tuple(
-        IdentityCheck(name=name, max_deviation=float(np.max(devs)) if devs else None, tolerance=tol, cases=len(devs))
+    checks = tuple(  # a NaN deviation counts as inf, so it cannot hide the others
+        IdentityCheck(name, float(np.max(np.where(np.isnan(devs), np.inf, devs))) if devs else None, tol, len(devs))
         for (name, tol), devs in zip(_IDENTITY_TOLERANCES.items(), deviations.values())
     )
     return ValidationSummary(checks=checks, fault=fault)

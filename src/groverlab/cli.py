@@ -297,8 +297,8 @@ def figures(out_dir, grid, restarts, phi_points, seed):
         files = figure_outputs(run)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    for name, content in files.items():
-        _write_file(out_dir / name, lambda file_write: file_write(content))
+    for name, emit in files.items():
+        _write_file(out_dir / name, emit)
         click.echo(f"wrote {out_dir / name}")
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -165,29 +166,41 @@ def phi_sweep(run: RunConfig) -> SweepResult:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _AmplitudeLog:
+    """A JSON list of each step's amplitudes; each walk steps a copy of the start, one step per entry."""
+
+    dist0: AmplitudeDistribution
+    r_max: int
+
+    def __iter__(self):
+        dist = self.dist0
+        for r in range(self.r_max + 1):
+            if r > 0:
+                dist = gga_iterate(dist, 1)
+            sol, other = (a.view(float).reshape(-1, 2) for a in (dist.solution_amplitudes, dist.other_amplitudes))
+            yield {"r": r, "solution_amplitudes": sol, "other_amplitudes": other}
+
+
 def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult:
     """Per-step averages and success probability for a custom start, and for JSON the per-step amplitudes.
 
-    One pass steps to max(r_max, ceil(t_opt)); p_floor and p_ceil come from it too.
+    One pass steps to max(r_max, ceil(t_opt)) for the rows, p_floor and p_ceil;
+    the JSON amplitude log steps again as it is written.
     """
     if run.r_max is not None and not 0 <= run.r_max < MAX_ROWS:
         raise ValueError(f"--r-max must lie in 0..{MAX_ROWS - 1:,} ({MAX_ROWS:,} rows), got {run.r_max:,}")
     opt = gga_optimal_time(dist0)
     r_max = run.r_max if run.r_max is not None else max(1, math.ceil(opt.time))
     dist = dist0
-    amplitude_log = [] if run.fmt == "json" else None  # only JSON prints the amplitudes
     averages = np.empty((r_max + 1, 2), dtype=complex)
     p = np.empty(max(r_max, math.ceil(opt.time)) + 1)
     for r in range(p.size):
         if r > 0:
             dist = gga_iterate(dist, 1)
         p[r] = dist.success_probability()
-        if r > r_max:
-            continue
-        averages[r] = dist.kbar, dist.lbar
-        if amplitude_log is not None:
-            sol, other = (a.view(float).reshape(-1, 2) for a in (dist.solution_amplitudes, dist.other_amplitudes))
-            amplitude_log.append({"r": r, "solution_amplitudes": sol, "other_amplitudes": other})
+        if r <= r_max:
+            averages[r] = dist.kbar, dist.lbar
     extra = {
         "n": dist0.n,
         "solutions": list(dist0.solutions),
@@ -198,8 +211,8 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         "p_ceil": float(p[math.ceil(opt.time)]),
         "p_max": gga_pmax(dist0),
     }
-    if amplitude_log is not None:
-        extra["amplitudes_per_step"] = amplitude_log
+    if run.fmt == "json":  # only JSON prints the amplitudes
+        extra["amplitudes_per_step"] = _AmplitudeLog(dist0, r_max)
     if dist0.is_real:
         cf = gga_closed_form(dist0)
         extra["closed_form"] = {"omega": cf.omega, "beta": cf.beta, "C": cf.C}
@@ -309,8 +322,11 @@ def _csv_blocks(result: SweepResult, run: RunConfig):
     yield from _table(columns, "%.12g", "NA", _format_value, lambda specs: ",".join(specs) + "\n")
 
 
-# Stands in for a block of text in json's output; no path or other CLI string holds a NUL.
-_ARRAY_MARK = "\x00ndarray\x00"
+def _json_scalar(value) -> str:
+    """json.dumps(value), with a non-finite float as the CSV writer's token in a JSON string."""
+    if isinstance(value, float) and not math.isfinite(value):
+        value = _format_value(value)
+    return json.dumps(value)
 
 
 def _json_list(data: dict, labels, brackets: str, indent: str):
@@ -322,7 +338,7 @@ def _json_list(data: dict, labels, brackets: str, indent: str):
         body = ",\n".join(f"{field}{label}{spec}" for label, spec in zip(labels, specs))
         return f",\n{inner}{brackets[0]}\n{body}\n{inner}{brackets[1]}"
 
-    blocks = _table(data, "%r", "null", json.dumps, row)
+    blocks = _table(data, "%r", "null", _json_scalar, row)
     first = next(blocks, None)
     if first is None:
         yield "[]"
@@ -332,32 +348,35 @@ def _json_list(data: dict, labels, brackets: str, indent: str):
     yield f"\n{indent}]"
 
 
+def _json_value(obj, indent: str):
+    """json.dumps(obj, indent=2) at `indent`, in blocks, scalars as `_json_scalar` writes them; a SweepResult's
+    rows and each (M, 2) float array are `_json_list` tables."""
+    if isinstance(obj, SweepResult):
+        yield from _json_list(obj.data, [json.dumps(key).replace("%", "%%") + ": " for key in obj.data], "{}", indent)
+    elif isinstance(obj, np.ndarray):
+        yield from _json_list({"re": obj[:, 0], "im": obj[:, 1]}, ("", ""), "[]", indent)
+    elif isinstance(obj, (dict, list, tuple, _AmplitudeLog)):
+        inner, brackets = indent + "  ", "{}" if isinstance(obj, dict) else "[]"
+        items = ((json.dumps(key) + ": ", v) for key, v in obj.items()) if brackets == "{}" else (("", v) for v in obj)
+        sep = brackets[0]
+        for label, value in items:
+            yield f"{sep}\n{inner}{label}"
+            yield from _json_value(value, inner)
+            sep = ","
+        yield brackets if sep != "," else f"\n{indent}{brackets[1]}"
+    else:
+        yield _json_scalar(obj)  # json.dumps raises TypeError for any other type
+
+
 def _json_blocks(result: SweepResult, run: RunConfig):
-    """json.dumps(doc, indent=2); the rows and each (M, 2) ndarray are a marker there, replaced by their text blocks."""
+    """The {config, rows, metadata} document, as json.dumps writes it with indent=2, block by block."""
     doc = {
         "config": run.to_dict(),
         "rows": result,
         "metadata": {**base_metadata(run, result.engines), **result.extra_metadata},
     }
-    lists = []  # (data, labels, brackets) of each marker, in order
-
-    def stash(obj):
-        if obj is result:
-            lists.append((result.data, [json.dumps(key).replace("%", "%%") + ": " for key in result.data], "{}"))
-        elif isinstance(obj, np.ndarray):
-            lists.append(({"re": obj[:, 0], "im": obj[:, 1]}, ("", ""), "[]"))
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        return _ARRAY_MARK
-
-    pieces = json.dumps(doc, indent=2, default=stash).split(json.dumps(_ARRAY_MARK))
-    if len(pieces) != len(lists) + 1:
-        raise AssertionError(f"{len(pieces) - 1} markers for {len(lists)} blocks")
-    for piece, data in zip(pieces, lists):
-        line = piece[piece.rfind("\n") + 1 :]  # the indent, then the key if any
-        yield piece
-        yield from _json_list(*data, line[: len(line) - len(line.lstrip())])
-    yield pieces[-1] + "\n"
+    yield from _json_value(doc, "")
+    yield "\n"
 
 
 _BLOCKS = {"csv": _csv_blocks, "json": _json_blocks}
@@ -415,43 +434,21 @@ plot 'fig5.csv' using 1:2 with points pt 5 title 'success probability', \\
 }
 
 
+# (name, sweep, RunConfig fields) of each figure's data file; the other fields are the figures run's
+_FIGURES = (
+    ("fig2", ga_sweep, {"n": 11, "j_values": tuple(range(1, 11)), "measures": ("cr",)}),
+    ("fig3", phi_sweep, {"n": 10}),
+    ("fig4", ga_sweep, {"n": 11, "j_values": (1,), "measures": ("e2", "en")}),
+    ("fig5", ga_sweep, {"n": 11, "j_values": (1,), "measures": ("d2", "dn")}),
+)
+
+
 def figure_outputs(run: RunConfig) -> dict:
-    """Plot-ready data files and gnuplot scripts for the four measure sweeps."""
-    files: dict[str, str] = {}
-
-    fig2_run = RunConfig(
-        command="figures.fig2",
-        n=11,
-        j_values=tuple(range(1, 11)),
-        measures=("cr",),
-        seed=run.seed,
-        optimizer=run.optimizer,
-    )
-    files["fig2.csv"] = render(ga_sweep(fig2_run), fig2_run)
-
-    fig3_run = RunConfig(command="figures.fig3", n=10, phi_points=run.phi_points, seed=run.seed)
-    files["fig3.csv"] = render(phi_sweep(fig3_run), fig3_run)
-
-    fig4_run = RunConfig(
-        command="figures.fig4",
-        n=11,
-        j_values=(1,),
-        measures=("e2", "en"),
-        seed=run.seed,
-        optimizer=run.optimizer,
-    )
-    files["fig4.csv"] = render(ga_sweep(fig4_run), fig4_run)
-
-    fig5_run = RunConfig(
-        command="figures.fig5",
-        n=11,
-        j_values=(1,),
-        measures=("d2", "dn"),
-        seed=run.seed,
-        optimizer=run.optimizer,
-    )
-    files["fig5.csv"] = render(ga_sweep(fig5_run), fig5_run)
-
+    """Each plot file's name and a function that passes its text to write(str); every sweep has run by then."""
+    files = {}
+    for name, sweep, changes in _FIGURES:
+        figure_run = replace(run, command=f"figures.{name}", **changes)
+        files[f"{name}.csv"] = partial(write, sweep(figure_run), figure_run)
     for name, script in _GNUPLOT.items():
-        files[f"{name}.gp"] = script
+        files[f"{name}.gp"] = lambda file_write, script=script: file_write(script)
     return files

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverlab
+from groverlab import report
 from groverlab.bruteforce import MEASURE_KEYS, evolve
 from groverlab.cli import main
 from groverlab.discord import pairwise_discord_rows, pairwise_discord_series
-from groverlab.gga import AmplitudeDistribution, gga_iterate
+from groverlab.gga import AmplitudeDistribution, distribution_from_json, gga_iterate
 from groverlab.grover import FLOAT_SAFE_QUBITS, GroverConfig, reduced_density, state_at
 from groverlab.linalg import pure_partial_trace
 from groverlab.nonlocality import svetlichny_max_rows
@@ -608,12 +609,25 @@ class TestGgaCommand:
         assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MB"
 
     def test_json_amplitude_log_is_written_as_it_is_formatted(self, uniform_n10, tmp_path):
-        # the 3.3 MB log is held as arrays, but never its 15.5 MB of text at once
+        # one step's amplitudes at a time: never the log's 3.3 MB of arrays,
+        # nor its 15.5 MB of text, at once
         out = tmp_path / "a.json"
         args = ("gga", "--init-file", str(uniform_n10), "--r-max", "200", "--format", "json", "--out", str(out))
         peak = traced_run(*args)[1]
         assert len(json.loads(out.read_text())["metadata"]["amplitudes_per_step"]) == 201
-        assert peak <= 8 * 2**20, f"{peak / 2**20:.1f} MB"
+        assert peak < 3_000_000, f"{peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("init, r_max", [("gga_init_real_n4.json", 6), ("gga_init_complex_n5.json", 2)])
+    def test_json_result_writes_the_same_bytes_twice(self, init, r_max):
+        # the amplitude log is stepped again on each walk
+        dist = distribution_from_json((GOLDEN / init).read_text())
+        run = report.RunConfig(command="gga", n=dist.n, r_max=r_max, fmt="json", init_file=init)
+        result = report.init_file_sweep(run, dist)
+        first = report.render(result, run)
+        emitted = []
+        report.write(result, run, emitted.append)
+        assert "".join(emitted) == first
+        assert first == (GOLDEN / f"{init[:-5]}_r{r_max}.json").read_text()
 
     @pytest.fixture
     def grover_steps(self, monkeypatch):
@@ -665,6 +679,11 @@ class TestGgaCommand:
             _, _, rows = parse_csv(result.output)
             assert [int(row["r"]) for row in rows] == list(range(r_max + 1))
             assert grover_steps == [1] * steps, (init.name, r_max)
+            # JSON steps the amplitude log again as it writes it: r_max more single steps
+            grover_steps.clear()
+            result = run_cli("gga", "--init-file", str(init), "--r-max", str(r_max), "--format", "json")
+            assert result.exit_code == 0
+            assert grover_steps == [1] * (steps + r_max), (init.name, r_max)
 
     @pytest.mark.parametrize(
         "doc, field",
@@ -749,11 +768,24 @@ class TestVerifyCommand:
         # under this suite's warning filter) and no traceback
         result = run_cli("verify", "--max-n", "3", "--inject-fault", "1e308")
         assert result.exit_code == 1
-        doc = json.loads(result.output)
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(result.output, parse_constant=refuse)
         assert doc["metadata"]["passed"] is False
         # grover_step_norm checks the statevector alone
         assert {row["name"]: row["passed"] for row in doc["rows"] if row["passed"]} == {"grover_step_norm": True}
         assert all(row["cases"] > 0 for row in doc["rows"])
+        # a non-finite deviation is the CSV token as a string; chsh_M's faulted
+        # discriminant is inf - inf, and a NaN deviation counts as inf
+        deviations = {row["name"]: row["max_deviation"] for row in doc["rows"]}
+        assert deviations["chsh_M"] == "inf"
+        assert sum(value == "inf" for value in deviations.values()) == 8
+        _, _, rows = parse_csv(run_cli("verify", "--max-n", "3", "--inject-fault", "1e308", "--format", "csv").output)
+        assert [row["max_deviation"] for row in rows] == [
+            str(value) if isinstance(value, str) else format(value, ".12g") for value in deviations.values()
+        ]
 
     def test_single_solution_count_is_not_widened(self):
         # r = 0..r_opt at n = 2, 3 for j = 1 only: 2 + 3 cases

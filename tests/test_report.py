@@ -72,11 +72,20 @@ class TestRenderJson:
         run = RunConfig(command="ga", fmt="json")
         assert rendered(result, run) == render_json_rows(result, run)
 
-    def test_marker_in_a_string_is_caught(self):
+    def test_nul_string_is_encoded_as_the_encoder_does(self):
+        # a string holding NULs is escaped as json.dumps escapes it, whatever it spells
         result = sweep({"r": np.array([], dtype=int)}, extra={"log": np.zeros((1, 2))})
         run = RunConfig(command="gga", fmt="json", init_file="\x00ndarray\x00")
-        with pytest.raises(AssertionError, match="markers"):
-            rendered(result, run)
+        text = rendered(result, run)
+        assert text == render_json_rows(result, run)
+        assert '"init_file": "\\u0000ndarray\\u0000"' in text
+        assert json.loads(text)["config"]["init_file"] == "\x00ndarray\x00"
+
+    def test_other_types_are_not_serializable(self):
+        for value in ({1, 2}, np.int64(3), object()):
+            result = sweep({"r": np.arange(1)}, extra={"x": [value]})
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                report.render(result, RunConfig(command="ga", fmt="json"))
 
 
 # -0.0, subnormals, the float extremes, non-finite values and values on either

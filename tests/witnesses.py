@@ -287,24 +287,28 @@ def render_csv_rows(result, run) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _as_lists(obj):
+def _plain(obj):
+    """obj with every array as lists and every non-finite float as its CSV token, a string."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _plain(obj.tolist())
     if isinstance(obj, dict):
-        return {k: _as_lists(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_as_lists(v) for v in obj]
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "inf", "-inf" or "nan"
     return obj
 
 
 def render_json_rows(result, run) -> str:
-    """The JSON writer as json.dumps(doc, indent=2) over row dicts, every array as lists."""
+    """The JSON writer as json.dumps(doc, indent=2) over row dicts, every array as lists and every
+    non-finite float as its CSV token."""
     doc = {
         "config": run.to_dict(),
         "rows": sweep_rows(result),
-        "metadata": {**base_metadata(run, result.engines), **_as_lists(result.extra_metadata)},
+        "metadata": {**base_metadata(run, result.engines), **result.extra_metadata},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_plain(doc), indent=2) + "\n"
 
 
 # One statevector at a time: the oracles as they were before they took a
