@@ -94,7 +94,7 @@ def _conditional_entropy(P: np.ndarray, R: np.ndarray, n: np.ndarray) -> np.ndar
 _STENCIL = np.arange(-2.0, 3.0)
 
 # Grid points one block of rows holds in every temporary of the search: 1,024
-# rows of the default x-z circle's 32 angles or 7 of the sphere's 4,224. In
+# rows of the default x-z circle's 32 angles or 15 of the sphere's 2,176. In
 # blocks of 1,024 rows `ga --n 36 --measures d2` peaked at 87 MB, not 1.3 GB.
 _SEARCH_POINTS = 2**15
 
@@ -187,9 +187,8 @@ def pairwise_discord_rows(rho: DensityMatrix, config: OptimizerConfig | None = N
         raise ValueError(f"pairwise discord needs a 4x4 state, got dim {rho.dim}")
     config = config or OptimizerConfig()
     stack = rho.matrix.reshape(-1, 4, 4)
-    thetas = np.linspace(0.0, math.pi, config.theta_grid, endpoint=False)
-    if config.phi_grid % 2 == 0:  # phi + pi is on the grid: row pi - theta repeats row theta
-        thetas = thetas[: config.theta_grid // 2 + 1]
+    # Bloch polar angles 2 theta <= pi/2: n and -n are one measurement, so one hemisphere holds them all
+    thetas = np.linspace(0.0, math.pi, config.theta_grid, endpoint=False)[: config.theta_grid // 4 + 1]
     phis = np.linspace(0.0, 2.0 * math.pi, config.phi_grid, endpoint=False)
     TH, PH = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
     bloch = np.stack([np.sin(2.0 * TH) * np.cos(PH), np.sin(2.0 * TH) * np.sin(PH), np.cos(2.0 * TH)], axis=-1)
@@ -209,8 +208,8 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
     measurement (theta, phi) being B's Bloch vector
     (sin 2 theta cos phi, sin 2 theta sin phi, cos 2 theta).
     The minimization (`_search`) runs a coarse grid (theta_grid x phi_grid;
-    with an even phi_grid only its rows theta <= pi/2, as the others repeat
-    them), then refines on a 5x5 stencil around the best point, starting from
+    only its rows theta <= pi/4, one Bloch hemisphere, as n and -n are one
+    measurement), then refines on a 5x5 stencil around the best point, from
     the grid's spacing on the Bloch sphere and halving it at each level. An
     unconverged search is reported through `converged`, never as an
     exception. The angles are reported with theta in [0, pi] and phi in
@@ -235,7 +234,7 @@ def pairwise_discord_series(
     _require_j1(cfg, "pairwise_discord_series", min_qubits=2, leading=True)
     config = config or OptimizerConfig()
     angles = np.linspace(0.0, 2.0 * math.pi, config.theta_grid, endpoint=False)
-    angles = angles[angles < math.pi]  # w and w + pi are one measurement
+    angles = angles[: (config.theta_grid + 1) // 2]  # w < pi: w and w + pi are one measurement
     grid = angles[:, None], np.stack([np.sin(angles), np.cos(angles)], axis=-1)
     # the x and z blocks: the circle's Bloch vector is (sin w, cos w)
     values, best, evals, converged = _search(

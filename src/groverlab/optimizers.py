@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# The most discord grid points, 1024x2048: one two-qubit state on that grid took about 0.55 s and 263 MB.
+# The most discord grid points, 1024x2048: one two-qubit state on its 257x2048 hemisphere took about 0.2 s and 187 MB.
 MAX_GRID_POINTS = 2**21
 # The most Svetlichny restarts: 4,096 took about 0.13 s and 44 MB peak RSS for one three-qubit state.
 MAX_RESTARTS = 4096

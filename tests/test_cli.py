@@ -323,7 +323,7 @@ class TestGoldenOutputs:
             ("ga_n28_r300", ("ga", "--n", "28", "--r-max", "300")),
             ("ga_n1022_j1-3", ("ga", "--n", "1022", "--j", "1..3", "--r-max", "2")),
             ("gga_n1022_phi5", ("gga", "--n", "1022", "--phi-points", "5")),
-            # 9 rows: two lockstep blocks of the d2 sphere search (7 rows each) and of svet (8 x 512 pairs each)
+            # 9 rows: one lockstep block of the d2 sphere search (15 rows a block) and two of svet (8 x 512 pairs each)
             ("ga_n8_j2_d2_svet_r512", ("ga", "--n", "8", "--j", "2", "--measures", "d2,svet", "--restarts", "512")),
         ],
     )
@@ -360,6 +360,8 @@ class TestGoldenOutputs:
             ("ga_n11_j2-3_r2.json", ("ga", "--n", "11", "--j", "2,3", "--r-max", "2", "--format", "json")),
             # every bit of the closed-form discord search
             ("ga_n11_d2_r11.json", ("ga", "--n", "11", "--measures", "d2", "--r-max", "11", "--format", "json")),
+            # 18 rows: two lockstep blocks of the d2 sphere search (15 + 3 rows)
+            ("ga_n10_j2_d2.csv", ("ga", "--n", "10", "--j", "2", "--measures", "d2")),
         ],
     )
     def test_byte_identical(self, name, args, tmp_path):

@@ -97,24 +97,28 @@ class TestPairwiseDiscord:
             assert default.value == pytest.approx(oracle.value, abs=1e-4)
 
     def test_grid_rows_past_half_pi_repeat_earlier_rows(self):
-        # (theta, phi) and (pi - theta, phi + pi) are one measurement, which is
-        # why the coarse grid keeps only its rows theta <= pi/2
+        # (theta, phi) and (pi - theta, phi + pi) are one measurement, and so
+        # are the antipodes (theta, phi) and (pi/2 - theta, phi + pi), which is
+        # why the coarse grid keeps only its rows theta <= pi/4
         rho = reduced_density(GroverConfig(n=11), state_at(GroverConfig(n=11), 20), 2).matrix
         thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
         phis = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
         grid = projector_conditional_entropy(rho, *np.meshgrid(thetas, phis, indexing="ij"))
         mirrored = np.roll(grid[:0:-1], -64, axis=1)  # row 64 - i, phi shifted by pi
         assert np.abs(grid[1:] - mirrored).max() < 1e-12
+        antipodes = np.roll(grid[15::-1], -64, axis=1)  # rows pi/4 < theta <= pi/2: row 32 - i, phi shifted by pi
+        assert np.abs(grid[17:33] - antipodes).max() < 1e-12
 
-    def test_grid_evals_cover_half_the_theta_rows(self):
-        sol = pairwise_discord(bell_density(), OptimizerConfig(theta_grid=32, phi_grid=64, refine_maxiter=0))
-        assert sol.optimizer_evals == 17 * 64
-        odd = pairwise_discord(bell_density(), OptimizerConfig(theta_grid=32, phi_grid=63, refine_maxiter=0))
-        assert odd.optimizer_evals == 32 * 63  # phi + pi is off an odd grid: every row counts
+    @pytest.mark.parametrize("theta_grid, phi_grid, evals", [(32, 64, 576), (32, 63, 567), (30, 64, 512), (3, 5, 5)])
+    def test_grid_evals_cover_one_hemisphere(self, theta_grid, phi_grid, evals):
+        # the rows theta <= pi/4 at any parity of PHI; below THETA = 4 only the pole row
+        config = OptimizerConfig(theta_grid=theta_grid, phi_grid=phi_grid, refine_maxiter=0)
+        sol = pairwise_discord(bell_density(), config)
+        assert sol.optimizer_evals == evals == (theta_grid // 4 + 1) * phi_grid
 
     def test_optimizer_metadata(self):
         sol = pairwise_discord(bell_density(), FAST)
-        assert sol.optimizer_evals > (32 // 2 + 1) * 64  # the grid rows theta <= pi/2, then the stencils
+        assert sol.optimizer_evals > (32 // 4 + 1) * 64  # the grid rows theta <= pi/4, then the stencils
         assert 0.0 <= sol.theta <= math.pi
         assert 0.0 <= sol.phi < 2.0 * math.pi
 
@@ -216,7 +220,7 @@ class TestPairwiseDiscordRows:
         stacks.append(DensityMatrix(random_states(np.random.default_rng(5), 9)))
         stacks.append(pure_partial_trace(evolve_series(GroverConfig(n=6, j=2), 6), (0, 1)))
         want = [[bits(pairwise_discord(DensityMatrix(m), config)) for m in rho.matrix] for rho in stacks]
-        if points is not None:  # 1 point: a row a block; 5,000: 1, 4 or 2 rows by config
+        if points is not None:  # 1 point: a row a block; 5,000: 2, 8 or 9 rows by config
             monkeypatch.setattr(discord, "_SEARCH_POINTS", points)
         assert [row_bits(pairwise_discord_rows(rho, config)) for rho in stacks] == want
 
@@ -279,6 +283,12 @@ class TestPairwiseDiscordSeries:
         assert sol.optimizer_evals == 32 + 5 * 24
         assert sol.phi.tolist() == [0.0] * 26
         assert np.all((0.0 <= sol.theta) & (sol.theta <= math.pi))
+
+    def test_circle_grid_keeps_each_measurement_once(self):
+        # 2 pi k / 150 < pi for k < 75; the rounded angle at k = 75 is w = pi, a copy of w = 0
+        cfg = GroverConfig(n=11)
+        sol = pairwise_discord_series(cfg, state_at(cfg, np.arange(4)), OptimizerConfig(theta_grid=150, refine_maxiter=0))
+        assert sol.optimizer_evals == 75
 
     def test_rows_do_not_depend_on_the_block_size(self, monkeypatch):
         cfg = GroverConfig(n=9)
