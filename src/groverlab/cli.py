@@ -11,7 +11,7 @@ from click.core import ParameterSource
 
 from . import __version__
 from .bruteforce import DEFAULT_GA_MEASURES, MEASURE_KEYS
-from .errors import AmplitudeFileError
+from .errors import AmplitudeFileError, NumericalConsistencyError
 from .gga import distribution_from_json
 from .optimizers import OptimizerConfig
 from .report import (
@@ -177,7 +177,21 @@ def _emit(result, run: RunConfig, out: str | None):
         _write_file(Path(out), lambda file_write: write(result, run, file_write))
 
 
-@click.group(context_settings={"show_default": True})
+class _Commands(click.Group):
+    """The command group: a ValueError or NumericalConsistencyError from a command is a usage error (exit 2).
+
+    A sweep computes its rows as they are written, so one may fail after the
+    output began: stdout or the --out file then holds the blocks before it.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, NumericalConsistencyError) as exc:
+            raise click.UsageError(str(exc))
+
+
+@click.group(cls=_Commands, context_settings={"show_default": True})
 @click.version_option(__version__)
 def main():
     """Grover-search sweeps, generalized-Grover runs and self-validation."""
@@ -198,22 +212,18 @@ def main():
 @_output_options("csv")
 def ga(n, j_values, r_max, measures, grid, restarts, no_oracle, seed, fmt, out):
     """Sweep the standard search: one row per iteration r = 0..r_max."""
-    try:
-        run = RunConfig(
-            command="ga",
-            n=n,
-            j_values=j_values,
-            r_max=r_max,
-            measures=measures,
-            optimizer=OptimizerConfig(*grid, restarts=restarts, seed=seed),
-            seed=seed,
-            fmt=fmt,
-            use_oracle=not no_oracle,
-        )
-        result = ga_sweep(run)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _emit(result, run, out)
+    run = RunConfig(
+        command="ga",
+        n=n,
+        j_values=j_values,
+        r_max=r_max,
+        measures=measures,
+        optimizer=OptimizerConfig(*grid, restarts=restarts, seed=seed),
+        seed=seed,
+        fmt=fmt,
+        use_oracle=not no_oracle,
+    )
+    _emit(ga_sweep(run), run, out)
 
 
 @main.command()
@@ -225,25 +235,20 @@ def ga(n, j_values, r_max, measures, grid, restarts, no_oracle, seed, fmt, out):
 @click.pass_context
 def gga(ctx, n, phi_points, init_file, r_max, seed, fmt, out):
     """Generalized search: phi-family sweep, or evolution of a custom start."""
-    try:
-        if init_file is not None:
-            try:
-                text = Path(init_file).read_text()
-            except OSError as exc:
-                raise click.UsageError(f"cannot read {init_file}: {exc}")
-            try:
-                dist = distribution_from_json(text)
-            except AmplitudeFileError as exc:
-                raise click.UsageError(f"{init_file}: {exc}")
-            run = RunConfig(
-                command="gga", n=dist.n, r_max=r_max, seed=seed, fmt=fmt, init_file=init_file
-            )
-            result = init_file_sweep(run, dist)
-        else:
-            run = RunConfig(command="gga", n=n, phi_points=phi_points, seed=seed, fmt=fmt)
-            result = phi_sweep(run)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if init_file is not None:
+        try:
+            text = Path(init_file).read_text()
+        except OSError as exc:
+            raise click.UsageError(f"cannot read {init_file}: {exc}")
+        try:
+            dist = distribution_from_json(text)
+        except AmplitudeFileError as exc:
+            raise click.UsageError(f"{init_file}: {exc}")
+        run = RunConfig(command="gga", n=dist.n, r_max=r_max, seed=seed, fmt=fmt, init_file=init_file)
+        result = init_file_sweep(run, dist)
+    else:
+        run = RunConfig(command="gga", n=n, phi_points=phi_points, seed=seed, fmt=fmt)
+        result = phi_sweep(run)
     # a flag or config key that this mode does not read is an error (after the run's own checks)
     unused, mode = ("r_max",), "--init-file runs"
     if init_file is not None:
@@ -261,18 +266,15 @@ def gga(ctx, n, phi_points, init_file, r_max, seed, fmt, out):
 @_output_options("json")
 def verify(max_n, j_values, inject_fault, seed, fmt, out):
     """Run the closed-form-vs-brute-force identity suite; exit 1 on failure."""
-    try:
-        run = RunConfig(
-            command="verify",
-            j_values=j_values,
-            max_n=max_n,
-            inject_fault=inject_fault,
-            seed=seed,
-            fmt=fmt,
-        )
-        summary, result = verify_rows(run)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    run = RunConfig(
+        command="verify",
+        j_values=j_values,
+        max_n=max_n,
+        inject_fault=inject_fault,
+        seed=seed,
+        fmt=fmt,
+    )
+    summary, result = verify_rows(run)
     _emit(result, run, out)
     if not summary.passed:
         sys.exit(1)
@@ -287,17 +289,13 @@ def verify(max_n, j_values, inject_fault, seed, fmt, out):
 @_run_options
 def figures(out_dir, grid, restarts, phi_points, seed):
     """Emit plot-ready CSV data plus a gnuplot script for each measure figure."""
-    try:
-        run = RunConfig(
-            command="figures",
-            seed=seed,
-            phi_points=phi_points,
-            optimizer=OptimizerConfig(*grid, restarts=restarts, seed=seed),
-        )
-        files = figure_outputs(run)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    for name, emit in files.items():
+    run = RunConfig(
+        command="figures",
+        seed=seed,
+        phi_points=phi_points,
+        optimizer=OptimizerConfig(*grid, restarts=restarts, seed=seed),
+    )
+    for name, emit in figure_outputs(run).items():
         _write_file(out_dir / name, emit)
         click.echo(f"wrote {out_dir / name}")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import chain
@@ -66,44 +67,79 @@ class RunConfig:
         return doc
 
 
-def _ga_series_columns(cfg: GroverConfig, r_max: int, measures, optimizer, use_oracle: bool) -> tuple:
-    """(engines, columns) of one (n, j) series: the engine of p and of each
-    measure, and the columns j, r, p and each measure, one array each.
+# Rows per block: a sweep is computed and written this many rows at a time, so
+# its memory does not grow with its row count.
+_BLOCK_ROWS = 1 << 13
 
-    Each analytic column is one closed-form call on the state of the whole
-    series; the oracle columns are one oracle call each on the series'
-    amplitude stack. A measure with no engine is an all-NA (masked) column.
-    """
-    engines = {m: MEASURES[m].engine(cfg, use_oracle) for m in ("p",) + tuple(measures)}
-    rs = np.arange(r_max + 1)
-    oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
-    if oracle_measures:
-        oracle = _generic_measures(evolve_series(cfg, r_max), cfg, oracle_measures, optimizer)
-    st = state_at(cfg, rs)
-    columns = {"j": np.full(rs.size, cfg.j), "r": rs}
-    for m, engine in engines.items():
-        if engine == "analytic":
-            columns[m] = MEASURES[m].closed_form(cfg, st, optimizer)
-        elif engine == "oracle":
-            columns[m] = oracle[m]
-        else:
-            columns[m] = np.ma.masked_all(rs.size)  # NA
-    return engines, columns
+
+def _concatenate(blocks: list) -> dict:
+    """The blocks joined, one array per field of the first block ({} for no block)."""
+    return {key: np.ma.concatenate([b[key] for b in blocks]) for key in blocks[0]} if blocks else {}
+
+
+def _slices(data: dict):
+    """The rows of whole `data` columns as blocks of `_BLOCK_ROWS` rows, each a dict of slices."""
+    rows = len(next(iter(data.values()), ()))
+    for start in range(0, rows, _BLOCK_ROWS):
+        yield {key: column[start : start + _BLOCK_ROWS] for key, column in data.items()}
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A sweep as one 1-D array per column.
+    """A sweep as a stream of row blocks.
 
-    `data` maps each JSON row field, in row order, to an int or float array,
-    a float masked array whose masked cells are NA, or an object array
-    (strings, booleans, None). `columns` names the CSV columns, all in `data`.
+    `blocks()` yields the rows in order, in blocks of at most `_BLOCK_ROWS`
+    rows, and computes them afresh at each call. A block maps each JSON row
+    field, in row order, to a 1-D int or float array, a float masked array
+    whose masked cells are NA, or an object array (strings, booleans, None).
+    `columns` names the CSV columns, all in every block.
     """
 
     columns: tuple
-    data: dict
+    blocks: Callable
     engines: dict
     extra_metadata: dict
+
+    def join(self) -> dict:
+        """Every block joined into whole columns: for a sweep small enough to hold at once."""
+        return _concatenate(list(self.blocks()))
+
+
+def _ga_blocks(series: list, optimizer):
+    """The rows of a `ga` sweep, series after series, in blocks of `_BLOCK_ROWS` rows.
+
+    `series` holds (cfg, r_max, engines) per j. Short series share a block and
+    a long one spans several. Each analytic column is one closed-form call on
+    the state of the series' rows in the block, which round as in the whole
+    series, so the blocking changes no bit. Each oracle column is one oracle
+    call on the series' whole amplitude stack, sliced into the blocks. A
+    measure with no engine is an all-NA (masked) column.
+    """
+    pieces, size = [], 0
+    for cfg, r_max, engines in series:
+        oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
+        if oracle_measures:
+            oracle = _generic_measures(evolve_series(cfg, r_max), cfg, oracle_measures, optimizer)
+        start = 0
+        while start <= r_max:
+            rs = np.arange(start, min(r_max + 1, start + _BLOCK_ROWS - size))
+            st = state_at(cfg, rs)
+            piece = {"j": np.full(rs.size, cfg.j), "r": rs}
+            for m, engine in engines.items():
+                if engine == "analytic":
+                    piece[m] = MEASURES[m].closed_form(cfg, st, optimizer)
+                elif engine == "oracle":
+                    piece[m] = oracle[m][start : start + rs.size]
+                else:
+                    piece[m] = np.ma.masked_all(rs.size)  # NA
+            pieces.append(piece)
+            size += rs.size
+            start += rs.size
+            if size == _BLOCK_ROWS:
+                yield _concatenate(pieces)
+                pieces, size = [], 0
+    if pieces:
+        yield _concatenate(pieces)
 
 
 def ga_sweep(run: RunConfig) -> SweepResult:
@@ -112,33 +148,29 @@ def ga_sweep(run: RunConfig) -> SweepResult:
     An explicit r range is validated against 0..r_opt: requests past the
     optimal stopping time are clamped and flagged in the metadata (the
     underlying formulas stay valid, but sweeps report the algorithm's run).
+    The checks, the row cap and each series' engines run here; the rows are
+    computed block by block as the result is written.
     """
     measures = tuple(m for m in MEASURE_KEYS if m in run.measures and m != "p")
     if run.r_max is not None and run.r_max < 0:
         raise ValueError(f"r-max must be >= 0, got {run.r_max}")
     if not run.j_values:
         raise ValueError("the solution-count list is empty")
-    optimizer = replace(run.optimizer, seed=run.seed)
-    extra = {}
-    limits = []  # (cfg, r_max) per j, in order; a repeated j is a repeated series
+    series, engines, extra = [], {}, {}  # (cfg, r_max, engines) per j, in order; a repeated j is a repeated series
     for j in run.j_values:
         cfg = GroverConfig(n=run.n, j=j)
         r_limit = optimal_iteration_details(cfg).r_opt
-        limits.append((cfg, r_limit if run.r_max is None else min(run.r_max, r_limit)))
         if run.r_max is not None and run.r_max > r_limit:
             extra[f"r_max_clamped.j{j}"] = r_limit
-    rows = sum(r_max + 1 for _, r_max in limits)
+        series_engines = {m: MEASURES[m].engine(cfg, run.use_oracle) for m in ("p",) + measures}
+        engines.update({f"j{j}.{m}": engine for m, engine in series_engines.items()})
+        series.append((cfg, r_limit if run.r_max is None else min(run.r_max, r_limit), series_engines))
+    rows = sum(r_max + 1 for _, r_max, _ in series)
     if rows > MAX_ROWS:
         raise ValueError(f"the sweep would have {rows:,} rows, more than the {MAX_ROWS:,} allowed; lower --r-max")
-    series = []
-    engines = {}
-    for cfg, r_max in limits:
-        series_engines, columns = _ga_series_columns(cfg, r_max, measures, optimizer, run.use_oracle)
-        series.append(columns)
-        engines.update({f"j{cfg.j}.{m}": eng for m, eng in series_engines.items()})
-    data = {key: np.ma.concatenate([s[key] for s in series]) for key in series[0]}
     columns = (("j",) if len(run.j_values) > 1 else ()) + ("r", "p") + measures
-    return SweepResult(columns=columns, data=data, engines=engines, extra_metadata=extra)
+    blocks = partial(_ga_blocks, series, replace(run.optimizer, seed=run.seed))
+    return SweepResult(columns=columns, blocks=blocks, engines=engines, extra_metadata=extra)
 
 
 def phi_sweep(run: RunConfig) -> SweepResult:
@@ -160,7 +192,7 @@ def phi_sweep(run: RunConfig) -> SweepResult:
     columns = ("phi0", "r_opt", "delta_cr", "p_max")
     return SweepResult(
         columns=columns,
-        data=dict(zip(columns, (points, *values))),
+        blocks=partial(_slices, dict(zip(columns, (points, *values)))),
         engines={"all": "closed-form"},
         extra_metadata={"N": N},
     )
@@ -221,7 +253,7 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
     values = (np.arange(r_max + 1), p[: r_max + 1], kbar.real, kbar.imag, lbar.real, lbar.imag)
     return SweepResult(
         columns=columns,
-        data=dict(zip(columns, values)),
+        blocks=partial(_slices, dict(zip(columns, values))),
         engines={"all": "iteration"},
         extra_metadata=extra,
     )
@@ -234,7 +266,7 @@ def verify_rows(run: RunConfig):
     data = {key: np.array([getattr(c, key) for c in summary.checks], dtype=object) for key in columns}
     return summary, SweepResult(
         columns=columns,
-        data=data,
+        blocks=partial(_slices, data),
         engines={},
         extra_metadata={"passed": summary.passed, "fault": summary.fault},
     )
@@ -286,24 +318,26 @@ def _cells(column, float_spec: str, na: str, cell) -> tuple:
     return "%s", text.tolist()
 
 
-# Rows (or amplitude pairs) per formatted block: only one block's cells are
-# Python objects at a time.
-_BLOCK_ROWS = 1 << 13
+# Rows (or amplitude pairs) per formatted block: only one such block's cells
+# are Python objects at a time. A JSON row is several times as wide as a CSV
+# row, so this is a fraction of `_BLOCK_ROWS`.
+_TABLE_ROWS = 1 << 11
 
 
 def _table_block(data: dict, rows: range, float_spec: str, na: str, cell, row_template) -> str:
-    """The `rows` of every `data` column, each written by row_template(specs) % its cells."""
-    columns = [_cells(column[rows.start : rows.stop], float_spec, na, cell) for column in data.values()]
-    template = row_template([spec for spec, _ in columns])
-    values = tuple(chain.from_iterable(zip(*(cells for _, cells in columns))))
+    """The `rows` of every `data` column, each written by row_template({key: spec}) % its cells."""
+    columns = {key: _cells(column[rows.start : rows.stop], float_spec, na, cell) for key, column in data.items()}
+    template = row_template({key: spec for key, (spec, _) in columns.items()})
+    values = tuple(chain.from_iterable(zip(*(cells for _, cells in columns.values()))))
     return "".join([template] * len(rows)) % values
 
 
-def _table(data: dict, *formats):
-    """Every row of the `data` columns, in blocks of _BLOCK_ROWS rows; see `_table_block`."""
-    rows = range(len(next(iter(data.values()), ())))
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        yield _table_block(data, rows[start : start + _BLOCK_ROWS], *formats)
+def _table(blocks, *formats):
+    """Every row of each block of columns, in pieces of `_TABLE_ROWS` rows; see `_table_block`."""
+    for data in blocks:
+        rows = range(len(next(iter(data.values()), ())))
+        for start in range(0, len(rows), _TABLE_ROWS):
+            yield _table_block(data, rows[start : start + _TABLE_ROWS], *formats)
 
 
 def _csv_blocks(result: SweepResult, run: RunConfig):
@@ -318,8 +352,8 @@ def _csv_blocks(result: SweepResult, run: RunConfig):
             lines.append(f"# {key}={_format_value(value)}")
     lines.append(",".join(result.columns))
     yield "\n".join(lines) + "\n"
-    columns = {name: result.data[name] for name in result.columns}
-    yield from _table(columns, "%.12g", "NA", _format_value, lambda specs: ",".join(specs) + "\n")
+    blocks = ({name: block[name] for name in result.columns} for block in result.blocks())
+    yield from _table(blocks, "%.12g", "NA", _format_value, lambda specs: ",".join(specs.values()) + "\n")
 
 
 def _json_scalar(value) -> str:
@@ -329,22 +363,22 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def _json_list(data: dict, labels, brackets: str, indent: str):
-    """The rows of `data` as json.dumps(rows, indent=2) writes them at `indent`, in blocks: each
-    row a dict in "{}", its cells labelled '"key": ', or a list in "[]", its labels empty."""
+def _json_list(blocks, label, brackets: str, indent: str):
+    """The rows of the column blocks as json.dumps(rows, indent=2) writes them at `indent`, in blocks:
+    each row a dict in "{}", its cells labelled label(key) = '"key": ', or a list in "[]", label(key) = ""."""
     inner, field = indent + "  ", indent + "    "
 
     def row(specs):
-        body = ",\n".join(f"{field}{label}{spec}" for label, spec in zip(labels, specs))
+        body = ",\n".join(f"{field}{label(key)}{spec}" for key, spec in specs.items())
         return f",\n{inner}{brackets[0]}\n{body}\n{inner}{brackets[1]}"
 
-    blocks = _table(data, "%r", "null", _json_scalar, row)
-    first = next(blocks, None)
+    table = _table(blocks, "%r", "null", _json_scalar, row)
+    first = next(table, None)
     if first is None:
         yield "[]"
         return
     yield "[" + first[1:]  # the first row has no comma before it
-    yield from blocks
+    yield from table
     yield f"\n{indent}]"
 
 
@@ -352,9 +386,9 @@ def _json_value(obj, indent: str):
     """json.dumps(obj, indent=2) at `indent`, in blocks, scalars as `_json_scalar` writes them; a SweepResult's
     rows and each (M, 2) float array are `_json_list` tables."""
     if isinstance(obj, SweepResult):
-        yield from _json_list(obj.data, [json.dumps(key).replace("%", "%%") + ": " for key in obj.data], "{}", indent)
+        yield from _json_list(obj.blocks(), lambda key: json.dumps(key).replace("%", "%%") + ": ", "{}", indent)
     elif isinstance(obj, np.ndarray):
-        yield from _json_list({"re": obj[:, 0], "im": obj[:, 1]}, ("", ""), "[]", indent)
+        yield from _json_list(({"re": obj[:, 0], "im": obj[:, 1]},), lambda key: "", "[]", indent)
     elif isinstance(obj, (dict, list, tuple, _AmplitudeLog)):
         inner, brackets = indent + "  ", "{}" if isinstance(obj, dict) else "[]"
         items = ((json.dumps(key) + ": ", v) for key, v in obj.items()) if brackets == "{}" else (("", v) for v in obj)
@@ -444,7 +478,8 @@ _FIGURES = (
 
 
 def figure_outputs(run: RunConfig) -> dict:
-    """Each plot file's name and a function that passes its text to write(str); every sweep has run by then."""
+    """Each plot file's name and a function that passes its text to write(str); each sweep's checks
+    run here, and its rows are computed as that function writes them."""
     files = {}
     for name, sweep, changes in _FIGURES:
         figure_run = replace(run, command=f"figures.{name}", **changes)

@@ -20,7 +20,7 @@ from groverlab.gga import AmplitudeDistribution, gga_iterate
 from groverlab.grover import GroverConfig, _reduced_matrix, optimal_iterations, state_at
 from groverlab.linalg import DensityMatrix
 from groverlab.optimizers import OptimizerConfig
-from groverlab.report import RunConfig, _ga_series_columns, verify_rows
+from groverlab.report import RunConfig, ga_sweep, verify_rows
 from witnesses import bits, row_state
 
 
@@ -99,12 +99,12 @@ class TestRunAndMeasure:
 
     def test_capacity_error(self):
         # past the statevector cap the row path gives NA instead of raising
-        _, columns = _ga_series_columns(GroverConfig(n=13, j=2), 1, ("cr", "e2"), OptimizerConfig(), True)
+        columns = ga_sweep(RunConfig(command="ga", n=13, j_values=(2,), r_max=1, measures=("cr", "e2"))).join()
         assert np.ma.getmaskarray(columns["e2"]).tolist() == [True, True]
         assert np.isfinite(columns["cr"]).all() and not np.ma.is_masked(columns["cr"])
 
     def test_measure_outside_its_domain_is_unavailable(self):
-        _, columns = _ga_series_columns(GroverConfig(n=2, j=3), 0, ("e2", "svet"), OptimizerConfig(), True)
+        columns = ga_sweep(RunConfig(command="ga", n=2, j_values=(3,), measures=("e2", "svet"))).join()
         assert np.ma.getmaskarray(columns["svet"]).tolist() == [True]
         assert columns["e2"].tolist() == [pytest.approx(0.0, abs=1e-7)]
 
@@ -343,9 +343,10 @@ class TestCrossValidate:
     def test_summary_serialization(self):
         summary, result = verify_rows(RunConfig(command="verify", max_n=3))
         assert result.extra_metadata == {"passed": True, "fault": 0.0}
-        assert result.data["name"].tolist() == [c.name for c in summary.checks]
-        assert tuple(result.data) == result.columns
-        assert all(len(column) == len(summary.checks) for column in result.data.values())
+        data = result.join()
+        assert data["name"].tolist() == [c.name for c in summary.checks]
+        assert tuple(data) == result.columns
+        assert all(len(column) == len(summary.checks) for column in data.values())
 
     def test_max_n_guard(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 
 import groverlab
 from groverlab import report
-from groverlab.bruteforce import MEASURE_KEYS, evolve
+from groverlab.bruteforce import MEASURE_KEYS, MEASURES, evolve
 from groverlab.cli import main
 from groverlab.discord import pairwise_discord_rows, pairwise_discord_series
+from groverlab.errors import NumericalConsistencyError
 from groverlab.gga import AmplitudeDistribution, distribution_from_json, gga_iterate
 from groverlab.grover import FLOAT_SAFE_QUBITS, GroverConfig, reduced_density, state_at
 from groverlab.linalg import pure_partial_trace
@@ -310,23 +312,94 @@ class TestInputDomain:
         assert "Error:" in result.output
 
 
+# (golden name without .csv, CLI args) compared to 12 significant digits, and byte for byte
+GOLDEN_CSV = [
+    ("ga_n11", ("ga", "--n", "11")),
+    ("ga_n11_j1-10_cr", ("ga", "--n", "11", "--j", "1..10", "--measures", "cr")),
+    ("ga_n6_j2_oracle", ("ga", "--n", "6", "--j", "2", "--measures", "e2,en,dn,m")),
+    ("gga_n10_phi50", ("gga", "--n", "10", "--phi-points", "50")),
+    ("ga_n28_r300", ("ga", "--n", "28", "--r-max", "300")),
+    ("ga_n1022_j1-3", ("ga", "--n", "1022", "--j", "1..3", "--r-max", "2")),
+    ("gga_n1022_phi5", ("gga", "--n", "1022", "--phi-points", "5")),
+    # 9 rows: one lockstep block of the d2 sphere search (15 rows a block) and two of svet (8 x 512 pairs each)
+    ("ga_n8_j2_d2_svet_r512", ("ga", "--n", "8", "--j", "2", "--measures", "d2,svet", "--restarts", "512")),
+]
+
+# (golden file name, CLI args) compared byte for byte through stdout and --out
+GOLDEN_BYTES = [
+    # analytic columns beside NA columns past the oracle cap
+    ("ga_n13_j1-2_r3.json", ("ga", "--n", "13", "--j", "1,2", "--r-max", "3", "--format", "json")),
+    ("ga_n6_j1-2_r2.json", ("ga", "--n", "6", "--j", "1,2", "--r-max", "2", "--format", "json")),
+    # strings, booleans, ints and floats in one row
+    ("verify_n4.csv", ("verify", "--max-n", "4", "--format", "csv")),
+    ("verify_n4.json", ("verify", "--max-n", "4", "--format", "json")),
+    ("gga_n6_phi5.json", ("gga", "--n", "6", "--phi-points", "5", "--format", "json")),
+    # the benchmark's oracle ops, where JSON prints every bit of the stacked oracles
+    ("verify_n9_j1-2.json", ("verify", "--max-n", "9", "--j", "1,2", "--seed", "0", "--format", "json")),
+    ("ga_n12_j2_r1.json", ("ga", "--n", "12", "--j", "2", "--r-max", "1", "--format", "json")),
+    ("ga_n11_j2-3_r2.json", ("ga", "--n", "11", "--j", "2,3", "--r-max", "2", "--format", "json")),
+    # every bit of the closed-form discord search
+    ("ga_n11_d2_r11.json", ("ga", "--n", "11", "--measures", "d2", "--r-max", "11", "--format", "json")),
+    # 18 rows: two lockstep blocks of the d2 sphere search (15 + 3 rows)
+    ("ga_n10_j2_d2.csv", ("ga", "--n", "10", "--j", "2", "--measures", "d2")),
+]
+
+
+class TestStreamedErrors:
+    """A sweep computes its rows as they are written, so an error may come after the header."""
+
+    @pytest.mark.parametrize("error", [ValueError, NumericalConsistencyError])
+    def test_error_in_a_later_block_is_a_usage_error(self, error, monkeypatch, tmp_path):
+        calls = []
+        closed_form = MEASURES["cr"].closed_form
+
+        def second_block_fails(cfg, st, optimizer):
+            calls.append(st.r.size)
+            if len(calls) == 2:
+                raise error("cr left its range")
+            return closed_form(cfg, st, optimizer)
+
+        monkeypatch.setitem(MEASURES, "cr", replace(MEASURES["cr"], closed_form=second_block_fails))
+        monkeypatch.setattr(report, "_BLOCK_ROWS", 7)
+        out = tmp_path / "a.csv"
+        for extra in ((), ("--out", str(out))):
+            calls.clear()
+            result = run_cli("ga", "--n", "11", "--measures", "cr", *extra)
+            assert result.exit_code == 2
+            assert "Error: cr left its range" in result.stderr
+            # the header and the first block's rows were written before the failure
+            _, header, rows = parse_csv(out.read_text() if extra else result.stdout)
+            assert header == ["r", "p", "cr"]
+            assert [row["r"] for row in rows] == [str(r) for r in range(7)]
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (("gga", "--n", "6", "--phi-points", "5"), "phi_family_delta_coherence"),
+            (("verify", "--max-n", "3"), "cross_validate"),
+        ],
+    )
+    def test_numerical_consistency_error_is_a_usage_error(self, args, name, monkeypatch):
+        def fails(*args, **kwargs):
+            raise NumericalConsistencyError("a radicand left its range")
+
+        monkeypatch.setattr(report, name, fails)
+        result = run_cli(*args)
+        assert result.exit_code == 2
+        assert "Error: a radicand left its range" in result.stderr
+
+    @pytest.mark.parametrize("args", [("--r-max", "-1"), ("--n", "64"), ("--j", "0")])
+    def test_argument_error_writes_no_file(self, args, tmp_path):
+        out = tmp_path / "a.csv"
+        result = run_cli("ga", *args, "--out", str(out))
+        assert result.exit_code == 2
+        assert not out.exists()
+
+
 class TestGoldenOutputs:
     """CLI outputs equal the stored files byte for byte, and so to 12 significant digits."""
 
-    @pytest.mark.parametrize(
-        "name, args",
-        [
-            ("ga_n11", ("ga", "--n", "11")),
-            ("ga_n11_j1-10_cr", ("ga", "--n", "11", "--j", "1..10", "--measures", "cr")),
-            ("ga_n6_j2_oracle", ("ga", "--n", "6", "--j", "2", "--measures", "e2,en,dn,m")),
-            ("gga_n10_phi50", ("gga", "--n", "10", "--phi-points", "50")),
-            ("ga_n28_r300", ("ga", "--n", "28", "--r-max", "300")),
-            ("ga_n1022_j1-3", ("ga", "--n", "1022", "--j", "1..3", "--r-max", "2")),
-            ("gga_n1022_phi5", ("gga", "--n", "1022", "--phi-points", "5")),
-            # 9 rows: one lockstep block of the d2 sphere search (15 rows a block) and two of svet (8 x 512 pairs each)
-            ("ga_n8_j2_d2_svet_r512", ("ga", "--n", "8", "--j", "2", "--measures", "d2,svet", "--restarts", "512")),
-        ],
-    )
+    @pytest.mark.parametrize("name, args", GOLDEN_CSV)
     def test_matches_golden(self, name, args):
         result = run_cli(*args)
         assert result.exit_code == 0
@@ -344,27 +417,19 @@ class TestGoldenOutputs:
                 # one unit in the 12th digit covers rounding at the boundary
                 assert got == pytest.approx(expected, rel=1e-11, abs=1e-14), (column, row)
 
+    @pytest.mark.parametrize("name, args", GOLDEN_BYTES)
+    def test_byte_identical(self, name, args, tmp_path):
+        assert_both_write_paths(args, GOLDEN / name, tmp_path / name)
+
     @pytest.mark.parametrize(
         "name, args",
-        [
-            # analytic columns beside NA columns past the oracle cap
-            ("ga_n13_j1-2_r3.json", ("ga", "--n", "13", "--j", "1,2", "--r-max", "3", "--format", "json")),
-            ("ga_n6_j1-2_r2.json", ("ga", "--n", "6", "--j", "1,2", "--r-max", "2", "--format", "json")),
-            # strings, booleans, ints and floats in one row
-            ("verify_n4.csv", ("verify", "--max-n", "4", "--format", "csv")),
-            ("verify_n4.json", ("verify", "--max-n", "4", "--format", "json")),
-            ("gga_n6_phi5.json", ("gga", "--n", "6", "--phi-points", "5", "--format", "json")),
-            # the benchmark's oracle ops, where JSON prints every bit of the stacked oracles
-            ("verify_n9_j1-2.json", ("verify", "--max-n", "9", "--j", "1,2", "--seed", "0", "--format", "json")),
-            ("ga_n12_j2_r1.json", ("ga", "--n", "12", "--j", "2", "--r-max", "1", "--format", "json")),
-            ("ga_n11_j2-3_r2.json", ("ga", "--n", "11", "--j", "2,3", "--r-max", "2", "--format", "json")),
-            # every bit of the closed-form discord search
-            ("ga_n11_d2_r11.json", ("ga", "--n", "11", "--measures", "d2", "--r-max", "11", "--format", "json")),
-            # 18 rows: two lockstep blocks of the d2 sphere search (15 + 3 rows)
-            ("ga_n10_j2_d2.csv", ("ga", "--n", "10", "--j", "2", "--measures", "d2")),
-        ],
+        [(f"{name}.csv", args) for name, args in GOLDEN_CSV if name.startswith("ga_")]
+        + [(name, args) for name, args in GOLDEN_BYTES if name.startswith("ga_")],
     )
-    def test_byte_identical(self, name, args, tmp_path):
+    def test_seven_row_blocks_change_no_byte(self, name, args, monkeypatch, tmp_path):
+        # long series span many blocks and short ones share a block, so no closed
+        # form, oracle slice or search may give a row other bits in another block
+        monkeypatch.setattr(report, "_BLOCK_ROWS", 7)
         assert_both_write_paths(args, GOLDEN / name, tmp_path / name)
 
     @pytest.mark.parametrize(

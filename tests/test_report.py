@@ -1,5 +1,7 @@
 import json
 import tracemalloc
+from functools import partial
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -30,7 +32,9 @@ def pair_arrays(seed):
 
 
 def sweep(data, columns=None, engines=None, extra=None):
-    return SweepResult(tuple(data) if columns is None else columns, data, engines or {}, extra or {})
+    """A SweepResult whose blocks are `_BLOCK_ROWS`-row slices of the whole `data` columns."""
+    blocks = partial(report._slices, data)
+    return SweepResult(tuple(data) if columns is None else columns, blocks, engines or {}, extra or {})
 
 
 def rendered(result, run):
@@ -120,7 +124,7 @@ def sweeps(draw):
             data[name] = np.ma.array(values, mask=mask) if kind == "na" else values
     columns = tuple(names[draw(st.integers(0, len(names) - 1)) :])  # a CSV subset, as ga drops j
     extra = {"N": 1024, "flag": True, "nothing": None, "solutions": [0, 1]}
-    return SweepResult(columns, data, {"all": "iteration"}, extra)
+    return sweep(data, columns, {"all": "iteration"}, extra)
 
 
 @settings(max_examples=300, deadline=None)
@@ -156,12 +160,40 @@ def test_long_j_range_is_linear_in_memory():
     run = RunConfig(command="ga", n=30, j_values=tuple(range(1, 2001)), r_max=0, measures=("p",))
     tracemalloc.start()
     try:
-        result = report.ga_sweep(run)
+        js = [block["j"].tolist() for block in report.ga_sweep(run).blocks()]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.data["j"].tolist() == list(range(1, 2001))
+    assert list(chain.from_iterable(js)) == list(range(1, 2001))
     assert peak < 8_000_000
+
+
+def test_short_series_share_blocks(monkeypatch):
+    # 40,000 one-row series packed into full blocks, not one formatted block
+    # (and its per-call overhead) per series
+    calls = []
+    table_block = report._table_block
+    monkeypatch.setattr(report, "_table_block", lambda *args: calls.append(args[1]) or table_block(*args))
+    result = CliRunner().invoke(main, ["ga", "--n", "30", "--j", "1..40000", "--r-max", "0", "--measures", "p"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == -(-40_000 // report._TABLE_ROWS)
+    data_lines = [line for line in result.output.splitlines() if not line.startswith("#")][1:]
+    assert sum(len(rows) for rows in calls) == 40_000 == len(data_lines)
+
+
+def test_sweep_memory_does_not_grow_with_rows():
+    # n = 36's 205,888 default-measure rows, computed and written block by
+    # block; with each column computed whole first this peaked at 36 MiB
+    run = RunConfig(command="ga", n=36)
+    sizes = []
+    tracemalloc.start()
+    try:
+        report.write(report.ga_sweep(run), run, lambda text: sizes.append(text.count("\n")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == 205_888 + 11  # 10 metadata lines and the header
+    assert peak < 6 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_row_blocks_join_to_one_block(monkeypatch):
@@ -179,13 +211,15 @@ def test_row_blocks_join_to_one_block(monkeypatch):
     one_block = [rendered(result, run) for run in runs]
     monkeypatch.setattr(report, "_BLOCK_ROWS", 7)
     assert [rendered(result, run) for run in runs] == one_block
+    monkeypatch.setattr(report, "_TABLE_ROWS", 3)  # each 7-row block formatted as 3, 3 and 1 rows
+    assert [rendered(result, run) for run in runs] == one_block
     assert one_block == [render_csv_rows(result, runs[0]), render_json_rows(result, runs[1])]
 
 
 @pytest.mark.parametrize("pairs", [0, 1, 6, 7, 8, 14, 15, 20])
 def test_pair_array_blocks_join_to_one_array(monkeypatch, pairs):
     # arrays that end just before, on and just after the boundaries at pairs 7 and 14
-    monkeypatch.setattr(report, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(report, "_TABLE_ROWS", 7)
     log = np.arange(2.0 * pairs).reshape(-1, 2) / 3.0
     result = sweep({"r": np.arange(2)}, extra={"log": [log], "after": log})
     run = RunConfig(command="gga", fmt="json")
@@ -193,7 +227,7 @@ def test_pair_array_blocks_join_to_one_array(monkeypatch, pairs):
 
 
 def test_array_longer_than_a_block_equals_the_encoder():
-    log = np.random.default_rng(5).standard_normal((2 * report._BLOCK_ROWS + 3, 2))
+    log = np.random.default_rng(5).standard_normal((2 * report._TABLE_ROWS + 3, 2))
     log.ravel()[: len(SPECIAL)] = SPECIAL
     result = sweep({"r": np.arange(2)}, extra={"amplitudes_per_step": [{"r": 0, "other_amplitudes": log}]})
     run = RunConfig(command="gga", fmt="json")

@@ -263,12 +263,13 @@ def projector_conditional_entropy(rho: np.ndarray, theta, phi) -> np.ndarray:
 
 
 def sweep_rows(result) -> list:
-    """A SweepResult's columns as one dict per row, with NA cells as None."""
+    """A SweepResult's joined columns as one dict per row, with NA cells as None."""
+    data = result.join()
     columns = [
         [None if na else v for v, na in zip(np.ma.getdata(c).tolist(), np.ma.getmaskarray(c).tolist())]
-        for c in result.data.values()
+        for c in data.values()
     ]
-    return [dict(zip(result.data, row)) for row in zip(*columns)]
+    return [dict(zip(data, row)) for row in zip(*columns)]
 
 
 def render_csv_rows(result, run) -> str:
