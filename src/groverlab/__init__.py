@@ -20,8 +20,8 @@ from .discord import (
     DiscordSolution,
     genuine_discord_ga,
     pairwise_discord,
+    pairwise_discord_closed_form,
     pairwise_discord_ga,
-    pairwise_discord_series,
 )
 from .entanglement import (
     concurrence_multiqubit_ga,

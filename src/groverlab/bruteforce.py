@@ -12,7 +12,7 @@ import numpy as np
 from . import coherence, discord, entanglement, grover, nonlocality
 from .errors import CapacityError, NumericalConsistencyError
 from .gga import AmplitudeDistribution, gga_iterate
-from .grover import CAPACITY_QUBITS, GroverConfig, _reduced_matrix, optimal_iterations, state_at
+from .grover import CAPACITY_QUBITS, GroverConfig, _leading_log2_j, _reduced_matrix, optimal_iterations, state_at
 from .linalg import pure_partial_trace, pure_subsystem_entropy, shannon_entropy, von_neumann_entropy
 from .optimizers import OptimizerConfig
 
@@ -40,22 +40,23 @@ class Measure:
     """One measure: its closed form, its oracle and the domain they share.
 
     `closed_form(cfg, st, optimizer)` covers j = 1 with the solution at index
-    0, or any j when `any_j` is set. It takes the `SymmetricGAState` of a whole
-    series (`state_at(cfg, array_of_r)`) and returns one float per r, an
-    array. `oracle(stack, cfg, optimizer)` covers n <= CAPACITY_QUBITS. It
-    takes the (rows, 2^n) amplitude stack of a series (`evolve_series`) and
-    returns one float per row in the same way. Registers smaller than
-    `min_qubits` have no value. `slow` marks a measure that runs an optimizer
-    search, which is opt-in. `identity` names the `cross_validate` identity
-    that checks the closed form against the oracle. Entries look functions up
-    on their module at call time, so a function replaced there (e.g. by a
-    tracer) is what runs.
+    0, every leading j = 2^k with n - k >= `min_qubits` if `power_of_two_j`,
+    any j if `any_j`. It takes the `SymmetricGAState` of a whole series
+    (`state_at(cfg, array_of_r)`) and returns one float per r, an array.
+    `oracle(stack, cfg, optimizer)` covers n <= CAPACITY_QUBITS. It takes the
+    (rows, 2^n) amplitude stack of a series (`evolve_series`) and returns one
+    float per row in the same way. Registers smaller than `min_qubits` have no
+    value. `slow` marks an opt-in measure with an optimizer search. `identity`
+    names the `cross_validate` identity that checks the closed form against
+    the oracle. Entries look functions up on their module at call time, so a
+    function replaced there (e.g. by a tracer) is what runs.
     """
 
     closed_form: Callable
     oracle: Callable
     min_qubits: int = 1
     any_j: bool = False
+    power_of_two_j: bool = False
     slow: bool = False
     identity: str | None = None
 
@@ -63,7 +64,8 @@ class Measure:
         """'analytic', 'oracle' or 'unavailable' for one (n, j) series."""
         if cfg.n < self.min_qubits:
             return "unavailable"
-        if self.any_j or cfg.solutions == range(1):
+        k = _leading_log2_j(cfg)
+        if self.any_j or k == 0 or (self.power_of_two_j and k is not None and cfg.n - k >= self.min_qubits):
             return "analytic"
         if use_oracle and cfg.n <= CAPACITY_QUBITS:
             return "oracle"
@@ -105,9 +107,10 @@ MEASURES = {
         min_qubits=2,
     ),
     "d2": Measure(
-        closed_form=lambda cfg, st, opt: discord.pairwise_discord_series(cfg, st, opt).value,
+        closed_form=lambda cfg, st, opt: discord.pairwise_discord_closed_form(cfg, st),
         oracle=lambda amps, cfg, opt: discord.pairwise_discord_rows(pure_partial_trace(amps, (0, 1)), opt).value,
         min_qubits=2,
+        power_of_two_j=True,
         slow=True,
     ),
     "dn": Measure(
@@ -122,7 +125,7 @@ MEASURES = {
         identity="chsh_M",
     ),
     "svet": Measure(
-        closed_form=lambda cfg, st, opt: nonlocality.svetlichny_max_rows(grover.reduced_density(cfg, st, 3), opt).value,
+        closed_form=lambda cfg, st, opt: nonlocality.svetlichny_max_series(cfg, st, opt).value,
         oracle=lambda amps, cfg, opt: nonlocality.svetlichny_max_rows(pure_partial_trace(amps, (0, 1, 2)), opt).value,
         min_qubits=3,
         slow=True,

@@ -14,8 +14,7 @@ from .grover import (
     CAPACITY_QUBITS,
     GroverConfig,
     SymmetricGAState,
-    _reduced_matrix,
-    _require_j1,
+    _require_domain,
     reduced_density,
     state_at,
 )
@@ -67,11 +66,8 @@ def _bloch_blocks(rho: np.ndarray) -> tuple:
 
 
 def _conditional_entropy(P: np.ndarray, R: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """sum_i p_i S(rho_{A|i}) at the unit Bloch vectors n (rows, k, d), row i of n measuring B of state i.
-
-    n runs along the first d directions of R (`_bloch_blocks`), so R[:, ::2]
-    with n = (sin w, cos w) measures on the x-z circle at Bloch angle w.
-    """
+    """sum_i p_i S(rho_{A|i}) at the unit Bloch vectors n (rows, k, d) along the first d directions of R,
+    row i of n measuring B of state i."""
     # turn[c, i, g] = sum_k R[i, k, c] n[i, g, k]: each product runs over all rows i and points g
     Rc = R.transpose(2, 1, 0)[..., None]
     turn = Rc[:, 0] * n[..., 0]
@@ -93,9 +89,9 @@ def _conditional_entropy(P: np.ndarray, R: np.ndarray, n: np.ndarray) -> np.ndar
 
 _STENCIL = np.arange(-2.0, 3.0)
 
-# Grid points one block of rows holds in every temporary of the search: 1,024
-# rows of the default x-z circle's 32 angles or 15 of the sphere's 2,176. In
-# blocks of 1,024 rows `ga --n 36 --measures d2` peaked at 87 MB, not 1.3 GB.
+# Grid points one block of rows holds in every temporary of the search: 15
+# rows of the default 2,176-point hemisphere, so the memory of a long stack
+# does not grow with its row count.
 _SEARCH_POINTS = 2**15
 
 
@@ -124,28 +120,17 @@ def _sphere_stencil(at: np.ndarray, h: float):
     return angles, m
 
 
-def _circle_stencil(at: np.ndarray, h: float):
-    """Bloch angle w and unit vector (sin w, cos w) of 5 points of spacing h around each row's angle."""
-    w = at + h * _STENCIL
-    units = np.empty((*w.shape, 2))
-    np.sin(w, out=units[..., 0])
-    np.cos(w, out=units[..., 1])
-    return w[..., None], units
+def _search(stack: np.ndarray, grid: tuple, h: float, config: OptimizerConfig):
+    """Discord of a (rows, 4, 4) stack of two-qubit states, each minimized over B's measurements, all in lockstep.
 
-
-def _search(rows: int, states, directions: tuple, grid: tuple, stencil, h: float, config: OptimizerConfig):
-    """Discord of `rows` two-qubit states, each minimized over B's measurements, all in lockstep.
-
-    states(s) gives the (rows, 4, 4) states of the row slice s, measured along
-    the Bloch `directions` of `_bloch_blocks`. Each row starts at the best
-    point of `grid`, (parameters (g, p), unit Bloch vectors (g, d)); then
-    stencil(best, h) gives each row's points around its best parameters in
-    the same two forms, and a move needs a strict improvement, so refinement
-    never worsens the grid optimum. h halves at each level until it reaches
-    `refine_tol` (converged) or `refine_maxiter` levels ran. Blocks of rows
-    hold at most `_SEARCH_POINTS` grid points (at least one row), and no row's
-    arithmetic depends on the other rows or on the blocks. A value in
-    [-1e-9, 0) is taken as 0. Returns (values, best (rows, p), evals, converged).
+    Each row starts at the best point of `grid`, (angles (g, 2), unit Bloch
+    vectors (g, 3)); then `_sphere_stencil(best, h)` gives each row's points
+    around its best angles, and a move needs a strict improvement, so
+    refinement never worsens the grid optimum. h halves at each level until it
+    reaches `refine_tol` (converged) or `refine_maxiter` levels ran. Blocks of
+    rows hold at most `_SEARCH_POINTS` grid points (at least one row), and no
+    row's arithmetic depends on the other rows or on the blocks. A value in
+    [-1e-9, 0) is taken as 0. Returns (values, best (rows, 2), evals, converged).
     """
     spacings = []
     while len(spacings) < config.refine_maxiter and h > config.refine_tol:
@@ -153,17 +138,16 @@ def _search(rows: int, states, directions: tuple, grid: tuple, stencil, h: float
         h /= 2.0
     params, units = grid
     block = max(1, _SEARCH_POINTS // len(units))
-    values, best = [np.zeros(0)], [np.zeros((0, params.shape[1]))]
-    for start in range(0, rows, block):
-        rho = states(slice(start, start + block))
+    values, best = [np.zeros(0)], [np.zeros((0, 2))]
+    for start in range(0, len(stack), block):
+        rho = stack[start : start + block]
         P, R = _bloch_blocks(rho)
-        R = R[:, directions]
         row = np.arange(len(rho))
         cond = _conditional_entropy(P, R, np.broadcast_to(units, (len(rho), *units.shape)))
         i = cond.argmin(axis=1)
         low, at = cond[row, i], params[i]
         for step in spacings:
-            points, n = stencil(at, step)
+            points, n = _sphere_stencil(at, step)
             cond = _conditional_entropy(P, R, n)
             i = cond.argmin(axis=1)
             least = cond[row, i]
@@ -176,8 +160,7 @@ def _search(rows: int, states, directions: tuple, grid: tuple, stencil, h: float
         best.append(at)
     value = np.concatenate(values)
     value[(-1e-9 <= value) & (value < 0.0)] = 0.0
-    # a stencil has 5 points along each parameter
-    evals = len(units) + len(spacings) * _STENCIL.size ** params.shape[1]
+    evals = len(units) + len(spacings) * _STENCIL.size**2  # a stencil has 5 points along each angle
     return value, np.concatenate(best), evals, config.refine_maxiter == 0 or h <= config.refine_tol
 
 
@@ -193,9 +176,7 @@ def pairwise_discord_rows(rho: DensityMatrix, config: OptimizerConfig | None = N
     TH, PH = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
     bloch = np.stack([np.sin(2.0 * TH) * np.cos(PH), np.sin(2.0 * TH) * np.sin(PH), np.cos(2.0 * TH)], axis=-1)
     h = max(2.0 * math.pi / config.theta_grid, 2.0 * math.pi / config.phi_grid)
-    values, best, evals, converged = _search(
-        len(stack), stack.__getitem__, (0, 1, 2), (np.stack([TH, PH], axis=-1), bloch), _sphere_stencil, h, config
-    )
+    values, best, evals, converged = _search(stack, (np.stack([TH, PH], axis=-1), bloch), h, config)
     phis = best[:, 1] % (2.0 * math.pi)
     phis[phis == 2.0 * math.pi] = 0.0  # a tiny negative azimuth rounds up to 2 pi
     return DiscordSolution(values, best[:, 0], phis, evals, converged)
@@ -206,70 +187,69 @@ def pairwise_discord(rho2: DensityMatrix, config: OptimizerConfig | None = None)
 
     D = min_{theta,phi} sum_i p_i S(rho_{A|i}) + S(rho_B) - S(rho_AB), the
     measurement (theta, phi) being B's Bloch vector
-    (sin 2 theta cos phi, sin 2 theta sin phi, cos 2 theta).
-    The minimization (`_search`) runs a coarse grid (theta_grid x phi_grid;
-    only its rows theta <= pi/4, one Bloch hemisphere, as n and -n are one
-    measurement), then refines on a 5x5 stencil around the best point, from
-    the grid's spacing on the Bloch sphere and halving it at each level. An
-    unconverged search is reported through `converged`, never as an
-    exception. The angles are reported with theta in [0, pi] and phi in
-    [0, 2 pi). The one-state case of `pairwise_discord_rows`.
+    (sin 2 theta cos phi, sin 2 theta sin phi, cos 2 theta), minimized by
+    `_search` from the grid rows theta <= pi/4 (one Bloch hemisphere, as n
+    and -n are one measurement). An unconverged search is reported through
+    `converged`, never as an exception. The angles are reported with theta in
+    [0, pi] and phi in [0, 2 pi). The one-state case of `pairwise_discord_rows`.
     """
     return pairwise_discord_rows(rho2, config).first()
 
 
-def pairwise_discord_series(
-    cfg: GroverConfig, st: SymmetricGAState, config: OptimizerConfig | None = None
-) -> DiscordSolution:
-    """pairwise_discord of the structured two-qubit state at every r of a series (j=1, n >= 2).
-
-    The reduced states are real, so the conditional entropy is even in the
-    measurement's Bloch y component and the x-z great circle (phi = 0) is
-    stationary in it; the search (`_search`) runs on that circle alone: a
-    coarse grid of Bloch angles (spacing 2 pi / theta_grid, each measurement
-    once), then a 5-point stencil of halving spacing around each row's best
-    angle. Returns one columnar DiscordSolution, one entry per r, with phi = 0
-    and theta in [0, pi].
-    """
-    _require_j1(cfg, "pairwise_discord_series", min_qubits=2, leading=True)
-    config = config or OptimizerConfig()
-    angles = np.linspace(0.0, 2.0 * math.pi, config.theta_grid, endpoint=False)
-    angles = angles[: (config.theta_grid + 1) // 2]  # w < pi: w and w + pi are one measurement
-    grid = angles[:, None], np.stack([np.sin(angles), np.cos(angles)], axis=-1)
-    # the x and z blocks: the circle's Bloch vector is (sin w, cos w)
-    values, best, evals, converged = _search(
-        np.size(st.r),
-        lambda s: _reduced_matrix(cfg.n, st.rows(s), 2, dtype=float).reshape(-1, 4, 4),
-        (0, 2), grid, _circle_stencil, 2.0 * math.pi / config.theta_grid, config,
-    )
-    thetas = (best[:, 0] % (2.0 * math.pi)) / 2.0
-    return DiscordSolution(values, thetas, np.zeros_like(thetas), evals, converged)
-
-
 def pairwise_discord_ga(cfg: GroverConfig, r: int, config: OptimizerConfig | None = None) -> DiscordSolution:
-    """pairwise_discord_series at the one iteration r."""
-    return pairwise_discord_series(cfg, state_at(cfg, [r]), config).first()
+    """pairwise_discord of the structured pair `reduced_density(cfg, state_at(cfg, r), 2)`: the sphere
+    search that checks `pairwise_discord_closed_form` (j = 2^k leading solutions, n - k >= 2)."""
+    return pairwise_discord(reduced_density(cfg, state_at(cfg, r), 2), config)
 
 
-def genuine_discord_ga(cfg: GroverConfig, st: SymmetricGAState):
-    """Genuine n-partite correlation S(rho_1) = H(p) for j=1.
-
-    rho_1 has the eigenvalues (1 +- sqrt(1 - x))/2 with x = 4(2^(n-1) - 1)(ab - b^2)^2.
-    The small one is taken as p = x / (2(1 + sqrt(1 - x))) and H(p) with
-    log1p for its (1 - p) term, so neither loses digits when p is small.
-    """
-    _require_j1(cfg, "genuine_discord_ga")
-    gap = st.a * st.b - np.square(st.b)
-    # multiplied in this order, x stays a normal float up to n = 1022
-    x = 4.0 * (2.0 ** (cfg.n - 1) - 1.0) * gap * gap
+def _small_eigenvalue_entropy(x, q=1.0) -> tuple:
+    """(p, H(p) + p log2 q) of the spectrum (1 -+ sqrt(1 - x))/2, x = 4 det in [0, 1]: the small eigenvalue
+    p = x / (2(1 + sqrt(1 - x))), H's (1 - p) term with log1p and its p term as -p log2(p / q), so none
+    loses digits when p is small; both are 0 where p is. q = 1 gives H(p) itself."""
     if np.any((x < -DELTA_TOL) | (x > 1.0 + DELTA_TOL)):
         raise NumericalConsistencyError(f"discriminant outside [0, 1]: {1.0 - x!r}")
     x = np.clip(x, 0.0, 1.0)
     p = x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = -p * np.log2(p) - (1.0 - p) * np.log1p(-p) / math.log(2.0)
-    # [()] turns the 0-d result of a scalar state back into a scalar
-    return np.where(p == 0.0, 0.0, h)[()]
+        h = -p * np.log2(p / q) - (1.0 - p) * np.log1p(-p) / math.log(2.0)
+    return p, np.where(p == 0.0, 0.0, h)
+
+
+def pairwise_discord_closed_form(cfg: GroverConfig, st: SymmetricGAState):
+    """pairwise_discord of qubits 0 and 1 in closed form, for j = 2^k leading solutions and z = n - k >= 2.
+
+    The state is beta |+>^n + c |0>^z |+>^k (beta = sqrt(N) b, c = a - sqrt(j) b), and
+    R, the other z - 2 differing qubits, holds two states. So D(A|B) = S(B) - S(AB) +
+    E_F(rho_AR) (M. Koashi and A. Winter, PRA 69, 022309, 2004), each term the entropy
+    of a two-level spectrum with x = 4 det: x_B = 2q(1 - 2^(1-z)), x_AB = 3q(1 - 2^(2-z))
+    and Wootters' squared concurrence x_E = q(1 - 2^(2-z)) (PRL 80, 2245, 1998), with
+    q = beta^2 c^2. As p(1 - p) = x/4, the signed sum of the small eigenvalues is q 2^-z
+    plus their signed squares: the log2 q parts of the -p log2 p terms are taken from
+    it, so a small d2 cancels no digits.
+    """
+    z = cfg.n - _require_domain(cfg, "pairwise_discord_closed_form", 2, power_of_two=True)
+    c = st.a - math.sqrt(cfg.j) * st.b
+    q = float(cfg.database_size) * st.b * st.b * c * c  # in this order no factor leaves the normal range before q
+    terms = ((1.0, 2.0 * (1.0 - 2.0 ** (1 - z))), (-1.0, 3.0 * (1.0 - 2.0 ** (2 - z))), (1.0, 1.0 - 2.0 ** (2 - z)))
+    value, mass = 0.0, q * 2.0**-z
+    for sign, weight in terms:  # S(B), -S(AB) and E_F, each with x = weight q
+        p, h = _small_eigenvalue_entropy(weight * q, q)
+        value, mass = value + sign * h, mass + sign * p * p
+    # every term is 0 where q is; [()] turns the 0-d result of a scalar state back into a scalar
+    return (value - np.log2(np.where(q > 0.0, q, 1.0)) * mass)[()]
+
+
+def genuine_discord_ga(cfg: GroverConfig, st: SymmetricGAState):
+    """Genuine n-partite correlation S(rho_1) = H(p) for j=1.
+
+    rho_1 has the eigenvalues (1 +- sqrt(1 - x))/2 with x = 4(2^(n-1) - 1)(ab - b^2)^2,
+    its entropy taken by `_small_eigenvalue_entropy`.
+    """
+    _require_domain(cfg, "genuine_discord_ga")
+    gap = st.a * st.b - np.square(st.b)
+    # multiplied in this order, x stays a normal float up to n = 1022
+    x = 4.0 * (2.0 ** (cfg.n - 1) - 1.0) * gap * gap
+    return _small_eigenvalue_entropy(x)[1][()]
 
 
 @lru_cache(maxsize=None)
@@ -295,6 +275,7 @@ def _block_entropies(cfg: GroverConfig, rs) -> dict:
     only k <= n/2 is evaluated, by exact diagonalization of the materialized
     reduced matrices, one stacked spectrum per k of the series state of rs.
     """
+    _require_domain(cfg, "genuine_discord_partition_minima")
     if cfg.n > CAPACITY_QUBITS:
         raise CapacityError(f"partition minimization capped at {CAPACITY_QUBITS} qubits, got n={cfg.n}")
     st = state_at(cfg, np.ravel(rs))

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, NumericalConsistencyError
-from .grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState, _require_j1
+from .grover import CAPACITY_QUBITS, GroverConfig, SymmetricGAState, _require_domain
 from .linalg import DensityMatrix
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -40,7 +40,7 @@ def concurrence_two_qubit(rho2: DensityMatrix):
 
 def concurrence_two_qubit_ga(cfg: GroverConfig, st: SymmetricGAState):
     """Pairwise concurrence 2|ab - b^2| for the single-solution search."""
-    _require_j1(cfg, "concurrence_two_qubit_ga", min_qubits=2)
+    _require_domain(cfg, "concurrence_two_qubit_ga", min_qubits=2)
     return 2.0 * np.abs(st.a * st.b - np.square(st.b))
 
 
@@ -60,7 +60,7 @@ def _multiqubit_radicand(n: int, st: SymmetricGAState):
 
 def concurrence_multiqubit_ga(cfg: GroverConfig, st: SymmetricGAState):
     """Upper-bound n-qubit concurrence (2/sqrt(N)) sqrt(sum of purity deficits), j=1."""
-    _require_j1(cfg, "concurrence_multiqubit_ga", min_qubits=2)
+    _require_domain(cfg, "concurrence_multiqubit_ga", min_qubits=2)
     return 2.0 / math.sqrt(cfg.database_size) * np.sqrt(_multiqubit_radicand(cfg.n, st))
 
 

@@ -131,29 +131,37 @@ def optimal_iterations(cfg: GroverConfig) -> int:
     return optimal_iteration_details(cfg).r_opt
 
 
-def _require_j1(cfg: GroverConfig, what: str, min_qubits: int = 1, leading: bool = False) -> None:
-    """Check that the j = 1 closed form `what` covers cfg: one solution (at index 0 if `leading`,
-    for a form whose matrix or angle depends on where it sits) and at least `min_qubits` qubits."""
-    if cfg.j != 1 or (leading and cfg.solutions != range(1)):
+def _leading_log2_j(cfg: GroverConfig) -> int | None:
+    """k when cfg's solutions are the leading 0..j-1 with j = 2^k, else None."""
+    k = cfg.j.bit_length() - 1
+    return k if cfg.solutions == range(1 << k) else None
+
+
+def _require_domain(cfg: GroverConfig, what: str, min_qubits: int = 1, power_of_two: bool = False) -> int:
+    """Check that the closed form `what` covers cfg (j = 1, or if `power_of_two` the solutions 0..j-1 with
+    j = 2^k) with `min_qubits` of the n - k qubits where the solutions agree, and return k = log2 j."""
+    k = _leading_log2_j(cfg) if power_of_two else 0 if cfg.j == 1 else None
+    if k is None:
         raise UnsupportedStructureError(
-            f"{what} requires j=1{' with the solution at index 0' if leading else ''} "
+            f"{what} requires {'j = 2^k with the solutions 0..j-1' if power_of_two else 'j=1'} "
             f"(got j={cfg.j}, solutions={cfg.solutions}); fall back to the brute-force engine"
         )
-    if cfg.n < min_qubits:
-        raise ValueError(f"{what} needs n >= {min_qubits}, got n={cfg.n}")
+    if cfg.n - k < min_qubits:
+        raise ValueError(f"{what} needs n >= {min_qubits + k}, got n={cfg.n}")
+    return k
 
 
-def _reduced_entries(n: int, st: SymmetricGAState, k: int) -> tuple:
-    """(corner, edge, bulk) entries of the k-qubit reduced matrix; arrays for a series state."""
+def _reduced_entries(n: int, st: SymmetricGAState, k: int, j: int = 1) -> tuple:
+    """(corner, edge, bulk) entries of `reduced_density`'s matrix; arrays for a series state."""
     d = 2.0 ** (n - k)
-    rest = (d - 1.0) * np.square(st.b)
-    return np.square(st.a) + rest, st.a * st.b + rest, d * np.square(st.b)
+    rest = (d - j) * np.square(st.b)
+    return np.square(st.a) + rest, math.sqrt(j) * (st.a * st.b) + rest, d * np.square(st.b)
 
 
-def _reduced_matrix(n: int, st: SymmetricGAState, k: int, dtype=complex) -> np.ndarray:
-    """The k-qubit reduced matrix; a (rows, 2^k, 2^k) stack for a series state."""
-    corner, edge, bulk = (np.asarray(x) for x in _reduced_entries(n, st, k))
-    m = np.empty(bulk.shape + (1 << k, 1 << k), dtype=dtype)
+def _reduced_matrix(n: int, st: SymmetricGAState, k: int, j: int = 1) -> np.ndarray:
+    """The k-qubit reduced matrix of `_reduced_entries`; a (rows, 2^k, 2^k) stack for a series state."""
+    corner, edge, bulk = (np.asarray(x) for x in _reduced_entries(n, st, k, j))
+    m = np.empty(bulk.shape + (1 << k, 1 << k), dtype=complex)
     m[...] = bulk[..., None, None]
     m[..., 0, :] = edge[..., None]
     m[..., :, 0] = edge[..., None]
@@ -162,14 +170,14 @@ def _reduced_matrix(n: int, st: SymmetricGAState, k: int, dtype=complex) -> np.n
 
 
 def reduced_density(cfg: GroverConfig, st: SymmetricGAState, k: int) -> DensityMatrix:
-    """Structured k-qubit reduced state of a single-solution state; a stack for a series state.
+    """Structured k-qubit reduced state for j = 2^k' leading solutions; a stack for a series state.
 
-    entry(0,0) = a^2 + (2^(n-k)-1) b^2, first row/column ab + (2^(n-k)-1) b^2,
-    all remaining entries 2^(n-k) b^2. Valid for arbitrary n since only a, b
-    and 2^(n-k) enter. Identical for every choice of k kept qubits; k = n is
-    the whole register.
+    With rest = (2^(n-k) - j) b^2: entry(0,0) = a^2 + rest, first row/column
+    sqrt(j) ab + rest, all others 2^(n-k) b^2. Valid for arbitrary n since
+    only a, b and 2^(n-k) enter. Identical for every choice of k kept qubits
+    among the first n - k', where the solutions agree (all n at j = 1).
     """
-    _require_j1(cfg, "reduced_density", leading=True)
-    if not 1 <= k <= cfg.n:
-        raise ValueError(f"kept-qubit count must satisfy 1 <= k <= {cfg.n}, got {k}")
-    return DensityMatrix(_reduced_matrix(cfg.n, st, k))
+    z = cfg.n - _require_domain(cfg, "reduced_density", power_of_two=True)
+    if not 1 <= k <= z:
+        raise ValueError(f"kept-qubit count must satisfy 1 <= k <= {z}, got {k}")
+    return DensityMatrix(_reduced_matrix(cfg.n, st, k, cfg.j))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grover import GroverConfig, SymmetricGAState, _reduced_entries, _require_j1, reduced_density, state_at
+from .grover import GroverConfig, SymmetricGAState, _reduced_entries, _require_domain, reduced_density, state_at
 from .linalg import DensityMatrix
 from .optimizers import OptimizerConfig
 
@@ -75,7 +75,7 @@ def chsh_M(rho2: DensityMatrix):
 
 def chsh_M_ga(cfg: GroverConfig, st: SymmetricGAState):
     """Closed-form M from the two-qubit reduced entries o0, o1, o2 (j=1); cross-check of chsh_M."""
-    _require_j1(cfg, "chsh_M_ga", min_qubits=2)
+    _require_domain(cfg, "chsh_M_ga", min_qubits=2)
     o0, o1, o2 = _reduced_entries(cfg.n, st, 2)
     lam1 = 2.0 * o2 - 2.0 * o1
     disc = (
@@ -218,7 +218,13 @@ def svetlichny_max(rho3: DensityMatrix | CorrelationTensor, config: OptimizerCon
     return SvetlichnyResult(res.value.item(), settings, res.restarts, res.optimizer_evals.item(), res.converged.item())
 
 
+def svetlichny_max_series(cfg: GroverConfig, st: SymmetricGAState, config: OptimizerConfig | None = None):
+    """svetlichny_max_rows of the structured three-qubit reduced state at each row of a series state (j=1)."""
+    _require_domain(cfg, "svetlichny_max_series", min_qubits=3)
+    return svetlichny_max_rows(reduced_density(cfg, st, 3), config)
+
+
 def svetlichny_max_ga(cfg: GroverConfig, r: int, config: OptimizerConfig | None = None) -> SvetlichnyResult:
     """Svetlichny maximization on the structured three-qubit reduced state (j=1)."""
-    _require_j1(cfg, "svetlichny_max_ga", min_qubits=3)
+    _require_domain(cfg, "svetlichny_max_ga", min_qubits=3)
     return svetlichny_max(reduced_density(cfg, state_at(cfg, r), 3), config)

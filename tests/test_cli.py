@@ -18,7 +18,7 @@ import groverlab
 from groverlab import report
 from groverlab.bruteforce import MEASURE_KEYS, MEASURES, evolve
 from groverlab.cli import main
-from groverlab.discord import pairwise_discord_rows, pairwise_discord_series
+from groverlab.discord import pairwise_discord_closed_form
 from groverlab.errors import NumericalConsistencyError
 from groverlab.gga import AmplitudeDistribution, distribution_from_json, gga_iterate
 from groverlab.grover import FLOAT_SAFE_QUBITS, GroverConfig, reduced_density, state_at
@@ -321,7 +321,7 @@ GOLDEN_CSV = [
     ("ga_n28_r300", ("ga", "--n", "28", "--r-max", "300")),
     ("ga_n1022_j1-3", ("ga", "--n", "1022", "--j", "1..3", "--r-max", "2")),
     ("gga_n1022_phi5", ("gga", "--n", "1022", "--phi-points", "5")),
-    # 9 rows: one lockstep block of the d2 sphere search (15 rows a block) and two of svet (8 x 512 pairs each)
+    # 9 rows: the d2 closed form at j = 2 and two lockstep blocks of svet (8 x 512 pairs each)
     ("ga_n8_j2_d2_svet_r512", ("ga", "--n", "8", "--j", "2", "--measures", "d2,svet", "--restarts", "512")),
 ]
 
@@ -338,10 +338,12 @@ GOLDEN_BYTES = [
     ("verify_n9_j1-2.json", ("verify", "--max-n", "9", "--j", "1,2", "--seed", "0", "--format", "json")),
     ("ga_n12_j2_r1.json", ("ga", "--n", "12", "--j", "2", "--r-max", "1", "--format", "json")),
     ("ga_n11_j2-3_r2.json", ("ga", "--n", "11", "--j", "2,3", "--r-max", "2", "--format", "json")),
-    # every bit of the closed-form discord search
+    # every bit of the d2 closed form
     ("ga_n11_d2_r11.json", ("ga", "--n", "11", "--measures", "d2", "--r-max", "11", "--format", "json")),
-    # 18 rows: two lockstep blocks of the d2 sphere search (15 + 3 rows)
+    # the d2 closed form at j = 2
     ("ga_n10_j2_d2.csv", ("ga", "--n", "10", "--j", "2", "--measures", "d2")),
+    # 11 rows of the oracle d2 at j = 3, outside the closed form's j = 2^k
+    ("ga_n9_j3_d2.csv", ("ga", "--n", "9", "--j", "3", "--measures", "d2")),
 ]
 
 
@@ -452,14 +454,16 @@ class TestGoldenOutputs:
     )
     def test_optimizers_never_worse_than_nelder_mead(self, name, n, j, extra):
         # The stored files were written by scipy's Nelder-Mead searches. The
-        # stencil-refined discord may not end higher and the alternating
-        # Svetlichny ascent not lower, and every search must converge.
+        # discord closed form may not end higher and the alternating
+        # Svetlichny ascent not lower, and every search must converge. The
+        # j = 2 file's d2 engine line reads `oracle`, as it was written before
+        # d2 had a closed form at j = 2.
         args = ("ga", "--n", str(n), "--j", str(j), "--measures", "d2,svet", *extra, "--restarts", "16")
         result = run_cli(*args)
         assert result.exit_code == 0
         want_meta, want_header, want_rows = parse_csv((GOLDEN / f"{name}.csv").read_text())
         meta, header, rows = parse_csv(result.output)
-        assert (meta, header) == (want_meta, want_header)
+        assert (meta, header) == ({**want_meta, f"engine.j{j}.d2": "analytic"}, want_header)
         assert len(rows) == len(want_rows)
         cfg = GroverConfig(n=n, j=j)
         optimizer = OptimizerConfig(restarts=16, seed=0)
@@ -467,20 +471,15 @@ class TestGoldenOutputs:
             assert float(row["d2"]) <= float(want["d2"]) + 1e-9, row
             assert float(row["svet"]) >= float(want["svet"]) - 1e-9, row
             r = int(row["r"])
-            # the one-row series state or amplitude stack, searched as the sweep searches it
+            # the one-row series state or amplitude stack, taken as the sweep takes it
             amps, one = evolve(cfg, r).amplitudes[None], state_at(cfg, np.array([r]))
-            searches = {
-                "d2": pairwise_discord_series(cfg, one, optimizer)
-                if j == 1
-                else pairwise_discord_rows(pure_partial_trace(amps, (0, 1)), optimizer),
-                "svet": svetlichny_max_rows(
-                    reduced_density(cfg, one, 3) if j == 1 else pure_partial_trace(amps, (0, 1, 2)), optimizer
-                ),
-            }
-            for key, res in searches.items():
-                assert meta[f"engine.j{j}.{key}"] == ("analytic" if j == 1 else "oracle")
-                assert np.all(res.converged), (key, r)
-                assert format(res.value[0], ".12g") == row[key]
+            assert format(pairwise_discord_closed_form(cfg, one)[0], ".12g") == row["d2"]
+            svet = svetlichny_max_rows(
+                reduced_density(cfg, one, 3) if j == 1 else pure_partial_trace(amps, (0, 1, 2)), optimizer
+            )
+            assert meta[f"engine.j{j}.svet"] == ("analytic" if j == 1 else "oracle")
+            assert np.all(svet.converged), r
+            assert format(svet.value[0], ".12g") == row["svet"]
 
 
 @st.composite

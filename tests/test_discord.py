@@ -12,9 +12,9 @@ from groverlab.discord import (
     genuine_discord_ga,
     genuine_discord_partition_minima,
     pairwise_discord,
+    pairwise_discord_closed_form,
     pairwise_discord_ga,
     pairwise_discord_rows,
-    pairwise_discord_series,
 )
 from groverlab.errors import UnsupportedStructureError
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
@@ -241,101 +241,141 @@ def series_rows():
         yield cfg, np.unique(np.linspace(0, top, 9).round().astype(int))
 
 
+def power_of_two_series():
+    """(cfg, every r up to r_opt) for n = 2..12 and j in {1, 2, 4, 8} with z = n - log2 j >= 2."""
+    for n in range(2, 13):
+        for j in (1, 2, 4, 8):
+            if n - (j.bit_length() - 1) >= 2:
+                cfg = GroverConfig(n=n, j=j)
+                yield cfg, np.arange(optimal_iterations(cfg) + 1)
+
+
+# |closed form - sphere search| on a row; the largest gap measured over
+# power_of_two_series is 6.6e-15 (n = 11, j = 2), the search's own rounding
+CLOSED_FORM_ATOL = 2e-14
+
+
 class TestPairwiseDiscordSeries:
+    """The d2 closed form over a series of rows (`pairwise_discord_closed_form`) against the sphere search."""
+
+    def test_matches_the_sphere_search_on_the_statevector(self):
+        for cfg, rs in power_of_two_series():
+            closed = pairwise_discord_closed_form(cfg, state_at(cfg, rs))
+            search = pairwise_discord_rows(pure_partial_trace(evolve_series(cfg, int(rs[-1])), (0, 1)))
+            assert search.converged
+            assert np.abs(closed - search.value).max() <= CLOSED_FORM_ATOL, (cfg.n, cfg.j)
+
     def test_never_above_the_two_dimensional_search(self):
-        # the series searches the x-z circle only; on the search states the
-        # sphere's minimum lies on it, so the result may not exceed the
-        # 2-D grid-plus-stencil search by more than rounding
+        # the closed form is the least conditional entropy over every
+        # measurement (Koashi-Winter), so a search of the sphere on the
+        # structured pair may not end below it by more than rounding, also past
+        # the statevector cap
         for cfg, rs in series_rows():
-            series = pairwise_discord_series(cfg, state_at(cfg, rs))
-            assert series.converged
-            for r, value in zip(rs.tolist(), series.value.tolist()):
-                sphere = pairwise_discord(reduced_density(cfg, state_at(cfg, r), 2))
-                assert value <= sphere.value + 1e-12, (cfg.n, r)
+            closed = pairwise_discord_closed_form(cfg, state_at(cfg, rs))
+            for r, value in zip(rs.tolist(), closed.tolist()):
+                sphere = pairwise_discord_ga(cfg, r)
+                assert value <= sphere.value + CLOSED_FORM_ATOL, (cfg.n, r)
+                assert sphere.value - value <= CLOSED_FORM_ATOL, (cfg.n, r)
 
     @pytest.mark.parametrize("config", [OptimizerConfig(), FAST, OptimizerConfig(theta_grid=7, refine_tol=1e-5)])
     def test_rows_are_bitwise_the_one_row_calls(self, config):
-        for n, top in ((11, 25), (30, 60)):
-            cfg = GroverConfig(n=n)
+        # the d2 entry reads no optimizer setting, and each row has the bits of its one-row state
+        for n, j, top in ((11, 1, 25), (30, 1, 60), (30, 4, 60)):
+            cfg = GroverConfig(n=n, j=j)
             rs = np.arange(top + 1)
-            series = pairwise_discord_series(cfg, state_at(cfg, rs), config)
-            assert row_bits(series) == [bits(pairwise_discord_ga(cfg, r, config)) for r in rs.tolist()]
+            series = MEASURES["d2"].closed_form(cfg, state_at(cfg, rs), config)
+            rows = [pairwise_discord_closed_form(cfg, state_at(cfg, r)) for r in rs.tolist()]
+            assert [v.hex() for v in series.tolist()] == [float(v).hex() for v in rows]
 
     def test_closed_form_is_one_series_call(self, monkeypatch):
+        # one closed-form call per series, and no search
         calls = []
-        original = discord.pairwise_discord_series
-        monkeypatch.setattr(discord, "pairwise_discord_series", lambda *a: calls.append(a) or original(*a))
+        original = discord.pairwise_discord_closed_form
+        monkeypatch.setattr(discord, "pairwise_discord_closed_form", lambda *a: calls.append(a) or original(*a))
+        monkeypatch.setattr(discord, "_search", None)
         cfg = GroverConfig(n=9)
         values = MEASURES["d2"].closed_form(cfg, state_at(cfg, np.arange(13)), FAST)
         assert len(calls) == 1 and len(values) == 13
 
     def test_refinement_budget_exhausted_is_not_converged(self):
+        # the benchmark's checker needs an unconverged one-row search to report it
         cfg = GroverConfig(n=6)
-        st = state_at(cfg, np.arange(4))
-        assert not pairwise_discord_series(cfg, st, OptimizerConfig(refine_maxiter=1)).converged
-        assert pairwise_discord_series(cfg, st, OptimizerConfig(refine_maxiter=0)).converged
+        assert not pairwise_discord_ga(cfg, 2, OptimizerConfig(refine_maxiter=1)).converged
+        assert pairwise_discord_ga(cfg, 2, OptimizerConfig(refine_maxiter=0)).converged
+        full = pairwise_discord_ga(cfg, 2)
+        assert full.converged
+        assert abs(full.value - pairwise_discord_closed_form(cfg, state_at(cfg, 2))) <= CLOSED_FORM_ATOL
 
     def test_evals_and_angles(self):
-        # 32 distinct measurements on the 64-point circle grid, then 24 levels
-        # of 5 points from spacing 2 pi / 64 down to 1e-8
-        cfg = GroverConfig(n=11)
-        sol = pairwise_discord_series(cfg, state_at(cfg, np.arange(26)))
-        assert sol.optimizer_evals == 32 + 5 * 24
-        assert sol.phi.tolist() == [0.0] * 26
-        assert np.all((0.0 <= sol.theta) & (sol.theta <= math.pi))
+        # the hemisphere's 2,176 grid points, then 24 levels of 25 stencil
+        # points, from spacing 2 pi / 64 down to 1e-8
+        for cfg in (GroverConfig(n=11), GroverConfig(n=11, j=4)):
+            for r in (0, 5, 20):
+                sol = pairwise_discord_ga(cfg, r)
+                assert sol.optimizer_evals == 2176 + 25 * 24
+                assert 0.0 <= sol.theta <= math.pi and 0.0 <= sol.phi < 2.0 * math.pi
 
-    def test_circle_grid_keeps_each_measurement_once(self):
-        # 2 pi k / 150 < pi for k < 75; the rounded angle at k = 75 is w = pi, a copy of w = 0
-        cfg = GroverConfig(n=11)
-        sol = pairwise_discord_series(cfg, state_at(cfg, np.arange(4)), OptimizerConfig(theta_grid=150, refine_maxiter=0))
-        assert sol.optimizer_evals == 75
-
-    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch):
-        cfg = GroverConfig(n=9)
-        st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))  # 18 rows: blocks of 7, 7 and 4
-        want = row_bits(pairwise_discord_series(cfg, st, FAST))
-        monkeypatch.setattr(discord, "_SEARCH_POINTS", 7 * 16)  # FAST's circle has 16 angles
-        assert row_bits(pairwise_discord_series(cfg, st, FAST)) == want
+    def test_rows_do_not_depend_on_the_block_size(self):
+        # a sweep takes d2 on blocks of rows (`report._BLOCK_ROWS`): any split gives the same bits
+        cfg = GroverConfig(n=9, j=2)
+        st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
+        whole = pairwise_discord_closed_form(cfg, st)
+        for size in (1, 7):
+            parts = [pairwise_discord_closed_form(cfg, st.rows(slice(s, s + size))) for s in range(0, len(st.r), size)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     def test_search_memory_is_bounded_by_the_block(self):
-        # the 6,434 rows at n = 26 searched at once peaked at 39 MiB
+        # no search and no matrix: the 6,434 rows at n = 26 peaked at 0.6 MiB,
+        # a dozen arrays of one float a row
         cfg = GroverConfig(n=26)
         st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
         tracemalloc.start()
         try:
-            series = pairwise_discord_series(cfg, st)
+            values = pairwise_discord_closed_form(cfg, st)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert series.value.shape == series.theta.shape == series.phi.shape == st.r.shape
-        assert peak < 12 * 2**20
+        assert values.shape == st.r.shape
+        assert peak < 2**20
 
     def test_long_series_builds_no_object_per_row(self):
-        # the 205,888 rows of n = 36 as one columnar result; one
-        # DiscordSolution per row peaked at 41 MiB
+        # the 205,888 rows of n = 36 as one float array; it peaked at 19 MiB,
+        # a dozen arrays of one float a row
         cfg = GroverConfig(n=36)
         st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
         tracemalloc.start()
         try:
-            series = pairwise_discord_series(cfg, st, OptimizerConfig(theta_grid=4, refine_maxiter=0))
+            values = pairwise_discord_closed_form(cfg, st)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert series.value.shape == (205_888,)
+        assert values.shape == (205_888,) and values.dtype == float
         assert peak < 24 * 2**20
 
     def test_empty_series_gives_empty_columns(self):
         cfg = GroverConfig(n=5)
-        sol = pairwise_discord_series(cfg, state_at(cfg, np.arange(0)), FAST)
-        assert sol.value.shape == sol.theta.shape == sol.phi.shape == (0,)
+        assert pairwise_discord_closed_form(cfg, state_at(cfg, np.arange(0))).shape == (0,)
         empty = pure_partial_trace(np.zeros((0, 16), dtype=complex), (0, 1))
         sol = pairwise_discord_rows(empty, FAST)
         assert sol.value.shape == sol.theta.shape == sol.phi.shape == (0,)
 
     def test_multiple_solutions_unsupported(self):
-        cfg = GroverConfig(n=4, j=2)
-        with pytest.raises(UnsupportedStructureError):
-            pairwise_discord_series(cfg, state_at(cfg, np.arange(2)))
+        # j = 2^k with the leading solutions only, and at least two differing qubits
+        refused = (GroverConfig(n=4, j=3), GroverConfig(n=4, j=2, solutions=(3, 9)), GroverConfig(n=4, solutions=(7,)))
+        for form in (
+            lambda cfg: pairwise_discord_closed_form(cfg, state_at(cfg, np.arange(2))),
+            lambda cfg: pairwise_discord_ga(cfg, 1),
+        ):
+            for cfg in refused:
+                with pytest.raises(UnsupportedStructureError, match=r"requires j = 2\^k"):
+                    form(cfg)
+            with pytest.raises(ValueError):
+                form(GroverConfig(n=2, j=2))
+        # the sweep's engines: the closed form where it holds, else the oracle up to its cap
+        assert MEASURES["d2"].engine(GroverConfig(n=13, j=8)) == "analytic"
+        assert MEASURES["d2"].engine(GroverConfig(n=3, j=4)) == "oracle"
+        assert MEASURES["d2"].engine(GroverConfig(n=12, j=3)) == "oracle"
+        assert MEASURES["d2"].engine(GroverConfig(n=13, j=3)) == "unavailable"
 
 
 class TestGenuineDiscord:

@@ -236,9 +236,22 @@ class TestReducedDensity:
         assert m[1, 1] == pytest.approx(half * s.b**2, abs=1e-14)
 
     def test_unsupported_structure(self):
-        for cfg in (GroverConfig(n=4, j=2), GroverConfig(n=4, j=1, solutions=(7,))):
+        # j = 2^k with the leading solutions has the structured form; other solution sets do not
+        for cfg in (GroverConfig(n=4, j=3), GroverConfig(n=4, solutions=(7,)), GroverConfig(4, 2, (3, 9))):
             with pytest.raises(UnsupportedStructureError, match="brute-force"):
                 reduced_density(cfg, state_at(cfg, 1), 2)
+
+    @pytest.mark.parametrize("n, j", [(3, 2), (5, 2), (5, 4), (6, 8)])
+    def test_power_of_two_j_matches_partial_trace(self, n, j):
+        # k kept qubits among the first n - log2 j, where the solutions agree
+        cfg = GroverConfig(n=n, j=j)
+        z = n - (j.bit_length() - 1)
+        amps = evolve(cfg, 2).amplitudes
+        for k in range(1, z + 1):
+            closed = reduced_density(cfg, state_at(cfg, 2), k).matrix
+            assert np.max(np.abs(closed - pure_partial_trace(amps, range(k)).matrix)) < 1e-12, k
+        with pytest.raises(ValueError, match="kept-qubit"):
+            reduced_density(cfg, state_at(cfg, 2), z + 1)
 
     @pytest.mark.parametrize("k", [0, 6, 9])
     def test_bad_k(self, k):
@@ -327,19 +340,30 @@ def _series_form(key):
     return lambda cfg: MEASURES[key].closed_form(cfg, state_at(cfg, np.arange(2)), COARSE)
 
 
-# each j = 1 closed form with the fewest qubits it covers
-J1_FORMS = [pytest.param(_series_form(k), m.min_qubits, id=k) for k, m in MEASURES.items() if not m.any_j] + [
-    pytest.param(lambda cfg: pairwise_discord_ga(cfg, 0, COARSE), 2, id="pairwise_discord_ga"),
-    pytest.param(lambda cfg: svetlichny_max_ga(cfg, 0, COARSE), 3, id="svetlichny_max_ga"),
+# each j = 1 closed form with the fewest qubits it covers, and whether it covers every j = 2^k
+J1_FORMS = [
+    pytest.param(_series_form(k), m.min_qubits, m.power_of_two_j, id=k) for k, m in MEASURES.items() if not m.any_j
+] + [
+    pytest.param(lambda cfg: pairwise_discord_ga(cfg, 0, COARSE), 2, True, id="pairwise_discord_ga"),
+    pytest.param(lambda cfg: svetlichny_max_ga(cfg, 0, COARSE), 3, False, id="svetlichny_max_ga"),
 ]
 
 
-@pytest.mark.parametrize("form, min_qubits", J1_FORMS)
-def test_j1_closed_forms_refuse_smaller_registers_and_other_j(form, min_qubits):
+@pytest.mark.parametrize("form, min_qubits, power_of_two_j", J1_FORMS)
+def test_j1_closed_forms_refuse_smaller_registers_and_other_j(form, min_qubits, power_of_two_j):
     # a register below the form's size has no value: one qubit has no pair for d2
     for n in range(1, min_qubits):
         with pytest.raises(ValueError, match=rf"n >= {min_qubits}|k <= {n}") as info:
             form(GroverConfig(n=n))
         assert type(info.value) is ValueError, n
-    with pytest.raises(UnsupportedStructureError, match="requires j=1"):
-        form(GroverConfig(n=4, j=2))
+    if not power_of_two_j:
+        with pytest.raises(UnsupportedStructureError, match="requires j=1"):
+            form(GroverConfig(n=4, j=2))
+        return
+    # j = 2^k: the form needs min_qubits of the n - k qubits where the two terms of the state differ
+    form(GroverConfig(n=min_qubits + 1, j=2))
+    with pytest.raises(ValueError, match=rf"n >= {min_qubits + 1}|k <= {min_qubits - 1}") as info:
+        form(GroverConfig(n=min_qubits, j=2))
+    assert type(info.value) is ValueError
+    with pytest.raises(UnsupportedStructureError, match=r"requires j = 2\^k"):
+        form(GroverConfig(n=4, j=3))
