@@ -73,7 +73,7 @@ BLOCK_AMPLITUDES = 1 << 14
 
 @lru_cache(maxsize=None)
 def _cut_places(n: int, k: int) -> tuple:
-    """Place values 2^(n-1-q) of the kept and the other qubits q of each k-qubit cut.
+    """Indices of the kept and the other qubits of each k-qubit cut; qubit 0 is the top bit.
 
     Each cut is counted once, by its smaller side: every k-subset for
     k < n/2 and, for k = n/2, the subsets that hold qubit 0. Both arrays
@@ -82,19 +82,28 @@ def _cut_places(n: int, k: int) -> tuple:
     first = (0,) if 2 * k == n else ()
     kept = [first + c for c in itertools.combinations(range(len(first), n), k - len(first))]
     rest = [[q for q in range(n) if q not in c] for c in kept]
-    place = 1 << np.arange(n - 1, -1, -1, dtype=np.int16)
-    tables = place[np.array(kept)], place[np.array(rest)]
+    tables = np.array(kept, dtype=np.int16), np.array(rest, dtype=np.int16)
     for t in tables:
         t.setflags(write=False)  # shared by every caller through the cache
     return tables
 
 
-def _spread(places: np.ndarray) -> np.ndarray:
-    """t[c, x]: the sum of the place values in row c that the bits of x select."""
-    t = np.zeros((places.shape[0], 1), dtype=np.int16)
-    for p in places.T:
-        t = np.concatenate([t, t + p[:, None]], axis=1)
+def _spread(qubits: np.ndarray, n: int) -> np.ndarray:
+    """t[c, x]: the sum of the place values 2^(n-1-q) of the qubits q in row c that the bits of x select."""
+    t = np.zeros((qubits.shape[0], 1), dtype=np.int16)
+    for q in qubits.T:
+        t = np.concatenate([t, t + (1 << (n - 1 - q))[:, None]], axis=1)
     return t
+
+
+def _exchange_labels(states: np.ndarray, n: int) -> np.ndarray:
+    """Each qubit's class: the first earlier class representative whose swap with it leaves every row equal."""
+    psi = states.reshape((-1,) + (2,) * n)
+    labels = []
+    for q in range(n):
+        same = (p for p in dict.fromkeys(labels) if np.array_equal(psi, psi.swapaxes(1 + p, 1 + q)))
+        labels.append(next(same, q))  # a qubit that matches no class opens its own
+    return np.array(labels)
 
 
 def multiqubit_concurrence_pure(amplitudes: np.ndarray):
@@ -107,6 +116,12 @@ def multiqubit_concurrence_pure(amplitudes: np.ndarray):
     taken for the whole stack at once. Takes one state or a (rows, 2^n) stack,
     which shares each block's gather index, and gives one value per state; a
     real state is worked in real arithmetic.
+
+    Qubits whose exchange leaves every row exactly equal form classes, found
+    on the amplitudes. Two cuts whose kept and other qubits carry the same
+    class labels in order map onto each other by a permutation within
+    classes, which fixes the stack, so their gathered matrices are equal
+    entry for entry: one Gram per class of cuts gives every cut's bits.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     size = amps.shape[-1]
@@ -116,11 +131,12 @@ def multiqubit_concurrence_pure(amplitudes: np.ndarray):
     if n > CAPACITY_QUBITS:
         raise CapacityError(f"subset enumeration capped at {CAPACITY_QUBITS} qubits, got {n}")
     states = amps.reshape(-1, size)
+    labels = _exchange_labels(states, n)
     radicand = np.zeros(states.shape[0])
     real = ~states.imag.any(axis=1)
     for rows, group in ((real, states.real), (~real, states)):
         if rows.any() and n > 1:  # one qubit has no cut
-            radicand[rows] = 2.0 * _deficit_sums(np.ascontiguousarray(group[rows]), n)
+            radicand[rows] = 2.0 * _deficit_sums(np.ascontiguousarray(group[rows]), n, labels)
     if np.any(radicand < -RADICAND_TOL):
         raise NumericalConsistencyError(f"negative radicand {radicand.min():.3e}")
     value = 2.0 / math.sqrt(size) * np.sqrt(np.maximum(radicand, 0.0))
@@ -128,21 +144,28 @@ def multiqubit_concurrence_pure(amplitudes: np.ndarray):
     return value.reshape(amps.shape[:-1])[()]
 
 
-def _deficit_sums(states: np.ndarray, n: int) -> np.ndarray:
-    """Each row's sum of 1 - Tr rho_S^2 over the cuts of _cut_places, in their order."""
+def _deficit_sums(states: np.ndarray, n: int, labels: np.ndarray) -> np.ndarray:
+    """Each row's sum of 1 - Tr rho_S^2 over the cuts of _cut_places, in their order, one Gram per class."""
+    tables, classes = [], []
+    for k in range(1, n // 2 + 1):
+        keep, rest = _cut_places(n, k)
+        key = np.concatenate([labels[keep], labels[rest]], axis=1)
+        _, reps, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        classes.append(sum(t.shape[0] for t, _ in tables) + inverse.reshape(-1))
+        tables.append((_spread(keep[reps], n), _spread(rest[reps], n)))
+    classes = np.concatenate(classes)
     pairs = max(1, BLOCK_AMPLITUDES >> n)  # (cut, row) pairs per gather
     sums = []
     for first in range(0, states.shape[0], pairs):
         rows = states[first : first + pairs]
         block = max(1, pairs // rows.shape[0])
         deficits = []
-        for k in range(1, n // 2 + 1):
-            keep, rest = _cut_places(n, k)
-            keep, rest = _spread(keep), _spread(rest)
+        for keep, rest in tables:
             for start in range(0, keep.shape[0], block):
                 cuts = slice(start, start + block)
                 a = rows.take(keep[cuts, :, None] + rest[cuts, None, :], axis=1)
                 g = a @ a.conj().swapaxes(-1, -2)
                 deficits.append(1.0 - (g * g.conj()).real.sum(axis=(-2, -1)))
-        sums.append(np.concatenate(deficits, axis=1).sum(axis=1))
+        # take copies in C order, so each row adds its cuts in the order of one Gram per cut
+        sums.append(np.concatenate(deficits, axis=1).take(classes, axis=1).sum(axis=1))
     return np.concatenate(sums)

@@ -344,6 +344,8 @@ GOLDEN_BYTES = [
     ("ga_n10_j2_d2.csv", ("ga", "--n", "10", "--j", "2", "--measures", "d2")),
     # 11 rows of the oracle d2 at j = 3, outside the closed form's j = 2^k
     ("ga_n9_j3_d2.csv", ("ga", "--n", "9", "--j", "3", "--measures", "d2")),
+    # every bit of nine oracle `en` series (j = 2..10), one Gram per class of equivalent cuts
+    ("ga_n11_j1-10_en.json", ("ga", "--n", "11", "--j", "1..10", "--measures", "en", "--format", "json")),
 ]
 
 

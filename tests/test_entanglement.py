@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groverlab import entanglement
-from groverlab.bruteforce import evolve
+from groverlab.bruteforce import evolve, evolve_series
 from groverlab.entanglement import (
+    _spread,
     concurrence_multiqubit_ga,
     concurrence_two_qubit,
     concurrence_two_qubit_ga,
@@ -17,7 +18,13 @@ from groverlab.errors import CapacityError, NumericalConsistencyError, Unsupport
 from groverlab.gga import gga_iterate
 from groverlab.grover import GroverConfig, optimal_iterations, reduced_density, state_at
 from groverlab.linalg import DensityMatrix, pure_partial_trace
-from witnesses import maximally_mixed, pure_subsystem_purity, subset_concurrence
+from witnesses import (
+    bits,
+    enumerated_multiqubit_concurrence,
+    maximally_mixed,
+    pure_subsystem_purity,
+    subset_concurrence,
+)
 
 
 def bell_state():
@@ -210,3 +217,83 @@ class TestBatchedOracle:
     def test_length_must_be_a_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             multiqubit_concurrence_pure(np.full(12, 12**-0.5))
+
+
+def leading_series(n, j):
+    cfg = GroverConfig(n=n, j=j)
+    return evolve_series(cfg, optimal_iterations(cfg))
+
+
+class TestCutClasses:
+    """One Gram per class of equivalent cuts gives every value the bits of one Gram per cut."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_every_leading_series_matches_the_enumeration(self, n):
+        for j in range(1, min(16, (1 << n) - 1) + 1):
+            stack = leading_series(n, j)
+            assert bits(multiqubit_concurrence_pure(stack)) == bits(enumerated_multiqubit_concurrence(stack)), j
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_oracle_cap_rows_match_the_enumeration(self, n):
+        for j in (1, 2, 3, 5):
+            stack = leading_series(n, j)
+            stack = stack[[0, 1, 2, stack.shape[0] - 1]]
+            assert bits(multiqubit_concurrence_pure(stack)) == bits(enumerated_multiqubit_concurrence(stack)), j
+
+    def test_scattered_and_random_stacks_match_the_enumeration(self):
+        rng = np.random.default_rng(29)
+        stacks = [evolve_series(GroverConfig(n=7, j=2, solutions=(1, 127)), 8)]
+        for n in (3, 6, 9):
+            real = rng.normal(size=(3, 1 << n))
+            stacks += [real, real + 1j * rng.normal(size=real.shape)]
+        for stack in stacks:
+            stack = stack / np.linalg.norm(stack, axis=1, keepdims=True)
+            assert bits(multiqubit_concurrence_pure(stack)) == bits(enumerated_multiqubit_concurrence(stack))
+
+    @pytest.mark.parametrize("j", range(1, 17))
+    def test_leading_solutions_share_the_top_qubits(self, j):
+        n = 8
+        labels = entanglement._exchange_labels(leading_series(n, j), n)
+        top = n - (j - 1).bit_length()
+        assert np.all(labels[:top] == 0)
+        if j == 3:
+            assert labels[6] == labels[7] != 0
+        if j == 5:
+            assert labels[6] == labels[7] and len({0, labels[5], labels[6]}) == 3
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_interleaved_classes_key_both_sides_in_qubit_order(self, n):
+        # a random value per orbit of the exchanges within the even and within
+        # the odd qubits: cuts whose kept labels agree can still order the
+        # other side's labels differently, and then their sums differ in the last bits
+        x = np.arange(1 << n)
+        even, odd = [sum((x >> (n - 1 - q)) & 1 for q in range(start, n, 2)) for start in (0, 1)]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            values = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+            for stack in (values[:, even, odd], values.real[:, even, odd]):
+                stack = stack / np.linalg.norm(stack, axis=1, keepdims=True)
+                assert entanglement._exchange_labels(stack, n).tolist() == [0, 1] * (n // 2)
+                assert bits(multiqubit_concurrence_pure(stack)) == bits(enumerated_multiqubit_concurrence(stack))
+
+    def test_one_ulp_per_qubit_leaves_no_class(self, monkeypatch):
+        # row q moves the amplitude of the basis state with only qubit q set,
+        # so no two qubits can be exchanged, and every cut is its own class
+        n = 6
+        stack = leading_series(n, 1)
+        for q in range(n - 1):
+            x = 1 << (n - 1 - q)
+            stack[q, x] = np.nextafter(stack[q, x].real, np.inf)
+        assert entanglement._exchange_labels(stack, n).tolist() == list(range(n))
+        spread = []
+        monkeypatch.setattr(entanglement, "_spread", lambda q, n: spread.append(q.shape[0]) or _spread(q, n))
+        assert bits(multiqubit_concurrence_pure(stack)) == bits(enumerated_multiqubit_concurrence(stack))
+        assert spread[::2] == [math.comb(n, k) for k in (1, 2)] + [math.comb(n - 1, 2)]
+
+    def test_two_leading_solutions_take_two_grams_per_k(self, monkeypatch):
+        n = 12
+        spread = []
+        monkeypatch.setattr(entanglement, "_spread", lambda q, n: spread.append(q.shape) or _spread(q, n))
+        multiqubit_concurrence_pure(evolve_series(GroverConfig(n=n, j=2), 2))
+        # one (kept, other) pair of gather tables per k, each over its representatives
+        assert spread[::2] == [(2, k) for k in range(1, n // 2 + 1)]

@@ -11,7 +11,10 @@ conditional entropy (`projector_conditional_entropy`), which the Bloch-block
 kernel replaced. So is the row-by-row CSV/JSON writer that the
 columnar one in `groverlab.report` replaced, and the per-subset purity that
 the stacked-Gram `en` oracle replaced, with two whole-register `en`
-references built on it and on the benchmark checker's enumeration. The
+references built on it and on the benchmark checker's enumeration. So is
+the stacked oracle's loop with one Gram per cut
+(`enumerated_multiqubit_concurrence`), which one Gram per class of
+equivalent cuts replaced: it is the oracle's bit-for-bit reference. The
 one-statevector oracles that the series-stacked ones replaced are here
 too (`row_oracle`), as the bit-for-bit reference of each stack row, and so
 is the row-by-row identity loop (`row_check_series`) that `verify` ran.
@@ -370,7 +373,7 @@ def row_multiqubit_concurrence(amplitudes: np.ndarray) -> float:
     deficits = []
     for k in range(1, n // 2 + 1):
         keep, rest = _cut_places(n, k)
-        rows, cols = _spread(keep), _spread(rest)
+        rows, cols = _spread(keep, n), _spread(rest, n)
         for start in range(0, rows.shape[0], block):
             cuts = slice(start, start + block)
             a = amps.take(rows[cuts, :, None] + cols[cuts, None, :])
@@ -380,6 +383,40 @@ def row_multiqubit_concurrence(amplitudes: np.ndarray) -> float:
     if radicand < -RADICAND_TOL:
         raise NumericalConsistencyError(f"negative radicand {radicand:.3e}")
     return 2.0 / math.sqrt(amps.size) * math.sqrt(max(radicand, 0.0))
+
+
+def enumerated_deficit_sums(states: np.ndarray, n: int) -> np.ndarray:
+    """Each row's sum of 1 - Tr rho_S^2 over the cuts of _cut_places, in their order, one Gram per cut."""
+    pairs = max(1, BLOCK_AMPLITUDES >> n)  # (cut, row) pairs per gather
+    sums = []
+    for first in range(0, states.shape[0], pairs):
+        rows = states[first : first + pairs]
+        block = max(1, pairs // rows.shape[0])
+        deficits = []
+        for k in range(1, n // 2 + 1):
+            keep, rest = _cut_places(n, k)
+            keep, rest = _spread(keep, n), _spread(rest, n)
+            for start in range(0, keep.shape[0], block):
+                cuts = slice(start, start + block)
+                a = rows.take(keep[cuts, :, None] + rest[cuts, None, :], axis=1)
+                g = a @ a.conj().swapaxes(-1, -2)
+                deficits.append(1.0 - (g * g.conj()).real.sum(axis=(-2, -1)))
+        sums.append(np.concatenate(deficits, axis=1).sum(axis=1))
+    return np.concatenate(sums)
+
+
+def enumerated_multiqubit_concurrence(amplitudes: np.ndarray) -> np.ndarray:
+    """The `en` oracle as it was before it formed one Gram per class of equivalent cuts."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    size = amps.shape[-1]
+    n = size.bit_length() - 1
+    states = amps.reshape(-1, size)
+    radicand = np.zeros(states.shape[0])
+    real = ~states.imag.any(axis=1)
+    for rows, group in ((real, states.real), (~real, states)):
+        if rows.any() and n > 1:
+            radicand[rows] = 2.0 * enumerated_deficit_sums(np.ascontiguousarray(group[rows]), n)
+    return (2.0 / math.sqrt(size) * np.sqrt(np.maximum(radicand, 0.0))).reshape(amps.shape[:-1])
 
 
 def row_oracle(key: str, amps: np.ndarray, cfg: GroverConfig) -> float:
