@@ -215,7 +215,10 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
     k-qubit reductions are checked in blocks of rows of at most
     `_REDUCTION_BLOCK` matrix entries, and at least one row, so no block
     grows with the series; each row's arithmetic is its own, so the block
-    size changes no value.
+    size changes no value. A drawn subset whose cut has the generic cut's
+    class key (`entanglement._cut_keys`, on the exchange labels of the
+    series) has the generic cut's matrix entry for entry and takes its
+    deviation; only the other subsets are gathered and reduced.
     """
     n, j = cfg.n, cfg.j
     st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
@@ -247,15 +250,23 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
     deviations["partition_minimum"].extend(np.abs(partition - closed["dn"]).tolist())
     # any other k-qubit subset must give the same matrix; drawn r outer, k inner
     subsets = [[tuple(sorted(rng.choice(n, size=k, replace=False).tolist())) for k in range(1, n)] for _ in st.r]
+    labels = entanglement._exchange_labels(amps, n)
     deficits = np.zeros(st.r.size)  # sum_k C(n,k) (1 - Tr rho_k^2) of each statevector
     for k in range(1, n):
+        drawn = np.array([s[k - 1] for s in subsets])
+        # a drawn subset with the generic cut's key has its matrix entry for entry
+        gather = entanglement._cut_keys(labels, drawn) != entanglement._cut_keys(labels, np.arange(k)[None])
         size = max(1, _REDUCTION_BLOCK >> 2 * k)
         for block in (slice(start, start + size) for start in range(0, st.r.size, size)):
             structured = _reduced_matrix(n, st.rows(block), k)
             generic = pure_partial_trace(amps[block], range(k)).matrix
-            permuted = pure_partial_trace(amps[block], [s[k - 1] for s in subsets[block]]).matrix
-            for m in (generic, permuted):
-                deviations["reduced_density"].extend(np.max(np.abs(structured - m), axis=(-2, -1)).tolist())
+            gaps = np.max(np.abs(structured - generic), axis=(-2, -1))
+            permuted = gaps.copy()
+            other = np.flatnonzero(gather[block])
+            if other.size:
+                m = pure_partial_trace(amps[block][other], drawn[block][other]).matrix
+                permuted[other] = np.max(np.abs(structured[other] - m), axis=(-2, -1))
+            deviations["reduced_density"].extend(gaps.tolist() + permuted.tolist())
             deficits[block] += math.comb(n, k) * (1.0 - np.sum(np.abs(generic) ** 2, axis=(-2, -1)))
     radicand = entanglement._multiqubit_radicand(n, st)
     deviations["multiqubit_concurrence_forms"].extend(np.abs(radicand - deficits).tolist())

@@ -106,6 +106,24 @@ def _exchange_labels(states: np.ndarray, n: int) -> np.ndarray:
     return np.array(labels)
 
 
+def _cut_keys(labels: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each cut's class as one integer: the labels of its kept, then of its other qubits, as base-n digits.
+
+    `keep` holds the kept qubits of one cut per row; each side is read in
+    ascending qubit order. Labels lie below n, so the key is below
+    n^n <= 12^12 < 2^63, and keys order as the label rows do
+    lexicographically. Two cuts with one key map onto each other by a
+    permutation within classes.
+    """
+    n = labels.size
+    kept = np.zeros((keep.shape[0], n), dtype=bool)
+    np.put_along_axis(kept, keep, True, axis=1)
+    key = np.zeros(keep.shape[0], dtype=np.int64)
+    for column in labels[np.argsort(~kept, axis=1, kind="stable")].T:  # kept qubits first
+        key = key * n + column
+    return key
+
+
 def multiqubit_concurrence_pure(amplitudes: np.ndarray):
     """Brute-force purity-deficit concurrence: sums 1 - Tr rho_S^2 over every proper qubit subset S.
 
@@ -149,9 +167,8 @@ def _deficit_sums(states: np.ndarray, n: int, labels: np.ndarray) -> np.ndarray:
     tables, classes = [], []
     for k in range(1, n // 2 + 1):
         keep, rest = _cut_places(n, k)
-        key = np.concatenate([labels[keep], labels[rest]], axis=1)
-        _, reps, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        classes.append(sum(t.shape[0] for t, _ in tables) + inverse.reshape(-1))
+        _, reps, inverse = np.unique(_cut_keys(labels, keep), return_index=True, return_inverse=True)
+        classes.append(sum(t.shape[0] for t, _ in tables) + inverse)
         tables.append((_spread(keep[reps], n), _spread(rest[reps], n)))
     classes = np.concatenate(classes)
     pairs = max(1, BLOCK_AMPLITUDES >> n)  # (cut, row) pairs per gather

@@ -60,11 +60,16 @@ _ADJOINT_BLOCK = 1 << 13
 
 
 def _adjoint_gap(m: np.ndarray) -> float:
-    """max |m - m^dag| over a square matrix or a stack of them, taken in blocks of rows."""
+    """max |m - m^dag| over a square matrix or a stack of them, taken in blocks of rows.
+
+    |m_xy - conj(m_yx)| is symmetric in x and y, so the block of rows
+    [s, s + rows) is compared only with the columns from s on: each pair
+    once, and the same maximum.
+    """
     d = m.shape[-1]
     rows = max(1, _ADJOINT_BLOCK * d // max(m.size, 1))
     gaps = [
-        np.max(np.abs(m[..., s : s + rows, :] - m[..., s : s + rows].conj().swapaxes(-1, -2)), initial=0.0)
+        np.max(np.abs(m[..., s : s + rows, s:] - m[..., s:, s : s + rows].conj().swapaxes(-1, -2)), initial=0.0)
         for s in range(0, d, rows)
     ]
     return float(np.max(gaps))

@@ -18,10 +18,10 @@ from groverlab.coherence import coherence_r_ga
 from groverlab.errors import CapacityError, InvalidStateError
 from groverlab.gga import AmplitudeDistribution, gga_iterate
 from groverlab.grover import GroverConfig, _reduced_matrix, optimal_iterations, state_at
-from groverlab.linalg import DensityMatrix
+from groverlab.linalg import DensityMatrix, pure_partial_trace
 from groverlab.optimizers import OptimizerConfig
 from groverlab.report import RunConfig, ga_sweep, verify_rows
-from witnesses import bits, row_state
+from witnesses import bits, drawn_subset_deviations, row_state
 
 
 class TestGroverStep:
@@ -328,6 +328,63 @@ class TestCrossValidate:
             assert len(at_n) <= 3 + 2 * (n // 2), n
             rows = optimal_iterations(GroverConfig(n=n, j=1)) + 1
             assert all(r == rows for _, r in at_n), (n, at_n)
+
+    @staticmethod
+    def record_drawn_gathers(monkeypatch) -> list:
+        """(n, subset) of each row that a reduction with one subset per row gathers."""
+        gathered = []
+
+        def recording_trace(amps, keep):
+            if np.ndim(keep) == 2:
+                n = np.shape(amps)[-1].bit_length() - 1
+                gathered.extend((n, tuple(q)) for q in np.asarray(keep).tolist())
+            return pure_partial_trace(amps, keep)
+
+        monkeypatch.setattr(bruteforce, "pure_partial_trace", recording_trace)
+        return gathered
+
+    def test_a_broken_simulator_gathers_every_drawn_subset(self, monkeypatch):
+        # one ulp per qubit, as in test_one_ulp_per_qubit_leaves_no_class:
+        # no two qubits are exchangeable, so only a drawn subset that is the
+        # generic cut itself may take the generic cut's Gram
+        max_n, seed = 8, 4
+
+        def broken_series(cfg, r_max):
+            stack = evolve_series(cfg, r_max)
+            if cfg.j == 1:
+                for q in range(cfg.n - 1):
+                    x = 1 << (cfg.n - 1 - q)
+                    stack[q, x] = np.nextafter(stack[q, x].real, np.inf)
+                assert entanglement._exchange_labels(stack, cfg.n).tolist() == list(range(cfg.n))
+            return stack
+
+        gathered = self.record_drawn_gathers(monkeypatch)
+        monkeypatch.setattr(bruteforce, "evolve_series", broken_series)
+        checks = {c.name: c for c in cross_validate(max_n=max_n, j_values=(1,), seed=seed).checks}
+        rng, want, drawn = np.random.default_rng(seed), [], []
+        for n in range(2, max_n + 1):
+            cfg = GroverConfig(n=n, j=1)
+            deviations, subsets = drawn_subset_deviations(cfg, broken_series(cfg, optimal_iterations(cfg)), rng)
+            want += deviations
+            drawn += [(n, s) for s in subsets if s != tuple(range(len(s)))]
+        assert len(drawn) > 100
+        assert sorted(gathered) == sorted(drawn)
+        assert checks["reduced_density"].cases == len(want)
+        assert bits(checks["reduced_density"].max_deviation) == bits(max(want))
+        # every deviation, not only the maximum
+        got = {name: [] for name in _IDENTITY_TOLERANCES}
+        cfg = GroverConfig(n=7, j=1)
+        bruteforce._check_series(cfg, True, False, 0.0, np.random.default_rng(seed), got)
+        stack = broken_series(cfg, optimal_iterations(cfg))
+        deviations, _ = drawn_subset_deviations(cfg, stack, np.random.default_rng(seed))
+        assert sorted(bits(got["reduced_density"])) == sorted(bits(deviations))
+
+    def test_the_grover_series_gathers_no_drawn_subset(self, monkeypatch):
+        # every qubit of the j = 1 state is exchangeable: each drawn subset has
+        # the generic cut's key, and its Gram is the generic one
+        gathered = self.record_drawn_gathers(monkeypatch)
+        assert cross_validate(max_n=9, j_values=(1, 2)).passed
+        assert gathered == []
 
     def test_closed_forms_take_the_whole_series(self, monkeypatch):
         # the partition minimum and the multiqubit radicand are checked on the

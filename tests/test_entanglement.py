@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from groverlab import entanglement
 from groverlab.bruteforce import evolve, evolve_series
 from groverlab.entanglement import (
+    _cut_keys,
+    _cut_places,
     _spread,
     concurrence_multiqubit_ga,
     concurrence_two_qubit,
@@ -275,6 +277,23 @@ class TestCutClasses:
                 stack = stack / np.linalg.norm(stack, axis=1, keepdims=True)
                 assert entanglement._exchange_labels(stack, n).tolist() == [0, 1] * (n // 2)
                 assert bits(multiqubit_concurrence_pure(stack)) == bits(enumerated_multiqubit_concurrence(stack))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_integer_keys_partition_cuts_as_label_rows_do(self, n):
+        # the same classes, numbered alike, with the same first cut of each
+        rng = np.random.default_rng(30 + n)
+        vectors = [np.zeros(n, dtype=int), np.full(n, n - 1), np.arange(n), rng.permutation(n)]
+        for distinct in rng.integers(1, n + 1, size=6):
+            vectors.append(rng.choice(rng.choice(n, size=distinct, replace=False), size=n))
+        for labels in vectors:
+            for k in range(1, n // 2 + 1):
+                keep, rest = _cut_places(n, k)
+                rows = np.concatenate([labels[keep], labels[rest]], axis=1)
+                _, reps, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+                keys = _cut_keys(labels, keep)
+                _, key_reps, key_inverse = np.unique(keys, return_index=True, return_inverse=True)
+                assert key_reps.tolist() == reps.tolist(), (labels, k)
+                assert key_inverse.tolist() == inverse.reshape(-1).tolist(), (labels, k)
 
     def test_one_ulp_per_qubit_leaves_no_class(self, monkeypatch):
         # row q moves the amplitude of the basis state with only qubit q set,

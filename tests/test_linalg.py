@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from groverlab.errors import InvalidStateError
 from groverlab.linalg import (
     DensityMatrix,
+    _adjoint_gap,
     _schmidt_gram,
     PureState,
     binary_entropy,
@@ -65,6 +66,29 @@ class TestDensityMatrixInvariants:
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 7), (256, 256), (300, 300), (5, 64, 64), (2, 3, 8, 8), (1000, 8, 8)])
+def test_adjoint_gap_is_the_max_over_every_pair(shape):
+    # the rows of each block are compared with the later columns only; the
+    # maximum, NaN and inf included, is that of the whole m - m^dag
+    rng = np.random.default_rng(shape[-1] + len(shape))
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    hermitian = (m + m.conj().swapaxes(-1, -2)) / 2
+    stacks = [m, hermitian]
+    for special in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, np.inf)):
+        for base in (m, hermitian):
+            bad = base.copy()
+            bad.flat[rng.integers(bad.size)] = special
+            stacks.append(bad)
+    both = hermitian.copy()  # inf at (x, y) and (y, x): inf - inf is NaN
+    x, y = rng.integers(shape[-1], size=2)
+    both[..., x, y] = both[..., y, x] = np.inf
+    stacks.append(both)
+    for stack in stacks:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)))
+            assert float(_adjoint_gap(stack)).hex() == float(want).hex()
 
 
 class TestVonNeumannEntropy:

@@ -17,7 +17,10 @@ the stacked oracle's loop with one Gram per cut
 equivalent cuts replaced: it is the oracle's bit-for-bit reference. The
 one-statevector oracles that the series-stacked ones replaced are here
 too (`row_oracle`), as the bit-for-bit reference of each stack row, and so
-is the row-by-row identity loop (`row_check_series`) that `verify` ran.
+is the row-by-row identity loop (`row_check_series`) that `verify` ran,
+and its reduction check with every drawn subset gathered
+(`drawn_subset_deviations`), which the generic cut's Gram replaced for each
+subset the amplitudes cannot tell apart from it.
 The phi family's materialized start (`phi_family_distribution`), which the
 closed-form phi sweep replaced, is the general-path reference of that
 sweep, and the one-r partition minimum (`row_partition_minimum`) is that
@@ -497,6 +500,23 @@ def row_partition_minimum(cfg: GroverConfig, r: int) -> tuple:
     totals = [(sum(entropy[k] for k in parts), parts) for parts in _partitions_with_two_parts(cfg.n)]
     total, parts = min(totals, key=lambda pair: pair[0])
     return total / 2.0, parts, entropy
+
+
+def drawn_subset_deviations(cfg: GroverConfig, amps: np.ndarray, rng) -> tuple:
+    """(the `reduced_density` deviations, the drawn subsets) of a j = 1 series stack,
+    row by row, with every drawn subset reduced: the generic cut range(k) and one
+    subset per (r, k), drawn r outer, k inner, as `bruteforce._check_series` draws them."""
+    n = cfg.n
+    st = state_at(cfg, np.arange(amps.shape[0]))
+    deviations, subsets = [], []
+    for r, row_amps in enumerate(amps):
+        row = row_state(st, r)
+        for k in range(1, n):
+            structured = _reduced_matrix(n, row, k)
+            subsets.append(tuple(sorted(rng.choice(n, size=k, replace=False).tolist())))
+            for keep in (range(k), subsets[-1]):
+                deviations.append(float(np.max(np.abs(structured - row_partial_trace(row_amps, keep).matrix))))
+    return deviations, subsets
 
 
 def row_check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: float, rng, deviations) -> None:
