@@ -138,17 +138,6 @@ _run_options = _apply(
     ),
 )
 
-_optimizer_options = _apply(
-    click.option(
-        "--grid",
-        type=GRID,
-        default=f"{OptimizerConfig.theta_grid}x{OptimizerConfig.phi_grid}",
-        help="Discord grid THETAxPHI.",
-    ),
-    click.option("--restarts", type=int, default=OptimizerConfig.restarts, help="Svetlichny restarts."),
-)
-
-
 def _output_options(fmt: str):
     return _apply(
         click.option(
@@ -207,7 +196,13 @@ def main():
     default=",".join(DEFAULT_GA_MEASURES),
     help=f"Comma list from {', '.join(MEASURE_KEYS)}.",
 )
-@_optimizer_options
+@click.option(
+    "--grid",
+    type=GRID,
+    default=f"{OptimizerConfig.theta_grid}x{OptimizerConfig.phi_grid}",
+    help="Discord grid THETAxPHI.",
+)
+@click.option("--restarts", type=int, default=OptimizerConfig.restarts, help="Svetlichny restarts.")
 @click.option("--no-oracle", is_flag=True, help="Disable the brute-force fallback engine.")
 @_output_options("csv")
 def ga(n, j_values, r_max, measures, grid, restarts, no_oracle, seed, fmt, out):
@@ -284,17 +279,11 @@ def verify(max_n, j_values, inject_fault, seed, fmt, out):
 @click.option(
     "--out", "out_dir", type=click.Path(path_type=Path), default="figures", help="Output directory."
 )
-@_optimizer_options
 @click.option("--phi-points", type=int, default=50, help="Points for the fig3 sweep.")
 @_run_options
-def figures(out_dir, grid, restarts, phi_points, seed):
+def figures(out_dir, phi_points, seed):
     """Emit plot-ready CSV data plus a gnuplot script for each measure figure."""
-    run = RunConfig(
-        command="figures",
-        seed=seed,
-        phi_points=phi_points,
-        optimizer=OptimizerConfig(*grid, restarts=restarts, seed=seed),
-    )
+    run = RunConfig(command="figures", seed=seed, phi_points=phi_points)
     for name, emit in figure_outputs(run).items():
         _write_file(out_dir / name, emit)
         click.echo(f"wrote {out_dir / name}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AmplitudeFileError, InvalidStateError, UnsupportedStructureError
 from .grover import GroverConfig
-from .linalg import NORM_TOL, PureState, binary_entropy
+from .linalg import NORM_TOL, PureState, binary_entropy, shannon_entropy
 
 REAL_TOL = 1e-12
 
@@ -231,65 +231,65 @@ class PhiFamily:
 
     phi0^2 + phi1^2 = 2/N with phi0 <= phi1; the non-solution amplitudes are
     all 1/sqrt(N), so the peak success probability is exactly 1 and the
-    optimal-time state is k1|0> + k2|1>.
+    optimal-time state is k1|0> + k2|1>. `phi0`, `phi1`, `k1` and `k2` are
+    arrays of one shape when the family was built for an array of phi0, so
+    the phi_family_* functions give one value per point; a scalar phi0 gives
+    scalars. Every check covers the whole array and fails on NaN.
     """
 
     N: int
-    phi0: float
-    phi1: float
-    k1: float
-    k2: float
+    phi0: np.ndarray
+    phi1: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
 
     def __post_init__(self):
         if self.N < 4 or self.N & (self.N - 1):
             raise ValueError(f"database size must be a power of two >= 4, got {self.N}")
-        if abs(self.phi0**2 + self.phi1**2 - 2.0 / self.N) > NORM_TOL:
-            raise InvalidStateError(
-                f"phi0^2 + phi1^2 = {self.phi0**2 + self.phi1**2!r}, expected 2/N"
-            )
-        if self.phi0 > self.phi1:
+        phi0, phi1, k1, k2 = (np.asarray(x, dtype=float) for x in (self.phi0, self.phi1, self.k1, self.k2))
+        if not phi0.shape == phi1.shape == k1.shape == k2.shape:
+            raise ValueError("phi0, phi1, k1 and k2 must have one shape")
+        if not np.all(np.abs(np.square(phi0) + np.square(phi1) - 2.0 / self.N) <= NORM_TOL):
+            raise InvalidStateError("phi0^2 + phi1^2 must equal 2/N")
+        if not np.all(phi0 <= phi1):
             raise ValueError("phi0 <= phi1 is required")
-        if abs(self.k1**2 + self.k2**2 - 1.0) > NORM_TOL:
+        if not np.all(np.abs(np.square(k1) + np.square(k2) - 1.0) <= NORM_TOL):
             raise InvalidStateError("k1^2 + k2^2 must equal 1")
 
     @classmethod
-    def from_phi0(cls, N: int, phi0: float) -> "PhiFamily":
+    def from_phi0(cls, N: int, phi0) -> "PhiFamily":
+        """The family at each phi0, a float or an array."""
+        phi0 = np.asarray(phi0, dtype=float)
         rest = 2.0 / N - phi0 * phi0
-        if rest < -NORM_TOL:
-            raise ValueError(f"phi0={phi0!r} exceeds sqrt(2/N)")
-        phi1 = math.sqrt(max(rest, 0.0))
-        if phi0 > phi1:
-            raise ValueError(f"phi0={phi0!r} violates phi0 <= phi1 for N={N}")
-        s = math.sqrt((N - 2.0) / (2.0 * N) + 0.25 * (phi0 + phi1) ** 2)
+        phi1 = np.sqrt(np.maximum(rest, 0.0))
+        for ok, rule in ((rest >= -NORM_TOL, "phi0^2 <= 2/N"), (phi0 <= phi1, f"phi0 <= phi1 for N={N}")):
+            if not np.all(ok):
+                raise ValueError(f"phi0={float(phi0[~ok][0])!r} violates {rule}")
+        s = np.sqrt((N - 2.0) / (2.0 * N) + 0.25 * np.square(phi0 + phi1))
         half_gap = 0.5 * (phi0 - phi1)
-        return cls(N=N, phi0=phi0, phi1=phi1, k1=s + half_gap, k2=s - half_gap)
+        # [()] turns the 0-d fields of a scalar phi0 back into scalars
+        return cls(N=N, phi0=phi0[()], phi1=phi1[()], k1=(s + half_gap)[()], k2=(s - half_gap)[()])
 
 
-def _p_log2_p(x: float) -> float:
-    return 0.0 if x <= 0.0 else -x * math.log2(x)
+def phi_family_delta_coherence(fam: PhiFamily):
+    """Relative-entropy coherence spent between the initial and optimal states, one value per point."""
+    start = shannon_entropy(np.stack([np.square(fam.phi0), np.square(fam.phi1)], axis=-1))
+    return start + (fam.N - 2.0) / fam.N * math.log2(fam.N) - binary_entropy(np.square(fam.k1))
 
 
-def phi_family_delta_coherence(fam: PhiFamily) -> float:
-    """Relative-entropy coherence spent between the initial and optimal states."""
-    return (
-        _p_log2_p(fam.phi0**2)
-        + _p_log2_p(fam.phi1**2)
-        + (fam.N - 2.0) / fam.N * math.log2(fam.N)
-        - binary_entropy(fam.k1**2)
-    )
-
-
-def phi_family_optimal_time(fam: PhiFamily) -> float:
-    """(pi/2 - beta)/omega from (N, phi0, phi1) alone, for every N up to 2^1022.
+def phi_family_optimal_time(fam: PhiFamily):
+    """(pi/2 - beta)/omega from (N, phi0, phi1) alone, for every N up to 2^1022, one value per point.
 
     omega is the two-solution Grover angle 2 atan sqrt(2/(N-2)); the equal
     acos(1 - 4/N) rounds to 0 once N > 2^55. beta is gga_closed_form's
-    atan2, operand for operand, of the start's averages kbar and lbar.
+    atan2, operand for operand, of the start's averages kbar and lbar, taken
+    per point through math.atan2: numpy's arctan2 kernels round differently
+    on different CPUs.
     """
     omega = GroverConfig(fam.N.bit_length() - 1, j=2).alpha
     kbar, lbar = 0.5 * (fam.phi0 + fam.phi1), 1.0 / math.sqrt(fam.N)
-    beta = math.atan2(math.sqrt(2) * kbar, math.sqrt(fam.N - 2) * lbar)
-    return (math.pi / 2.0 - beta) / omega
+    beta = np.frompyfunc(math.atan2, 2, 1)(math.sqrt(2) * kbar, math.sqrt(fam.N - 2) * lbar)
+    return (math.pi / 2.0 - np.asarray(beta, dtype=float)) / omega
 
 
 def distribution_from_json(text: str) -> AmplitudeDistribution:

@@ -173,26 +173,30 @@ def ga_sweep(run: RunConfig) -> SweepResult:
     return SweepResult(columns=columns, blocks=blocks, engines=engines, extra_metadata=extra)
 
 
+def _phi_blocks(N: int, points: np.ndarray):
+    """The rows of a phi sweep, the family of one block of `_BLOCK_ROWS` points at a time."""
+    for block in _slices({"phi0": points}):
+        fam = PhiFamily.from_phi0(N, block["phi0"])
+        yield {**block, "r_opt": phi_family_optimal_time(fam), "delta_cr": phi_family_delta_coherence(fam),
+               "p_max": np.ones(fam.phi0.size)}
+
+
 def phi_sweep(run: RunConfig) -> SweepResult:
     """Coherence depletion vs optimal measurement time across the phi family.
 
     Every column is a closed form of the family's (N, phi0, phi1); p_max is
-    exactly 1, as the non-solution tail is uniform (see PhiFamily).
+    exactly 1, as the non-solution tail is uniform (see PhiFamily). The
+    checks run here; the rows are computed block by block as the result is
+    written.
     """
     if not 2 <= run.n <= FLOAT_SAFE_QUBITS:
         raise ValueError(f"qubit count must lie in 2..{FLOAT_SAFE_QUBITS}, got {run.n}")
     if not 1 <= run.phi_points <= MAX_ROWS:
         raise ValueError(f"--phi-points must lie in 1..{MAX_ROWS:,}, got {run.phi_points:,}")
     N = 1 << run.n
-    points = np.linspace(0.0, 1.0 / math.sqrt(N), run.phi_points)
-    values = np.empty((3, points.size))
-    for i, phi0 in enumerate(points.tolist()):
-        fam = PhiFamily.from_phi0(N, phi0)
-        values[:, i] = phi_family_optimal_time(fam), phi_family_delta_coherence(fam), 1.0
-    columns = ("phi0", "r_opt", "delta_cr", "p_max")
     return SweepResult(
-        columns=columns,
-        blocks=partial(_slices, dict(zip(columns, (points, *values)))),
+        columns=("phi0", "r_opt", "delta_cr", "p_max"),
+        blocks=partial(_phi_blocks, N, np.linspace(0.0, 1.0 / math.sqrt(N), run.phi_points)),
         engines={"all": "closed-form"},
         extra_metadata={"N": N},
     )

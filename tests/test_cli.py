@@ -348,6 +348,11 @@ GOLDEN_BYTES = [
     ("ga_n11_j1-10_en.json", ("ga", "--n", "11", "--j", "1..10", "--measures", "en", "--format", "json")),
 ]
 
+# the phi-family goldens under their file names
+GOLDEN_PHI = [(f"{name}.csv", args) for name, args in GOLDEN_CSV if args[0] == "gga"] + [
+    (name, args) for name, args in GOLDEN_BYTES if args[0] == "gga"
+]
+
 
 class TestStreamedErrors:
     """A sweep computes its rows as they are written, so an error may come after the header."""
@@ -428,13 +433,34 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize(
         "name, args",
         [(f"{name}.csv", args) for name, args in GOLDEN_CSV if name.startswith("ga_")]
-        + [(name, args) for name, args in GOLDEN_BYTES if name.startswith("ga_")],
+        + [(name, args) for name, args in GOLDEN_BYTES if name.startswith("ga_")]
+        + GOLDEN_PHI,
     )
     def test_seven_row_blocks_change_no_byte(self, name, args, monkeypatch, tmp_path):
         # long series span many blocks and short ones share a block, so no closed
         # form, oracle slice or search may give a row other bits in another block
         monkeypatch.setattr(report, "_BLOCK_ROWS", 7)
         assert_both_write_paths(args, GOLDEN / name, tmp_path / name)
+
+    @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
+    def test_phi_bits_do_not_depend_on_the_simd_kernels(self, disabled, tmp_path):
+        # numpy's AVX-512 arctan2 gives other bits than its AVX2 and baseline
+        # kernels (at 41 of these 4,000 points at n = 3), so the phi family takes
+        # beta through math.atan2. The setting acts only on a new process;
+        # naming a kernel the host lacks changes nothing
+        sweeps = {f"n{n}.json": ("gga", "--n", str(n), "--phi-points", "4000", "--format", "json") for n in (3, 8)}
+        runs = [[*args, "--out", str(tmp_path / name)] for name, args in GOLDEN_PHI + list(sweeps.items())]
+        code = "import json, sys\nfrom groverlab.cli import main\nfor args in json.loads(sys.argv[1]):\n    main(args, standalone_mode=False)\n"
+        src = str(Path(groverlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": disabled}
+        subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, check=True)
+        for name, _ in GOLDEN_PHI:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        # off the goldens only r_opt is held: delta_cr's log2 rounds as numpy's kernel does
+        for name, args in sweeps.items():
+            ours, lowered = (json.loads(text)["rows"] for text in (run_cli(*args).output, (tmp_path / name).read_text()))
+            assert [row["r_opt"] for row in ours] == [row["r_opt"] for row in lowered], name
 
     @pytest.mark.parametrize(
         "name, args",
@@ -946,6 +972,9 @@ class TestConfigFile:
             ("gga", "measures=cr"),
             ("verify", "n=4"),
             ("figures", "format=json"),
+            # every figure column is a closed form, so figures takes no search setting
+            ("figures", "grid=4x8"),
+            ("figures", "restarts=1"),
         ],
     )
     def test_unknown_key_is_usage_error(self, tmp_path, monkeypatch, command, key):
@@ -984,7 +1013,7 @@ class TestConfigFile:
     def test_figures_out_flag_overrides_config(self, tmp_path):
         flag_dir, config_dir = tmp_path / "flag", tmp_path / "config"
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"out={config_dir}\ngrid=4x8\nrestarts=1\nphi-points=3\n")
+        cfgfile.write_text(f"out={config_dir}\nphi-points=3\n")
         result = run_cli("figures", "--config", str(cfgfile), "--out", str(flag_dir))
         assert result.exit_code == 0, result.output
         assert len(list(flag_dir.iterdir())) == 8
@@ -997,7 +1026,7 @@ class TestConfigFile:
         ("ga", "--n", "2", "--out", "."),
         ("ga", "--n", "2", "--out", "taken/a.csv"),
         ("verify", "--max-n", "2", "--out", ""),
-        ("figures", "--grid", "4x8", "--restarts", "1", "--phi-points", "2", "--out", "taken"),
+        ("figures", "--phi-points", "2", "--out", "taken"),
     ],
 )
 def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, args):
@@ -1050,8 +1079,8 @@ def test_malformed_option_value_is_usage_error(tmp_path, monkeypatch, command, o
     [
         (("verify", "--j", "abc"), "--j"),
         (("verify", "--j", "1..x"), "--j"),
-        (("figures", "--grid", "abc"), "--grid"),
-        (("figures", "--grid", "2"), "--grid"),
+        (("ga", "--n", "4", "--grid", "abc"), "--grid"),
+        (("ga", "--n", "4", "--grid", "2"), "--grid"),
         # a non-finite fault would print nan or inf deviations and exit 1
         (("verify", "--max-n", "3", "--inject-fault", "nan"), "--inject-fault"),
         (("verify", "--max-n", "3", "--inject-fault", "inf"), "--inject-fault"),
@@ -1076,7 +1105,7 @@ J_FORM = "expected J, J1,J2,... or LO..HI"
         (("ga", "--n", "4", "--grid", "5"), GRID_FORM),
         (("ga", "--n", "4", "--grid", "x"), GRID_FORM),
         (("ga", "--n", "4", "--grid", "8x8x8"), GRID_FORM),
-        (("figures", "--grid", "abc"), GRID_FORM),
+        (("ga", "--n", "4", "--grid", "abc"), GRID_FORM),
         (("ga", "--n", "4", "--j", "1.."), J_FORM),
         (("ga", "--n", "4", "--j", "..3"), J_FORM),
         (("ga", "--n", "4", "--j", "1..2..3"), J_FORM),
@@ -1122,7 +1151,7 @@ def figure_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("figs")
     result = CliRunner().invoke(
         main,
-        ["figures", "--out", str(out), "--grid", "24x48", "--restarts", "6", "--phi-points", "12"],
+        ["figures", "--out", str(out), "--phi-points", "12"],
     )
     assert result.exit_code == 0, result.output
     return out

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from groverlab.gga import (
 )
 from groverlab.grover import GroverConfig, optimal_iteration_details
 from groverlab.linalg import DensityMatrix
+from groverlab.report import RunConfig, phi_sweep
 from witnesses import (
     bits,
     closed_form_averages,
@@ -356,6 +358,49 @@ class TestPhiFamily:
             PhiFamily.from_phi0(1024, 0.05)  # phi0 > phi1
         with pytest.raises(ValueError, match="power of two"):
             PhiFamily.from_phi0(1000, 0.0)
+
+    def test_nan_is_rejected(self):
+        half = 1 / math.sqrt(2)
+        with pytest.raises(ValueError, match="phi0=nan"):
+            PhiFamily.from_phi0(1024, float("nan"))
+        with pytest.raises(ValueError, match="phi0=nan"):
+            PhiFamily.from_phi0(1024, np.array([0.0, float("nan"), 0.01]))
+        for fields in (
+            dict(phi0=float("nan"), phi1=math.sqrt(2 / 1024), k1=half, k2=half),
+            dict(phi0=0.0, phi1=math.sqrt(2 / 1024), k1=float("nan"), k2=half),
+        ):
+            with pytest.raises(InvalidStateError):
+                PhiFamily(N=1024, **fields)
+
+    def test_fields_of_two_shapes_are_rejected(self):
+        fam = PhiFamily.from_phi0(64, np.linspace(0.0, 0.125, 3))
+        with pytest.raises(ValueError, match="one shape"):
+            PhiFamily(N=64, phi0=fam.phi0, phi1=fam.phi1, k1=fam.k1[0], k2=fam.k2)
+
+    @pytest.mark.parametrize("n", [*range(2, 17), 64, 300, 1022])
+    def test_each_row_is_its_0d_family(self, n):
+        # a 0-d ufunc call and a 1-d one may run different SIMD loops
+        N = 1 << n
+        points = np.linspace(0.0, 1.0 / math.sqrt(N), 50)
+        fam = PhiFamily.from_phi0(N, points)
+        rows = [PhiFamily.from_phi0(N, phi0) for phi0 in points.tolist()]
+        for field in ("phi0", "phi1", "k1", "k2"):
+            assert bits(getattr(fam, field)) == bits([getattr(row, field) for row in rows]), field
+        assert bits(phi_family_optimal_time(fam)) == bits([phi_family_optimal_time(row) for row in rows])
+        assert bits(phi_family_delta_coherence(fam)) == bits([phi_family_delta_coherence(row) for row in rows])
+
+    def test_sweep_holds_one_block_of_the_family(self):
+        # one block of the family at a time beside the 1.6 MB phi0 column;
+        # a family object per point and whole columns peaked at 12.8 MB
+        run = RunConfig(command="gga", n=20, phi_points=200_000)
+        tracemalloc.start()
+        try:
+            rows = sum(block["r_opt"].size for block in phi_sweep(run).blocks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 200_000
+        assert peak < 4_000_000, f"{peak:,} B"
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_closed_form_matches_general_path(self, n):

@@ -219,11 +219,12 @@ def test_phi_sweep_matches_high_precision_reference(n):
     # at n = 1022 every phi0^2 below 2^-1022 is subnormal. The largest relative
     # errors measured here: 2.6e-16 (r_opt, n = 64) and 7.6e-22 (delta_cr)
     N = 1 << n
+    points = np.linspace(0.0, 1.0 / math.sqrt(N), 50)
+    fam = PhiFamily.from_phi0(N, points)  # the array call the sweep makes
+    got = zip(phi_family_optimal_time(fam).tolist(), phi_family_delta_coherence(fam).tolist())
     with mp.workdps(50):
-        for phi0 in np.linspace(0.0, 1.0 / math.sqrt(N), 50).tolist():
-            fam = PhiFamily.from_phi0(N, phi0)
+        for phi0, values in zip(points.tolist(), got):
             ref = phi_reference(n, phi0)
-            got = (phi_family_optimal_time(fam), phi_family_delta_coherence(fam))
-            for name, value, want in zip(("r_opt", "delta_cr"), got, ref):
+            for name, value, want in zip(("r_opt", "delta_cr"), values, ref):
                 error = abs(mp.mpf(value) - want)
                 assert error <= RTOL * abs(want), f"{name} at n={n}, phi0={phi0!r}: {value!r} vs {want}"
