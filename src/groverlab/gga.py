@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -244,8 +245,7 @@ class PhiFamily:
     k2: np.ndarray
 
     def __post_init__(self):
-        if self.N < 4 or self.N & (self.N - 1):
-            raise ValueError(f"database size must be a power of two >= 4, got {self.N}")
+        self._check_size(self.N)
         phi0, phi1, k1, k2 = (np.asarray(x, dtype=float) for x in (self.phi0, self.phi1, self.k1, self.k2))
         if not phi0.shape == phi1.shape == k1.shape == k2.shape:
             raise ValueError("phi0, phi1, k1 and k2 must have one shape")
@@ -256,9 +256,15 @@ class PhiFamily:
         if not np.all(np.abs(np.square(k1) + np.square(k2) - 1.0) <= NORM_TOL):
             raise InvalidStateError("k1^2 + k2^2 must equal 1")
 
+    @staticmethod
+    def _check_size(N: int) -> None:
+        if N < 4 or N & (N - 1):
+            raise ValueError(f"database size must be a power of two >= 4, got {N}")
+
     @classmethod
     def from_phi0(cls, N: int, phi0) -> "PhiFamily":
         """The family at each phi0, a float or an array."""
+        cls._check_size(N)  # before 2/N, which a bad size would turn into an arithmetic error
         phi0 = np.asarray(phi0, dtype=float)
         rest = 2.0 / N - phi0 * phi0
         phi1 = np.sqrt(np.maximum(rest, 0.0))
@@ -290,6 +296,22 @@ def phi_family_optimal_time(fam: PhiFamily):
     kbar, lbar = 0.5 * (fam.phi0 + fam.phi1), 1.0 / math.sqrt(fam.N)
     beta = np.frompyfunc(math.atan2, 2, 1)(math.sqrt(2) * kbar, math.sqrt(fam.N - 2) * lbar)
     return (math.pi / 2.0 - np.asarray(beta, dtype=float)) / omega
+
+
+def _finite_cells(pairs: list):
+    """The pairs' cells as one float array, or None unless each pair is a list of two ints or
+    floats below the largest float in magnitude: np.array(dtype=float) alone would read true and
+    "0.5" as numbers, and round an int just past the float range down to that float."""
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        cells = np.array(flat, dtype=float)
+    except OverflowError:  # an int past the float range
+        return None
+    return cells if np.all(np.abs(cells) < sys.float_info.max) else None  # NaN compares false
 
 
 def distribution_from_json(text: str) -> AmplitudeDistribution:
@@ -334,16 +356,18 @@ def distribution_from_json(text: str) -> AmplitudeDistribution:
         )
     if len(amps_raw) != N:
         raise AmplitudeFileError(f"field 'amplitudes': expected {N} entries, got {len(amps_raw)}")
-    amps = np.empty(N, dtype=complex)
-    for i, pair in enumerate(amps_raw):
-        # json.loads reads NaN and Infinity, and an int may be past the float range
-        if not isinstance(pair, list) or len(pair) != 2 or not all(
-            type(x) in (int, float) and abs(x) <= sys.float_info.max for x in pair
-        ):
-            raise AmplitudeFileError(
-                f"amplitudes[{i}]: expected a [re, im] pair of finite numbers, got {pair!r}"
-            )
-        amps[i] = complex(pair[0], pair[1])
+    cells = _finite_cells(amps_raw)
+    if cells is None:  # name the first bad pair
+        for i, pair in enumerate(amps_raw):
+            # json.loads reads NaN and Infinity, and an int may be past the float range
+            if not isinstance(pair, list) or len(pair) != 2 or not all(
+                type(x) in (int, float) and abs(x) <= sys.float_info.max for x in pair
+            ):
+                raise AmplitudeFileError(
+                    f"amplitudes[{i}]: expected a [re, im] pair of finite numbers, got {pair!r}"
+                )
+        cells = np.array(list(chain.from_iterable(amps_raw)), dtype=float)
+    amps = cells.view(complex)
     norm2 = float(np.sum(np.abs(amps) ** 2))
     if not abs(norm2 - 1.0) <= NORM_TOL:
         raise AmplitudeFileError(f"amplitudes not normalized: sum |a|^2 = {norm2!r}")

@@ -7,7 +7,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -304,21 +303,36 @@ def base_metadata(run: RunConfig, engines: dict) -> dict:
 def _cells(column, float_spec: str, na: str, cell) -> tuple:
     """(%-spec, cell values) of one column for a %-format row template.
 
-    Int and float cells are converted by the template itself; NA cells,
-    non-finite floats and object cells arrive as strings made by `cell`.
+    A column whose cells all print one text, because every cell is NA or every
+    cell has one bit pattern (compared as same-width unsigned ints, so -0.0
+    and 0.0 differ), is that text with '%' escaped, and its cells are None.
     """
     values = np.ma.getdata(column)
     mask = np.ma.getmaskarray(column)
+    if mask.all():
+        return na.replace("%", "%%"), None
+    if values.dtype.kind in "biuf" and not mask.any():
+        bits = values.view(f"u{values.itemsize}")
+        if not (bits != bits[0]).any():
+            spec, (text,) = _cell_values(values[:1], mask[:1], float_spec, na, cell)
+            return (spec % (text,)).replace("%", "%%"), None
+    return _cell_values(values, mask, float_spec, na, cell)
+
+
+def _cell_values(values, mask, float_spec: str, na: str, cell) -> tuple:
+    """(%-spec, cell values): int and float cells are converted by the template itself;
+    NA cells, non-finite floats and object cells arrive as strings made by `cell`."""
     if values.dtype.kind in "iu" and not mask.any():
         return "%d", values.tolist()
     if values.dtype.kind != "f":
         return "%s", [na if m else cell(v) for v, m in zip(values.tolist(), mask.tolist())]
-    odd = ~mask & ~np.isfinite(values)
-    if not (mask.any() or odd.any()):
+    fine = ~mask & np.isfinite(values)
+    if fine.all():
         return float_spec, values.tolist()
-    text = np.array(list(map(float_spec.__mod__, values.tolist())), dtype=object)
+    text = np.full(values.size, na, dtype=object)
+    text[fine] = list(map(float_spec.__mod__, values[fine].tolist()))
+    odd = ~(mask | fine)
     text[odd] = [cell(v) for v in values[odd].tolist()]
-    text[mask] = na
     return "%s", text.tolist()
 
 
@@ -329,11 +343,15 @@ _TABLE_ROWS = 1 << 11
 
 
 def _table_block(data: dict, rows: range, float_spec: str, na: str, cell, row_template) -> str:
-    """The `rows` of every `data` column, each written by row_template({key: spec}) % its cells."""
+    """The `rows` of every `data` column, each written by row_template({key: spec}) % its cells;
+    a column of one text is in the template and has no cells."""
     columns = {key: _cells(column[rows.start : rows.stop], float_spec, na, cell) for key, column in data.items()}
     template = row_template({key: spec for key, (spec, _) in columns.items()})
-    values = tuple(chain.from_iterable(zip(*(cells for _, cells in columns.values()))))
-    return "".join([template] * len(rows)) % values
+    lists = [cells for _, cells in columns.values() if cells is not None]
+    values = [None] * (len(rows) * len(lists))
+    for i, cells in enumerate(lists):  # row by row: a slice per column, not a tuple per row
+        values[i :: len(lists)] = cells
+    return "".join([template] * len(rows)) % tuple(values)
 
 
 def _table(blocks, *formats):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -359,6 +360,12 @@ class TestPhiFamily:
         with pytest.raises(ValueError, match="power of two"):
             PhiFamily.from_phi0(1000, 0.0)
 
+    @pytest.mark.parametrize("N", [0, -4, 2, 3])
+    def test_size_is_checked_before_arithmetic(self, N):
+        # N = 0 used to divide by zero and N = -4 to blame phi0
+        with pytest.raises(ValueError, match=f"database size must be a power of two >= 4, got {N}$"):
+            PhiFamily.from_phi0(N, 0.0)
+
     def test_nan_is_rejected(self):
         half = 1 / math.sqrt(2)
         with pytest.raises(ValueError, match="phi0=nan"):
@@ -458,6 +465,43 @@ class TestJsonInterface:
         doc["amplitudes"][2] = [0.5]
         with pytest.raises(AmplitudeFileError, match=r"amplitudes\[2\]"):
             distribution_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "[0.5, true]", '[0.5, "0.5"]', "[0.5, null]", "[0.5, NaN]", "[0.5, -Infinity]", "[0.5, 1e400]",
+            f"[0.5, {10**400}]", f"[0.5, {int(sys.float_info.max) + 1}]", "[0.5, [0]]",
+            "[0.5]", "[0.5, 0, 0]", '{"re": 0.5}', "0.5",
+        ],
+    )
+    def test_bad_entry_is_named(self, entry):
+        # np.array(dtype=float) would read true and "0.5" as numbers and round
+        # an int just past the float range down to the largest float
+        text = f'{{"n": 2, "solutions": [0], "amplitudes": [[0.5, 0], {entry}, [0.5, 0], [0.5, 0]]}}'
+        with pytest.raises(AmplitudeFileError) as info:
+            distribution_from_json(text)
+        got = json.loads(text)["amplitudes"][1]
+        assert str(info.value) == f"amplitudes[1]: expected a [re, im] pair of finite numbers, got {got!r}"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    def test_largest_float_is_a_number(self):
+        # it passes the per-pair check and fails as a norm (whose square overflows)
+        doc = self.make_doc()
+        doc["amplitudes"][1] = [0.0, -sys.float_info.max]
+        with pytest.raises(AmplitudeFileError, match="normalized"):
+            distribution_from_json(json.dumps(doc))
+
+    def test_cells_keep_their_bits(self):
+        # ints, -0.0 and floats read as complex(re, im) per pair would read them
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((4096, 2))
+        values[:3] = 0.0
+        values /= np.linalg.norm(values)
+        pairs = values.tolist()
+        pairs[0], pairs[1], pairs[2] = [0, 0], [-0.0, 0], [0.0, -0.0]
+        dist = distribution_from_json(json.dumps({"n": 12, "solutions": [7], "amplitudes": pairs}))
+        expected = np.array([complex(re, im) for re, im in pairs])
+        assert bits(dist.amplitudes.view(float)) == bits(expected.view(float))
 
     def test_unnormalized(self):
         doc = self.make_doc()

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from itertools import chain
 
@@ -12,6 +13,7 @@ from witnesses import render_csv_rows, render_json_rows
 
 from groverlab import report
 from groverlab.cli import main
+from groverlab.gga import distribution_from_json
 from groverlab.report import RunConfig, SweepResult
 
 SPECIAL = [-0.0, 5e-324, 1e300, 1e-7, 1.0, 0.0, 0.1 + 0.2, 2.0 / 3.0, -1.7976931348623157e308]
@@ -105,12 +107,12 @@ objects = st.one_of(st.text(max_size=6), st.booleans(), st.none(), st.integers(-
 
 @st.composite
 def sweeps(draw):
-    """A SweepResult of random int, float, NA-masked float, object and boolean columns."""
+    """A SweepResult of random int, float, constant float, NA-masked float, object and boolean columns."""
     rows = draw(st.integers(0, 8))
     names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True))
     data = {}
     for name in names:
-        kind = draw(st.sampled_from(["int", "float", "na", "object", "bool"]))
+        kind = draw(st.sampled_from(["int", "float", "const", "na", "object", "bool"]))
         cells = lambda strategy: draw(st.lists(strategy, min_size=rows, max_size=rows))
         if kind == "int":
             data[name] = np.array(cells(st.integers(-(2**63), 2**63 - 1)), dtype=np.int64)
@@ -118,6 +120,8 @@ def sweeps(draw):
             data[name] = np.array(cells(objects), dtype=object)
         elif kind == "bool":
             data[name] = np.array(cells(st.booleans()), dtype=bool)
+        elif kind == "const":
+            data[name] = np.full(rows, draw(floats))
         else:
             values = np.array(cells(floats), dtype=float)
             mask = cells(st.booleans())
@@ -243,3 +247,100 @@ def test_write_slices_long_blocks(monkeypatch):
         report.write(result, run, emitted.append)
         assert max(map(len, emitted)) == 5
         assert "".join(emitted) == report.render(result, run)
+
+
+@pytest.fixture
+def cell_log(monkeypatch):
+    """Each formatted block's {column: (spec, cells)} as `_cells` returned them, in order."""
+    seen, blocks = [], []
+    cells, table_block = report._cells, report._table_block
+
+    def recording_block(data, *args):
+        start = len(seen)
+        text = table_block(data, *args)
+        blocks.append(dict(zip(data, seen[start:])))
+        return text
+
+    monkeypatch.setattr(report, "_cells", lambda *args: seen.append(cells(*args)) or seen[-1])
+    monkeypatch.setattr(report, "_table_block", recording_block)
+    return blocks
+
+
+def per_cell_writers_agree(result):
+    """Both formats as the per-cell writers write them; the CSV text is returned."""
+    csv_run, json_run = (RunConfig(command="ga", fmt=fmt) for fmt in ("csv", "json"))
+    assert rendered(result, json_run) == render_json_rows(result, json_run)
+    text = rendered(result, csv_run)
+    assert text == render_csv_rows(result, csv_run)
+    return text
+
+
+class TestOneTextColumns:
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.0, float("nan"), float("inf"), 5e-324])
+    def test_constant_float_column_is_written_once(self, cell_log, value):
+        text = per_cell_writers_agree(sweep({"r": np.arange(5), "x": np.full(5, value)}))
+        assert text.splitlines()[-5:] == ["%d,%.12g" % (r, value) for r in range(5)]
+        texts = {report._format_value(value), report._json_scalar(value)}  # a CSV cell and a JSON cell
+        assert {block["x"] for block in cell_log} == {(text, None) for text in texts}
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0, 0.0], [float("nan"), -float("nan")]])
+    def test_cells_of_two_bit_patterns_do_not_fold(self, cell_log, values):
+        # -0.0 and 0.0 print differently; NaNs of two payloads print alike, but are not compared by text
+        assert len(set(np.array(values).view(np.uint64).tolist())) == 2
+        per_cell_writers_agree(sweep({"x": np.array(values)}))
+        assert all(block["x"][1] is not None for block in cell_log)
+
+    def test_int_column_folds_in_each_block_it_is_constant_in(self, cell_log, monkeypatch):
+        monkeypatch.setattr(report, "_TABLE_ROWS", 4)  # blocks j = 1111, 1122 and 22
+        per_cell_writers_agree(sweep({"j": np.repeat([1, 2], [6, 4]), "r": np.arange(10)}))
+        assert [block["j"] for block in cell_log[:3]] == [("1", None), ("%d", [1, 1, 2, 2]), ("2", None)]
+        assert all(block["r"][1] is not None for block in cell_log)
+
+    def test_na_columns(self, cell_log):
+        data = {
+            "none": np.ma.masked_all(4),
+            "some": np.ma.array([0.5, float("inf"), 0.5, 0.25], mask=[True, False, False, True]),
+            "obj": np.ma.array(np.array(["a%b", None, True, 2], dtype=object), mask=True),
+        }
+        per_cell_writers_agree(sweep(data))
+        assert {block["none"] for block in cell_log} == {("NA", None), ("null", None)}
+        assert {block["obj"] for block in cell_log} == {("NA", None), ("null", None)}
+        assert all(block["some"][1] is not None for block in cell_log)
+
+    def test_partly_masked_column_formats_only_its_unmasked_cells(self):
+        class Spec(str):
+            def __mod__(self, value):
+                self.cells.append(value)
+                return str.__mod__(self, value)
+
+        spec = Spec("%.12g")
+        spec.cells = []
+        column = np.ma.array([1.5, 7.25, float("nan"), 2.5], mask=[False, True, False, False])
+        assert report._cells(column, spec, "NA", report._format_value) == ("%s", ["1.5", "NA", "nan", "2.5"])
+        assert spec.cells == [1.5, 2.5]
+
+    @pytest.mark.parametrize("table_rows", [1, report._TABLE_ROWS])
+    def test_one_row_blocks(self, monkeypatch, table_rows):
+        monkeypatch.setattr(report, "_TABLE_ROWS", table_rows)
+        for rows in (1, 3):
+            data = {
+                "r": np.arange(rows),
+                "p": np.full(rows, 0.25),
+                "na": np.ma.masked_all(rows),
+                "obj": np.array(["b%s"] * rows, dtype=object),
+            }
+            per_cell_writers_agree(sweep(data))
+
+    def test_real_start_imaginary_parts_are_one_text(self, cell_log):
+        rng = np.random.default_rng(10)
+        values = rng.standard_normal(1 << 10)
+        pairs = [[x, 0.0] for x in (values / np.linalg.norm(values)).tolist()]
+        dist = distribution_from_json(json.dumps({"n": 10, "solutions": [3, 700], "amplitudes": pairs}))
+        run = RunConfig(command="gga", r_max=4, fmt="json", init_file="start.json")
+        result = report.init_file_sweep(run, dist)
+        steps = list(result.extra_metadata["amplitudes_per_step"])  # the row writer takes lists, not the log
+        reference = replace(result, extra_metadata={**result.extra_metadata, "amplitudes_per_step": steps})
+        assert rendered(result, run) == render_json_rows(reference, run)
+        tables = [block for block in cell_log if list(block) == ["re", "im"]]
+        assert len(tables) == 2 * 2 * 5  # solution and other amplitudes, per step, twice
+        assert all(block["im"] == ("0.0", None) and block["re"][1] is not None for block in tables)
