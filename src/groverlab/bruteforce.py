@@ -41,8 +41,11 @@ class Measure:
 
     `closed_form(cfg, st, optimizer)` covers j = 1 with the solution at index
     0, every leading j = 2^k with n - k >= `min_qubits` if `power_of_two_j`,
-    any j if `any_j`. It takes the `SymmetricGAState` of a whole series
-    (`state_at(cfg, array_of_r)`) and returns one float per r, an array.
+    any j if `any_j`. It takes a `SymmetricGAState` of many rows, such as a
+    whole series (`state_at(cfg, array_of_r)`), and returns one float per row,
+    an array. The state's `j` and `rest` (N - j) may differ from row to row:
+    an `any_j` form reads them from the state and only n from cfg, so one call
+    covers the rows of many series; any other form takes the rows of cfg's j.
     `oracle(stack, cfg, optimizer)` covers n <= CAPACITY_QUBITS. It takes the
     (rows, 2^n) amplitude stack of a series (`evolve_series`) and returns one
     float per row in the same way. Registers smaller than `min_qubits` have no
@@ -241,7 +244,7 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
     for key in keys:
         deviations[MEASURES[key].identity].extend(np.abs(closed[key] - oracle[key]).tolist())
     deviations["grover_step_norm"].extend(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0).tolist())
-    norm = np.square(st.a) + (cfg.database_size - j) * np.square(st.b)
+    norm = np.square(st.a) + st.rest * np.square(st.b)
     deviations["normalization"].extend(np.abs(norm - 1.0).tolist())
     if j != 1:
         return

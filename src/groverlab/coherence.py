@@ -20,13 +20,13 @@ def coherence_r_ga(cfg: GroverConfig, st: SymmetricGAState):
 
     C_r = H(p) + log2(N-j) + p log2(j/(N-j)) with p = a^2, grouped to avoid
     cancellation. At r = 0 this reduces algebraically to log2 N, which is
-    returned exactly instead of through trig round-off.
+    returned exactly instead of through trig round-off. j and N - j come from
+    the state, row by row, and only n from `cfg`.
     """
     p = np.clip(np.square(st.a), 0.0, 1.0)
-    rest = float(cfg.database_size - cfg.j)
     with np.errstate(divide="ignore", invalid="ignore"):
-        head = np.where(p > 0.0, p * np.log2(cfg.j / p), 0.0)
-        tail = np.where(p < 1.0, (1.0 - p) * np.log2(rest / (1.0 - p)), 0.0)
+        head = np.where(p > 0.0, p * np.log2(st.j / p), 0.0)
+        tail = np.where(p < 1.0, (1.0 - p) * np.log2(st.rest / (1.0 - p)), 0.0)
     # [()] turns the 0-d result of a scalar state back into a scalar
     return np.where(st.r == 0, float(cfg.n), head + tail)[()]
 
@@ -34,12 +34,12 @@ def coherence_r_ga(cfg: GroverConfig, st: SymmetricGAState):
 def coherence_l1_ga(cfg: GroverConfig, st: SymmetricGAState):
     """l1 coherence of the GA state: (sqrt(j)|sin a_r| + sqrt(N-j)|cos a_r|)^2 - 1.
 
-    sqrt(N-j)|b| = |cos a_r|, so this is (sqrt(j)|a| + (N-j)|b|)^2 - 1.
-    Magnitudes keep the expression equal to the generic l1 sum at r = r_opt,
-    where the accumulated angle may pass pi/2 and cos a_r turns negative.
+    sqrt(N-j)|b| = |cos a_r|, so this is (sqrt(j)|a| + (N-j)|b|)^2 - 1, with j
+    and N - j read from the state, row by row. Magnitudes keep the expression
+    equal to the generic l1 sum at r = r_opt, where the accumulated angle may
+    pass pi/2 and cos a_r turns negative.
     """
-    rest = float(cfg.database_size - cfg.j)
-    return np.square(math.sqrt(cfg.j) * np.abs(st.a) + rest * np.abs(st.b)) - 1.0
+    return np.square(np.sqrt(st.j) * np.abs(st.a) + st.rest * np.abs(st.b)) - 1.0
 
 
 def in_asymptotic_regime(cfg: GroverConfig) -> bool:

@@ -368,7 +368,8 @@ def distribution_from_json(text: str) -> AmplitudeDistribution:
                 )
         cells = np.array(list(chain.from_iterable(amps_raw)), dtype=float)
     amps = cells.view(complex)
-    norm2 = float(np.sum(np.abs(amps) ** 2))
+    with np.errstate(over="ignore"):  # a huge finite cell squares to inf, which the check below rejects
+        norm2 = float(np.sum(np.abs(amps) ** 2))
     if not abs(norm2 - 1.0) <= NORM_TOL:
         raise AmplitudeFileError(f"amplitudes not normalized: sum |a|^2 = {norm2!r}")
     return AmplitudeDistribution(amps, tuple(sols))

@@ -9,7 +9,7 @@ structured density matrix without touching the 2^n-dimensional space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,23 +65,24 @@ class GroverConfig:
 class SymmetricGAState:
     """Two-amplitude representation (a, b) of the GA state after r iterations.
 
-    `r`, `alpha_r`, `a` and `b` are arrays of one shape when the state was
-    built for an array of iteration counts, so a closed form evaluated on it
-    gives a whole series at once. Closed forms square its quantities with
-    np.square, a multiplication, and never with **, which on a numpy scalar
-    is libm pow(): so a one-row slice of a series state gives that row's bits.
+    `r`, `j`, `rest` (N - j as a float), `alpha_r`, `a` and `b` are arrays of
+    one shape when the state was built for an array of iteration counts, so a
+    closed form evaluated on it gives a whole series at once, or the rows of
+    several series, each with its own j. Closed forms square with np.square, a
+    multiplication, never with **, which on a numpy scalar is libm pow(): so a
+    one-row slice of a series state gives that row's bits.
     """
 
     r: np.ndarray
-    alpha: float
+    j: np.ndarray
+    rest: np.ndarray
     alpha_r: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
     def rows(self, s) -> "SymmetricGAState":
-        """The rows `s` (an index or a slice) of a series state as a state of their own."""
-        r, alpha_r, a, b = (np.ravel(x)[s] for x in (self.r, self.alpha_r, self.a, self.b))
-        return replace(self, r=r, alpha_r=alpha_r, a=a, b=b)
+        """The rows `s` (an index, a slice or an index array) of a series state as a state of their own."""
+        return SymmetricGAState(*(np.ravel(getattr(self, f.name))[s] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -94,18 +95,20 @@ class OptimalIteration:
 
 
 def state_at(cfg: GroverConfig, r) -> SymmetricGAState:
-    """Amplitudes after r Grover iterations, r an integer or an integer array.
-
-    The cost is independent of N and, for an array, one numpy pass.
-    """
+    """Amplitudes after r Grover iterations, r an integer or an integer array, in one numpy pass at any N."""
     r = np.asarray(r)
     if np.any(r < 0):
         raise ValueError(f"iteration count must be >= 0, got {r.min()}")
-    alpha = cfg.alpha
+    return _rows_state([cfg], np.zeros(r.shape, dtype=int), r)
+
+
+def _rows_state(cfgs, series, r) -> SymmetricGAState:
+    """The state of rows r >= 0, row i in the series cfgs[series[i]]: alpha per series from
+    `GroverConfig.alpha` (math.atan2, not numpy's SIMD arctan2), N - j rounded once from exact ints."""
+    per_series = zip(*((c.alpha, float(c.j), float(c.database_size - c.j)) for c in cfgs))
+    alpha, j, rest = (np.array(x)[series] for x in per_series)
     alpha_r = (r + 0.5) * alpha
-    a = np.sin(alpha_r)
-    b = np.cos(alpha_r) / math.sqrt(cfg.database_size - cfg.j)
-    return SymmetricGAState(r=r, alpha=alpha, alpha_r=alpha_r, a=a, b=b)
+    return SymmetricGAState(r=r, j=j, rest=rest, alpha_r=alpha_r, a=np.sin(alpha_r), b=np.cos(alpha_r) / np.sqrt(rest))
 
 
 def success_probability(cfg: GroverConfig, st: SymmetricGAState):

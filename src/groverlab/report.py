@@ -29,7 +29,7 @@ from .gga import (
     phi_family_delta_coherence,
     phi_family_optimal_time,
 )
-from .grover import FLOAT_SAFE_QUBITS, GroverConfig, optimal_iteration_details, state_at
+from .grover import FLOAT_SAFE_QUBITS, GroverConfig, _rows_state, optimal_iteration_details
 from .linalg import HERMITIAN_TOL, TRACE_TOL
 from .optimizers import OptimizerConfig
 
@@ -71,11 +71,6 @@ class RunConfig:
 _BLOCK_ROWS = 1 << 13
 
 
-def _concatenate(blocks: list) -> dict:
-    """The blocks joined, one array per field of the first block ({} for no block)."""
-    return {key: np.ma.concatenate([b[key] for b in blocks]) for key in blocks[0]} if blocks else {}
-
-
 def _slices(data: dict):
     """The rows of whole `data` columns as blocks of `_BLOCK_ROWS` rows, each a dict of slices."""
     rows = len(next(iter(data.values()), ()))
@@ -101,44 +96,51 @@ class SweepResult:
 
     def join(self) -> dict:
         """Every block joined into whole columns: for a sweep small enough to hold at once."""
-        return _concatenate(list(self.blocks()))
+        blocks = list(self.blocks())
+        return {key: np.ma.concatenate([b[key] for b in blocks]) for key in blocks[0]} if blocks else {}
 
 
 def _ga_blocks(series: list, optimizer):
     """The rows of a `ga` sweep, series after series, in blocks of `_BLOCK_ROWS` rows.
 
-    `series` holds (cfg, r_max, engines) per j. Short series share a block and
-    a long one spans several. Each analytic column is one closed-form call on
-    the state of the series' rows in the block, which round as in the whole
-    series, so the blocking changes no bit. Each oracle column is one oracle
-    call on the series' whole amplitude stack, sliced into the blocks. A
-    measure with no engine is an all-NA (masked) column.
+    `series` holds (cfg, r_max, engines) per j. A block has one state for the
+    rows of every series in it, each row rounding as in its whole series, so
+    the blocking changes no bit. An any-j column is one closed-form call on it,
+    any other analytic column one call per j with that j's cfg, and an oracle
+    column a slice of one call on each series' whole amplitude stack. A row
+    whose series has no engine for a measure is NA (masked) there.
     """
-    pieces, size = [], 0
-    for cfg, r_max, engines in series:
-        oracle_measures = tuple(m for m in engines if engines[m] == "oracle")
-        if oracle_measures:
-            oracle = _generic_measures(evolve_series(cfg, r_max), cfg, oracle_measures, optimizer)
-        start = 0
-        while start <= r_max:
-            rs = np.arange(start, min(r_max + 1, start + _BLOCK_ROWS - size))
-            st = state_at(cfg, rs)
-            piece = {"j": np.full(rs.size, cfg.j), "r": rs}
-            for m, engine in engines.items():
-                if engine == "analytic":
-                    piece[m] = MEASURES[m].closed_form(cfg, st, optimizer)
-                elif engine == "oracle":
-                    piece[m] = oracle[m][start : start + rs.size]
-                else:
-                    piece[m] = np.ma.masked_all(rs.size)  # NA
-            pieces.append(piece)
-            size += rs.size
-            start += rs.size
-            if size == _BLOCK_ROWS:
-                yield _concatenate(pieces)
-                pieces, size = [], 0
-    if pieces:
-        yield _concatenate(pieces)
+    ends = np.cumsum([r_max + 1 for _, r_max, _ in series])
+    starts = np.concatenate(([0], ends[:-1]))
+    js = [cfg.j for cfg, _, _ in series]
+    j_column = np.array(js, dtype=int if max(js) < 1 << 63 else object)  # exact ints past int64 too
+    whole = [m for m, engine in series[0][2].items() if MEASURES[m].any_j and engine == "analytic"]
+    carry = None, None  # (index, oracle columns) of the last series with any: it may span blocks
+    for start in range(0, ends[-1], _BLOCK_ROWS):
+        s = np.searchsorted(ends, np.arange(start, min(start + _BLOCK_ROWS, ends[-1])), side="right")
+        r = np.arange(start, start + s.size) - starts[s]
+        st = _rows_state([cfg for cfg, _, _ in series[s[0] : s[-1] + 1]], s - s[0], r)
+        values = {m: np.zeros(s.size) for m in series[0][2] if m not in whole}
+        na = {m: np.ones(s.size, dtype=bool) for m in values}
+        groups = {}  # (measure, j) -> (cfg, the series whose rows one closed-form call takes)
+        for i in range(s[0], s[-1] + 1):
+            cfg, r_max, engines = series[i]
+            at = slice(max(starts[i] - start, 0), ends[i] - start)
+            for m in values:
+                if engines[m] == "analytic":
+                    groups.setdefault((m, cfg.j), (cfg, []))[1].append(i)
+                elif engines[m] == "oracle":
+                    if carry[0] != i:
+                        wanted = tuple(k for k in engines if engines[k] == "oracle")
+                        carry = i, _generic_measures(evolve_series(cfg, r_max), cfg, wanted, optimizer)
+                    values[m][at], na[m][at] = carry[1][m][r[at]], False
+        for (m, _), (cfg, group) in groups.items():
+            rows = slice(None) if len(group) == s[-1] - s[0] + 1 else np.flatnonzero(np.isin(s, group))
+            values[m][rows], na[m][rows] = MEASURES[m].closed_form(cfg, st.rows(rows), optimizer), False
+        yield {"j": j_column[s], "r": r} | {
+            m: MEASURES[m].closed_form(series[s[0]][0], st, optimizer) if m in whole else np.ma.array(values[m], mask=na[m])
+            for m in series[0][2]
+        }
 
 
 def ga_sweep(run: RunConfig) -> SweepResult:
@@ -438,24 +440,15 @@ def _json_blocks(result: SweepResult, run: RunConfig):
 _BLOCKS = {"csv": _csv_blocks, "json": _json_blocks}
 
 
-def _blocks(result: SweepResult, run: RunConfig):
-    if run.fmt not in _BLOCKS:
-        raise ValueError(f"unknown format {run.fmt!r}")
-    return _BLOCKS[run.fmt](result, run)
-
-
-def render(result: SweepResult, run: RunConfig) -> str:
-    """The whole document as one string; `write` streams the same text."""
-    return "".join(_blocks(result, run))
-
-
 # Characters per write call: a block is never held again whole as encoded bytes.
 _WRITE_CHARS = 1 << 20
 
 
 def write(result: SweepResult, run: RunConfig, write) -> None:
     """Pass the document to write(str) block by block, as it is formatted."""
-    for block in _blocks(result, run):
+    if run.fmt not in _BLOCKS:
+        raise ValueError(f"unknown format {run.fmt!r}")
+    for block in _BLOCKS[run.fmt](result, run):
         for start in range(0, len(block), _WRITE_CHARS):
             write(block[start : start + _WRITE_CHARS])
         del block  # freed before the next block is formatted

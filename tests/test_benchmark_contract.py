@@ -19,7 +19,6 @@ CONTRACT = [
     ("linalg", "DensityMatrix", "perfbench/checks.py"),
     ("grover", "GroverConfig", "perfbench/checks.py, perfbench/test_perfbench.py"),
     ("gga", "gga_iterate", "perfbench/tracer.py (hook)"),
-    ("report", "render", "perfbench/tracer.py (hook)"),
     ("bruteforce", "_IDENTITY_TOLERANCES", "perfbench/test_perfbench.py"),
     ("bruteforce", "_generic_measures", "perfbench/tracer.py (traced private entry point)"),
 ]

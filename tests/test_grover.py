@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,14 @@ class TestStateAt:
             scalar = state_at(cfg, r)
             assert series.alpha_r[r] == scalar.alpha_r
             assert (series.a[r], series.b[r]) == pytest.approx((scalar.a, scalar.b), rel=4e-16, abs=0)
+
+    def test_rows_slice_every_field(self):
+        # j and N - j are per-row fields, so a state can hold the rows of several series
+        state = state_at(GroverConfig(n=9, j=3), np.arange(5))
+        part = state.rows(np.array([4, 1]))
+        for f in fields(state):
+            assert np.array_equal(getattr(part, f.name), getattr(state, f.name)[[4, 1]]), f.name
+        assert (part.j.tolist(), part.rest.tolist()) == ([3.0, 3.0], [509.0, 509.0])
 
     @given(st.integers(2, 24), st.integers(1, 10), st.integers(0, 60))
     @settings(max_examples=120)

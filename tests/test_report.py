@@ -9,9 +9,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from witnesses import render_csv_rows, render_json_rows
+from witnesses import render_csv_rows, render_json_rows, written
 
 from groverlab import report
+from groverlab.bruteforce import MEASURES
 from groverlab.cli import main
 from groverlab.gga import distribution_from_json
 from groverlab.report import RunConfig, SweepResult
@@ -39,15 +40,6 @@ def sweep(data, columns=None, engines=None, extra=None):
     return SweepResult(tuple(data) if columns is None else columns, blocks, engines or {}, extra or {})
 
 
-def rendered(result, run):
-    """`render`'s document, after checking that `write` emits the same text."""
-    emitted = []
-    report.write(result, run, emitted.append)
-    text = report.render(result, run)
-    assert "".join(emitted) == text
-    return text
-
-
 class TestRenderJson:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_array_blocks_equal_the_encoder(self, seed):
@@ -66,23 +58,23 @@ class TestRenderJson:
         }
         result = sweep({"r": np.array([0]), "p": np.array([0.25])}, engines={"all": "iteration"}, extra=extra)
         run = RunConfig(command="gga", fmt="json", init_file="start.json")
-        assert rendered(result, run) == render_json_rows(result, run)
+        assert written(result, run) == render_json_rows(result, run)
 
     def test_empty_array_is_an_empty_list(self):
         result = sweep({"r": np.array([], dtype=int)}, extra={"log": [np.empty((0, 2))]})
         run = RunConfig(command="gga", fmt="json")
-        assert json.loads(rendered(result, run))["metadata"]["log"] == [[]]
+        assert json.loads(written(result, run))["metadata"]["log"] == [[]]
 
     def test_document_without_arrays_is_the_plain_encoding(self):
         result = sweep({"r": np.arange(2), "p": np.ma.array([1e-300, 0.0], mask=[False, True])}, extra={"x": [1, 2]})
         run = RunConfig(command="ga", fmt="json")
-        assert rendered(result, run) == render_json_rows(result, run)
+        assert written(result, run) == render_json_rows(result, run)
 
     def test_nul_string_is_encoded_as_the_encoder_does(self):
         # a string holding NULs is escaped as json.dumps escapes it, whatever it spells
         result = sweep({"r": np.array([], dtype=int)}, extra={"log": np.zeros((1, 2))})
         run = RunConfig(command="gga", fmt="json", init_file="\x00ndarray\x00")
-        text = rendered(result, run)
+        text = written(result, run)
         assert text == render_json_rows(result, run)
         assert '"init_file": "\\u0000ndarray\\u0000"' in text
         assert json.loads(text)["config"]["init_file"] == "\x00ndarray\x00"
@@ -91,7 +83,7 @@ class TestRenderJson:
         for value in ({1, 2}, np.int64(3), object()):
             result = sweep({"r": np.arange(1)}, extra={"x": [value]})
             with pytest.raises(TypeError, match="not JSON serializable"):
-                report.render(result, RunConfig(command="ga", fmt="json"))
+                written(result, RunConfig(command="ga", fmt="json"))
 
 
 # -0.0, subnormals, the float extremes, non-finite values and values on either
@@ -135,8 +127,8 @@ def sweeps(draw):
 @given(sweeps())
 def test_columnar_writers_equal_the_row_writers(result):
     csv_run, json_run = (RunConfig(command="ga", seed=3, fmt=fmt) for fmt in ("csv", "json"))
-    assert rendered(result, csv_run) == render_csv_rows(result, csv_run)
-    assert rendered(result, json_run) == render_json_rows(result, json_run)
+    assert written(result, csv_run) == render_csv_rows(result, csv_run)
+    assert written(result, json_run) == render_json_rows(result, json_run)
 
 
 def test_format_value_calls_do_not_grow_with_rows(monkeypatch):
@@ -185,6 +177,51 @@ def test_short_series_share_blocks(monkeypatch):
     assert sum(len(rows) for rows in calls) == 40_000 == len(data_lines)
 
 
+def json_rows(*args) -> list:
+    result = CliRunner().invoke(main, [*args, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)["rows"]
+
+
+@pytest.mark.parametrize(
+    "n, js, options",
+    [
+        (10, range(1, 41), ("--r-max", "2", "--measures", "cr,cl1,e2,d2")),
+        (30, range(1, 301), ("--r-max", "3")),  # every measure that is not slow
+        (80, (1180591620717411303424, 3), ("--r-max", "2")),  # an object j column
+    ],
+)
+def test_rows_across_series_are_the_single_series_rows(n, js, options):
+    # one state for the rows of many series gives each row the bits of its own run
+    whole = json_rows("ga", "--n", str(n), "--j", ",".join(map(str, js)), *options)
+    single = [row for j in js for row in json_rows("ga", "--n", str(n), "--j", str(j), *options)]
+    assert json.dumps(whole) == json.dumps(single)  # every bit, -0.0 too
+
+
+@pytest.mark.parametrize("block_rows, calls", [(report._BLOCK_ROWS, 1), (7, 286)])
+def test_any_j_closed_form_is_one_call_per_block(block_rows, calls, monkeypatch):
+    sizes = []
+    closed_form = MEASURES["cr"].closed_form
+
+    def counting(cfg, st, optimizer):
+        sizes.append(st.r.size)
+        return closed_form(cfg, st, optimizer)
+
+    monkeypatch.setitem(MEASURES, "cr", replace(MEASURES["cr"], closed_form=counting))
+    monkeypatch.setattr(report, "_BLOCK_ROWS", block_rows)
+    result = CliRunner().invoke(main, ["ga", "--n", "30", "--j", "1..2000", "--r-max", "0", "--measures", "cr"])
+    assert result.exit_code == 0, result.output
+    assert (len(sizes), sum(sizes)) == (calls, 2000)
+
+
+def test_j_past_int64_prints_every_j_as_an_int():
+    # a j past int64 beside a smaller one: every j of the column prints as an exact int, none as a float
+    rows = json_rows("ga", "--n", "64", "--j", f"{1 << 63},3", "--r-max", "1", "--measures", "cr")
+    assert [row["j"] for row in rows] == [1 << 63, 3, 3]
+    result = CliRunner().invoke(main, ["ga", "--n", "64", "--j", f"{1 << 63},3", "--r-max", "1", "--measures", "cr"])
+    assert [line.split(",")[0] for line in result.output.splitlines()[-3:]] == [str(1 << 63), "3", "3"]
+
+
 def test_sweep_memory_does_not_grow_with_rows():
     # n = 36's 205,888 default-measure rows, computed and written block by
     # block; with each column computed whole first this peaked at 36 MiB
@@ -212,11 +249,11 @@ def test_row_blocks_join_to_one_block(monkeypatch):
     data = {"j": np.full(rows, 2), "r": np.arange(rows), "na": na, "odd": odd, "obj": objects, "mi": masked_int}
     result = sweep(data, columns=("r", "na", "odd", "obj", "mi"))
     runs = [RunConfig(command="ga", seed=1, fmt=fmt) for fmt in ("csv", "json")]
-    one_block = [rendered(result, run) for run in runs]
+    one_block = [written(result, run) for run in runs]
     monkeypatch.setattr(report, "_BLOCK_ROWS", 7)
-    assert [rendered(result, run) for run in runs] == one_block
+    assert [written(result, run) for run in runs] == one_block
     monkeypatch.setattr(report, "_TABLE_ROWS", 3)  # each 7-row block formatted as 3, 3 and 1 rows
-    assert [rendered(result, run) for run in runs] == one_block
+    assert [written(result, run) for run in runs] == one_block
     assert one_block == [render_csv_rows(result, runs[0]), render_json_rows(result, runs[1])]
 
 
@@ -227,7 +264,7 @@ def test_pair_array_blocks_join_to_one_array(monkeypatch, pairs):
     log = np.arange(2.0 * pairs).reshape(-1, 2) / 3.0
     result = sweep({"r": np.arange(2)}, extra={"log": [log], "after": log})
     run = RunConfig(command="gga", fmt="json")
-    assert rendered(result, run) == render_json_rows(result, run)
+    assert written(result, run) == render_json_rows(result, run)
 
 
 def test_array_longer_than_a_block_equals_the_encoder():
@@ -235,18 +272,19 @@ def test_array_longer_than_a_block_equals_the_encoder():
     log.ravel()[: len(SPECIAL)] = SPECIAL
     result = sweep({"r": np.arange(2)}, extra={"amplitudes_per_step": [{"r": 0, "other_amplitudes": log}]})
     run = RunConfig(command="gga", fmt="json")
-    assert rendered(result, run) == render_json_rows(result, run)
+    assert written(result, run) == render_json_rows(result, run)
 
 
 def test_write_slices_long_blocks(monkeypatch):
-    monkeypatch.setattr(report, "_WRITE_CHARS", 5)
     result = sweep({"r": np.arange(30), "p": np.linspace(0.0, 1.0, 30)})
-    for fmt in ("csv", "json"):
-        run = RunConfig(command="ga", fmt=fmt)
+    runs = [RunConfig(command="ga", fmt=fmt) for fmt in ("csv", "json")]
+    documents = [written(result, run) for run in runs]
+    monkeypatch.setattr(report, "_WRITE_CHARS", 5)
+    for run, document in zip(runs, documents):
         emitted = []
         report.write(result, run, emitted.append)
         assert max(map(len, emitted)) == 5
-        assert "".join(emitted) == report.render(result, run)
+        assert "".join(emitted) == document
 
 
 @pytest.fixture
@@ -269,8 +307,8 @@ def cell_log(monkeypatch):
 def per_cell_writers_agree(result):
     """Both formats as the per-cell writers write them; the CSV text is returned."""
     csv_run, json_run = (RunConfig(command="ga", fmt=fmt) for fmt in ("csv", "json"))
-    assert rendered(result, json_run) == render_json_rows(result, json_run)
-    text = rendered(result, csv_run)
+    assert written(result, json_run) == render_json_rows(result, json_run)
+    text = written(result, csv_run)
     assert text == render_csv_rows(result, csv_run)
     return text
 
@@ -340,7 +378,7 @@ class TestOneTextColumns:
         result = report.init_file_sweep(run, dist)
         steps = list(result.extra_metadata["amplitudes_per_step"])  # the row writer takes lists, not the log
         reference = replace(result, extra_metadata={**result.extra_metadata, "amplitudes_per_step": steps})
-        assert rendered(result, run) == render_json_rows(reference, run)
+        assert written(result, run) == render_json_rows(reference, run)
         tables = [block for block in cell_log if list(block) == ["re", "im"]]
-        assert len(tables) == 2 * 2 * 5  # solution and other amplitudes, per step, twice
+        assert len(tables) == 2 * 5  # solution and other amplitudes, per step
         assert all(block["im"] == ("0.0", None) and block["re"][1] is not None for block in tables)

@@ -32,7 +32,7 @@ singular-value bound (`svetlichny_upper_bound`) caps every value it finds.
 import itertools
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from groverlab.linalg import (
 )
 from groverlab.nonlocality import _PAIR_OPS, CorrelationTensor, SvetlichnySettings
 from groverlab.optimizers import OptimizerConfig
-from groverlab.report import _format_value, base_metadata
+from groverlab.report import _format_value, base_metadata, write
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -307,6 +307,13 @@ def _plain(obj):
     return obj
 
 
+def written(result, run) -> str:
+    """The document that `report.write` passes to its write callable, its pieces joined."""
+    pieces = []
+    write(result, run, pieces.append)
+    return "".join(pieces)
+
+
 def render_json_rows(result, run) -> str:
     """The JSON writer as json.dumps(doc, indent=2) over row dicts, every array as lists and every
     non-finite float as its CSV token."""
@@ -328,8 +335,8 @@ def bits(values):
 
 
 def row_state(st: SymmetricGAState, i: int) -> SymmetricGAState:
-    """Row i of a series state as a state of its own."""
-    return replace(st, r=st.r[i], alpha_r=st.alpha_r[i], a=st.a[i], b=st.b[i])
+    """Row i of a series state as a state of its own, every field sliced."""
+    return replace(st, **{f.name: getattr(st, f.name)[i] for f in fields(st)})
 
 
 def row_partial_trace(amplitudes: np.ndarray, keep) -> DensityMatrix:
@@ -531,7 +538,7 @@ def row_check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: f
     for r in st.r.tolist():
         if r > 0:
             dist = gga_iterate(dist, 1)
-        row = replace(st, r=st.r[r], alpha_r=st.alpha_r[r], a=st.a[r], b=st.b[r])
+        row = row_state(st, r)
         if uniform:
             deviations["gga_uniform_equivalence"].append(
                 max(
