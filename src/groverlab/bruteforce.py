@@ -3,6 +3,7 @@ evaluation used to validate every closed form in the package."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import coherence, discord, entanglement, grover, nonlocality
 from .errors import CapacityError, NumericalConsistencyError
-from .gga import AmplitudeDistribution, gga_iterate
+from .gga import AmplitudeDistribution, gga_iterate, gga_walk
 from .grover import CAPACITY_QUBITS, GroverConfig, _leading_log2_j, _reduced_matrix, optimal_iterations, state_at
 from .linalg import pure_partial_trace, pure_subsystem_entropy, shannon_entropy, von_neumann_entropy
 from .optimizers import OptimizerConfig
@@ -26,11 +27,9 @@ def evolve(cfg: GroverConfig, r: int) -> AmplitudeDistribution:
 
 def evolve_series(cfg: GroverConfig, r_max: int) -> np.ndarray:
     """The (r_max + 1, 2^n) amplitude stack whose row r is evolve(cfg, r).amplitudes."""
-    dist = evolve(cfg, 0)
-    stack = np.empty((r_max + 1, dist.size), dtype=complex)
-    for r in range(r_max + 1):
-        if r > 0:
-            dist = gga_iterate(dist, 1)
+    dist0 = evolve(cfg, 0)
+    stack = np.empty((r_max + 1, dist0.size), dtype=complex)
+    for r, dist in enumerate(gga_walk(dist0, r_max)):
         stack[r] = dist.amplitudes
     return stack
 
@@ -208,7 +207,7 @@ def _or_inf(closed_form, *args):
 _REDUCTION_BLOCK = 1 << 14
 
 
-def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: float, rng, deviations) -> None:
+def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: float, deviations) -> None:
     """Append each identity's deviation on every row r = 0..r_opt of one (n, j) series.
 
     The series is stepped once into an amplitude stack. `uniform` checks it
@@ -218,10 +217,12 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
     k-qubit reductions are checked in blocks of rows of at most
     `_REDUCTION_BLOCK` matrix entries, and at least one row, so no block
     grows with the series; each row's arithmetic is its own, so the block
-    size changes no value. A drawn subset whose cut has the generic cut's
-    class key (`entanglement._cut_keys`, on the exchange labels of the
-    series) has the generic cut's matrix entry for entry and takes its
-    deviation; only the other subsets are gathered and reduced.
+    size changes no value. Every k-subset is keyed by its cut's class
+    (`entanglement._cut_keys`, on the exchange labels of the series); the
+    subsets of a class have one matrix entry for entry, so one of each
+    class is reduced, the generic cut range(k)'s first. Each row and k give
+    the generic cut's deviation and the largest over every k-subset, and
+    the sum of purity deficits takes each class's count times its own.
     """
     n, j = cfg.n, cfg.j
     st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
@@ -251,26 +252,21 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
     # the closed form of dn, S(rho_1), is the minimum over partitions
     partition = discord.genuine_discord_partition_minima(cfg, st.r)
     deviations["partition_minimum"].extend(np.abs(partition - closed["dn"]).tolist())
-    # any other k-qubit subset must give the same matrix; drawn r outer, k inner
-    subsets = [[tuple(sorted(rng.choice(n, size=k, replace=False).tolist())) for k in range(1, n)] for _ in st.r]
     labels = entanglement._exchange_labels(amps, n)
-    deficits = np.zeros(st.r.size)  # sum_k C(n,k) (1 - Tr rho_k^2) of each statevector
+    deficits = np.zeros(st.r.size)  # sum over every cut S of 1 - Tr rho_S^2, for each statevector
     for k in range(1, n):
-        drawn = np.array([s[k - 1] for s in subsets])
-        # a drawn subset with the generic cut's key has its matrix entry for entry
-        gather = entanglement._cut_keys(labels, drawn) != entanglement._cut_keys(labels, np.arange(k)[None])
+        subsets = np.array(list(itertools.combinations(range(n), k)))
+        _, reps, counts = np.unique(entanglement._cut_keys(labels, subsets), return_index=True, return_counts=True)
+        order = np.argsort(reps)
         size = max(1, _REDUCTION_BLOCK >> 2 * k)
         for block in (slice(start, start + size) for start in range(0, st.r.size, size)):
             structured = _reduced_matrix(n, st.rows(block), k)
-            generic = pure_partial_trace(amps[block], range(k)).matrix
-            gaps = np.max(np.abs(structured - generic), axis=(-2, -1))
-            permuted = gaps.copy()
-            other = np.flatnonzero(gather[block])
-            if other.size:
-                m = pure_partial_trace(amps[block][other], drawn[block][other]).matrix
-                permuted[other] = np.max(np.abs(structured[other] - m), axis=(-2, -1))
-            deviations["reduced_density"].extend(gaps.tolist() + permuted.tolist())
-            deficits[block] += math.comb(n, k) * (1.0 - np.sum(np.abs(generic) ** 2, axis=(-2, -1)))
+            gaps = []
+            for keep, count in zip(subsets[reps[order]], counts[order]):
+                m = pure_partial_trace(amps[block], keep).matrix
+                gaps.append(np.max(np.abs(structured - m), axis=(-2, -1)))
+                deficits[block] += count * (1.0 - np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+            deviations["reduced_density"].extend(gaps[0].tolist() + np.max(gaps, axis=0).tolist())
     radicand = entanglement._multiqubit_radicand(n, st)
     deviations["multiqubit_concurrence_forms"].extend(np.abs(radicand - deficits).tolist())
 
@@ -278,7 +274,6 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
 def cross_validate(
     max_n: int = 8,
     j_values=(1, 2),
-    seed: int = 0,
     fault: float = 0.0,
 ) -> ValidationSummary:
     """Run the full closed-form-vs-brute-force identity suite.
@@ -288,7 +283,8 @@ def cross_validate(
     the requested j values, then any of j = 1..4 not requested, which check
     only gga_uniform_equivalence. `fault` offsets the analytic solution
     amplitude a before every closed-form evaluation, as a self-test that
-    broken identities are detected. Failures are returned as data, never
+    broken identities are detected. Nothing is drawn at random, so the same
+    arguments give the same summary. Failures are returned as data, never
     raised.
     """
     if not 2 <= max_n <= 10:
@@ -297,7 +293,6 @@ def cross_validate(
     if not any(j < (1 << max_n) for j in j_values):
         raise ValueError(f"no solution count in {j_values} is below 2^max_n = {1 << max_n}")
     deviations = {name: [] for name in _IDENTITY_TOLERANCES}
-    rng = np.random.default_rng(seed)  # random kept-qubit subsets (permutation symmetry)
     # a huge finite fault overflows the closed forms into inf or nan, a failed
     # identity, not a warning; None leaves numpy's handling as it is
     quiet = "ignore" if fault else None
@@ -307,7 +302,7 @@ def cross_validate(
             if j < 1 << n:
                 uniform = j <= 4 and j not in j_values[:i]
                 with np.errstate(over=quiet, invalid=quiet):
-                    _check_series(GroverConfig(n=n, j=j), i < len(j_values), uniform, fault, rng, deviations)
+                    _check_series(GroverConfig(n=n, j=j), i < len(j_values), uniform, fault, deviations)
     checks = tuple(  # a NaN deviation counts as inf, so it cannot hide the others
         IdentityCheck(name, float(np.max(np.where(np.isnan(devs), np.inf, devs))) if devs else None, tol, len(devs))
         for (name, tol), devs in zip(_IDENTITY_TOLERANCES.items(), deviations.values())

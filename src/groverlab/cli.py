@@ -127,7 +127,7 @@ def _apply(*decorators):
 
 
 _run_options = _apply(
-    click.option("--seed", type=click.IntRange(min=0), default=0, help="Optimizer / RNG seed."),
+    click.option("--seed", type=click.IntRange(min=0), default=0, help="Seed of ga's svet search; every command records it."),
     click.option(
         "--config",
         metavar="FILE",

@@ -117,6 +117,16 @@ def gga_iterate(dist: AmplitudeDistribution, steps: int) -> AmplitudeDistributio
     return replace(dist, amplitudes=amps, r=dist.r + steps)
 
 
+def gga_walk(dist0: AmplitudeDistribution, steps: int):
+    """Yield dist0, then the distribution after each of `steps` steps, each its own
+    gga_iterate(dist, 1) call: the r-th yield is gga_iterate(dist0, r) bit for bit."""
+    dist = dist0
+    yield dist
+    for _ in range(steps):
+        dist = gga_iterate(dist, 1)
+        yield dist
+
+
 @dataclass(frozen=True)
 class GGAClosedForm:
     """Sinusoidal parameters of the average-amplitude dynamics.

@@ -162,12 +162,9 @@ def _check_keep(n: int, keep) -> tuple[int, ...]:
 def _split(amplitudes: np.ndarray, keep) -> np.ndarray:
     """Pure n-qubit states (..., 2^n) as (..., 2^k, 2^(n-k)) matrices, rows over `keep`.
 
-    `keep` is one qubit list for every state, or for a (rows, 2^n) stack one
-    list of k qubits per row.
+    `keep` is one strictly increasing qubit list, shared by every state.
     """
     amps = np.asarray(amplitudes, dtype=complex)
-    if amps.ndim == 2 and np.ndim(keep) == 2:
-        return np.stack([_split(row, q) for row, q in zip(amps, keep, strict=True)])
     lead, size = amps.shape[:-1], amps.shape[-1]
     n = size.bit_length() - 1
     if 1 << n != size:

@@ -23,9 +23,9 @@ from .gga import (
     AmplitudeDistribution,
     PhiFamily,
     gga_closed_form,
-    gga_iterate,
     gga_optimal_time,
     gga_pmax,
+    gga_walk,
     phi_family_delta_coherence,
     phi_family_optimal_time,
 )
@@ -211,10 +211,7 @@ class _AmplitudeLog:
     r_max: int
 
     def __iter__(self):
-        dist = self.dist0
-        for r in range(self.r_max + 1):
-            if r > 0:
-                dist = gga_iterate(dist, 1)
+        for r, dist in enumerate(gga_walk(self.dist0, self.r_max)):
             sol, other = (a.view(float).reshape(-1, 2) for a in (dist.solution_amplitudes, dist.other_amplitudes))
             yield {"r": r, "solution_amplitudes": sol, "other_amplitudes": other}
 
@@ -229,12 +226,9 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         raise ValueError(f"--r-max must lie in 0..{MAX_ROWS - 1:,} ({MAX_ROWS:,} rows), got {run.r_max:,}")
     opt = gga_optimal_time(dist0)
     r_max = run.r_max if run.r_max is not None else max(1, math.ceil(opt.time))
-    dist = dist0
     averages = np.empty((r_max + 1, 2), dtype=complex)
     p = np.empty(max(r_max, math.ceil(opt.time)) + 1)
-    for r in range(p.size):
-        if r > 0:
-            dist = gga_iterate(dist, 1)
+    for r, dist in enumerate(gga_walk(dist0, p.size - 1)):
         p[r] = dist.success_probability()
         if r <= r_max:
             averages[r] = dist.kbar, dist.lbar
@@ -265,7 +259,7 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
 
 
 def verify_rows(run: RunConfig):
-    summary = cross_validate(max_n=run.max_n, j_values=run.j_values, seed=run.seed, fault=run.inject_fault)
+    summary = cross_validate(max_n=run.max_n, j_values=run.j_values, fault=run.inject_fault)
     columns = ("name", "max_deviation", "tolerance", "passed", "cases")
     # a dozen identities: object columns, each cell formatted as it is
     data = {key: np.array([getattr(c, key) for c in summary.checks], dtype=object) for key in columns}

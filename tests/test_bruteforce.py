@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from groverlab.grover import GroverConfig, _reduced_matrix, optimal_iterations, 
 from groverlab.linalg import DensityMatrix, pure_partial_trace
 from groverlab.optimizers import OptimizerConfig
 from groverlab.report import RunConfig, ga_sweep, verify_rows
-from witnesses import bits, drawn_subset_deviations, row_state
+from witnesses import bits, every_subset_deviations, row_state
 
 
 class TestGroverStep:
@@ -207,13 +208,13 @@ class TestCrossValidate:
             assert check.max_deviation < 1e-8, check.name
             assert check.cases > 0
 
-    @pytest.mark.parametrize("seed, j_values", [(3, (1, 2)), (11, (1, 3))])
-    def test_reduction_blocks_change_no_value(self, monkeypatch, seed, j_values):
+    @pytest.mark.parametrize("j_values", [(1, 2), (1, 3)])
+    def test_reduction_blocks_change_no_value(self, monkeypatch, j_values):
         default = bruteforce._REDUCTION_BLOCK
 
         def summary(block):
             monkeypatch.setattr(bruteforce, "_REDUCTION_BLOCK", block)
-            checks = cross_validate(max_n=8, j_values=j_values, seed=seed).checks
+            checks = cross_validate(max_n=8, j_values=j_values).checks
             return [(c.name, c.cases, bits(c.max_deviation) if c.cases else None) for c in checks]
 
         # one row a block, the default, and the whole series in one block
@@ -323,31 +324,61 @@ class TestCrossValidate:
         assert sorted(oracle_calls) == series
         for n in range(2, 10):
             at_n = [(k, rows) for m, k, rows in reductions if m == n]
-            # dn, then e2 and m once they keep k <= n/2, then range(k) and
-            # a random subset per reduced_density cut
-            assert len(at_n) <= 3 + 2 * (n // 2), n
+            # dn, then e2 and m once they keep k <= n/2, then one subset per
+            # class of each reduced_density cut: on a Grover series, range(k)
+            assert len(at_n) <= 3 + n // 2, n
             rows = optimal_iterations(GroverConfig(n=n, j=1)) + 1
             assert all(r == rows for _, r in at_n), (n, at_n)
 
     @staticmethod
-    def record_drawn_gathers(monkeypatch) -> list:
-        """(n, subset) of each row that a reduction with one subset per row gathers."""
-        gathered = []
+    def record_reductions(monkeypatch) -> list:
+        """(n, keep) of each reduction the identity suite makes."""
+        reduced = []
 
         def recording_trace(amps, keep):
-            if np.ndim(keep) == 2:
-                n = np.shape(amps)[-1].bit_length() - 1
-                gathered.extend((n, tuple(q)) for q in np.asarray(keep).tolist())
+            reduced.append((np.shape(amps)[-1].bit_length() - 1, tuple(int(q) for q in keep)))
             return pure_partial_trace(amps, keep)
 
         monkeypatch.setattr(bruteforce, "pure_partial_trace", recording_trace)
-        return gathered
+        return reduced
 
-    def test_a_broken_simulator_gathers_every_drawn_subset(self, monkeypatch):
+    @staticmethod
+    def check_series(monkeypatch, series, n) -> tuple:
+        """(the deviations of the n-qubit j = 1 series that `series` steps, those of the every-subset witness)."""
+        monkeypatch.setattr(bruteforce, "evolve_series", series)
+        cfg = GroverConfig(n=n, j=1)
+        got = {name: [] for name in _IDENTITY_TOLERANCES}
+        bruteforce._check_series(cfg, True, False, 0.0, got)
+        return got, every_subset_deviations(cfg, series(cfg, optimal_iterations(cfg)))
+
+    def test_a_faulty_stack_checks_every_subset(self, monkeypatch):
+        # 1e-7 moved from |000110> to |000011> in every row: qubits 3, 4 and 5
+        # are each exchangeable with no other, so the k-subsets fall into
+        # several classes
+        def faulty_series(cfg, r_max):
+            stack = evolve_series(cfg, r_max)
+            stack[:, 0b110] -= 1e-7
+            stack[:, 0b011] += 1e-7
+            return stack
+
+        got, want = self.check_series(monkeypatch, faulty_series, 6)
+        stack = faulty_series(GroverConfig(n=6, j=1), 1)
+        assert entanglement._exchange_labels(stack, 6).tolist() == [0, 0, 0, 3, 4, 5]
+        assert sorted(bits(got["reduced_density"])) == sorted(bits(want["reduced_density"]))
+        # the generic one-qubit cut keeps a qubit of the symmetric class and
+        # misses the fault that every other class shows, on every row
+        one_qubit = np.array(want["reduced_density"]).reshape(-1, 5, 2)[:, 0]  # (generic, largest) of each row
+        assert np.max(one_qubit[:, 0]) < 1e-12 and np.min(one_qubit[:, 1]) > 1e-9
+        # one term per class rounds apart from one term per subset by a few
+        # ulps of the sum; C(n, k) times the generic cut's deficit is 5.5e-7 off
+        forms = np.array(got["multiqubit_concurrence_forms"])
+        assert np.max(np.abs(forms - want["multiqubit_concurrence_forms"])) < 1e-13
+        assert np.max(forms) < 1e-11
+
+    def test_a_broken_simulator_reduces_every_subset(self, monkeypatch):
         # one ulp per qubit, as in test_one_ulp_per_qubit_leaves_no_class:
-        # no two qubits are exchangeable, so only a drawn subset that is the
-        # generic cut itself may take the generic cut's Gram
-        max_n, seed = 8, 4
+        # no two qubits are exchangeable, so every subset is its own class
+        max_n = 8
 
         def broken_series(cfg, r_max):
             stack = evolve_series(cfg, r_max)
@@ -358,33 +389,27 @@ class TestCrossValidate:
                 assert entanglement._exchange_labels(stack, cfg.n).tolist() == list(range(cfg.n))
             return stack
 
-        gathered = self.record_drawn_gathers(monkeypatch)
+        reduced = self.record_reductions(monkeypatch)
         monkeypatch.setattr(bruteforce, "evolve_series", broken_series)
-        checks = {c.name: c for c in cross_validate(max_n=max_n, j_values=(1,), seed=seed).checks}
-        rng, want, drawn = np.random.default_rng(seed), [], []
+        checks = {c.name: c for c in cross_validate(max_n=max_n, j_values=(1,)).checks}
+        want = []
         for n in range(2, max_n + 1):
             cfg = GroverConfig(n=n, j=1)
-            deviations, subsets = drawn_subset_deviations(cfg, broken_series(cfg, optimal_iterations(cfg)), rng)
-            want += deviations
-            drawn += [(n, s) for s in subsets if s != tuple(range(len(s)))]
-        assert len(drawn) > 100
-        assert sorted(gathered) == sorted(drawn)
+            want += every_subset_deviations(cfg, broken_series(cfg, optimal_iterations(cfg)))["reduced_density"]
+            subsets = {s for k in range(1, n) for s in itertools.combinations(range(n), k)}
+            assert {keep for m, keep in reduced if m == n and len(keep) < n} == subsets
         assert checks["reduced_density"].cases == len(want)
         assert bits(checks["reduced_density"].max_deviation) == bits(max(want))
         # every deviation, not only the maximum
-        got = {name: [] for name in _IDENTITY_TOLERANCES}
-        cfg = GroverConfig(n=7, j=1)
-        bruteforce._check_series(cfg, True, False, 0.0, np.random.default_rng(seed), got)
-        stack = broken_series(cfg, optimal_iterations(cfg))
-        deviations, _ = drawn_subset_deviations(cfg, stack, np.random.default_rng(seed))
-        assert sorted(bits(got["reduced_density"])) == sorted(bits(deviations))
+        got, want = self.check_series(monkeypatch, broken_series, 7)
+        assert sorted(bits(got["reduced_density"])) == sorted(bits(want["reduced_density"]))
 
-    def test_the_grover_series_gathers_no_drawn_subset(self, monkeypatch):
-        # every qubit of the j = 1 state is exchangeable: each drawn subset has
-        # the generic cut's key, and its Gram is the generic one
-        gathered = self.record_drawn_gathers(monkeypatch)
+    def test_the_grover_series_reduce_only_the_generic_cut(self, monkeypatch):
+        # every qubit of the j = 1 state is exchangeable: each k-subset has the
+        # generic cut's class, and only range(k) is reduced
+        reduced = self.record_reductions(monkeypatch)
         assert cross_validate(max_n=9, j_values=(1, 2)).passed
-        assert gathered == []
+        assert reduced and all(keep == tuple(range(len(keep))) for _, keep in reduced)
 
     def test_closed_forms_take_the_whole_series(self, monkeypatch):
         # the partition minimum and the multiqubit radicand are checked on the

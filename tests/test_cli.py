@@ -732,7 +732,7 @@ class TestGgaCommand:
     @pytest.fixture
     def grover_steps(self, monkeypatch):
         """Every gga_iterate call made from the gga and report layers, as its step count."""
-        from groverlab import gga, report
+        from groverlab import gga
 
         steps = []
 
@@ -741,7 +741,6 @@ class TestGgaCommand:
             return gga_iterate(dist, n_steps)
 
         monkeypatch.setattr(gga, "gga_iterate", counting)
-        monkeypatch.setattr(report, "gga_iterate", counting)
         return steps
 
     def test_phi_sweep_takes_no_grover_step(self, grover_steps):
@@ -886,6 +885,12 @@ class TestVerifyCommand:
         assert [row["max_deviation"] for row in rows] == [
             str(value) if isinstance(value, str) else format(value, ".12g") for value in deviations.values()
         ]
+
+    def test_seed_is_printed_and_changes_no_row(self):
+        # every k-subset is checked, none drawn: the seed is recorded, not used
+        docs = [json.loads(run_cli("verify", "--max-n", "7", "--j", "1..4", "--seed", seed).output) for seed in "05"]
+        assert [doc["metadata"]["seed"] for doc in docs] == [0, 5]
+        assert docs[0]["rows"] == docs[1]["rows"]
 
     def test_single_solution_count_is_not_widened(self):
         # r = 0..r_opt at n = 2, 3 for j = 1 only: 2 + 3 cases

@@ -18,6 +18,7 @@ from groverlab.gga import (
     gga_iterate,
     gga_optimal_time,
     gga_pmax,
+    gga_walk,
     phi_family_delta_coherence,
     phi_family_optimal_time,
 )
@@ -79,6 +80,19 @@ class TestIterate:
             exact = np.array([float(x) for x in fraction_grover(6, solutions, r)]) / 8
             assert dist.r == r
             assert np.max(np.abs(dist.amplitudes - exact)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_walk_yields_each_iterate(self, kind):
+        d0 = random_real_distribution(3, n=6, j=3)
+        if kind == "complex":
+            amps = d0.amplitudes * np.exp(1j * np.linspace(0.0, 3.0, d0.size))
+            d0 = AmplitudeDistribution(amps, d0.solutions)
+        walk = list(gga_walk(d0, 9))
+        assert len(walk) == 10
+        for r, dist in enumerate(walk):
+            want = gga_iterate(d0, r)
+            assert dist.r == want.r == r
+            assert bits(dist.amplitudes.view(float)) == bits(want.amplitudes.view(float))
 
     @given(st.integers(0, 500))
     @settings(max_examples=40)

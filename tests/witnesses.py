@@ -18,9 +18,10 @@ equivalent cuts replaced: it is the oracle's bit-for-bit reference. The
 one-statevector oracles that the series-stacked ones replaced are here
 too (`row_oracle`), as the bit-for-bit reference of each stack row, and so
 is the row-by-row identity loop (`row_check_series`) that `verify` ran,
-and its reduction check with every drawn subset gathered
-(`drawn_subset_deviations`), which the generic cut's Gram replaced for each
-subset the amplitudes cannot tell apart from it.
+which reduces every k-subset of each row where `verify` reduces one subset
+per class of cuts. Its reduction check with every subset reduced and every
+purity deficit added on its own (`every_subset_deviations`) needs no class
+at all.
 The phi family's materialized start (`phi_family_distribution`), which the
 closed-form phi sweep replaced, is the general-path reference of that
 sweep, and the one-r partition minimum (`row_partition_minimum`) is that
@@ -509,24 +510,34 @@ def row_partition_minimum(cfg: GroverConfig, r: int) -> tuple:
     return total / 2.0, parts, entropy
 
 
-def drawn_subset_deviations(cfg: GroverConfig, amps: np.ndarray, rng) -> tuple:
-    """(the `reduced_density` deviations, the drawn subsets) of a j = 1 series stack,
-    row by row, with every drawn subset reduced: the generic cut range(k) and one
-    subset per (r, k), drawn r outer, k inner, as `bruteforce._check_series` draws them."""
+def every_subset_matrices(n: int, row: SymmetricGAState, amps: np.ndarray, k: int) -> tuple:
+    """(the structured k-qubit matrix of one statevector, the matrix of every k-subset of
+    its amplitudes), the generic cut range(k) first."""
+    subsets = itertools.combinations(range(n), k)
+    return _reduced_matrix(n, row, k), [row_partial_trace(amps, keep).matrix for keep in subsets]
+
+
+def every_subset_deviations(cfg: GroverConfig, amps: np.ndarray) -> dict:
+    """The `reduced_density` and `multiqubit_concurrence_forms` deviations of a j = 1 series
+    stack, row by row, with every k-subset reduced: for each r and k the generic cut's
+    deviation, then the largest over every k-subset; for each r the radicand's gap to the
+    sum of 1 - Tr rho_S^2 over every proper subset S, one term per subset."""
     n = cfg.n
     st = state_at(cfg, np.arange(amps.shape[0]))
-    deviations, subsets = [], []
+    deviations = {"reduced_density": [], "multiqubit_concurrence_forms": []}
     for r, row_amps in enumerate(amps):
         row = row_state(st, r)
+        deficits = 0.0
         for k in range(1, n):
-            structured = _reduced_matrix(n, row, k)
-            subsets.append(tuple(sorted(rng.choice(n, size=k, replace=False).tolist())))
-            for keep in (range(k), subsets[-1]):
-                deviations.append(float(np.max(np.abs(structured - row_partial_trace(row_amps, keep).matrix))))
-    return deviations, subsets
+            structured, matrices = every_subset_matrices(n, row, row_amps, k)
+            gaps = [float(np.max(np.abs(structured - m))) for m in matrices]
+            deviations["reduced_density"] += [gaps[0], max(gaps)]
+            deficits += sum(1.0 - float(np.sum(np.abs(m) ** 2)) for m in matrices)
+        deviations["multiqubit_concurrence_forms"].append(abs(float(_multiqubit_radicand(n, row)) - deficits))
+    return deviations
 
 
-def row_check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: float, rng, deviations) -> None:
+def row_check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: float, deviations) -> None:
     """`bruteforce._check_series` as a loop over rows: one statevector stepped through the series."""
     n, j = cfg.n, cfg.j
     st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
@@ -562,11 +573,13 @@ def row_check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: f
         deviations["partition_minimum"].append(abs(partition - _or_inf(genuine_discord_ga, cfg, row)))
         deficits = 0.0
         for k in range(1, n):
-            structured = _reduced_matrix(n, row, k)
-            generic = row_partial_trace(amps, range(k)).matrix
-            deficits += math.comb(n, k) * (1.0 - float(np.sum(np.abs(generic) ** 2)))
-            deviations["reduced_density"].append(float(np.max(np.abs(structured - generic))))
-            subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            permuted = row_partial_trace(amps, subset).matrix
-            deviations["reduced_density"].append(float(np.max(np.abs(structured - permuted))))
+            structured, matrices = every_subset_matrices(n, row, amps, k)
+            gaps = [float(np.max(np.abs(structured - m))) for m in matrices]
+            deviations["reduced_density"] += [gaps[0], max(gaps)]
+            # each distinct matrix once, times the number of subsets that have it, in the order first seen
+            distinct = {}
+            for m in matrices:
+                distinct.setdefault(m.tobytes(), [m, 0])[1] += 1
+            for m, count in distinct.values():
+                deficits += count * (1.0 - float(np.sum(np.abs(m) ** 2)))
         deviations["multiqubit_concurrence_forms"].append(abs(float(_multiqubit_radicand(n, row)) - deficits))
