@@ -9,7 +9,7 @@ structured density matrix without touching the 2^n-dimensional space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ class GroverConfig:
     n: int
     j: int = 1
     solutions: tuple[int, ...] | range | None = None
+    alpha: float = field(init=False, repr=False, compare=False)  # 2 atan sqrt(j/(N-j)), once per config
 
     def __post_init__(self):
         if not 1 <= self.n <= FLOAT_SAFE_QUBITS:
@@ -50,15 +51,12 @@ class GroverConfig:
                 raise ValueError(f"solution indices out of range 0..{N - 1}: {sols!r}")
             # j distinct indices >= 0 whose largest is j - 1 are exactly 0..j-1
             object.__setattr__(self, "solutions", range(self.j) if sols[-1] == self.j - 1 else sols)
+        object.__setattr__(self, "alpha", 2.0 * math.atan2(math.sqrt(self.j), math.sqrt(N - self.j)))
 
     @property
     def database_size(self) -> int:
         # Python integers are exact at any n; formulas convert to float ratios.
         return 1 << self.n
-
-    @property
-    def alpha(self) -> float:
-        return 2.0 * math.atan2(math.sqrt(self.j), math.sqrt(self.database_size - self.j))
 
 
 @dataclass(frozen=True)

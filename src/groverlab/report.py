@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .bruteforce import (
@@ -296,8 +297,8 @@ def base_metadata(run: RunConfig, engines: dict) -> dict:
     }
 
 
-def _cells(column, float_spec: str, na: str, cell) -> tuple:
-    """(%-spec, cell values) of one column for a %-format row template.
+def _cells(column, float_spec, na: str, cell) -> tuple:
+    """(%-spec, cell values) of one column for a %-format row template; `float_spec` as in `_cell_values`.
 
     A column whose cells all print one text, because every cell is NA or every
     cell has one bit pattern (compared as same-width unsigned ints, so -0.0
@@ -315,18 +316,20 @@ def _cells(column, float_spec: str, na: str, cell) -> tuple:
     return _cell_values(values, mask, float_spec, na, cell)
 
 
-def _cell_values(values, mask, float_spec: str, na: str, cell) -> tuple:
-    """(%-spec, cell values): int and float cells are converted by the template itself;
-    NA cells, non-finite floats and object cells arrive as strings made by `cell`."""
+def _cell_values(values, mask, float_spec, na: str, cell) -> tuple:
+    """(%-spec, cell values): int cells are converted by the template itself, and finite float
+    cells too when `float_spec` is a %-spec; when it is a function, it makes their strings from
+    a float array. NA cells, non-finite floats and object cells arrive as strings made by `cell`."""
     if values.dtype.kind in "iu" and not mask.any():
         return "%d", values.tolist()
     if values.dtype.kind != "f":
         return "%s", [na if m else cell(v) for v, m in zip(values.tolist(), mask.tolist())]
     fine = ~mask & np.isfinite(values)
+    templated = isinstance(float_spec, str)
     if fine.all():
-        return float_spec, values.tolist()
+        return (float_spec, values.tolist()) if templated else ("%s", float_spec(values))
     text = np.full(values.size, na, dtype=object)
-    text[fine] = list(map(float_spec.__mod__, values[fine].tolist()))
+    text[fine] = list(map(float_spec.__mod__, values[fine].tolist())) if templated else float_spec(values[fine])
     odd = ~(mask | fine)
     text[odd] = [cell(v) for v in values[odd].tolist()]
     return "%s", text.tolist()
@@ -338,7 +341,7 @@ def _cell_values(values, mask, float_spec: str, na: str, cell) -> tuple:
 _TABLE_ROWS = 1 << 11
 
 
-def _table_block(data: dict, rows: range, float_spec: str, na: str, cell, row_template) -> str:
+def _table_block(data: dict, rows: range, float_spec, na: str, cell, row_template) -> str:
     """The `rows` of every `data` column, each written by row_template({key: spec}) % its cells;
     a column of one text is in the template and has no cells."""
     columns = {key: _cells(column[rows.start : rows.stop], float_spec, na, cell) for key, column in data.items()}
@@ -381,6 +384,20 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
+def _json_floats(values: np.ndarray) -> list:
+    """repr(x) of each finite float of `values`, from one orjson call: its text is repr's for
+    1e-4 <= |x| < 1e16 and for +-0.0, and the cells outside that range (where it writes 1e16 or
+    0.00001 for repr's 1e+16 and 1e-05) are each replaced by repr."""
+    if not values.size:
+        return []
+    values = np.ascontiguousarray(values, dtype=float)  # orjson takes only C-contiguous arrays
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    for i in np.flatnonzero((size >= 1e16) | ((size < 1e-4) & (size != 0.0))).tolist():
+        texts[i] = repr(float(values[i]))
+    return texts
+
+
 def _json_list(blocks, label, brackets: str, indent: str):
     """The rows of the column blocks as json.dumps(rows, indent=2) writes them at `indent`, in blocks:
     each row a dict in "{}", its cells labelled label(key) = '"key": ', or a list in "[]", label(key) = ""."""
@@ -390,7 +407,7 @@ def _json_list(blocks, label, brackets: str, indent: str):
         body = ",\n".join(f"{field}{label(key)}{spec}" for key, spec in specs.items())
         return f",\n{inner}{brackets[0]}\n{body}\n{inner}{brackets[1]}"
 
-    table = _table(blocks, "%r", "null", _json_scalar, row)
+    table = _table(blocks, _json_floats, "null", _json_scalar, row)
     first = next(table, None)
     if first is None:
         yield "[]"

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -175,6 +176,16 @@ def test_short_series_share_blocks(monkeypatch):
     assert len(calls) == -(-40_000 // report._TABLE_ROWS)
     data_lines = [line for line in result.output.splitlines() if not line.startswith("#")][1:]
     assert sum(len(rows) for rows in calls) == 40_000 == len(data_lines)
+
+
+def test_alpha_is_computed_once_per_series(monkeypatch):
+    # optimal_iteration_details and the row state read the alpha each config computes once
+    calls = []
+    atan2 = math.atan2
+    monkeypatch.setattr(math, "atan2", lambda y, x: calls.append(1) or atan2(y, x))
+    result = CliRunner().invoke(main, ["ga", "--n", "30", "--j", "1..2000", "--r-max", "0"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 2000
 
 
 def json_rows(*args) -> list:
@@ -382,3 +393,77 @@ class TestOneTextColumns:
         tables = [block for block in cell_log if list(block) == ["re", "im"]]
         assert len(tables) == 2 * 5  # solution and other amplitudes, per step
         assert all(block["im"] == ("0.0", None) and block["re"][1] is not None for block in tables)
+
+
+def random_doubles(rng, size):
+    """Finite doubles from uniform random bit patterns: every exponent, both signs, subnormals too."""
+    values = rng.integers(0, 1 << 64, size=size, dtype=np.uint64).view(float)
+    return values[np.isfinite(values)]
+
+
+def edge_doubles():
+    """+-0.0, the smallest subnormal and the ends of orjson's repr range, each with its neighbours."""
+    edges = [0.0, 5e-324, 1e-4, 1e16]
+    near = [v for x in edges for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+    return np.array(near + [-v for v in near])
+
+
+class TestJsonFloats:
+    def test_each_text_is_repr(self):
+        # whole-range bit patterns, mostly outside the range where orjson's text is used, and doubles
+        # with random mantissas across that range's exponents: a release that writes it differently fails here
+        rng = np.random.default_rng(35)
+        exponents = rng.uniform(math.log2(1e-4), math.log2(1e16), size=500_000)
+        inside = np.ldexp(rng.uniform(0.5, 1.0, size=exponents.size), exponents.astype(int))
+        inside[::2] *= -1.0
+        values = np.concatenate([random_doubles(rng, 500_000), inside, edge_doubles()])
+        assert np.count_nonzero((values != 0.0) & (np.abs(values) < 2.2250738585072014e-308)) > 100  # subnormals
+        texts = report._json_floats(values)
+        assert texts == [repr(x) for x in values.tolist()]
+        assert "[" + ", ".join(texts) + "]" == json.dumps(values.tolist())
+
+    def test_an_empty_array_has_no_texts(self):
+        assert report._json_floats(np.empty(0)) == []
+
+    def test_one_orjson_call_per_column_block(self, monkeypatch):
+        calls = []
+        dumps = report.orjson.dumps
+        counting = lambda values, **options: calls.append(values.size) or dumps(values, **options)
+        monkeypatch.setattr(report.orjson, "dumps", counting)
+        rows = 2 * report._TABLE_ROWS + 5
+        data = {"r": np.arange(rows), "p": np.linspace(0.0, 1.0, rows), "q": np.full(rows, 0.5)}
+        run = RunConfig(command="ga", fmt="json")
+        assert written(sweep(data), run) == render_json_rows(sweep(data), run)
+        sizes = [report._TABLE_ROWS, report._TABLE_ROWS, 5]
+        assert sorted(calls) == sorted(sizes + [1, 1, 1])  # p per block; q is one text per block
+
+
+MIXED = [1e-5, 0.5, 1e16, -0.0, float("nan"), 1e-4, float("inf"), 5e-324, 0.0, float("-inf"), -1e300, 123.25]
+
+
+@pytest.mark.parametrize("table_rows", [3, report._TABLE_ROWS])
+def test_mixed_json_float_column_equals_the_row_writer(monkeypatch, table_rows):
+    # cells in and past orjson's repr range, NA, nan and +-inf in one masked ga-style column
+    monkeypatch.setattr(report, "_TABLE_ROWS", table_rows)
+    values = np.array(MIXED * 3)
+    mask = np.arange(values.size) % 5 == 2
+    past = np.array([1e-300, -2e-5, 1e16, 5e-324, -1.7976931348623157e308, 9.999999999999999e-05])
+    past = np.resize(past, values.size)  # a column whose every block is past the range
+    data = {"r": np.arange(values.size), "x": np.ma.array(values, mask=mask), "past": past}
+    run = RunConfig(command="ga", fmt="json")
+    text = written(sweep(data), run)
+    assert text == render_json_rows(sweep(data), run)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_strided_pair_array_equals_the_encoder():
+    # non-contiguous (M, 2) views, one of them reversed, of cells in and past the range and of
+    # non-finite cells; the all-finite one reaches orjson as a strided column, not as a copy
+    whole = np.zeros((len(MIXED), 4))
+    whole[:, 1], whole[:, 3] = MIXED, MIXED[::-1]
+    pairs = whole[:, 1::2]
+    finite = pairs[np.isfinite(pairs).all(axis=1)][::-1]
+    assert not pairs.flags.c_contiguous and not finite.flags.c_contiguous
+    result = sweep({"r": np.arange(1)}, extra={"log": [pairs], "finite": finite})
+    run = RunConfig(command="gga", fmt="json")
+    assert written(result, run) == render_json_rows(result, run)
