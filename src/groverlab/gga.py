@@ -101,19 +101,21 @@ class AmplitudeDistribution(PureState):
         return cls(np.full(N, 1.0 / math.sqrt(N), dtype=complex), tuple(solutions))
 
 
-def gga_iterate(dist: AmplitudeDistribution, steps: int) -> AmplitudeDistribution:
-    """Apply `steps` iterations: sign-flip solutions, reflect about the global mean.
+def _grover_step(amps: np.ndarray, sols: np.ndarray) -> None:
+    """The one Grover step of the package, on `amps` in place: sign-flip the amplitudes at
+    the indices `sols`, then reflect all of them about their mean. No 2^n x 2^n operator."""
+    amps[sols] = -amps[sols]
+    np.subtract(2.0 * amps.mean(), amps, out=amps)
 
-    The one Grover step of the package. Each call copies the vector once and
-    updates the copy in place, with no 2^n x 2^n operator.
-    """
+
+def gga_iterate(dist: AmplitudeDistribution, steps: int) -> AmplitudeDistribution:
+    """Apply `steps` iterations to one copy of the vector, each a `_grover_step`."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     amps = dist.amplitudes.copy()
-    sols = list(dist.solutions)
+    sols = np.array(dist.solutions)
     for _ in range(steps):
-        amps[sols] = -amps[sols]
-        np.subtract(2.0 * amps.mean(), amps, out=amps)
+        _grover_step(amps, sols)
     return replace(dist, amplitudes=amps, r=dist.r + steps)
 
 
@@ -125,6 +127,20 @@ def gga_walk(dist0: AmplitudeDistribution, steps: int):
     for _ in range(steps):
         dist = gga_iterate(dist, 1)
         yield dist
+
+
+def _split_walk(dist0: AmplitudeDistribution, steps: int):
+    """Yield the (solution, non-solution) amplitudes of dist0, then of one copy of its vector
+    after each of `steps` `_grover_step`s: the r-th pair is gga_iterate(dist0, r)'s
+    solution_amplitudes and other_amplitudes bit for bit, and no distribution is built."""
+    amps = dist0.amplitudes.copy()
+    sols = np.array(dist0.solutions)
+    others = np.ones(amps.size, dtype=bool)
+    others[sols] = False  # the mask np.delete would build
+    yield amps[sols], amps[others]
+    for _ in range(steps):
+        _grover_step(amps, sols)
+        yield amps[sols], amps[others]
 
 
 @dataclass(frozen=True)
@@ -220,10 +236,10 @@ def gga_optimal_time(dist0: AmplitudeDistribution) -> GGAOptimalTime:
     # Complex averages: the paper's beta presumes real amplitudes, so
     # locate the peak of the superposed envelope numerically.
     p_at = _success_envelope(dist0)
-    grid = np.linspace(0.0, math.pi / dist0.omega, 4097)
+    grid = np.linspace(0.0, math.pi / dist0.omega, 4097).tolist()  # floats: no numpy-scalar arithmetic
     best = int(np.argmax([p_at(x) for x in grid]))
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
+    hi = grid[min(best + 1, len(grid) - 1)]
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0

@@ -26,7 +26,7 @@ from .gga import (
     gga_closed_form,
     gga_optimal_time,
     gga_pmax,
-    gga_walk,
+    _split_walk,
     phi_family_delta_coherence,
     phi_family_optimal_time,
 )
@@ -212,16 +212,17 @@ class _AmplitudeLog:
     r_max: int
 
     def __iter__(self):
-        for r, dist in enumerate(gga_walk(self.dist0, self.r_max)):
-            sol, other = (a.view(float).reshape(-1, 2) for a in (dist.solution_amplitudes, dist.other_amplitudes))
+        for r, amps in enumerate(_split_walk(self.dist0, self.r_max)):
+            sol, other = (a.view(float).reshape(-1, 2) for a in amps)
             yield {"r": r, "solution_amplitudes": sol, "other_amplitudes": other}
 
 
 def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult:
     """Per-step averages and success probability for a custom start, and for JSON the per-step amplitudes.
 
-    One pass steps to max(r_max, ceil(t_opt)) for the rows, p_floor and p_ceil;
-    the JSON amplitude log steps again as it is written.
+    One pass steps a raw copy of the start to max(r_max, ceil(t_opt)) for the
+    rows, p_floor and p_ceil; the JSON amplitude log steps another as it is
+    written. Only the start is a validated distribution.
     """
     if run.r_max is not None and not 0 <= run.r_max < MAX_ROWS:
         raise ValueError(f"--r-max must lie in 0..{MAX_ROWS - 1:,} ({MAX_ROWS:,} rows), got {run.r_max:,}")
@@ -229,10 +230,10 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
     r_max = run.r_max if run.r_max is not None else max(1, math.ceil(opt.time))
     averages = np.empty((r_max + 1, 2), dtype=complex)
     p = np.empty(max(r_max, math.ceil(opt.time)) + 1)
-    for r, dist in enumerate(gga_walk(dist0, p.size - 1)):
-        p[r] = dist.success_probability()
+    for r, (k, l) in enumerate(_split_walk(dist0, p.size - 1)):  # the reductions of success_probability(), kbar, lbar
+        p[r] = np.sum(np.abs(k) ** 2)
         if r <= r_max:
-            averages[r] = dist.kbar, dist.lbar
+            averages[r] = k.mean(), l.mean()
     extra = {
         "n": dist0.n,
         "solutions": list(dist0.solutions),
@@ -298,26 +299,26 @@ def base_metadata(run: RunConfig, engines: dict) -> dict:
 
 
 def _cells(column, float_spec, na: str, cell) -> tuple:
-    """(%-spec, cell values) of one column for a %-format row template; `float_spec` as in `_cell_values`.
+    """(%-spec, cell values) of one column; `float_spec` as in `_cell_values`.
 
     A column whose cells all print one text, because every cell is NA or every
     cell has one bit pattern (compared as same-width unsigned ints, so -0.0
-    and 0.0 differ), is that text with '%' escaped, and its cells are None.
+    and 0.0 differ), is (that text, None).
     """
     values = np.ma.getdata(column)
     mask = np.ma.getmaskarray(column)
     if mask.all():
-        return na.replace("%", "%%"), None
+        return na, None
     if values.dtype.kind in "biuf" and not mask.any():
         bits = values.view(f"u{values.itemsize}")
         if not (bits != bits[0]).any():
             spec, (text,) = _cell_values(values[:1], mask[:1], float_spec, na, cell)
-            return (spec % (text,)).replace("%", "%%"), None
+            return spec % (text,), None
     return _cell_values(values, mask, float_spec, na, cell)
 
 
 def _cell_values(values, mask, float_spec, na: str, cell) -> tuple:
-    """(%-spec, cell values): int cells are converted by the template itself, and finite float
+    """(%-spec, cell values): int cells are converted by the %-spec, and finite float
     cells too when `float_spec` is a %-spec; when it is a function, it makes their strings from
     a float array. NA cells, non-finite floats and object cells arrive as strings made by `cell`."""
     if values.dtype.kind in "iu" and not mask.any():
@@ -341,16 +342,19 @@ def _cell_values(values, mask, float_spec, na: str, cell) -> tuple:
 _TABLE_ROWS = 1 << 11
 
 
-def _table_block(data: dict, rows: range, float_spec, na: str, cell, row_template) -> str:
-    """The `rows` of every `data` column, each written by row_template({key: spec}) % its cells;
-    a column of one text is in the template and has no cells."""
-    columns = {key: _cells(column[rows.start : rows.stop], float_spec, na, cell) for key, column in data.items()}
-    template = row_template({key: spec for key, (spec, _) in columns.items()})
-    lists = [cells for _, cells in columns.values() if cells is not None]
-    values = [None] * (len(rows) * len(lists))
-    for i, cells in enumerate(lists):  # row by row: a slice per column, not a tuple per row
+def _interleave(lists: list, rows: int) -> list:
+    """The cells of equal-length `lists` row by row: a slice per list, not a tuple per row."""
+    values = [None] * (rows * len(lists))
+    for i, cells in enumerate(lists):
         values[i :: len(lists)] = cells
-    return "".join([template] * len(rows)) % tuple(values)
+    return values
+
+
+def _table_block(data: dict, rows: range, float_spec, na: str, cell, layout) -> str:
+    """The `rows` of every `data` column as layout({key: (spec, cells)}, row count);
+    see `_cells` for a column of one text."""
+    columns = {key: _cells(column[rows.start : rows.stop], float_spec, na, cell) for key, column in data.items()}
+    return layout(columns, len(rows))
 
 
 def _table(blocks, *formats):
@@ -359,6 +363,13 @@ def _table(blocks, *formats):
         rows = range(len(next(iter(data.values()), ())))
         for start in range(0, len(rows), _TABLE_ROWS):
             yield _table_block(data, rows[start : start + _TABLE_ROWS], *formats)
+
+
+def _csv_layout(columns: dict, rows: int) -> str:
+    """CSV rows from one %-template per block: the template formats the int and float cells."""
+    specs = [spec.replace("%", "%%") if cells is None else spec for spec, cells in columns.values()]
+    lists = [cells for _, cells in columns.values() if cells is not None]
+    return "".join([(",".join(specs) + "\n")] * rows) % tuple(_interleave(lists, rows))
 
 
 def _csv_blocks(result: SweepResult, run: RunConfig):
@@ -374,7 +385,7 @@ def _csv_blocks(result: SweepResult, run: RunConfig):
     lines.append(",".join(result.columns))
     yield "\n".join(lines) + "\n"
     blocks = ({name: block[name] for name in result.columns} for block in result.blocks())
-    yield from _table(blocks, "%.12g", "NA", _format_value, lambda specs: ",".join(specs.values()) + "\n")
+    yield from _table(blocks, "%.12g", "NA", _format_value, _csv_layout)
 
 
 def _json_scalar(value) -> str:
@@ -393,8 +404,9 @@ def _json_floats(values: np.ndarray) -> list:
     values = np.ascontiguousarray(values, dtype=float)  # orjson takes only C-contiguous arrays
     texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     size = np.abs(values)
-    for i in np.flatnonzero((size >= 1e16) | ((size < 1e-4) & (size != 0.0))).tolist():
-        texts[i] = repr(float(values[i]))
+    idx = np.flatnonzero((size >= 1e16) | ((size < 1e-4) & (size != 0.0)))
+    for i, text in zip(idx.tolist(), map(repr, values[idx].tolist())):
+        texts[i] = text
     return texts
 
 
@@ -403,11 +415,25 @@ def _json_list(blocks, label, brackets: str, indent: str):
     each row a dict in "{}", its cells labelled label(key) = '"key": ', or a list in "[]", label(key) = ""."""
     inner, field = indent + "  ", indent + "    "
 
-    def row(specs):
-        body = ",\n".join(f"{field}{label(key)}{spec}" for key, spec in specs.items())
-        return f",\n{inner}{brackets[0]}\n{body}\n{inner}{brackets[1]}"
+    def layout(columns: dict, rows: int) -> str:
+        """One join over the cells and the literal pieces between them; a one-text column is in a piece."""
+        pieces, lists = [f",\n{inner}{brackets[0]}"], []
+        for i, (key, (spec, cells)) in enumerate(columns.items()):
+            pieces[-1] += f"{',' if i else ''}\n{field}{label(key)}"
+            if cells is None:
+                pieces[-1] += spec
+            else:
+                lists.append(cells if spec == "%s" else list(map(str, cells)))  # "%d": int cells
+                pieces.append("")
+        pieces[-1] += f"\n{inner}{brackets[1]}"
+        if not lists:
+            return pieces[0] * rows
+        seps = pieces[1:-1] + [pieces[-1] + pieces[0]]  # after each cell; after the last, the next row's start
+        values = _interleave([x for cells, sep in zip(lists, seps) for x in (cells, [sep] * rows)], rows)
+        values[-1] = pieces[-1]
+        return pieces[0] + "".join(values)
 
-    table = _table(blocks, _json_floats, "null", _json_scalar, row)
+    table = _table(blocks, _json_floats, "null", _json_scalar, layout)
     first = next(table, None)
     if first is None:
         yield "[]"
@@ -421,7 +447,7 @@ def _json_value(obj, indent: str):
     """json.dumps(obj, indent=2) at `indent`, in blocks, scalars as `_json_scalar` writes them; a SweepResult's
     rows and each (M, 2) float array are `_json_list` tables."""
     if isinstance(obj, SweepResult):
-        yield from _json_list(obj.blocks(), lambda key: json.dumps(key).replace("%", "%%") + ": ", "{}", indent)
+        yield from _json_list(obj.blocks(), lambda key: json.dumps(key) + ": ", "{}", indent)
     elif isinstance(obj, np.ndarray):
         yield from _json_list(({"re": obj[:, 0], "im": obj[:, 1]},), lambda key: "", "[]", indent)
     elif isinstance(obj, (dict, list, tuple, _AmplitudeLog)):

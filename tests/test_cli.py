@@ -20,7 +20,7 @@ from groverlab.bruteforce import MEASURE_KEYS, MEASURES, evolve
 from groverlab.cli import main
 from groverlab.discord import pairwise_discord_closed_form
 from groverlab.errors import NumericalConsistencyError
-from groverlab.gga import AmplitudeDistribution, distribution_from_json, gga_iterate
+from groverlab.gga import AmplitudeDistribution, distribution_from_json
 from groverlab.grover import FLOAT_SAFE_QUBITS, GroverConfig, reduced_density, state_at
 from groverlab.linalg import pure_partial_trace
 from groverlab.nonlocality import svetlichny_max_rows
@@ -731,16 +731,17 @@ class TestGgaCommand:
 
     @pytest.fixture
     def grover_steps(self, monkeypatch):
-        """Every gga_iterate call made from the gga and report layers, as its step count."""
+        """A 1 for every single step of the one Grover kernel, whichever walk or iterate took it."""
         from groverlab import gga
 
         steps = []
+        kernel = gga._grover_step
 
-        def counting(dist, n_steps):
-            steps.append(n_steps)
-            return gga_iterate(dist, n_steps)
+        def counting(amps, sols):
+            steps.append(1)
+            kernel(amps, sols)
 
-        monkeypatch.setattr(gga, "gga_iterate", counting)
+        monkeypatch.setattr(gga, "_grover_step", counting)
         return steps
 
     def test_phi_sweep_takes_no_grover_step(self, grover_steps):

@@ -24,7 +24,7 @@ from groverlab.gga import (
 )
 from groverlab.grover import GroverConfig, optimal_iteration_details
 from groverlab.linalg import DensityMatrix
-from groverlab.report import RunConfig, phi_sweep
+from groverlab.report import RunConfig, init_file_sweep, phi_sweep, write
 from witnesses import (
     bits,
     closed_form_averages,
@@ -262,6 +262,7 @@ class TestPmaxAndOptimalTime:
         assert len(calls) < grid_points + 2 * 100
         p_at = envelope(d)
         grid = np.linspace(0.0, math.pi / d.omega, grid_points)
+        assert [p_at(x) for x in grid.tolist()] == [p_at(x) for x in grid]  # floats and numpy scalars alike
         best = int(np.argmax([p_at(x) for x in grid]))
         lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
         for _ in range(200):
@@ -533,6 +534,61 @@ class TestJsonInterface:
         doc = {"n": n, "solutions": [0], "amplitudes": [[1, 0], [0, 0]]}
         with pytest.raises(AmplitudeFileError, match="field 'n'"):
             distribution_from_json(json.dumps(doc))
+
+
+def seeded_start(seed, n, j, kind) -> AmplitudeDistribution:
+    """A normalized real or complex start of 2^n amplitudes with j seeded solutions."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=1 << n) + (1j * rng.normal(size=1 << n) if kind == "complex" else 0.0)
+    return AmplitudeDistribution(v / np.linalg.norm(v), tuple(rng.choice(1 << n, size=j, replace=False).tolist()))
+
+
+class TestInitFileStepping:
+    """The init-file rows and amplitude log step a raw vector; every bit is the distributions' own."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_rows_and_log_are_the_walks_bits(self, n, kind):
+        for j in (1, 2, 3):
+            dist0 = seeded_start(100 * n + j, n, j, kind)
+            t = gga_optimal_time(dist0).time
+            for r_max in sorted({max(math.ceil(t) - 1, 0), math.ceil(t) + 2}):  # below and above ceil(t)
+                run = RunConfig(command="gga", r_max=r_max, fmt="json", init_file="start.json")
+                result = init_file_sweep(run, dist0)
+                walk = list(gga_walk(dist0, max(r_max, math.ceil(t))))
+                rows = result.join()
+                want = {
+                    "p": [d.success_probability() for d in walk[: r_max + 1]],
+                    "kbar_re": [d.kbar.real for d in walk[: r_max + 1]],
+                    "kbar_im": [d.kbar.imag for d in walk[: r_max + 1]],
+                    "lbar_re": [d.lbar.real for d in walk[: r_max + 1]],
+                    "lbar_im": [d.lbar.imag for d in walk[: r_max + 1]],
+                }
+                assert {key: bits(rows[key]) for key in want} == {key: bits(v) for key, v in want.items()}
+                extra = result.extra_metadata
+                ends = [walk[math.floor(t)].success_probability(), walk[math.ceil(t)].success_probability()]
+                assert bits([extra["p_floor"], extra["p_ceil"]]) == bits(ends)
+                log = list(extra["amplitudes_per_step"])
+                assert [entry["r"] for entry in log] == list(range(r_max + 1))
+                for entry, d in zip(log, walk):
+                    assert bits(entry["solution_amplitudes"]) == bits(d.solution_amplitudes.view(float))
+                    assert bits(entry["other_amplitudes"]) == bits(d.other_amplitudes.view(float))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_only_the_start_is_a_distribution(self, monkeypatch, fmt):
+        built = []
+        post_init = AmplitudeDistribution.__post_init__
+        monkeypatch.setattr(AmplitudeDistribution, "__post_init__", lambda self: built.append(1) or post_init(self))
+        for kind in ("real", "complex"):
+            start = seeded_start(7, 6, 2, kind)
+            pairs = start.amplitudes.view(float).reshape(-1, 2).tolist()
+            built.clear()
+            dist0 = distribution_from_json(json.dumps({"n": 6, "solutions": list(start.solutions), "amplitudes": pairs}))
+            run = RunConfig(command="gga", r_max=30, fmt=fmt, init_file="start.json")
+            chars = []
+            write(init_file_sweep(run, dist0), run, lambda text: chars.append(len(text)))
+            assert sum(chars) > 0
+            assert len(built) == 1, kind
 
 
 class TestDistributionInvariants:

@@ -467,3 +467,47 @@ def test_strided_pair_array_equals_the_encoder():
     result = sweep({"r": np.arange(1)}, extra={"log": [pairs], "finite": finite})
     run = RunConfig(command="gga", fmt="json")
     assert written(result, run) == render_json_rows(result, run)
+
+
+class TestJsonJoinLayout:
+    """The JSON rows are one join over cells and literal pieces per block; the row writer is the reference."""
+
+    KEYS = ["%", "a%s", "%%d", 'q"uote', "back\\slash"]
+
+    def both_writers_agree(self, result):
+        for fmt in ("csv", "json"):
+            run = RunConfig(command="ga", fmt=fmt)
+            render = render_json_rows if fmt == "json" else render_csv_rows
+            assert written(result, run) == render(result, run)
+
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_keys_with_percent_quote_and_backslash(self, rows):
+        # each key labels a varying column, and again a one-text column
+        varying = {key: np.linspace(0.1, 0.9, rows) + i for i, key in enumerate(self.KEYS)}
+        constant = {key + "!": np.full(rows, 0.5) for key in self.KEYS}
+        self.both_writers_agree(sweep({**varying, **constant}))
+        self.both_writers_agree(sweep({key: np.array(["a%s"] * rows, dtype=object) for key in self.KEYS}))
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_block_of_one_text_columns_only(self, cell_log, rows):
+        data = {"%d": np.full(rows, 2), "x": np.full(rows, -0.0), "na": np.ma.masked_all(rows), "b": np.ones(rows, bool)}
+        self.both_writers_agree(sweep(data))
+        assert all(cells is None for block in cell_log for _, cells in block.values())
+        assert len(cell_log) == (2 if rows else 0)  # one CSV and one JSON block, or no block for no rows
+
+    def test_column_of_one_text_in_one_block_and_cells_in_the_next(self, cell_log, monkeypatch):
+        monkeypatch.setattr(report, "_TABLE_ROWS", 4)
+        x = np.array([0.5] * 4 + [0.25, 0.75, 0.5, 1e-7] + [1e300] * 4)
+        na = np.ma.array(np.arange(12.0), mask=[r < 4 or r >= 8 for r in range(12)])
+        self.both_writers_agree(sweep({"r": np.arange(12), "x": x, "na": na}))
+        json_blocks = cell_log[:3]  # the JSON document is written first
+        assert [block["x"][1] is None for block in json_blocks] == [True, False, True]
+        assert [block["na"][1] is None for block in json_blocks] == [True, False, True]
+
+    def test_int_j_past_int64_beside_small_j(self):
+        # an object j column, then an int64 one
+        for js in ((1 << 63, 3, (1 << 64) - 1), (2, 3)):
+            run = RunConfig(command="ga", n=64, j_values=js, r_max=1, measures=("cr",), fmt="json")
+            result = report.ga_sweep(run)
+            assert written(result, run) == render_json_rows(result, run)
+            assert list(dict.fromkeys(row["j"] for row in json.loads(written(result, run))["rows"])) == list(js)
