@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import AmplitudeFileError, InvalidStateError, UnsupportedStructureError
 from .grover import GroverConfig
@@ -129,17 +130,25 @@ def gga_walk(dist0: AmplitudeDistribution, steps: int):
         yield dist
 
 
-def _split_walk(dist0: AmplitudeDistribution, steps: int):
-    """Yield the (solution, non-solution) amplitudes of dist0, then of one copy of its vector
-    after each of `steps` `_grover_step`s: the r-th pair is gga_iterate(dist0, r)'s
-    solution_amplitudes and other_amplitudes bit for bit, and no distribution is built."""
+def _raw_walk(dist0: AmplitudeDistribution, steps: int):
+    """Yield one copy of dist0's vector, then the same array after each of `steps` `_grover_step`s
+    in place: the r-th yield holds gga_iterate(dist0, r)'s amplitudes bit for bit."""
     amps = dist0.amplitudes.copy()
     sols = np.array(dist0.solutions)
-    others = np.ones(amps.size, dtype=bool)
-    others[sols] = False  # the mask np.delete would build
-    yield amps[sols], amps[others]
+    yield amps
     for _ in range(steps):
         _grover_step(amps, sols)
+        yield amps
+
+
+def _split_walk(dist0: AmplitudeDistribution, steps: int):
+    """Yield the (solution, non-solution) amplitudes of each `_raw_walk` vector: the r-th pair is
+    gga_iterate(dist0, r)'s solution_amplitudes and other_amplitudes bit for bit, and no
+    distribution is built."""
+    sols = np.array(dist0.solutions)
+    others = np.ones(dist0.size, dtype=bool)
+    others[sols] = False  # the mask np.delete would build
+    for amps in _raw_walk(dist0, steps):
         yield amps[sols], amps[others]
 
 
@@ -206,10 +215,11 @@ def _success_envelope(dist0: AmplitudeDistribution):
         if C2 != 0.0:
             parts.append((C2, math.atan2(math.sqrt(j) * kbar_part, math.sqrt(N - j) * lbar_part)))
 
-    def p_at(t: float) -> float:
+    def p_at(t, sin=math.sin):
+        """p at a float t by math.sin, or at each time of an array t by sin=np.sin."""
         total = spread
         for C2, beta in parts:
-            total += C2 * math.sin(omega * t + beta) ** 2
+            total += C2 * sin(omega * t + beta) ** 2
         return total
 
     return p_at
@@ -224,6 +234,22 @@ class GGAOptimalTime:
     degenerate_phase: bool = False
 
 
+# Grid points whose vector p lies this far, relative, below the vector maximum are candidates
+# for the scalar argmax: twice the largest gap between np.sin and math.sin must stay below it.
+SCAN_WINDOW = 1e-12
+
+
+def _grid_argmax(p_at, grid: np.ndarray) -> int:
+    """The first index of the largest p_at(x) over the floats of `grid`, as a scan of one scalar
+    p_at call per point finds it. One np.sin pass over the grid gives every point's p; only the
+    points within SCAN_WINDOW of its maximum are evaluated by math.sin, so the index (and every
+    bit after it) does not depend on numpy's sin kernel."""
+    values = p_at(grid, np.sin)
+    top = float(values.max())
+    near = np.flatnonzero(values >= top - SCAN_WINDOW * abs(top)).tolist()
+    return max(near, key=lambda i: p_at(float(grid[i])))  # max keeps the first of equal keys
+
+
 def gga_optimal_time(dist0: AmplitudeDistribution) -> GGAOptimalTime:
     """(pi/2 - beta)/omega for real amplitudes; grid-scan fallback otherwise. No Grover step."""
     if dist0.is_real:
@@ -236,10 +262,10 @@ def gga_optimal_time(dist0: AmplitudeDistribution) -> GGAOptimalTime:
     # Complex averages: the paper's beta presumes real amplitudes, so
     # locate the peak of the superposed envelope numerically.
     p_at = _success_envelope(dist0)
-    grid = np.linspace(0.0, math.pi / dist0.omega, 4097).tolist()  # floats: no numpy-scalar arithmetic
-    best = int(np.argmax([p_at(x) for x in grid]))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
+    grid = np.linspace(0.0, math.pi / dist0.omega, 4097)
+    best = _grid_argmax(p_at, grid)
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, grid.size - 1)])
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -343,14 +369,27 @@ def _finite_cells(pairs: list):
 def distribution_from_json(text: str) -> AmplitudeDistribution:
     """Parse {"n": int, "solutions": [...], "amplitudes": [[re, im], ...]}.
 
+    orjson parses the text. What it rejects (NaN, Infinity, 1e400, malformed
+    JSON) or what fails a check is parsed again by json.loads, which reads an
+    int past 64 bits as an int, not a float, so each diagnostic is as before.
+
     Raises AmplitudeFileError with line/field diagnostics on malformed input.
     """
+    try:
+        return _distribution(orjson.loads(text))
+    except (orjson.JSONDecodeError, AmplitudeFileError):
+        pass
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AmplitudeFileError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    return _distribution(doc)
+
+
+def _distribution(doc) -> AmplitudeDistribution:
+    """The distribution of a parsed amplitude document; see distribution_from_json."""
     if not isinstance(doc, dict):
         raise AmplitudeFileError("top-level value must be an object")
     for field in ("n", "solutions", "amplitudes"):

@@ -7,6 +7,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import orjson
@@ -26,6 +27,7 @@ from .gga import (
     gga_closed_form,
     gga_optimal_time,
     gga_pmax,
+    _raw_walk,
     _split_walk,
     phi_family_delta_coherence,
     phi_family_optimal_time,
@@ -217,31 +219,42 @@ class _AmplitudeLog:
             yield {"r": r, "solution_amplitudes": sol, "other_amplitudes": other}
 
 
+def _init_file_blocks(dist0: AmplitudeDistribution, r_max: int):
+    """The rows r = 0..r_max of a custom start, in blocks of `_BLOCK_ROWS` rows, from one walk of a
+    raw copy of the start: p, kbar and lbar by the reductions of success_probability(), kbar and lbar."""
+    walk = _split_walk(dist0, r_max)
+    for start in range(0, r_max + 1, _BLOCK_ROWS):
+        r = np.arange(start, min(start + _BLOCK_ROWS, r_max + 1))
+        p, averages = np.empty(r.size), np.empty((r.size, 2), dtype=complex)
+        for i, (k, l) in zip(range(r.size), walk):
+            p[i] = np.sum(np.abs(k) ** 2)
+            averages[i] = k.mean(), l.mean()
+        kbar, lbar = averages.T
+        yield {"r": r, "p": p, "kbar_re": kbar.real, "kbar_im": kbar.imag, "lbar_re": lbar.real, "lbar_im": lbar.imag}
+
+
 def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult:
     """Per-step averages and success probability for a custom start, and for JSON the per-step amplitudes.
 
-    One pass steps a raw copy of the start to max(r_max, ceil(t_opt)) for the
-    rows, p_floor and p_ceil; the JSON amplitude log steps another as it is
-    written. Only the start is a validated distribution.
+    A walk of a raw copy of the start to ceil(t_opt) keeps only p_floor and
+    p_ceil; the rows step another copy block by block as they are written, and
+    the JSON amplitude log another. Only the start is a validated distribution.
     """
     if run.r_max is not None and not 0 <= run.r_max < MAX_ROWS:
         raise ValueError(f"--r-max must lie in 0..{MAX_ROWS - 1:,} ({MAX_ROWS:,} rows), got {run.r_max:,}")
     opt = gga_optimal_time(dist0)
     r_max = run.r_max if run.r_max is not None else max(1, math.ceil(opt.time))
-    averages = np.empty((r_max + 1, 2), dtype=complex)
-    p = np.empty(max(r_max, math.ceil(opt.time)) + 1)
-    for r, (k, l) in enumerate(_split_walk(dist0, p.size - 1)):  # the reductions of success_probability(), kbar, lbar
-        p[r] = np.sum(np.abs(k) ** 2)
-        if r <= r_max:
-            averages[r] = k.mean(), l.mean()
+    sols = list(dist0.solutions)
+    walk = islice(_raw_walk(dist0, math.ceil(opt.time)), math.floor(opt.time), None)
+    ends = [float(np.sum(np.abs(amps[sols]) ** 2)) for amps in walk]  # p at floor(t_opt) and ceil(t_opt)
     extra = {
         "n": dist0.n,
-        "solutions": list(dist0.solutions),
+        "solutions": sols,
         "optimal_time": opt.time,
         "optimal_time_method": opt.method,
         "degenerate_phase": opt.degenerate_phase,
-        "p_floor": float(p[math.floor(opt.time)]),
-        "p_ceil": float(p[math.ceil(opt.time)]),
+        "p_floor": ends[0],
+        "p_ceil": ends[-1],
         "p_max": gga_pmax(dist0),
     }
     if run.fmt == "json":  # only JSON prints the amplitudes
@@ -249,12 +262,9 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
     if dist0.is_real:
         cf = gga_closed_form(dist0)
         extra["closed_form"] = {"omega": cf.omega, "beta": cf.beta, "C": cf.C}
-    columns = ("r", "p", "kbar_re", "kbar_im", "lbar_re", "lbar_im")
-    kbar, lbar = averages.T
-    values = (np.arange(r_max + 1), p[: r_max + 1], kbar.real, kbar.imag, lbar.real, lbar.imag)
     return SweepResult(
-        columns=columns,
-        blocks=partial(_slices, dict(zip(columns, values))),
+        columns=("r", "p", "kbar_re", "kbar_im", "lbar_re", "lbar_im"),
+        blocks=partial(_init_file_blocks, dist0, r_max),
         engines={"all": "iteration"},
         extra_metadata=extra,
     )
@@ -309,12 +319,17 @@ def _cells(column, float_spec, na: str, cell) -> tuple:
     mask = np.ma.getmaskarray(column)
     if mask.all():
         return na, None
-    if values.dtype.kind in "biuf" and not mask.any():
-        bits = values.view(f"u{values.itemsize}")
-        if not (bits != bits[0]).any():
-            spec, (text,) = _cell_values(values[:1], mask[:1], float_spec, na, cell)
-            return spec % (text,), None
+    if values.dtype.kind in "biuf" and not mask.any() and _one_bit_pattern(values):
+        spec, (text,) = _cell_values(values[:1], mask[:1], float_spec, na, cell)
+        return spec % (text,), None
     return _cell_values(values, mask, float_spec, na, cell)
+
+
+def _one_bit_pattern(values: np.ndarray) -> bool:
+    """Whether every cell of 1-D numeric `values` has the first one's bits, compared as
+    same-width unsigned ints: -0.0 and 0.0 differ."""
+    bits = values.view(f"u{values.itemsize}")
+    return not (bits != bits[0]).any()
 
 
 def _cell_values(values, mask, float_spec, na: str, cell) -> tuple:
@@ -395,37 +410,65 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
+def _orjson_cells(values: np.ndarray) -> tuple:
+    """(text, index list, texts): orjson's comma-separated text of the cells of 1-D float `values`,
+    from one call, and the indices and JSON texts of the cells where json.dumps writes otherwise.
+    orjson's text is repr's for 1e-4 <= |x| < 1e16 and for +-0.0; a finite cell outside that range
+    (where it writes 1e16 or 0.00001 for repr's 1e+16 and 1e-05) is repr's, and a non-finite one
+    (null) `_json_scalar`'s token."""
+    values = np.ascontiguousarray(values, dtype=float)  # orjson takes only C-contiguous arrays
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    size = np.abs(values)
+    idx = np.flatnonzero(~(size < 1e16) | ((size < 1e-4) & (size != 0.0)))  # NaN fails every comparison
+    cells = values[idx]
+    texts = list(map(repr, cells.tolist()))
+    for i in np.flatnonzero(~np.isfinite(cells)).tolist():
+        texts[i] = _json_scalar(float(cells[i]))
+    return text, idx.tolist(), texts
+
+
 def _json_floats(values: np.ndarray) -> list:
-    """repr(x) of each finite float of `values`, from one orjson call: its text is repr's for
-    1e-4 <= |x| < 1e16 and for +-0.0, and the cells outside that range (where it writes 1e16 or
-    0.00001 for repr's 1e+16 and 1e-05) are each replaced by repr."""
+    """The JSON text of each cell of 1-D float `values`; see `_orjson_cells`."""
     if not values.size:
         return []
-    values = np.ascontiguousarray(values, dtype=float)  # orjson takes only C-contiguous arrays
-    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    size = np.abs(values)
-    idx = np.flatnonzero((size >= 1e16) | ((size < 1e-4) & (size != 0.0)))
-    for i, text in zip(idx.tolist(), map(repr, values[idx].tolist())):
-        texts[i] = text
+    text, idx, patches = _orjson_cells(values)
+    texts = text.decode().split(",")
+    for i, patch in zip(idx, patches):
+        texts[i] = patch
     return texts
 
 
-def _json_list(blocks, label, brackets: str, indent: str):
+def _json_float_text(values: np.ndarray) -> str:
+    """`_json_floats(values)` joined by commas, each patched cell replaced in its span between the
+    commas of orjson's text, so the other cells are never split apart."""
+    text, idx, patches = _orjson_cells(values)
+    if not idx:
+        return text.decode()
+    commas = np.flatnonzero(np.frombuffer(text, np.uint8) == 44)  # b","
+    starts, ends = np.concatenate(([0], commas + 1)), np.append(commas, len(text))  # each cell's span
+    text = text.decode()
+    pieces = [None] * (2 * len(idx) + 1)  # orjson's text between the patched cells, and their texts
+    pieces[::2] = [text[a:b] for a, b in zip([0] + ends[idx].tolist(), starts[idx].tolist() + [len(text)])]
+    pieces[1::2] = patches
+    return "".join(pieces)
+
+
+def _json_list(blocks, indent: str):
     """The rows of the column blocks as json.dumps(rows, indent=2) writes them at `indent`, in blocks:
-    each row a dict in "{}", its cells labelled label(key) = '"key": ', or a list in "[]", label(key) = ""."""
+    each row a dict of its cells, each labelled '"key": '."""
     inner, field = indent + "  ", indent + "    "
 
     def layout(columns: dict, rows: int) -> str:
         """One join over the cells and the literal pieces between them; a one-text column is in a piece."""
-        pieces, lists = [f",\n{inner}{brackets[0]}"], []
+        pieces, lists = [f",\n{inner}{{"], []
         for i, (key, (spec, cells)) in enumerate(columns.items()):
-            pieces[-1] += f"{',' if i else ''}\n{field}{label(key)}"
+            pieces[-1] += f"{',' if i else ''}\n{field}{json.dumps(key)}: "
             if cells is None:
                 pieces[-1] += spec
             else:
                 lists.append(cells if spec == "%s" else list(map(str, cells)))  # "%d": int cells
                 pieces.append("")
-        pieces[-1] += f"\n{inner}{brackets[1]}"
+        pieces[-1] += f"\n{inner}}}"
         if not lists:
             return pieces[0] * rows
         seps = pieces[1:-1] + [pieces[-1] + pieces[0]]  # after each cell; after the last, the next row's start
@@ -443,13 +486,39 @@ def _json_list(blocks, label, brackets: str, indent: str):
     yield f"\n{indent}]"
 
 
+def _json_pairs(pairs: np.ndarray, indent: str):
+    """json.dumps(pairs.tolist(), indent=2) at `indent` for an (M, 2) float array, in blocks of
+    `_TABLE_ROWS` pairs, each from one orjson text per column. When the second column prints one
+    text in a block, as a real start's imaginary parts do, the block is one `str.replace` of the
+    first column's commas by the literal text between two of its cells; otherwise it is one join
+    over both columns' cells and the two literal pieces between them."""
+    if not len(pairs):
+        yield "[]"
+        return
+    inner, field = indent + "  ", indent + "    "
+    mid, gap = f",\n{field}", f"\n{inner}],\n{inner}[\n{field}"  # between re and im, and im and the next re
+    for start in range(0, len(pairs), _TABLE_ROWS):
+        re, im = pairs[start : start + _TABLE_ROWS].T
+        yield f"{',' if start else '['}\n{inner}[\n{field}"
+        if _one_bit_pattern(im):
+            text, im = _json_float_text(re), _json_float_text(im[:1])
+            yield text.replace(",", mid + im + gap)
+            yield mid + im
+        else:
+            cells = [None, mid, None, gap] * len(re)
+            cells[::4], cells[2::4] = _json_floats(re), _json_floats(im)
+            yield "".join(cells[:-1])
+        yield f"\n{inner}]"  # the large texts are passed on as they are, never copied into one
+    yield f"\n{indent}]"
+
+
 def _json_value(obj, indent: str):
     """json.dumps(obj, indent=2) at `indent`, in blocks, scalars as `_json_scalar` writes them; a SweepResult's
-    rows and each (M, 2) float array are `_json_list` tables."""
+    rows are a `_json_list` table, and each (M, 2) float array is written by `_json_pairs`."""
     if isinstance(obj, SweepResult):
-        yield from _json_list(obj.blocks(), lambda key: json.dumps(key) + ": ", "{}", indent)
+        yield from _json_list(obj.blocks(), indent)
     elif isinstance(obj, np.ndarray):
-        yield from _json_list(({"re": obj[:, 0], "im": obj[:, 1]},), lambda key: "", "[]", indent)
+        yield from _json_pairs(obj, indent)
     elif isinstance(obj, (dict, list, tuple, _AmplitudeLog)):
         inner, brackets = indent + "  ", "{}" if isinstance(obj, dict) else "[]"
         items = ((json.dumps(key) + ": ", v) for key, v in obj.items()) if brackets == "{}" else (("", v) for v in obj)

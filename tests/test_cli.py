@@ -767,12 +767,13 @@ class TestGgaCommand:
         assert all(math.isfinite(t) and t > 0.0 for t in times) and times == sorted(times, reverse=True)
 
     def test_init_file_steps_only_between_rows(self, tmp_path, grover_steps):
-        # one single step per r up to max(r_max, ceil(t)); the rows stop at r_max
+        # one single step per r up to ceil(t) for p_floor and p_ceil, then one per r up to r_max
+        # as the rows are written; the rows stop at r_max
         uniform = tmp_path / "uniform.json"
         uniform.write_text(json.dumps({"n": 4, "solutions": [3], "amplitudes": [[0.25, 0.0]] * 16}))
         real, cplx = GOLDEN / "gga_init_real_n4.json", GOLDEN / "gga_init_complex_n5.json"
-        # t = 2.6 (uniform), 2.53 (real), 2.55 (complex, scan fallback)
-        for init, r_max, steps in [(uniform, 5, 5), (real, 1, 3), (real, 6, 6), (cplx, 2, 3), (cplx, 4, 4)]:
+        # t = 2.6 (uniform), 2.53 (real), 2.55 (complex, scan fallback): ceil(t) = 3 for each
+        for init, r_max, steps in [(uniform, 5, 3 + 5), (real, 1, 3 + 1), (real, 6, 3 + 6), (cplx, 2, 3 + 2), (cplx, 4, 3 + 4)]:
             grover_steps.clear()
             result = run_cli("gga", "--init-file", str(init), "--r-max", str(r_max), "--format", "csv")
             assert result.exit_code == 0

@@ -1,14 +1,17 @@
+import decimal
 import json
 import math
 import sys
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groverlab import gga as gga_module
+from groverlab import report as report_module
 from groverlab.errors import AmplitudeFileError, InvalidStateError, UnsupportedStructureError
 from groverlab.gga import (
     AmplitudeDistribution,
@@ -32,6 +35,7 @@ from witnesses import (
     gga_success_probability_at,
     phi_family_distribution,
     phi_family_states,
+    scalar_scan,
 )
 
 
@@ -254,12 +258,15 @@ class TestPmaxAndOptimalTime:
 
         def counting(dist):
             p_at = envelope(dist)
-            return lambda t: calls.append(t) or p_at(t)
+            return lambda t, *sin: calls.append(t) or p_at(t, *sin)
 
         monkeypatch.setattr(gga_module, "_success_envelope", counting)
         t = gga_optimal_time(d)
         grid_points = 4097
         assert len(calls) < grid_points + 2 * 100
+        # the grid is one vector call; the rest are scalar calls on the candidates and the bracket
+        assert [np.shape(x) for x in calls].count((grid_points,)) == 1
+        assert len(calls) < 1 + 10 + 2 * 200
         p_at = envelope(d)
         grid = np.linspace(0.0, math.pi / d.omega, grid_points)
         assert [p_at(x) for x in grid.tolist()] == [p_at(x) for x in grid]  # floats and numpy scalars alike
@@ -303,6 +310,72 @@ class TestPmaxAndOptimalTime:
         d0 = random_real_distribution(11)
         rotated = AmplitudeDistribution(d0.amplitudes * np.exp(0.7j), d0.solutions)
         assert gga_pmax(rotated) == pytest.approx(gga_pmax(d0), abs=1e-12)
+
+
+def scan_start(seed) -> AmplitudeDistribution:
+    """A seeded complex start, n = 2..10 and j = 1..4 (below N) by seed: Gaussian amplitudes for an
+    even seed, the benchmark's near-uniform amplitudes with phases of spread 0.5 rad for an odd one."""
+    n = 2 + seed % 9
+    j = min(1 + (seed // 9) % 4, (1 << n) - 1)
+    rng = np.random.default_rng([seed, 37])
+    if seed % 2:
+        v = (1.0 + 0.3 * rng.standard_normal(1 << n)) * np.exp(0.5j * rng.standard_normal(1 << n))
+    else:
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return AmplitudeDistribution(v / np.linalg.norm(v), tuple(rng.choice(1 << n, size=j, replace=False).tolist()))
+
+
+def midpoint_start(i: int, n=6, j=2, phase=0.7) -> AmplitudeDistribution:
+    """A complex start whose p(t) peaks halfway between scan grid points i and i + 1: a real start with
+    beta = pi/2 - omega t*, t* = (i + 1/2) pi / (4096 omega), times one global phase, which leaves p(t)
+    and t* as they are and gives the real and imaginary parts that one beta."""
+    N = 1 << n
+    omega = math.acos(1.0 - 2.0 * j / N)
+    beta = math.pi / 2.0 - omega * (i + 0.5) * (math.pi / omega) / 4096
+    dev = np.random.default_rng(i).normal(scale=0.3 / math.sqrt(N), size=N - j)
+    dev -= dev.mean()
+    C = math.sqrt(1.0 - float(np.sum(dev**2)))
+    amps = np.concatenate([np.full(j, C * math.sin(beta) / math.sqrt(j)), C * math.cos(beta) / math.sqrt(N - j) + dev])
+    return AmplitudeDistribution(amps / np.linalg.norm(amps) * np.exp(1j * phase), tuple(range(j)))
+
+
+class TestVectorScan:
+    """The complex-start scan takes its grid in one numpy pass and picks among the points near the
+    vector maximum by scalar p(t): the index and the time are those of one scalar call per point."""
+
+    def check(self, d):
+        assert not d.is_real
+        p_at = gga_module._success_envelope(d)
+        grid = np.linspace(0.0, math.pi / d.omega, 4097)
+        vector = p_at(grid, np.sin)
+        best, time, scalar = scalar_scan(d)
+        assert gga_module._grid_argmax(p_at, grid) == best
+        opt = gga_optimal_time(d)
+        assert (opt.method, opt.time) == ("scan", time)
+        return best, scalar, float(np.max(np.abs(vector - scalar)) / np.max(np.abs(vector)))
+
+    def test_seeded_starts(self):
+        gaps = [self.check(scan_start(seed))[2] for seed in range(1000)]
+        # the window holds the scalar argmax whenever the kernels differ by less than half of it
+        assert max(gaps) < 0.5 * gga_module.SCAN_WINDOW
+
+    @pytest.mark.parametrize("i", [0, 1000, 2047, 4095])
+    def test_peak_halfway_between_grid_points(self, i):
+        best, scalar, gap = self.check(midpoint_start(i))
+        assert best % 4096 in (i, (i + 1) % 4096)  # p has period pi/omega: the last grid point is the first
+        assert abs(scalar[i] - scalar[i + 1]) <= 1e-14 * scalar[best]  # a tie up to rounding
+        assert gap < 0.5 * gga_module.SCAN_WINDOW
+
+    def test_candidates_are_taken_by_scalar_p(self, monkeypatch):
+        # a vector pass that puts its maximum at the wrong one of two near-equal points changes nothing
+        d = midpoint_start(1000)
+        p_at = gga_module._success_envelope(d)
+        grid = np.linspace(0.0, math.pi / d.omega, 4097)
+        best = scalar_scan(d)[0]
+        other = 2 * 1000 + 1 - best
+        lift = lambda t, sin=math.sin: p_at(t, sin) + (np.arange(t.size) == other) * 1e-15 if sin is np.sin else p_at(t)
+        assert int(np.argmax(lift(grid, np.sin))) == other
+        assert gga_module._grid_argmax(lift, grid) == best
 
 
 class TestPhiFamily:
@@ -528,6 +601,41 @@ class TestJsonInterface:
         with pytest.raises(AmplitudeFileError, match="solutions"):
             distribution_from_json(json.dumps(doc))
 
+    def test_orjson_and_json_read_the_same_bits(self):
+        # doubles of random bit patterns as repr writes them; 18-40-digit decimals, random ones and
+        # ones near the midpoint between two doubles; and ints: those of 64 bits are ints for both,
+        # those past 64 bits orjson reads as the float that the cell of json.loads' int becomes
+        rng = np.random.default_rng(37)
+        values = rng.integers(0, 1 << 64, size=300_000, dtype=np.uint64).view(float)
+        texts = list(map(repr, values[np.isfinite(values)].tolist()))
+        for i, x in enumerate(np.abs(values[np.isfinite(values) & (np.abs(values) < 1e307)][:20_000]).tolist()):
+            digits = 18 + i % 23
+            halfway = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+            texts.append(format(decimal.Context(prec=digits).plus(halfway), f".{digits - 1}e"))
+            mantissa = "".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, size=digits - 1)]))
+            point = int(rng.integers(0, digits + 1))
+            texts.append(f"-{mantissa[:point] or 0}.{mantissa[point:] or 0}e{int(rng.integers(-340, 300 - point))}")
+        text = "[" + ",".join(texts) + "]"
+        read = [np.array(parse(text)).view(np.uint64) for parse in (orjson.loads, json.loads)]
+        assert read[0].size == len(texts) and np.array_equal(*read)
+        ints = [(1 << 64) - 1, -(1 << 63), (1 << 53) + 1, 10**19 + 7] + [int(rng.integers(1, 10)) * 10**e + 1 for e in range(19, 308)]
+        text = "[" + ",".join(map(str, ints)) + "]"
+        fast, slow = orjson.loads(text), json.loads(text)
+        assert fast[:4] == slow[:4] == ints[:4] and all(type(x) is int for x in fast[:4])
+        assert bits(fast[4:]) == bits(np.array(slow[4:], dtype=float))
+
+    def test_json_loads_reads_only_what_orjson_rejects_or_a_check_fails(self, monkeypatch):
+        reads = []
+        loads = gga_module.json.loads
+        monkeypatch.setattr(gga_module.json, "loads", lambda text: reads.append(1) or loads(text))
+        doc = self.make_doc(n=3, solutions=(1, 5))
+        assert distribution_from_json(json.dumps(doc)).solutions == (1, 5)
+        assert reads == []
+        for text in (json.dumps(doc).replace("0.0", "NaN", 1), json.dumps({**doc, "n": 2**64})):
+            with pytest.raises(AmplitudeFileError):
+                distribution_from_json(text)
+        assert reads == [1, 1]
+
     @pytest.mark.parametrize("n", [3, 20000])
     def test_n_past_the_amplitude_count(self, n):
         # checked before 2^n is formed, so a huge n is a field diagnostic too
@@ -573,6 +681,23 @@ class TestInitFileStepping:
                 for entry, d in zip(log, walk):
                     assert bits(entry["solution_amplitudes"]) == bits(d.solution_amplitudes.view(float))
                     assert bits(entry["other_amplitudes"]) == bits(d.other_amplitudes.view(float))
+
+    def test_rows_come_in_blocks_of_the_walks_bits(self, monkeypatch):
+        # each block's rows are computed as it is yielded; p_floor and p_ceil come from their own walk
+        monkeypatch.setattr(report_module, "_BLOCK_ROWS", 8)
+        dist0 = seeded_start(5, 5, 2, "complex")
+        t = gga_optimal_time(dist0).time
+        run = RunConfig(command="gga", r_max=30, fmt="csv", init_file="start.json")
+        result = init_file_sweep(run, dist0)
+        blocks = list(result.blocks())
+        assert [block["r"].tolist() for block in blocks] == [list(range(s, min(s + 8, 31))) for s in range(0, 31, 8)]
+        walk = list(gga_walk(dist0, 30))
+        rows = result.join()
+        assert bits(rows["p"]) == bits([d.success_probability() for d in walk])
+        assert bits(rows["lbar_im"]) == bits([d.lbar.imag for d in walk])
+        extra = result.extra_metadata
+        ends = [walk[math.floor(t)].success_probability(), walk[math.ceil(t)].success_probability()]
+        assert bits([extra["p_floor"], extra["p_ceil"]]) == bits(ends)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_only_the_start_is_a_distribution(self, monkeypatch, fmt):

@@ -380,19 +380,109 @@ class TestOneTextColumns:
             }
             per_cell_writers_agree(sweep(data))
 
-    def test_real_start_imaginary_parts_are_one_text(self, cell_log):
+    def test_real_start_imaginary_parts_are_one_text(self, monkeypatch):
+        # each block of pairs takes one orjson call per column: the real parts' whole column, and one
+        # cell of the imaginary parts, whose one text "0.0" is in the literal text between real cells
         rng = np.random.default_rng(10)
-        values = rng.standard_normal(1 << 10)
+        values = rng.standard_normal(1 << 12)
         pairs = [[x, 0.0] for x in (values / np.linalg.norm(values)).tolist()]
-        dist = distribution_from_json(json.dumps({"n": 10, "solutions": [3, 700], "amplitudes": pairs}))
+        dist = distribution_from_json(json.dumps({"n": 12, "solutions": [3, 700], "amplitudes": pairs}))
         run = RunConfig(command="gga", r_max=4, fmt="json", init_file="start.json")
         result = report.init_file_sweep(run, dist)
         steps = list(result.extra_metadata["amplitudes_per_step"])  # the row writer takes lists, not the log
         reference = replace(result, extra_metadata={**result.extra_metadata, "amplitudes_per_step": steps})
+        calls, texts = [], []
+        dumps, float_text = report.orjson.dumps, report._json_float_text
+        monkeypatch.setattr(report.orjson, "dumps", lambda values, **options: calls.append(values.size) or dumps(values, **options))
+
+        def recording(values):
+            before = len(calls)
+            text = float_text(values)
+            texts.append((values.size, calls[before:], text if values.size == 1 else None))
+            return text
+
+        monkeypatch.setattr(report, "_json_float_text", recording)
         assert written(result, run) == render_json_rows(reference, run)
-        tables = [block for block in cell_log if list(block) == ["re", "im"]]
-        assert len(tables) == 2 * 5  # solution and other amplitudes, per step
-        assert all(block["im"] == ("0.0", None) and block["re"][1] is not None for block in tables)
+        # per step: the two solution pairs, then the 4,094 other pairs in blocks of 2,048 and 2,046
+        blocks = [2, 2048, 4094 - 2048]
+        assert report._TABLE_ROWS == 2048
+        assert texts == [t for size in blocks for t in ((size, [size], None), (1, [1], "0.0"))] * 5
+
+
+class TestJsonPairs:
+    """Each (M, 2) float array is laid out from one text per column block; the row writer and
+    json.dumps are the references."""
+
+    ODD = [1e-5, -1e16, 5e-324, float("nan"), float("inf"), -float("inf"), -1.7976931348623157e308]
+
+    def agree(self, *arrays):
+        result = sweep({"r": np.arange(1)}, extra={"log": list(arrays), "last": arrays[-1]})
+        run = RunConfig(command="gga", fmt="json")
+        text = written(result, run)
+        assert text == render_json_rows(result, run)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        return text
+
+    @pytest.mark.parametrize("table_rows", [4, report._TABLE_ROWS])
+    @pytest.mark.parametrize("other", ["varying", "one text"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_odd_cells_first_last_and_beside_block_edges(self, monkeypatch, table_rows, other, column):
+        # cells past orjson's repr range and non-finite cells, each at the first and last pair and on
+        # both sides of each boundary between blocks, beside a column that varies or is one text
+        monkeypatch.setattr(report, "_TABLE_ROWS", table_rows)
+        rng = np.random.default_rng(table_rows + column)
+        rows = 2 * table_rows + 3
+        for odd in self.ODD:
+            pairs = rng.uniform(-1.0, 1.0, (rows, 2))
+            if other == "one text":
+                pairs[:, 1 - column] = 0.25
+            pairs[[0, table_rows - 1, table_rows, 2 * table_rows - 1, 2 * table_rows, rows - 1], column] = odd
+            self.agree(pairs)
+
+    @pytest.mark.parametrize("table_rows", [3, report._TABLE_ROWS])
+    def test_columns_all_past_the_range(self, monkeypatch, table_rows):
+        monkeypatch.setattr(report, "_TABLE_ROWS", table_rows)
+        rng = np.random.default_rng(7)
+        small = rng.uniform(-1.0, 1.0, 20) * 1e-7
+        big = rng.uniform(1.0, 10.0, 20) * 1e200
+        varying, one = rng.uniform(-1.0, 1.0, 20), np.full(20, 0.5)
+        for past in (small, big):
+            for other in (varying, one, past[::-1]):
+                self.agree(np.stack([past, other], axis=1), np.stack([other, past], axis=1))
+
+    @pytest.mark.parametrize("table_rows", [3, report._TABLE_ROWS])
+    def test_one_text_real_parts_beside_varying_imaginary_parts(self, monkeypatch, table_rows):
+        monkeypatch.setattr(report, "_TABLE_ROWS", table_rows)
+        im = np.random.default_rng(8).uniform(-1.0, 1.0, 10)
+        for re in (0.5, -0.0, 1e-9, float("nan")):
+            self.agree(np.stack([np.full(10, re), im], axis=1))
+
+    @pytest.mark.parametrize("table_rows", [3, report._TABLE_ROWS])
+    def test_negative_zero_beside_zero(self, monkeypatch, table_rows):
+        # one -0.0 among 0.0 cells is not one text; a block of -0.0 alone is the one text -0.0
+        monkeypatch.setattr(report, "_TABLE_ROWS", table_rows)
+        re = np.random.default_rng(9).uniform(-1.0, 1.0, 9)
+        for at in (0, 2, 3, 8):
+            im = np.zeros(9)
+            im[at] = -0.0
+            text = self.agree(np.stack([re, im], axis=1), np.stack([im, re], axis=1))
+            assert text.count("-0.0") == 3  # once in each array of the log, and in the last again
+        self.agree(np.stack([re, np.full(9, -0.0)], axis=1), np.full((9, 2), -0.0), np.zeros((9, 2)))
+
+    def test_zero_and_one_pair(self):
+        for rows in (0, 1):
+            for values in ((0.5, 0.0), (1e-5, -0.0), (float("nan"), 1e16), (-0.0, float("-inf"))):
+                self.agree(np.resize(np.array(values), (rows, 2)))
+        assert '"last": []' in self.agree(np.empty((0, 2)))
+
+    def test_strided_and_reversed_views(self):
+        rng = np.random.default_rng(11)
+        whole = rng.uniform(-1.0, 1.0, (30, 6))
+        whole[::7, 1] = 1e-6
+        whole[:, 4] = 0.0
+        views = [whole[:, 1:5:2], whole[::-1, 1:5:2], whole[::3, :2], whole[::-2, [1, 4]], whole[:, 4:2:-1]]
+        assert not any(view.flags.c_contiguous for view in views[:4])
+        self.agree(*views)
 
 
 def random_doubles(rng, size):
@@ -421,6 +511,15 @@ class TestJsonFloats:
         texts = report._json_floats(values)
         assert texts == [repr(x) for x in values.tolist()]
         assert "[" + ", ".join(texts) + "]" == json.dumps(values.tolist())
+        assert report._json_float_text(values) == ",".join(texts)  # the pair writer's text, patched in place
+
+    def test_non_finite_cells_are_the_scalar_tokens(self):
+        values = np.array([float("nan"), 0.5, float("inf"), 1e-5, -float("inf"), -0.0, float("nan")])
+        want = [report._json_scalar(x) for x in values.tolist()]
+        assert want[:3] == ['"nan"', "0.5", '"inf"']
+        assert report._json_floats(values) == want
+        assert report._json_float_text(values) == ",".join(want)
+        assert report._json_float_text(values[::-2]) == ",".join(want[::-2])
 
     def test_an_empty_array_has_no_texts(self):
         assert report._json_floats(np.empty(0)) == []

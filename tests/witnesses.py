@@ -3,7 +3,8 @@
 The identity suite works on amplitudes, so these general-state routines
 live here, where tests use them as independent checks of the pure-state
 and closed-form paths. The GGA closed-form averages, the phi-family state
-pair, the continuous-time GGA success probability, the dense GA
+pair, the continuous-time GGA success probability, the complex-start
+scan with one scalar p(t) per grid point (`scalar_scan`), the dense GA
 projector, the quantum relative entropy and the Svetlichny expectation of
 given settings are here for the same reason:
 only tests compare with them. So is the projector form of the discord's
@@ -97,6 +98,25 @@ def n_qubits(rho: DensityMatrix) -> int:
 def gga_success_probability_at(dist0: AmplitudeDistribution, t: float) -> float:
     """Success probability at continuous time t from the sinusoidal averages."""
     return _success_envelope(dist0)(t)
+
+
+def scalar_scan(dist0: AmplitudeDistribution) -> tuple:
+    """(grid index, optimal time, p at each grid point) of the complex-start scan with one scalar p(t)
+    call per grid point, as `gga_optimal_time` ran it before one vector pass took the grid: the first
+    argmax over the 4,097 points, then the ternary search on the bracket around it."""
+    p_at = _success_envelope(dist0)
+    grid = np.linspace(0.0, math.pi / dist0.omega, 4097).tolist()
+    values = [p_at(x) for x in grid]
+    best = int(np.argmax(values))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if p_at(m1) < p_at(m2):
+            lo = m1
+        else:
+            hi = m2
+    return best, 0.5 * (lo + hi), np.array(values)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
