@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
-import orjson
 
 from .errors import AmplitudeFileError, InvalidStateError, UnsupportedStructureError
 from .grover import GroverConfig
@@ -216,7 +215,8 @@ def _success_envelope(dist0: AmplitudeDistribution):
             parts.append((C2, math.atan2(math.sqrt(j) * kbar_part, math.sqrt(N - j) * lbar_part)))
 
     def p_at(t, sin=math.sin):
-        """p at a float t by math.sin, or at each time of an array t by sin=np.sin."""
+        """p at a float t by math.sin, or at each time of an array t by sin=np.sin; where no
+        part varies, p is the float spread whatever t is."""
         total = spread
         for C2, beta in parts:
             total += C2 * sin(omega * t + beta) ** 2
@@ -244,7 +244,7 @@ def _grid_argmax(p_at, grid: np.ndarray) -> int:
     p_at call per point finds it. One np.sin pass over the grid gives every point's p; only the
     points within SCAN_WINDOW of its maximum are evaluated by math.sin, so the index (and every
     bit after it) does not depend on numpy's sin kernel."""
-    values = p_at(grid, np.sin)
+    values = np.broadcast_to(p_at(grid, np.sin), grid.shape)  # p is a float where no part varies
     top = float(values.max())
     near = np.flatnonzero(values >= top - SCAN_WINDOW * abs(top)).tolist()
     return max(near, key=lambda i: p_at(float(grid[i])))  # max keeps the first of equal keys
@@ -369,27 +369,14 @@ def _finite_cells(pairs: list):
 def distribution_from_json(text: str) -> AmplitudeDistribution:
     """Parse {"n": int, "solutions": [...], "amplitudes": [[re, im], ...]}.
 
-    orjson parses the text. What it rejects (NaN, Infinity, 1e400, malformed
-    JSON) or what fails a check is parsed again by json.loads, which reads an
-    int past 64 bits as an int, not a float, so each diagnostic is as before.
-
     Raises AmplitudeFileError with line/field diagnostics on malformed input.
     """
-    try:
-        return _distribution(orjson.loads(text))
-    except (orjson.JSONDecodeError, AmplitudeFileError):
-        pass
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AmplitudeFileError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return _distribution(doc)
-
-
-def _distribution(doc) -> AmplitudeDistribution:
-    """The distribution of a parsed amplitude document; see distribution_from_json."""
     if not isinstance(doc, dict):
         raise AmplitudeFileError("top-level value must be an object")
     for field in ("n", "solutions", "amplitudes"):

@@ -411,7 +411,7 @@ def _json_scalar(value) -> str:
 
 
 def _orjson_cells(values: np.ndarray) -> tuple:
-    """(text, index list, texts): orjson's comma-separated text of the cells of 1-D float `values`,
+    """(text, indices, texts): orjson's comma-separated text of the cells of 1-D float `values`,
     from one call, and the indices and JSON texts of the cells where json.dumps writes otherwise.
     orjson's text is repr's for 1e-4 <= |x| < 1e16 and for +-0.0; a finite cell outside that range
     (where it writes 1e16 or 0.00001 for repr's 1e+16 and 1e-05) is repr's, and a non-finite one
@@ -424,33 +424,31 @@ def _orjson_cells(values: np.ndarray) -> tuple:
     texts = list(map(repr, cells.tolist()))
     for i in np.flatnonzero(~np.isfinite(cells)).tolist():
         texts[i] = _json_scalar(float(cells[i]))
-    return text, idx.tolist(), texts
-
-
-def _json_floats(values: np.ndarray) -> list:
-    """The JSON text of each cell of 1-D float `values`; see `_orjson_cells`."""
-    if not values.size:
-        return []
-    text, idx, patches = _orjson_cells(values)
-    texts = text.decode().split(",")
-    for i, patch in zip(idx, patches):
-        texts[i] = patch
-    return texts
+    return text, idx, texts
 
 
 def _json_float_text(values: np.ndarray) -> str:
-    """`_json_floats(values)` joined by commas, each patched cell replaced in its span between the
-    commas of orjson's text, so the other cells are never split apart."""
+    """The JSON texts of the cells of 1-D float `values` joined by commas: orjson's text, each run
+    of consecutive patched cells of `_orjson_cells` replaced in its span between the commas, so
+    the other cells are never split apart."""
     text, idx, patches = _orjson_cells(values)
-    if not idx:
+    if not idx.size:
         return text.decode()
     commas = np.flatnonzero(np.frombuffer(text, np.uint8) == 44)  # b","
     starts, ends = np.concatenate(([0], commas + 1)), np.append(commas, len(text))  # each cell's span
-    text = text.decode()
-    pieces = [None] * (2 * len(idx) + 1)  # orjson's text between the patched cells, and their texts
-    pieces[::2] = [text[a:b] for a, b in zip([0] + ends[idx].tolist(), starts[idx].tolist() + [len(text)])]
-    pieces[1::2] = patches
+    bounds = np.flatnonzero(np.diff(idx, prepend=-2, append=idx[-1] + 2) != 1)  # where each run starts
+    first, last = idx[bounds[:-1]], idx[bounds[1:] - 1]
+    text, bounds = text.decode(), bounds.tolist()
+    pieces = [None] * (2 * first.size + 1)  # orjson's text between the runs, and the runs' texts
+    pieces[::2] = [text[a:b] for a, b in zip([0] + ends[last].tolist(), starts[first].tolist() + [len(text)])]
+    pieces[1::2] = [",".join(patches[a:b]) for a, b in zip(bounds, bounds[1:])]
     return "".join(pieces)
+
+
+def _json_floats(values: np.ndarray) -> list:
+    """The JSON text of each cell of 1-D float `values`: `_json_float_text` split at its commas
+    (no cell text holds one)."""
+    return _json_float_text(values).split(",") if values.size else []
 
 
 def _json_list(blocks, indent: str):

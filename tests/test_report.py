@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -398,7 +399,8 @@ class TestOneTextColumns:
         def recording(values):
             before = len(calls)
             text = float_text(values)
-            texts.append((values.size, calls[before:], text if values.size == 1 else None))
+            if sys._getframe(1).f_code.co_name == "_json_pairs":  # the row cells take this path too
+                texts.append((values.size, calls[before:], text if values.size == 1 else None))
             return text
 
         monkeypatch.setattr(report, "_json_float_text", recording)
@@ -520,6 +522,15 @@ class TestJsonFloats:
         assert report._json_floats(values) == want
         assert report._json_float_text(values) == ",".join(want)
         assert report._json_float_text(values[::-2]) == ",".join(want[::-2])
+
+    def test_runs_of_patched_cells(self):
+        # cells outside orjson's repr range alone, in runs and at either end, between cells inside it
+        rng = np.random.default_rng(37)
+        for _ in range(2000):
+            size = int(rng.integers(1, 30))
+            odd = rng.choice([1e-5, -3e16, 5e-324, float("inf")], size=size)
+            values = np.where(rng.random(size) < rng.random(), odd, rng.uniform(-1.0, 1.0, size))
+            assert report._json_floats(values) == list(map(report._json_scalar, values.tolist()))
 
     def test_an_empty_array_has_no_texts(self):
         assert report._json_floats(np.empty(0)) == []
