@@ -29,8 +29,8 @@ def evolve_series(cfg: GroverConfig, r_max: int) -> np.ndarray:
     """The (r_max + 1, 2^n) amplitude stack whose row r is evolve(cfg, r).amplitudes."""
     dist0 = evolve(cfg, 0)
     stack = np.empty((r_max + 1, dist0.size), dtype=complex)
-    for r, dist in enumerate(gga_walk(dist0, r_max)):
-        stack[r] = dist.amplitudes
+    for r, amps in enumerate(gga_walk(dist0, r_max)):
+        stack[r] = amps
     return stack
 
 

@@ -108,30 +108,11 @@ def _grover_step(amps: np.ndarray, sols: np.ndarray) -> None:
     np.subtract(2.0 * amps.mean(), amps, out=amps)
 
 
-def gga_iterate(dist: AmplitudeDistribution, steps: int) -> AmplitudeDistribution:
-    """Apply `steps` iterations to one copy of the vector, each a `_grover_step`."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    amps = dist.amplitudes.copy()
-    sols = np.array(dist.solutions)
-    for _ in range(steps):
-        _grover_step(amps, sols)
-    return replace(dist, amplitudes=amps, r=dist.r + steps)
-
-
 def gga_walk(dist0: AmplitudeDistribution, steps: int):
-    """Yield dist0, then the distribution after each of `steps` steps, each its own
-    gga_iterate(dist, 1) call: the r-th yield is gga_iterate(dist0, r) bit for bit."""
-    dist = dist0
-    yield dist
-    for _ in range(steps):
-        dist = gga_iterate(dist, 1)
-        yield dist
-
-
-def _raw_walk(dist0: AmplitudeDistribution, steps: int):
     """Yield one copy of dist0's vector, then the same array after each of `steps` `_grover_step`s
-    in place: the r-th yield holds gga_iterate(dist0, r)'s amplitudes bit for bit."""
+    in place: the r-th yield holds gga_iterate(dist0, r)'s amplitudes bit for bit until the next
+    step. Every yield is that one array, so list(gga_walk(dist0, steps)) holds steps + 1
+    references to the last vector: read or copy each yield before asking for the next."""
     amps = dist0.amplitudes.copy()
     sols = np.array(dist0.solutions)
     yield amps
@@ -140,15 +121,13 @@ def _raw_walk(dist0: AmplitudeDistribution, steps: int):
         yield amps
 
 
-def _split_walk(dist0: AmplitudeDistribution, steps: int):
-    """Yield the (solution, non-solution) amplitudes of each `_raw_walk` vector: the r-th pair is
-    gga_iterate(dist0, r)'s solution_amplitudes and other_amplitudes bit for bit, and no
-    distribution is built."""
-    sols = np.array(dist0.solutions)
-    others = np.ones(dist0.size, dtype=bool)
-    others[sols] = False  # the mask np.delete would build
-    for amps in _raw_walk(dist0, steps):
-        yield amps[sols], amps[others]
+def gga_iterate(dist: AmplitudeDistribution, steps: int) -> AmplitudeDistribution:
+    """The distribution after `steps` iterations: the last vector of a `gga_walk`."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    for amps in gga_walk(dist, steps):
+        pass
+    return replace(dist, amplitudes=amps, r=dist.r + steps)
 
 
 @dataclass(frozen=True)

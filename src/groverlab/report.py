@@ -27,8 +27,7 @@ from .gga import (
     gga_closed_form,
     gga_optimal_time,
     gga_pmax,
-    _raw_walk,
-    _split_walk,
+    gga_walk,
     phi_family_delta_coherence,
     phi_family_optimal_time,
 )
@@ -208,27 +207,32 @@ def phi_sweep(run: RunConfig) -> SweepResult:
 
 @dataclass(frozen=True, eq=False)
 class _AmplitudeLog:
-    """A JSON list of each step's amplitudes; each walk steps a copy of the start, one step per entry."""
+    """A JSON list of each step's solution and non-solution amplitudes, as (M, 2) float arrays;
+    each iteration walks a copy of the start, one step per entry. `split` is (indices, mask)."""
 
     dist0: AmplitudeDistribution
     r_max: int
+    split: tuple
 
     def __iter__(self):
-        for r, amps in enumerate(_split_walk(self.dist0, self.r_max)):
-            sol, other = (a.view(float).reshape(-1, 2) for a in amps)
+        for r, amps in enumerate(gga_walk(self.dist0, self.r_max)):
+            sol, other = (amps[at].view(float).reshape(-1, 2) for at in self.split)
             yield {"r": r, "solution_amplitudes": sol, "other_amplitudes": other}
 
 
-def _init_file_blocks(dist0: AmplitudeDistribution, r_max: int):
+def _init_file_blocks(dist0: AmplitudeDistribution, r_max: int, split: tuple):
     """The rows r = 0..r_max of a custom start, in blocks of `_BLOCK_ROWS` rows, from one walk of a
-    raw copy of the start: p, kbar and lbar by the reductions of success_probability(), kbar and lbar."""
-    walk = _split_walk(dist0, r_max)
+    raw copy of the start: p, kbar and lbar by the reductions of success_probability(), kbar and
+    lbar over the solution indices and the non-solution mask of `split`."""
+    sols, others = split
+    walk = gga_walk(dist0, r_max)
     for start in range(0, r_max + 1, _BLOCK_ROWS):
         r = np.arange(start, min(start + _BLOCK_ROWS, r_max + 1))
         p, averages = np.empty(r.size), np.empty((r.size, 2), dtype=complex)
-        for i, (k, l) in zip(range(r.size), walk):
+        for i, amps in zip(range(r.size), walk):
+            k = amps[sols]
             p[i] = np.sum(np.abs(k) ** 2)
-            averages[i] = k.mean(), l.mean()
+            averages[i] = k.mean(), amps[others].mean()
         kbar, lbar = averages.T
         yield {"r": r, "p": p, "kbar_re": kbar.real, "kbar_im": kbar.imag, "lbar_re": lbar.real, "lbar_im": lbar.imag}
 
@@ -244,12 +248,14 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         raise ValueError(f"--r-max must lie in 0..{MAX_ROWS - 1:,} ({MAX_ROWS:,} rows), got {run.r_max:,}")
     opt = gga_optimal_time(dist0)
     r_max = run.r_max if run.r_max is not None else max(1, math.ceil(opt.time))
-    sols = list(dist0.solutions)
-    walk = islice(_raw_walk(dist0, math.ceil(opt.time)), math.floor(opt.time), None)
+    sols = np.array(dist0.solutions)
+    others = np.ones(dist0.size, dtype=bool)
+    others[sols] = False  # the mask np.delete would build
+    walk = islice(gga_walk(dist0, math.ceil(opt.time)), math.floor(opt.time), None)
     ends = [float(np.sum(np.abs(amps[sols]) ** 2)) for amps in walk]  # p at floor(t_opt) and ceil(t_opt)
     extra = {
         "n": dist0.n,
-        "solutions": sols,
+        "solutions": list(dist0.solutions),
         "optimal_time": opt.time,
         "optimal_time_method": opt.method,
         "degenerate_phase": opt.degenerate_phase,
@@ -258,13 +264,13 @@ def init_file_sweep(run: RunConfig, dist0: AmplitudeDistribution) -> SweepResult
         "p_max": gga_pmax(dist0),
     }
     if run.fmt == "json":  # only JSON prints the amplitudes
-        extra["amplitudes_per_step"] = _AmplitudeLog(dist0, r_max)
+        extra["amplitudes_per_step"] = _AmplitudeLog(dist0, r_max, (sols, others))
     if dist0.is_real:
         cf = gga_closed_form(dist0)
         extra["closed_form"] = {"omega": cf.omega, "beta": cf.beta, "C": cf.C}
     return SweepResult(
         columns=("r", "p", "kbar_re", "kbar_im", "lbar_re", "lbar_im"),
-        blocks=partial(_init_file_blocks, dist0, r_max),
+        blocks=partial(_init_file_blocks, dist0, r_max, (sols, others)),
         engines={"all": "iteration"},
         extra_metadata=extra,
     )
@@ -319,23 +325,19 @@ def _cells(column, float_spec, na: str, cell) -> tuple:
     mask = np.ma.getmaskarray(column)
     if mask.all():
         return na, None
-    if values.dtype.kind in "biuf" and not mask.any() and _one_bit_pattern(values):
-        spec, (text,) = _cell_values(values[:1], mask[:1], float_spec, na, cell)
-        return spec % (text,), None
+    if values.dtype.kind in "biuf" and not mask.any():
+        bits = values.view(f"u{values.itemsize}")
+        if not (bits != bits[0]).any():
+            spec, cells = _cell_values(values[:1], mask[:1], float_spec, na, cell)
+            return spec % (cells if isinstance(cells, str) else cells[0],), None
     return _cell_values(values, mask, float_spec, na, cell)
-
-
-def _one_bit_pattern(values: np.ndarray) -> bool:
-    """Whether every cell of 1-D numeric `values` has the first one's bits, compared as
-    same-width unsigned ints: -0.0 and 0.0 differ."""
-    bits = values.view(f"u{values.itemsize}")
-    return not (bits != bits[0]).any()
 
 
 def _cell_values(values, mask, float_spec, na: str, cell) -> tuple:
     """(%-spec, cell values): int cells are converted by the %-spec, and finite float
-    cells too when `float_spec` is a %-spec; when it is a function, it makes their strings from
-    a float array. NA cells, non-finite floats and object cells arrive as strings made by `cell`."""
+    cells too when `float_spec` is a %-spec; when it is a function, it makes their texts from a
+    float array, as one comma-joined text or a list, and a column of finite float cells alone is
+    ("%s", what it made). NA cells, non-finite floats and object cells arrive as strings made by `cell`."""
     if values.dtype.kind in "iu" and not mask.any():
         return "%d", values.tolist()
     if values.dtype.kind != "f":
@@ -345,7 +347,8 @@ def _cell_values(values, mask, float_spec, na: str, cell) -> tuple:
     if fine.all():
         return (float_spec, values.tolist()) if templated else ("%s", float_spec(values))
     text = np.full(values.size, na, dtype=object)
-    text[fine] = list(map(float_spec.__mod__, values[fine].tolist())) if templated else float_spec(values[fine])
+    texts = list(map(float_spec.__mod__, values[fine].tolist())) if templated else float_spec(values[fine])
+    text[fine] = texts.split(",") if isinstance(texts, str) else texts
     odd = ~(mask | fine)
     text[odd] = [cell(v) for v in values[odd].tolist()]
     return "%s", text.tolist()
@@ -365,26 +368,26 @@ def _interleave(lists: list, rows: int) -> list:
     return values
 
 
-def _table_block(data: dict, rows: range, float_spec, na: str, cell, layout) -> str:
-    """The `rows` of every `data` column as layout({key: (spec, cells)}, row count);
+def _table_block(data: dict, rows: range, float_spec, na: str, cell, layout) -> tuple:
+    """The `rows` of every `data` column as the text pieces of layout({key: (spec, cells)}, row count);
     see `_cells` for a column of one text."""
     columns = {key: _cells(column[rows.start : rows.stop], float_spec, na, cell) for key, column in data.items()}
     return layout(columns, len(rows))
 
 
 def _table(blocks, *formats):
-    """Every row of each block of columns, in pieces of `_TABLE_ROWS` rows; see `_table_block`."""
+    """The text pieces of every row of each block of columns, `_TABLE_ROWS` rows at a time; see `_table_block`."""
     for data in blocks:
         rows = range(len(next(iter(data.values()), ())))
         for start in range(0, len(rows), _TABLE_ROWS):
-            yield _table_block(data, rows[start : start + _TABLE_ROWS], *formats)
+            yield from _table_block(data, rows[start : start + _TABLE_ROWS], *formats)
 
 
-def _csv_layout(columns: dict, rows: int) -> str:
+def _csv_layout(columns: dict, rows: int) -> tuple:
     """CSV rows from one %-template per block: the template formats the int and float cells."""
     specs = [spec.replace("%", "%%") if cells is None else spec for spec, cells in columns.values()]
     lists = [cells for _, cells in columns.values() if cells is not None]
-    return "".join([(",".join(specs) + "\n")] * rows) % tuple(_interleave(lists, rows))
+    return ("".join([(",".join(specs) + "\n")] * rows) % tuple(_interleave(lists, rows)),)
 
 
 def _csv_blocks(result: SweepResult, run: RunConfig):
@@ -410,113 +413,69 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def _orjson_cells(values: np.ndarray) -> tuple:
-    """(text, indices, texts): orjson's comma-separated text of the cells of 1-D float `values`,
-    from one call, and the indices and JSON texts of the cells where json.dumps writes otherwise.
-    orjson's text is repr's for 1e-4 <= |x| < 1e16 and for +-0.0; a finite cell outside that range
-    (where it writes 1e16 or 0.00001 for repr's 1e+16 and 1e-05) is repr's, and a non-finite one
-    (null) `_json_scalar`'s token."""
+def _json_floats(values: np.ndarray):
+    """The JSON texts of the cells of 1-D float `values`: orjson's comma-joined text from one call,
+    which is repr's for 1e-4 <= |x| < 1e16 and for +-0.0. Where a cell is outside that range
+    (orjson writes 1e16 or 0.00001 for repr's 1e+16 and 1e-05) or is not finite (null), the text is
+    split at its commas, each such cell patched by index to repr's text or `_json_scalar`'s token,
+    and the list of cell texts is returned."""
     values = np.ascontiguousarray(values, dtype=float)  # orjson takes only C-contiguous arrays
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
     size = np.abs(values)
-    idx = np.flatnonzero(~(size < 1e16) | ((size < 1e-4) & (size != 0.0)))  # NaN fails every comparison
-    cells = values[idx]
-    texts = list(map(repr, cells.tolist()))
-    for i in np.flatnonzero(~np.isfinite(cells)).tolist():
-        texts[i] = _json_scalar(float(cells[i]))
-    return text, idx, texts
+    odd = np.flatnonzero(~(size < 1e16) | ((size < 1e-4) & (size != 0.0)))  # NaN fails every comparison
+    if not odd.size:
+        return text
+    cells = text.split(",")
+    for i, x in zip(odd.tolist(), values[odd].tolist()):
+        cells[i] = repr(x) if math.isfinite(x) else _json_scalar(x)
+    return cells
 
 
-def _json_float_text(values: np.ndarray) -> str:
-    """The JSON texts of the cells of 1-D float `values` joined by commas: orjson's text, each run
-    of consecutive patched cells of `_orjson_cells` replaced in its span between the commas, so
-    the other cells are never split apart."""
-    text, idx, patches = _orjson_cells(values)
-    if not idx.size:
-        return text.decode()
-    commas = np.flatnonzero(np.frombuffer(text, np.uint8) == 44)  # b","
-    starts, ends = np.concatenate(([0], commas + 1)), np.append(commas, len(text))  # each cell's span
-    bounds = np.flatnonzero(np.diff(idx, prepend=-2, append=idx[-1] + 2) != 1)  # where each run starts
-    first, last = idx[bounds[:-1]], idx[bounds[1:] - 1]
-    text, bounds = text.decode(), bounds.tolist()
-    pieces = [None] * (2 * first.size + 1)  # orjson's text between the runs, and the runs' texts
-    pieces[::2] = [text[a:b] for a, b in zip([0] + ends[last].tolist(), starts[first].tolist() + [len(text)])]
-    pieces[1::2] = [",".join(patches[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return "".join(pieces)
-
-
-def _json_floats(values: np.ndarray) -> list:
-    """The JSON text of each cell of 1-D float `values`: `_json_float_text` split at its commas
-    (no cell text holds one)."""
-    return _json_float_text(values).split(",") if values.size else []
-
-
-def _json_list(blocks, indent: str):
-    """The rows of the column blocks as json.dumps(rows, indent=2) writes them at `indent`, in blocks:
-    each row a dict of its cells, each labelled '"key": '."""
+def _json_list(blocks, indent: str, keyed: bool = True):
+    """The rows of the column blocks as json.dumps(rows, indent=2) writes them at `indent`, in text
+    pieces: a keyed row is a dict of its cells, each labelled '"key": ', an unkeyed one a list."""
     inner, field = indent + "  ", indent + "    "
+    opening, closing = "{}" if keyed else "[]"
+    lead = "["  # before the first row; a comma before every later one
 
-    def layout(columns: dict, rows: int) -> str:
-        """One join over the cells and the literal pieces between them; a one-text column is in a piece."""
-        pieces, lists = [f",\n{inner}{{"], []
+    def layout(columns: dict, rows: int) -> tuple:
+        """The block from its cells and the literal pieces between them; a one-text column is in a
+        piece. When one column varies, its float text's commas are replaced by the literal between
+        two of its cells, or its cells are joined by it; otherwise the block is one join. The large
+        text is passed on as it is, never added to another piece."""
+        nonlocal lead
+        pieces, lists = [f",\n{inner}{opening}"], []
         for i, (key, (spec, cells)) in enumerate(columns.items()):
-            pieces[-1] += f"{',' if i else ''}\n{field}{json.dumps(key)}: "
+            pieces[-1] += f"{',' if i else ''}\n{field}" + (f"{json.dumps(key)}: " if keyed else "")
             if cells is None:
                 pieces[-1] += spec
             else:
                 lists.append(cells if spec == "%s" else list(map(str, cells)))  # "%d": int cells
                 pieces.append("")
-        pieces[-1] += f"\n{inner}}}"
+        pieces[-1] += f"\n{inner}{closing}"
+        head, lead = lead + pieces[0][1:], ","
         if not lists:
-            return pieces[0] * rows
+            return head, pieces[0] * (rows - 1)
+        if len(lists) == 1:  # the literal between two cells is the row's tail and the next row's head
+            sep, cells = pieces[1] + pieces[0], lists[0]
+            return head, cells.replace(",", sep) if isinstance(cells, str) else sep.join(cells), pieces[1]
+        lists = [cells.split(",") if isinstance(cells, str) else cells for cells in lists]
         seps = pieces[1:-1] + [pieces[-1] + pieces[0]]  # after each cell; after the last, the next row's start
         values = _interleave([x for cells, sep in zip(lists, seps) for x in (cells, [sep] * rows)], rows)
-        values[-1] = pieces[-1]
-        return pieces[0] + "".join(values)
+        values[0], values[-1] = head + values[0], pieces[-1]
+        return ("".join(values),)
 
-    table = _table(blocks, _json_floats, "null", _json_scalar, layout)
-    first = next(table, None)
-    if first is None:
-        yield "[]"
-        return
-    yield "[" + first[1:]  # the first row has no comma before it
-    yield from table
-    yield f"\n{indent}]"
-
-
-def _json_pairs(pairs: np.ndarray, indent: str):
-    """json.dumps(pairs.tolist(), indent=2) at `indent` for an (M, 2) float array, in blocks of
-    `_TABLE_ROWS` pairs, each from one orjson text per column. When the second column prints one
-    text in a block, as a real start's imaginary parts do, the block is one `str.replace` of the
-    first column's commas by the literal text between two of its cells; otherwise it is one join
-    over both columns' cells and the two literal pieces between them."""
-    if not len(pairs):
-        yield "[]"
-        return
-    inner, field = indent + "  ", indent + "    "
-    mid, gap = f",\n{field}", f"\n{inner}],\n{inner}[\n{field}"  # between re and im, and im and the next re
-    for start in range(0, len(pairs), _TABLE_ROWS):
-        re, im = pairs[start : start + _TABLE_ROWS].T
-        yield f"{',' if start else '['}\n{inner}[\n{field}"
-        if _one_bit_pattern(im):
-            text, im = _json_float_text(re), _json_float_text(im[:1])
-            yield text.replace(",", mid + im + gap)
-            yield mid + im
-        else:
-            cells = [None, mid, None, gap] * len(re)
-            cells[::4], cells[2::4] = _json_floats(re), _json_floats(im)
-            yield "".join(cells[:-1])
-        yield f"\n{inner}]"  # the large texts are passed on as they are, never copied into one
-    yield f"\n{indent}]"
+    yield from _table(blocks, _json_floats, "null", _json_scalar, layout)
+    yield "[]" if lead == "[" else f"\n{indent}]"
 
 
 def _json_value(obj, indent: str):
-    """json.dumps(obj, indent=2) at `indent`, in blocks, scalars as `_json_scalar` writes them; a SweepResult's
-    rows are a `_json_list` table, and each (M, 2) float array is written by `_json_pairs`."""
+    """json.dumps(obj, indent=2) at `indent`, in text pieces, scalars as `_json_scalar` writes them; a
+    SweepResult's rows are a keyed `_json_list` table, and each (M, 2) float array an unkeyed one."""
     if isinstance(obj, SweepResult):
         yield from _json_list(obj.blocks(), indent)
     elif isinstance(obj, np.ndarray):
-        yield from _json_pairs(obj, indent)
+        yield from _json_list([{"re": obj[:, 0], "im": obj[:, 1]}], indent, keyed=False)
     elif isinstance(obj, (dict, list, tuple, _AmplitudeLog)):
         inner, brackets = indent + "  ", "{}" if isinstance(obj, dict) else "[]"
         items = ((json.dumps(key) + ": ", v) for key, v in obj.items()) if brackets == "{}" else (("", v) for v in obj)

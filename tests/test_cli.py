@@ -179,6 +179,13 @@ class TestGaCommand:
         assert len(parse_csv(out.read_text())[2]) == 25_736
         assert peak <= 5 * 2**20, f"{peak / 2**20:.1f} MB"
 
+    def test_json_rows_are_written_as_they_are_formatted(self, tmp_path):
+        # the same rows as JSON: each block's text is freed once it is written
+        out = tmp_path / "a.json"
+        peak = traced_run("ga", "--n", "30", "--measures", "cr,cl1", "--format", "json", "--out", str(out))[1]
+        assert len(json.loads(out.read_text())["rows"]) == 25_736
+        assert peak <= 5 * 2**20, f"{peak / 2**20:.1f} MB"
+
     def test_seed_recorded_in_csv(self):
         result = run_cli("ga", "--n", "2", "--seed", "31")
         meta, _, _ = parse_csv(result.output)

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from groverlab import gga as gga_module
 from groverlab import report as report_module
+from groverlab.bruteforce import evolve_series
 from groverlab.errors import AmplitudeFileError, InvalidStateError, UnsupportedStructureError
 from groverlab.gga import (
     AmplitudeDistribution,
@@ -89,12 +91,33 @@ class TestIterate:
         if kind == "complex":
             amps = d0.amplitudes * np.exp(1j * np.linspace(0.0, 3.0, d0.size))
             d0 = AmplitudeDistribution(amps, d0.solutions)
-        walk = list(gga_walk(d0, 9))
+        # each yield is read before the next step: the walk steps one array in place
+        walk = [bits(amps.view(float)) for amps in gga_walk(d0, 9)]
         assert len(walk) == 10
-        for r, dist in enumerate(walk):
+        for r, amps in enumerate(walk):
             want = gga_iterate(d0, r)
-            assert dist.r == want.r == r
-            assert bits(dist.amplitudes.view(float)) == bits(want.amplitudes.view(float))
+            assert want.r == r
+            assert amps == bits(want.amplitudes.view(float))
+
+    def test_listed_walk_is_the_last_vector(self):
+        # the aliasing a caller must copy around: every yield is the one array
+        d0 = random_real_distribution(4, n=5, j=2)
+        walk = list(gga_walk(d0, 3))
+        assert all(amps is walk[-1] for amps in walk)
+        assert bits(walk[0].view(float)) == bits(gga_iterate(d0, 3).amplitudes.view(float))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_evolve_series_is_the_stacked_iterates(self, n):
+        # evolve_series copies each yield of the walk into its stack; so does a copied complex walk
+        for j in (1, 2, 3):
+            cfg = GroverConfig(n=n, j=j)
+            r_max = optimal_iteration_details(cfg).r_opt + 2
+            d0 = AmplitudeDistribution.uniform(n, cfg.solutions)
+            want = np.stack([gga_iterate(d0, r).amplitudes for r in range(r_max + 1)])
+            assert bits(evolve_series(cfg, r_max).view(float)) == bits(want.view(float))
+        d0 = seeded_start(n, n, 3, "complex")
+        want = np.stack([gga_iterate(d0, r).amplitudes for r in range(20)])
+        assert bits(np.stack([amps.copy() for amps in gga_walk(d0, 19)]).view(float)) == bits(want.view(float))
 
     @given(st.integers(0, 500))
     @settings(max_examples=40)
@@ -624,6 +647,11 @@ def seeded_start(seed, n, j, kind) -> AmplitudeDistribution:
     return AmplitudeDistribution(v / np.linalg.norm(v), tuple(rng.choice(1 << n, size=j, replace=False).tolist()))
 
 
+def walked(dist0, steps) -> list:
+    """The distribution after each of 0..steps steps, each yield of the walk copied before the next step."""
+    return [replace(dist0, amplitudes=amps.copy(), r=r) for r, amps in enumerate(gga_walk(dist0, steps))]
+
+
 class TestInitFileStepping:
     """The init-file rows and amplitude log step a raw vector; every bit is the distributions' own."""
 
@@ -636,7 +664,7 @@ class TestInitFileStepping:
             for r_max in sorted({max(math.ceil(t) - 1, 0), math.ceil(t) + 2}):  # below and above ceil(t)
                 run = RunConfig(command="gga", r_max=r_max, fmt="json", init_file="start.json")
                 result = init_file_sweep(run, dist0)
-                walk = list(gga_walk(dist0, max(r_max, math.ceil(t))))
+                walk = walked(dist0, max(r_max, math.ceil(t)))
                 rows = result.join()
                 want = {
                     "p": [d.success_probability() for d in walk[: r_max + 1]],
@@ -664,7 +692,7 @@ class TestInitFileStepping:
         result = init_file_sweep(run, dist0)
         blocks = list(result.blocks())
         assert [block["r"].tolist() for block in blocks] == [list(range(s, min(s + 8, 31))) for s in range(0, 31, 8)]
-        walk = list(gga_walk(dist0, 30))
+        walk = walked(dist0, 30)
         rows = result.join()
         assert bits(rows["p"]) == bits([d.success_probability() for d in walk])
         assert bits(rows["lbar_im"]) == bits([d.lbar.imag for d in walk])

@@ -383,7 +383,9 @@ class TestOneTextColumns:
 
     def test_real_start_imaginary_parts_are_one_text(self, monkeypatch):
         # each block of pairs takes one orjson call per column: the real parts' whole column, and one
-        # cell of the imaginary parts, whose one text "0.0" is in the literal text between real cells
+        # cell of the imaginary parts, whose one text "0.0" is in the literal text between two real
+        # cells. A block of real parts that orjson writes whole is one str.replace of its commas by
+        # that literal; one with a cell below 1e-4 comes back patched, as a list, and is joined by it
         rng = np.random.default_rng(10)
         values = rng.standard_normal(1 << 12)
         pairs = [[x, 0.0] for x in (values / np.linalg.norm(values)).tolist()]
@@ -392,23 +394,40 @@ class TestOneTextColumns:
         result = report.init_file_sweep(run, dist)
         steps = list(result.extra_metadata["amplitudes_per_step"])  # the row writer takes lists, not the log
         reference = replace(result, extra_metadata={**result.extra_metadata, "amplitudes_per_step": steps})
-        calls, texts = [], []
-        dumps, float_text = report.orjson.dumps, report._json_float_text
+        calls, whole, replaced, cells, blocks = [], [], [], [], []
+        dumps, floats, cells_of, table_block = report.orjson.dumps, report._json_floats, report._cells, report._table_block
+
+        class Text(str):
+            def replace(self, *args):
+                replaced.append(self.count(",") + 1)
+                return str.replace(self, *args)
+
+        def recording_floats(values):
+            texts = floats(values)
+            whole.append(isinstance(texts, str))
+            return Text(texts) if whole[-1] else texts
+
+        def recording(data, rows, *formats):
+            seen = len(calls), len(whole), len(replaced), len(cells)
+            pieces = table_block(data, rows, *formats)
+            if tuple(data) == ("re", "im"):  # the row blocks take this path too
+                record = calls[seen[0] :], whole[seen[1]], replaced[seen[2] :], cells[seen[3] :][1]
+                blocks.append((len(rows), *record))
+            return pieces
+
         monkeypatch.setattr(report.orjson, "dumps", lambda values, **options: calls.append(values.size) or dumps(values, **options))
-
-        def recording(values):
-            before = len(calls)
-            text = float_text(values)
-            if sys._getframe(1).f_code.co_name == "_json_pairs":  # the row cells take this path too
-                texts.append((values.size, calls[before:], text if values.size == 1 else None))
-            return text
-
-        monkeypatch.setattr(report, "_json_float_text", recording)
-        assert written(result, run) == render_json_rows(reference, run)
+        monkeypatch.setattr(report, "_json_floats", recording_floats)
+        monkeypatch.setattr(report, "_cells", lambda *args: cells.append(cells_of(*args)) or cells[-1])
+        monkeypatch.setattr(report, "_table_block", recording)
+        same = written(result, run) == render_json_rows(reference, run)
+        assert same
         # per step: the two solution pairs, then the 4,094 other pairs in blocks of 2,048 and 2,046
-        blocks = [2, 2048, 4094 - 2048]
+        sizes = [2, 2048, 4094 - 2048]
         assert report._TABLE_ROWS == 2048
-        assert texts == [t for size in blocks for t in ((size, [size], None), (1, [1], "0.0"))] * 5
+        assert [block[0] for block in blocks] == sizes * 5
+        for size, block_calls, one_text, block_replaced, im in blocks:
+            assert (block_calls, block_replaced, im) == ([size, 1], [size] if one_text else [], ("0.0", None))
+        assert {one_text for _, _, one_text, _, _ in blocks} == {True, False}  # both layouts are taken
 
 
 class TestJsonPairs:
@@ -500,6 +519,12 @@ def edge_doubles():
     return np.array(near + [-v for v in near])
 
 
+def float_texts(values) -> list:
+    """Each cell's JSON text from `_json_floats`: orjson's comma-joined text, or the list it patched."""
+    texts = report._json_floats(values)
+    return texts.split(",") if isinstance(texts, str) else texts
+
+
 class TestJsonFloats:
     def test_each_text_is_repr(self):
         # whole-range bit patterns, mostly outside the range where orjson's text is used, and doubles
@@ -510,18 +535,18 @@ class TestJsonFloats:
         inside[::2] *= -1.0
         values = np.concatenate([random_doubles(rng, 500_000), inside, edge_doubles()])
         assert np.count_nonzero((values != 0.0) & (np.abs(values) < 2.2250738585072014e-308)) > 100  # subnormals
-        texts = report._json_floats(values)
+        texts = float_texts(values)
         assert texts == [repr(x) for x in values.tolist()]
         assert "[" + ", ".join(texts) + "]" == json.dumps(values.tolist())
-        assert report._json_float_text(values) == ",".join(texts)  # the pair writer's text, patched in place
+        within = inside[(np.abs(inside) >= 1e-4) & (np.abs(inside) < 1e16)]
+        assert report._json_floats(within) == ",".join(map(repr, within.tolist()))  # nothing patched: one text
 
     def test_non_finite_cells_are_the_scalar_tokens(self):
         values = np.array([float("nan"), 0.5, float("inf"), 1e-5, -float("inf"), -0.0, float("nan")])
         want = [report._json_scalar(x) for x in values.tolist()]
         assert want[:3] == ['"nan"', "0.5", '"inf"']
         assert report._json_floats(values) == want
-        assert report._json_float_text(values) == ",".join(want)
-        assert report._json_float_text(values[::-2]) == ",".join(want[::-2])
+        assert report._json_floats(values[::-2]) == want[::-2]
 
     def test_runs_of_patched_cells(self):
         # cells outside orjson's repr range alone, in runs and at either end, between cells inside it
@@ -530,10 +555,10 @@ class TestJsonFloats:
             size = int(rng.integers(1, 30))
             odd = rng.choice([1e-5, -3e16, 5e-324, float("inf")], size=size)
             values = np.where(rng.random(size) < rng.random(), odd, rng.uniform(-1.0, 1.0, size))
-            assert report._json_floats(values) == list(map(report._json_scalar, values.tolist()))
+            assert float_texts(values) == list(map(report._json_scalar, values.tolist()))
 
     def test_an_empty_array_has_no_texts(self):
-        assert report._json_floats(np.empty(0)) == []
+        assert report._json_floats(np.empty(0)) == ""
 
     def test_one_orjson_call_per_column_block(self, monkeypatch):
         calls = []
