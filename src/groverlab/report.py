@@ -314,13 +314,11 @@ def base_metadata(run: RunConfig, engines: dict) -> dict:
     }
 
 
-def _cells(column, float_spec, na: str, cell) -> tuple:
-    """(%-spec, cell values) of one column; `float_spec` as in `_cell_values`.
-
-    A column whose cells all print one text, because every cell is NA or every
-    cell has one bit pattern (compared as same-width unsigned ints, so -0.0
-    and 0.0 differ), is (that text, None).
-    """
+def _cells(column, floats, na: str, cell) -> tuple:
+    """(text, None) when every cell of `column` prints one text, because every cell is NA or every
+    cell has one bit pattern (compared as same-width unsigned ints, so -0.0 and 0.0 differ); else
+    (None, texts). Int cells are orjson's comma-joined text, float cells what floats(values, mask)
+    makes of them, and any other cell the string `cell` makes, or `na`, in a list."""
     values = np.ma.getdata(column)
     mask = np.ma.getmaskarray(column)
     if mask.all():
@@ -328,30 +326,12 @@ def _cells(column, float_spec, na: str, cell) -> tuple:
     if values.dtype.kind in "biuf" and not mask.any():
         bits = values.view(f"u{values.itemsize}")
         if not (bits != bits[0]).any():
-            spec, cells = _cell_values(values[:1], mask[:1], float_spec, na, cell)
-            return spec % (cells if isinstance(cells, str) else cells[0],), None
-    return _cell_values(values, mask, float_spec, na, cell)
-
-
-def _cell_values(values, mask, float_spec, na: str, cell) -> tuple:
-    """(%-spec, cell values): int cells are converted by the %-spec, and finite float
-    cells too when `float_spec` is a %-spec; when it is a function, it makes their texts from a
-    float array, as one comma-joined text or a list, and a column of finite float cells alone is
-    ("%s", what it made). NA cells, non-finite floats and object cells arrive as strings made by `cell`."""
+            return cell(values.item(0)), None
     if values.dtype.kind in "iu" and not mask.any():
-        return "%d", values.tolist()
-    if values.dtype.kind != "f":
-        return "%s", [na if m else cell(v) for v, m in zip(values.tolist(), mask.tolist())]
-    fine = ~mask & np.isfinite(values)
-    templated = isinstance(float_spec, str)
-    if fine.all():
-        return (float_spec, values.tolist()) if templated else ("%s", float_spec(values))
-    text = np.full(values.size, na, dtype=object)
-    texts = list(map(float_spec.__mod__, values[fine].tolist())) if templated else float_spec(values[fine])
-    text[fine] = texts.split(",") if isinstance(texts, str) else texts
-    odd = ~(mask | fine)
-    text[odd] = [cell(v) for v in values[odd].tolist()]
-    return "%s", text.tolist()
+        return None, orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    if values.dtype.kind == "f":
+        return None, floats(values, mask)
+    return None, [na if m else cell(v) for v, m in zip(values.tolist(), mask.tolist())]
 
 
 # Rows (or amplitude pairs) per formatted block: only one such block's cells
@@ -360,18 +340,33 @@ def _cell_values(values, mask, float_spec, na: str, cell) -> tuple:
 _TABLE_ROWS = 1 << 11
 
 
-def _interleave(lists: list, rows: int) -> list:
-    """The cells of equal-length `lists` row by row: a slice per list, not a tuple per row."""
-    values = [None] * (rows * len(lists))
-    for i, cells in enumerate(lists):
-        values[i :: len(lists)] = cells
-    return values
+def _join_rows(head: str, pieces: list, cells: list, rows: int) -> tuple:
+    """The text pieces of `rows` rows, row i being pieces[0], the ith text of cells[0], pieces[1],
+    ..., the ith text of cells[-1] and pieces[-1], the first row with `head` for pieces[0].
+
+    Each item of `cells` is a list of texts, their comma-joined text, or (text, delimiter) of them
+    joined by another delimiter. One such text alone is one str.replace of its delimiter by the
+    literal between two of its texts, and any other block one join. The large text is passed on as
+    it is, never added to another piece.
+    """
+    cells = [(texts, ",") if isinstance(texts, str) else texts for texts in cells]
+    if not cells:
+        return head, pieces[0] * (rows - 1)
+    if len(cells) == 1:  # the literal between two texts is the row's tail and the next row's head
+        sep, texts = pieces[1] + pieces[0], cells[0]
+        return head, texts[0].replace(texts[1], sep) if isinstance(texts, tuple) else sep.join(texts), pieces[1]
+    seps = pieces[1:-1] + [pieces[-1] + pieces[0]]  # after each text; after the last, the next row's start
+    values = [None] * (2 * len(cells) * rows)  # row by row: a slice per list, not a tuple per row
+    for i, (texts, sep) in enumerate(zip(cells, seps)):
+        values[2 * i :: 2 * len(cells)] = texts[0].split(texts[1]) if isinstance(texts, tuple) else texts
+        values[2 * i + 1 :: 2 * len(cells)] = [sep] * rows
+    values[0], values[-1] = head + values[0], pieces[-1]
+    return ("".join(values),)
 
 
-def _table_block(data: dict, rows: range, float_spec, na: str, cell, layout) -> tuple:
-    """The `rows` of every `data` column as the text pieces of layout({key: (spec, cells)}, row count);
-    see `_cells` for a column of one text."""
-    columns = {key: _cells(column[rows.start : rows.stop], float_spec, na, cell) for key, column in data.items()}
+def _table_block(data: dict, rows: range, floats, na: str, cell, layout) -> tuple:
+    """The `rows` of every `data` column as the text pieces of layout({key: `_cells`' pair}, row count)."""
+    columns = {key: _cells(column[rows.start : rows.stop], floats, na, cell) for key, column in data.items()}
     return layout(columns, len(rows))
 
 
@@ -383,11 +378,99 @@ def _table(blocks, *formats):
             yield from _table_block(data, rows[start : start + _TABLE_ROWS], *formats)
 
 
+# 1e-4, 1e-3, ..., 1e10: a cell x with 1e-4 <= |x| < 1e11 has DECADES[:i] <= |x| < DECADES[i:] for
+# one i in 1..15, which numbers its 12 significant digits by SCALES[i] = 10**(16 - i), exact as a double
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 11)])
+_SCALES = np.array([float(10 ** (16 - i)) for i in range(16)])
+
+
+def _rounded(x: np.ndarray) -> tuple:
+    """(y, on): the float cells `x` rounded to 12 significant digits, and where y's text is '%.12g' % x.
+
+    With s = x * 10**k, the scale k picked by the decade of |x|, m = rint(s) and y = m / 10**k, a
+    cell is on path where 1e-4 <= |x| < 1e11, |s - m| < 1/2 - 2**-12, 1e11 <= |m| < 1e12 and y is
+    not integer-valued. There 10**k is exact and |s| < 2**40, so m is the correctly rounded 12-digit
+    value of x, and y is the double nearest m / 10**k: its shortest repr, which orjson writes in
+    that range, has m's digits, laid out as '%.12g' lays them out. Each step is a comparison or a
+    correctly rounded operation, so no text depends on which of numpy's SIMD kernels ran it.
+    """
+    size = np.abs(x)
+    inside = (size >= 1e-4) & (size < 1e11)  # NaN fails both
+    x = np.where(inside, x, 1.0)  # any other cell is off path, and takes no warning on the way
+    scale = _SCALES[np.searchsorted(_DECADES, np.abs(x), side="right")]
+    s = x * scale
+    m = np.rint(s)
+    y = m / scale
+    size = np.abs(m)
+    return y, inside & (np.abs(s - m) < 0.5 - 2.0**-12) & (size >= 1e11) & (size < 1e12) & (np.rint(y) != y)
+
+
+def _float_rows(x: np.ndarray, na: np.ndarray, y: np.ndarray, on: np.ndarray):
+    """The texts of the rows of (rows, k) float cells `x`, NA where `na`, given `_rounded`'s (y, on),
+    as a list or as (text, delimiter). A row whose cells are all on path is orjson's text of its y,
+    from one call for the block, and any other row '%.12g' of its cells, from one %-format; a row
+    with an NA cell is formatted on its own. With no row on path, orjson is not called."""
+    whole = on.all(axis=1)
+    if whole.all():
+        return orjson.dumps(np.ascontiguousarray(y), option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode(), "],["
+    off = np.flatnonzero(~whole)
+    cells = x[off]
+    texts = "\n".join([",".join(["%.12g"] * x.shape[1])] * off.size) % tuple(cells.ravel().tolist())
+    if na.any():
+        texts = texts.split("\n")
+        for i in np.flatnonzero(na[off].any(axis=1)).tolist():
+            texts[i] = ",".join("NA" if m else "%.12g" % v for v, m in zip(cells[i].tolist(), na[off[i]].tolist()))
+    if off.size == len(x):
+        return (texts, "\n") if isinstance(texts, str) else texts
+    rows = orjson.dumps(np.ascontiguousarray(y), option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    for i, row in zip(off.tolist(), texts.split("\n") if isinstance(texts, str) else texts):
+        rows[i] = row
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
+class _FloatCells:
+    """The cells of a float column, which the CSV layout rounds with the block's other float columns."""
+
+    values: np.ndarray
+    mask: np.ndarray
+
+
 def _csv_layout(columns: dict, rows: int) -> tuple:
-    """CSV rows from one %-template per block: the template formats the int and float cells."""
-    specs = [spec.replace("%", "%%") if cells is None else spec for spec, cells in columns.values()]
-    lists = [cells for _, cells in columns.values() if cells is not None]
-    return ("".join([(",".join(specs) + "\n")] * rows) % tuple(_interleave(lists, rows)),)
+    """CSV rows, laid out by `_join_rows`. The float columns are rounded by one `_rounded` call. A
+    column counts as on path when more than half its cells are, and every cell of any other float
+    column as off it; each run of adjacent float columns that are all on path, or all off it, is
+    one `_float_rows` segment."""
+    floats = [texts for _, texts in columns.values() if isinstance(texts, _FloatCells)]
+    if floats:
+        x = np.stack([column.values for column in floats], axis=1)
+        na = np.stack([column.mask for column in floats], axis=1)
+        y, on = _rounded(x)
+        on &= ~na
+        mostly = 2 * np.count_nonzero(on, axis=0) > rows
+        on[:, ~mostly] = False
+        mostly = mostly.tolist()
+    pieces, cells, f = [""], [], 0
+    for i, (text, texts) in enumerate(columns.values()):
+        if isinstance(texts, _FloatCells):  # as the range of its index in x
+            f += 1
+            last = cells[-1] if cells and not pieces[-1] else None  # the column before, if it varies
+            if isinstance(last, range) and mostly[last.start] == mostly[f - 1]:
+                cells[-1] = range(last.start, f)  # the run goes on: its texts hold the comma
+                continue
+            texts = range(f - 1, f)
+        pieces[-1] += "," if i else ""
+        if texts is None:
+            pieces[-1] += text
+        else:
+            cells.append(texts)
+            pieces.append("")
+    pieces[-1] += "\n"
+    at = lambda a, run: a[:, run.start : run.stop]
+    cells = [_float_rows(at(x, c), at(na, c), at(y, c), at(on, c)) if isinstance(c, range) else c for c in cells]
+    if floats:
+        del x, na, y, on  # freed before the join
+    return _join_rows(pieces[0], pieces, cells, rows)
 
 
 def _csv_blocks(result: SweepResult, run: RunConfig):
@@ -403,7 +486,7 @@ def _csv_blocks(result: SweepResult, run: RunConfig):
     lines.append(",".join(result.columns))
     yield "\n".join(lines) + "\n"
     blocks = ({name: block[name] for name in result.columns} for block in result.blocks())
-    yield from _table(blocks, "%.12g", "NA", _format_value, _csv_layout)
+    yield from _table(blocks, _FloatCells, "NA", _format_value, _csv_layout)
 
 
 def _json_scalar(value) -> str:
@@ -413,21 +496,24 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def _json_floats(values: np.ndarray):
-    """The JSON texts of the cells of 1-D float `values`: orjson's comma-joined text from one call,
-    which is repr's for 1e-4 <= |x| < 1e16 and for +-0.0. Where a cell is outside that range
-    (orjson writes 1e16 or 0.00001 for repr's 1e+16 and 1e-05) or is not finite (null), the text is
-    split at its commas, each such cell patched by index to repr's text or `_json_scalar`'s token,
-    and the list of cell texts is returned."""
+def _json_floats(values: np.ndarray, mask=None):
+    """The JSON texts of the cells of 1-D float `values`, null where `mask`: orjson's comma-joined
+    text from one call, which is repr's for 1e-4 <= |x| < 1e16 and for +-0.0. Where a cell is
+    masked, outside that range (orjson writes 1e16 or 0.00001 for repr's 1e+16 and 1e-05) or not
+    finite (null), the text is split at its commas, each such cell patched by index to null,
+    repr's text or `_json_scalar`'s token, and the list of cell texts is returned."""
     values = np.ascontiguousarray(values, dtype=float)  # orjson takes only C-contiguous arrays
     text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
     size = np.abs(values)
     odd = np.flatnonzero(~(size < 1e16) | ((size < 1e-4) & (size != 0.0)))  # NaN fails every comparison
-    if not odd.size:
+    masked = [] if mask is None else np.flatnonzero(mask).tolist()
+    if not odd.size and not masked:
         return text
     cells = text.split(",")
     for i, x in zip(odd.tolist(), values[odd].tolist()):
         cells[i] = repr(x) if math.isfinite(x) else _json_scalar(x)
+    for i in masked:
+        cells[i] = "null"
     return cells
 
 
@@ -439,31 +525,20 @@ def _json_list(blocks, indent: str, keyed: bool = True):
     lead = "["  # before the first row; a comma before every later one
 
     def layout(columns: dict, rows: int) -> tuple:
-        """The block from its cells and the literal pieces between them; a one-text column is in a
-        piece. When one column varies, its float text's commas are replaced by the literal between
-        two of its cells, or its cells are joined by it; otherwise the block is one join. The large
-        text is passed on as it is, never added to another piece."""
+        """The block from its cells and the literal pieces between them, laid out by `_join_rows`; a
+        one-text column is in a piece."""
         nonlocal lead
-        pieces, lists = [f",\n{inner}{opening}"], []
-        for i, (key, (spec, cells)) in enumerate(columns.items()):
+        pieces, cells = [f",\n{inner}{opening}"], []
+        for i, (key, (text, texts)) in enumerate(columns.items()):
             pieces[-1] += f"{',' if i else ''}\n{field}" + (f"{json.dumps(key)}: " if keyed else "")
-            if cells is None:
-                pieces[-1] += spec
+            if texts is None:
+                pieces[-1] += text
             else:
-                lists.append(cells if spec == "%s" else list(map(str, cells)))  # "%d": int cells
+                cells.append(texts)
                 pieces.append("")
         pieces[-1] += f"\n{inner}{closing}"
         head, lead = lead + pieces[0][1:], ","
-        if not lists:
-            return head, pieces[0] * (rows - 1)
-        if len(lists) == 1:  # the literal between two cells is the row's tail and the next row's head
-            sep, cells = pieces[1] + pieces[0], lists[0]
-            return head, cells.replace(",", sep) if isinstance(cells, str) else sep.join(cells), pieces[1]
-        lists = [cells.split(",") if isinstance(cells, str) else cells for cells in lists]
-        seps = pieces[1:-1] + [pieces[-1] + pieces[0]]  # after each cell; after the last, the next row's start
-        values = _interleave([x for cells, sep in zip(lists, seps) for x in (cells, [sep] * rows)], rows)
-        values[0], values[-1] = head + values[0], pieces[-1]
-        return ("".join(values),)
+        return _join_rows(head, pieces, cells, rows)
 
     yield from _table(blocks, _json_floats, "null", _json_scalar, layout)
     yield "[]" if lead == "[" else f"\n{indent}]"

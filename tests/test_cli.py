@@ -28,7 +28,17 @@ from groverlab.optimizers import OptimizerConfig
 from groverlab.report import MAX_ROWS
 from witnesses import checker_concurrence, checker_grover_amplitudes, written
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
 GOLDEN = Path(__file__).parent / "golden"
+
+# numpy's AVX-512 dispatch targets on this host, and whether this process dispatches to none of them
+# (NPY_DISABLE_CPU_FEATURES names them, or the host has none)
+AVX512_TARGETS = [t for t in __cpu_dispatch__ if t == "X86_V4" or t.startswith("AVX512")]
+BELOW_AVX512 = not any(__cpu_features__.get(t) for t in AVX512_TARGETS)
 
 
 def run_cli(*args):
@@ -358,6 +368,17 @@ GOLDEN_BYTES = [
     ("ga_n10_j1-40_r2.csv", ("ga", "--n", "10", "--j", "1..40", "--r-max", "2", "--measures", "cr,cl1,e2,d2")),
 ]
 
+# numpy's AVX-512 log2 and log1p kernels made this golden's bits, which others move by an ulp or two
+D2_SIMD_XFAIL = pytest.mark.xfail(
+    BELOW_AVX512, strict=True, reason="ROADMAP: Golden bits that do not depend on numpy's SIMD kernels"
+)
+
+
+def d2_marked(cases: list) -> list:
+    """The (name, args) cases, ga_n11_d2_r11.json's as a strict xfail below AVX-512 dispatch."""
+    return [pytest.param(*case, marks=D2_SIMD_XFAIL) if case[0] == "ga_n11_d2_r11.json" else case for case in cases]
+
+
 # the phi-family goldens under their file names
 GOLDEN_PHI = [(f"{name}.csv", args) for name, args in GOLDEN_CSV if args[0] == "gga"] + [
     (name, args) for name, args in GOLDEN_BYTES if args[0] == "gga"
@@ -436,7 +457,7 @@ class TestGoldenOutputs:
                 # one unit in the 12th digit covers rounding at the boundary
                 assert got == pytest.approx(expected, rel=1e-11, abs=1e-14), (column, row)
 
-    @pytest.mark.parametrize("name, args", GOLDEN_BYTES)
+    @pytest.mark.parametrize("name, args", d2_marked(GOLDEN_BYTES))
     def test_byte_identical(self, name, args, tmp_path):
         assert_both_write_paths(args, GOLDEN / name, tmp_path / name)
 
@@ -444,10 +465,12 @@ class TestGoldenOutputs:
         "name, args",
         # pytest numbers the cases by position, so the goldens added after the
         # phi cases joined this list (GOLDEN_BYTES[12:]) go after them
-        [(f"{name}.csv", args) for name, args in GOLDEN_CSV if name.startswith("ga_")]
-        + [(name, args) for name, args in GOLDEN_BYTES[:12] if name.startswith("ga_")]
-        + GOLDEN_PHI
-        + [(name, args) for name, args in GOLDEN_BYTES[12:] if name.startswith("ga_")],
+        d2_marked(
+            [(f"{name}.csv", args) for name, args in GOLDEN_CSV if name.startswith("ga_")]
+            + [(name, args) for name, args in GOLDEN_BYTES[:12] if name.startswith("ga_")]
+            + GOLDEN_PHI
+            + [(name, args) for name, args in GOLDEN_BYTES[12:] if name.startswith("ga_")]
+        ),
     )
     def test_seven_row_blocks_change_no_byte(self, name, args, monkeypatch, tmp_path):
         # long series span many blocks and short ones share a block, so no closed
@@ -521,6 +544,22 @@ class TestGoldenOutputs:
             assert meta[f"engine.j{j}.svet"] == ("analytic" if j == 1 else "oracle")
             assert np.all(svet.converged), r
             assert format(svet.value[0], ".12g") == row["svet"]
+
+
+@pytest.mark.skipif(not AVX512_TARGETS, reason="numpy reports no AVX-512 dispatch target on this host")
+def test_goldens_below_avx512_dispatch():
+    # the golden tests again, in a process whose numpy kernels are the AVX2 or baseline ones: no CSV
+    # text may depend on them (the CSV writer rounds by comparisons and correctly rounded operations).
+    # The two ga_n11_d2_r11.json cases are strict xfails there, so a mend flips them
+    src = str(Path(groverlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_TARGETS)}
+    test = f"{Path(__file__).resolve()}::TestGoldenOutputs"
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test, "-k", "not simd_kernels"]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1])
+    summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else run.stderr
+    assert run.returncode == 0, run.stdout[-4000:]
+    assert " 2 xfailed" in summary and "failed" not in summary.replace("xfailed", ""), summary
 
 
 @st.composite

@@ -4,7 +4,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -88,15 +88,33 @@ class TestRenderJson:
                 written(result, RunConfig(command="ga", fmt="json"))
 
 
-# -0.0, subnormals, the float extremes, non-finite values and values on either
-# side of a 12-significant-digit rounding boundary
+# -0.0, subnormals, the float extremes, non-finite values, values on either
+# side of a 12-significant-digit rounding boundary and of the CSV writer's
+# orjson range (1e-4 <= |x| < 1e11), and exact ties
 EDGE_FLOATS = [
     -0.0, 0.0, 5e-324, 2.225073858507201e-308, 1e-300, 1e300, -1e300, 1.7976931348623157e308,
     float("nan"), float("inf"), float("-inf"), 0.1 + 0.2, 2.0 / 3.0,
     1.0000000000005, 1.00000000000049, 9.9999999999995, 99999999999.95, 123456789012.5, 0.5e-12,
+    1e-4, 9.999999999999999e-05, 1e11, 99999999999.99998, 999999999999.5, 1.000244140625, 0.5, -2.5,
 ]
-floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(-1e3, 1e3))
-objects = st.one_of(st.text(max_size=6), st.booleans(), st.none(), st.integers(-5, 5), floats)
+floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(),
+    st.floats(-1e3, 1e3),
+    # log-uniform from 1e-6 to 1e13, both signs: mostly the orjson path, and both sides of its range
+    st.builds(lambda e, sign: sign * 10.0**e, st.floats(-6.0, 13.0), st.sampled_from([1.0, -1.0])),
+    st.integers(-(10**13), 10**13).map(float),  # integer-valued: '%.12g' prints no ".0"
+    # 12-digit decimals, and the halfway points between two of them
+    st.builds(
+        lambda m, k, half: (m + half) / 10.0**k,
+        st.integers(10**11, 10**12 - 1),
+        st.integers(0, 16),
+        st.sampled_from([0.0, 0.5]),
+    ),
+)
+objects = st.one_of(
+    st.text(max_size=6), st.booleans(), st.none(), st.integers(-5, 5), st.integers(2**63, 2**70), floats
+)
 
 
 @st.composite
@@ -343,7 +361,7 @@ class TestOneTextColumns:
     def test_int_column_folds_in_each_block_it_is_constant_in(self, cell_log, monkeypatch):
         monkeypatch.setattr(report, "_TABLE_ROWS", 4)  # blocks j = 1111, 1122 and 22
         per_cell_writers_agree(sweep({"j": np.repeat([1, 2], [6, 4]), "r": np.arange(10)}))
-        assert [block["j"] for block in cell_log[:3]] == [("1", None), ("%d", [1, 1, 2, 2]), ("2", None)]
+        assert [block["j"] for block in cell_log[:3]] == [("1", None), (None, "1,1,2,2"), ("2", None)]
         assert all(block["r"][1] is not None for block in cell_log)
 
     def test_na_columns(self, cell_log):
@@ -357,17 +375,16 @@ class TestOneTextColumns:
         assert {block["obj"] for block in cell_log} == {("NA", None), ("null", None)}
         assert all(block["some"][1] is not None for block in cell_log)
 
-    def test_partly_masked_column_formats_only_its_unmasked_cells(self):
-        class Spec(str):
-            def __mod__(self, value):
-                self.cells.append(value)
-                return str.__mod__(self, value)
-
-        spec = Spec("%.12g")
-        spec.cells = []
-        column = np.ma.array([1.5, 7.25, float("nan"), 2.5], mask=[False, True, False, False])
-        assert report._cells(column, spec, "NA", report._format_value) == ("%s", ["1.5", "NA", "nan", "2.5"])
-        assert spec.cells == [1.5, 2.5]
+    def test_partly_masked_column_formats_only_its_unmasked_cells(self, monkeypatch):
+        # the masked cell's value, on the orjson path or off it, is in no text; the CSV row that
+        # holds it is formatted cell by cell, the float cells by %.12g
+        for table_rows, hidden in product((1, 3, report._TABLE_ROWS), (7.25, 1e-9)):
+            monkeypatch.setattr(report, "_TABLE_ROWS", table_rows)
+            column = np.ma.array([1.5, hidden, float("nan"), 2.5], mask=[False, True, False, False])
+            text = per_cell_writers_agree(sweep({"x": column, "y": np.array([0.5, 0.125, 0.25, 3e-6])}))
+            assert text.splitlines()[-4:] == ["1.5,0.5", "NA,0.125", "nan,0.25", "2.5,3e-06"]
+            assert str(hidden) not in text
+        assert report._cells(column, report._json_floats, "null", report._json_scalar) == (None, ["1.5", "null", '"nan"', "2.5"])
 
     @pytest.mark.parametrize("table_rows", [1, report._TABLE_ROWS])
     def test_one_row_blocks(self, monkeypatch, table_rows):
@@ -382,8 +399,8 @@ class TestOneTextColumns:
             per_cell_writers_agree(sweep(data))
 
     def test_real_start_imaginary_parts_are_one_text(self, monkeypatch):
-        # each block of pairs takes one orjson call per column: the real parts' whole column, and one
-        # cell of the imaginary parts, whose one text "0.0" is in the literal text between two real
+        # each block of pairs takes one orjson call: the real parts' whole column. The imaginary parts
+        # take none: their one text "0.0", written by json.dumps, is in the literal text between two real
         # cells. A block of real parts that orjson writes whole is one str.replace of its commas by
         # that literal; one with a cell below 1e-4 comes back patched, as a list, and is joined by it
         rng = np.random.default_rng(10)
@@ -402,8 +419,8 @@ class TestOneTextColumns:
                 replaced.append(self.count(",") + 1)
                 return str.replace(self, *args)
 
-        def recording_floats(values):
-            texts = floats(values)
+        def recording_floats(values, mask=None):
+            texts = floats(values, mask)
             whole.append(isinstance(texts, str))
             return Text(texts) if whole[-1] else texts
 
@@ -426,7 +443,7 @@ class TestOneTextColumns:
         assert report._TABLE_ROWS == 2048
         assert [block[0] for block in blocks] == sizes * 5
         for size, block_calls, one_text, block_replaced, im in blocks:
-            assert (block_calls, block_replaced, im) == ([size, 1], [size] if one_text else [], ("0.0", None))
+            assert (block_calls, block_replaced, im) == ([size], [size] if one_text else [], ("0.0", None))
         assert {one_text for _, _, one_text, _, _ in blocks} == {True, False}  # both layouts are taken
 
 
@@ -570,7 +587,7 @@ class TestJsonFloats:
         run = RunConfig(command="ga", fmt="json")
         assert written(sweep(data), run) == render_json_rows(sweep(data), run)
         sizes = [report._TABLE_ROWS, report._TABLE_ROWS, 5]
-        assert sorted(calls) == sorted(sizes + [1, 1, 1])  # p per block; q is one text per block
+        assert sorted(calls) == sorted(sizes * 2)  # r and p per block; q is one text per block, with no call
 
 
 MIXED = [1e-5, 0.5, 1e16, -0.0, float("nan"), 1e-4, float("inf"), 5e-324, 0.0, float("-inf"), -1e300, 123.25]
@@ -646,3 +663,105 @@ class TestJsonJoinLayout:
             result = report.ga_sweep(run)
             assert written(result, run) == render_json_rows(result, run)
             assert list(dict.fromkeys(row["j"] for row in json.loads(written(result, run))["rows"])) == list(js)
+
+
+def csv_float_texts(x) -> list:
+    """The CSV texts of the rows of 1-D or (rows, k) float cells `x` from `_float_rows`, with every
+    cell on path that `_rounded` puts there."""
+    x = x.reshape(len(x), -1)
+    texts = report._float_rows(x, np.zeros(x.shape, dtype=bool), *report._rounded(x))
+    return texts[0].split(texts[1]) if isinstance(texts, tuple) else texts
+
+
+def percent_g(x) -> list:
+    """'%.12g' of each cell of 1-D or (rows, k) `x`, a row's cells comma-joined."""
+    return [",".join("%.12g" % v for v in row) for row in x.reshape(len(x), -1).tolist()]
+
+
+class TestCsvFloats:
+    """The CSV writer rounds a float in numpy and lets orjson print the rounded value only where that
+    text is '%.12g''s; every other cell is '%.12g' itself."""
+
+    @staticmethod
+    def doubles(rng) -> np.ndarray:
+        """About 1.2 million doubles: whole-range bit patterns, log-uniform values from 1e-6 to 1e13
+        of both signs, integers, +-0.0, subnormals, each power of ten from 1e-5 to 1e12 with its
+        neighbours, and 12-digit decimals with their halfway points."""
+        log_uniform = 10.0 ** rng.uniform(-6.0, 13.0, 600_000) * rng.choice([-1.0, 1.0], 600_000)
+        integers = rng.integers(-(10**13), 10**13, 50_000).astype(float)
+        subnormals = rng.integers(1, 1 << 52, 10_000).astype(np.uint64).view(float)
+        powers = [10.0**k for k in range(-5, 13)]
+        near = [v for p in powers for v in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+        digits = rng.integers(10**11, 10**12, 100_000) / 10.0 ** rng.integers(0, 17, 100_000)
+        halves = (rng.integers(10**11, 10**12, 100_000) + 0.5) / 10.0 ** rng.integers(0, 5, 100_000)
+        ties = [1.000244140625, 99999999999.95, 0.5, 2.5, 1e11 - 0.5, 123456789012.5, 999999999999.5]
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-4, 9.99999999999e10, 1e11, *near, *ties]
+        signed = np.concatenate([digits, halves, special]) * rng.choice([-1.0, 1.0], 200_000 + len(special))
+        return np.concatenate([random_doubles(rng, 300_000), log_uniform, integers, subnormals, signed, special])
+
+    def test_each_text_is_percent_g(self):
+        rng = np.random.default_rng(39)
+        values = self.doubles(rng)
+        assert values.size > 1_000_000
+        for chunk in np.array_split(values, 8):  # a list of texts per chunk, not per million
+            assert csv_float_texts(chunk) == percent_g(chunk)
+        rows = values[: 3 * (values.size // 3)].reshape(-1, 3)[rng.permutation(values.size // 3)[:100_000]]
+        assert csv_float_texts(rows) == percent_g(rows)  # three cells a row, on and off path beside each other
+
+    def test_most_cells_in_range_take_the_orjson_path(self):
+        # an empty fast path would pass the test above; this one fails it
+        rng = np.random.default_rng(40)
+        inside = 10.0 ** rng.uniform(-4.0, 11.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        _, on = report._rounded(inside)
+        assert np.count_nonzero(on) > 0.99 * inside.size
+        _, on = report._rounded(np.array([0.0, -0.0, 1.0, 5e-5, 1e11, 2.5e12, float("nan"), float("inf")]))
+        assert not on.any()
+
+    def test_orjson_writes_each_run_of_on_path_columns_once(self, monkeypatch):
+        calls = []
+        dumps = report.orjson.dumps
+        counting = lambda values, **options: calls.append(values.shape) or dumps(values, **options)
+        monkeypatch.setattr(report.orjson, "dumps", counting)
+        rows = 2 * report._TABLE_ROWS + 5
+        rng = np.random.default_rng(41)
+        data = {
+            "r": np.arange(rows),
+            "p": rng.uniform(0.0, 1.0, rows),
+            "cr": rng.uniform(0.0, 30.0, rows),
+            "cl1": rng.uniform(1.1e11, 1e12, rows),  # past 1e11, as cl1 is at n >= 37: '%.12g' cell by cell
+            "m": rng.uniform(0.0, 1.0, rows),
+        }
+        run = RunConfig(command="ga")
+        assert written(sweep(data), run) == render_csv_rows(sweep(data), run)
+        sizes = [report._TABLE_ROWS, report._TABLE_ROWS, 5]  # r, the run p and cr, and m in each block
+        assert sorted(calls) == sorted(shape for size in sizes for shape in ((size,), (size, 2), (size, 1)))
+
+
+@pytest.mark.parametrize("table_rows", [3, report._TABLE_ROWS])
+def test_csv_writer_equals_the_row_writer_on_mixed_blocks(monkeypatch, table_rows):
+    # NA, nan and +-inf, integer-valued floats and cells past the orjson path among on-path cells,
+    # one-text columns, columns mostly past the path, bools, strings and object ints past int64
+    monkeypatch.setattr(report, "_TABLE_ROWS", table_rows)
+    rng = np.random.default_rng(42)
+    rows = 41
+    on = rng.uniform(-1.0, 1.0, (rows, 3))
+    on[[0, 4, 5, 17, 40], [0, 1, 2, 0, 1]] = 3.0, float("nan"), float("inf"), -float("inf"), 1e-9
+    off = rng.uniform(1.0, 10.0, rows) * 1e-6
+    off[[1, 2, 20]] = 0.5, 0.25, -0.125  # on path, in a column mostly past it
+    data = {
+        "j": np.repeat([1, 1 << 63, 2], [20, 1, 20]).astype(object),
+        "r": np.arange(rows),
+        "p": on[:, 0],
+        "cr": np.ma.array(on[:, 1], mask=rng.random(rows) < 0.2),
+        "cl1": on[:, 2],
+        "one": np.full(rows, 0.5),
+        "e2": off,
+        "big": rng.uniform(1.1e11, 1e13, rows),
+        "whole": np.floor(rng.uniform(-1e6, 1e6, rows)),
+        "flag": rng.random(rows) < 0.5,
+        "name": np.array(["a", "b%s", "c,d"] * 13 + ["e", "f"], dtype=object),
+        "m": np.where(np.arange(rows) % 2 == 0, on[:, 0], 1e20),
+    }
+    result = sweep(data)
+    run = RunConfig(command="ga")
+    assert written(result, run) == render_csv_rows(result, run)
