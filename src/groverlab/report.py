@@ -7,7 +7,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 import orjson
@@ -314,24 +314,62 @@ def base_metadata(run: RunConfig, engines: dict) -> dict:
     }
 
 
-def _cells(column, floats, na: str, cell) -> tuple:
+@dataclass(frozen=True)
+class _Format:
+    """How a format writes a cell: `na` is the NA text and cell(value) the text of a cell that is not
+    in a float column. For a float column, rounded(x) is (y, on), where orjson's text of a cell of
+    float array y is the format's own text of that cell of x wherever `on` is true, and off(values)
+    is the format's own texts of float cells `values`, as a list."""
+
+    na: str
+    cell: Callable
+    rounded: Callable
+    off: Callable
+
+
+def _orjson_text(values: np.ndarray) -> str:
+    """orjson's comma-joined text of the cells of 1-D int or float `values`."""
+    return orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+
+
+def _float_texts(values: np.ndarray, mask: np.ndarray, fmt: _Format):
+    """The texts of 1-D float cells `values`, `fmt.na` where `mask`. With every cell on the path of
+    fmt.rounded, orjson's comma-joined text of its y; with no cell NA or on the path, fmt.off's list;
+    else a list: orjson's text split at its commas (NA texts when no cell is on the path), each NA
+    cell patched by index to `fmt.na` and each other cell off the path to its fmt.off text."""
+    y, on = fmt.rounded(values)
+    on &= ~mask
+    if on.all():
+        return _orjson_text(y)
+    off = np.flatnonzero(~(on | mask))
+    if off.size == values.size:
+        return fmt.off(values)
+    cells = _orjson_text(y).split(",") if on.any() else [fmt.na] * values.size
+    for i in np.flatnonzero(mask).tolist():
+        cells[i] = fmt.na
+    for i, text in zip(off.tolist(), fmt.off(values[off])):
+        cells[i] = text
+    return cells
+
+
+def _cells(column, fmt: _Format) -> tuple:
     """(text, None) when every cell of `column` prints one text, because every cell is NA or every
     cell has one bit pattern (compared as same-width unsigned ints, so -0.0 and 0.0 differ); else
-    (None, texts). Int cells are orjson's comma-joined text, float cells what floats(values, mask)
-    makes of them, and any other cell the string `cell` makes, or `na`, in a list."""
+    (None, texts). Int cells are orjson's comma-joined text, float cells `_float_texts`' and any
+    other cell fmt.cell's text, or fmt.na, in a list."""
     values = np.ma.getdata(column)
     mask = np.ma.getmaskarray(column)
     if mask.all():
-        return na, None
+        return fmt.na, None
     if values.dtype.kind in "biuf" and not mask.any():
         bits = values.view(f"u{values.itemsize}")
         if not (bits != bits[0]).any():
-            return cell(values.item(0)), None
+            return fmt.cell(values.item(0)), None
     if values.dtype.kind in "iu" and not mask.any():
-        return None, orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        return None, _orjson_text(values)
     if values.dtype.kind == "f":
-        return None, floats(values, mask)
-    return None, [na if m else cell(v) for v, m in zip(values.tolist(), mask.tolist())]
+        return None, _float_texts(values, mask, fmt)
+    return None, [fmt.na if m else fmt.cell(v) for v, m in zip(values.tolist(), mask.tolist())]
 
 
 # Rows (or amplitude pairs) per formatted block: only one such block's cells
@@ -340,42 +378,56 @@ def _cells(column, floats, na: str, cell) -> tuple:
 _TABLE_ROWS = 1 << 11
 
 
+def _layout(opening: str, labels, closing: str, columns: dict) -> tuple:
+    """(pieces, cells) for `_join_rows`: a row is `opening`, each column's label and text in turn,
+    and `closing`. `columns` maps each column to `_cells`' pair, and `labels` gives one label per
+    column; a one-text column is in a piece, with its label."""
+    pieces, cells = [opening], []
+    for label, (text, texts) in zip(labels, columns.values()):
+        pieces[-1] += label
+        if texts is None:
+            pieces[-1] += text
+        else:
+            cells.append(texts)
+            pieces.append("")
+    pieces[-1] += closing
+    return pieces, cells
+
+
 def _join_rows(head: str, pieces: list, cells: list, rows: int) -> tuple:
     """The text pieces of `rows` rows, row i being pieces[0], the ith text of cells[0], pieces[1],
     ..., the ith text of cells[-1] and pieces[-1], the first row with `head` for pieces[0].
 
-    Each item of `cells` is a list of texts, their comma-joined text, or (text, delimiter) of them
-    joined by another delimiter. One such text alone is one str.replace of its delimiter by the
-    literal between two of its texts, and any other block one join. The large text is passed on as
-    it is, never added to another piece.
+    Each item of `cells` is a list of texts or their comma-joined text. One such text alone is one
+    str.replace of its commas by the literal between two of its texts, and any other block one
+    join. The large text is passed on as it is, never added to another piece.
     """
-    cells = [(texts, ",") if isinstance(texts, str) else texts for texts in cells]
     if not cells:
         return head, pieces[0] * (rows - 1)
     if len(cells) == 1:  # the literal between two texts is the row's tail and the next row's head
         sep, texts = pieces[1] + pieces[0], cells[0]
-        return head, texts[0].replace(texts[1], sep) if isinstance(texts, tuple) else sep.join(texts), pieces[1]
+        return head, texts.replace(",", sep) if isinstance(texts, str) else sep.join(texts), pieces[1]
     seps = pieces[1:-1] + [pieces[-1] + pieces[0]]  # after each text; after the last, the next row's start
     values = [None] * (2 * len(cells) * rows)  # row by row: a slice per list, not a tuple per row
     for i, (texts, sep) in enumerate(zip(cells, seps)):
-        values[2 * i :: 2 * len(cells)] = texts[0].split(texts[1]) if isinstance(texts, tuple) else texts
+        values[2 * i :: 2 * len(cells)] = texts.split(",") if isinstance(texts, str) else texts
         values[2 * i + 1 :: 2 * len(cells)] = [sep] * rows
     values[0], values[-1] = head + values[0], pieces[-1]
     return ("".join(values),)
 
 
-def _table_block(data: dict, rows: range, floats, na: str, cell, layout) -> tuple:
+def _table_block(data: dict, rows: range, fmt: _Format, layout) -> tuple:
     """The `rows` of every `data` column as the text pieces of layout({key: `_cells`' pair}, row count)."""
-    columns = {key: _cells(column[rows.start : rows.stop], floats, na, cell) for key, column in data.items()}
+    columns = {key: _cells(column[rows.start : rows.stop], fmt) for key, column in data.items()}
     return layout(columns, len(rows))
 
 
-def _table(blocks, *formats):
+def _table(blocks, fmt: _Format, layout):
     """The text pieces of every row of each block of columns, `_TABLE_ROWS` rows at a time; see `_table_block`."""
     for data in blocks:
         rows = range(len(next(iter(data.values()), ())))
         for start in range(0, len(rows), _TABLE_ROWS):
-            yield from _table_block(data, rows[start : start + _TABLE_ROWS], *formats)
+            yield from _table_block(data, rows[start : start + _TABLE_ROWS], fmt, layout)
 
 
 # 1e-4, 1e-3, ..., 1e10: a cell x with 1e-4 <= |x| < 1e11 has DECADES[:i] <= |x| < DECADES[i:] for
@@ -405,71 +457,17 @@ def _rounded(x: np.ndarray) -> tuple:
     return y, inside & (np.abs(s - m) < 0.5 - 2.0**-12) & (size >= 1e11) & (size < 1e12) & (np.rint(y) != y)
 
 
-def _float_rows(x: np.ndarray, na: np.ndarray, y: np.ndarray, on: np.ndarray):
-    """The texts of the rows of (rows, k) float cells `x`, NA where `na`, given `_rounded`'s (y, on),
-    as a list or as (text, delimiter). A row whose cells are all on path is orjson's text of its y,
-    from one call for the block, and any other row '%.12g' of its cells, from one %-format; a row
-    with an NA cell is formatted on its own. With no row on path, orjson is not called."""
-    whole = on.all(axis=1)
-    if whole.all():
-        return orjson.dumps(np.ascontiguousarray(y), option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode(), "],["
-    off = np.flatnonzero(~whole)
-    cells = x[off]
-    texts = "\n".join([",".join(["%.12g"] * x.shape[1])] * off.size) % tuple(cells.ravel().tolist())
-    if na.any():
-        texts = texts.split("\n")
-        for i in np.flatnonzero(na[off].any(axis=1)).tolist():
-            texts[i] = ",".join("NA" if m else "%.12g" % v for v, m in zip(cells[i].tolist(), na[off[i]].tolist()))
-    if off.size == len(x):
-        return (texts, "\n") if isinstance(texts, str) else texts
-    rows = orjson.dumps(np.ascontiguousarray(y), option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
-    for i, row in zip(off.tolist(), texts.split("\n") if isinstance(texts, str) else texts):
-        rows[i] = row
-    return rows
+def _percent_g(values: np.ndarray) -> list:
+    """'%.12g' % x of each cell, from one %-format."""
+    return (",".join(["%.12g"] * values.size) % tuple(values.tolist())).split(",")
 
 
-@dataclass(frozen=True, eq=False)
-class _FloatCells:
-    """The cells of a float column, which the CSV layout rounds with the block's other float columns."""
-
-    values: np.ndarray
-    mask: np.ndarray
+_CSV = _Format("NA", _format_value, _rounded, _percent_g)
 
 
 def _csv_layout(columns: dict, rows: int) -> tuple:
-    """CSV rows, laid out by `_join_rows`. The float columns are rounded by one `_rounded` call. A
-    column counts as on path when more than half its cells are, and every cell of any other float
-    column as off it; each run of adjacent float columns that are all on path, or all off it, is
-    one `_float_rows` segment."""
-    floats = [texts for _, texts in columns.values() if isinstance(texts, _FloatCells)]
-    if floats:
-        x = np.stack([column.values for column in floats], axis=1)
-        na = np.stack([column.mask for column in floats], axis=1)
-        y, on = _rounded(x)
-        on &= ~na
-        mostly = 2 * np.count_nonzero(on, axis=0) > rows
-        on[:, ~mostly] = False
-        mostly = mostly.tolist()
-    pieces, cells, f = [""], [], 0
-    for i, (text, texts) in enumerate(columns.values()):
-        if isinstance(texts, _FloatCells):  # as the range of its index in x
-            f += 1
-            last = cells[-1] if cells and not pieces[-1] else None  # the column before, if it varies
-            if isinstance(last, range) and mostly[last.start] == mostly[f - 1]:
-                cells[-1] = range(last.start, f)  # the run goes on: its texts hold the comma
-                continue
-            texts = range(f - 1, f)
-        pieces[-1] += "," if i else ""
-        if texts is None:
-            pieces[-1] += text
-        else:
-            cells.append(texts)
-            pieces.append("")
-    pieces[-1] += "\n"
-    at = lambda a, run: a[:, run.start : run.stop]
-    cells = [_float_rows(at(x, c), at(na, c), at(y, c), at(on, c)) if isinstance(c, range) else c for c in cells]
-    if floats:
-        del x, na, y, on  # freed before the join
+    """CSV rows, laid out by `_join_rows`: the first column's text unlabelled, each other's after a comma."""
+    pieces, cells = _layout("", chain([""], repeat(",")), "\n", columns)
     return _join_rows(pieces[0], pieces, cells, rows)
 
 
@@ -486,7 +484,7 @@ def _csv_blocks(result: SweepResult, run: RunConfig):
     lines.append(",".join(result.columns))
     yield "\n".join(lines) + "\n"
     blocks = ({name: block[name] for name in result.columns} for block in result.blocks())
-    yield from _table(blocks, _FloatCells, "NA", _format_value, _csv_layout)
+    yield from _table(blocks, _CSV, _csv_layout)
 
 
 def _json_scalar(value) -> str:
@@ -496,25 +494,19 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def _json_floats(values: np.ndarray, mask=None):
-    """The JSON texts of the cells of 1-D float `values`, null where `mask`: orjson's comma-joined
-    text from one call, which is repr's for 1e-4 <= |x| < 1e16 and for +-0.0. Where a cell is
-    masked, outside that range (orjson writes 1e16 or 0.00001 for repr's 1e+16 and 1e-05) or not
-    finite (null), the text is split at its commas, each such cell patched by index to null,
-    repr's text or `_json_scalar`'s token, and the list of cell texts is returned."""
-    values = np.ascontiguousarray(values, dtype=float)  # orjson takes only C-contiguous arrays
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-    size = np.abs(values)
-    odd = np.flatnonzero(~(size < 1e16) | ((size < 1e-4) & (size != 0.0)))  # NaN fails every comparison
-    masked = [] if mask is None else np.flatnonzero(mask).tolist()
-    if not odd.size and not masked:
-        return text
-    cells = text.split(",")
-    for i, x in zip(odd.tolist(), values[odd].tolist()):
-        cells[i] = repr(x) if math.isfinite(x) else _json_scalar(x)
-    for i in masked:
-        cells[i] = "null"
-    return cells
+def _json_rounded(x: np.ndarray) -> tuple:
+    """(x, on): orjson's text of a double is repr's for 1e-4 <= |x| < 1e16 and for +-0.0; outside that
+    range it writes 1e16 or 0.00001 for repr's 1e+16 and 1e-05, and null for a non-finite one."""
+    size = np.abs(x)
+    return x, ((size >= 1e-4) & (size < 1e16)) | (size == 0.0)  # NaN fails every comparison
+
+
+def _json_off(values: np.ndarray) -> list:
+    """repr's text of each finite cell, and `_json_scalar`'s token of each other one."""
+    return [repr(x) if math.isfinite(x) else _json_scalar(x) for x in values.tolist()]
+
+
+_JSON = _Format("null", _json_scalar, _json_rounded, _json_off)
 
 
 def _json_list(blocks, indent: str, keyed: bool = True):
@@ -525,22 +517,15 @@ def _json_list(blocks, indent: str, keyed: bool = True):
     lead = "["  # before the first row; a comma before every later one
 
     def layout(columns: dict, rows: int) -> tuple:
-        """The block from its cells and the literal pieces between them, laid out by `_join_rows`; a
-        one-text column is in a piece."""
+        """The block laid out by `_join_rows`, after the list's opening or a row."""
         nonlocal lead
-        pieces, cells = [f",\n{inner}{opening}"], []
-        for i, (key, (text, texts)) in enumerate(columns.items()):
-            pieces[-1] += f"{',' if i else ''}\n{field}" + (f"{json.dumps(key)}: " if keyed else "")
-            if texts is None:
-                pieces[-1] += text
-            else:
-                cells.append(texts)
-                pieces.append("")
-        pieces[-1] += f"\n{inner}{closing}"
+        keys = (f"{json.dumps(key)}: " if keyed else "" for key in columns)
+        labels = (f"{',' if i else ''}\n{field}{key}" for i, key in enumerate(keys))
+        pieces, cells = _layout(f",\n{inner}{opening}", labels, f"\n{inner}{closing}", columns)
         head, lead = lead + pieces[0][1:], ","
         return _join_rows(head, pieces, cells, rows)
 
-    yield from _table(blocks, _json_floats, "null", _json_scalar, layout)
+    yield from _table(blocks, _JSON, layout)
     yield "[]" if lead == "[" else f"\n{indent}]"
 
 

@@ -376,15 +376,15 @@ class TestOneTextColumns:
         assert all(block["some"][1] is not None for block in cell_log)
 
     def test_partly_masked_column_formats_only_its_unmasked_cells(self, monkeypatch):
-        # the masked cell's value, on the orjson path or off it, is in no text; the CSV row that
-        # holds it is formatted cell by cell, the float cells by %.12g
+        # the masked cell's value, on the orjson path or off it, is in no text: its column's text is
+        # split and the cell patched by index to NA (null), while the column beside it is one text
         for table_rows, hidden in product((1, 3, report._TABLE_ROWS), (7.25, 1e-9)):
             monkeypatch.setattr(report, "_TABLE_ROWS", table_rows)
             column = np.ma.array([1.5, hidden, float("nan"), 2.5], mask=[False, True, False, False])
             text = per_cell_writers_agree(sweep({"x": column, "y": np.array([0.5, 0.125, 0.25, 3e-6])}))
             assert text.splitlines()[-4:] == ["1.5,0.5", "NA,0.125", "nan,0.25", "2.5,3e-06"]
             assert str(hidden) not in text
-        assert report._cells(column, report._json_floats, "null", report._json_scalar) == (None, ["1.5", "null", '"nan"', "2.5"])
+        assert report._cells(column, report._JSON) == (None, ["1.5", "null", '"nan"', "2.5"])
 
     @pytest.mark.parametrize("table_rows", [1, report._TABLE_ROWS])
     def test_one_row_blocks(self, monkeypatch, table_rows):
@@ -412,15 +412,15 @@ class TestOneTextColumns:
         steps = list(result.extra_metadata["amplitudes_per_step"])  # the row writer takes lists, not the log
         reference = replace(result, extra_metadata={**result.extra_metadata, "amplitudes_per_step": steps})
         calls, whole, replaced, cells, blocks = [], [], [], [], []
-        dumps, floats, cells_of, table_block = report.orjson.dumps, report._json_floats, report._cells, report._table_block
+        dumps, floats, cells_of, table_block = report.orjson.dumps, report._float_texts, report._cells, report._table_block
 
         class Text(str):
             def replace(self, *args):
                 replaced.append(self.count(",") + 1)
                 return str.replace(self, *args)
 
-        def recording_floats(values, mask=None):
-            texts = floats(values, mask)
+        def recording_floats(values, mask, fmt):
+            texts = floats(values, mask, fmt)
             whole.append(isinstance(texts, str))
             return Text(texts) if whole[-1] else texts
 
@@ -433,7 +433,7 @@ class TestOneTextColumns:
             return pieces
 
         monkeypatch.setattr(report.orjson, "dumps", lambda values, **options: calls.append(values.size) or dumps(values, **options))
-        monkeypatch.setattr(report, "_json_floats", recording_floats)
+        monkeypatch.setattr(report, "_float_texts", recording_floats)
         monkeypatch.setattr(report, "_cells", lambda *args: cells.append(cells_of(*args)) or cells[-1])
         monkeypatch.setattr(report, "_table_block", recording)
         same = written(result, run) == render_json_rows(reference, run)
@@ -536,9 +536,10 @@ def edge_doubles():
     return np.array(near + [-v for v in near])
 
 
-def float_texts(values) -> list:
-    """Each cell's JSON text from `_json_floats`: orjson's comma-joined text, or the list it patched."""
-    texts = report._json_floats(values)
+def float_texts(values, mask=None, fmt=report._JSON) -> list:
+    """Each cell's text from `_float_texts`, NA where `mask`: orjson's comma-joined text split, or the
+    list of texts it returned."""
+    texts = report._float_texts(values, np.zeros(values.shape, dtype=bool) if mask is None else mask, fmt)
     return texts.split(",") if isinstance(texts, str) else texts
 
 
@@ -556,14 +557,21 @@ class TestJsonFloats:
         assert texts == [repr(x) for x in values.tolist()]
         assert "[" + ", ".join(texts) + "]" == json.dumps(values.tolist())
         within = inside[(np.abs(inside) >= 1e-4) & (np.abs(inside) < 1e16)]
-        assert report._json_floats(within) == ",".join(map(repr, within.tolist()))  # nothing patched: one text
+        no_na = np.zeros(within.size, dtype=bool)
+        assert report._float_texts(within, no_na, report._JSON) == ",".join(map(repr, within.tolist()))  # one text
+        # NA cells among them, a column of NA cells only and one with no cell inside the range
+        mask = rng.random(values.size) < 0.1
+        assert float_texts(values, mask) == ["null" if m else repr(x) for x, m in zip(values.tolist(), mask.tolist())]
+        assert float_texts(within, ~no_na) == ["null"] * within.size
+        past = values[(np.abs(values) < 1e-4) & (values != 0.0)]
+        assert float_texts(past) == [repr(x) for x in past.tolist()]
 
     def test_non_finite_cells_are_the_scalar_tokens(self):
         values = np.array([float("nan"), 0.5, float("inf"), 1e-5, -float("inf"), -0.0, float("nan")])
         want = [report._json_scalar(x) for x in values.tolist()]
         assert want[:3] == ['"nan"', "0.5", '"inf"']
-        assert report._json_floats(values) == want
-        assert report._json_floats(values[::-2]) == want[::-2]
+        assert float_texts(values) == want
+        assert float_texts(values[::-2]) == want[::-2]
 
     def test_runs_of_patched_cells(self):
         # cells outside orjson's repr range alone, in runs and at either end, between cells inside it
@@ -575,7 +583,7 @@ class TestJsonFloats:
             assert float_texts(values) == list(map(report._json_scalar, values.tolist()))
 
     def test_an_empty_array_has_no_texts(self):
-        assert report._json_floats(np.empty(0)) == ""
+        assert report._float_texts(np.empty(0), np.zeros(0, dtype=bool), report._JSON) == ""
 
     def test_one_orjson_call_per_column_block(self, monkeypatch):
         calls = []
@@ -665,17 +673,17 @@ class TestJsonJoinLayout:
             assert list(dict.fromkeys(row["j"] for row in json.loads(written(result, run))["rows"])) == list(js)
 
 
-def csv_float_texts(x) -> list:
-    """The CSV texts of the rows of 1-D or (rows, k) float cells `x` from `_float_rows`, with every
-    cell on path that `_rounded` puts there."""
-    x = x.reshape(len(x), -1)
-    texts = report._float_rows(x, np.zeros(x.shape, dtype=bool), *report._rounded(x))
-    return texts[0].split(texts[1]) if isinstance(texts, tuple) else texts
+def csv_rows(x) -> list:
+    """The CSV rows of the columns of (rows, k) float cells `x`, as the CSV layout writes them."""
+    pieces = report._table_block(dict(enumerate(x.T)), range(len(x)), report._CSV, report._csv_layout)
+    return "".join(pieces).splitlines()
 
 
-def percent_g(x) -> list:
-    """'%.12g' of each cell of 1-D or (rows, k) `x`, a row's cells comma-joined."""
-    return [",".join("%.12g" % v for v in row) for row in x.reshape(len(x), -1).tolist()]
+def percent_g(x, mask=None) -> list:
+    """'%.12g' of each cell of 1-D or (rows, k) `x`, a row's cells comma-joined; NA where `mask`."""
+    mask = np.zeros(x.shape, dtype=bool) if mask is None else mask
+    rows = zip(x.reshape(len(x), -1).tolist(), mask.reshape(len(x), -1).tolist())
+    return [",".join("NA" if m else "%.12g" % v for v, m in zip(*row)) for row in rows]
 
 
 class TestCsvFloats:
@@ -703,10 +711,16 @@ class TestCsvFloats:
         rng = np.random.default_rng(39)
         values = self.doubles(rng)
         assert values.size > 1_000_000
-        for chunk in np.array_split(values, 8):  # a list of texts per chunk, not per million
-            assert csv_float_texts(chunk) == percent_g(chunk)
+        mask = np.random.default_rng(43).random(values.size) < 0.1
+        for chunk, na in zip(np.array_split(values, 8), np.array_split(mask, 8)):  # a list per chunk, not per million
+            assert float_texts(chunk, fmt=report._CSV) == percent_g(chunk)
+            assert float_texts(chunk, na, report._CSV) == percent_g(chunk, na)
         rows = values[: 3 * (values.size // 3)].reshape(-1, 3)[rng.permutation(values.size // 3)[:100_000]]
-        assert csv_float_texts(rows) == percent_g(rows)  # three cells a row, on and off path beside each other
+        assert csv_rows(rows) == percent_g(rows)  # three cells a row, on and off path beside each other
+        # a column of NA cells only, and one with no cell on the path
+        assert float_texts(chunk, np.ones(chunk.size, dtype=bool), report._CSV) == ["NA"] * chunk.size
+        off = chunk[~report._rounded(chunk)[1]]
+        assert float_texts(off, fmt=report._CSV) == percent_g(off)
 
     def test_most_cells_in_range_take_the_orjson_path(self):
         # an empty fast path would pass the test above; this one fails it
@@ -717,7 +731,7 @@ class TestCsvFloats:
         _, on = report._rounded(np.array([0.0, -0.0, 1.0, 5e-5, 1e11, 2.5e12, float("nan"), float("inf")]))
         assert not on.any()
 
-    def test_orjson_writes_each_run_of_on_path_columns_once(self, monkeypatch):
+    def test_orjson_writes_each_on_path_column_once(self, monkeypatch):
         calls = []
         dumps = report.orjson.dumps
         counting = lambda values, **options: calls.append(values.shape) or dumps(values, **options)
@@ -728,13 +742,13 @@ class TestCsvFloats:
             "r": np.arange(rows),
             "p": rng.uniform(0.0, 1.0, rows),
             "cr": rng.uniform(0.0, 30.0, rows),
-            "cl1": rng.uniform(1.1e11, 1e12, rows),  # past 1e11, as cl1 is at n >= 37: '%.12g' cell by cell
+            "cl1": rng.uniform(1.1e11, 1e12, rows),  # past 1e11, as cl1 is at n >= 37: one %-format, no orjson
             "m": rng.uniform(0.0, 1.0, rows),
         }
         run = RunConfig(command="ga")
         assert written(sweep(data), run) == render_csv_rows(sweep(data), run)
-        sizes = [report._TABLE_ROWS, report._TABLE_ROWS, 5]  # r, the run p and cr, and m in each block
-        assert sorted(calls) == sorted(shape for size in sizes for shape in ((size,), (size, 2), (size, 1)))
+        sizes = [report._TABLE_ROWS, report._TABLE_ROWS, 5]  # r, p, cr and m in each block, one 1-D call each
+        assert sorted(calls) == sorted([(size,) for size in sizes] * 4)
 
 
 @pytest.mark.parametrize("table_rows", [3, report._TABLE_ROWS])
