@@ -213,7 +213,7 @@ def ga(n, j_values, r_max, measures, grid, restarts, no_oracle, seed, fmt, out):
         j_values=j_values,
         r_max=r_max,
         measures=measures,
-        optimizer=OptimizerConfig(*grid, restarts=restarts, seed=seed),
+        optimizer=OptimizerConfig(*grid, restarts=restarts),
         seed=seed,
         fmt=fmt,
         use_oracle=not no_oracle,

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import AmplitudeFileError, InvalidStateError, UnsupportedStructureError
-from .grover import GroverConfig
+from .grover import GroverConfig, _peak_time
 from .linalg import NORM_TOL, PureState, binary_entropy, shannon_entropy
 
 REAL_TOL = 1e-12
@@ -144,23 +144,27 @@ class GGAClosedForm:
     degenerate_phase: bool = False
 
 
+def _phase(j: int, N: int, kbar, lbar):
+    """(C^2, beta) of start averages kbar and lbar, floats or arrays of one quadrature per value:
+    C^2 = j kbar^2 + (N - j) lbar^2 and beta = atan2(sqrt(j) kbar, sqrt(N - j) lbar). beta is
+    taken per value by math.atan2, as numpy's arctan2 kernels round differently on different
+    CPUs; an array gives a float array."""
+    beta = np.frompyfunc(math.atan2, 2, 1)(math.sqrt(j) * kbar, math.sqrt(N - j) * lbar)
+    return j * kbar**2 + (N - j) * lbar**2, beta.astype(float) if isinstance(beta, np.ndarray) else beta
+
+
 def gga_closed_form(dist0: AmplitudeDistribution) -> GGAClosedForm:
     """Fit omega, beta and the envelope constant C from the r=0 averages."""
     if not dist0.is_real:
         raise UnsupportedStructureError(
             "closed-form averages require real amplitudes; use the scan fallback"
         )
-    j = dist0.j
-    N = dist0.size
-    kbar0 = dist0.kbar.real
     lbar0 = dist0.lbar.real
-    degenerate = lbar0 == 0.0
-    if degenerate:
-        beta = math.pi / 2.0
-    else:
-        beta = math.atan2(math.sqrt(j) * kbar0, math.sqrt(N - j) * lbar0)
-    C = math.sqrt(j * kbar0**2 + (N - j) * lbar0**2)
-    return GGAClosedForm(omega=dist0.omega, beta=beta, C=C, degenerate_phase=degenerate)
+    C2, beta = _phase(dist0.j, dist0.size, dist0.kbar.real, lbar0)
+    # C = 0: both averages stay 0 and p is constant, so any phase fits; pi/2 puts the peak at t = 0
+    return GGAClosedForm(
+        omega=dist0.omega, beta=beta if C2 else math.pi / 2.0, C=math.sqrt(C2), degenerate_phase=lbar0 == 0.0
+    )
 
 
 def gga_pmax(dist0: AmplitudeDistribution) -> float:
@@ -178,20 +182,15 @@ def gga_pmax(dist0: AmplitudeDistribution) -> float:
 def _success_envelope(dist0: AmplitudeDistribution):
     """p(t) from constants read off dist0 once: the real and imaginary parts evolve
     independently, each adding C^2 sin^2(omega t + beta) to the frozen solution spread."""
-    j = dist0.j
-    N = dist0.size
     k0 = dist0.solution_amplitudes
     l0 = dist0.other_amplitudes
     omega = dist0.omega
     spread = float(np.sum(np.abs(k0 - k0.mean()) ** 2))
-    parts = []
-    for kbar_part, lbar_part in (
-        (float(k0.real.mean()), float(l0.real.mean())),
-        (float(k0.imag.mean()), float(l0.imag.mean())),
-    ):
-        C2 = j * kbar_part**2 + (N - j) * lbar_part**2
-        if C2 != 0.0:
-            parts.append((C2, math.atan2(math.sqrt(j) * kbar_part, math.sqrt(N - j) * lbar_part)))
+    # the real and imaginary averages as Python floats in object arrays, so _phase squares each by
+    # ** as it squares gga_closed_form's floats
+    kbar, lbar = (np.array([x.real.mean(), x.imag.mean()]).astype(object) for x in (k0, l0))
+    C2, beta = _phase(dist0.j, dist0.size, kbar, lbar)
+    parts = [(c2, b) for c2, b in zip(C2.tolist(), beta.tolist()) if c2]
 
     def p_at(t, sin=math.sin):
         """p at a float t by math.sin, or at each time of an array t by sin=np.sin; where no
@@ -230,14 +229,12 @@ def _grid_argmax(p_at, grid: np.ndarray) -> int:
 
 
 def gga_optimal_time(dist0: AmplitudeDistribution) -> GGAOptimalTime:
-    """(pi/2 - beta)/omega for real amplitudes; grid-scan fallback otherwise. No Grover step."""
+    """The first peak ((pi/2 - beta)/omega) mod (pi/omega) for real amplitudes; grid-scan fallback
+    otherwise. No Grover step."""
     if dist0.is_real:
         cf = gga_closed_form(dist0)
-        t = (math.pi / 2.0 - cf.beta) / cf.omega
-        period = math.pi / cf.omega
-        while t < 0.0:
-            t += period
-        return GGAOptimalTime(time=t, method="closed-form", degenerate_phase=cf.degenerate_phase)
+        time = _peak_time(cf.beta, cf.omega)
+        return GGAOptimalTime(time=time, method="closed-form", degenerate_phase=cf.degenerate_phase)
     # Complex averages: the paper's beta presumes real amplitudes, so
     # locate the peak of the superposed envelope numerically.
     p_at = _success_envelope(dist0)
@@ -315,18 +312,15 @@ def phi_family_delta_coherence(fam: PhiFamily):
 
 
 def phi_family_optimal_time(fam: PhiFamily):
-    """(pi/2 - beta)/omega from (N, phi0, phi1) alone, for every N up to 2^1022, one value per point.
+    """The first peak of the start's averages from (N, phi0, phi1) alone, for every N up to 2^1022,
+    one value per point.
 
     omega is the two-solution Grover angle 2 atan sqrt(2/(N-2)); the equal
     acos(1 - 4/N) rounds to 0 once N > 2^55. beta is gga_closed_form's
-    atan2, operand for operand, of the start's averages kbar and lbar, taken
-    per point through math.atan2: numpy's arctan2 kernels round differently
-    on different CPUs.
+    `_phase` of the start's averages kbar and lbar.
     """
-    omega = GroverConfig(fam.N.bit_length() - 1, j=2).alpha
-    kbar, lbar = 0.5 * (fam.phi0 + fam.phi1), 1.0 / math.sqrt(fam.N)
-    beta = np.frompyfunc(math.atan2, 2, 1)(math.sqrt(2) * kbar, math.sqrt(fam.N - 2) * lbar)
-    return (math.pi / 2.0 - np.asarray(beta, dtype=float)) / omega
+    _, beta = _phase(2, fam.N, 0.5 * (fam.phi0 + fam.phi1), 1.0 / math.sqrt(fam.N))
+    return _peak_time(beta, GroverConfig(fam.N.bit_length() - 1, j=2).alpha)
 
 
 def _finite_cells(pairs: list):

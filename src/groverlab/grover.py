@@ -114,18 +114,19 @@ def success_probability(cfg: GroverConfig, st: SymmetricGAState):
     return np.square(st.a)
 
 
+def _peak_time(beta, omega):
+    """The first t >= 0 where sin(omega t + beta)^2 peaks, ((pi/2 - beta)/omega) mod (pi/omega),
+    elementwise on arrays. GA's stopping time is the case beta = alpha/2, omega = alpha."""
+    return ((math.pi / 2.0 - beta) / omega) % (math.pi / omega)
+
+
 def optimal_iteration_details(cfg: GroverConfig) -> OptimalIteration:
-    """Closest integer to (pi - alpha)/(2 alpha); half-integer ties round toward zero."""
-    alpha = cfg.alpha
-    exact = (math.pi - alpha) / (2.0 * alpha)
+    """Closest integer to the first peak (pi - alpha)/(2 alpha); half-integer ties round toward zero."""
+    exact = _peak_time(cfg.alpha / 2.0, cfg.alpha)  # >= 0, as every first peak is
     floor = math.floor(exact)
     frac = exact - floor
     tie = abs(frac - 0.5) < 1e-12
-    if tie:
-        r_opt = floor
-    else:
-        r_opt = floor if frac < 0.5 else floor + 1
-    return OptimalIteration(r_opt=max(0, r_opt), exact=exact, tie=tie)
+    return OptimalIteration(r_opt=floor if tie or frac < 0.5 else floor + 1, exact=exact, tie=tie)
 
 
 def optimal_iterations(cfg: GroverConfig) -> int:

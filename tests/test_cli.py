@@ -741,6 +741,20 @@ class TestGgaCommand:
         assert steps[1]["solution_amplitudes"] == [[1.0, 0.0]]
         assert "closed_form" in payload["metadata"]
 
+    def test_negated_start_reports_the_start_own_peak(self, tmp_path):
+        # -psi is the same state: both averages negative put beta below -pi/2, and the
+        # optimal time is still the first peak, not the one a period later
+        doc = json.loads((GOLDEN / "gga_init_real_n4.json").read_text())
+        negated = tmp_path / "negated.json"
+        negated.write_text(json.dumps({**doc, "amplitudes": [[-re, -im] for re, im in doc["amplitudes"]]}))
+        (meta, _, rows), (neg_meta, _, neg_rows) = (
+            parse_csv(run_cli("gga", "--init-file", str(init)).output) for init in (GOLDEN / "gga_init_real_n4.json", negated)
+        )
+        keys = ("optimal_time", "p_floor", "p_ceil", "p_max")
+        assert [neg_meta[key] for key in keys] == [meta[key] for key in keys]
+        assert meta["optimal_time"] == "2.53328510825"
+        assert len(neg_rows) == len(rows) == 4
+
     @pytest.fixture
     def uniform_n10(self, tmp_path):
         N = 1 << 10

@@ -160,10 +160,18 @@ class TestClosedForm:
         assert cf.omega == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_degenerate_phase_flag(self):
-        d = AmplitudeDistribution(np.eye(8)[0], (0, 1))
-        cf = gga_closed_form(d)
-        assert cf.degenerate_phase
-        assert cf.beta == pytest.approx(math.pi / 2)
+        # lbar = 0: beta keeps the sign of kbar, so the closed form's averages are the iteration's
+        for d, beta in [
+            (AmplitudeDistribution(np.eye(8)[0], (0, 1)), math.pi / 2),
+            (AmplitudeDistribution(np.array([-1.0, 0.0, 0.0, 0.0]), (0,)), -math.pi / 2),
+        ]:
+            cf = gga_closed_form(d)
+            assert cf.degenerate_phase
+            assert cf.beta == beta
+            assert gga_optimal_time(d).time == 0.0
+            for r in range(1, 6):
+                dr = gga_iterate(d, r)
+                assert closed_form_averages(cf, d.j, d.size, r) == pytest.approx((dr.kbar.real, dr.lbar.real), abs=1e-12)
 
     def test_complex_input_rejected(self):
         d = AmplitudeDistribution(np.array([1j, 1, 0, 0]) / math.sqrt(2), (0,))
@@ -228,9 +236,11 @@ class TestPmaxAndOptimalTime:
         assert int(np.argmax(probs)) == round(t.time)
 
     def test_uniform_start_matches_standard_prerounding_optimum(self):
-        for n, j in [(4, 1), (10, 1), (8, 3)]:
+        # the negated start is the same state: both averages negative, and the same first peak
+        for n, j, sign in [(4, 1, 1.0), (10, 1, 1.0), (8, 3, 1.0), (4, 1, -1.0)]:
             cfg = GroverConfig(n=n, j=j)
-            t = gga_optimal_time(AmplitudeDistribution.uniform(n, range(j)))
+            uniform = AmplitudeDistribution.uniform(n, range(j))
+            t = gga_optimal_time(replace(uniform, amplitudes=sign * uniform.amplitudes))
             assert t.time == pytest.approx(optimal_iteration_details(cfg).exact, abs=1e-12)
 
     def test_complex_amplitudes_use_scan(self):

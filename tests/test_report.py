@@ -219,6 +219,7 @@ def json_rows(*args) -> list:
         (10, range(1, 41), ("--r-max", "2", "--measures", "cr,cl1,e2,d2")),
         (30, range(1, 301), ("--r-max", "3")),  # every measure that is not slow
         (80, (1180591620717411303424, 3), ("--r-max", "2")),  # an object j column
+        (10, (2, 3, 2), ("--r-max", "2", "--measures", "e2,en,d2")),  # a repeated j: two series of one j
     ],
 )
 def test_rows_across_series_are_the_single_series_rows(n, js, options):
