@@ -223,6 +223,12 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
     class is reduced, the generic cut range(k)'s first. Each row and k give
     the generic cut's deviation and the largest over every k-subset, and
     the sum of purity deficits takes each class's count times its own.
+    A real stack (every imaginary part 0, as the Grover series has) reduces
+    each wide cut, k > n - k, in float64: there the real Gram a a^T has the
+    bits of the complex Gram's real part, whose imaginary part is 0, and
+    costs a fraction of it. A narrow cut sums 2^(n-k) >= 2^k terms per entry,
+    and there the two GEMMs were seen to round apart (at every narrow cut
+    from n = 6 on), so narrow cuts keep the complex Gram.
     """
     n, j = cfg.n, cfg.j
     st = state_at(cfg, np.arange(optimal_iterations(cfg) + 1))
@@ -253,8 +259,10 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
     partition = discord.genuine_discord_partition_minima(cfg, st.r)
     deviations["partition_minimum"].extend(np.abs(partition - closed["dn"]).tolist())
     labels = entanglement._exchange_labels(amps, n)
+    real = None if amps.imag.any() else np.ascontiguousarray(amps.real)
     deficits = np.zeros(st.r.size)  # sum over every cut S of 1 - Tr rho_S^2, for each statevector
     for k in range(1, n):
+        stack = real if real is not None and k > n - k else amps
         subsets = np.array(list(itertools.combinations(range(n), k)))
         _, reps, counts = np.unique(entanglement._cut_keys(labels, subsets), return_index=True, return_counts=True)
         order = np.argsort(reps)
@@ -263,7 +271,7 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
             structured = _reduced_matrix(n, st.rows(block), k)
             gaps = []
             for keep, count in zip(subsets[reps[order]], counts[order]):
-                m = pure_partial_trace(amps[block], keep).matrix
+                m = pure_partial_trace(stack[block], keep).matrix
                 gaps.append(np.max(np.abs(structured - m), axis=(-2, -1)))
                 deficits[block] += count * (1.0 - np.sum(np.abs(m) ** 2, axis=(-2, -1)))
             deviations["reduced_density"].extend(gaps[0].tolist() + np.max(gaps, axis=0).tolist())

@@ -146,11 +146,12 @@ class GGAClosedForm:
 
 def _phase(j: int, N: int, kbar, lbar):
     """(C^2, beta) of start averages kbar and lbar, floats or arrays of one quadrature per value:
-    C^2 = j kbar^2 + (N - j) lbar^2 and beta = atan2(sqrt(j) kbar, sqrt(N - j) lbar). beta is
-    taken per value by math.atan2, as numpy's arctan2 kernels round differently on different
-    CPUs; an array gives a float array."""
+    C^2 = j kbar^2 + (N - j) lbar^2 and beta = atan2(sqrt(j) kbar, sqrt(N - j) lbar). The
+    squares are products, as `**` on a Python float is libm pow(), which is not correctly
+    rounded. beta is taken per value by math.atan2, as numpy's arctan2 kernels round
+    differently on different CPUs; an array gives a float array."""
     beta = np.frompyfunc(math.atan2, 2, 1)(math.sqrt(j) * kbar, math.sqrt(N - j) * lbar)
-    return j * kbar**2 + (N - j) * lbar**2, beta.astype(float) if isinstance(beta, np.ndarray) else beta
+    return j * (kbar * kbar) + (N - j) * (lbar * lbar), beta.astype(float) if isinstance(beta, np.ndarray) else beta
 
 
 def gga_closed_form(dist0: AmplitudeDistribution) -> GGAClosedForm:
@@ -186,8 +187,8 @@ def _success_envelope(dist0: AmplitudeDistribution):
     l0 = dist0.other_amplitudes
     omega = dist0.omega
     spread = float(np.sum(np.abs(k0 - k0.mean()) ** 2))
-    # the real and imaginary averages as Python floats in object arrays, so _phase squares each by
-    # ** as it squares gga_closed_form's floats
+    # the real and imaginary averages as Python floats in object arrays, so _phase squares each as
+    # it squares gga_closed_form's floats
     kbar, lbar = (np.array([x.real.mean(), x.imag.mean()]).astype(object) for x in (k0, l0))
     C2, beta = _phase(dist0.j, dist0.size, kbar, lbar)
     parts = [(c2, b) for c2, b in zip(C2.tolist(), beta.tolist()) if c2]

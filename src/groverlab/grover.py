@@ -161,9 +161,9 @@ def _reduced_entries(n: int, st: SymmetricGAState, k: int, j: int = 1) -> tuple:
 
 
 def _reduced_matrix(n: int, st: SymmetricGAState, k: int, j: int = 1) -> np.ndarray:
-    """The k-qubit reduced matrix of `_reduced_entries`; a (rows, 2^k, 2^k) stack for a series state."""
+    """The real k-qubit reduced matrix of `_reduced_entries`; a (rows, 2^k, 2^k) stack for a series state."""
     corner, edge, bulk = (np.asarray(x) for x in _reduced_entries(n, st, k, j))
-    m = np.empty(bulk.shape + (1 << k, 1 << k), dtype=complex)
+    m = np.empty(bulk.shape + (1 << k, 1 << k))
     m[...] = bulk[..., None, None]
     m[..., 0, :] = edge[..., None]
     m[..., :, 0] = edge[..., None]
@@ -182,4 +182,4 @@ def reduced_density(cfg: GroverConfig, st: SymmetricGAState, k: int) -> DensityM
     z = cfg.n - _require_domain(cfg, "reduced_density", power_of_two=True)
     if not 1 <= k <= z:
         raise ValueError(f"kept-qubit count must satisfy 1 <= k <= {z}, got {k}")
-    return DensityMatrix(_reduced_matrix(cfg.n, st, k, cfg.j))
+    return DensityMatrix(_reduced_matrix(cfg.n, st, k, cfg.j).astype(complex))

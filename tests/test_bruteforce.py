@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -332,12 +333,14 @@ class TestCrossValidate:
 
     @staticmethod
     def record_reductions(monkeypatch) -> list:
-        """(n, keep) of each reduction the identity suite makes."""
+        """(n, keep, dtype name, calling function) of each reduction the identity suite makes."""
         reduced = []
 
         def recording_trace(amps, keep):
-            reduced.append((np.shape(amps)[-1].bit_length() - 1, tuple(int(q) for q in keep)))
-            return pure_partial_trace(amps, keep)
+            rho = pure_partial_trace(amps, keep)
+            n, caller = np.shape(amps)[-1].bit_length() - 1, sys._getframe(1).f_code.co_name
+            reduced.append((n, tuple(int(q) for q in keep), rho.matrix.dtype.name, caller))
+            return rho
 
         monkeypatch.setattr(bruteforce, "pure_partial_trace", recording_trace)
         return reduced
@@ -397,7 +400,7 @@ class TestCrossValidate:
             cfg = GroverConfig(n=n, j=1)
             want += every_subset_deviations(cfg, broken_series(cfg, optimal_iterations(cfg)))["reduced_density"]
             subsets = {s for k in range(1, n) for s in itertools.combinations(range(n), k)}
-            assert {keep for m, keep in reduced if m == n and len(keep) < n} == subsets
+            assert {keep for m, keep, *_ in reduced if m == n and len(keep) < n} == subsets
         assert checks["reduced_density"].cases == len(want)
         assert bits(checks["reduced_density"].max_deviation) == bits(max(want))
         # every deviation, not only the maximum
@@ -409,7 +412,38 @@ class TestCrossValidate:
         # generic cut's class, and only range(k) is reduced
         reduced = self.record_reductions(monkeypatch)
         assert cross_validate(max_n=9, j_values=(1, 2)).passed
-        assert reduced and all(keep == tuple(range(len(keep))) for _, keep in reduced)
+        assert reduced and all(keep == tuple(range(len(keep))) for _, keep, *_ in reduced)
+
+    def test_the_real_series_reduce_wide_cuts_in_float64(self, monkeypatch):
+        # the j = 1 series is real: its reduction check takes each wide cut,
+        # k > n - k, in float64 and each narrow one in complex, while the e2,
+        # dn and m oracles, like every stack of the j = 2 series, stay complex
+        reduced = self.record_reductions(monkeypatch)
+        assert cross_validate(max_n=10, j_values=(1, 2)).passed
+        checked = {(n, len(keep), dtype) for n, keep, dtype, caller in reduced if caller == "_check_series"}
+        want = {(n, k, "float64" if k > n - k else "complex128") for n in range(2, 11) for k in range(1, n)}
+        assert checked == want
+        assert {dtype for _, _, dtype, caller in reduced if caller != "_check_series"} == {"complex128"}
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_a_wide_cut_real_gram_has_the_complex_gram_bits(self, n):
+        # the float64 path of the wide cuts changes no deviation only while
+        # this BLAS rounds a a^T as it rounds the real part of a a^dag, on
+        # verify's blocks of rows; a host whose kernels round the two apart
+        # fails here before any golden does. Narrow cuts sum 2^(n-k) >= 2^k
+        # terms an entry, and there the two round apart; n = 2 has no wide cut
+        # short of the whole register
+        cfg = GroverConfig(n=n, j=1)
+        amps = evolve_series(cfg, optimal_iterations(cfg))
+        assert not amps.imag.any()
+        real = np.ascontiguousarray(amps.real)
+        for k in range(n // 2 + 1, n):
+            size = max(1, bruteforce._REDUCTION_BLOCK >> 2 * k)
+            for block in (slice(start, start + size) for start in range(0, len(amps), size)):
+                got = pure_partial_trace(real[block], range(k)).matrix
+                want = pure_partial_trace(amps[block], range(k)).matrix
+                assert got.dtype == np.float64 and not want.imag.any(), (k, block)
+                assert got.tobytes() == want.real.tobytes(), (k, block)  # every bit, -0.0 apart from 0.0
 
     def test_closed_forms_take_the_whole_series(self, monkeypatch):
         # the partition minimum and the multiqubit radicand are checked on the

@@ -366,6 +366,8 @@ GOLDEN_BYTES = [
     # 40 series in one block: the any-j closed forms, e2 at j = 1, d2's closed form at each 2^k and the e2
     # and d2 oracles elsewhere. CSV, as the JSON's last digits of cr and d2 follow numpy's SIMD log2
     ("ga_n10_j1-40_r2.csv", ("ga", "--n", "10", "--j", "1..40", "--r-max", "2", "--measures", "cr,cl1,e2,d2")),
+    # the top of verify's range, where the wide cuts of n = 10's real series are reduced in float64
+    ("verify_n10_j1-2.json", ("verify", "--max-n", "10", "--j", "1,2", "--format", "json")),
 ]
 
 # numpy's AVX-512 log2 and log1p kernels made this golden's bits, which others move by an ulp or two
@@ -548,18 +550,20 @@ class TestGoldenOutputs:
 
 @pytest.mark.skipif(not AVX512_TARGETS, reason="numpy reports no AVX-512 dispatch target on this host")
 def test_goldens_below_avx512_dispatch():
-    # the golden tests again, in a process whose numpy kernels are the AVX2 or baseline ones: no CSV
-    # text may depend on them (the CSV writer rounds by comparisons and correctly rounded operations).
-    # The two ga_n11_d2_r11.json cases are strict xfails there, so a mend flips them
+    # the golden tests again, in a process whose numpy kernels are the AVX2 ones, then in one whose
+    # kernels are the baseline ones (every dispatch target off): no CSV text may depend on them (the
+    # CSV writer rounds by comparisons and correctly rounded operations), nor may verify's float64
+    # deviations. The two ga_n11_d2_r11.json cases are strict xfails at both levels, so a mend flips them
     src = str(Path(groverlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_TARGETS)}
     test = f"{Path(__file__).resolve()}::TestGoldenOutputs"
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test, "-k", "not simd_kernels"]
-    run = subprocess.run(argv, env=env, capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1])
-    summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else run.stderr
-    assert run.returncode == 0, run.stdout[-4000:]
-    assert " 2 xfailed" in summary and "failed" not in summary.replace("xfailed", ""), summary
+    for disabled in (AVX512_TARGETS, list(__cpu_dispatch__)):
+        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1])
+        summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else run.stderr
+        assert run.returncode == 0, (disabled, run.stdout[-4000:])
+        assert " 2 xfailed" in summary and "failed" not in summary.replace("xfailed", ""), (disabled, summary)
 
 
 @st.composite

@@ -34,13 +34,16 @@ def random_pure(dim, rng):
 
 class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
-        m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(InvalidStateError, match="Hermitian"):
-            DensityMatrix(m)
+        # a float64 matrix stays real and meets the same check
+        for dtype in (complex, float):
+            m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=dtype)
+            with pytest.raises(InvalidStateError, match="Hermitian"):
+                DensityMatrix(m)
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(InvalidStateError, match="trace"):
-            DensityMatrix(np.eye(2, dtype=complex))
+        for dtype in (complex, float):
+            with pytest.raises(InvalidStateError, match="trace"):
+                DensityMatrix(np.eye(2, dtype=dtype))
 
     def test_rejects_negative_spectrum(self):
         m = np.diag([1.5, -0.5]).astype(complex)
@@ -208,6 +211,12 @@ class TestPartialTrace:
             direct = pure_partial_trace(amps, keep)
             via_proj = partial_trace(DensityMatrix.from_pure(amps), keep)
             assert np.allclose(direct.matrix, via_proj.matrix, atol=1e-12)
+        # a float64 stack gives a real matrix, the whole register's outer product included
+        real = np.stack([amps.real, amps.imag]) / np.linalg.norm([amps.real, amps.imag], axis=1)[:, None]
+        for keep in [(0,), (2, 4), (0, 1, 3), range(5)]:
+            direct = pure_partial_trace(real, keep)
+            assert direct.matrix.dtype == np.float64
+            assert np.allclose(direct.matrix, pure_partial_trace(real.astype(complex), keep).matrix, atol=1e-15)
 
     def test_pure_subsystem_purity(self):
         rng = np.random.default_rng(6)
