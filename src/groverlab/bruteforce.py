@@ -97,9 +97,7 @@ MEASURES = {
     ),
     "e2": Measure(
         closed_form=lambda cfg, st, opt: entanglement.concurrence_two_qubit_ga(cfg, st),
-        oracle=lambda amps, cfg, opt: entanglement.concurrence_two_qubit(
-            pure_partial_trace(amps, (0, 1))
-        ),
+        oracle=lambda amps, cfg, opt: entanglement.concurrence_two_qubit(pure_partial_trace(amps, (0, 1))),
         min_qubits=2,
         identity="concurrence_two_qubit",
     ),
@@ -279,11 +277,7 @@ def _check_series(cfg: GroverConfig, requested: bool, uniform: bool, fault: floa
     deviations["multiqubit_concurrence_forms"].extend(np.abs(radicand - deficits).tolist())
 
 
-def cross_validate(
-    max_n: int = 8,
-    j_values=(1, 2),
-    fault: float = 0.0,
-) -> ValidationSummary:
+def cross_validate(max_n: int = 8, j_values=(1, 2), fault: float = 0.0) -> ValidationSummary:
     """Run the full closed-form-vs-brute-force identity suite.
 
     Each measure identity compares the series that `ga` prints for an
@@ -298,6 +292,8 @@ def cross_validate(
     if not 2 <= max_n <= 10:
         raise ValueError(f"max_n must lie in 2..10, got {max_n}")
     j_values = tuple(j_values)
+    if min(j_values, default=1) < 1:  # before any series is stepped, whatever max_n is
+        raise ValueError(f"solution counts must be >= 1, got {min(j_values)}")
     if not any(j < (1 << max_n) for j in j_values):
         raise ValueError(f"no solution count in {j_values} is below 2^max_n = {1 << max_n}")
     deviations = {name: [] for name in _IDENTITY_TOLERANCES}

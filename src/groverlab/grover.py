@@ -97,14 +97,13 @@ def state_at(cfg: GroverConfig, r) -> SymmetricGAState:
     r = np.asarray(r)
     if np.any(r < 0):
         raise ValueError(f"iteration count must be >= 0, got {r.min()}")
-    return _rows_state([cfg], np.zeros(r.shape, dtype=int), r)
+    per_row = (np.full(r.shape, x)[()] for x in (cfg.alpha, float(cfg.j), float(cfg.database_size - cfg.j)))
+    return _rows_state(*per_row, r)  # [()] keeps a scalar state's fields scalars
 
 
-def _rows_state(cfgs, series, r) -> SymmetricGAState:
-    """The state of rows r >= 0, row i in the series cfgs[series[i]]: alpha per series from
-    `GroverConfig.alpha` (math.atan2, not numpy's SIMD arctan2), N - j rounded once from exact ints."""
-    per_series = zip(*((c.alpha, float(c.j), float(c.database_size - c.j)) for c in cfgs))
-    alpha, j, rest = (np.array(x)[series] for x in per_series)
+def _rows_state(alpha, j, rest, r) -> SymmetricGAState:
+    """The state of rows r >= 0, each row with the alpha, j and N - j of its own series, arrays of r's shape: alpha
+    from `GroverConfig.alpha` (math.atan2, not numpy's SIMD arctan2), j and N - j rounded once from exact ints."""
     alpha_r = (r + 0.5) * alpha
     return SymmetricGAState(r=r, j=j, rest=rest, alpha_r=alpha_r, a=np.sin(alpha_r), b=np.cos(alpha_r) / np.sqrt(rest))
 

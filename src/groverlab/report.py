@@ -102,77 +102,78 @@ class SweepResult:
         return {key: np.ma.concatenate([b[key] for b in blocks]) for key in blocks[0]} if blocks else {}
 
 
-def _ga_blocks(series: list, optimizer):
-    """The rows of a `ga` sweep, series after series, in blocks of `_BLOCK_ROWS` rows.
+def _ga_blocks(n: int, series: dict, optimizer):
+    """The rows of `ga_sweep`'s table of n-qubit series, series after series, in blocks of `_BLOCK_ROWS` rows.
 
-    `series` holds (cfg, r_max, engines) per j. A block has one state for the
-    rows of every series in it, each row rounding as in its whole series, so
-    the blocking changes no bit. An any-j column is one closed-form call on it,
-    any other analytic column one call per j with that j's cfg, and an oracle
-    column a slice of one call on each series' whole amplitude stack. A row
-    whose series has no engine for a measure is NA (masked) there.
+    Per-series floats and engine masks are built once; a block keeps nothing for the next. A block has one state
+    for the rows of every series in it, each row rounding as in its whole series. An any-j column is one call of
+    its closed form on that state; any other analytic column one call per distinct j of its analytic series in
+    the block, with that j's cfg; and a series' oracle columns one call on the stack of its rows in the block,
+    walked from r = 0. Every form and oracle works row by row, so the blocking changes no bit. A row whose series
+    has no engine for a measure is NA (masked) there.
     """
-    ends = np.cumsum([r_max + 1 for _, r_max, _ in series])
-    starts = np.concatenate(([0], ends[:-1]))
-    js = [cfg.j for cfg, _, _ in series]
-    j_column = np.array(js, dtype=int if max(js) < 1 << 63 else object)  # exact ints past int64 too
-    whole = [m for m, engine in series[0][2].items() if MEASURES[m].any_j and engine == "analytic"]
-    carry = None, None  # (index, oracle columns) of the last series with any: it may span blocks
+    js, names, cfgs = series["j"], series["engines"], series["cfgs"]
+    ends = np.cumsum(series["r_max"] + 1)
+    starts = ends - series["r_max"] - 1
+    j, rest = js.astype(float), np.array([float((1 << n) - x) for x in js.tolist()])  # each rounded once
+    masks = {m: (names[m] == "analytic", names[m] == "oracle") for m in names if not MEASURES[m].any_j}
+    walked = np.flatnonzero(np.any([oracle for _, oracle in masks.values()], axis=0))  # series with an oracle column
+    cfg = next(iter(cfgs.values()))  # an any-j form reads only n from it
     for start in range(0, ends[-1], _BLOCK_ROWS):
         s = np.searchsorted(ends, np.arange(start, min(start + _BLOCK_ROWS, ends[-1])), side="right")
+        first, last = s[0], s[-1] + 1
         r = np.arange(start, start + s.size) - starts[s]
-        st = _rows_state([cfg for cfg, _, _ in series[s[0] : s[-1] + 1]], s - s[0], r)
-        values = {m: np.zeros(s.size) for m in series[0][2] if m not in whole}
-        na = {m: np.ones(s.size, dtype=bool) for m in values}
-        groups = {}  # (measure, j) -> (cfg, the series whose rows one closed-form call takes)
-        for i in range(s[0], s[-1] + 1):
-            cfg, r_max, engines = series[i]
-            at = slice(max(starts[i] - start, 0), ends[i] - start)
-            for m in values:
-                if engines[m] == "analytic":
-                    groups.setdefault((m, cfg.j), (cfg, []))[1].append(i)
-                elif engines[m] == "oracle":
-                    if carry[0] != i:
-                        wanted = tuple(k for k in engines if engines[k] == "oracle")
-                        carry = i, _generic_measures(evolve_series(cfg, r_max), cfg, wanted, optimizer)
-                    values[m][at], na[m][at] = carry[1][m][r[at]], False
-        for (m, _), (cfg, group) in groups.items():
-            rows = slice(None) if len(group) == s[-1] - s[0] + 1 else np.flatnonzero(np.isin(s, group))
-            values[m][rows], na[m][rows] = MEASURES[m].closed_form(cfg, st.rows(rows), optimizer), False
-        yield {"j": j_column[s], "r": r} | {
-            m: MEASURES[m].closed_form(series[s[0]][0], st, optimizer) if m in whole else np.ma.array(values[m], mask=na[m])
-            for m in series[0][2]
-        }
+        st = _rows_state(series["alpha"][s], j[s], rest[s], r)
+        columns = {m: np.ma.array(np.zeros(s.size), mask=True) for m in masks}  # a cell set is no longer NA
+        for m, (analytic, _) in masks.items():
+            at = np.flatnonzero(analytic[first:last]) + first
+            for value in dict.fromkeys(js[at].tolist()):  # each distinct j, in order
+                group = at[js[at] == value]
+                rows = slice(None) if group.size == last - first else np.flatnonzero(np.isin(s, group))
+                columns[m][rows] = MEASURES[m].closed_form(cfgs[value], st.rows(rows), optimizer)
+        for i in walked[np.searchsorted(walked, first) : np.searchsorted(walked, last)].tolist():
+            rows = slice(max(starts[i] - start, 0), ends[i] - start)
+            stack = evolve_series(cfgs[js[i]], r[rows][-1])[r[rows][0] :]
+            wanted = [m for m, (_, oracle) in masks.items() if oracle[i]]
+            for m, column in _generic_measures(stack, cfgs[js[i]], wanted, optimizer).items():
+                columns[m][rows] = column
+        any_j = {m: MEASURES[m].closed_form(cfg, st, optimizer) for m in names if m not in masks}
+        yield {"j": js[s], "r": r} | {m: columns[m] if m in masks else any_j[m] for m in names}
 
 
 def ga_sweep(run: RunConfig) -> SweepResult:
     """Measure sweep over r = 0..r_opt for each requested solution count.
 
-    An explicit r range is validated against 0..r_opt: requests past the
-    optimal stopping time are clamped and flagged in the metadata (the
-    underlying formulas stay valid, but sweeps report the algorithm's run).
-    The checks, the row cap and each series' engines run here; the rows are
-    computed block by block as the result is written.
+    An explicit r range is validated against 0..r_opt: requests past the optimal stopping time are clamped and
+    flagged in the metadata (the underlying formulas stay valid, but sweeps report the algorithm's run). The
+    checks, the row cap and the series table run here: per j, in order, its exact j, alpha, r_max and each
+    measure's engine, decided once for the metadata and the blocks, and the cfgs that blocks need.
     """
-    measures = tuple(m for m in MEASURE_KEYS if m in run.measures and m != "p")
+    keys = ("p",) + tuple(m for m in MEASURE_KEYS if m in run.measures and m != "p")
     if run.r_max is not None and run.r_max < 0:
         raise ValueError(f"r-max must be >= 0, got {run.r_max}")
     if not run.j_values:
         raise ValueError("the solution-count list is empty")
-    series, engines, extra = [], {}, {}  # (cfg, r_max, engines) per j, in order; a repeated j is a repeated series
-    for j in run.j_values:
+    alpha, r_max, names, cfgs, extra = [], [], {m: [] for m in keys}, {}, {}
+    for j in run.j_values:  # a repeated j is a repeated series
         cfg = GroverConfig(n=run.n, j=j)
         r_limit = optimal_iteration_details(cfg).r_opt
         if run.r_max is not None and run.r_max > r_limit:
             extra[f"r_max_clamped.j{j}"] = r_limit
-        series_engines = {m: MEASURES[m].engine(cfg, run.use_oracle) for m in ("p",) + measures}
-        engines.update({f"j{j}.{m}": engine for m, engine in series_engines.items()})
-        series.append((cfg, r_limit if run.r_max is None else min(run.r_max, r_limit), series_engines))
-    rows = sum(r_max + 1 for _, r_max, _ in series)
-    if rows > MAX_ROWS:
+        alpha.append(cfg.alpha)
+        r_max.append(r_limit if run.r_max is None else min(run.r_max, r_limit))
+        for m in keys:
+            names[m].append(MEASURES[m].engine(cfg, run.use_oracle))
+        if not cfgs or any(names[m][-1] != "unavailable" and not MEASURES[m].any_j for m in keys):
+            cfgs.setdefault(j, cfg)
+    if (rows := sum(r_max) + len(r_max)) > MAX_ROWS:
         raise ValueError(f"the sweep would have {rows:,} rows, more than the {MAX_ROWS:,} allowed; lower --r-max")
-    columns = (("j",) if len(run.j_values) > 1 else ()) + ("r", "p") + measures
-    blocks = partial(_ga_blocks, series, replace(run.optimizer, seed=run.seed))
+    engines = {f"j{j}.{m}": engine for j, *row in zip(run.j_values, *names.values()) for m, engine in zip(keys, row)}
+    j_column = np.array(run.j_values, dtype=int if max(run.j_values) < 1 << 63 else object)  # exact past int64 too
+    series = {"j": j_column, "alpha": np.array(alpha), "r_max": np.array(r_max), "cfgs": cfgs}
+    series["engines"] = {m: np.array(column, dtype=object) for m, column in names.items()}  # compact: 8 bytes a cell
+    columns = (("j",) if len(run.j_values) > 1 else ()) + ("r",) + keys
+    blocks = partial(_ga_blocks, run.n, series, replace(run.optimizer, seed=run.seed))
     return SweepResult(columns=columns, blocks=blocks, engines=engines, extra_metadata=extra)
 
 

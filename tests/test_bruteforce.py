@@ -19,7 +19,7 @@ from groverlab.bruteforce import (
 from groverlab.coherence import coherence_r_ga
 from groverlab.errors import CapacityError, InvalidStateError
 from groverlab.gga import AmplitudeDistribution, gga_iterate
-from groverlab.grover import GroverConfig, _reduced_matrix, optimal_iterations, state_at
+from groverlab.grover import FLOAT_SAFE_QUBITS, GroverConfig, _reduced_matrix, optimal_iterations, state_at
 from groverlab.linalg import DensityMatrix, pure_partial_trace
 from groverlab.optimizers import OptimizerConfig
 from groverlab.report import RunConfig, ga_sweep, verify_rows
@@ -134,6 +134,27 @@ class TestMeasureTable:
     )
     def test_engine_follows_the_domain(self, key, n, j, use_oracle, engine):
         assert MEASURES[key].engine(GroverConfig(n=n, j=j), use_oracle) == engine
+
+    @pytest.mark.parametrize("key", MEASURE_KEYS)
+    def test_analytic_engine_is_where_the_closed_form_runs(self, key):
+        # a `ga` block calls each analytic form on its rows with no guard of its
+        # own, so the table's engine and the form's domain check must agree
+        measure, opt = MEASURES[key], OptimizerConfig(theta_grid=8, phi_grid=8, restarts=1)
+        for n, j in ((n, j) for n in range(1, 14) for j in range(1, 18) if j < 1 << n):
+            cfg = GroverConfig(n=n, j=j)
+            try:
+                measure.closed_form(cfg, state_at(cfg, [0, 1]), opt)
+                runs = True
+            except ValueError:
+                runs = False
+            assert (measure.engine(cfg, use_oracle=False) == "analytic") == runs, (n, j)
+
+    @pytest.mark.parametrize("key", [k for k in MEASURE_KEYS if MEASURES[k].any_j])
+    def test_any_j_entries_are_analytic_at_every_n(self, key):
+        # an any-j column is one closed-form call on every row of a block, with no mask
+        for n in range(1, FLOAT_SAFE_QUBITS + 1):
+            for j in {1, (1 << n) - 1}:
+                assert MEASURES[key].engine(GroverConfig(n=n, j=j), use_oracle=False) == "analytic", (n, j)
 
     def test_identities_link_the_table_to_verify(self):
         identities = {k: m.identity for k, m in MEASURES.items() if m.identity}

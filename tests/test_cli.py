@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groverlab
-from groverlab import report
+from groverlab import bruteforce, report
 from groverlab.bruteforce import MEASURE_KEYS, MEASURES, evolve
 from groverlab.cli import main
 from groverlab.discord import pairwise_discord_closed_form
@@ -327,6 +327,16 @@ class TestInputDomain:
         result = run_cli(*(a.format(init=init) for a in args))
         assert result.exit_code == 2
         assert "Error:" in result.output
+
+
+@pytest.mark.parametrize("args, bad", [(("--max-n", "8", "--j", "0,1"), 0), (("--j", "-3"), -3)])
+def test_verify_names_a_solution_count_below_one(args, bad, monkeypatch):
+    # rejected before any series is stepped, with the bad value and not a bound that depends on n
+    monkeypatch.setattr(bruteforce, "_check_series", lambda *args: pytest.fail("a series was stepped"))
+    result = run_cli("verify", *args)
+    assert result.exit_code == 2
+    assert f"Error: solution counts must be >= 1, got {bad}\n" in result.stderr
+    assert result.stdout == ""
 
 
 # (golden name without .csv, CLI args) compared to 12 significant digits, and byte for byte

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from witnesses import render_csv_rows, render_json_rows, written
 
 from groverlab import report
-from groverlab.bruteforce import MEASURES
+from groverlab.bruteforce import MEASURES, evolve_series
 from groverlab.cli import main
 from groverlab.gga import distribution_from_json
 from groverlab.report import RunConfig, SweepResult
@@ -243,6 +243,22 @@ def test_any_j_closed_form_is_one_call_per_block(block_rows, calls, monkeypatch)
     result = CliRunner().invoke(main, ["ga", "--n", "30", "--j", "1..2000", "--r-max", "0", "--measures", "cr"])
     assert result.exit_code == 0, result.output
     assert (len(sizes), sum(sizes)) == (calls, 2000)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 5, 7, 8])
+def test_every_engine_kind_at_any_block_size(block_rows, monkeypatch):
+    # j = 1 is analytic in every measure, j = 2 in d2 and the any-j ones, j = 3
+    # only in those: its oracle series (rows 6-10 and 11-14) are cut at every
+    # offset, and each is walked once per block it spans, from r = 0
+    args = ["ga", "--n", "6", "--j", "1..3", "--r-max", "5", "--measures", ",".join(MEASURES), "--restarts", "4"]
+    args += ["--format", "json"]
+    whole = CliRunner().invoke(main, args).output
+    walks = []
+    monkeypatch.setattr(report, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(report, "evolve_series", lambda cfg, r_max: walks.append(cfg.j) or evolve_series(cfg, r_max))
+    assert CliRunner().invoke(main, args).output == whole
+    spans = {j: (end - 1) // block_rows - start // block_rows + 1 for j, start, end in ((2, 6, 11), (3, 11, 15))}
+    assert {j: walks.count(j) for j in (1, 2, 3)} == {1: 0, **spans}
 
 
 def test_j_past_int64_prints_every_j_as_an_int():
